@@ -144,9 +144,14 @@ def _verify_jobs(args) -> list[tuple]:
 
 
 def _run_reports(jobs: list[tuple], n_jobs: int) -> list[Report]:
-    if n_jobs <= 1 or len(jobs) <= 1:
+    if n_jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {n_jobs}")
+    # the fork start method starts every worker up front, so never ask for
+    # more workers than there are jobs
+    workers = min(n_jobs, len(jobs))
+    if workers <= 1:
         return [_run_job(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_job, jobs))  # map keeps submission order
 
 

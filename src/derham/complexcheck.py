@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactla import float_rank, rank_nullspace, span_compare
+from .exactla import float_rank, rank_at_least, rank_nullspace, span_compare
 from .fespace import (
     CodomainSpace,
     ContinuousScalarSpace,
@@ -156,9 +156,73 @@ def build_diagram(name: str, nx: int, ny: int, k: int, lx=1, ly=1) -> DiagramIns
                            first, second, assemble_gram(b_space), assemble_gram(c_space))
 
 
+@dataclass
+class _RankFacts:
+    """Rank and kernel facts of one diagram, from either certificate route."""
+
+    first: int
+    second: int
+    kernel_is_range_plus_constants: bool
+    harmonic_dim: int
+    harmonic_is_constants: bool
+
+
+def _sparse(vec: list[Fraction]) -> dict[int, Fraction]:
+    return {i: v for i, v in enumerate(vec) if v}
+
+
+def _certified_ranks(inst: DiagramInstance) -> _RankFacts | None:
+    """Close every rank claim from both sides without a nullspace.
+
+    Call only once second.first = 0, first.1 = 0 and second^T G_c u = 0 hold
+    exactly.  These witnesses give upper bounds: first.1 = 0 caps rank(first)
+    at dim A - 1, and a nonzero G_c u caps rank(second) at dim C - 1.  The
+    constants lie in ker(second) and in ker((G_b first)^T), so once they are
+    independent of range(first) they cap rank([second; (G_b first)^T]) at
+    dim B - 2.  Ranks mod p give matching lower bounds.  Returns None when a
+    witness fails or a modular rank misses its bound.
+    """
+    first, second = inst.first, inst.second
+    dim_a, dim_b, dim_c = inst.a_space.dim, inst.b_space.dim, inst.c_space.dim
+    consts = inst.constant_fields()
+    gram_first = inst.gram_b.compose(first)
+    if (not any(inst.gram_c.matvec(inst.c_space.uniform_vector()))
+            or any(v for cf in consts for v in second.matvec(cf))
+            or any(v for cf in consts for v in gram_first.rmatvec(cf))):
+        return None
+    # prefix ranks of [first^T; constants]: rank(first), rank([range(first) | constants])
+    if not rank_at_least([first.sparse_columns(), [_sparse(cf) for cf in consts]],
+                         [dim_a - 1, dim_a + 1]):
+        return None
+    # prefix ranks of [second; (G_b first)^T]: rank(second), dim B - harmonic dim
+    if not rank_at_least([second.sparse_rows(), gram_first.sparse_columns()],
+                         [dim_c - 1, dim_b - 2]):
+        return None
+    kernel_dim = dim_b - (dim_c - 1)
+    return _RankFacts(dim_a - 1, dim_c - 1, kernel_dim == dim_a + 1, 2, True)
+
+
+def _exact_ranks(inst: DiagramInstance) -> _RankFacts:
+    """The same facts by exact nullspaces and span comparisons."""
+    ra = rank_nullspace(inst.first.dense_rows(), ncols=inst.a_space.dim)
+    second_rows = inst.second.dense_rows()
+    rd = rank_nullspace(second_rows, ncols=inst.b_space.dim)
+    const_fields = inst.constant_fields()
+    range_cols = inst.first.columns()
+    split = span_compare(rd.nullspace, range_cols + const_fields, want_witness=False)
+    harmonic_rows = second_rows + [inst.gram_b.matvec(col) for col in range_cols]
+    hres = rank_nullspace(harmonic_rows, ncols=inst.b_space.dim)
+    hspan = span_compare(hres.nullspace, const_fields, want_witness=False)
+    return _RankFacts(ra.rank, rd.rank, split.equal, hres.nullity, hspan.equal)
+
+
 def verify_diagram(name: str, nx: int, ny: int, k: int,
                    float_check: bool = False, lx=1, ly=1) -> Report:
-    """Machine-check every structural claim of one diagram on one mesh."""
+    """Machine-check every structural claim of one diagram on one mesh.
+
+    Ranks come from exact witnesses plus ranks mod p; when that certificate
+    does not close, the exact nullspace route computes the same values.
+    """
     inst = build_diagram(name, nx, ny, k, lx, ly)
     spec = inst.spec
     n = inst.mesh.num_cells
@@ -173,48 +237,44 @@ def verify_diagram(name: str, nx: int, ny: int, k: int,
     rep.check("dim_B", n * local_dim(spec.family, k), dim_b)
     rep.check("dim_C", dimension_formula(spec.kind, spec.formula_c, k, n), dim_c)
 
-    rep.check("second_after_first_is_zero", True, inst.second.compose(inst.first).is_zero)
-
-    ra = rank_nullspace(inst.first.dense_rows(), ncols=dim_a)
-    rep.check("first_rank", dim_a - 1, ra.rank)
-    rep.check("first_kernel_dim", 1, ra.nullity)
-    ones = inst.a_space.constant_vector(1)
-    rep.check("first_kernel_is_constants", True,
-              ra.nullity == 1 and not any(inst.first.matvec(ones)))
-
-    second_rows = inst.second.dense_rows()
-    rd = rank_nullspace(second_rows, ncols=dim_b)
-    rep.check("second_rank", dim_c - 1, rd.rank)
-    rep.check("second_kernel_dim", dim_a + 1, rd.nullity)
-
+    composes_to_zero = inst.second.compose(inst.first).is_zero
+    kills_constants = not any(inst.first.matvec(inst.a_space.constant_vector(1)))
     const_fields = inst.constant_fields()
-    range_cols = inst.first.columns()
-    split = span_compare(rd.nullspace, range_cols + const_fields, want_witness=False)
-    rep.check("second_kernel_is_range_plus_constants", True, split.equal)
-    rep.check("constants_orthogonal_to_first_range", True,
-              not any(v for cf in const_fields
-                      for v in inst.first.rmatvec(inst.gram_b.matvec(cf))))
-
+    constants_orthogonal = not any(v for cf in const_fields
+                                   for v in inst.first.rmatvec(inst.gram_b.matvec(cf)))
     uniform = inst.c_space.uniform_vector()
-    rep.check("uniform_orthogonal_to_second_range", True,
-              not any(inst.second.rmatvec(inst.gram_c.matvec(uniform))))
-    rep.check("second_range_plus_uniform_fills_codomain", dim_c, rd.rank + 1)
+    uniform_orthogonal = not any(inst.second.rmatvec(inst.gram_c.matvec(uniform)))
+    facts = None
+    if composes_to_zero and kills_constants and uniform_orthogonal:
+        facts = _certified_ranks(inst)
+    if facts is None:
+        facts = _exact_ranks(inst)
+    rank_a, rank_b = facts.first, facts.second
 
-    harmonic_rows = second_rows + [inst.gram_b.matvec(col) for col in range_cols]
-    hres = rank_nullspace(harmonic_rows, ncols=dim_b)
-    rep.check("harmonic_dim", 2, hres.nullity)
-    hspan = span_compare(hres.nullspace, const_fields, want_witness=False)
-    rep.check("harmonic_fields_are_constants", True, hspan.equal)
+    rep.check("second_after_first_is_zero", True, composes_to_zero)
+    rep.check("first_rank", dim_a - 1, rank_a)
+    rep.check("first_kernel_dim", 1, dim_a - rank_a)
+    rep.check("first_kernel_is_constants", True, dim_a - rank_a == 1 and kills_constants)
+    rep.check("second_rank", dim_c - 1, rank_b)
+    rep.check("second_kernel_dim", dim_a + 1, dim_b - rank_b)
+    rep.check("second_kernel_is_range_plus_constants", True,
+              facts.kernel_is_range_plus_constants)
+    rep.check("constants_orthogonal_to_first_range", True, constants_orthogonal)
+    rep.check("uniform_orthogonal_to_second_range", True, uniform_orthogonal)
+    rep.check("second_range_plus_uniform_fills_codomain", dim_c, rank_b + 1)
+    rep.check("harmonic_dim", 2, facts.harmonic_dim)
+    rep.check("harmonic_fields_are_constants", True, facts.harmonic_is_constants)
 
     rep.check("betti_numbers", [1, 2, 1],
-              [ra.nullity, rd.nullity - ra.rank, dim_c - rd.rank])
+              [dim_a - rank_a, dim_b - rank_b - rank_a, dim_c - rank_b])
 
     if float_check:
-        rep.check("first_rank_float", ra.rank,
+        rep.check("first_rank_float", rank_a,
                   float_rank(inst.first.dense_rows()), backend="float")
-        rep.check("second_rank_float", rd.rank, float_rank(second_rows), backend="float")
+        rep.check("second_rank_float", rank_b,
+                  float_rank(inst.second.dense_rows()), backend="float")
 
-    rep.witnesses = {"rank_first": ra.rank, "rank_second": rd.rank,
+    rep.witnesses = {"rank_first": rank_a, "rank_second": rank_b,
                      "dims": [dim_a, dim_b, dim_c]}
     return rep.finish()
 
@@ -257,20 +317,27 @@ def naive_quad_report(nx: int, ny: int, lx=1, ly=1, float_check: bool = False) -
     n = mesh.num_cells
     rep = Report("naive quad diagnostic",
                  params={"diagram": NAIVE_DIAGRAM, "nx": nx, "ny": ny, "k": 0})
-    res = rank_nullspace(op.dense_rows(), ncols=b_space.dim)
-    rep.check("rank", 2 * n - nx - ny, res.rank)
-    rep.check("kernel_dim", nx + ny, res.nullity)
-    rep.check("harmonic_excess", nx + ny - 1, (c_space.dim - res.rank) - 1)
     row_fields, col_fields = _strip_fields(b_space)
     strips = row_fields + col_fields
-    rep.check("strip_fields_in_kernel", True,
-              not any(v for w in strips for v in op.matvec(w)))
-    rep.check("strips_span_kernel", True,
-              span_compare(strips, res.nullspace, want_witness=False).equal)
+    strips_in_kernel = not any(v for w in strips for v in op.matvec(w))
+    # independent strips in the kernel cap the rank at dim B - #strips
+    if (strips_in_kernel
+            and rank_at_least([[_sparse(w) for w in strips]], [len(strips)])
+            and rank_at_least([op.sparse_rows()], [b_space.dim - len(strips)])):
+        rank, strips_span = b_space.dim - len(strips), True
+    else:
+        res = rank_nullspace(op.dense_rows(), ncols=b_space.dim)
+        rank = res.rank
+        strips_span = span_compare(strips, res.nullspace, want_witness=False).equal
+    rep.check("rank", 2 * n - nx - ny, rank)
+    rep.check("kernel_dim", nx + ny, b_space.dim - rank)
+    rep.check("harmonic_excess", nx + ny - 1, (c_space.dim - rank) - 1)
+    rep.check("strip_fields_in_kernel", True, strips_in_kernel)
+    rep.check("strips_span_kernel", True, strips_span)
     if float_check:
-        rep.check("rank_float", res.rank, float_rank(op.dense_rows()), backend="float")
+        rep.check("rank_float", rank, float_rank(op.dense_rows()), backend="float")
     rep.notes.append("deficient by design; PASS means the deficit matches the prediction")
-    rep.witnesses = {"deficit_from_healthy": (2 * n - 1) - res.rank}
+    rep.witnesses = {"deficit_from_healthy": (2 * n - 1) - rank}
     return rep.finish()
 
 

@@ -2,8 +2,11 @@
 
 The exact route clears each row to integers and runs fraction-free Gaussian
 elimination with gcd reduction, so ranks, nullspaces and span comparisons are
-certificates, not approximations.  ``float_rank`` provides the independent
-numpy SVD route; the two are compared in tests and reports but never merged.
+certificates, not approximations.  ``ranks_mod_p`` and ``rank_at_least``
+eliminate sparse rows over GF(p) instead: a rank mod p never exceeds the rank
+over Q (a nonzero minor mod p is a nonzero integer), so it certifies lower
+bounds only.  ``float_rank`` provides the independent numpy SVD route; the
+float and exact results are compared in tests and reports but never merged.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from heapq import heappop, heappush
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -26,6 +30,8 @@ __all__ = [
     "rank_nullspace",
     "exact_rank",
     "rank_of_columns",
+    "ranks_mod_p",
+    "rank_at_least",
     "span_compare",
     "direct_sum_check",
     "float_rank",
@@ -292,6 +298,106 @@ def _dot(x: Sequence, y: Sequence) -> Fraction:
         if a and b:
             s += Fraction(a) * b
     return s
+
+
+# Word-size primes below 2**30, so residues fit one Python int digit.
+_PRIMES = (1073741789, 1073741783, 1073741741, 1073741723)
+
+
+def _rows_mod_p(rows: Iterable[Mapping[int, Fraction]], p: int) -> list[dict[int, int]] | None:
+    """Map sparse rational rows to GF(p) as num * den^-1; None when p divides
+    a denominator, so the reduction is undefined."""
+    inverses: dict[int, int] = {}
+    out = []
+    for row in rows:
+        red = {}
+        for c, v in row.items():
+            den = v.denominator
+            inv = inverses.get(den)
+            if inv is None:
+                if den % p == 0:
+                    return None
+                inv = inverses[den] = pow(den, -1, p)
+            x = v.numerator * inv % p
+            if x:
+                red[c] = x
+        out.append(red)
+    return out
+
+
+def _add_row_mod_p(pivots: dict[int, list[tuple[int, int]]], row: dict[int, int], p: int) -> bool:
+    """Reduce ``row`` against the pivot rows, lowest column first; keep it as
+    a new pivot row (its tail scaled so the pivot is 1) when it survives.
+    Returns True when the row raised the rank."""
+    heap = sorted(row)
+    while heap:
+        c = heappop(heap)
+        f = row.pop(c, None)
+        if f is None:
+            continue
+        tail = pivots.get(c)
+        if tail is None:
+            inv = pow(f, -1, p)
+            pivots[c] = [(k, v * inv % p) for k, v in row.items()]
+            return True
+        for k, v in tail:
+            old = row.get(k)
+            if old is None:
+                row[k] = -f * v % p
+                heappush(heap, k)
+            else:
+                w = (old - f * v) % p
+                if w:
+                    row[k] = w
+                else:
+                    del row[k]
+    return False
+
+
+def ranks_mod_p(blocks: Sequence[Sequence[Mapping[int, Fraction]]], p: int,
+                floors: Sequence[int] | None = None) -> list[int] | None:
+    """Ranks over GF(p) of the stacked prefixes [B0], [B0; B1], ... of
+    blocks of sparse rational rows (column -> value mappings).
+
+    Each is a lower bound on the rank over Q for any prime ``p``.  None when
+    ``p`` divides a denominator.  With ``floors``, stops after the first
+    prefix whose rank falls short of its floor.
+    """
+    pivots: dict[int, list[tuple[int, int]]] = {}
+    ranks: list[int] = []
+    rank = 0
+    for i, block in enumerate(blocks):
+        reduced = _rows_mod_p(block, p)
+        if reduced is None:
+            return None
+        for row in reduced:
+            rank += _add_row_mod_p(pivots, row, p)
+        ranks.append(rank)
+        if floors is not None and rank < floors[i]:
+            break
+    return ranks
+
+
+def rank_at_least(blocks: Sequence[Sequence[Mapping[int, Fraction]]],
+                  floors: Sequence[int]) -> bool:
+    """Certify rank over Q of each stacked prefix [B0; ...; Bi] >= floors[i].
+
+    Rows are sparse column -> value mappings.  Tries at most two primes of a
+    fixed list, skipping any prime that divides a denominator; True as soon
+    as one prime reaches every floor.  False certifies nothing: the rank may
+    be short, or both primes were unlucky.
+    """
+    misses = 0
+    for p in _PRIMES:
+        ranks = ranks_mod_p(blocks, p, floors)
+        if ranks is None:
+            continue
+        if len(ranks) == len(floors) and all(r >= f for r, f in zip(ranks, floors)):
+            return True
+        misses += 1
+        if misses == 2:
+            return False
+    return False
 
 
 def float_rank(rows: Iterable[Sequence], tol: float = 1e-10) -> int:

@@ -99,6 +99,20 @@ class OpMatrix:
                 col[r] = v
         return col
 
+    def sparse_rows(self) -> list[dict[int, Fraction]]:
+        """Rows as column -> value dicts, straight from the entries."""
+        rows: list[dict[int, Fraction]] = [{} for _ in range(self.nrows)]
+        for (r, c), v in self.entries.items():
+            rows[r][c] = v
+        return rows
+
+    def sparse_columns(self) -> list[dict[int, Fraction]]:
+        """Columns as row -> value dicts, straight from the entries."""
+        cols: list[dict[int, Fraction]] = [{} for _ in range(self.ncols)]
+        for (r, c), v in self.entries.items():
+            cols[c][r] = v
+        return cols
+
     def matvec(self, v: Sequence[Fraction]) -> list[Fraction]:
         out = [_ZERO] * self.nrows
         for (r, c), a in self.entries.items():
@@ -202,6 +216,25 @@ class GramMatrix:
                     if a and x:
                         s += a * x
                 out[off + i] = s
+        return out
+
+    def compose(self, op: OpMatrix) -> OpMatrix:
+        """Matrix product G @ op, exact and sparse, block by block."""
+        if op.nrows != self.dim:
+            raise ValueError("shape mismatch in compose")
+        block_of: dict[int, tuple[int, list[list[Fraction]]]] = {}
+        for off, rows in self.blocks:
+            for i in range(len(rows)):
+                block_of[off + i] = (off, rows)
+        out = OpMatrix(self.dim, op.ncols, op.domain, op.codomain)
+        for (r, c), v in op.entries.items():
+            if r not in block_of:
+                continue  # row r of G is zero
+            off, rows = block_of[r]
+            for i, grow in enumerate(rows):
+                g = grow[r - off]
+                if g:
+                    out.add(off + i, c, g * v)
         return out
 
     def inner(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:

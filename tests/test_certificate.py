@@ -1,0 +1,146 @@
+"""The witness-plus-rank-mod-p route of verify_diagram and naive_quad_report:
+no nullspace on a healthy complex, the same report through a retry or the
+exact fallback, and a FAIL with the exact route's values on a broken one."""
+
+from fractions import Fraction
+
+import pytest
+
+from derham import complexcheck, exactla
+from derham.complexcheck import build_diagram, naive_quad_report, verify_diagram
+from derham.exactla import exact_rank
+
+
+def check_dicts(report):
+    return [c.to_dict() for c in report.checks]
+
+
+def failing(report):
+    return {c.name for c in report.checks if not c.passed}
+
+
+def forbid(monkeypatch, *names):
+    def boom(*args, **kwargs):
+        raise AssertionError("exact route used")
+    for name in names:
+        monkeypatch.setattr(complexcheck, name, boom)
+
+
+def exact_only(monkeypatch):
+    """No usable prime: every rank goes through the exact fallback."""
+    monkeypatch.setattr(exactla, "_PRIMES", ())
+
+
+@pytest.mark.parametrize("name,nx,ny,k", [
+    ("tri-dp", 3, 2, 1), ("quad-enriched-curl", 2, 2, 2), ("tri-dn", 2, 2, 1),
+])
+def test_healthy_diagram_needs_no_nullspace(monkeypatch, name, nx, ny, k):
+    forbid(monkeypatch, "rank_nullspace", "span_compare")
+    assert verify_diagram(name, nx, ny, k, float_check=True).passed
+
+
+def test_naive_diagnostic_needs_no_nullspace(monkeypatch):
+    forbid(monkeypatch, "rank_nullspace", "span_compare")
+    assert naive_quad_report(3, 4, float_check=True).passed
+
+
+@pytest.mark.parametrize("name,nx,ny,k", [("tri-dp", 2, 2, 1), ("quad-dn", 2, 2, 0)])
+def test_certificate_and_exact_route_agree(monkeypatch, name, nx, ny, k):
+    certified = verify_diagram(name, nx, ny, k, float_check=True)
+    exact_only(monkeypatch)
+    exact = verify_diagram(name, nx, ny, k, float_check=True)
+    assert check_dicts(certified) == check_dicts(exact)
+    assert certified.witnesses == exact.witnesses
+
+
+def test_unlucky_prime_falls_back_to_exact(monkeypatch):
+    # mod 2 every entry of tri-dp's rotated gradient vanishes: rank 0, not 15
+    reference = verify_diagram("tri-dp", 2, 2, 1)
+    monkeypatch.setattr(exactla, "_PRIMES", (2,))
+    calls = []
+    original = complexcheck._exact_ranks
+    monkeypatch.setattr(complexcheck, "_exact_ranks",
+                        lambda inst: calls.append(1) or original(inst))
+    rep = verify_diagram("tri-dp", 2, 2, 1)
+    assert calls == [1]
+    assert rep.passed
+    assert check_dicts(rep) == check_dicts(reference)
+
+
+def test_unlucky_prime_is_retried(monkeypatch):
+    reference = verify_diagram("tri-dp", 2, 2, 1)
+    monkeypatch.setattr(exactla, "_PRIMES", (2, exactla._PRIMES[0]))
+    forbid(monkeypatch, "rank_nullspace", "span_compare")
+    rep = verify_diagram("tri-dp", 2, 2, 1)
+    assert rep.passed
+    assert check_dicts(rep) == check_dicts(reference)
+
+
+def broken_build(mutate):
+    def build(*args, **kwargs):
+        inst = build_diagram(*args, **kwargs)
+        mutate(inst)
+        return inst
+    return build
+
+
+def perturb_second(inst):
+    key = min(inst.second.entries)
+    inst.second.entries[key] += 1
+
+
+def zero_first_column(inst):
+    for key in [key for key in inst.first.entries if key[1] == 0]:
+        del inst.first.entries[key]
+
+
+def run_broken(monkeypatch, mutate):
+    monkeypatch.setattr(complexcheck, "build_diagram", broken_build(mutate))
+    rep = verify_diagram("tri-dp", 2, 2, 1)
+    with monkeypatch.context() as m:
+        exact_only(m)
+        exact = verify_diagram("tri-dp", 2, 2, 1)
+    assert check_dicts(rep) == check_dicts(exact)
+    return rep
+
+
+def test_perturbed_second_entry_fails(monkeypatch):
+    rep = run_broken(monkeypatch, perturb_second)
+    assert not rep.passed
+    assert {"second_after_first_is_zero", "second_rank"} <= failing(rep)
+    inst = build_diagram("tri-dp", 2, 2, 1)
+    perturb_second(inst)
+    rank = exact_rank(inst.second.dense_rows(), ncols=inst.b_space.dim)
+    assert rank == inst.c_space.dim  # the uniform element no longer escapes the range
+    assert rep.witnesses["rank_second"] == rank
+
+
+def test_zeroed_first_column_fails(monkeypatch):
+    rep = run_broken(monkeypatch, zero_first_column)
+    assert not rep.passed
+    assert "first_kernel_is_constants" in failing(rep)
+    inst = build_diagram("tri-dp", 2, 2, 1)
+    zero_first_column(inst)
+    assert rep.witnesses["rank_first"] == exact_rank(inst.first.dense_rows(),
+                                                     ncols=inst.a_space.dim)
+
+
+def test_naive_perturbed_face_entry_fails(monkeypatch):
+    original = complexcheck.assemble_div_distributional
+
+    def assemble(b_space, c_space):
+        op = original(b_space, c_space)
+        face_row = c_space.face_offset(0)
+        key = min(key for key in op.entries if key[0] == face_row)
+        op.entries[key] += Fraction(1, 2)
+        return op
+
+    monkeypatch.setattr(complexcheck, "assemble_div_distributional", assemble)
+    rep = naive_quad_report(3, 4, float_check=True)
+    with monkeypatch.context() as m:
+        exact_only(m)
+        exact = naive_quad_report(3, 4, float_check=True)
+    assert not rep.passed
+    assert {"rank", "strip_fields_in_kernel"} <= failing(rep)
+    assert check_dicts(rep) == check_dicts(exact)
+    assert rep.witnesses == exact.witnesses

@@ -112,10 +112,66 @@ def test_audit(capsys):
 
 
 def test_width_cap_exits_2(capsys, monkeypatch):
+    # the jump-constraint count still eliminates exactly: 27 columns > 10
     monkeypatch.setenv("DERHAM_MAX_EXACT_COLS", "10")
-    code, _, err = run(capsys, "verify", "--diagram", "tri-dp", "--k", "1")
+    code, _, err = run(capsys, "appendix", "--nx", "3", "--ny", "3")
     assert code == 2
     assert "DERHAM_MAX_EXACT_COLS" in err
+
+
+def test_verify_ignores_width_cap(capsys, monkeypatch):
+    # verify certifies by witness plus rank mod p, so the exact cap never applies
+    monkeypatch.setenv("DERHAM_MAX_EXACT_COLS", "10")
+    code, out, _ = run(capsys, "verify", "--diagram", "tri-dp", "--k", "1")
+    assert code == 0
+    assert "-> PASS" in out
+
+
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records its size, starts nothing."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        FakePool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    FakePool.sizes = []
+    monkeypatch.setattr("derham.cli.ProcessPoolExecutor", FakePool)
+    return FakePool
+
+
+def test_jobs_pool_sized_to_job_count(capsys, fake_pool):
+    code, out, _ = run(capsys, "verify", "--diagram", "tri-dp", "--k", "0..1",
+                       "--jobs", "100000")
+    assert code == 0
+    assert "summary: 2/2" in out
+    assert fake_pool.sizes == [2]
+
+
+def test_jobs_single_job_runs_inline(capsys, fake_pool):
+    code, _, _ = run(capsys, "verify", "--diagram", "tri-dp", "--jobs", "8")
+    assert code == 0
+    assert fake_pool.sizes == []
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exits_2(capsys, fake_pool, jobs):
+    code, _, err = run(capsys, "verify", "--all", "--jobs", jobs)
+    assert code == 2
+    assert "--jobs must be at least 1" in err
+    assert fake_pool.sizes == []
 
 
 def test_output_file(capsys, tmp_path):

@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from derham import exactla
 from derham.exactla import (
     ExactSolveError,
     ExactWidthExceeded,
@@ -15,6 +18,8 @@ from derham.exactla import (
     float_rank,
     mat_mul,
     mat_vec,
+    rank_at_least,
+    ranks_mod_p,
     rank_nullspace,
     rank_of_columns,
     solve_any,
@@ -147,3 +152,69 @@ def test_against_numpy_on_integers():
     prod = mat_mul(rows, b)
     assert np.array_equal(np.array([[int(v) for v in r] for r in prod]), a @ np.array(b))
     assert transpose(transpose(rows)) == rows
+
+
+def sparse(rows):
+    return [{c: v for c, v in enumerate(r) if v} for r in rows]
+
+
+def rank_mod_p(rows, p):
+    ranks = ranks_mod_p([sparse(rows)], p)
+    return None if ranks is None else ranks[0]
+
+
+small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda ncols: st.lists(
+    st.lists(small_rationals, min_size=ncols, max_size=ncols), min_size=1, max_size=5)),
+    st.sampled_from([2, 3, 5, 7, 1073741789]))
+def test_rank_mod_p_never_exceeds_exact_rank(rows, p):
+    r = rank_mod_p(rows, p)
+    if any(v.denominator % p == 0 for row in rows for v in row):
+        assert r is None
+    else:
+        assert r <= exact_rank(rows, ncols=len(rows[0]))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rank_mod_p_matches_exact_rank_for_large_prime(seed):
+    rng = random.Random(200 + seed)
+    rows = random_matrix(rng, 6, 7, rng.randint(1, 5))
+    assert rank_mod_p(rows, exactla._PRIMES[0]) == exact_rank(rows)
+
+
+def test_unlucky_prime_underestimates_rank(monkeypatch):
+    p = 7
+    rows = [[F(1), F(1)], [F(1), F(1 + p)]]
+    assert exact_rank(rows) == 2
+    assert rank_mod_p(rows, p) == 1
+    monkeypatch.setattr(exactla, "_PRIMES", (p,))
+    assert not rank_at_least([sparse(rows)], [2])
+    monkeypatch.setattr(exactla, "_PRIMES", (p, 11))
+    assert rank_at_least([sparse(rows)], [2])  # the retry prime closes it
+    monkeypatch.setattr(exactla, "_PRIMES", (p, 7, 11))
+    assert not rank_at_least([sparse(rows)], [2])  # two misses: no third try
+
+
+def test_prime_dividing_a_denominator_is_skipped(monkeypatch):
+    rows = [[F(1, 5), F(0)], [F(0), F(3)]]
+    assert rank_mod_p(rows, 5) is None
+    assert rank_mod_p(rows, 3) == 1  # unlucky, not skipped
+    monkeypatch.setattr(exactla, "_PRIMES", (5,))
+    assert not rank_at_least([sparse(rows)], [2])
+    # 5 is skipped without using up a try, 3 misses, 7 is the second try
+    monkeypatch.setattr(exactla, "_PRIMES", (5, 3, 7))
+    assert rank_at_least([sparse(rows)], [2])
+
+
+def test_rank_at_least_prefix_floors():
+    top = sparse([[F(1), F(2), F(0)], [F(2), F(4), F(0)]])
+    bottom = sparse([[F(0), F(0), F(1, 3)]])
+    assert ranks_mod_p([top, bottom], 3) is None
+    assert ranks_mod_p([top, bottom], 5) == [1, 2]
+    assert rank_at_least([top, bottom], [1, 2])
+    assert not rank_at_least([top, bottom], [2, 2])
+    assert not rank_at_least([top, bottom], [1, 3])
+    assert rank_at_least([[], bottom], [0, 1])
