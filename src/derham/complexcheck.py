@@ -209,10 +209,10 @@ def _exact_ranks(inst: DiagramInstance) -> _RankFacts:
     rd = rank_nullspace(second_rows, ncols=inst.b_space.dim)
     const_fields = inst.constant_fields()
     range_cols = inst.first.columns()
-    split = span_compare(rd.nullspace, range_cols + const_fields, want_witness=False)
+    split = span_compare(rd.nullspace, range_cols + const_fields)
     harmonic_rows = second_rows + [inst.gram_b.matvec(col) for col in range_cols]
     hres = rank_nullspace(harmonic_rows, ncols=inst.b_space.dim)
-    hspan = span_compare(hres.nullspace, const_fields, want_witness=False)
+    hspan = span_compare(hres.nullspace, const_fields)
     return _RankFacts(ra.rank, rd.rank, split.equal, hres.nullity, hspan.equal)
 
 
@@ -270,9 +270,9 @@ def verify_diagram(name: str, nx: int, ny: int, k: int,
 
     if float_check:
         rep.check("first_rank_float", rank_a,
-                  float_rank(inst.first.dense_rows()), backend="float")
+                  float_rank(inst.first.float_array()), backend="float")
         rep.check("second_rank_float", rank_b,
-                  float_rank(inst.second.dense_rows()), backend="float")
+                  float_rank(inst.second.float_array()), backend="float")
 
     rep.witnesses = {"rank_first": rank_a, "rank_second": rank_b,
                      "dims": [dim_a, dim_b, dim_c]}
@@ -328,14 +328,14 @@ def naive_quad_report(nx: int, ny: int, lx=1, ly=1, float_check: bool = False) -
     else:
         res = rank_nullspace(op.dense_rows(), ncols=b_space.dim)
         rank = res.rank
-        strips_span = span_compare(strips, res.nullspace, want_witness=False).equal
+        strips_span = span_compare(strips, res.nullspace).equal
     rep.check("rank", 2 * n - nx - ny, rank)
     rep.check("kernel_dim", nx + ny, b_space.dim - rank)
     rep.check("harmonic_excess", nx + ny - 1, (c_space.dim - rank) - 1)
     rep.check("strip_fields_in_kernel", True, strips_in_kernel)
     rep.check("strips_span_kernel", True, strips_span)
     if float_check:
-        rep.check("rank_float", rank, float_rank(op.dense_rows()), backend="float")
+        rep.check("rank_float", rank, float_rank(op.float_array()), backend="float")
     rep.notes.append("deficient by design; PASS means the deficit matches the prediction")
     rep.witnesses = {"deficit_from_healthy": (2 * n - 1) - rank}
     return rep.finish()
@@ -387,6 +387,8 @@ def appendix_report(nx: int, ny: int, lx=1, ly=1) -> Report:
 def dof_comparison(k_max: int) -> Report:
     """Per-cell dof gap between the enriched families and the jump-relaxed
     classical elements of matching trace degree."""
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
     rep = Report("per-cell dof comparison", params={"k_max": k_max})
     for k in range(k_max + 1):
         rep.check(f"rt_quad_minus_enriched_k{k}", 1,
@@ -398,6 +400,8 @@ def dof_comparison(k_max: int) -> Report:
 
 def audit_report(kind: MeshKind, nx: int, ny: int, k_max: int) -> Report:
     """Constructed space dimensions versus their closed forms."""
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
     mesh = build_mesh(kind, nx, ny)
     rep = Report("dimension audit",
                  params={"kind": kind.value, "nx": nx, "ny": ny, "k_max": k_max})

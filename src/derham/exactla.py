@@ -1,21 +1,26 @@
 """Exact linear algebra over the rationals, plus a float cross-check route.
 
-The exact route clears each row to integers and runs fraction-free Gaussian
-elimination with gcd reduction, so ranks, nullspaces and span comparisons are
-certificates, not approximations.  ``ranks_mod_p`` and ``rank_at_least``
-eliminate sparse rows over GF(p) instead: a rank mod p never exceeds the rank
-over Q (a nonzero minor mod p is a nonzero integer), so it certifies lower
-bounds only.  ``float_rank`` provides the independent numpy SVD route; the
-float and exact results are compared in tests and reports but never merged.
+Every exact entry point runs one sparse row-echelon kernel, ``_Echelon``.
+Rows are ``{column: value}`` dicts; each new row is reduced against the
+pivot rows lowest column first and, when anything survives, becomes a pivot
+row scaled so its pivot is 1.  Over Q the values are ``Fraction``s, so
+ranks, nullspaces, solves and span comparisons are certificates, not
+approximations.  ``ranks_mod_p`` and ``rank_at_least`` run the same kernel
+over GF(p): a rank mod p never exceeds the rank over Q (a nonzero minor mod
+p is a nonzero integer), so it certifies lower bounds only.  Solves track
+each pivot row as a combination of the input rows, then replay it on a
+right-hand side and back-substitute.  ``float_rank`` provides the
+independent numpy SVD route; the float and exact results are compared in
+tests and reports but never merged.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -23,7 +28,6 @@ import numpy as np
 __all__ = [
     "RankResult",
     "SpanCert",
-    "DirectSumCert",
     "ExactSolveError",
     "ExactWidthExceeded",
     "LinearExpander",
@@ -33,11 +37,9 @@ __all__ = [
     "ranks_mod_p",
     "rank_at_least",
     "span_compare",
-    "direct_sum_check",
     "float_rank",
     "solve_any",
     "solve_square",
-    "mat_mul",
     "mat_vec",
     "transpose",
     "exact_width_limit",
@@ -68,79 +70,148 @@ def exact_width_limit() -> int:
         raise ValueError(f"DERHAM_MAX_EXACT_COLS must be an integer, got {raw!r}") from exc
 
 
-def _to_int_row(row: Sequence) -> list[int]:
-    """Scale a rational row to coprime integers (rank-preserving)."""
-    fr = [v if isinstance(v, Fraction) else Fraction(v) for v in row]
-    den = 1
-    for v in fr:
-        if v:
-            den = den * v.denominator // math.gcd(den, v.denominator)
-    ints = [int(v.numerator) * (den // v.denominator) for v in fr]
-    g = 0
-    for v in ints:
-        if v:
-            g = math.gcd(g, v)
-            if g == 1:
-                break
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+def _check_width(ncols: int) -> None:
+    if ncols > exact_width_limit():
+        raise ExactWidthExceeded(f"{ncols} columns exceeds the exact cap {exact_width_limit()}")
 
 
-def _reduce_ints(row: list[int]) -> list[int]:
-    g = 0
-    for v in row:
-        if v:
-            g = math.gcd(g, abs(v))
-            if g == 1:
-                return row
-    if g > 1:
-        return [v // g for v in row]
-    return row
+def _sparse(row: Sequence) -> dict:
+    return {c: v for c, v in enumerate(row) if v}
 
 
-def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[int], list[list[int]]]:
-    """Fraction-free row echelon over the integers.
+def _subtract(row: dict, f, pivot_row, p: int, heap: list | None = None) -> None:
+    """row -= f * pivot_row in place, mod p when p is nonzero; columns new
+    to ``row`` go on ``heap`` when one is given."""
+    for k, v in pivot_row:
+        old = row.get(k)
+        if old is None:
+            w = -f * v
+            row[k] = w % p if p else w
+            if heap is not None:
+                heappush(heap, k)
+        else:
+            w = old - f * v
+            if p:
+                w %= p
+            if w:
+                row[k] = w
+            else:
+                del row[k]
 
-    Returns (pivot column indices, echelon rows).  Pivot rows keep their
-    integer entries; pivots are chosen by smallest bit length (with a sparsity
-    tie-break) to limit coefficient growth.
+
+def _over_lcm(pairs: list[tuple[int, Fraction]]) -> tuple[int, list[tuple[int, int]]]:
+    """(d, [(i, n_i)]) with each value equal to n_i / d, d the lcm of the
+    denominators."""
+    d = lcm(*(w.denominator for _, w in pairs))
+    return d, [(i, w.numerator * (d // w.denominator)) for i, w in pairs]
+
+
+class _Echelon:
+    """Sparse row echelon form over Q (p = 0) or GF(p), one row at a time.
+
+    ``pivots`` maps each pivot column to the rest of its row, as
+    (column, value) pairs right of the pivot, which is scaled to 1.  With
+    ``track``, ``combos`` maps each pivot column to its row as a combination
+    (input row, weight) of the rows added, and ``dependent`` holds the
+    combinations that reduced to zero, a basis of the left kernel.
     """
-    work = [r for r in rows if any(r)]
-    pivots: list[int] = []
-    echelon: list[list[int]] = []
-    r = 0
-    for col in range(ncols):
-        best = -1
-        best_key = None
-        for idx in range(r, len(work)):
-            v = work[idx][col]
-            if v:
-                key = abs(v).bit_length()
-                if best_key is None or key < best_key:
-                    best, best_key = idx, key
-                    if key == 1:
-                        break
-        if best < 0:
-            continue
-        work[r], work[best] = work[best], work[r]
-        pivot_row = work[r]
-        p = pivot_row[col]
-        keep = work[: r + 1]
-        for idx in range(r + 1, len(work)):
-            row = work[idx]
-            f = row[col]
-            if f:
-                row = _reduce_ints([a * p - b * f for a, b in zip(row, pivot_row)])
-            if any(row):
-                keep.append(row)
-        work = keep
-        pivots.append(col)
-        echelon.append(pivot_row)
-        r += 1
-        if r == len(work):
-            break
-    return pivots, echelon
+
+    def __init__(self, p: int = 0, track: bool = False):
+        self.p = p
+        self.pivots: dict[int, list[tuple[int, object]]] = {}
+        self.combos: dict[int, list[tuple[int, object]]] | None = {} if track else None
+        self.dependent: list[list[tuple[int, object]]] = []
+        self.nrows = 0
+        self._order: list[int] | None = None
+        self._int_combos: dict[int, tuple[int, list[tuple[int, int]]]] = {}
+        self._int_dependent: list[tuple[int, list[tuple[int, int]]]] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def add(self, row: dict) -> bool:
+        """Reduce ``row`` (consumed) and keep it as a pivot row when it
+        survives.  Returns True when the row raised the rank."""
+        p, pivots, combos = self.p, self.pivots, self.combos
+        combo = None if combos is None else {self.nrows: 1 if p else _ONE}
+        self.nrows += 1
+        self._order = None
+        heap = sorted(row)
+        while heap:
+            c = heappop(heap)
+            f = row.pop(c, None)
+            if f is None:
+                continue
+            tail = pivots.get(c)
+            if tail is None:
+                inv = pow(f, -1, p) if p else _ONE / f
+                pivots[c] = [(k, v * inv % p if p else v * inv) for k, v in row.items()]
+                if combo is not None:
+                    combos[c] = [(i, w * inv % p if p else w * inv) for i, w in combo.items()]
+                return True
+            _subtract(row, f, tail, p, heap)
+            if combo is not None:
+                _subtract(combo, f, combos[c], p)
+        if combo is not None:
+            self.dependent.append(list(combo.items()))
+        return False
+
+    def _ready(self) -> None:
+        """Sort the pivots and, when tracking, put each combination over one
+        integer denominator, so replaying it is an integer dot product."""
+        if self._order is not None:
+            return
+        self._order = sorted(self.pivots, reverse=True)
+        if self.combos is not None:
+            self._int_combos = {c: _over_lcm(pairs) for c, pairs in self.combos.items()}
+            self._int_dependent = [_over_lcm(pairs) for pairs in self.dependent]
+
+    def _back_substitute(self, x: dict, ncols: int) -> list:
+        """Fill the pivot entries of ``x`` (pivot column -> reduced value,
+        free column -> its chosen value) so the pivot rows hold; dense."""
+        self._ready()
+        top = max(x, default=-1)
+        for c in self._order:
+            if c > top:  # every entry right of c is still zero
+                continue
+            s = x.get(c, 0) - sum(v * x[k] for k, v in self.pivots[c] if k in x)
+            if s:
+                x[c] = s
+            else:
+                x.pop(c, None)
+        out = [_ZERO] * ncols
+        for c, v in x.items():
+            out[c] = v
+        return out
+
+    def nullspace(self, ncols: int) -> list[list]:
+        """One kernel vector per free column: 1 there, 0 at the other free
+        columns."""
+        return [self._back_substitute({fc: _ONE}, ncols)
+                for fc in range(ncols) if fc not in self.pivots]
+
+    def solve(self, rhs: Sequence, ncols: int) -> list | None:
+        """x with A x = rhs and 0 at every free column, or None when rhs
+        fails a left-kernel combination.  Needs ``track``; over Q only."""
+        self._ready()
+        den = lcm(*(v.denominator for v in rhs))
+        b = [v.numerator * (den // v.denominator) for v in rhs]
+        if any(sum(w * b[i] for i, w in combo) for _, combo in self._int_dependent):
+            return None
+        x = {}
+        for c, (d, combo) in self._int_combos.items():
+            s = sum(w * b[i] for i, w in combo)
+            if s:
+                x[c] = Fraction(s, d * den)
+        return self._back_substitute(x, ncols)
+
+
+def _exact_echelon(rows: Iterable[Sequence], track: bool = False) -> _Echelon:
+    ech = _Echelon(track=track)
+    for row in rows:
+        ech.add(_sparse(row))
+    return ech
 
 
 @dataclass
@@ -160,36 +231,20 @@ class RankResult:
 
 def rank_nullspace(rows: Iterable[Sequence], ncols: int | None = None,
                    want_nullspace: bool = True) -> RankResult:
-    """Exact rank and nullspace basis of a rational matrix given row-wise."""
-    mat = [list(r) for r in rows]
-    nrows = len(mat)
+    """Exact rank and nullspace basis of a rational matrix given row-wise.
+
+    The pivot columns are the leftmost independent columns; each nullspace
+    vector is 1 at its own free column and 0 at the other free columns.
+    """
+    mat = list(rows)
     if ncols is None:
         if not mat:
             raise ValueError("ncols required for an empty matrix")
         ncols = len(mat[0])
-    if ncols > exact_width_limit():
-        raise ExactWidthExceeded(f"{ncols} columns exceeds the exact cap {exact_width_limit()}")
-    int_rows = [_to_int_row(r) for r in mat]
-    pivots, ech = _echelon(int_rows, ncols)
-    rank = len(pivots)
-    null: list[list[Fraction]] = []
-    if want_nullspace and rank < ncols:
-        pivset = set(pivots)
-        free_cols = [c for c in range(ncols) if c not in pivset]
-        for fc in free_cols:
-            v = [_ZERO] * ncols
-            v[fc] = _ONE
-            for i in range(rank - 1, -1, -1):
-                pc = pivots[i]
-                s = _ZERO
-                row = ech[i]
-                for c in range(pc + 1, ncols):
-                    if row[c] and v[c]:
-                        s += Fraction(row[c]) * v[c]
-                if s:
-                    v[pc] = -s / row[pc]
-            null.append(v)
-    return RankResult(nrows, ncols, rank, pivots, null)
+    _check_width(ncols)
+    ech = _exact_echelon(mat)
+    null = ech.nullspace(ncols) if want_nullspace else []
+    return RankResult(len(mat), ncols, ech.rank, sorted(ech.pivots), null)
 
 
 def exact_rank(rows: Iterable[Sequence], ncols: int | None = None) -> int:
@@ -210,8 +265,6 @@ class SpanCert:
     rank_left: int
     rank_right: int
     rank_union: int
-    witness_left: int | None = None   # index of a left column outside right span
-    witness_right: int | None = None  # index of a right column outside left span
 
     @property
     def relation(self) -> str:
@@ -230,74 +283,20 @@ class SpanCert:
         return self.relation == "equal"
 
 
-def _witness_outside(first: Sequence[Sequence], second: Sequence[Sequence]) -> int | None:
-    """Index of a column of ``second`` outside span(first), by incremental rank."""
-    if not second:
-        return None
-    base = rank_of_columns(list(first)) if first else 0
-    stack = [list(c) for c in first]
-    for i, col in enumerate(second):
-        stack.append(list(col))
-        if rank_of_columns(stack) > base:
-            return i
-        stack.pop()
-    return None
+def span_compare(cols_left: Sequence[Sequence], cols_right: Sequence[Sequence]) -> SpanCert:
+    """Compare column spans exactly: rank[L], rank[R], rank[L|R].
 
-
-def span_compare(cols_left: Sequence[Sequence], cols_right: Sequence[Sequence],
-                 want_witness: bool = True) -> SpanCert:
-    """Compare column spans exactly: rank[L], rank[R], rank[L|R]."""
-    rl = rank_of_columns(cols_left)
-    rr = rank_of_columns(cols_right)
-    ru = rank_of_columns(list(cols_left) + list(cols_right))
-    cert = SpanCert(rl, rr, ru)
-    if want_witness and ru != rr:
-        cert.witness_left = _witness_outside(cols_right, cols_left)
-    if want_witness and ru != rl:
-        cert.witness_right = _witness_outside(cols_left, cols_right)
-    return cert
-
-
-@dataclass
-class DirectSumCert:
-    part_ranks: list[int]
-    rank_union: int
-    orthogonal: bool | None
-
-    @property
-    def is_direct(self) -> bool:
-        return sum(self.part_ranks) == self.rank_union
-
-
-def direct_sum_check(parts: Sequence[Sequence[Sequence]], gram: Sequence[Sequence] | None = None) -> DirectSumCert:
-    """Check that the given column families sum directly (and orthogonally).
-
-    Directness: sum of part ranks equals the rank of the concatenation.
-    Orthogonality (when ``gram`` rows are given): every cross block
-    X^T G Y vanishes identically.
+    rank[L|R] continues the elimination of L with the columns of R.
     """
-    part_ranks = [rank_of_columns(list(p)) for p in parts]
-    union = [list(c) for p in parts for c in p]
-    ru = rank_of_columns(union)
-    orth: bool | None = None
-    if gram is not None:
-        gparts = [[mat_vec(gram, list(c)) for c in p] for p in parts]
-        orth = all(
-            not _dot(x, gy)
-            for a in range(len(parts))
-            for b in range(a + 1, len(parts))
-            for x in parts[a]
-            for gy in gparts[b]
-        )
-    return DirectSumCert(part_ranks, ru, orth)
-
-
-def _dot(x: Sequence, y: Sequence) -> Fraction:
-    s = _ZERO
-    for a, b in zip(x, y):
-        if a and b:
-            s += Fraction(a) * b
-    return s
+    rr = rank_of_columns(cols_right)
+    if not cols_left:
+        return SpanCert(0, rr, rr)
+    _check_width(len(cols_left[0]))
+    ech = _exact_echelon(cols_left)
+    rl = ech.rank
+    for col in cols_right:
+        ech.add(_sparse(col))
+    return SpanCert(rl, rr, ech.rank)
 
 
 # Word-size primes below 2**30, so residues fit one Python int digit.
@@ -325,35 +324,6 @@ def _rows_mod_p(rows: Iterable[Mapping[int, Fraction]], p: int) -> list[dict[int
     return out
 
 
-def _add_row_mod_p(pivots: dict[int, list[tuple[int, int]]], row: dict[int, int], p: int) -> bool:
-    """Reduce ``row`` against the pivot rows, lowest column first; keep it as
-    a new pivot row (its tail scaled so the pivot is 1) when it survives.
-    Returns True when the row raised the rank."""
-    heap = sorted(row)
-    while heap:
-        c = heappop(heap)
-        f = row.pop(c, None)
-        if f is None:
-            continue
-        tail = pivots.get(c)
-        if tail is None:
-            inv = pow(f, -1, p)
-            pivots[c] = [(k, v * inv % p) for k, v in row.items()]
-            return True
-        for k, v in tail:
-            old = row.get(k)
-            if old is None:
-                row[k] = -f * v % p
-                heappush(heap, k)
-            else:
-                w = (old - f * v) % p
-                if w:
-                    row[k] = w
-                else:
-                    del row[k]
-    return False
-
-
 def ranks_mod_p(blocks: Sequence[Sequence[Mapping[int, Fraction]]], p: int,
                 floors: Sequence[int] | None = None) -> list[int] | None:
     """Ranks over GF(p) of the stacked prefixes [B0], [B0; B1], ... of
@@ -363,17 +333,16 @@ def ranks_mod_p(blocks: Sequence[Sequence[Mapping[int, Fraction]]], p: int,
     ``p`` divides a denominator.  With ``floors``, stops after the first
     prefix whose rank falls short of its floor.
     """
-    pivots: dict[int, list[tuple[int, int]]] = {}
+    ech = _Echelon(p)
     ranks: list[int] = []
-    rank = 0
     for i, block in enumerate(blocks):
         reduced = _rows_mod_p(block, p)
         if reduced is None:
             return None
         for row in reduced:
-            rank += _add_row_mod_p(pivots, row, p)
-        ranks.append(rank)
-        if floors is not None and rank < floors[i]:
+            ech.add(row)
+        ranks.append(ech.rank)
+        if floors is not None and ech.rank < floors[i]:
             break
     return ranks
 
@@ -400,9 +369,11 @@ def rank_at_least(blocks: Sequence[Sequence[Mapping[int, Fraction]]],
     return False
 
 
-def float_rank(rows: Iterable[Sequence], tol: float = 1e-10) -> int:
-    """Numerical rank via numpy SVD: singular values above tol * sigma_max."""
-    mat = np.array([[float(v) for v in r] for r in rows], dtype=float)
+def float_rank(rows: Sequence[Sequence] | np.ndarray, tol: float = 1e-10) -> int:
+    """Numerical rank via numpy SVD: singular values above tol * sigma_max.
+
+    Takes a float array or rows of anything ``float()`` accepts."""
+    mat = np.asarray(rows, dtype=float)
     if mat.size == 0:
         return 0
     sv = np.linalg.svd(mat, compute_uv=False)
@@ -412,64 +383,19 @@ def float_rank(rows: Iterable[Sequence], tol: float = 1e-10) -> int:
 
 
 def solve_any(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
-    """One exact solution of A x = b (free variables set to 0), or None.
-
-    Plain Gauss-Jordan over Fraction on the augmented system; fine for the
-    small dense solves this library needs outside the echelon fast path.
-    """
-    a = [[Fraction(v) for v in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
-    if not a:
+    """One exact solution of A x = b (free variables set to 0), or None."""
+    if not rows:
         return []
-    ncols = len(a[0]) - 1
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        pval = a[r][col]
-        a[r] = [v / pval for v in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][col]:
-                f = a[i][col]
-                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == len(a):
-            break
-    for i in range(r, len(a)):
-        if a[i][ncols]:
-            return None
-    x = [_ZERO] * ncols
-    for row, col in pivots:
-        x[col] = a[row][ncols]
-    return x
+    return _exact_echelon(rows, track=True).solve(rhs, len(rows[0]))
 
 
 def solve_square(rows: Sequence[Sequence], rhs: Sequence[Sequence]) -> list[list[Fraction]]:
     """Solve A X = B exactly for square invertible A; B given column-wise."""
     n = len(rows)
-    a = [[Fraction(v) for v in r] for r in rows]
-    b = [[Fraction(col[i]) for col in rhs] for i in range(n)]
-    m = len(rhs)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise ExactSolveError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        pval = a[col][col]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col] / pval
-                arow, acol = a[r], a[col]
-                for c in range(col, n):
-                    arow[c] -= f * acol[c]
-                brow, bcol = b[r], b[col]
-                for c in range(m):
-                    brow[c] -= f * bcol[c]
-    return [[b[i][j] / a[i][i] for i in range(n)] for j in range(m)]
+    ech = _exact_echelon(rows, track=True)
+    if ech.rank < n:
+        raise ExactSolveError("matrix is singular")
+    return [ech.solve(col, n) for col in rhs]
 
 
 def mat_vec(rows: Sequence[Sequence], v: Sequence) -> list[Fraction]:
@@ -483,21 +409,6 @@ def mat_vec(rows: Sequence[Sequence], v: Sequence) -> list[Fraction]:
     return out
 
 
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list[Fraction]]:
-    bt = transpose(b)
-    out = []
-    for r in a:
-        row = []
-        for c in bt:
-            s = _ZERO
-            for x, y in zip(r, c):
-                if x and y:
-                    s += Fraction(x) * y
-            row.append(s)
-        out.append(row)
-    return out
-
-
 def transpose(rows: Sequence[Sequence]) -> list[list]:
     if not rows:
         return []
@@ -507,51 +418,22 @@ def transpose(rows: Sequence[Sequence]) -> list[list]:
 class LinearExpander:
     """Expand vectors in a fixed independent column family, exactly.
 
-    Precomputes a Gauss-Jordan factorization of the family so repeated
-    expansions are cheap.  ``expand`` raises ``ExactSolveError`` when the
+    Eliminates the family once, so each expansion is a replay plus a
+    back-substitution.  ``expand`` raises ``ExactSolveError`` when the
     target is outside the span.
     """
 
     def __init__(self, cols: Sequence[Sequence]):
         self.ncols = len(cols)
         self.dim = len(cols[0]) if cols else 0
-        # augmented [A | I]; full Gauss-Jordan so pivot rows read off solutions
-        aug = [[Fraction(cols[j][i]) for j in range(self.ncols)] + [
-            _ONE if k == i else _ZERO for k in range(self.dim)] for i in range(self.dim)]
-        width = self.ncols + self.dim
-        pivots: list[tuple[int, int]] = []
-        r = 0
-        for col in range(self.ncols):
-            piv = next((idx for idx in range(r, self.dim) if aug[idx][col]), None)
-            if piv is None:
-                raise ExactSolveError("columns are linearly dependent")
-            aug[r], aug[piv] = aug[piv], aug[r]
-            pval = aug[r][col]
-            aug[r] = [v / pval for v in aug[r]]
-            for idx in range(self.dim):
-                if idx != r and aug[idx][col]:
-                    f = aug[idx][col]
-                    row, prow = aug[idx], aug[r]
-                    aug[idx] = [v - f * w for v, w in zip(row, prow)]
-            pivots.append((r, col))
-            r += 1
-        self._solution_rows = [aug[i][self.ncols:] for i in range(self.ncols)]
-        self._check_rows = [aug[i][self.ncols:] for i in range(self.ncols, self.dim)]
+        self._ech = _Echelon(track=True)
+        for i in range(self.dim):
+            self._ech.add({j: col[i] for j, col in enumerate(cols) if col[i]})
+        if self._ech.rank < self.ncols:
+            raise ExactSolveError("columns are linearly dependent")
 
     def expand(self, target: Sequence) -> list[Fraction]:
-        t = [Fraction(v) for v in target]
-        for chk in self._check_rows:
-            s = _ZERO
-            for a, x in zip(chk, t):
-                if a and x:
-                    s += a * x
-            if s:
-                raise ExactSolveError("target is outside the span")
-        out = []
-        for row in self._solution_rows:
-            s = _ZERO
-            for a, x in zip(row, t):
-                if a and x:
-                    s += a * x
-            out.append(s)
-        return out
+        x = self._ech.solve(target, self.ncols)
+        if x is None:
+            raise ExactSolveError("target is outside the span")
+        return x

@@ -20,6 +20,7 @@ elimination per range.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -134,10 +135,10 @@ class FloatHodgeSplitter:
 
     def __init__(self, inst: DiagramInstance):
         self.inst = inst
-        gb = np.array([[float(v) for v in row] for row in inst.gram_b.dense_rows()])
-        gc = np.array([[float(v) for v in row] for row in inst.gram_c.dense_rows()])
-        first = np.array([[float(v) for v in row] for row in inst.first.dense_rows()])
-        second = np.array([[float(v) for v in row] for row in inst.second.dense_rows()])
+        gb = inst.gram_b.float_array()
+        gc = inst.gram_c.float_array()
+        first = inst.first.float_array()
+        second = inst.second.float_array()
         self._weight = np.linalg.cholesky(gb).T  # <u,v>_G = (Wu).(Wv)
         self._first = first
         self._adj = np.linalg.solve(gb, second.T @ gc)
@@ -146,7 +147,7 @@ class FloatHodgeSplitter:
         self._wf = self._weight @ self._first
         self._wa = self._weight @ self._adj
         self._wc = self._weight @ self._consts
-        self.rank_first = float_rank(inst.first.dense_rows())
+        self.rank_first = float_rank(first)
         self.rank_adjoint = float_rank(self._adj)
 
     def split(self, field, tol: float = 1e-10) -> HodgeParts:
@@ -178,6 +179,10 @@ def hodge_report(name: str, nx: int, ny: int, k: int, fields: int = 20,
     """Split seeded random fields on one diagram and certify the identities."""
     if backend not in ("exact", "float"):
         raise ValueError(f"backend must be 'exact' or 'float', got {backend!r}")
+    if fields < 0:
+        raise ValueError(f"fields must be >= 0, got {fields}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     inst = build_diagram(name, nx, ny, k)
     rng = random.Random(seed)
     us = [random_field(inst.b_space, rng) for _ in range(fields)]
@@ -211,7 +216,7 @@ def hodge_report(name: str, nx: int, ny: int, k: int, fields: int = 20,
     sp = FloatHodgeSplitter(inst)
     rep.check("rank_identity", inst.b_space.dim,
               sp.rank_first + sp.rank_adjoint + 2, backend="float")
-    gb = np.array([[float(v) for v in row] for row in inst.gram_b.dense_rows()])
+    gb = inst.gram_b.float_array()
     sums = orth = const = 0
     for u in us:
         p = sp.split(u, tol=tol)

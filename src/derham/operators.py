@@ -22,6 +22,8 @@ import json
 from fractions import Fraction
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .exactla import solve_square
 from .fespace import (
     CodomainSpace,
@@ -85,6 +87,13 @@ class OpMatrix:
         for (r, c), v in self.entries.items():
             rows[r][c] = v
         return rows
+
+    def float_array(self) -> np.ndarray:
+        """Float copy for the numerical cross-checks, filled from the nonzeros."""
+        out = np.zeros((self.nrows, self.ncols))
+        for (r, c), v in self.entries.items():
+            out[r, c] = v
+        return out
 
     def columns(self) -> list[list[Fraction]]:
         cols = [[_ZERO] * self.nrows for _ in range(self.ncols)]
@@ -256,6 +265,16 @@ class GramMatrix:
                 for i, v in enumerate(sol):
                     outs[j][off + i] = v
         return outs
+
+    def float_array(self) -> np.ndarray:
+        """Float copy for the numerical cross-checks, filled from the nonzeros."""
+        out = np.zeros((self.dim, self.dim))
+        for off, block in self.blocks:
+            for i, brow in enumerate(block):
+                for j, v in enumerate(brow):
+                    if v:
+                        out[off + i, off + j] = v
+        return out
 
     def dense_rows(self) -> list[list[Fraction]]:
         rows = [[_ZERO] * self.dim for _ in range(self.dim)]

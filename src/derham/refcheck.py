@@ -358,7 +358,7 @@ def uniqueness_probe(family: str, k: int) -> UniquenessProbe:
     modes = [basis.expand(elem) for _, _, elem in edge_modes(family, k)]
     cols = [list(v) for v in bubbles.vectors] + flats + modes
     divfree = [list(v) for v in divfree_coefficients(family, k)]
-    cert = span_compare(cols, divfree, want_witness=False)
+    cert = span_compare(cols, divfree)
     return UniquenessProbe(
         family,
         k,
@@ -396,6 +396,8 @@ def refcheck_report(cell: str, k: int, samples: int = 5, seed: int = 0) -> Repor
              "square": RefCell.SQUARE, "quad": RefCell.SQUARE}
     if cell not in names:
         raise ValueError(f"cell must be one of {sorted(names)}, got {cell!r}")
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     ref = names[cell]
     tri = ref is RefCell.TRIANGLE
     family = "vec_p" if tri else "vec_qdiv"

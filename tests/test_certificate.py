@@ -1,6 +1,7 @@
 """The witness-plus-rank-mod-p route of verify_diagram and naive_quad_report:
-no nullspace on a healthy complex, the same report through a retry or the
-exact fallback, and a FAIL with the exact route's values on a broken one."""
+no nullspace and no densified operator on a healthy complex, the same report
+through a retry or the exact fallback, and a FAIL with the exact route's
+values on a broken one."""
 
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from derham import complexcheck, exactla
 from derham.complexcheck import build_diagram, naive_quad_report, verify_diagram
 from derham.exactla import exact_rank
+from derham.operators import GramMatrix, OpMatrix
 
 
 def check_dicts(report):
@@ -19,11 +21,17 @@ def failing(report):
     return {c.name for c in report.checks if not c.passed}
 
 
-def forbid(monkeypatch, *names):
+def forbid(monkeypatch, *names, owner=complexcheck):
     def boom(*args, **kwargs):
-        raise AssertionError("exact route used")
+        raise AssertionError(f"forbidden call among {names}")
     for name in names:
-        monkeypatch.setattr(complexcheck, name, boom)
+        monkeypatch.setattr(owner, name, boom)
+
+
+def forbid_densify(monkeypatch):
+    """The float cross-check reads the nonzeros, never a dense copy."""
+    forbid(monkeypatch, "dense_rows", owner=OpMatrix)
+    forbid(monkeypatch, "dense_rows", owner=GramMatrix)
 
 
 def exact_only(monkeypatch):
@@ -36,11 +44,13 @@ def exact_only(monkeypatch):
 ])
 def test_healthy_diagram_needs_no_nullspace(monkeypatch, name, nx, ny, k):
     forbid(monkeypatch, "rank_nullspace", "span_compare")
+    forbid_densify(monkeypatch)
     assert verify_diagram(name, nx, ny, k, float_check=True).passed
 
 
 def test_naive_diagnostic_needs_no_nullspace(monkeypatch):
     forbid(monkeypatch, "rank_nullspace", "span_compare")
+    forbid_densify(monkeypatch)
     assert naive_quad_report(3, 4, float_check=True).passed
 
 

@@ -174,6 +174,23 @@ def test_jobs_below_one_exits_2(capsys, fake_pool, jobs):
     assert fake_pool.sizes == []
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["hodge", "--diagram", "tri-dp", "--fields", "-1"], "fields must be >= 0, got -1"),
+    (["refcheck", "--cell", "tri", "--samples", "-3"], "samples must be >= 0, got -3"),
+    (["hodge", "--diagram", "tri-dp", "--backend", "float", "--tol", "-1"],
+     "tol must be finite and positive, got -1.0"),
+    (["hodge", "--diagram", "tri-dp", "--backend", "float", "--tol", "nan"],
+     "tol must be finite and positive, got nan"),
+    (["audit", "--kind", "tri", "--k-max", "-1"], "k_max must be >= 0, got -1"),
+])
+def test_invalid_count_exits_2(capsys, fake_pool, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert message in err
+    assert out == ""
+    assert fake_pool.sizes == []
+
+
 def test_output_file(capsys, tmp_path):
     path = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify", "--diagram", "tri-dp",

@@ -117,6 +117,8 @@ def test_dof_comparison_report():
     rep = dof_comparison(4)
     assert rep.passed
     assert len(rep.checks) == 10  # two families x k = 0..4
+    with pytest.raises(ValueError, match="k_max must be >= 0, got -1"):
+        dof_comparison(-1)
 
 
 @pytest.mark.parametrize("kind", [MeshKind.TRIANGULAR, MeshKind.CARTESIAN])

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from derham.fespace import CodomainSpace, ContinuousScalarSpace, DGVectorSpace
@@ -44,6 +45,13 @@ def test_second_annihilates_first(tri_spaces):
 def test_curl_twin_annihilates_gradient(tri_spaces):
     _, a, b, c = tri_spaces
     assert assemble_curl_distributional(b, c).compose(assemble_grad(a, b)).is_zero
+
+
+def test_float_array_matches_dense_rows(tri_spaces):
+    _, a, b, c = tri_spaces
+    for mat in (assemble_grad_perp(a, b), assemble_div_distributional(b, c),
+                assemble_gram(b), assemble_gram(c)):
+        assert np.array_equal(mat.float_array(), np.array(mat.dense_rows(), dtype=float))
 
 
 def test_gram_symmetric_positive(tri_spaces):

@@ -1,0 +1,36 @@
+"""Every public name the benchmark's tracer rebinds still exists.
+
+``perfbench/tracing.py`` wraps each ``(module, name)`` pair of its
+``_PATCHES`` list with ``getattr``; a pair that no longer resolves on
+``derham`` would make ``--trace 1`` raise.  The tracer is loaded by file
+path and never installed.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_patches():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module._PATCHES
+
+
+def resolves(module_name, attr):
+    owner = importlib.import_module(f"derham.{module_name}")
+    for part in attr.split("."):
+        owner = getattr(owner, part, None)
+        if owner is None:
+            return False
+    return callable(owner)
+
+
+def test_every_trace_hook_resolves():
+    patches = load_patches()
+    assert patches
+    missing = [(mod, attr) for mod, attr, _ in patches if not resolves(mod, attr)]
+    assert missing == []
