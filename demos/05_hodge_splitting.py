@@ -4,10 +4,12 @@ Any coefficient vector u in the middle space splits as
 
     u = u_curl + u_div + u_harmonic
 
-with u_curl in the range of the first operator, u_div in the range of the
-exact adjoint of the second, and u_harmonic a constant field.  The parts are
-pairwise orthogonal in the assembled inner product and sum back to u with no
-rounding at all.
+with u_curl in the range of the first operator, u_harmonic a constant field,
+and u_div what is left: it lies in the range of the adjoint of the second
+operator, which is never formed, because it is orthogonal to the other two
+ranges and verify's certificate shows that they fill the kernel of the
+second.  The parts are pairwise orthogonal in the assembled inner product
+and sum back to u with no rounding at all.
 
 Run:  python3 demos/05_hodge_splitting.py
 """

@@ -53,6 +53,8 @@ __all__ = [
     "NAIVE_DIAGRAM",
     "DiagramInstance",
     "build_diagram",
+    "ComplexCertificate",
+    "certify_complex",
     "verify_diagram",
     "naive_quad_report",
     "appendix_report",
@@ -167,28 +169,38 @@ class _RankFacts:
     harmonic_is_constants: bool
 
 
+@dataclass
+class ComplexCertificate:
+    """Exact witnesses and rank facts of one diagram, for verify and Hodge."""
+
+    gram_first: OpMatrix          # G_b first
+    composes_to_zero: bool        # second first = 0
+    kills_constants: bool         # first 1 = 0
+    constants_orthogonal: bool    # (G_b first)^T const = 0
+    uniform_orthogonal: bool      # second^T G_c u = 0, u the uniform element
+    ranks: _RankFacts
+
+
 def _sparse(vec: list[Fraction]) -> dict[int, Fraction]:
     return {i: v for i, v in enumerate(vec) if v}
 
 
-def _certified_ranks(inst: DiagramInstance) -> _RankFacts | None:
+def _certified_ranks(inst: DiagramInstance, gram_first: OpMatrix) -> _RankFacts | None:
     """Close every rank claim from both sides without a nullspace.
 
-    Call only once second.first = 0, first.1 = 0 and second^T G_c u = 0 hold
-    exactly.  These witnesses give upper bounds: first.1 = 0 caps rank(first)
-    at dim A - 1, and a nonzero G_c u caps rank(second) at dim C - 1.  The
-    constants lie in ker(second) and in ker((G_b first)^T), so once they are
-    independent of range(first) they cap rank([second; (G_b first)^T]) at
-    dim B - 2.  Ranks mod p give matching lower bounds.  Returns None when a
-    witness fails or a modular rank misses its bound.
+    Call only once the other witnesses of ``certify_complex`` hold exactly.
+    They give upper bounds: first.1 = 0 caps rank(first) at dim A - 1, and a
+    nonzero G_c u caps rank(second) at dim C - 1.  The constants lie in
+    ker(second) and in ker((G_b first)^T), so once they are independent of
+    range(first) they cap rank([second; (G_b first)^T]) at dim B - 2.  Ranks
+    mod p give matching lower bounds.  Returns None when a witness fails or a
+    modular rank misses its bound.
     """
     first, second = inst.first, inst.second
     dim_a, dim_b, dim_c = inst.a_space.dim, inst.b_space.dim, inst.c_space.dim
     consts = inst.constant_fields()
-    gram_first = inst.gram_b.compose(first)
     if (not any(inst.gram_c.matvec(inst.c_space.uniform_vector()))
-            or any(v for cf in consts for v in second.matvec(cf))
-            or any(v for cf in consts for v in gram_first.rmatvec(cf))):
+            or any(v for cf in consts for v in second.matvec(cf))):
         return None
     # prefix ranks of [first^T; constants]: rank(first), rank([range(first) | constants])
     if not rank_at_least([first.sparse_columns(), [_sparse(cf) for cf in consts]],
@@ -216,12 +228,32 @@ def _exact_ranks(inst: DiagramInstance) -> _RankFacts:
     return _RankFacts(ra.rank, rd.rank, split.equal, hres.nullity, hspan.equal)
 
 
+def certify_complex(inst: DiagramInstance) -> ComplexCertificate:
+    """Exact witnesses of one diagram plus its rank facts: from the witnesses
+    and ranks mod p, or from exact nullspaces when that does not close."""
+    first, second = inst.first, inst.second
+    gram_first = inst.gram_b.compose(first)
+    composes_to_zero = second.compose(first).is_zero
+    kills_constants = not any(first.matvec(inst.a_space.constant_vector(1)))
+    constants_orthogonal = not any(v for cf in inst.constant_fields()
+                                   for v in gram_first.rmatvec(cf))
+    uniform = inst.c_space.uniform_vector()
+    uniform_orthogonal = not any(second.rmatvec(inst.gram_c.matvec(uniform)))
+    ranks = None
+    if composes_to_zero and kills_constants and uniform_orthogonal and constants_orthogonal:
+        ranks = _certified_ranks(inst, gram_first)
+    if ranks is None:
+        ranks = _exact_ranks(inst)
+    return ComplexCertificate(gram_first, composes_to_zero, kills_constants,
+                              constants_orthogonal, uniform_orthogonal, ranks)
+
+
 def verify_diagram(name: str, nx: int, ny: int, k: int,
                    float_check: bool = False, lx=1, ly=1) -> Report:
     """Machine-check every structural claim of one diagram on one mesh.
 
-    Ranks come from exact witnesses plus ranks mod p; when that certificate
-    does not close, the exact nullspace route computes the same values.
+    Ranks come from ``certify_complex``: exact witnesses plus ranks mod p,
+    or the exact nullspace route when that certificate does not close.
     """
     inst = build_diagram(name, nx, ny, k, lx, ly)
     spec = inst.spec
@@ -237,30 +269,20 @@ def verify_diagram(name: str, nx: int, ny: int, k: int,
     rep.check("dim_B", n * local_dim(spec.family, k), dim_b)
     rep.check("dim_C", dimension_formula(spec.kind, spec.formula_c, k, n), dim_c)
 
-    composes_to_zero = inst.second.compose(inst.first).is_zero
-    kills_constants = not any(inst.first.matvec(inst.a_space.constant_vector(1)))
-    const_fields = inst.constant_fields()
-    constants_orthogonal = not any(v for cf in const_fields
-                                   for v in inst.first.rmatvec(inst.gram_b.matvec(cf)))
-    uniform = inst.c_space.uniform_vector()
-    uniform_orthogonal = not any(inst.second.rmatvec(inst.gram_c.matvec(uniform)))
-    facts = None
-    if composes_to_zero and kills_constants and uniform_orthogonal:
-        facts = _certified_ranks(inst)
-    if facts is None:
-        facts = _exact_ranks(inst)
+    cert = certify_complex(inst)
+    facts = cert.ranks
     rank_a, rank_b = facts.first, facts.second
 
-    rep.check("second_after_first_is_zero", True, composes_to_zero)
+    rep.check("second_after_first_is_zero", True, cert.composes_to_zero)
     rep.check("first_rank", dim_a - 1, rank_a)
     rep.check("first_kernel_dim", 1, dim_a - rank_a)
-    rep.check("first_kernel_is_constants", True, dim_a - rank_a == 1 and kills_constants)
+    rep.check("first_kernel_is_constants", True, dim_a - rank_a == 1 and cert.kills_constants)
     rep.check("second_rank", dim_c - 1, rank_b)
     rep.check("second_kernel_dim", dim_a + 1, dim_b - rank_b)
     rep.check("second_kernel_is_range_plus_constants", True,
               facts.kernel_is_range_plus_constants)
-    rep.check("constants_orthogonal_to_first_range", True, constants_orthogonal)
-    rep.check("uniform_orthogonal_to_second_range", True, uniform_orthogonal)
+    rep.check("constants_orthogonal_to_first_range", True, cert.constants_orthogonal)
+    rep.check("uniform_orthogonal_to_second_range", True, cert.uniform_orthogonal)
     rep.check("second_range_plus_uniform_fills_codomain", dim_c, rank_b + 1)
     rep.check("harmonic_dim", 2, facts.harmonic_dim)
     rep.check("harmonic_fields_are_constants", True, facts.harmonic_is_constants)

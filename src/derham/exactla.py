@@ -418,22 +418,28 @@ def transpose(rows: Sequence[Sequence]) -> list[list]:
 class LinearExpander:
     """Expand vectors in a fixed independent column family, exactly.
 
+    Columns are dense sequences or sparse ``{row: value}`` mappings.
     Eliminates the family once, so each expansion is a replay plus a
     back-substitution.  ``expand`` raises ``ExactSolveError`` when the
     target is outside the span.
     """
 
-    def __init__(self, cols: Sequence[Sequence]):
+    def __init__(self, cols: Sequence[Sequence | Mapping[int, Fraction]]):
         self.ncols = len(cols)
-        self.dim = len(cols[0]) if cols else 0
+        rows: dict[int, dict] = {}
+        for j, col in enumerate(cols):
+            for i, v in (col.items() if isinstance(col, Mapping) else enumerate(col)):
+                if v:
+                    rows.setdefault(i, {})[j] = v
+        self.dim = max(rows, default=-1) + 1  # the target must vanish past it
         self._ech = _Echelon(track=True)
         for i in range(self.dim):
-            self._ech.add({j: col[i] for j, col in enumerate(cols) if col[i]})
+            self._ech.add(rows.get(i, {}))
         if self._ech.rank < self.ncols:
             raise ExactSolveError("columns are linearly dependent")
 
     def expand(self, target: Sequence) -> list[Fraction]:
-        x = self._ech.solve(target, self.ncols)
+        x = None if any(target[self.dim:]) else self._ech.solve(target[:self.dim], self.ncols)
         if x is None:
             raise ExactSolveError("target is outside the span")
         return x

@@ -1,20 +1,24 @@
 """Orthogonal three-way splitting of vector fields on a verified diagram.
 
-Every field u in the middle space splits as
-
-    u = u_curl + u_div + u_const
-
+Every field u in the middle space splits as u = u_curl + u_div + u_const,
 with u_curl in range(first), u_div in range(adjoint of second) and u_const a
-constant field.  The three subspaces are pairwise orthogonal in the mass
-inner product (the cross terms reduce to second∘first = 0), their dimensions
-add up to the whole space, and the exact backend certifies all of that with
-zero tolerance.  A float backend covers meshes beyond the exact-arithmetic
-budget; it never feeds back into the exact route.
+constant field, pairwise orthogonal in the mass inner product G_b.  The
+exact splitter never forms the adjoint.  It takes verify's certificate
+(``certify_complex``: first 1 = 0, rank(first) = dim A - 1 and ker(second)
+= range(first) + constants), and then
 
-Projections solve SPD normal equations R^T G R x = R^T G u where the columns
-of R span the target range.  Factorizations and normal matrices are built
-once per diagram and shared across fields; batches of fields go through one
-elimination per range.
+1. u_curl is the G_b-projection onto all columns of first but the last, a
+   basis of range(first) by the certificate (the constant of A is 1 at
+   every dof): one SPD normal matrix, eliminated once per splitter;
+2. u_const is the G_b-projection onto the two constant fields: one 2x2
+   system, eliminated once;
+3. u_div is the remainder.  Each split checks that it is exactly
+   G_b-orthogonal to every column of first and to both constants, hence to
+   ker(second), which places it in range(adjoint) = ker(second)^perp.
+
+rank(adjoint) = rank(second), as G_b and G_c are invertible.  A float
+backend covers meshes beyond the exact-arithmetic budget; it never feeds
+back into the exact route.
 """
 
 from __future__ import annotations
@@ -27,10 +31,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complexcheck import DiagramInstance, build_diagram
-from .exactla import float_rank, rank_nullspace, solve_square
+from .complexcheck import DiagramInstance, build_diagram, certify_complex
+from .exactla import LinearExpander, float_rank
+from .exactla import rank_nullspace  # unused; perfbench/tracing.py rebinds it here
+from .exactla import solve_square  # unused; perfbench/tracing.py rebinds it here
 from .fespace import DGVectorSpace
-from .operators import adjoint
+from .operators import OpMatrix
+from .operators import adjoint  # unused; perfbench/tracing.py rebinds it here
 from .report import Report
 
 __all__ = [
@@ -46,24 +53,6 @@ __all__ = [
 _ZERO = Fraction(0)
 
 
-def _dot(x, y) -> Fraction:
-    s = _ZERO
-    for a, b in zip(x, y):
-        if a and b:
-            s += a * b
-    return s
-
-
-def _combine(cols, coeffs, dim: int) -> list[Fraction]:
-    out = [_ZERO] * dim
-    for c, col in zip(coeffs, cols):
-        if c:
-            for i, v in enumerate(col):
-                if v:
-                    out[i] += c * v
-    return out
-
-
 @dataclass
 class HodgeParts:
     curl: list
@@ -77,53 +66,59 @@ class HodgeParts:
 
 
 class HodgeSplitter:
-    """Exact projections onto the three orthogonal ranges of one diagram."""
+    """Exact projections onto the three orthogonal ranges of one diagram.
+
+    ``rank_first`` and ``rank_adjoint`` count a range only when its part is
+    certified to lie in it, else 0: rank(first) once first 1 = 0 and
+    rank(first) = dim A - 1, rank(second) once ker(second) = range(first) +
+    constants.  Without the curl basis every curl part is 0, so a broken
+    diagram fails ``rank_identity`` instead of raising in a singular solve.
+    """
 
     def __init__(self, inst: DiagramInstance):
         self.inst = inst
         self.dim = inst.b_space.dim
-        fr = rank_nullspace(inst.first.dense_rows(), ncols=inst.a_space.dim,
-                            want_nullspace=False)
-        self.rank_first = fr.rank
-        self.range_first = [inst.first.column(j) for j in fr.pivot_cols]
-        adj = adjoint(inst.second, inst.gram_b, inst.gram_c)
-        ar = rank_nullspace(adj.dense_rows(), ncols=inst.c_space.dim,
-                            want_nullspace=False)
-        self.rank_adjoint = ar.rank
-        self.range_adjoint = [adj.column(j) for j in ar.pivot_cols]
+        cert = certify_complex(inst)
+        facts = cert.ranks
+        self._gram_first = cert.gram_first
+        basis = cert.kills_constants and facts.first == inst.a_space.dim - 1
+        self.rank_first = facts.first if basis else 0
+        self._curl = LinearExpander(_normal_columns(inst.first, cert.gram_first)) if basis else None
+        self.rank_adjoint = facts.second if facts.kernel_is_range_plus_constants else 0
         self.constants = inst.constant_fields()
-        self._normal_first, self._gcols_first = self._normal(self.range_first)
-        self._normal_adj, self._gcols_adj = self._normal(self.range_adjoint)
-        self._normal_const, self._gcols_const = self._normal(self.constants)
-
-    def _normal(self, cols):
-        gcols = [self.inst.gram_b.matvec(c) for c in cols]
-        return [[_dot(c, g) for g in gcols] for c in cols], gcols
-
-    def _project_batch(self, cols, normal, fields_gram):
-        if not cols:
-            return [[_ZERO] * self.dim for _ in fields_gram]
-        rhs = [[_dot(c, gu) for c in cols] for gu in fields_gram]
-        sols = solve_square(normal, rhs)
-        return [_combine(cols, x, self.dim) for x in sols]
+        self._consts = OpMatrix(self.dim, len(self.constants))
+        self._consts.entries = {(i, j): v for j, c in enumerate(self.constants)
+                                for i, v in enumerate(c) if v}
+        self._gram_consts = inst.gram_b.compose(self._consts)
+        self._harmonic = LinearExpander([self._gram_consts.rmatvec(c) for c in self.constants])
 
     def split_batch(self, fields) -> list[HodgeParts]:
-        gus = [self.inst.gram_b.matvec(u) for u in fields]
-        curls = self._project_batch(self.range_first, self._normal_first, gus)
-        divs = self._project_batch(self.range_adjoint, self._normal_adj, gus)
+        first, gram_first, gram_consts = self.inst.first, self._gram_first, self._gram_consts
         out = []
-        for u, uc, ud in zip(fields, curls, divs):
-            rem = [a - b - c for a, b, c in zip(u, uc, ud)]
-            grem = self.inst.gram_b.matvec(rem)
-            coeffs = solve_square(self._normal_const,
-                                  [[_dot(c, grem) for c in self.constants]])[0]
-            recon = _combine(self.constants, coeffs, self.dim)
-            is_const = all(a == b for a, b in zip(rem, recon))
-            out.append(HodgeParts(uc, ud, rem, tuple(coeffs), is_const))
+        for u in fields:
+            if self._curl is None:
+                curl = [_ZERO] * self.dim
+            else:  # the last column of first is left out of the basis
+                curl = first.matvec(self._curl.expand(gram_first.rmatvec(u)[:-1]) + [_ZERO])
+            coeffs = self._harmonic.expand(gram_consts.rmatvec(u))
+            harmonic = self._consts.matvec(coeffs)
+            div = [a - b - c for a, b, c in zip(u, curl, harmonic)]
+            certified = not any(gram_first.rmatvec(div)) and not any(gram_consts.rmatvec(div))
+            out.append(HodgeParts(curl, div, harmonic, tuple(coeffs), certified))
         return out
 
     def split(self, field) -> HodgeParts:
         return self.split_batch([field])[0]
+
+
+def _normal_columns(first: OpMatrix, gram_first: OpMatrix) -> list[dict[int, Fraction]]:
+    """Sparse columns of (G_b first)^T first without its last row and column."""
+    gram_first_t = OpMatrix(first.ncols, first.nrows)
+    gram_first_t.entries = {(c, r): v for (r, c), v in gram_first.entries.items()}
+    cols = gram_first_t.compose(first).sparse_columns()[:-1]
+    for col in cols:
+        col.pop(first.ncols - 1, None)
+    return cols
 
 
 class FloatHodgeSplitter:

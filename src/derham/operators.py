@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Sequence
 
 import numpy as np
@@ -140,16 +141,28 @@ class OpMatrix:
         return out
 
     def compose(self, other: "OpMatrix") -> "OpMatrix":
-        """Matrix product self @ other, exact and sparse."""
+        """Matrix product self @ other, exact and sparse.  Each row of self and
+        each column of other is put over one denominator, so the products are
+        summed as integers; cancelled sums are dropped."""
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in compose")
-        by_row: dict[int, list[tuple[int, Fraction]]] = {}
-        for (r, c), v in other.entries.items():
-            by_row.setdefault(r, []).append((c, v))
-        out = OpMatrix(self.nrows, other.ncols, other.domain, self.codomain)
+        row_den: dict[int, int] = {}
+        for (r, _), a in self.entries.items():
+            row_den[r] = lcm(row_den.get(r, 1), a.denominator)
+        col_den: dict[int, int] = {}
+        for (_, c), b in other.entries.items():
+            col_den[c] = lcm(col_den.get(c, 1), b.denominator)
+        by_row: dict[int, list[tuple[int, int]]] = {}
+        for (k, c), b in other.entries.items():
+            by_row.setdefault(k, []).append((c, b.numerator * (col_den[c] // b.denominator)))
+        acc: dict[tuple[int, int], int] = {}
         for (r, k), a in self.entries.items():
-            for c, b in by_row.get(k, ()):
-                out.add(r, c, a * b)
+            ai = a.numerator * (row_den[r] // a.denominator)
+            for c, bi in by_row.get(k, ()):
+                acc[r, c] = acc.get((r, c), 0) + ai * bi
+        out = OpMatrix(self.nrows, other.ncols, other.domain, self.codomain)
+        out.entries = {(r, c): Fraction(s, row_den[r] * col_den[c])
+                       for (r, c), s in acc.items() if s}
         return out
 
     @property
@@ -228,31 +241,13 @@ class GramMatrix:
         return out
 
     def compose(self, op: OpMatrix) -> OpMatrix:
-        """Matrix product G @ op, exact and sparse, block by block."""
-        if op.nrows != self.dim:
-            raise ValueError("shape mismatch in compose")
-        block_of: dict[int, tuple[int, list[list[Fraction]]]] = {}
-        for off, rows in self.blocks:
-            for i in range(len(rows)):
-                block_of[off + i] = (off, rows)
-        out = OpMatrix(self.dim, op.ncols, op.domain, op.codomain)
-        for (r, c), v in op.entries.items():
-            if r not in block_of:
-                continue  # row r of G is zero
-            off, rows = block_of[r]
-            for i, grow in enumerate(rows):
-                g = grow[r - off]
-                if g:
-                    out.add(off + i, c, g * v)
+        """Matrix product G @ op, exact and sparse."""
+        out = self._as_op().compose(op)
+        out.codomain = op.codomain
         return out
 
     def inner(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-        gv = self.matvec(v)
-        s = _ZERO
-        for a, b in zip(u, gv):
-            if a and b:
-                s += a * b
-        return s
+        return sum((a * b for a, b in zip(u, self.matvec(v)) if a and b), _ZERO)
 
     def solve_columns(self, cols: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
         """Solve G X = cols exactly, block by block."""
@@ -266,24 +261,22 @@ class GramMatrix:
                     outs[j][off + i] = v
         return outs
 
-    def float_array(self) -> np.ndarray:
-        """Float copy for the numerical cross-checks, filled from the nonzeros."""
-        out = np.zeros((self.dim, self.dim))
+    def _as_op(self) -> OpMatrix:
+        """The blocks as one sparse matrix."""
+        out = OpMatrix(self.dim, self.dim, self.space_tag, self.space_tag)
         for off, block in self.blocks:
             for i, brow in enumerate(block):
                 for j, v in enumerate(brow):
                     if v:
-                        out[off + i, off + j] = v
+                        out.entries[off + i, off + j] = v
         return out
 
+    def float_array(self) -> np.ndarray:
+        """Float copy for the numerical cross-checks, filled from the nonzeros."""
+        return self._as_op().float_array()
+
     def dense_rows(self) -> list[list[Fraction]]:
-        rows = [[_ZERO] * self.dim for _ in range(self.dim)]
-        for off, block in self.blocks:
-            for i, brow in enumerate(block):
-                for j, v in enumerate(brow):
-                    if v:
-                        rows[off + i][off + j] = v
-        return rows
+        return self._as_op().dense_rows()
 
 
 def assemble_gram(space) -> GramMatrix:
@@ -451,12 +444,8 @@ def adjoint(op: OpMatrix, gram_domain: GramMatrix, gram_codomain: GramMatrix) ->
     """Exact adjoint G_dom^-1 op^T G_cod of op: dom -> cod."""
     if op.ncols != gram_domain.dim or op.nrows != gram_codomain.dim:
         raise ValueError("gram dimensions do not match the operator")
-    cols = []
-    for j in range(gram_codomain.dim):
-        ej = [_ZERO] * gram_codomain.dim
-        ej[j] = Fraction(1)
-        cols.append(op.rmatvec(gram_codomain.matvec(ej)))
-    sols = gram_domain.solve_columns(cols)
+    # column j of op^T G_cod is row j of G_cod op
+    sols = gram_domain.solve_columns(gram_codomain.compose(op).dense_rows())
     out = OpMatrix(op.ncols, op.nrows, domain=op.codomain, codomain=op.domain)
     for j, col in enumerate(sols):
         for i, v in enumerate(col):

@@ -79,16 +79,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.c
 
-    def total_degree(self) -> int:
-        """Max a+b over nonzero terms; -1 for the zero polynomial."""
-        return max((a + b for a, b in self.c), default=-1)
-
-    def degree_x(self) -> int:
-        return max((a for a, _ in self.c), default=-1)
-
-    def degree_y(self) -> int:
-        return max((b for _, b in self.c), default=-1)
-
     def terms(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
         return iter(self.c.items())
 

@@ -148,9 +148,6 @@ class BoundaryCurlMap:
         """Scalar coefficient vectors whose rotated gradient has zero trace."""
         return self.analysis.nullspace
 
-    def kernel_polys(self) -> list[Poly]:
-        return [_combine_scalar(self.scalar.elements, v) for v in self.kernel]
-
     def apply(self, scalar_coeffs) -> list[Fraction]:
         return mat_vec(self.rows, scalar_coeffs)
 

@@ -1,13 +1,14 @@
-"""The witness-plus-rank-mod-p route of verify_diagram and naive_quad_report:
-no nullspace and no densified operator on a healthy complex, the same report
-through a retry or the exact fallback, and a FAIL with the exact route's
-values on a broken one."""
+"""The witness-plus-rank-mod-p route of verify_diagram, naive_quad_report
+and the Hodge splitter: no nullspace and no densified operator on a healthy
+complex, the same report through a retry or the exact fallback, and a FAIL
+with the exact route's values on a broken one."""
 
 from fractions import Fraction
 
 import pytest
 
-from derham import complexcheck, exactla
+from derham import complexcheck, exactla, hodge
+from derham.cli import main
 from derham.complexcheck import build_diagram, naive_quad_report, verify_diagram
 from derham.exactla import exact_rank
 from derham.operators import GramMatrix, OpMatrix
@@ -32,6 +33,7 @@ def forbid_densify(monkeypatch):
     """The float cross-check reads the nonzeros, never a dense copy."""
     forbid(monkeypatch, "dense_rows", owner=OpMatrix)
     forbid(monkeypatch, "dense_rows", owner=GramMatrix)
+    forbid(monkeypatch, "column", "columns", owner=OpMatrix)
 
 
 def exact_only(monkeypatch):
@@ -154,3 +156,33 @@ def test_naive_perturbed_face_entry_fails(monkeypatch):
     assert {"rank", "strip_fields_in_kernel"} <= failing(rep)
     assert check_dicts(rep) == check_dicts(exact)
     assert rep.witnesses == exact.witnesses
+
+
+@pytest.mark.parametrize("name,nx,ny,k", [("tri-dp", 3, 2, 1), ("quad-dn", 2, 2, 0)])
+def test_hodge_needs_no_adjoint_or_nullspace(monkeypatch, name, nx, ny, k):
+    with monkeypatch.context() as m:
+        forbid(m, "adjoint", "rank_nullspace", "solve_square", owner=hodge)
+        forbid(m, "rank_nullspace", "span_compare")
+        forbid_densify(m)
+        built = []
+        m.setattr(hodge, "LinearExpander",
+                  lambda cols: built.append(len(cols)) or exactla.LinearExpander(cols))
+        rep = hodge.hodge_report(name, nx, ny, k, fields=4, seed=3)
+    assert rep.passed
+    # one normal matrix on all columns of first but one, one 2x2 for the constants
+    dim_a = build_diagram(name, nx, ny, k).a_space.dim
+    assert built == [dim_a - 1, 2]
+    exact_only(monkeypatch)
+    assert check_dicts(rep) == check_dicts(hodge.hodge_report(name, nx, ny, k, fields=4, seed=3))
+
+
+@pytest.mark.parametrize("mutate", [perturb_second, zero_first_column])
+def test_broken_complex_fails_hodge(monkeypatch, capsys, mutate):
+    monkeypatch.setattr(hodge, "build_diagram", broken_build(mutate))
+    rep = hodge.hodge_report("tri-dp", 2, 2, 1, fields=3, seed=5)
+    assert not rep.passed
+    assert "rank_identity" in failing(rep)
+    assert main(["hodge", "--diagram", "tri-dp", "--k", "1", "--fields", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert "rank_identity" in out and "FAIL" in out
+    assert "Traceback" not in err

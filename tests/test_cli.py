@@ -127,6 +127,15 @@ def test_verify_ignores_width_cap(capsys, monkeypatch):
     assert "-> PASS" in out
 
 
+def test_hodge_ignores_width_cap(capsys, monkeypatch):
+    # the exact splitter takes verify's certificate and solves only its normal
+    # matrices, so the exact cap never applies
+    monkeypatch.setenv("DERHAM_MAX_EXACT_COLS", "10")
+    code, out, _ = run(capsys, "hodge", "--diagram", "tri-dp", "--k", "1")
+    assert code == 0
+    assert "-> PASS" in out
+
+
 class FakePool:
     """Stands in for ProcessPoolExecutor: records its size, starts nothing."""
 

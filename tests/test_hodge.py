@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from derham.complexcheck import build_diagram
+from derham.exactla import rank_nullspace, solve_any, solve_square
 from derham.hodge import (
     FloatHodgeSplitter,
     HodgeSplitter,
@@ -14,6 +15,7 @@ from derham.hodge import (
     random_field,
     save_field,
 )
+from derham.operators import adjoint
 
 F = Fraction
 
@@ -87,6 +89,36 @@ def test_float_splitter_tracks_exact(tri_instance, tri_splitter):
     assert approx.harmonic_is_constant
     for a, b in zip(exact.curl, approx.curl):
         assert abs(float(a) - b) < 1e-8
+
+
+def projection(gram, cols, u):
+    """G-orthogonal projection of u onto the span of independent columns,
+    by the normal equations R^T G R x = R^T G u."""
+    gcols = [gram.matvec(c) for c in cols]
+    normal = [[sum(a * b for a, b in zip(c, g)) for g in gcols] for c in cols]
+    rhs = [sum(a * b for a, b in zip(g, u)) for g in gcols]
+    x = solve_square(normal, [rhs])[0]
+    return [sum(xj * c[i] for xj, c in zip(x, cols)) for i in range(len(u))]
+
+
+@pytest.mark.parametrize("name,lx,ly", [
+    ("tri-dp", 1, 1), ("quad-enriched", F(7, 3), F(5, 11)),
+])
+def test_split_matches_adjoint_reference(name, lx, ly):
+    inst = build_diagram(name, 2, 2, 1, lx, ly)
+    pivots = rank_nullspace(inst.first.dense_rows(), want_nullspace=False).pivot_cols
+    columns = inst.first.columns()
+    range_first = [columns[j] for j in pivots]
+    adj = adjoint(inst.second, inst.gram_b, inst.gram_c).dense_rows()
+    splitter = HodgeSplitter(inst)
+    rng = random.Random(61)
+    for _ in range(3):
+        u = random_field(inst.b_space, rng)
+        parts = splitter.split(u)
+        assert parts.curl == projection(inst.gram_b, range_first, u)
+        assert parts.harmonic == projection(inst.gram_b, inst.constant_fields(), u)
+        assert solve_any(adj, parts.div) is not None
+        assert parts.harmonic_is_constant
 
 
 @pytest.mark.parametrize("name,k", [("tri-dp", 1), ("quad-drt", 0)])

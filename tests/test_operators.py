@@ -9,7 +9,9 @@ import pytest
 from derham.fespace import CodomainSpace, ContinuousScalarSpace, DGVectorSpace
 from derham.mesh import MeshKind, build_mesh
 from derham.operators import (
+    GramMatrix,
     MembershipError,
+    OpMatrix,
     adjoint,
     assemble_curl_distributional,
     assemble_div_distributional,
@@ -52,6 +54,40 @@ def test_float_array_matches_dense_rows(tri_spaces):
     for mat in (assemble_grad_perp(a, b), assemble_div_distributional(b, c),
                 assemble_gram(b), assemble_gram(c)):
         assert np.array_equal(mat.float_array(), np.array(mat.dense_rows(), dtype=float))
+
+
+def op_from_rows(rows):
+    out = OpMatrix(len(rows), len(rows[0]))
+    for r, row in enumerate(rows):
+        for c, v in enumerate(row):
+            out.add(r, c, F(v))
+    return out
+
+
+def dense_product(left, right):
+    return [[sum((a * b for a, b in zip(row, col)), F(0)) for col in zip(*right)]
+            for row in left]
+
+
+def assert_matches_dense(product, expected):
+    assert product.dense_rows() == expected
+    assert all(product.entries.values())  # no stored zeros
+    assert product.nnz == sum(1 for row in expected for v in row if v)
+
+
+def test_compose_drops_cancelled_products():
+    # entries (0, 0) and row 1 of left @ right, and row 0 of gram @ right, are
+    # sums of nonzero products that cancel
+    left = op_from_rows([[1, 1, 0], [0, 2, 1]])
+    right = op_from_rows([[1, 0], [-1, 3], [2, -6]])
+    assert_matches_dense(left.compose(right), [[F(0), F(3)], [F(0), F(0)]])
+    gram = GramMatrix(4)
+    gram.add_block(0, [[F(1), F(1)], [F(1), F(2)]])
+    gram.add_block(2, [[F(3)]])
+    right = op_from_rows([[1, 2], [-1, -2], [0, 5], [7, 0]])
+    expected = dense_product(gram.dense_rows(), right.dense_rows())
+    assert expected[0] == [F(0), F(0)]
+    assert_matches_dense(gram.compose(right), expected)
 
 
 def test_gram_symmetric_positive(tri_spaces):
