@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -155,6 +156,23 @@ def _run_reports(jobs: list[tuple], n_jobs: int) -> list[Report]:
         return list(pool.map(_run_job, jobs))  # map keeps submission order
 
 
+def _check_output(path: str) -> None:
+    """Raise OSError now, before any report runs, when ``path`` cannot be
+    written; leaves no file behind that was not there."""
+    existed = os.path.lexists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
+def _write(text: str, output: str | None) -> None:
+    print(text)
+    if output is not None:
+        with open(output, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+
+
 def _emit(reports: list[Report], fmt: str, output: str | None = None) -> int:
     ok = all(r.passed for r in reports)
     if fmt == "json":
@@ -166,10 +184,7 @@ def _emit(reports: list[Report], fmt: str, output: str | None = None) -> int:
             n = sum(1 for r in reports if r.passed)
             lines.append(f"== summary: {n}/{len(reports)} reports passed")
         text = "\n".join(lines)
-    print(text)
-    if output is not None:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    _write(text, output)
     return 0 if ok else 1
 
 
@@ -188,10 +203,7 @@ def _dispatch(args) -> int:
                     f"cells={info['cells']} faces={info['faces']} "
                     f"points={info['points']} euler={info['euler_characteristic']}")
             text = line if ok else line + "  [MISMATCH]"
-        print(text)
-        if args.output is not None:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+        _write(text, args.output)
         return 0 if ok else 1
     if args.command == "verify":
         return _emit(_run_reports(_verify_jobs(args), args.jobs),
@@ -217,6 +229,13 @@ def _dispatch(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.output is not None:
+        try:
+            _check_output(args.output)
+        except OSError as exc:
+            print(f"error: cannot write --output {args.output}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
     try:
         return _dispatch(args)
     except (MembershipError, SpanError, ExactSolveError, AssertionError) as exc:

@@ -16,6 +16,15 @@ exact splitter never forms the adjoint.  It takes verify's certificate
    G_b-orthogonal to every column of first and to both constants, hence to
    ker(second), which places it in range(adjoint) = ker(second)^perp.
 
+A batch of fields is split as one sparse matrix U of columns, never field by
+field: (G_b first)^T U and (G_b C)^T U (C the two constant fields) give every
+right-hand side, first X and C coeffs every curl and harmonic part, and
+(G_b first)^T D and (G_b C)^T D on the div columns D every certificate, one
+``OpMatrix.compose`` each (integer sums over one denominator per row and
+column).  Only the expansions in the two eliminated systems run per field.
+``hodge_report`` checks orthogonality the same way: G_b D and G_b H once per
+batch, then each pairing as an integer dot product.
+
 rank(adjoint) = rank(second), as G_b and G_c are invertible.  A float
 backend covers meshes beyond the exact-arithmetic budget; it never feeds
 back into the exact route.
@@ -80,45 +89,86 @@ class HodgeSplitter:
         self.dim = inst.b_space.dim
         cert = certify_complex(inst)
         facts = cert.ranks
-        self._gram_first = cert.gram_first
+        self._gram_first_t = _transpose(cert.gram_first)
         basis = cert.kills_constants and facts.first == inst.a_space.dim - 1
         self.rank_first = facts.first if basis else 0
-        self._curl = LinearExpander(_normal_columns(inst.first, cert.gram_first)) if basis else None
+        self._curl = LinearExpander(_normal_columns(inst.first, self._gram_first_t)) if basis else None
         self.rank_adjoint = facts.second if facts.kernel_is_range_plus_constants else 0
         self.constants = inst.constant_fields()
-        self._consts = OpMatrix(self.dim, len(self.constants))
-        self._consts.entries = {(i, j): v for j, c in enumerate(self.constants)
-                                for i, v in enumerate(c) if v}
-        self._gram_consts = inst.gram_b.compose(self._consts)
-        self._harmonic = LinearExpander([self._gram_consts.rmatvec(c) for c in self.constants])
+        self._consts = _pack(self.dim, self.constants)
+        self._gram_consts_t = _transpose(inst.gram_b.compose(self._consts))
+        self._harmonic = LinearExpander(self._gram_consts_t.compose(self._consts).sparse_columns())
 
     def split_batch(self, fields) -> list[HodgeParts]:
-        first, gram_first, gram_consts = self.inst.first, self._gram_first, self._gram_consts
-        out = []
-        for u in fields:
-            if self._curl is None:
-                curl = [_ZERO] * self.dim
-            else:  # the last column of first is left out of the basis
-                curl = first.matvec(self._curl.expand(gram_first.rmatvec(u)[:-1]) + [_ZERO])
-            coeffs = self._harmonic.expand(gram_consts.rmatvec(u))
-            harmonic = self._consts.matvec(coeffs)
-            div = [a - b - c for a, b, c in zip(u, curl, harmonic)]
-            certified = not any(gram_first.rmatvec(div)) and not any(gram_consts.rmatvec(div))
-            out.append(HodgeParts(curl, div, harmonic, tuple(coeffs), certified))
-        return out
+        """Split every field of the batch with one sparse product per step."""
+        if not fields:
+            return []
+        first, gram_first_t, gram_consts_t = self.inst.first, self._gram_first_t, self._gram_consts_t
+        u = _pack(self.dim, fields)
+        if self._curl is None:
+            curl = OpMatrix(self.dim, len(fields))
+        else:  # the last column of first is left out of the basis
+            x = [self._curl.expand(col[:-1]) + [_ZERO] for col in _columns(gram_first_t.compose(u))]
+            curl = first.compose(_pack(first.ncols, x))
+        coeffs = [self._harmonic.expand(col) for col in _columns(gram_consts_t.compose(u))]
+        harmonic = self._consts.compose(_pack(len(self.constants), coeffs))
+        div = OpMatrix(self.dim, len(fields))
+        div.entries = dict(u.entries)
+        for part in (curl, harmonic):
+            for key, v in part.entries.items():
+                w = div.entries.get(key, _ZERO) - v
+                if w:
+                    div.entries[key] = w
+                else:
+                    del div.entries[key]
+        # a field is certified when its div column is G_b-orthogonal to first and the constants
+        off = {c for _, c in gram_first_t.compose(div).entries}
+        off |= {c for _, c in gram_consts_t.compose(div).entries}
+        return [HodgeParts(c, d, h, tuple(x), j not in off)
+                for j, (c, d, h, x) in enumerate(zip(_columns(curl), _columns(div),
+                                                     _columns(harmonic), coeffs))]
 
     def split(self, field) -> HodgeParts:
         return self.split_batch([field])[0]
 
 
-def _normal_columns(first: OpMatrix, gram_first: OpMatrix) -> list[dict[int, Fraction]]:
+def _pack(nrows: int, vectors) -> OpMatrix:
+    """The vectors as the columns of one sparse matrix."""
+    out = OpMatrix(nrows, len(vectors))
+    out.entries = {(i, j): v for j, vec in enumerate(vectors) for i, v in enumerate(vec) if v}
+    return out
+
+
+def _columns(op: OpMatrix) -> list[list[Fraction]]:
+    """The columns of op as dense vectors."""
+    cols = [[_ZERO] * op.nrows for _ in range(op.ncols)]
+    for (r, c), v in op.entries.items():
+        cols[c][r] = v
+    return cols
+
+
+def _transpose(op: OpMatrix) -> OpMatrix:
+    out = OpMatrix(op.ncols, op.nrows)
+    out.entries = {(c, r): v for (r, c), v in op.entries.items()}
+    return out
+
+
+def _normal_columns(first: OpMatrix, gram_first_t: OpMatrix) -> list[dict[int, Fraction]]:
     """Sparse columns of (G_b first)^T first without its last row and column."""
-    gram_first_t = OpMatrix(first.ncols, first.nrows)
-    gram_first_t.entries = {(c, r): v for (r, c), v in gram_first.entries.items()}
     cols = gram_first_t.compose(first).sparse_columns()[:-1]
     for col in cols:
         col.pop(first.ncols - 1, None)
     return cols
+
+
+def _pairing_vanishes(u, g_col: dict[int, Fraction]) -> bool:
+    """Whether u . g_col = 0, as an integer dot product of the two vectors,
+    each over its own common denominator."""
+    pairs = [(u[i], v) for i, v in g_col.items() if u[i]]
+    du = math.lcm(*(a.denominator for a, _ in pairs))
+    dg = math.lcm(*(b.denominator for _, b in pairs))
+    return not sum(a.numerator * (du // a.denominator) * b.numerator * (dg // b.denominator)
+                   for a, b in pairs)
 
 
 class FloatHodgeSplitter:
@@ -189,12 +239,14 @@ def hodge_report(name: str, nx: int, ny: int, k: int, fields: int = 20,
         sp = HodgeSplitter(inst)
         rep.check("rank_identity", inst.b_space.dim, sp.rank_first + sp.rank_adjoint + 2)
         parts = sp.split_batch(us)
-        g = inst.gram_b
+        dim = inst.b_space.dim
+        g_div = inst.gram_b.compose(_pack(dim, [p.div for p in parts])).sparse_columns()
+        g_harmonic = inst.gram_b.compose(_pack(dim, [p.harmonic for p in parts])).sparse_columns()
         sums = sum(1 for u, p in zip(us, parts) if p.total() == list(u))
-        orth = sum(1 for p in parts
-                   if not g.inner(p.curl, p.div)
-                   and not g.inner(p.curl, p.harmonic)
-                   and not g.inner(p.div, p.harmonic))
+        orth = sum(1 for p, gd, gh in zip(parts, g_div, g_harmonic)
+                   if _pairing_vanishes(p.curl, gd)
+                   and _pairing_vanishes(p.curl, gh)
+                   and _pairing_vanishes(p.div, gh))
         const = sum(1 for p in parts if p.harmonic_is_constant)
         rep.check("parts_sum_to_input", fields, sums)
         rep.check("parts_pairwise_orthogonal", fields, orth)

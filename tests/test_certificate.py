@@ -186,3 +186,71 @@ def test_broken_complex_fails_hodge(monkeypatch, capsys, mutate):
     out, err = capsys.readouterr()
     assert "rank_identity" in out and "FAIL" in out
     assert "Traceback" not in err
+
+
+def test_hodge_batch_makes_no_per_field_products(monkeypatch):
+    """Once the splitter is built, splitting and the report's checks use only
+    whole-batch products: no matvec or inner, and as many compose calls for
+    one field as for twenty."""
+    armed = []
+    composes = []
+
+    def guarded(owner, name):
+        original = getattr(owner, name)
+
+        def call(*args, **kwargs):
+            if armed:
+                raise AssertionError(f"per-field {owner.__name__}.{name}")
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, call)
+
+    for owner, name in ((OpMatrix, "matvec"), (OpMatrix, "rmatvec"),
+                        (GramMatrix, "matvec"), (GramMatrix, "inner")):
+        guarded(owner, name)
+    init, compose = hodge.HodgeSplitter.__init__, OpMatrix.compose
+    monkeypatch.setattr(hodge.HodgeSplitter, "__init__",
+                        lambda self, inst: init(self, inst) or armed.append(1))
+    monkeypatch.setattr(OpMatrix, "compose",
+                        lambda self, other: composes.append(1) or compose(self, other))
+    counts = []
+    for fields in (1, 20):
+        armed.clear()
+        composes.clear()
+        assert hodge.hodge_report("tri-dp", 2, 2, 1, fields=fields, seed=3).passed
+        assert armed  # the guards were on while the batch was split and checked
+        counts.append(len(composes))
+    assert counts[0] == counts[1]
+
+
+def test_hodge_batched_checks_can_fail(monkeypatch):
+    """One wrong curl coefficient of one field fails that field's certificate
+    and its orthogonality, and nothing else."""
+    built, batches = [], []
+
+    class Perturbed(exactla.LinearExpander):
+        calls = 0
+
+        def __init__(self, cols):
+            super().__init__(cols)
+            built.append(self)
+
+        def expand(self, target):
+            x = super().expand(target)
+            if self is built[0]:  # the curl normal matrix, not the 2x2
+                Perturbed.calls += 1
+                if Perturbed.calls == 3:  # the third field of the first batch
+                    x[0] += 1
+            return x
+
+    split_batch = hodge.HodgeSplitter.split_batch
+    monkeypatch.setattr(hodge, "LinearExpander", Perturbed)
+    monkeypatch.setattr(hodge.HodgeSplitter, "split_batch",
+                        lambda self, fields: batches.append(split_batch(self, fields))
+                        or batches[-1])
+    rep = hodge.hodge_report("tri-dp", 2, 2, 1, fields=5, seed=3)
+    assert [p.harmonic_is_constant for p in batches[0]] == [True, True, False, True, True]
+    assert not rep.passed
+    assert failing(rep) == {"harmonic_part_is_constant", "parts_pairwise_orthogonal"}
+    computed = {c.name: c.computed for c in rep.checks}
+    assert computed["harmonic_part_is_constant"] == 4
+    assert computed["parts_pairwise_orthogonal"] == 4

@@ -209,6 +209,31 @@ def test_output_file(capsys, tmp_path):
     assert json.loads(out)["passed"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["mesh-info", "--kind", "tri", "--nx", "2", "--ny", "2"],
+    ["verify", "--diagram", "tri-dp"],
+])
+def test_unwritable_output_exits_2_before_any_report(capsys, monkeypatch, fake_pool, tmp_path, argv):
+    def boom(job):
+        raise AssertionError("a report ran")
+    monkeypatch.setattr("derham.cli._run_job", boom)
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, *argv, "--output", str(path))
+    assert code == 2
+    assert err == f"error: cannot write --output {path}: No such file or directory\n"
+    assert "Traceback" not in err
+    assert out == ""
+    assert fake_pool.sizes == []
+
+
+def test_output_check_leaves_no_file(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "x.json"
+    monkeypatch.setattr("derham.cli._dispatch", lambda args: 1 if path.exists() else 0)
+    code, _, _ = run(capsys, "mesh-info", "--kind", "tri", "--nx", "2", "--ny", "2",
+                     "--output", str(path))
+    assert code == 0
+
+
 def test_k_range_parser():
     assert k_range("2") == [2]
     assert k_range("0..3") == [0, 1, 2, 3]

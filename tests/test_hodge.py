@@ -69,13 +69,31 @@ def test_projections_idempotent(tri_instance, tri_splitter):
     assert not any(again.curl) and not any(again.harmonic)
 
 
+def assert_batch_equals_singles(inst, splitter, seed):
+    rng = random.Random(seed)
+    u, v = (random_field(inst.b_space, rng) for _ in range(2))
+    zero = [F(0)] * inst.b_space.dim  # an empty column of the batch
+    const = inst.b_space.constant_vector(F(3), F(-2, 5))
+    fields = [u, zero, v, u, const]
+    assert splitter.split_batch(fields) == [splitter.split(w) for w in fields]
+    assert splitter.split_batch([]) == []
+
+
 def test_batch_matches_single(tri_instance, tri_splitter):
-    rng = random.Random(47)
-    fields = [random_field(tri_instance.b_space, rng) for _ in range(3)]
-    batch = tri_splitter.split_batch(fields)
-    for u, parts in zip(fields, batch):
-        single = tri_splitter.split(u)
-        assert parts.curl == single.curl and parts.div == single.div
+    assert_batch_equals_singles(tri_instance, tri_splitter, 47)
+
+
+def test_batch_matches_single_on_stretched_quad():
+    inst = build_diagram("quad-enriched", 2, 2, 1, F(7, 3), F(5, 11))
+    assert_batch_equals_singles(inst, HodgeSplitter(inst), 49)
+
+
+def test_hodge_report_without_fields():
+    rep = hodge_report("tri-dp", 2, 2, 1, fields=0)
+    assert rep.passed
+    assert [c.name for c in rep.checks] == [
+        "rank_identity", "parts_sum_to_input", "parts_pairwise_orthogonal",
+        "harmonic_part_is_constant"]
 
 
 def test_float_splitter_tracks_exact(tri_instance, tri_splitter):
