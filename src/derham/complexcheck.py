@@ -13,6 +13,11 @@ orthogonality, the codomain splits as range(second) plus the uniform element,
 and the harmonic space is exactly the span of the constant fields.  The
 resulting cohomology dimensions are the torus Betti numbers 1, 2, 1.
 
+Every claim is certified the same way: exact witnesses (sparse products that
+vanish) plus exact ranks of stacked sparse row blocks from
+``exactla.prefix_ranks``, combined by counting dimensions.  No report here
+computes a nullspace or compares spans.
+
 Also here: the rank-deficient naive quad diagram (a diagnostic whose report
 passes when the predicted failure is reproduced exactly), the jump-constraint
 nullity count for the per-cell three-field family, and the per-cell dof
@@ -24,7 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactla import float_rank, rank_at_least, rank_nullspace, span_compare
+from .exactla import float_rank, prefix_ranks
+from .exactla import rank_nullspace  # unused; perfbench/tracing.py rebinds it here
+from .exactla import span_compare  # unused; perfbench/tracing.py rebinds it here
 from .fespace import (
     CodomainSpace,
     ContinuousScalarSpace,
@@ -159,17 +166,6 @@ def build_diagram(name: str, nx: int, ny: int, k: int, lx=1, ly=1) -> DiagramIns
 
 
 @dataclass
-class _RankFacts:
-    """Rank and kernel facts of one diagram, from either certificate route."""
-
-    first: int
-    second: int
-    kernel_is_range_plus_constants: bool
-    harmonic_dim: int
-    harmonic_is_constants: bool
-
-
-@dataclass
 class ComplexCertificate:
     """Exact witnesses and rank facts of one diagram, for verify and Hodge."""
 
@@ -178,82 +174,71 @@ class ComplexCertificate:
     kills_constants: bool         # first 1 = 0
     constants_orthogonal: bool    # (G_b first)^T const = 0
     uniform_orthogonal: bool      # second^T G_c u = 0, u the uniform element
-    ranks: _RankFacts
+    rank_first: int
+    rank_second: int
+    kernel_is_range_plus_constants: bool
+    harmonic_dim: int
+    harmonic_is_constants: bool
 
 
 def _sparse(vec: list[Fraction]) -> dict[int, Fraction]:
     return {i: v for i, v in enumerate(vec) if v}
 
 
-def _certified_ranks(inst: DiagramInstance, gram_first: OpMatrix) -> _RankFacts | None:
-    """Close every rank claim from both sides without a nullspace.
+def certify_complex(inst: DiagramInstance) -> ComplexCertificate:
+    """Exact witnesses of one diagram plus every rank fact, healthy or not.
 
-    Call only once the other witnesses of ``certify_complex`` hold exactly.
-    They give upper bounds: first.1 = 0 caps rank(first) at dim A - 1, and a
-    nonzero G_c u caps rank(second) at dim C - 1.  The constants lie in
-    ker(second) and in ker((G_b first)^T), so once they are independent of
-    range(first) they cap rank([second; (G_b first)^T]) at dim B - 2.  Ranks
-    mod p give matching lower bounds.  Returns None when a witness fails or a
-    modular rank misses its bound.
+    Four exact prefix ranks carry the rank claims: rank(first) and
+    rank([range(first) | constants]) from [first^T; constants], rank(second)
+    and rank([second; (G_b first)^T]) from the second stack.  Witnesses that
+    hold give upper bounds, so on a healthy diagram a rank mod p closes them;
+    otherwise ``prefix_ranks`` eliminates over Q.  The two constant fields
+    are independent: they expand two independent fields in a basis of B.
+    The kernel and harmonic facts then follow by counting dimensions:
+
+    - range(first) and the constants lie in ker(second) when second first = 0
+      and second const = 0, and then span it exactly when
+      rank([range(first) | constants]) = dim B - rank(second);
+    - the harmonic space is the kernel of [second; (G_b first)^T]; it holds
+      the constants when second const = 0 and (G_b first)^T const = 0, and
+      is their span exactly when its dimension is 2.
     """
     first, second = inst.first, inst.second
     dim_a, dim_b, dim_c = inst.a_space.dim, inst.b_space.dim, inst.c_space.dim
     consts = inst.constant_fields()
-    if (not any(inst.gram_c.matvec(inst.c_space.uniform_vector()))
-            or any(v for cf in consts for v in second.matvec(cf))):
-        return None
-    # prefix ranks of [first^T; constants]: rank(first), rank([range(first) | constants])
-    if not rank_at_least([first.sparse_columns(), [_sparse(cf) for cf in consts]],
-                         [dim_a - 1, dim_a + 1]):
-        return None
-    # prefix ranks of [second; (G_b first)^T]: rank(second), dim B - harmonic dim
-    if not rank_at_least([second.sparse_rows(), gram_first.sparse_columns()],
-                         [dim_c - 1, dim_b - 2]):
-        return None
-    kernel_dim = dim_b - (dim_c - 1)
-    return _RankFacts(dim_a - 1, dim_c - 1, kernel_dim == dim_a + 1, 2, True)
-
-
-def _exact_ranks(inst: DiagramInstance) -> _RankFacts:
-    """The same facts by exact nullspaces and span comparisons."""
-    ra = rank_nullspace(inst.first.dense_rows(), ncols=inst.a_space.dim)
-    second_rows = inst.second.dense_rows()
-    rd = rank_nullspace(second_rows, ncols=inst.b_space.dim)
-    const_fields = inst.constant_fields()
-    range_cols = inst.first.columns()
-    split = span_compare(rd.nullspace, range_cols + const_fields)
-    harmonic_rows = second_rows + [inst.gram_b.matvec(col) for col in range_cols]
-    hres = rank_nullspace(harmonic_rows, ncols=inst.b_space.dim)
-    hspan = span_compare(hres.nullspace, const_fields)
-    return _RankFacts(ra.rank, rd.rank, split.equal, hres.nullity, hspan.equal)
-
-
-def certify_complex(inst: DiagramInstance) -> ComplexCertificate:
-    """Exact witnesses of one diagram plus its rank facts: from the witnesses
-    and ranks mod p, or from exact nullspaces when that does not close."""
-    first, second = inst.first, inst.second
     gram_first = inst.gram_b.compose(first)
     composes_to_zero = second.compose(first).is_zero
     kills_constants = not any(first.matvec(inst.a_space.constant_vector(1)))
-    constants_orthogonal = not any(v for cf in inst.constant_fields()
-                                   for v in gram_first.rmatvec(cf))
-    uniform = inst.c_space.uniform_vector()
-    uniform_orthogonal = not any(second.rmatvec(inst.gram_c.matvec(uniform)))
-    ranks = None
-    if composes_to_zero and kills_constants and uniform_orthogonal and constants_orthogonal:
-        ranks = _certified_ranks(inst, gram_first)
-    if ranks is None:
-        ranks = _exact_ranks(inst)
-    return ComplexCertificate(gram_first, composes_to_zero, kills_constants,
-                              constants_orthogonal, uniform_orthogonal, ranks)
+    second_kills_constants = not any(v for cf in consts for v in second.matvec(cf))
+    constants_orthogonal = not any(v for cf in consts for v in gram_first.rmatvec(cf))
+    gram_uniform = inst.gram_c.matvec(inst.c_space.uniform_vector())
+    uniform_orthogonal = not any(second.rmatvec(gram_uniform))
+    # first 1 = 0 caps rank(first) at dim A - 1; the constants add at most 2
+    rank_first, rank_union = prefix_ranks(
+        [first.sparse_columns(), [_sparse(cf) for cf in consts]],
+        [dim_a - 1, dim_a + 1] if kills_constants else None)
+    # a nonzero G_c u caps rank(second) at dim C - 1, and the constants in the
+    # kernel of the stack cap it at dim B - 2
+    stack_upper = None
+    if uniform_orthogonal and any(gram_uniform) and second_kills_constants and constants_orthogonal:
+        stack_upper = [dim_c - 1, dim_b - 2]
+    rank_second, rank_stack = prefix_ranks(
+        [second.sparse_rows(), gram_first.sparse_columns()], stack_upper)
+    harmonic_dim = dim_b - rank_stack
+    return ComplexCertificate(
+        gram_first, composes_to_zero, kills_constants, constants_orthogonal, uniform_orthogonal,
+        rank_first, rank_second,
+        composes_to_zero and second_kills_constants and rank_union == dim_b - rank_second,
+        harmonic_dim,
+        second_kills_constants and constants_orthogonal and harmonic_dim == 2)
 
 
 def verify_diagram(name: str, nx: int, ny: int, k: int,
                    float_check: bool = False, lx=1, ly=1) -> Report:
     """Machine-check every structural claim of one diagram on one mesh.
 
-    Ranks come from ``certify_complex``: exact witnesses plus ranks mod p,
-    or the exact nullspace route when that certificate does not close.
+    Ranks come from ``certify_complex``: exact prefix ranks, closed by
+    witnesses plus ranks mod p on a healthy diagram.
     """
     inst = build_diagram(name, nx, ny, k, lx, ly)
     spec = inst.spec
@@ -270,8 +255,7 @@ def verify_diagram(name: str, nx: int, ny: int, k: int,
     rep.check("dim_C", dimension_formula(spec.kind, spec.formula_c, k, n), dim_c)
 
     cert = certify_complex(inst)
-    facts = cert.ranks
-    rank_a, rank_b = facts.first, facts.second
+    rank_a, rank_b = cert.rank_first, cert.rank_second
 
     rep.check("second_after_first_is_zero", True, cert.composes_to_zero)
     rep.check("first_rank", dim_a - 1, rank_a)
@@ -280,12 +264,12 @@ def verify_diagram(name: str, nx: int, ny: int, k: int,
     rep.check("second_rank", dim_c - 1, rank_b)
     rep.check("second_kernel_dim", dim_a + 1, dim_b - rank_b)
     rep.check("second_kernel_is_range_plus_constants", True,
-              facts.kernel_is_range_plus_constants)
+              cert.kernel_is_range_plus_constants)
     rep.check("constants_orthogonal_to_first_range", True, cert.constants_orthogonal)
     rep.check("uniform_orthogonal_to_second_range", True, cert.uniform_orthogonal)
     rep.check("second_range_plus_uniform_fills_codomain", dim_c, rank_b + 1)
-    rep.check("harmonic_dim", 2, facts.harmonic_dim)
-    rep.check("harmonic_fields_are_constants", True, facts.harmonic_is_constants)
+    rep.check("harmonic_dim", 2, cert.harmonic_dim)
+    rep.check("harmonic_fields_are_constants", True, cert.harmonic_is_constants)
 
     rep.check("betti_numbers", [1, 2, 1],
               [dim_a - rank_a, dim_b - rank_b - rank_a, dim_c - rank_b])
@@ -342,15 +326,12 @@ def naive_quad_report(nx: int, ny: int, lx=1, ly=1, float_check: bool = False) -
     row_fields, col_fields = _strip_fields(b_space)
     strips = row_fields + col_fields
     strips_in_kernel = not any(v for w in strips for v in op.matvec(w))
-    # independent strips in the kernel cap the rank at dim B - #strips
-    if (strips_in_kernel
-            and rank_at_least([[_sparse(w) for w in strips]], [len(strips)])
-            and rank_at_least([op.sparse_rows()], [b_space.dim - len(strips)])):
-        rank, strips_span = b_space.dim - len(strips), True
-    else:
-        res = rank_nullspace(op.dense_rows(), ncols=b_space.dim)
-        rank = res.rank
-        strips_span = span_compare(strips, res.nullspace).equal
+    [strips_rank] = prefix_ranks([[_sparse(w) for w in strips]], [len(strips)])
+    # strips in the kernel cap the rank at dim B - rank(strips), and span it
+    # exactly when the two meet
+    [rank] = prefix_ranks([op.sparse_rows()],
+                          [b_space.dim - strips_rank] if strips_in_kernel else None)
+    strips_span = strips_in_kernel and strips_rank == b_space.dim - rank
     rep.check("rank", 2 * n - nx - ny, rank)
     rep.check("kernel_dim", nx + ny, b_space.dim - rank)
     rep.check("harmonic_excess", nx + ny - 1, (c_space.dim - rank) - 1)
@@ -374,10 +355,9 @@ def appendix_report(nx: int, ny: int, lx=1, ly=1) -> Report:
     mesh = build_mesh(MeshKind.CARTESIAN, nx, ny, lx, ly)
     triple = flat_trace_basis(RefCell.SQUARE)
     n = mesh.num_cells
-    ncols = 3 * n
-    rows: list[list[Fraction]] = []
+    rows: list[dict[int, Fraction]] = []
     for face in mesh.faces:
-        row = [_ZERO] * ncols
+        row: dict[int, Fraction] = {}
         nrm = face.normal
         for side, sign in (("left", -1), ("right", 1)):
             cell = mesh.cells[face.cell_on(side)]
@@ -388,21 +368,18 @@ def appendix_report(nx: int, ny: int, lx=1, ly=1) -> Report:
                       + restrict_to_segment(u.y, start, direction) * nrm[1])
                 if tr.degree() > 0:
                     raise AssertionError("three-field trace is not facewise constant")
-                row[3 * cell.index + i] += sign * tr.coeff(0)
+                col = 3 * cell.index + i
+                row[col] = row.get(col, _ZERO) + sign * tr.coeff(0)
         rows.append(row)
-    res = rank_nullspace(rows, ncols=ncols)
+    # checkerboard sums over each row and each column of cells; they vanish
+    # on ker J exactly when they lie in the row space of J
+    sums = [{3 * (j * nx + i) + 2: 1 for i in range(nx)} for j in range(ny)]
+    sums += [{3 * (j * nx + i) + 2: 1 for j in range(ny)} for i in range(nx)]
+    rank_jumps, rank_with_sums = prefix_ranks([rows, sums])
     rep = Report("jump-constraint nullity",
                  params={"nx": nx, "ny": ny, "cells": n})
-    rep.check("nullity", n + 1, res.nullity)
-
-    def gamma_sums_vanish(vec: list[Fraction]) -> bool:
-        gamma = [vec[3 * c + 2] for c in range(n)]
-        row_ok = all(not sum(gamma[j * nx + i] for i in range(nx)) for j in range(ny))
-        col_ok = all(not sum(gamma[j * nx + i] for j in range(ny)) for i in range(nx))
-        return row_ok and col_ok
-
-    rep.check("gamma_row_and_column_sums_zero", True,
-              all(gamma_sums_vanish(v) for v in res.nullspace))
+    rep.check("nullity", n + 1, 3 * n - rank_jumps)
+    rep.check("gamma_row_and_column_sums_zero", True, rank_with_sums == rank_jumps)
     return rep.finish()
 
 

@@ -5,11 +5,13 @@ Rows are ``{column: value}`` dicts; each new row is reduced against the
 pivot rows lowest column first and, when anything survives, becomes a pivot
 row scaled so its pivot is 1.  Over Q the values are ``Fraction``s, so
 ranks, nullspaces, solves and span comparisons are certificates, not
-approximations.  ``ranks_mod_p`` and ``rank_at_least`` run the same kernel
-over GF(p): a rank mod p never exceeds the rank over Q (a nonzero minor mod
-p is a nonzero integer), so it certifies lower bounds only.  Solves track
-each pivot row as a combination of the input rows, then replay it on a
-right-hand side and back-substitute.  ``float_rank`` provides the
+approximations.  ``ranks_mod_p`` runs the same kernel over GF(p): a rank mod
+p never exceeds the rank over Q (a nonzero minor mod p is a nonzero
+integer), so it certifies lower bounds only.  ``prefix_ranks`` is the one
+rank route of the verifier: exact ranks of stacked row blocks, closed by a
+rank mod p that meets proven upper bounds, else by elimination over Q.
+Solves track each pivot row as a combination of the input rows, then replay
+it on a right-hand side and back-substitute.  ``float_rank`` provides the
 independent numpy SVD route; the float and exact results are compared in
 tests and reports but never merged.
 """
@@ -35,7 +37,7 @@ __all__ = [
     "exact_rank",
     "rank_of_columns",
     "ranks_mod_p",
-    "rank_at_least",
+    "prefix_ranks",
     "span_compare",
     "float_rank",
     "solve_any",
@@ -324,49 +326,55 @@ def _rows_mod_p(rows: Iterable[Mapping[int, Fraction]], p: int) -> list[dict[int
     return out
 
 
-def ranks_mod_p(blocks: Sequence[Sequence[Mapping[int, Fraction]]], p: int,
-                floors: Sequence[int] | None = None) -> list[int] | None:
+def ranks_mod_p(blocks: Sequence[Sequence[Mapping[int, Fraction]]], p: int) -> list[int] | None:
     """Ranks over GF(p) of the stacked prefixes [B0], [B0; B1], ... of
     blocks of sparse rational rows (column -> value mappings).
 
     Each is a lower bound on the rank over Q for any prime ``p``.  None when
-    ``p`` divides a denominator.  With ``floors``, stops after the first
-    prefix whose rank falls short of its floor.
+    ``p`` divides a denominator.
     """
     ech = _Echelon(p)
     ranks: list[int] = []
-    for i, block in enumerate(blocks):
+    for block in blocks:
         reduced = _rows_mod_p(block, p)
         if reduced is None:
             return None
         for row in reduced:
             ech.add(row)
         ranks.append(ech.rank)
-        if floors is not None and ech.rank < floors[i]:
-            break
     return ranks
 
 
-def rank_at_least(blocks: Sequence[Sequence[Mapping[int, Fraction]]],
-                  floors: Sequence[int]) -> bool:
-    """Certify rank over Q of each stacked prefix [B0; ...; Bi] >= floors[i].
+def prefix_ranks(blocks: Sequence[Sequence[Mapping[int, Fraction]]],
+                 upper: Sequence[int] | None = None) -> list[int]:
+    """Exact ranks over Q of the stacked prefixes [B0], [B0; B1], ... of
+    blocks of sparse rational rows (column -> value mappings).
 
-    Rows are sparse column -> value mappings.  Tries at most two primes of a
-    fixed list, skipping any prime that divides a denominator; True as soon
-    as one prime reaches every floor.  False certifies nothing: the rank may
-    be short, or both primes were unlucky.
+    ``upper`` holds proven upper bounds, one per prefix.  With them, at most
+    two primes of a fixed list are tried, skipping any prime that divides a
+    denominator; a prime whose ranks reach every bound closes each rank from
+    both sides.  Otherwise the blocks are eliminated over Q, under the exact
+    width cap on the highest column used.
     """
-    misses = 0
-    for p in _PRIMES:
-        ranks = ranks_mod_p(blocks, p, floors)
-        if ranks is None:
-            continue
-        if len(ranks) == len(floors) and all(r >= f for r, f in zip(ranks, floors)):
-            return True
-        misses += 1
-        if misses == 2:
-            return False
-    return False
+    if upper is not None:
+        misses = 0
+        for p in _PRIMES:
+            ranks = ranks_mod_p(blocks, p)
+            if ranks is None:
+                continue
+            if all(r >= u for r, u in zip(ranks, upper)):
+                return ranks
+            misses += 1
+            if misses == 2:
+                break
+    _check_width(1 + max((c for block in blocks for row in block for c in row), default=-1))
+    ech = _Echelon()
+    ranks = []
+    for block in blocks:
+        for row in block:
+            ech.add({c: v for c, v in row.items() if v})
+        ranks.append(ech.rank)
+    return ranks
 
 
 def float_rank(rows: Sequence[Sequence] | np.ndarray, tol: float = 1e-10) -> int:

@@ -88,12 +88,11 @@ class HodgeSplitter:
         self.inst = inst
         self.dim = inst.b_space.dim
         cert = certify_complex(inst)
-        facts = cert.ranks
         self._gram_first_t = _transpose(cert.gram_first)
-        basis = cert.kills_constants and facts.first == inst.a_space.dim - 1
-        self.rank_first = facts.first if basis else 0
+        basis = cert.kills_constants and cert.rank_first == inst.a_space.dim - 1
+        self.rank_first = cert.rank_first if basis else 0
         self._curl = LinearExpander(_normal_columns(inst.first, self._gram_first_t)) if basis else None
-        self.rank_adjoint = facts.second if facts.kernel_is_range_plus_constants else 0
+        self.rank_adjoint = cert.rank_second if cert.kernel_is_range_plus_constants else 0
         self.constants = inst.constant_fields()
         self._consts = _pack(self.dim, self.constants)
         self._gram_consts_t = _transpose(inst.gram_b.compose(self._consts))

@@ -1,16 +1,30 @@
-"""The witness-plus-rank-mod-p route of verify_diagram, naive_quad_report
-and the Hodge splitter: no nullspace and no densified operator on a healthy
-complex, the same report through a retry or the exact fallback, and a FAIL
-with the exact route's values on a broken one."""
+"""The one rank route of verify_diagram, naive_quad_report, appendix_report
+and the Hodge splitter: exact prefix ranks plus witnesses, never a nullspace
+or a span comparison, and no densified operator on a healthy complex.
 
+The reference here is the nullspace-and-span computation of the same facts
+(``oracle_facts``): rank_nullspace of each operator, span_compare of the
+kernel of second against range(first) plus the constants, and of the
+harmonic kernel against the constants.  The certificate must match it on
+healthy diagrams and on a seeded family of broken ones, and a broken
+diagram's FAIL report must carry the oracle's values."""
+
+import random
 from fractions import Fraction
 
 import pytest
 
 from derham import complexcheck, exactla, hodge
 from derham.cli import main
-from derham.complexcheck import build_diagram, naive_quad_report, verify_diagram
-from derham.exactla import exact_rank
+from derham.complexcheck import (
+    DIAGRAMS,
+    appendix_report,
+    build_diagram,
+    certify_complex,
+    naive_quad_report,
+    verify_diagram,
+)
+from derham.exactla import exact_rank, rank_nullspace, span_compare
 from derham.operators import GramMatrix, OpMatrix
 
 
@@ -37,8 +51,48 @@ def forbid_densify(monkeypatch):
 
 
 def exact_only(monkeypatch):
-    """No usable prime: every rank goes through the exact fallback."""
+    """No usable prime: every prefix rank is eliminated over Q."""
     monkeypatch.setattr(exactla, "_PRIMES", ())
+
+
+def oracle_facts(inst):
+    """(rank first, rank second, kernel = range + constants, harmonic dim,
+    harmonic = constants) by exact nullspaces and span comparisons."""
+    ra = rank_nullspace(inst.first.dense_rows(), ncols=inst.a_space.dim)
+    second_rows = inst.second.dense_rows()
+    rd = rank_nullspace(second_rows, ncols=inst.b_space.dim)
+    const_fields = inst.constant_fields()
+    range_cols = inst.first.columns()
+    split = span_compare(rd.nullspace, range_cols + const_fields)
+    harmonic_rows = second_rows + [inst.gram_b.matvec(col) for col in range_cols]
+    hres = rank_nullspace(harmonic_rows, ncols=inst.b_space.dim)
+    hspan = span_compare(hres.nullspace, const_fields)
+    return ra.rank, rd.rank, split.equal, hres.nullity, hspan.equal
+
+
+def assert_true_bounds(monkeypatch):
+    """Every upper bound complexcheck hands to prefix_ranks must hold: each
+    is compared with the ranks over Q of the same blocks."""
+    prefix_ranks = exactla.prefix_ranks
+
+    def checked(blocks, upper=None):
+        if upper is not None:
+            exact = prefix_ranks(blocks)
+            assert all(u >= r for u, r in zip(upper, exact)), (upper, exact)
+        return prefix_ranks(blocks, upper)
+    monkeypatch.setattr(complexcheck, "prefix_ranks", checked)
+
+
+def certificate_facts(cert):
+    return (cert.rank_first, cert.rank_second, cert.kernel_is_range_plus_constants,
+            cert.harmonic_dim, cert.harmonic_is_constants)
+
+
+def report_facts(rep):
+    computed = {c.name: c.computed for c in rep.checks}
+    return tuple(computed[name] for name in (
+        "first_rank", "second_rank", "second_kernel_is_range_plus_constants",
+        "harmonic_dim", "harmonic_fields_are_constants"))
 
 
 @pytest.mark.parametrize("name,nx,ny,k", [
@@ -65,16 +119,29 @@ def test_certificate_and_exact_route_agree(monkeypatch, name, nx, ny, k):
     assert certified.witnesses == exact.witnesses
 
 
+def count_eliminations_over_q(monkeypatch):
+    """Record each untracked elimination over Q that ``prefix_ranks`` starts."""
+    calls = []
+
+    class Counting(exactla._Echelon):
+        def __init__(self, p=0, track=False):
+            if p == 0 and not track:
+                calls.append(1)
+            super().__init__(p, track)
+    monkeypatch.setattr(exactla, "_Echelon", Counting)
+    return calls
+
+
 def test_unlucky_prime_falls_back_to_exact(monkeypatch):
     # mod 2 every entry of tri-dp's rotated gradient vanishes: rank 0, not 15
     reference = verify_diagram("tri-dp", 2, 2, 1)
+    calls = count_eliminations_over_q(monkeypatch)
+    assert verify_diagram("tri-dp", 2, 2, 1).passed
+    assert calls == []  # a healthy diagram closes every rank mod p
     monkeypatch.setattr(exactla, "_PRIMES", (2,))
-    calls = []
-    original = complexcheck._exact_ranks
-    monkeypatch.setattr(complexcheck, "_exact_ranks",
-                        lambda inst: calls.append(1) or original(inst))
+    forbid(monkeypatch, "rank_nullspace", "span_compare")
     rep = verify_diagram("tri-dp", 2, 2, 1)
-    assert calls == [1]
+    assert calls == [1, 1]  # both stacks miss mod 2 and are eliminated over Q
     assert rep.passed
     assert check_dicts(rep) == check_dicts(reference)
 
@@ -107,13 +174,79 @@ def zero_first_column(inst):
 
 
 def run_broken(monkeypatch, mutate):
+    """The broken report, whose rank facts must be the oracle's."""
+    inst = build_diagram("tri-dp", 2, 2, 1)
+    mutate(inst)
+    expected = oracle_facts(inst)
     monkeypatch.setattr(complexcheck, "build_diagram", broken_build(mutate))
-    rep = verify_diagram("tri-dp", 2, 2, 1)
     with monkeypatch.context() as m:
-        exact_only(m)
-        exact = verify_diagram("tri-dp", 2, 2, 1)
-    assert check_dicts(rep) == check_dicts(exact)
+        forbid(m, "rank_nullspace", "span_compare")
+        rep = verify_diagram("tri-dp", 2, 2, 1)
+    assert report_facts(rep) == expected
     return rep
+
+
+def perturb_entry(attr):
+    def mutate(inst, rng):
+        op = getattr(inst, attr)
+        op.entries[rng.choice(sorted(op.entries))] += 1
+    return mutate
+
+
+def tilt_first_row(inst, rng):
+    """+1 and -1 in one row of first: first 1 = 0 and both ranks stay, but
+    range(first) leaves ker(second) and the constants' complement."""
+    rows = sorted({r for r, _ in inst.first.entries})
+    keys = []
+    while len(keys) < 2:
+        row = rng.choice(rows)
+        keys = sorted(key for key in inst.first.entries if key[0] == row)
+    plus, minus = rng.sample(keys, 2)
+    inst.first.entries[plus] += 1
+    inst.first.entries[minus] -= 1
+
+
+def zero_seeded_first_column(inst, rng):
+    col = rng.randrange(inst.first.ncols)
+    for key in [key for key in inst.first.entries if key[1] == col]:
+        del inst.first.entries[key]
+
+
+def drop_seeded_second_row(inst, rng):
+    row = rng.randrange(inst.second.nrows)
+    for key in [key for key in inst.second.entries if key[0] == row]:
+        del inst.second.entries[key]
+
+
+BROKEN = {"perturb_first": perturb_entry("first"), "perturb_second": perturb_entry("second"),
+          "zero_first_column": zero_seeded_first_column,
+          "drop_second_row": drop_seeded_second_row, "tilt_first_row": tilt_first_row}
+
+
+def witnesses(cert):
+    return (cert.composes_to_zero, cert.kills_constants, cert.constants_orthogonal,
+            cert.uniform_orthogonal)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("name", sorted(DIAGRAMS))
+def test_certificate_matches_nullspace_oracle(monkeypatch, name, k):
+    """Healthy and seeded broken diagrams: the four prefix ranks and the
+    witnesses give exactly the facts that nullspaces and spans give."""
+    forbid(monkeypatch, "rank_nullspace", "span_compare")
+    assert_true_bounds(monkeypatch)
+    healthy = build_diagram(name, 2, 2, k)
+    reference = oracle_facts(healthy)
+    assert reference[2:] == (True, 2, True)
+    cert = certify_complex(healthy)
+    assert certificate_facts(cert) == reference
+    for seed, mutate in enumerate(BROKEN.values()):
+        inst = build_diagram(name, 2, 2, k)
+        mutate(inst, random.Random(seed))
+        broken = certify_complex(inst)
+        assert certificate_facts(broken) == oracle_facts(inst)
+        # every mutation breaks a rank fact or a witness, so verify FAILs
+        assert (certificate_facts(broken), witnesses(broken)) != (reference, witnesses(cert))
 
 
 def test_perturbed_second_entry_fails(monkeypatch):
@@ -137,25 +270,88 @@ def test_zeroed_first_column_fails(monkeypatch):
                                                      ncols=inst.a_space.dim)
 
 
-def test_naive_perturbed_face_entry_fails(monkeypatch):
+def naive_with(monkeypatch, mutate):
+    """naive_quad_report(3, 4) on a mutated operator, checked against the
+    oracle: the exact rank and kernel of that operator, and whether the
+    strip fields span the kernel."""
     original = complexcheck.assemble_div_distributional
 
     def assemble(b_space, c_space):
         op = original(b_space, c_space)
-        face_row = c_space.face_offset(0)
-        key = min(key for key in op.entries if key[0] == face_row)
-        op.entries[key] += Fraction(1, 2)
+        mutate(op, c_space)
         return op
 
     monkeypatch.setattr(complexcheck, "assemble_div_distributional", assemble)
-    rep = naive_quad_report(3, 4, float_check=True)
     with monkeypatch.context() as m:
-        exact_only(m)
-        exact = naive_quad_report(3, 4, float_check=True)
+        forbid(m, "rank_nullspace", "span_compare")
+        assert_true_bounds(m)
+        rep = naive_quad_report(3, 4, float_check=True)
+    mesh = complexcheck.build_mesh(complexcheck.MeshKind.CARTESIAN, 3, 4)
+    b_space = complexcheck.DGVectorSpace(mesh, "vec_q", 0)
+    op = assemble(b_space, complexcheck.CodomainSpace(mesh, 0, None, 0))
+    res = rank_nullspace(op.dense_rows(), ncols=b_space.dim)
+    row_fields, col_fields = complexcheck._strip_fields(b_space)
+    computed = {c.name: c.computed for c in rep.checks}
+    assert computed["rank"] == res.rank
+    assert computed["strips_span_kernel"] == span_compare(row_fields + col_fields,
+                                                          res.nullspace).equal
+    return rep
+
+
+def perturb_face_entry(op, c_space):
+    face_row = c_space.face_offset(0)
+    key = min(key for key in op.entries if key[0] == face_row)
+    op.entries[key] += Fraction(1, 2)
+
+
+def scale_first_column(op, c_space):
+    """Same rank, but the kernel is scaled off the strips."""
+    for key in [key for key in op.entries if key[1] == 0]:
+        op.entries[key] *= 2
+
+
+def test_naive_perturbed_face_entry_fails(monkeypatch):
+    rep = naive_with(monkeypatch, perturb_face_entry)
     assert not rep.passed
     assert {"rank", "strip_fields_in_kernel"} <= failing(rep)
-    assert check_dicts(rep) == check_dicts(exact)
-    assert rep.witnesses == exact.witnesses
+
+
+def test_naive_scaled_column_fails(monkeypatch):
+    rep = naive_with(monkeypatch, scale_first_column)
+    assert failing(rep) == {"strip_fields_in_kernel", "strips_span_kernel"}
+
+
+@pytest.mark.parametrize("dropped", [(), (0, 1), (0, 9)])
+def test_appendix_matches_nullspace_oracle(monkeypatch, dropped):
+    """The nullity and the gamma check from two prefix ranks equal the kernel
+    of the jump rows and the row and column sums on each kernel vector.
+    Dropping faces 0 and 1 raises the nullity; dropping 0 and 9 also breaks
+    the gamma sums."""
+    build_mesh, prefix_ranks = complexcheck.build_mesh, exactla.prefix_ranks
+    blocks = []
+
+    def fewer_faces(*args, **kwargs):
+        mesh = build_mesh(*args, **kwargs)
+        mesh.faces = [f for i, f in enumerate(mesh.faces) if i not in dropped]
+        return mesh
+
+    monkeypatch.setattr(complexcheck, "build_mesh", fewer_faces)
+    monkeypatch.setattr(complexcheck, "prefix_ranks",
+                        lambda b, upper=None: blocks.append(b) or prefix_ranks(b, upper))
+    forbid(monkeypatch, "rank_nullspace", "span_compare")
+    rep = appendix_report(3, 3)
+    jumps = blocks[0][0]
+    null = rank_nullspace([[row.get(c, 0) for c in range(27)] for row in jumps], ncols=27).nullspace
+
+    def gamma_sums_vanish(vec):
+        gamma = [vec[3 * c + 2] for c in range(9)]
+        return (all(not sum(gamma[3 * j + i] for i in range(3)) for j in range(3))
+                and all(not sum(gamma[3 * j + i] for j in range(3)) for i in range(3)))
+
+    computed = {c.name: c.computed for c in rep.checks}
+    assert computed == {"nullity": len(null),
+                        "gamma_row_and_column_sums_zero": all(map(gamma_sums_vanish, null))}
+    assert rep.passed == (dropped == ())
 
 
 @pytest.mark.parametrize("name,nx,ny,k", [("tri-dp", 3, 2, 1), ("quad-dn", 2, 2, 0)])

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from derham import complexcheck
 from derham.cli import k_range, main
 
 
@@ -125,6 +126,26 @@ def test_verify_ignores_width_cap(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--diagram", "tri-dp", "--k", "1")
     assert code == 0
     assert "-> PASS" in out
+
+
+def test_width_cap_exits_2_on_broken_diagram(capsys, monkeypatch):
+    # a broken complex misses its witness bounds, so its ranks are eliminated
+    # over Q, where the cap applies
+    build_diagram = complexcheck.build_diagram
+
+    def broken(*args, **kwargs):
+        inst = build_diagram(*args, **kwargs)
+        inst.second.entries[min(inst.second.entries)] += 1
+        return inst
+
+    monkeypatch.setattr(complexcheck, "build_diagram", broken)
+    dim_b = build_diagram("tri-dp", 2, 2, 1).b_space.dim
+    monkeypatch.setenv("DERHAM_MAX_EXACT_COLS", str(dim_b - 1))
+    code, out, err = run(capsys, "verify", "--diagram", "tri-dp", "--k", "1")
+    assert code == 2
+    assert out == ""
+    assert "DERHAM_MAX_EXACT_COLS" in err
+    assert "Traceback" not in err
 
 
 def test_hodge_ignores_width_cap(capsys, monkeypatch):

@@ -16,7 +16,7 @@ from derham.exactla import (
     exact_rank,
     float_rank,
     mat_vec,
-    rank_at_least,
+    prefix_ranks,
     ranks_mod_p,
     rank_nullspace,
     rank_of_columns,
@@ -169,39 +169,102 @@ def test_rank_mod_p_matches_exact_rank_for_large_prime(seed):
     assert rank_mod_p(rows, exactla._PRIMES[0]) == exact_rank(rows)
 
 
+def trace_routes(monkeypatch):
+    """Record each prime ``prefix_ranks`` tries, and "Q" for each
+    elimination over Q."""
+    seen = []
+    ranks_mod_p = exactla.ranks_mod_p
+
+    class OverQ(exactla._Echelon):
+        def __init__(self, p=0, track=False):
+            if p == 0:
+                seen.append("Q")
+            super().__init__(p, track)
+    monkeypatch.setattr(exactla, "ranks_mod_p",
+                        lambda blocks, p: seen.append(p) or ranks_mod_p(blocks, p))
+    monkeypatch.setattr(exactla, "_Echelon", OverQ)
+    return seen
+
+
+def routes(monkeypatch, seen, primes, blocks, upper, expected):
+    seen.clear()
+    monkeypatch.setattr(exactla, "_PRIMES", primes)
+    assert prefix_ranks(blocks, upper) == expected
+    return list(seen)
+
+
 def test_unlucky_prime_underestimates_rank(monkeypatch):
     p = 7
     rows = [[F(1), F(1)], [F(1), F(1 + p)]]
     assert exact_rank(rows) == 2
     assert rank_mod_p(rows, p) == 1
-    monkeypatch.setattr(exactla, "_PRIMES", (p,))
-    assert not rank_at_least([sparse(rows)], [2])
-    monkeypatch.setattr(exactla, "_PRIMES", (p, 11))
-    assert rank_at_least([sparse(rows)], [2])  # the retry prime closes it
-    monkeypatch.setattr(exactla, "_PRIMES", (p, 7, 11))
-    assert not rank_at_least([sparse(rows)], [2])  # two misses: no third try
+    seen = trace_routes(monkeypatch)
+    blocks = [sparse(rows)]
+    # the miss falls through to exact ranks over Q
+    assert routes(monkeypatch, seen, (p,), blocks, [2], [2]) == [p, "Q"]
+    # the retry prime closes it
+    assert routes(monkeypatch, seen, (p, 11), blocks, [2], [2]) == [p, 11]
+    # two misses: no third try, exact ranks instead
+    assert routes(monkeypatch, seen, (p, 7, 11), blocks, [2], [2]) == [p, 7, "Q"]
 
 
 def test_prime_dividing_a_denominator_is_skipped(monkeypatch):
     rows = [[F(1, 5), F(0)], [F(0), F(3)]]
     assert rank_mod_p(rows, 5) is None
     assert rank_mod_p(rows, 3) == 1  # unlucky, not skipped
-    monkeypatch.setattr(exactla, "_PRIMES", (5,))
-    assert not rank_at_least([sparse(rows)], [2])
+    seen = trace_routes(monkeypatch)
+    blocks = [sparse(rows)]
+    assert routes(monkeypatch, seen, (5,), blocks, [2], [2]) == [5, "Q"]
     # 5 is skipped without using up a try, 3 misses, 7 is the second try
-    monkeypatch.setattr(exactla, "_PRIMES", (5, 3, 7))
-    assert rank_at_least([sparse(rows)], [2])
+    assert routes(monkeypatch, seen, (5, 3, 7), blocks, [2], [2]) == [5, 3, 7]
 
 
-def test_rank_at_least_prefix_floors():
+def test_prefix_ranks_prefix_bounds(monkeypatch):
     top = sparse([[F(1), F(2), F(0)], [F(2), F(4), F(0)]])
     bottom = sparse([[F(0), F(0), F(1, 3)]])
     assert ranks_mod_p([top, bottom], 3) is None
     assert ranks_mod_p([top, bottom], 5) == [1, 2]
-    assert rank_at_least([top, bottom], [1, 2])
-    assert not rank_at_least([top, bottom], [2, 2])
-    assert not rank_at_least([top, bottom], [1, 3])
-    assert rank_at_least([[], bottom], [0, 1])
+    seen = trace_routes(monkeypatch)
+    primes = (3, 5, 7)
+    assert routes(monkeypatch, seen, primes, [top, bottom], [1, 2], [1, 2]) == [3, 5]
+    # true but loose bounds on either prefix: both tries miss, ranks stay exact
+    assert routes(monkeypatch, seen, primes, [top, bottom], [2, 2], [1, 2]) == [3, 5, 7, "Q"]
+    assert routes(monkeypatch, seen, primes, [top, bottom], [1, 3], [1, 2]) == [3, 5, 7, "Q"]
+    assert routes(monkeypatch, seen, primes, [[], bottom], [0, 1], [0, 1]) == [3, 5]
+    # no bounds: straight to Q
+    assert routes(monkeypatch, seen, primes, [top, bottom], None, [1, 2]) == ["Q"]
+
+
+def test_prefix_ranks_width_cap_applies_over_q_only(monkeypatch):
+    monkeypatch.setenv("DERHAM_MAX_EXACT_COLS", "3")
+    rows = sparse([[F(1), F(0), F(0), F(2)], [F(0)] * 4])
+    assert prefix_ranks([rows], [1]) == [1]  # closed mod p
+    with pytest.raises(ExactWidthExceeded):
+        prefix_ranks([rows])
+    assert prefix_ranks([sparse([[F(1), F(2), F(0), F(0)]])]) == [1]  # 2 columns used
+
+
+@st.composite
+def row_blocks(draw):
+    ncols = draw(st.integers(1, 5))
+    row = st.lists(small_rationals, min_size=ncols, max_size=ncols)
+    return ncols, draw(st.lists(st.lists(row, max_size=3), min_size=1, max_size=4))
+
+
+@seed(2406)
+@settings(max_examples=60, deadline=None)
+@given(row_blocks())
+def test_prefix_ranks_are_exact_ranks_of_prefixes(case):
+    ncols, blocks = case
+    stacked, expected = [], []
+    for block in blocks:
+        stacked += block
+        expected.append(exact_rank(stacked, ncols=ncols))
+    sparse_blocks = [sparse(block) for block in blocks]
+    assert prefix_ranks(sparse_blocks) == expected
+    # with true bounds, tight or loose, the ranks are the same
+    assert prefix_ranks(sparse_blocks, expected) == expected
+    assert prefix_ranks(sparse_blocks, [r + 1 for r in expected]) == expected
 
 
 small_int_matrices = st.integers(1, 6).flatmap(lambda ncols: st.lists(
