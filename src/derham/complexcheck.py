@@ -13,10 +13,14 @@ orthogonality, the codomain splits as range(second) plus the uniform element,
 and the harmonic space is exactly the span of the constant fields.  The
 resulting cohomology dimensions are the torus Betti numbers 1, 2, 1.
 
-Every claim is certified the same way: exact witnesses (sparse products that
-vanish) plus exact ranks of stacked sparse row blocks from
-``exactla.prefix_ranks``, combined by counting dimensions.  No report here
-computes a nullspace or compares spans.
+Every claim is certified from exact witnesses (sparse products that vanish)
+plus exact ranks from ``exactla.prefix_ranks``, combined by counting
+dimensions.  On a healthy diagram those ranks are local: each cell's block
+of first and of second^T has a one-dimensional kernel, the cells glue into
+one component through shared dofs, and G_b is positive definite, so no
+elimination runs on more than one cell's block.  Otherwise the ranks are
+those of two global stacks.  No report here computes a nullspace or
+compares spans.
 
 Also here: the rank-deficient naive quad diagram (a diagnostic whose report
 passes when the predicted failure is reproduced exactly), the jump-constraint
@@ -50,7 +54,7 @@ from .operators import (
     assemble_grad_perp,
     assemble_gram,
 )
-from .poly import RefCell, VecPoly, restrict_to_segment
+from .poly import RefCell, restrict_to_segment
 from .refcheck import flat_trace_basis
 from .report import Report
 
@@ -70,8 +74,6 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_CONST_X = VecPoly.constant(1, 0)
-_CONST_Y = VecPoly.constant(0, 1)
 
 
 @dataclass(frozen=True)
@@ -169,7 +171,6 @@ def build_diagram(name: str, nx: int, ny: int, k: int, lx=1, ly=1) -> DiagramIns
 class ComplexCertificate:
     """Exact witnesses and rank facts of one diagram, for verify and Hodge."""
 
-    gram_first: OpMatrix          # G_b first
     composes_to_zero: bool        # second first = 0
     kills_constants: bool         # first 1 = 0
     constants_orthogonal: bool    # (G_b first)^T const = 0
@@ -181,20 +182,127 @@ class ComplexCertificate:
     harmonic_is_constants: bool
 
 
-def _sparse(vec: list[Fraction]) -> dict[int, Fraction]:
-    return {i: v for i, v in enumerate(vec) if v}
+def _positive_definite(rows: list[list[Fraction]]) -> bool:
+    """Exact LDL^T of a square block: symmetric with every pivot > 0."""
+    n = len(rows)
+    if any(len(row) != n or any(row[j] != rows[j][i] for j in range(i))
+           for i, row in enumerate(rows)):
+        return False
+    a = [list(row) for row in rows]
+    for p in range(n):
+        pivot = a[p][p]
+        if pivot <= 0:
+            return False
+        for i in range(p + 1, n):
+            f = a[i][p] / pivot
+            if f:
+                for j in range(p + 1, n):
+                    a[i][j] -= f * a[p][j]
+    return True
+
+
+def _gram_positive_definite(gram: GramMatrix) -> bool:
+    """The blocks tile the diagonal and each distinct block (by identity) is
+    symmetric positive definite, so the whole matrix is."""
+    end = 0
+    for off, rows in sorted(gram.blocks, key=lambda block: block[0]):
+        if off != end:
+            return False
+        end += len(rows)
+    distinct = {id(rows): rows for _, rows in gram.blocks}
+    return end == gram.dim and all(map(_positive_definite, distinct.values()))
+
+
+def _kernel_is_weight(lines: list[dict[int, Fraction]], cell_size: int, ndofs: int,
+                      weight: list[Fraction]) -> bool:
+    """Whether the kernel of the matrix with these rows ({dof: value}) is
+    exactly span(weight), proven cell by cell.  The matrix must kill weight.
+
+    The rows come in cells of ``cell_size``.  A cell's block is its rows
+    restricted to the dofs they touch; weight restricted there lies in its
+    kernel, so rank = ncols - 1 (one ``prefix_ranks`` per distinct block
+    content) makes that kernel span(weight) when weight is nonzero on the
+    block.  A kernel vector is then a multiple of weight on each cell, the
+    same multiple on cells that share a dof where weight is nonzero; if
+    those joins leave one component and every dof is touched, it is a
+    multiple of weight.
+    """
+    ncells = len(lines) // cell_size
+    if ncells * cell_size != len(lines):
+        return False
+    parent = list(range(ncells))
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    ranks: dict = {}
+    owner: dict[int, int] = {}
+    touched = bytearray(ndofs)
+    for cell in range(ncells):
+        rows = lines[cell * cell_size:(cell + 1) * cell_size]
+        local: dict[int, int] = {}
+        for row in rows:
+            for d in row:
+                local.setdefault(d, len(local))
+        if not any(weight[d] for d in local):
+            return False
+        key = tuple(tuple((local[d], v.numerator, v.denominator) for d, v in row.items())
+                    for row in rows)
+        if key not in ranks:
+            block = [{local[d]: v for d, v in row.items()} for row in rows]
+            ranks[key] = prefix_ranks([block], [len(local) - 1])[0]
+        if ranks[key] != len(local) - 1:
+            return False
+        for d in local:
+            touched[d] = 1
+            if weight[d]:
+                other = find(owner.setdefault(d, cell))
+                parent[other] = find(cell)
+    return all(touched) and len({find(c) for c in range(ncells)}) == 1
+
+
+def _local_route(inst: DiagramInstance, ones: list[Fraction], weight_c: list[Fraction],
+                 gram_consts: OpMatrix) -> bool:
+    """Whether the per-cell certificate closes every rank fact, given every
+    witness and G_b positive definite: ker(first) = span(1) and
+    ker(second^T) = span(G_c u) by ``_kernel_is_weight``, the constants
+    independent (their 2x2 Gram matrix positive definite) and
+    dim A - dim B + dim C = 0."""
+    g = gram_consts.entries
+    a, b, d = (g.get(key, _ZERO) for key in ((0, 0), (0, 1), (1, 1)))
+    return (inst.a_space.dim - inst.b_space.dim + inst.c_space.dim == 0
+            and a > 0 and a * d - b * b > 0
+            and _kernel_is_weight(inst.first.sparse_rows(), inst.b_space.local_dim,
+                                  inst.a_space.dim, ones)
+            and _kernel_is_weight(inst.second.sparse_columns(), inst.b_space.local_dim,
+                                  inst.c_space.dim, weight_c))
 
 
 def certify_complex(inst: DiagramInstance) -> ComplexCertificate:
     """Exact witnesses of one diagram plus every rank fact, healthy or not.
 
-    Four exact prefix ranks carry the rank claims: rank(first) and
+    The witnesses are sparse products on packed columns: first 1,
+    second first, second C, (G_b C)^T first and (G_c u)^T second, with C the
+    two constant fields (independent, as expansions of two independent
+    fields in a basis of B) and u the uniform element of C.
+
+    Local route, tried first when every witness holds and G_c u is nonzero:
+    each cell's block of first and of second^T has a one-dimensional kernel
+    and the cells glue into one component (``_kernel_is_weight``), so
+    rank(first) = dim A - 1 and rank(second) = dim C - 1.  G_b is positive
+    definite, so range(first) meets the G_b-orthogonal constants only in 0;
+    with dim A - dim B + dim C = 0, range(first) + constants fills
+    dim ker(second) = dim A + 1, and the harmonic space, the G_b-complement
+    of range(first) in ker(second), has dimension 2 and holds the constants.
+
+    Otherwise four exact prefix ranks carry the rank claims: rank(first) and
     rank([range(first) | constants]) from [first^T; constants], rank(second)
     and rank([second; (G_b first)^T]) from the second stack.  Witnesses that
-    hold give upper bounds, so on a healthy diagram a rank mod p closes them;
-    otherwise ``prefix_ranks`` eliminates over Q.  The two constant fields
-    are independent: they expand two independent fields in a basis of B.
-    The kernel and harmonic facts then follow by counting dimensions:
+    hold give upper bounds, so a rank mod p can close them; otherwise
+    ``prefix_ranks`` eliminates over Q.  The kernel and harmonic facts then
+    follow by counting dimensions:
 
     - range(first) and the constants lie in ker(second) when second first = 0
       and second const = 0, and then span it exactly when
@@ -205,28 +313,40 @@ def certify_complex(inst: DiagramInstance) -> ComplexCertificate:
     """
     first, second = inst.first, inst.second
     dim_a, dim_b, dim_c = inst.a_space.dim, inst.b_space.dim, inst.c_space.dim
-    consts = inst.constant_fields()
-    gram_first = inst.gram_b.compose(first)
+    consts = OpMatrix.from_columns(dim_b, inst.constant_fields())
+    ones = inst.a_space.constant_vector(1)
+    gram_spd = _gram_positive_definite(inst.gram_b)
+    gram_consts_t = inst.gram_b.compose(consts).transpose()
     composes_to_zero = second.compose(first).is_zero
-    kills_constants = not any(first.matvec(inst.a_space.constant_vector(1)))
-    second_kills_constants = not any(v for cf in consts for v in second.matvec(cf))
-    constants_orthogonal = not any(v for cf in consts for v in gram_first.rmatvec(cf))
-    gram_uniform = inst.gram_c.matvec(inst.c_space.uniform_vector())
-    uniform_orthogonal = not any(second.rmatvec(gram_uniform))
+    kills_constants = first.compose(OpMatrix.from_columns(dim_a, [ones])).is_zero
+    second_kills_constants = second.compose(consts).is_zero
+    # (G_b C)^T first is the transpose of (G_b first)^T C when G_b is symmetric,
+    # as gram_spd certifies
+    constants_orthogonal = gram_consts_t.compose(first).is_zero
+    gram_uniform = inst.gram_c.compose(
+        OpMatrix.from_columns(dim_c, [inst.c_space.uniform_vector()]))
+    uniform_orthogonal = gram_uniform.transpose().compose(second).is_zero
+    weight_c = [_ZERO] * dim_c
+    for (r, _), v in gram_uniform.entries.items():
+        weight_c[r] = v
+    stack_witnesses = (gram_spd and uniform_orthogonal and not gram_uniform.is_zero
+                       and second_kills_constants and constants_orthogonal)
+    if (stack_witnesses and composes_to_zero and kills_constants
+            and _local_route(inst, ones, weight_c, gram_consts_t.compose(consts))):
+        return ComplexCertificate(composes_to_zero, kills_constants, constants_orthogonal,
+                                  uniform_orthogonal, dim_a - 1, dim_c - 1, True, 2, True)
     # first 1 = 0 caps rank(first) at dim A - 1; the constants add at most 2
     rank_first, rank_union = prefix_ranks(
-        [first.sparse_columns(), [_sparse(cf) for cf in consts]],
+        [first.sparse_columns(), consts.sparse_columns()],
         [dim_a - 1, dim_a + 1] if kills_constants else None)
     # a nonzero G_c u caps rank(second) at dim C - 1, and the constants in the
     # kernel of the stack cap it at dim B - 2
-    stack_upper = None
-    if uniform_orthogonal and any(gram_uniform) and second_kills_constants and constants_orthogonal:
-        stack_upper = [dim_c - 1, dim_b - 2]
     rank_second, rank_stack = prefix_ranks(
-        [second.sparse_rows(), gram_first.sparse_columns()], stack_upper)
+        [second.sparse_rows(), inst.gram_b.compose(first).sparse_columns()],
+        [dim_c - 1, dim_b - 2] if stack_witnesses else None)
     harmonic_dim = dim_b - rank_stack
     return ComplexCertificate(
-        gram_first, composes_to_zero, kills_constants, constants_orthogonal, uniform_orthogonal,
+        composes_to_zero, kills_constants, constants_orthogonal, uniform_orthogonal,
         rank_first, rank_second,
         composes_to_zero and second_kills_constants and rank_union == dim_b - rank_second,
         harmonic_dim,
@@ -237,8 +357,8 @@ def verify_diagram(name: str, nx: int, ny: int, k: int,
                    float_check: bool = False, lx=1, ly=1) -> Report:
     """Machine-check every structural claim of one diagram on one mesh.
 
-    Ranks come from ``certify_complex``: exact prefix ranks, closed by
-    witnesses plus ranks mod p on a healthy diagram.
+    Ranks come from ``certify_complex``: per-cell blocks on a healthy
+    diagram, else exact prefix ranks of two global stacks.
     """
     inst = build_diagram(name, nx, ny, k, lx, ly)
     spec = inst.spec
@@ -290,21 +410,17 @@ def _strip_fields(b_space: DGVectorSpace) -> tuple[list[list[Fraction]], list[li
     of cells, and the y-field constant on one column, per row/column."""
     mesh = b_space.mesh
     nx, ny = mesh.nx, mesh.ny
-    rows, cols = [], []
-    for j in range(ny):
+
+    def strip(const: list[Fraction], cells) -> list[Fraction]:
         w = [_ZERO] * b_space.dim
-        for i in range(nx):
-            cell = mesh.cells[j * nx + i]
-            for off, v in enumerate(b_space.local(cell).expand(_CONST_X)):
-                w[b_space.offset(cell.index) + off] = v
-        rows.append(w)
-    for i in range(nx):
-        w = [_ZERO] * b_space.dim
-        for j in range(ny):
-            cell = mesh.cells[j * nx + i]
-            for off, v in enumerate(b_space.local(cell).expand(_CONST_Y)):
-                w[b_space.offset(cell.index) + off] = v
-        cols.append(w)
+        for cell in cells:
+            base = b_space.offset(cell)
+            w[base:base + b_space.local_dim] = const[base:base + b_space.local_dim]
+        return w
+
+    const_x, const_y = b_space.constant_vector(1, 0), b_space.constant_vector(0, 1)
+    rows = [strip(const_x, [j * nx + i for i in range(nx)]) for j in range(ny)]
+    cols = [strip(const_y, [j * nx + i for j in range(ny)]) for i in range(nx)]
     return rows, cols
 
 
@@ -325,8 +441,9 @@ def naive_quad_report(nx: int, ny: int, lx=1, ly=1, float_check: bool = False) -
                  params={"diagram": NAIVE_DIAGRAM, "nx": nx, "ny": ny, "k": 0})
     row_fields, col_fields = _strip_fields(b_space)
     strips = row_fields + col_fields
-    strips_in_kernel = not any(v for w in strips for v in op.matvec(w))
-    [strips_rank] = prefix_ranks([[_sparse(w) for w in strips]], [len(strips)])
+    packed = OpMatrix.from_columns(b_space.dim, strips)
+    strips_in_kernel = op.compose(packed).is_zero
+    [strips_rank] = prefix_ranks([packed.sparse_columns()], [len(strips)])
     # strips in the kernel cap the rank at dim B - rank(strips), and span it
     # exactly when the two meet
     [rank] = prefix_ranks([op.sparse_rows()],

@@ -338,12 +338,14 @@ class DGVectorSpace:
     def constant_vector(self, cx, cy) -> list[Fraction]:
         """Global coefficient vector of the constant field (cx, cy)."""
         const = VecPoly.constant(cx, cy)
+        expanded: dict = {}  # one expansion per distinct local basis
         out = [_ZERO] * self.dim
         for cell in self.mesh.cells:
-            coeffs = self.local(cell).expand(const)
+            local = self.local(cell)
+            if local not in expanded:
+                expanded[local] = local.expand(const)
             base = self.offset(cell.index)
-            for i, v in enumerate(coeffs):
-                out[base + i] = v
+            out[base:base + self.local_dim] = expanded[local]
         return out
 
     def descriptor(self) -> dict:

@@ -88,14 +88,14 @@ class HodgeSplitter:
         self.inst = inst
         self.dim = inst.b_space.dim
         cert = certify_complex(inst)
-        self._gram_first_t = _transpose(cert.gram_first)
+        self._gram_first_t = inst.gram_b.compose(inst.first).transpose()
         basis = cert.kills_constants and cert.rank_first == inst.a_space.dim - 1
         self.rank_first = cert.rank_first if basis else 0
         self._curl = LinearExpander(_normal_columns(inst.first, self._gram_first_t)) if basis else None
         self.rank_adjoint = cert.rank_second if cert.kernel_is_range_plus_constants else 0
         self.constants = inst.constant_fields()
-        self._consts = _pack(self.dim, self.constants)
-        self._gram_consts_t = _transpose(inst.gram_b.compose(self._consts))
+        self._consts = OpMatrix.from_columns(self.dim, self.constants)
+        self._gram_consts_t = inst.gram_b.compose(self._consts).transpose()
         self._harmonic = LinearExpander(self._gram_consts_t.compose(self._consts).sparse_columns())
 
     def split_batch(self, fields) -> list[HodgeParts]:
@@ -103,23 +103,15 @@ class HodgeSplitter:
         if not fields:
             return []
         first, gram_first_t, gram_consts_t = self.inst.first, self._gram_first_t, self._gram_consts_t
-        u = _pack(self.dim, fields)
+        u = OpMatrix.from_columns(self.dim, fields)
         if self._curl is None:
             curl = OpMatrix(self.dim, len(fields))
         else:  # the last column of first is left out of the basis
             x = [self._curl.expand(col[:-1]) + [_ZERO] for col in _columns(gram_first_t.compose(u))]
-            curl = first.compose(_pack(first.ncols, x))
+            curl = first.compose(OpMatrix.from_columns(first.ncols, x))
         coeffs = [self._harmonic.expand(col) for col in _columns(gram_consts_t.compose(u))]
-        harmonic = self._consts.compose(_pack(len(self.constants), coeffs))
-        div = OpMatrix(self.dim, len(fields))
-        div.entries = dict(u.entries)
-        for part in (curl, harmonic):
-            for key, v in part.entries.items():
-                w = div.entries.get(key, _ZERO) - v
-                if w:
-                    div.entries[key] = w
-                else:
-                    del div.entries[key]
+        harmonic = self._consts.compose(OpMatrix.from_columns(len(self.constants), coeffs))
+        div = _remainder(u, curl, harmonic)
         # a field is certified when its div column is G_b-orthogonal to first and the constants
         off = {c for _, c in gram_first_t.compose(div).entries}
         off |= {c for _, c in gram_consts_t.compose(div).entries}
@@ -131,10 +123,19 @@ class HodgeSplitter:
         return self.split_batch([field])[0]
 
 
-def _pack(nrows: int, vectors) -> OpMatrix:
-    """The vectors as the columns of one sparse matrix."""
-    out = OpMatrix(nrows, len(vectors))
-    out.entries = {(i, j): v for j, vec in enumerate(vectors) for i, v in enumerate(vec) if v}
+def _remainder(u: OpMatrix, *parts: OpMatrix) -> OpMatrix:
+    """u minus the parts, all of one shape, summed as integers over one
+    denominator per column; cancelled sums are dropped."""
+    den: dict[int, int] = {}
+    for op in (u, *parts):
+        for (_, c), v in op.entries.items():
+            den[c] = math.lcm(den.get(c, 1), v.denominator)
+    acc = {key: v.numerator * (den[key[1]] // v.denominator) for key, v in u.entries.items()}
+    for op in parts:
+        for key, v in op.entries.items():
+            acc[key] = acc.get(key, 0) - v.numerator * (den[key[1]] // v.denominator)
+    out = OpMatrix(u.nrows, u.ncols)
+    out.entries = {key: Fraction(s, den[key[1]]) for key, s in acc.items() if s}
     return out
 
 
@@ -146,18 +147,22 @@ def _columns(op: OpMatrix) -> list[list[Fraction]]:
     return cols
 
 
-def _transpose(op: OpMatrix) -> OpMatrix:
-    out = OpMatrix(op.ncols, op.nrows)
-    out.entries = {(c, r): v for (r, c), v in op.entries.items()}
-    return out
-
-
 def _normal_columns(first: OpMatrix, gram_first_t: OpMatrix) -> list[dict[int, Fraction]]:
     """Sparse columns of (G_b first)^T first without its last row and column."""
     cols = gram_first_t.compose(first).sparse_columns()[:-1]
     for col in cols:
         col.pop(first.ncols - 1, None)
     return cols
+
+
+def _parts_sum_to(u, p: HodgeParts) -> bool:
+    """Whether curl + div + harmonic = u, as integer sums over one common
+    denominator."""
+    vectors = (p.curl, p.div, p.harmonic, u)
+    den = math.lcm(*(x.denominator for vec in vectors for x in vec if x))
+    return not any(c.numerator * (den // c.denominator) + d.numerator * (den // d.denominator)
+                   + h.numerator * (den // h.denominator) - x.numerator * (den // x.denominator)
+                   for c, d, h, x in zip(*vectors))
 
 
 def _pairing_vanishes(u, g_col: dict[int, Fraction]) -> bool:
@@ -239,9 +244,10 @@ def hodge_report(name: str, nx: int, ny: int, k: int, fields: int = 20,
         rep.check("rank_identity", inst.b_space.dim, sp.rank_first + sp.rank_adjoint + 2)
         parts = sp.split_batch(us)
         dim = inst.b_space.dim
-        g_div = inst.gram_b.compose(_pack(dim, [p.div for p in parts])).sparse_columns()
-        g_harmonic = inst.gram_b.compose(_pack(dim, [p.harmonic for p in parts])).sparse_columns()
-        sums = sum(1 for u, p in zip(us, parts) if p.total() == list(u))
+        g_div = inst.gram_b.compose(OpMatrix.from_columns(dim, [p.div for p in parts])).sparse_columns()
+        g_harmonic = inst.gram_b.compose(
+            OpMatrix.from_columns(dim, [p.harmonic for p in parts])).sparse_columns()
+        sums = sum(1 for u, p in zip(us, parts) if _parts_sum_to(u, p))
         orth = sum(1 for p, gd, gh in zip(parts, g_div, g_harmonic)
                    if _pairing_vanishes(p.curl, gd)
                    and _pairing_vanishes(p.curl, gh)

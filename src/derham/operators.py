@@ -123,6 +123,18 @@ class OpMatrix:
             cols[c][r] = v
         return cols
 
+    @classmethod
+    def from_columns(cls, nrows: int, vectors: Sequence[Sequence[Fraction]]) -> "OpMatrix":
+        """The dense vectors as the columns of one sparse matrix."""
+        out = cls(nrows, len(vectors))
+        out.entries = {(i, j): v for j, vec in enumerate(vectors) for i, v in enumerate(vec) if v}
+        return out
+
+    def transpose(self) -> "OpMatrix":
+        out = OpMatrix(self.ncols, self.nrows, self.codomain, self.domain)
+        out.entries = {(c, r): v for (r, c), v in self.entries.items()}
+        return out
+
     def matvec(self, v: Sequence[Fraction]) -> list[Fraction]:
         out = [_ZERO] * self.nrows
         for (r, c), a in self.entries.items():
@@ -279,22 +291,30 @@ class GramMatrix:
         return self._as_op().dense_rows()
 
 
+def _scaled_block(shared: dict, local, jac: Fraction) -> list[list[Fraction]]:
+    """The local Gram block times jac, one list per (local basis, jac), so
+    equal blocks are one object."""
+    key = (local, jac)
+    if key not in shared:
+        shared[key] = [[v * jac for v in row] for row in local.gram_ref()]
+    return shared[key]
+
+
 def assemble_gram(space) -> GramMatrix:
-    """Exact Gram matrix of a space under its L2-style inner product."""
+    """Exact Gram matrix of a space under its L2-style inner product.  Cells
+    with the same local basis and jac share one block list."""
+    shared: dict = {}
     if isinstance(space, DGVectorSpace):
         g = GramMatrix(space.dim, space.family)
         for cell in space.mesh.cells:
-            ref_gram = space.local(cell).gram_ref()
-            jac = cell.jac
-            g.add_block(space.offset(cell.index), [[v * jac for v in row] for row in ref_gram])
+            g.add_block(space.offset(cell.index), _scaled_block(shared, space.local(cell), cell.jac))
         return g
     if isinstance(space, CodomainSpace):
         g = GramMatrix(space.dim, "codomain")
         if space.cell_dim:
             for cell in space.mesh.cells:
-                ref_gram = space.cell_local.gram_ref()
-                jac = cell.jac
-                g.add_block(space.cell_offset(cell.index), [[v * jac for v in row] for row in ref_gram])
+                g.add_block(space.cell_offset(cell.index),
+                            _scaled_block(shared, space.cell_local, cell.jac))
         leg = space.legendre
         fg = [[_ZERO] * space.face_dim for _ in range(space.face_dim)]
         for i in range(space.face_dim):

@@ -1,6 +1,12 @@
-"""The one rank route of verify_diagram, naive_quad_report, appendix_report
-and the Hodge splitter: exact prefix ranks plus witnesses, never a nullspace
-or a span comparison, and no densified operator on a healthy complex.
+"""The rank routes of verify_diagram, naive_quad_report, appendix_report
+and the Hodge splitter: never a nullspace or a span comparison, and no
+densified operator on a healthy complex.
+
+A healthy diagram is certified locally: exact witnesses, G_b positive
+definite, and per-cell blocks of first and second^T with one-dimensional
+kernels glued by a union-find (``_kernel_is_weight``), so no elimination
+runs on more rows than one cell's block.  Anything else falls through to
+exact prefix ranks of two global stacks plus the witnesses.
 
 The reference here is the nullspace-and-span computation of the same facts
 (``oracle_facts``): rank_nullspace of each operator, span_compare of the
@@ -13,6 +19,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from derham import complexcheck, exactla, hodge
 from derham.cli import main
@@ -132,9 +140,15 @@ def count_eliminations_over_q(monkeypatch):
     return calls
 
 
+def global_only(monkeypatch):
+    """The local route declines, so the four global prefix ranks run."""
+    monkeypatch.setattr(complexcheck, "_local_route", lambda *args: False)
+
+
 def test_unlucky_prime_falls_back_to_exact(monkeypatch):
     # mod 2 every entry of tri-dp's rotated gradient vanishes: rank 0, not 15
     reference = verify_diagram("tri-dp", 2, 2, 1)
+    global_only(monkeypatch)
     calls = count_eliminations_over_q(monkeypatch)
     assert verify_diagram("tri-dp", 2, 2, 1).passed
     assert calls == []  # a healthy diagram closes every rank mod p
@@ -450,3 +464,204 @@ def test_hodge_batched_checks_can_fail(monkeypatch):
     computed = {c.name: c.computed for c in rep.checks}
     assert computed["harmonic_part_is_constant"] == 4
     assert computed["parts_pairwise_orthogonal"] == 4
+
+
+def record_prefix_blocks(monkeypatch):
+    """Record the row count of every block complexcheck hands to prefix_ranks."""
+    rows = []
+    prefix_ranks = complexcheck.prefix_ranks
+    monkeypatch.setattr(complexcheck, "prefix_ranks",
+                        lambda blocks, upper=None: rows.extend(map(len, blocks))
+                        or prefix_ranks(blocks, upper))
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(DIAGRAMS))
+def test_healthy_diagram_eliminates_only_cell_blocks(monkeypatch, name):
+    assert_true_bounds(monkeypatch)
+    rows = record_prefix_blocks(monkeypatch)
+    assert verify_diagram(name, 3, 2, 1).passed
+    assert rows and max(rows) <= build_diagram(name, 2, 2, 1).b_space.local_dim
+
+
+def test_local_eliminations_do_not_grow_with_the_mesh(monkeypatch):
+    """One elimination per distinct block content, however many cells."""
+    rows = record_prefix_blocks(monkeypatch)
+    counts = []
+    for n in (4, 8):
+        rows.clear()
+        assert verify_diagram("tri-dp", n, n, 1).passed
+        counts.append(len(rows))
+    assert counts[0] == counts[1] <= 4
+    assert max(rows) == 6
+
+
+def test_unlucky_prime_on_cell_blocks(monkeypatch):
+    """Mod 2 the cell blocks miss their bounds and are eliminated over Q,
+    one cell block at a time; the report is unchanged."""
+    reference = verify_diagram("tri-dp", 2, 2, 1)
+    monkeypatch.setattr(exactla, "_PRIMES", (2,))
+    rows = record_prefix_blocks(monkeypatch)
+    calls = count_eliminations_over_q(monkeypatch)
+    rep = verify_diagram("tri-dp", 2, 2, 1)
+    assert calls and len(calls) <= len(rows)
+    assert max(rows) == 6
+    assert check_dicts(rep) == check_dicts(reference)
+
+
+def cell_block(op, cell_size, cell=0):
+    """Rows cell * cell_size ... of op, as dense rows over the columns they touch."""
+    keys = [key for key in op.entries if key[0] // cell_size == cell]
+    cols = sorted({c for _, c in keys})
+    return [[op.entries.get((r, c), 0) for c in cols]
+            for r in range(cell * cell_size, (cell + 1) * cell_size)]
+
+
+def perturb_cell_block(inst):
+    """One entry of cell 0's block of first plus 1, the first one that makes
+    the block nonsingular: local kernel 0."""
+    size = inst.b_space.local_dim
+    for key in sorted(key for key in inst.first.entries if key[0] < size):
+        inst.first.entries[key] += 1
+        block = cell_block(inst.first, size)
+        if exact_rank(block) == len(block[0]):
+            return
+        inst.first.entries[key] -= 1
+    raise AssertionError("no entry makes the block nonsingular")
+
+
+def zero_cell_block_row(inst):
+    """Zero a row of cell 0's block of first whose loss drops the block's rank:
+    local kernel 2, first 1 = 0 kept."""
+    size = inst.b_space.local_dim
+    block = cell_block(inst.first, size)
+    rank = exact_rank(block)
+    row = next(r for r in range(size) if exact_rank(block[:r] + block[r + 1:]) < rank)
+    for key in [key for key in inst.first.entries if key[0] == row]:
+        del inst.first.entries[key]
+
+
+@pytest.mark.parametrize("mutate,kernel", [(perturb_cell_block, 0), (zero_cell_block_row, 2)])
+def test_cell_block_with_wrong_kernel_falls_through(monkeypatch, mutate, kernel):
+    inst = build_diagram("tri-dp", 2, 2, 1)
+    mutate(inst)
+    block = cell_block(inst.first, inst.b_space.local_dim)
+    assert len(block[0]) - exact_rank(block) == kernel
+    assert not complexcheck._kernel_is_weight(
+        inst.first.sparse_rows(), inst.b_space.local_dim, inst.a_space.dim,
+        inst.a_space.constant_vector(1))
+    rep = run_broken(monkeypatch, mutate)
+    assert not rep.passed
+
+
+def test_union_find_joins_only_where_the_weight_is_nonzero():
+    """Two cells share dof 2, where the weight vanishes: each block has a
+    one-dimensional kernel, but the whole kernel is two-dimensional."""
+    one, minus = Fraction(1), Fraction(-1)
+    lines = [{0: one, 1: minus}, {2: one}, {3: one, 4: minus}, {2: one}]
+    weight = [one, one, Fraction(0), one, one]
+    dense = [[line.get(c, 0) for c in range(5)] for line in lines]
+    assert 5 - exact_rank(dense) == 2
+    assert not complexcheck._kernel_is_weight(lines, 2, 5, weight)
+    # joined through a dof where the weight is nonzero, the kernel is span(weight)
+    lines[2] = {1: one, 3: minus}
+    lines[3] = {3: one, 4: minus}
+    dense = [[line.get(c, 0) for c in range(5)] for line in lines]
+    assert 5 - exact_rank(dense) == 1
+    assert complexcheck._kernel_is_weight(lines, 2, 5, weight)
+    # a block where the weight vanishes says nothing about the kernel
+    assert not complexcheck._kernel_is_weight([{0: one, 1: minus}], 1, 2, [Fraction(0)] * 2)
+
+
+def test_two_components_do_not_certify():
+    """A direct sum of two copies of first: every cell block is healthy and
+    every dof is covered, but no column group is shared across the copies."""
+    inst = build_diagram("tri-dp", 2, 2, 1)
+    rows = inst.first.sparse_rows()
+    dim_a, size = inst.a_space.dim, inst.b_space.local_dim
+    twice = rows + [{c + dim_a: v for c, v in row.items()} for row in rows]
+    ones = inst.a_space.constant_vector(1)
+    assert complexcheck._kernel_is_weight(rows, size, dim_a, ones)
+    assert not complexcheck._kernel_is_weight(twice, size, 2 * dim_a, ones + ones)
+    dense = [[row.get(c, 0) for c in range(2 * dim_a)] for row in twice]
+    assert 2 * dim_a - exact_rank(dense) == 2
+
+
+def test_uncovered_dof_fails_the_local_test():
+    inst = build_diagram("tri-dp", 2, 2, 1)
+    size = inst.b_space.local_dim
+    ones = inst.a_space.constant_vector(1)
+    rows, dim_a = inst.first.sparse_rows(), inst.a_space.dim
+    assert complexcheck._kernel_is_weight(rows, size, dim_a, ones)
+    assert not complexcheck._kernel_is_weight(rows, size, dim_a + 1, ones + [Fraction(1)])
+    weight = inst.gram_c.matvec(inst.c_space.uniform_vector())
+    cols, dim_c = inst.second.sparse_columns(), inst.c_space.dim
+    assert complexcheck._kernel_is_weight(cols, size, dim_c, weight)
+    assert not complexcheck._kernel_is_weight(cols, size, dim_c + 1, weight + [Fraction(1)])
+
+
+def test_gram_must_be_positive_definite(monkeypatch):
+    inst = build_diagram("tri-dp", 2, 2, 1)
+    gram = inst.gram_b
+    assert complexcheck._gram_positive_definite(gram)
+    off, rows = gram.blocks[0]
+    skew = [list(row) for row in rows]  # positive pivots, but not symmetric
+    skew[0][1] += 1
+    skew[1][0] -= 1
+    for bad in ([[-v for v in row] for row in rows], skew):
+        gram.blocks[0] = (off, bad)
+        assert not complexcheck._gram_positive_definite(gram)
+    del gram.blocks[0]  # the blocks no longer tile the diagonal
+    assert not complexcheck._gram_positive_definite(gram)
+    # with a negated block verify falls through to the global route, and the
+    # facts are the oracle's
+    inst = build_diagram("tri-dp", 2, 2, 1)
+    off, rows = inst.gram_b.blocks[3]
+    inst.gram_b.blocks[3] = (off, [[-v for v in row] for row in rows])
+    monkeypatch.setattr(complexcheck, "_local_route", lambda *args: pytest.fail("local route"))
+    assert certificate_facts(certify_complex(inst)) == oracle_facts(inst)
+
+
+def test_dependent_constants_or_wrong_dimensions_fall_through(monkeypatch):
+    """The 2x2 Gram matrix of the constants and dim A - dim B + dim C = 0 are
+    part of the local certificate."""
+    inst = build_diagram("quad-enriched", 2, 2, 1)
+    first_const = inst.constant_fields()[0]
+    monkeypatch.setattr(inst, "constant_fields", lambda: [first_const, first_const])
+    local = certify_complex(inst)
+    global_only(monkeypatch)
+    assert certificate_facts(local) == certificate_facts(certify_complex(inst))
+    assert not local.kernel_is_range_plus_constants
+    monkeypatch.undo()
+    inst = build_diagram("quad-enriched", 2, 2, 1)
+    args = (inst, inst.a_space.constant_vector(1),
+            inst.gram_c.matvec(inst.c_space.uniform_vector()),
+            inst.gram_b.compose(OpMatrix.from_columns(inst.b_space.dim, inst.constant_fields()))
+            .transpose().compose(OpMatrix.from_columns(inst.b_space.dim, inst.constant_fields())))
+    assert complexcheck._local_route(*args)
+    inst.b_space.dim += 1
+    assert not complexcheck._local_route(*args)
+
+
+@pytest.mark.parametrize("name", sorted(DIAGRAMS))
+@seed(2407)
+@settings(max_examples=5, deadline=None)
+@given(st.integers(2, 4), st.integers(2, 4), st.integers(0, 2),
+       st.fractions(Fraction(1, 3), 3, max_denominator=7),
+       st.fractions(Fraction(1, 3), 3, max_denominator=7))
+def test_local_route_matches_global_route(name, nx, ny, k, lx, ly):
+    inst = build_diagram(name, nx, ny, k, lx, ly)
+    with pytest.MonkeyPatch.context() as m:
+        taken = []
+        local_route = complexcheck._local_route
+        m.setattr(complexcheck, "_local_route",
+                  lambda *args: taken.append(local_route(*args)) or taken[-1])
+        local = certify_complex(inst)
+    assert taken == [True]
+    with pytest.MonkeyPatch.context() as m:
+        global_only(m)
+        assert certificate_facts(local) == certificate_facts(certify_complex(inst))
+
+
+def test_tri_dp_16x16_verifies():
+    assert verify_diagram("tri-dp", 16, 16, 1).passed

@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, output schema, campaign plumbing."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,16 @@ def test_mesh_info_ok(capsys):
     code, out, _ = run(capsys, "mesh-info", "--kind", "tri", "--nx", "2", "--ny", "2")
     assert code == 0
     assert "cells=8" in out and "faces=12" in out and "points=4" in out
+
+
+def test_python_m_derham_runs_the_cli(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "derham", "mesh-info", "--kind", "tri",
+                           "--nx", "2", "--ny", "2"],
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "cells=8" in proc.stdout and "faces=12" in proc.stdout
 
 
 def test_mesh_info_rejects_small_grid(capsys):
