@@ -472,21 +472,27 @@ def appendix_report(nx: int, ny: int, lx=1, ly=1) -> Report:
     mesh = build_mesh(MeshKind.CARTESIAN, nx, ny, lx, ly)
     triple = flat_trace_basis(RefCell.SQUARE)
     n = mesh.num_cells
+    traces: dict = {}  # (chart, edge, along) -> the three normal traces
     rows: list[dict[int, Fraction]] = []
     for face in mesh.faces:
         row: dict[int, Fraction] = {}
-        nrm = face.normal
         for side, sign in (("left", -1), ("right", 1)):
             cell = mesh.cells[face.cell_on(side)]
-            start = cell.to_ref_point(face.start_in_chart(side))
-            direction = cell.to_ref_vector(face.chord)
-            for i, u in enumerate(triple):
-                tr = (restrict_to_segment(u.x, start, direction) * nrm[0]
-                      + restrict_to_segment(u.y, start, direction) * nrm[1])
-                if tr.degree() > 0:
-                    raise AssertionError("three-field trace is not facewise constant")
+            edge, along = cell.edge_of(face.index)
+            key = (cell.fmap.m, edge, along)
+            if key not in traces:
+                start, direction, chord = cell.face_segment(edge, along)
+                nrm = (-chord[1], chord[0])
+                traces[key] = []
+                for u in triple:
+                    tr = (restrict_to_segment(u.x, start, direction) * nrm[0]
+                          + restrict_to_segment(u.y, start, direction) * nrm[1])
+                    if tr.degree() > 0:
+                        raise AssertionError("three-field trace is not facewise constant")
+                    traces[key].append(tr.coeff(0))
+            for i, v in enumerate(traces[key]):
                 col = 3 * cell.index + i
-                row[col] = row.get(col, _ZERO) + sign * tr.coeff(0)
+                row[col] = row.get(col, _ZERO) + sign * v
         rows.append(row)
     # checkerboard sums over each row and each column of cells; they vanish
     # on ker J exactly when they lie in the row space of J

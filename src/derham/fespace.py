@@ -16,7 +16,9 @@ Local bases verify their own linear independence and cardinality against the
 per-cell dimension formulas on construction.  DOF layouts are deterministic:
 discontinuous spaces are cell-blocked in mesh order with graded-lex local
 ordering, codomain spaces put all cell blocks before all face blocks, and
-continuous scalar spaces number Lagrange nodes in first-encounter order.
+continuous scalar spaces number Lagrange nodes in first-encounter order,
+identifying nodes by the mesh incidence (vertex point; face and position
+along it; cell and interior node), never by their coordinates.
 """
 
 from __future__ import annotations
@@ -338,14 +340,14 @@ class DGVectorSpace:
     def constant_vector(self, cx, cy) -> list[Fraction]:
         """Global coefficient vector of the constant field (cx, cy)."""
         const = VecPoly.constant(cx, cy)
-        expanded: dict = {}  # one expansion per distinct local basis
+        expanded: dict = {}  # one expansion per distinct chart
         out = [_ZERO] * self.dim
         for cell in self.mesh.cells:
-            local = self.local(cell)
-            if local not in expanded:
-                expanded[local] = local.expand(const)
+            m = cell.fmap.m
+            if m not in expanded:
+                expanded[m] = self.local(cell).expand(const)
             base = self.offset(cell.index)
-            out[base:base + self.local_dim] = expanded[local]
+            out[base:base + self.local_dim] = expanded[m]
         return out
 
     def descriptor(self) -> dict:
@@ -360,8 +362,31 @@ class DGVectorSpace:
         }
 
 
+def _node_places(ref: RefCell, nodes, degree: int) -> list[tuple[str, int, int]]:
+    """Where each reference node sits: ``("vertex", e, 0)`` at the start of
+    edge e, ``("edge", e, a)`` a/degree of the way along edge e, or
+    ``("interior", 0, 0)``."""
+    places = []
+    for node in nodes:
+        place = ("interior", 0, 0)
+        for e, edge in enumerate(ref.edges):
+            d = edge.direction
+            r = (node[0] - edge.start[0], node[1] - edge.start[1])
+            t = (r[0] * d[0] + r[1] * d[1]) / (d[0] * d[0] + d[1] * d[1])
+            if 0 <= t < 1 and r == (t * d[0], t * d[1]):
+                place = ("vertex" if t == 0 else "edge", e, int(t * degree))
+                break
+        places.append(place)
+    return places
+
+
 class ContinuousScalarSpace:
-    """Periodic continuous Lagrange space (P_d on triangles, Q_d on quads)."""
+    """Periodic continuous Lagrange space (P_d on triangles, Q_d on quads).
+
+    A node's key is its vertex point, its face and position along the face's
+    P->Q, or its cell and node index, so two nodes share a dof exactly when
+    they are the same point of the torus.
+    """
 
     def __init__(self, mesh: Mesh, degree: int):
         self.mesh = mesh
@@ -369,12 +394,19 @@ class ContinuousScalarSpace:
         ref = RefCell.TRIANGLE if mesh.kind is MeshKind.TRIANGULAR else RefCell.SQUARE
         self.ref = ref
         self.nodes, self.local = lagrange_basis(ref, degree)
+        places = _node_places(ref, self.nodes, degree)
         table: dict = {}
         self.cell_dofs: list[list[int]] = []
         for cell in mesh.cells:
             dofs = []
-            for node in self.nodes:
-                key = mesh.wrap_point(cell.fmap.apply(node))
+            for n, (where, e, a) in enumerate(places):
+                if where == "vertex":
+                    key = ("vertex", cell.vertices[e])
+                elif where == "edge":
+                    face, along = cell.edge_faces[e]
+                    key = ("face", face, a if along else degree - a)
+                else:
+                    key = ("cell", cell.index, n)
                 if key not in table:
                     table[key] = len(table)
                 dofs.append(table[key])
@@ -434,15 +466,9 @@ class CodomainSpace:
 
     def uniform_vector(self, value=1) -> list[Fraction]:
         """The element equal to ``value`` on every cell and every face."""
-        v = [_ZERO] * self.dim
         value = Fraction(value)
-        const = Poly.const(value)
-        for cell in self.mesh.cells:
-            if self.cell_dim:
-                coeffs = self.cell_local.expand(const)
-                base = self.cell_offset(cell.index)
-                for i, c in enumerate(coeffs):
-                    v[base + i] = c
+        coeffs = self.cell_local.expand(Poly.const(value)) if self.cell_dim else []
+        v = coeffs * self.mesh.num_cells + [_ZERO] * (self.dim - self._face_base)
         for face in self.mesh.faces:
             v[self.face_offset(face.index)] = value  # Legendre L_0 = 1
         return v

@@ -7,6 +7,13 @@ geometry is exact rational.  Entity numbering is a pure function of
 cell), faces x-normal block, then y-normal block, then diagonals, points
 row-major on the grid lattice.
 
+Incidence is recorded as the mesh is built, from integer lattice
+coordinates: each cell knows its vertex point indices in reference-vertex
+order and, for each reference edge, its face and whether the face's P->Q
+runs along that edge.  Code that needs to know where a face sits in a cell
+reads it from this record, not from rational geometry.  Cells of one chart
+share one inverse linear part; each adds only its offset.
+
 Face orientation: the stored unnormalized normal is the +90 degree rotation
 of P->Q and has the same length as the face, so line integrals of normal
 components reduce to exact integrals in the chord parameter t.  The right
@@ -43,12 +50,20 @@ def entity_counts(kind: MeshKind, nx: int, ny: int) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class Cell:
-    """Mesh cell: reference kind plus the affine chart map F(ref) = physical."""
+    """Mesh cell: reference kind plus the affine chart map F(ref) = physical.
+
+    ``vertices`` are the point indices of the reference vertices, in order;
+    ``edge_faces[e]`` is ``(face index, along)`` for reference edge ``e``
+    (``ref.edges[e]``), where ``along`` says whether the face's p->q runs
+    from the edge's start to its end.
+    """
 
     index: int
     ref: RefCell
     fmap: AffineMap
     inv: AffineMap = field(repr=False)
+    vertices: tuple[int, ...] = field(repr=False)
+    edge_faces: tuple[tuple[int, bool], ...] = field(repr=False)
 
     @property
     def jac(self) -> Fraction:
@@ -68,6 +83,22 @@ class Cell:
 
     def to_ref_vector(self, vec):
         return self.inv.apply_vector(vec)
+
+    def edge_of(self, face_index: int) -> tuple[int, bool]:
+        """The reference edge carrying a face of this cell, and whether the
+        face's p->q runs along it."""
+        for e, (f, along) in enumerate(self.edge_faces):
+            if f == face_index:
+                return e, along
+        raise ValueError(f"face {face_index} does not bound cell {self.index}")
+
+    def face_segment(self, edge: int, along: bool):
+        """The face on reference edge ``edge`` traversed p -> q: its start and
+        direction in reference coordinates, and its physical chord q - p."""
+        ref_edge = self.ref.edges[edge]
+        start, end = (ref_edge.start, ref_edge.end) if along else (ref_edge.end, ref_edge.start)
+        direction = (end[0] - start[0], end[1] - start[1])
+        return start, direction, self.fmap.apply_vector(direction)
 
 
 @dataclass(frozen=True)
@@ -141,11 +172,6 @@ class Mesh:
     def euler_characteristic(self) -> int:
         return self.num_points - self.num_faces + self.num_cells
 
-    def wrap_point(self, pt) -> tuple[Fraction, Fraction]:
-        """Reduce a point into [0,lx) x [0,ly), exactly."""
-        x, y = Fraction(pt[0]), Fraction(pt[1])
-        return (x - (x // self.lx) * self.lx, y - (y // self.ly) * self.ly)
-
     def summary(self) -> dict:
         return {
             "schema": 1,
@@ -164,11 +190,6 @@ class Mesh:
         return f"Mesh({self.kind.value}, {self.nx}x{self.ny}, cells={self.num_cells})"
 
 
-def _cell(index: int, ref: RefCell, m, o) -> Cell:
-    fmap = AffineMap.make(m, o)
-    return Cell(index, ref, fmap, fmap.inverse())
-
-
 def build_mesh(kind: MeshKind, nx: int, ny: int, lx=1, ly=1) -> Mesh:
     """Build a periodic mesh; requires nx, ny >= 2 so no face is self-adjacent."""
     if not isinstance(nx, int) or not isinstance(ny, int):
@@ -181,66 +202,79 @@ def build_mesh(kind: MeshKind, nx: int, ny: int, lx=1, ly=1) -> Mesh:
         raise ValueError("periods must be positive")
     hx = lx / nx
     hy = ly / ny
+    # lattice coordinates, including one period back for seam offsets
+    xs = {a: a * hx for a in range(-nx, nx + 1)}
+    ys = {b: b * hy for b in range(-ny, ny + 1)}
 
-    points = [(i * hx, j * hy) for j in range(ny) for i in range(nx)]
+    points = [(xs[i], ys[j]) for j in range(ny) for i in range(nx)]
 
+    # the cells of one grid square: chart linear part and the lattice offsets
+    # of the cell's vertices in reference-vertex order
     if kind is MeshKind.CARTESIAN:
-        cells = [
-            _cell(j * nx + i, RefCell.SQUARE, ((hx, 0), (0, hy)), (i * hx, j * hy))
-            for j in range(ny)
-            for i in range(nx)
-        ]
-        grid = lambda i, j: j * nx + i  # noqa: E731
-        west_of_face = grid
-        east_of_face = lambda i, j: grid((i + 1) % nx, j)  # noqa: E731
-        south_of_face = grid
-        north_of_face = lambda i, j: grid(i, (j + 1) % ny)  # noqa: E731
+        ref = RefCell.SQUARE
+        shapes = [(((hx, 0), (0, hy)), ((0, 0), (1, 0), (1, 1), (0, 1)))]
     elif kind is MeshKind.TRIANGULAR:
-        cells = []
-        for j in range(ny):
-            for i in range(nx):
-                base = 2 * (j * nx + i)
-                o = (i * hx, j * hy)
-                # lower: (i,j) -> (i+1,j) -> (i+1,j+1); upper: (i,j) -> (i+1,j+1) -> (i,j+1)
-                cells.append(_cell(base, RefCell.TRIANGLE, ((hx, hx), (0, hy)), o))
-                cells.append(_cell(base + 1, RefCell.TRIANGLE, ((hx, 0), (hy, hy)), o))
-        lower = lambda i, j: 2 * (j * nx + i)  # noqa: E731
-        upper = lambda i, j: 2 * (j * nx + i) + 1  # noqa: E731
-        west_of_face = lower
-        east_of_face = lambda i, j: upper((i + 1) % nx, j)  # noqa: E731
-        south_of_face = upper
-        north_of_face = lambda i, j: lower(i, (j + 1) % ny)  # noqa: E731
+        ref = RefCell.TRIANGLE
+        # lower: (i,j) -> (i+1,j) -> (i+1,j+1); upper: (i,j) -> (i+1,j+1) -> (i,j+1)
+        shapes = [(((hx, hx), (0, hy)), ((0, 0), (1, 0), (1, 1))),
+                  (((hx, 0), (hy, hy)), ((0, 0), (1, 1), (0, 1)))]
     else:
         raise ValueError(f"unknown mesh kind: {kind!r}")
+    # one inverse per distinct linear part; a cell's inverse offset -(mi o)
+    # is the sum of a term for its column and one for its row
+    charts = []
+    for m, corners in shapes:
+        lin = AffineMap.make(m, (0, 0))
+        mi = lin.inverse().m
+        col_terms = [(-(mi[0][0] * xs[i]), -(mi[1][0] * xs[i])) for i in range(nx)]
+        row_terms = [(-(mi[0][1] * ys[j]), -(mi[1][1] * ys[j])) for j in range(ny)]
+        charts.append((lin.m, mi, corners, col_terms, row_terms))
+
+    # faces as lattice segments start -> start + step: x-normal faces are the
+    # east sides of grid cell (i,j), pointing down so the +90 degree rotation
+    # gives normal (+hy, 0); y-normal faces the north sides, pointing in +x;
+    # diagonals (triangulation only) run low-left -> up-right, normal (-hy, hx)
+    segments = [("x", (i + 1, j + 1), (0, -1)) for j in range(ny) for i in range(nx)]
+    segments += [("y", (i, j + 1), (1, 0)) for j in range(ny) for i in range(nx)]
+    if kind is MeshKind.TRIANGULAR:
+        segments += [("diag", (i, j), (1, 1)) for j in range(ny) for i in range(nx)]
+    face_at = {((s[0] % nx, s[1] % ny), step): f for f, (_, s, step) in enumerate(segments)}
+
+    # each cell edge finds its face by (wrapped start, step), in either
+    # direction; a face whose p->q runs along the cell's counterclockwise
+    # edge has its normal pointing into the cell, so that cell is its right
+    sides: list[list] = [[None, None] for _ in segments]  # [left, right]: (cell, lattice start)
+    cells: list[Cell] = []
+    for j in range(ny):
+        for i in range(nx):
+            o = (xs[i], ys[j])
+            for m, mi, corners, col_terms, row_terms in charts:
+                verts = [(i + a, j + b) for a, b in corners]
+                edge_faces = []
+                for e, a in enumerate(verts):
+                    b = verts[(e + 1) % len(verts)]
+                    step = (b[0] - a[0], b[1] - a[1])
+                    f = face_at.get(((a[0] % nx, a[1] % ny), step))
+                    along = f is not None
+                    if not along:
+                        f = face_at[((b[0] % nx, b[1] % ny), (-step[0], -step[1]))]
+                    sides[f][along] = (len(cells), a if along else b)
+                    edge_faces.append((f, along))
+                cx, cy = col_terms[i]
+                rx, ry = row_terms[j]
+                inv_o = (cx + rx, cy + ry)
+                cells.append(Cell(len(cells), ref, AffineMap(m, o), AffineMap(mi, inv_o),
+                                  tuple(a % nx + (b % ny) * nx for a, b in verts),
+                                  tuple(edge_faces)))
 
     faces: list[Face] = []
-    zero = (Fraction(0), Fraction(0))
-    # x-normal faces: east face of grid cell (i,j); P->Q points down so the
-    # +90 degree rotation gives normal (+hy, 0)
-    for j in range(ny):
-        for i in range(nx):
-            x = (i + 1) * hx
-            p, q = (x, (j + 1) * hy), (x, j * hy)
-            off_right = (-lx, Fraction(0)) if i == nx - 1 else zero
-            faces.append(Face(len(faces), "x", p, q, west_of_face(i, j),
-                              east_of_face(i, j), zero, off_right))
-    # y-normal faces: north face of grid cell (i,j); P->Q points in +x
-    for j in range(ny):
-        for i in range(nx):
-            y = (j + 1) * hy
-            p, q = (i * hx, y), ((i + 1) * hx, y)
-            off_right = (Fraction(0), -ly) if j == ny - 1 else zero
-            faces.append(Face(len(faces), "y", p, q, south_of_face(i, j),
-                              north_of_face(i, j), zero, off_right))
-    # diagonal faces, triangulation only: low-left -> up-right inside each
-    # grid cell; normal (-hy, hx) points into the upper triangle
-    if kind is MeshKind.TRIANGULAR:
-        for j in range(ny):
-            for i in range(nx):
-                p = (i * hx, j * hy)
-                q = ((i + 1) * hx, (j + 1) * hy)
-                faces.append(Face(len(faces), "diag", p, q,
-                                  lower(i, j), upper(i, j), zero, zero))
+    for f, (fkind, s, step) in enumerate(segments):
+        if None in sides[f]:
+            raise AssertionError(f"face {f} is not bounded by one left and one right cell")
+        (left, at_left), (right, at_right) = sides[f]
+        faces.append(Face(f, fkind, (xs[s[0]], ys[s[1]]), (xs[s[0] + step[0]], ys[s[1] + step[1]]),
+                          left, right, (xs[at_left[0] - s[0]], ys[at_left[1] - s[1]]),
+                          (xs[at_right[0] - s[0]], ys[at_right[1] - s[1]])))
 
     mesh = Mesh(kind, nx, ny, lx, ly, cells, faces, points)
     expected = entity_counts(kind, nx, ny)

@@ -12,6 +12,14 @@ the chord parameter t.  Because ``|n_f|`` equals the face length, pairing
 these rows against face polynomials with the plain ``dt`` measure reproduces
 the arc-length pairing exactly; no irrational lengths ever appear.
 
+Every operator is assembled from stamps: the nonzeros ``(local row, local
+col, value)`` of one local element matrix, with a face side's sign folded
+in.  A stamp is formed once per key within one call (the chart for cell
+parts; the chart, reference edge, face orientation and side for traces,
+read from the mesh incidence) and placed at every cell or face side through
+integer offsets and the continuous space's dof map, with no rational
+arithmetic per cell.
+
 Any polynomial that fails to lie in the target space stops the assembly with
 ``MembershipError`` naming the offending entity; nothing is projected.
 """
@@ -32,7 +40,6 @@ from .fespace import (
     DGVectorSpace,
     SpanError,
 )
-from .mesh import Face
 from .poly import curl2d, divergence, grad, grad_perp, restrict_to_segment
 
 __all__ = [
@@ -322,21 +329,28 @@ def assemble_gram(space) -> GramMatrix:
         for face in space.mesh.faces:
             g.add_block(space.face_offset(face.index), fg)
         return g
-    if isinstance(space, ContinuousScalarSpace):
-        rows = [[_ZERO] * space.dim for _ in range(space.dim)]
-        ref_gram = space.local.gram_ref()
-        for cell in space.mesh.cells:
-            dofs = space.cell_dofs[cell.index]
-            jac = cell.jac
-            for i, gi in enumerate(dofs):
-                for j, gj in enumerate(dofs):
-                    v = ref_gram[i][j]
-                    if v:
-                        rows[gi][gj] += v * jac
-        g = GramMatrix(space.dim, "continuous_scalar")
-        g.add_block(0, rows)
-        return g
     raise TypeError(f"no Gram assembly for {type(space).__name__}")
+
+
+def _scatter(out: OpMatrix, stamp: Sequence[tuple[int, int, Fraction]],
+             row_base: int, cols: Sequence[int]) -> None:
+    """Place a stamp's nonzeros ``(i, j, v)`` at ``(row_base + i, cols[j])``.
+
+    On a mesh of at least 2x2 cells every position is stamped once, so the
+    value is set directly; a position stamped again gets the exact sum, and
+    a sum that cancels leaves no entry.
+    """
+    entries = out.entries
+    for i, j, v in stamp:
+        key = (row_base + i, cols[j])
+        if key in entries:
+            w = entries[key] + v
+            if w:
+                entries[key] = w
+            else:
+                del entries[key]
+        else:
+            entries[key] = v
 
 
 def _assemble_first(a_space: ContinuousScalarSpace, b_space: DGVectorSpace,
@@ -345,24 +359,21 @@ def _assemble_first(a_space: ContinuousScalarSpace, b_space: DGVectorSpace,
         raise ValueError("spaces live on different meshes")
     out = OpMatrix(b_space.dim, a_space.dim, domain=f"scalar_deg{a_space.degree}",
                    codomain=f"{b_space.family}_k{b_space.k}")
-    cache: dict = {}
+    stamps: dict = {}  # chart -> (vector row, shape function, value)
     for cell in a_space.mesh.cells:
         key = cell.fmap.m
-        if key not in cache:
+        if key not in stamps:
             local = b_space.local(cell)
-            coeffs = []
-            for shape in a_space.local.elements:
+            stamp = []
+            for j, shape in enumerate(a_space.local.elements):
                 v = op(shape, cell.m_inv)
                 try:
-                    coeffs.append(local.expand(v))
+                    coeffs = local.expand(v)
                 except SpanError as exc:
                     raise MembershipError(f"{name} on cell {cell.index}: {exc}") from exc
-            cache[key] = coeffs
-        base = b_space.offset(cell.index)
-        for j, gidx in enumerate(a_space.cell_dofs[cell.index]):
-            for i, v in enumerate(cache[key][j]):
-                if v:
-                    out.add(base + i, gidx, v)
+                stamp.extend((i, j, c) for i, c in enumerate(coeffs) if c)
+            stamps[key] = stamp
+        _scatter(out, stamps[key], b_space.offset(cell.index), a_space.cell_dofs[cell.index])
     return out
 
 
@@ -375,8 +386,8 @@ def assemble_grad(a_space: ContinuousScalarSpace, b_space: DGVectorSpace) -> OpM
     return _assemble_first(a_space, b_space, grad, "grad")
 
 
-def _face_vector(face: Face, tangential: bool) -> tuple[Fraction, Fraction]:
-    n = face.normal
+def _face_vector(chord: tuple[Fraction, Fraction], tangential: bool) -> tuple[Fraction, Fraction]:
+    n = (-chord[1], chord[0])  # the face normal, rot90 of the chord
     if tangential:
         return (-n[1], n[0])  # rot90 of the normal: reversed chord
     return n
@@ -392,61 +403,55 @@ def _assemble_second(b_space: DGVectorSpace, c_space: CodomainSpace,
     kdeg = c_space.face_degree
     leg = c_space.legendre
     leg_scale = [Fraction(2 * i + 1) for i in range(kdeg + 1)]
+    nb = b_space.local_dim
 
-    cell_cache: dict = {}
+    cell_stamps: dict = {}  # chart -> (cell factor row, vector basis, value)
     for cell in mesh.cells:
         key = cell.fmap.m
-        if key not in cell_cache:
-            local = b_space.local(cell)
-            rows = []
-            for u in local.elements:
+        if key not in cell_stamps:
+            stamp = []
+            for i, u in enumerate(b_space.local(cell).elements):
                 p = cell_op(u, cell.m_inv)
                 if c_space.cell_dim:
                     try:
-                        rows.append(c_space.cell_local.expand(p))
+                        coeffs = c_space.cell_local.expand(p)
                     except SpanError as exc:
                         raise MembershipError(f"{name} cell part, cell {cell.index}: {exc}") from exc
-                else:
-                    if not p.is_zero:
-                        raise MembershipError(
-                            f"{name} cell part, cell {cell.index}: nonzero result but empty cell factor")
-                    rows.append([])
-            cell_cache[key] = rows
-        if c_space.cell_dim:
-            cbase = c_space.cell_offset(cell.index)
-            bbase = b_space.offset(cell.index)
-            for i, row in enumerate(cell_cache[key]):
-                for m, v in enumerate(row):
-                    if v:
-                        out.add(cbase + m, bbase + i, v)
+                    stamp.extend((m, i, v) for m, v in enumerate(coeffs) if v)
+                elif not p.is_zero:
+                    raise MembershipError(
+                        f"{name} cell part, cell {cell.index}: nonzero result but empty cell factor")
+            cell_stamps[key] = stamp
+        bbase = b_space.offset(cell.index)
+        _scatter(out, cell_stamps[key], c_space.cell_offset(cell.index), range(bbase, bbase + nb))
 
-    trace_cache: dict = {}
+    # a chart, a reference edge and the face's orientation on it fix the
+    # segment and the face normal; the side's sign is folded into the stamp
+    trace_stamps: dict = {}  # (chart, edge, along, sign) -> (Legendre row, vector basis, value)
     for face in mesh.faces:
-        vec = _face_vector(face, tangential)
         frow = c_space.face_offset(face.index)
         for side, sign in (("left", -1), ("right", 1)):
             cell = mesh.cells[face.cell_on(side)]
-            start = cell.to_ref_point(face.start_in_chart(side))
-            direction = cell.to_ref_vector(face.chord)
-            key = (cell.fmap.m, start, direction, vec)
-            if key not in trace_cache:
-                local = b_space.local(cell)
-                mat = []
-                for u in local.elements:
+            edge, along = cell.edge_of(face.index)
+            key = (cell.fmap.m, edge, along, sign)
+            if key not in trace_stamps:
+                start, direction, chord = cell.face_segment(edge, along)
+                vec = _face_vector(chord, tangential)
+                stamp = []
+                for i, u in enumerate(b_space.local(cell).elements):
                     tr = (restrict_to_segment(u.x, start, direction) * vec[0]
                           + restrict_to_segment(u.y, start, direction) * vec[1])
                     if tr.degree() > kdeg:
                         raise MembershipError(
                             f"{name} trace on face {face.index} ({face.kind}, {side}): "
                             f"degree {tr.degree()} exceeds face degree {kdeg}")
-                    mat.append([(tr * leg[ell]).integrate01() * leg_scale[ell]
-                                for ell in range(kdeg + 1)])
-                trace_cache[key] = mat
+                    for ell in range(kdeg + 1):
+                        v = (tr * leg[ell]).integrate01() * leg_scale[ell]
+                        if v:
+                            stamp.append((ell, i, sign * v))
+                trace_stamps[key] = stamp
             bbase = b_space.offset(cell.index)
-            for i, coeffs in enumerate(trace_cache[key]):
-                for ell, v in enumerate(coeffs):
-                    if v:
-                        out.add(frow + ell, bbase + i, sign * v)
+            _scatter(out, trace_stamps[key], frow, range(bbase, bbase + nb))
     return out
 
 

@@ -45,6 +45,13 @@ def test_tri_dp_frozen_numbers():
     assert check_value(rep, "betti_numbers") == [1, 2, 1]
 
 
+def test_tri_dp_32x32_verifies():
+    # stamp assembly and the local certificate keep a 32x32 mesh fast
+    rep = verify_diagram("tri-dp", 32, 32, 1)
+    assert rep.passed
+    assert check_value(rep, "dim_A") == 4096
+
+
 def test_enriched_quad_kernel_dim():
     rep = verify_diagram("quad-enriched", 2, 2, 1)
     assert rep.passed

@@ -168,6 +168,37 @@ def test_scalar_space_continuous_across_every_face(kind, degree):
         assert traces[0] == traces[1]
 
 
+def wrapped_point_numbering(space):
+    """The reference numbering: each node's physical point reduced into the
+    periodic box, numbered in first-seen order over cells and nodes."""
+    mesh = space.mesh
+    table = {}
+    cell_dofs = []
+    for cell in mesh.cells:
+        dofs = []
+        for node in space.nodes:
+            x, y = cell.fmap.apply(node)
+            key = (x - (x // mesh.lx) * mesh.lx, y - (y // mesh.ly) * mesh.ly)
+            dofs.append(table.setdefault(key, len(table)))
+        cell_dofs.append(dofs)
+    return cell_dofs, len(table)
+
+
+@pytest.mark.parametrize("kind", [MeshKind.TRIANGULAR, MeshKind.CARTESIAN])
+def test_incidence_numbering_matches_wrapped_points(kind):
+    # nodes are numbered from the mesh incidence; numbering them by their
+    # wrapped physical points must give the same dofs, also on the 2x2
+    # triangular torus, where two diagonals join the same two vertices
+    for nx in (2, 3, 5):
+        for ny in (2, 3, 5):
+            for lx, ly in ((1, 1), (F(7, 3), F(5, 11))):
+                mesh = build_mesh(kind, nx, ny, lx, ly)
+                for degree in (1, 2, 3):
+                    space = ContinuousScalarSpace(mesh, degree)
+                    expected = wrapped_point_numbering(space)
+                    assert (space.cell_dofs, space.dim) == expected, (nx, ny, lx, degree)
+
+
 def test_periodic_identification_shrinks_node_table():
     mesh = build_mesh(MeshKind.CARTESIAN, 2, 2)
     space = ContinuousScalarSpace(mesh, 1)

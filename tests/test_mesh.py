@@ -69,19 +69,39 @@ def test_face_normals_are_rotated_chords(kind):
 @pytest.mark.parametrize("kind", [MeshKind.TRIANGULAR, MeshKind.CARTESIAN])
 def test_faces_lie_on_reference_edges(kind):
     # both charts must carry the face onto one full edge of their reference
-    # cell; the trace machinery relies on this.
-    mesh = build_mesh(kind, 2, 3, F(2), F(1, 3))
-    for face in mesh.faces:
-        for side in ("left", "right"):
-            cell = mesh.cells[face.cell_on(side)]
-            a = cell.to_ref_point(face.start_in_chart(side))
-            d = cell.to_ref_vector(face.chord)
-            b = (a[0] + d[0], a[1] + d[1])
-            matched = [
-                edge for edge in cell.ref.edges
-                if {edge.start, edge.end} == {a, b}
-            ]
-            assert len(matched) == 1
+    # cell; the trace machinery relies on this.  The recorded incidence must
+    # name that edge and the face's direction on it, and the segment read
+    # from the record must be the one the rational geometry gives.
+    for nx, ny, lx, ly in ((2, 3, F(2), F(1, 3)), (2, 2, 1, 1), (3, 5, F(7, 3), F(5, 11))):
+        mesh = build_mesh(kind, nx, ny, lx, ly)
+        for face in mesh.faces:
+            for side in ("left", "right"):
+                cell = mesh.cells[face.cell_on(side)]
+                a = cell.to_ref_point(face.start_in_chart(side))
+                d = cell.to_ref_vector(face.chord)
+                b = (a[0] + d[0], a[1] + d[1])
+                matched = [
+                    edge for edge in cell.ref.edges
+                    if {edge.start, edge.end} == {a, b}
+                ]
+                assert len(matched) == 1
+                e, along = cell.edge_of(face.index)
+                assert cell.ref.edges[e] == matched[0]
+                assert along == (matched[0].start == a)
+                assert along == (side == "right")
+                assert cell.face_segment(e, along) == (a, d, face.chord)
+
+
+@pytest.mark.parametrize("kind", [MeshKind.TRIANGULAR, MeshKind.CARTESIAN])
+def test_cell_vertices_are_mesh_points(kind):
+    lx, ly = F(7, 3), F(5, 11)
+    for nx, ny in ((2, 2), (3, 5)):
+        mesh = build_mesh(kind, nx, ny, lx, ly)
+        for cell in mesh.cells:
+            assert len(cell.vertices) == len(cell.edge_faces) == cell.ref.num_edges
+            for v, edge in zip(cell.vertices, cell.ref.edges):
+                x, y = cell.fmap.apply(edge.start)
+                assert mesh.points[v] == (x - (x // lx) * lx, y - (y // ly) * ly)
 
 
 @pytest.mark.parametrize("kind", [MeshKind.TRIANGULAR, MeshKind.CARTESIAN])
@@ -102,12 +122,6 @@ def test_cell_charts_have_positive_orientation():
         total = sum(c.measure for c in mesh.cells)
         assert all(c.jac > 0 for c in mesh.cells)
         assert total == F(5, 3) * F(7, 11)
-
-
-def test_wrap_point():
-    mesh = build_mesh(MeshKind.CARTESIAN, 2, 2, F(2), F(3))
-    assert mesh.wrap_point((F(5, 2), F(-1))) == (F(1, 2), F(2))
-    assert mesh.wrap_point((F(2), F(3))) == (F(0), F(0))
 
 
 def test_summary_schema():

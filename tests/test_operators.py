@@ -1,17 +1,21 @@
 """Operator assembly: exactness, adjoints, membership guards, round-trips."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from derham import exactla, operators
+from derham.complexcheck import build_diagram
 from derham.fespace import CodomainSpace, ContinuousScalarSpace, DGVectorSpace
 from derham.mesh import MeshKind, build_mesh
 from derham.operators import (
     GramMatrix,
     MembershipError,
     OpMatrix,
+    _scatter,
     adjoint,
     assemble_curl_distributional,
     assemble_div_distributional,
@@ -142,7 +146,8 @@ def test_trace_degree_guard():
     mesh = build_mesh(MeshKind.TRIANGULAR, 2, 2)
     b = DGVectorSpace(mesh, "vec_p", 1)
     low = CodomainSpace(mesh, 0, "p", 0)
-    with pytest.raises(MembershipError):
+    with pytest.raises(MembershipError, match=r"^div trace on face 0 \(x, left\): "
+                                              r"degree 1 exceeds face degree 0$"):
         assemble_div_distributional(b, low)
 
 
@@ -152,8 +157,42 @@ def test_cell_factor_guard():
     mesh = build_mesh(MeshKind.CARTESIAN, 2, 2)
     b = DGVectorSpace(mesh, "vec_q", 1)
     c = CodomainSpace(mesh, 1, None, 0)
-    with pytest.raises(MembershipError):
+    with pytest.raises(MembershipError, match=r"^div cell part, cell 0: "
+                                              r"nonzero result but empty cell factor$"):
         assemble_div_distributional(b, c)
+
+
+def test_scatter_sums_repeated_positions():
+    out = OpMatrix(3, 3)
+    _scatter(out, [(0, 0, F(1, 2)), (1, 2, F(3))], 1, [2, 0, 1])
+    assert out.entries == {(1, 2): F(1, 2), (2, 1): F(3)}
+    _scatter(out, [(0, 0, F(1, 3)), (1, 2, F(-3))], 1, [2, 0, 1])
+    assert out.entries == {(1, 2): F(5, 6)}
+
+
+def test_stamps_are_formed_per_key(monkeypatch):
+    # local element matrices depend on the chart, the reference edge and the
+    # face's orientation, not on the mesh size
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(operators, "restrict_to_segment",
+                        counted("restrict", operators.restrict_to_segment))
+    monkeypatch.setattr(exactla.LinearExpander, "expand",
+                        counted("expand", exactla.LinearExpander.expand))
+    build_diagram("tri-dp", 4, 4, 1)  # fills the local-basis caches
+    per_size = []
+    for n in (4, 8):
+        calls.clear()
+        build_diagram("tri-dp", n, n, 1)
+        per_size.append(dict(calls))
+    assert per_size[0] == per_size[1]
+    assert per_size[0]["restrict"] > 0 and per_size[0]["expand"] > 0
 
 
 def test_matvec_rmatvec_consistency(tri_spaces):
