@@ -10,10 +10,18 @@ p never exceeds the rank over Q (a nonzero minor mod p is a nonzero
 integer), so it certifies lower bounds only.  ``prefix_ranks`` is the one
 rank route of the verifier: exact ranks of stacked row blocks, closed by a
 rank mod p that meets proven upper bounds, else by elimination over Q.
-Solves track each pivot row as a combination of the input rows, then replay
-it on a right-hand side and back-substitute.  ``float_rank`` provides the
-independent numpy SVD route; the float and exact results are compared in
-tests and reports but never merged.
+
+Square nonsingular systems (``LiftedSolver``, ``solve_square``) are solved
+by p-adic lifting: the kernel factors the integer-scaled rows mod one prime,
+recording its elimination multipliers, and each right-hand side is lifted
+on integer residuals and recovered by rational reconstruction.  The search
+is modular; the certificate is not: a solution is returned only after the
+exact integer product A num = q b holds, and a matrix is called singular
+only after its rank over Q says so.  ``LinearExpander`` and ``solve_any``
+still track each pivot row as a combination of the input rows over Q, then
+replay it on a right-hand side and back-substitute.  ``float_rank``
+provides the independent numpy SVD route; the float and exact results are
+compared in tests and reports but never merged.
 """
 
 from __future__ import annotations
@@ -22,7 +30,8 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import lcm
+from math import isqrt, lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -33,6 +42,7 @@ __all__ = [
     "ExactSolveError",
     "ExactWidthExceeded",
     "LinearExpander",
+    "LiftedSolver",
     "rank_nullspace",
     "exact_rank",
     "rank_of_columns",
@@ -54,7 +64,8 @@ DEFAULT_MAX_EXACT_COLS = 2000
 
 
 class ExactSolveError(Exception):
-    """Raised when an exact linear solve has no solution."""
+    """Raised when an exact linear solve has no solution or the matrix is
+    singular."""
 
 
 class ExactWidthExceeded(Exception):
@@ -79,6 +90,11 @@ def _check_width(ncols: int) -> None:
 
 def _sparse(row: Sequence) -> dict:
     return {c: v for c, v in enumerate(row) if v}
+
+
+def _items(vec: Sequence | Mapping) -> Iterable:
+    """(index, value) pairs of a dense sequence or a sparse mapping."""
+    return vec.items() if isinstance(vec, Mapping) else enumerate(vec)
 
 
 def _subtract(row: dict, f, pivot_row, p: int, heap: list | None = None) -> None:
@@ -115,13 +131,20 @@ class _Echelon:
     (column, value) pairs right of the pivot, which is scaled to 1.  With
     ``track``, ``combos`` maps each pivot column to its row as a combination
     (input row, weight) of the rows added, and ``dependent`` holds the
-    combinations that reduced to zero, a basis of the left kernel.
+    combinations that reduced to zero, a basis of the left kernel.  With
+    ``factor``, ``lower`` holds per input row, in order, (its pivot column,
+    or -1 when it reduced to zero; the inverse of its pivot value; the
+    (pivot column, multiplier) pairs it was reduced by): the row is the sum
+    of each multiplier times that pivot row, plus its pivot value times its
+    own pivot row.  These sparse multipliers are the lower factor of an LU
+    decomposition.
     """
 
-    def __init__(self, p: int = 0, track: bool = False):
+    def __init__(self, p: int = 0, track: bool = False, factor: bool = False):
         self.p = p
         self.pivots: dict[int, list[tuple[int, object]]] = {}
         self.combos: dict[int, list[tuple[int, object]]] | None = {} if track else None
+        self.lower: list[tuple[int, object, list[tuple[int, object]]]] | None = [] if factor else None
         self.dependent: list[list[tuple[int, object]]] = []
         self.nrows = 0
         self._order: list[int] | None = None
@@ -137,6 +160,7 @@ class _Echelon:
         survives.  Returns True when the row raised the rank."""
         p, pivots, combos = self.p, self.pivots, self.combos
         combo = None if combos is None else {self.nrows: 1 if p else _ONE}
+        steps = None if self.lower is None else []
         self.nrows += 1
         self._order = None
         heap = sorted(row)
@@ -151,12 +175,18 @@ class _Echelon:
                 pivots[c] = [(k, v * inv % p if p else v * inv) for k, v in row.items()]
                 if combo is not None:
                     combos[c] = [(i, w * inv % p if p else w * inv) for i, w in combo.items()]
+                if steps is not None:
+                    self.lower.append((c, inv, steps))
                 return True
             _subtract(row, f, tail, p, heap)
             if combo is not None:
                 _subtract(combo, f, combos[c], p)
+            if steps is not None:
+                steps.append((c, f))
         if combo is not None:
             self.dependent.append(list(combo.items()))
+        if steps is not None:
+            self.lower.append((-1, 0, steps))
         return False
 
     def _ready(self) -> None:
@@ -398,12 +428,10 @@ def solve_any(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
 
 
 def solve_square(rows: Sequence[Sequence], rhs: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Solve A X = B exactly for square invertible A; B given column-wise."""
-    n = len(rows)
-    ech = _exact_echelon(rows, track=True)
-    if ech.rank < n:
-        raise ExactSolveError("matrix is singular")
-    return [ech.solve(col, n) for col in rhs]
+    """Solve A X = B exactly for square invertible A; B given column-wise.
+
+    Raises ``ExactSolveError`` when A is singular."""
+    return LiftedSolver(list(zip(*rows))).solve(rhs)
 
 
 def mat_vec(rows: Sequence[Sequence], v: Sequence) -> list[Fraction]:
@@ -436,7 +464,7 @@ class LinearExpander:
         self.ncols = len(cols)
         rows: dict[int, dict] = {}
         for j, col in enumerate(cols):
-            for i, v in (col.items() if isinstance(col, Mapping) else enumerate(col)):
+            for i, v in _items(col):
                 if v:
                     rows.setdefault(i, {})[j] = v
         self.dim = max(rows, default=-1) + 1  # the target must vanish past it
@@ -451,3 +479,143 @@ class LinearExpander:
         if x is None:
             raise ExactSolveError("target is outside the span")
         return x
+
+
+# Primes below 2**30 for lifting, apart from ``_PRIMES``; should every one
+# divide the determinant, more are found by trial division.
+_LIFT_PRIMES = (1073741719, 1073741717, 1073741689)
+
+
+def _lift_primes() -> Iterable[int]:
+    yield from _LIFT_PRIMES
+    n = _LIFT_PRIMES[-1] - 2
+    while True:
+        if all(n % d for d in range(3, isqrt(n) + 1, 2)):
+            yield n
+        n -= 2
+
+
+def _reconstruct(u: int, m: int, bound: int) -> tuple[int, int] | None:
+    """(a, d) with a = d u mod m, |a| <= bound and 0 < d <= bound, by the
+    half extended Euclidean algorithm (Wang's rational reconstruction), or
+    None.  Unique when 2 bound^2 < m."""
+    r0, r1, s0, s1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if s1 < 0:
+        r1, s1 = -r1, -s1
+    return (r1, s1) if 0 < s1 <= bound else None
+
+
+def _reconstruct_vector(acc: list[int], m: int) -> tuple[list[int], int] | None:
+    """(num, q) with num / q = acc mod m entrywise over one common
+    denominator q, every value reconstructed within sqrt(m / 2); or None.
+
+    Each entry is reconstructed after multiplying by the denominator found
+    so far, so once the denominator is known an entry costs one step."""
+    bound = isqrt(m // 2)
+    q = 1
+    parts = []
+    for u in acc:
+        found = _reconstruct(u * q % m, m, bound)
+        if found is None:
+            return None
+        a, d = found
+        q *= d
+        if q > bound:
+            return None
+        parts.append((a, q))
+    return [a * (q // d) for a, d in parts], q
+
+
+class LiftedSolver:
+    """Exact solves of one square nonsingular system N x = b, many b.
+
+    Columns are dense sequences or sparse ``{row: value}`` mappings, as for
+    ``LinearExpander``.  Each row of N is scaled to integers, A = D N, and A
+    is factored once mod a prime p as sparse elimination multipliers.  A
+    right-hand side is scaled alike, b = e D b', and lifted (Dixon):
+    x_k = A^-1 r_k mod p, r_k+1 = (r_k - A x_k) / p, so sum x_k p^k solves
+    A x = b mod p^k.  After each step the vector is reconstructed over one
+    common denominator q, and returned only when the exact integer product
+    A num = q b holds.  Past the Hadamard bound on the solution a failed
+    check raises ``ArithmeticError``; a modular value is never returned.
+
+    A rank mod p below n sends the build to the next prime; after two
+    misses, a rank over Q below n raises ``ExactSolveError``.
+    """
+
+    def __init__(self, cols: Sequence[Sequence | Mapping[int, Fraction]]):
+        n = self.n = len(cols)
+        rows: list[dict] = [{} for _ in range(n)]
+        for j, col in enumerate(cols):
+            for i, v in _items(col):
+                if v:
+                    rows[i][j] = v
+        self._scale = [lcm(*(v.denominator for v in row.values())) for row in rows]
+        self._rows = [(tuple(row), tuple(v.numerator * (d // v.denominator) for v in row.values()))
+                      for row, d in zip(rows, self._scale)]
+        self._norms = [sum(a * a for a in vals) for _, vals in self._rows]
+        misses = 0
+        for p in _lift_primes():
+            ech = _Echelon(p, factor=True)
+            for ks, vals in self._rows:
+                ech.add({k: a % p for k, a in zip(ks, vals) if a % p})
+            if ech.rank == n:
+                break
+            misses += 1
+            if misses == 2:
+                over_q = _Echelon()
+                for row in rows:
+                    over_q.add(dict(row))
+                if over_q.rank < n:
+                    raise ExactSolveError("matrix is singular")
+        self.p = p
+        self._lower = [(c, inv, tuple(k for k, _ in steps), tuple(f for _, f in steps))
+                       for c, inv, steps in ech.lower]
+        self._upper = [(c, tuple(k for k, _ in tail), tuple(v for _, v in tail))
+                       for c, tail in sorted(ech.pivots.items(), reverse=True) if tail]
+
+    def _solve_mod(self, r: list[int]) -> list[int]:
+        """A^-1 r mod p: forward through the multipliers, then back through
+        the pivot rows."""
+        p = self.p
+        y = [0] * self.n
+        for (c, inv, ks, fs), b in zip(self._lower, r):
+            y[c] = (b - sum(map(mul, fs, map(y.__getitem__, ks)))) * inv % p
+        for c, ks, vs in self._upper:
+            y[c] = (y[c] - sum(map(mul, vs, map(y.__getitem__, ks)))) % p
+        return y
+
+    def _product(self, x: list[int]) -> list[int]:
+        """A x over the integers."""
+        return [sum(map(mul, vals, map(x.__getitem__, ks))) for ks, vals in self._rows]
+
+    def _solve_column(self, col: Sequence | Mapping[int, Fraction]) -> list[Fraction]:
+        n, p = self.n, self.p
+        entries = [(i, v) for i, v in _items(col) if v]
+        e = lcm(*(v.denominator for _, v in entries))
+        b = [0] * n
+        for i, v in entries:
+            b[i] = v.numerator * (e // v.denominator) * self._scale[i]
+        # Hadamard: |det A| and every numerator of x are at most
+        # prod_i sqrt(|A_i|^2 + b_i^2), so past 2 H^2 the reconstruction is unique
+        need = 1 + sum((s + v * v).bit_length() for s, v in zip(self._norms, b))
+        r, acc, m = b, [0] * n, 1
+        while True:
+            x = self._solve_mod(r)
+            acc = [a + m * v for a, v in zip(acc, x)]
+            m *= p
+            r = [(ri - ai) // p for ri, ai in zip(r, self._product(x))]
+            found = _reconstruct_vector(acc, m)
+            if found is not None:
+                num, q = found
+                if self._product(num) == [q * v for v in b]:
+                    return [Fraction(v, q * e) for v in num]
+            if m.bit_length() > need:
+                raise ArithmeticError("lifted solution failed its exact check past the Hadamard bound")
+
+    def solve(self, rhs: Sequence[Sequence | Mapping[int, Fraction]]) -> list[list[Fraction]]:
+        """The exact solution of N x = b for each column b of the batch."""
+        return [self._solve_column(col) for col in rhs]

@@ -9,9 +9,9 @@ exact splitter never forms the adjoint.  It takes verify's certificate
 
 1. u_curl is the G_b-projection onto all columns of first but the last, a
    basis of range(first) by the certificate (the constant of A is 1 at
-   every dof): one SPD normal matrix, eliminated once per splitter;
+   every dof): one SPD normal matrix, factored once per splitter;
 2. u_const is the G_b-projection onto the two constant fields: one 2x2
-   system, eliminated once;
+   system, factored once;
 3. u_div is the remainder.  Each split checks that it is exactly
    G_b-orthogonal to every column of first and to both constants, hence to
    ker(second), which places it in range(adjoint) = ker(second)^perp.
@@ -21,7 +21,11 @@ field: (G_b first)^T U and (G_b C)^T U (C the two constant fields) give every
 right-hand side, first X and C coeffs every curl and harmonic part, and
 (G_b first)^T D and (G_b C)^T D on the div columns D every certificate, one
 ``OpMatrix.compose`` each (integer sums over one denominator per row and
-column).  Only the expansions in the two eliminated systems run per field.
+column).  Each of the two systems is solved for the whole batch at once by
+``exactla.LiftedSolver``: p-adic lifting mod one prime finds each solution,
+and a solution is kept only after an exact integer product with the
+system's scaled rows reproduces its right-hand side, so no modular value
+reaches a part unchecked.
 ``hodge_report`` checks orthogonality the same way: G_b D and G_b H once per
 batch, then each pairing as an integer dot product.
 
@@ -41,7 +45,7 @@ from fractions import Fraction
 import numpy as np
 
 from .complexcheck import DiagramInstance, build_diagram, certify_complex
-from .exactla import LinearExpander, float_rank
+from .exactla import LiftedSolver, float_rank
 from .exactla import rank_nullspace  # unused; perfbench/tracing.py rebinds it here
 from .exactla import solve_square  # unused; perfbench/tracing.py rebinds it here
 from .fespace import DGVectorSpace
@@ -91,15 +95,16 @@ class HodgeSplitter:
         self._gram_first_t = inst.gram_b.compose(inst.first).transpose()
         basis = cert.kills_constants and cert.rank_first == inst.a_space.dim - 1
         self.rank_first = cert.rank_first if basis else 0
-        self._curl = LinearExpander(_normal_columns(inst.first, self._gram_first_t)) if basis else None
+        self._curl = LiftedSolver(_normal_columns(inst.first, self._gram_first_t)) if basis else None
         self.rank_adjoint = cert.rank_second if cert.kernel_is_range_plus_constants else 0
         self.constants = inst.constant_fields()
         self._consts = OpMatrix.from_columns(self.dim, self.constants)
         self._gram_consts_t = inst.gram_b.compose(self._consts).transpose()
-        self._harmonic = LinearExpander(self._gram_consts_t.compose(self._consts).sparse_columns())
+        self._harmonic = LiftedSolver(self._gram_consts_t.compose(self._consts).sparse_columns())
 
     def split_batch(self, fields) -> list[HodgeParts]:
-        """Split every field of the batch with one sparse product per step."""
+        """Split every field of the batch with one sparse product per step
+        and one batch solve per system."""
         if not fields:
             return []
         first, gram_first_t, gram_consts_t = self.inst.first, self._gram_first_t, self._gram_consts_t
@@ -107,9 +112,10 @@ class HodgeSplitter:
         if self._curl is None:
             curl = OpMatrix(self.dim, len(fields))
         else:  # the last column of first is left out of the basis
-            x = [self._curl.expand(col[:-1]) + [_ZERO] for col in _columns(gram_first_t.compose(u))]
+            rhs = _drop_row(gram_first_t.compose(u).sparse_columns(), first.ncols - 1)
+            x = [sol + [_ZERO] for sol in self._curl.solve(rhs)]
             curl = first.compose(OpMatrix.from_columns(first.ncols, x))
-        coeffs = [self._harmonic.expand(col) for col in _columns(gram_consts_t.compose(u))]
+        coeffs = self._harmonic.solve(gram_consts_t.compose(u).sparse_columns())
         harmonic = self._consts.compose(OpMatrix.from_columns(len(self.constants), coeffs))
         div = _remainder(u, curl, harmonic)
         # a field is certified when its div column is G_b-orthogonal to first and the constants
@@ -147,12 +153,16 @@ def _columns(op: OpMatrix) -> list[list[Fraction]]:
     return cols
 
 
+def _drop_row(cols: list[dict[int, Fraction]], row: int) -> list[dict[int, Fraction]]:
+    """The sparse columns with their entry in ``row`` removed, in place."""
+    for col in cols:
+        col.pop(row, None)
+    return cols
+
+
 def _normal_columns(first: OpMatrix, gram_first_t: OpMatrix) -> list[dict[int, Fraction]]:
     """Sparse columns of (G_b first)^T first without its last row and column."""
-    cols = gram_first_t.compose(first).sparse_columns()[:-1]
-    for col in cols:
-        col.pop(first.ncols - 1, None)
-    return cols
+    return _drop_row(gram_first_t.compose(first).sparse_columns()[:-1], first.ncols - 1)
 
 
 def _parts_sum_to(u, p: HodgeParts) -> bool:
@@ -214,9 +224,14 @@ class FloatHodgeSplitter:
         return HodgeParts(list(curl), list(div), list(rem), tuple(coeffs), is_const)
 
 
+# the 171 values Fraction(a, b), a in -9..9 and b in 1..9, that random_field draws
+_FIELD_VALUES = [[Fraction(a, b) for b in range(1, 10)] for a in range(-9, 10)]
+
+
 def random_field(space: DGVectorSpace, rng: random.Random) -> list[Fraction]:
-    """Seeded random coefficient vector with bounded rational entries."""
-    return [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(space.dim)]
+    """Seeded random coefficient vector with bounded rational entries: per
+    entry a numerator in -9..9, then a denominator in 1..9."""
+    return [_FIELD_VALUES[rng.randint(-9, 9) + 9][rng.randint(1, 9) - 1] for _ in range(space.dim)]
 
 
 def _all_zero(vec) -> bool:

@@ -236,15 +236,21 @@ def load_matrix(path: str) -> OpMatrix:
 
 
 class GramMatrix:
-    """Block-diagonal SPD Gram matrix with exact block solves."""
+    """Block-diagonal SPD Gram matrix with exact block solves.
+
+    Blocks are added with ``add_block``; the sparse form of the whole
+    matrix is built once, on first use, and dropped when a block is added.
+    """
 
     def __init__(self, dim: int, space_tag: str = ""):
         self.dim = dim
         self.space_tag = space_tag
         self.blocks: list[tuple[int, list[list[Fraction]]]] = []
+        self._op: OpMatrix | None = None
 
     def add_block(self, offset: int, rows: list[list[Fraction]]) -> None:
         self.blocks.append((offset, rows))
+        self._op = None
 
     def matvec(self, v: Sequence[Fraction]) -> list[Fraction]:
         out = [_ZERO] * self.dim
@@ -281,14 +287,16 @@ class GramMatrix:
         return outs
 
     def _as_op(self) -> OpMatrix:
-        """The blocks as one sparse matrix."""
-        out = OpMatrix(self.dim, self.dim, self.space_tag, self.space_tag)
-        for off, block in self.blocks:
-            for i, brow in enumerate(block):
-                for j, v in enumerate(brow):
-                    if v:
-                        out.entries[off + i, off + j] = v
-        return out
+        """The blocks as one sparse matrix, shared by every caller; read only."""
+        if self._op is None:
+            out = OpMatrix(self.dim, self.dim, self.space_tag, self.space_tag)
+            for off, block in self.blocks:
+                for i, brow in enumerate(block):
+                    for j, v in enumerate(brow):
+                        if v:
+                            out.entries[off + i, off + j] = v
+            self._op = out
+        return self._op
 
     def float_array(self) -> np.ndarray:
         """Float copy for the numerical cross-checks, filled from the nonzeros."""

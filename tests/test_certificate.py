@@ -375,8 +375,8 @@ def test_hodge_needs_no_adjoint_or_nullspace(monkeypatch, name, nx, ny, k):
         forbid(m, "rank_nullspace", "span_compare")
         forbid_densify(m)
         built = []
-        m.setattr(hodge, "LinearExpander",
-                  lambda cols: built.append(len(cols)) or exactla.LinearExpander(cols))
+        m.setattr(hodge, "LiftedSolver",
+                  lambda cols: built.append(len(cols)) or exactla.LiftedSolver(cols))
         rep = hodge.hodge_report(name, nx, ny, k, fields=4, seed=3)
     assert rep.passed
     # one normal matrix on all columns of first but one, one 2x2 for the constants
@@ -433,27 +433,28 @@ def test_hodge_batch_makes_no_per_field_products(monkeypatch):
 
 
 def test_hodge_batched_checks_can_fail(monkeypatch):
-    """One wrong curl coefficient of one field fails that field's certificate
-    and its orthogonality, and nothing else."""
+    """One wrong curl coefficient of one field, changed after the solver's
+    own check, fails that field's certificate and its orthogonality, and
+    nothing else."""
     built, batches = [], []
 
-    class Perturbed(exactla.LinearExpander):
+    class Perturbed(exactla.LiftedSolver):
         calls = 0
 
         def __init__(self, cols):
             super().__init__(cols)
             built.append(self)
 
-        def expand(self, target):
-            x = super().expand(target)
+        def solve(self, rhs):
+            xs = super().solve(rhs)
             if self is built[0]:  # the curl normal matrix, not the 2x2
                 Perturbed.calls += 1
-                if Perturbed.calls == 3:  # the third field of the first batch
-                    x[0] += 1
-            return x
+                if Perturbed.calls == 1:  # the first batch
+                    xs[2][0] += 1  # its third field
+            return xs
 
     split_batch = hodge.HodgeSplitter.split_batch
-    monkeypatch.setattr(hodge, "LinearExpander", Perturbed)
+    monkeypatch.setattr(hodge, "LiftedSolver", Perturbed)
     monkeypatch.setattr(hodge.HodgeSplitter, "split_batch",
                         lambda self, fields: batches.append(split_batch(self, fields))
                         or batches[-1])

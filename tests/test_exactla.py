@@ -12,6 +12,7 @@ from derham import exactla
 from derham.exactla import (
     ExactSolveError,
     ExactWidthExceeded,
+    LiftedSolver,
     LinearExpander,
     exact_rank,
     float_rank,
@@ -303,3 +304,125 @@ def test_kernel_against_numpy(rows, data):
     else:
         assert x is None
     assert rank_mod_p(exact, exactla._PRIMES[0]) == res.rank
+
+
+def oracle_solutions(rows, rhs):
+    """Solutions by the tracked elimination over Q; None when singular."""
+    n = len(rows)
+    ech = exactla._Echelon(track=True)
+    for row in rows:
+        ech.add({c: v for c, v in enumerate(row) if v})
+    if ech.rank < n:
+        return None
+    return [ech.solve(col, n) for col in rhs]
+
+
+rationals = st.builds(F, st.integers(-20, 20), st.integers(1, 12))
+
+
+@st.composite
+def square_systems(draw):
+    """(rows, rhs): a nonsingular rational matrix, as a product of a unit
+    lower and an upper triangular factor with nonzero diagonal, each entry
+    kept with probability 2/3, and 0-5 right-hand-side columns."""
+    n = draw(st.integers(1, 6))
+    keep = st.sampled_from([True, True, False])
+    lower = [[F(int(i == j)) if j >= i else (draw(rationals) if draw(keep) else F(0))
+              for j in range(n)] for i in range(n)]
+    upper = [[draw(rationals.filter(bool)) if i == j else
+              (draw(rationals) if j > i and draw(keep) else F(0))
+              for j in range(n)] for i in range(n)]
+    rows = [[sum((lower[i][k] * upper[k][j] for k in range(n)), F(0)) for j in range(n)]
+            for i in range(n)]
+    order = draw(st.permutations(range(n)))
+    rows = [rows[i] for i in order]
+    rhs = draw(st.lists(st.lists(rationals, min_size=n, max_size=n), max_size=5))
+    return rows, rhs
+
+
+@seed(909)
+@settings(max_examples=80, deadline=None)
+@given(square_systems())
+def test_lifted_solves_match_tracked_elimination(system):
+    rows, rhs = system
+    expected = oracle_solutions(rows, rhs)
+    assert expected is not None
+    cols = [list(col) for col in zip(*rows)]
+    assert LiftedSolver(cols).solve(rhs) == expected
+    sparse_cols = [{i: v for i, v in enumerate(col) if v} for col in cols]
+    sparse_rhs = [{i: v for i, v in enumerate(col) if v} for col in rhs]
+    assert LiftedSolver(sparse_cols).solve(sparse_rhs) == expected
+    assert solve_square(rows, rhs) == expected
+
+
+def test_lifted_solve_of_empty_system_and_batch():
+    assert solve_square([], [[], []]) == [[], []]
+    assert LiftedSolver([[F(2)]]).solve([]) == []
+
+
+def record_primes(monkeypatch):
+    """Record the prime of each elimination the solver starts, 0 over Q."""
+    seen = []
+
+    class Recording(exactla._Echelon):
+        def __init__(self, p=0, track=False, factor=False):
+            seen.append(p)
+            super().__init__(p, track, factor)
+    monkeypatch.setattr(exactla, "_Echelon", Recording)
+    return seen
+
+
+def test_matrix_singular_mod_the_first_prime(monkeypatch):
+    p, q = exactla._LIFT_PRIMES[:2]
+    seen = record_primes(monkeypatch)
+    rows = [[F(p), F(0)], [F(0), F(1)]]
+    # right-hand-side denominators divisible by p are scaled away, not inverted
+    rhs = [[F(1), F(1, p)], [F(3, p * p), F(-5, 7 * p)]]
+    assert solve_square(rows, rhs) == [[F(1, p), F(1, p)], [F(3, p ** 3), F(-5, 7 * p)]]
+    assert seen == [p, q]
+    seen.clear()
+    # singular mod the first two primes: the rank over Q decides, then a third prime
+    rows = [[F(p * q), F(0)], [F(0), F(1)]]
+    assert solve_square(rows, [[F(1), F(2)]]) == [[F(1, p * q), F(2)]]
+    assert seen == [p, q, 0, exactla._LIFT_PRIMES[2]]
+
+
+def test_singular_matrix_raises_after_a_rank_over_q(monkeypatch):
+    seen = record_primes(monkeypatch)
+    rows = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1, 3), F(1)]]
+    with pytest.raises(ExactSolveError, match="singular"):
+        solve_square(rows, [[F(1), F(2), F(3)]])
+    assert seen == [*exactla._LIFT_PRIMES[:2], 0]
+    with pytest.raises(ExactSolveError, match="singular"):
+        LiftedSolver([{0: F(1)}, {}])
+    with pytest.raises(ExactSolveError, match="singular"):
+        solve_square([[F(0)]], [])
+
+
+def test_wrong_reconstruction_is_never_returned(monkeypatch):
+    rows = random_matrix(random.Random(7), 5, 5, 5)
+    rhs = [[F(2, 3), F(-1), F(0), F(5), F(1, 8)], [F(0), F(4, 9), F(1), F(0), F(-2)]]
+    expected = oracle_solutions(rows, rhs)
+    monkeypatch.setattr(exactla, "_reconstruct", lambda u, m, bound: (1, 1))
+    with pytest.raises(ArithmeticError, match="Hadamard"):
+        solve_square(rows, rhs)
+    # wrong after the first lifting step, right later: only the checked value comes back
+    monkeypatch.undo()
+    reconstruct, p = exactla._reconstruct, exactla._LIFT_PRIMES[0]
+    moduli = set()
+    monkeypatch.setattr(exactla, "_reconstruct",
+                        lambda u, m, bound: moduli.add(m) or
+                        ((1, 1) if m == p else reconstruct(u, m, bound)))
+    assert solve_square(rows, rhs) == expected
+    assert p in moduli and max(moduli) > p
+
+
+def test_lifted_solve_ignores_the_rank_primes(monkeypatch):
+    rng = random.Random(5)
+    rows = random_matrix(rng, 5, 5, 5)
+    rhs = [[F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(5)] for _ in range(3)]
+    expected = solve_square(rows, rhs)
+    assert expected == oracle_solutions(rows, rhs)
+    monkeypatch.setattr(exactla, "_PRIMES", ())
+    assert solve_square(rows, rhs) == expected
+    assert LiftedSolver([list(col) for col in zip(*rows)]).solve(rhs) == expected

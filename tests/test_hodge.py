@@ -96,6 +96,18 @@ def test_hodge_report_without_fields():
         "harmonic_part_is_constant"]
 
 
+@pytest.mark.parametrize("seed", [0, 3, 41])
+def test_random_field_draws_as_before(tri_instance, seed):
+    """The value table gives the fields Fraction(randint, randint) gives,
+    from the same draws."""
+    space = tri_instance.b_space
+    rng, reference = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        expected = [F(reference.randint(-9, 9), reference.randint(1, 9)) for _ in range(space.dim)]
+        assert random_field(space, rng) == expected
+    assert rng.getstate() == reference.getstate()
+
+
 def test_float_splitter_tracks_exact(tri_instance, tri_splitter):
     fs = FloatHodgeSplitter(tri_instance)
     assert fs.rank_first == tri_splitter.rank_first
@@ -146,6 +158,13 @@ def test_hodge_report_exact(name, k):
     names = {c.name for c in rep.checks}
     assert {"rank_identity", "parts_sum_to_input", "parts_pairwise_orthogonal",
             "harmonic_part_is_constant", "projections_idempotent"} <= names
+
+
+def test_hodge_report_exact_at_6x6():
+    # the normal matrix has 143 columns; each batch is solved by lifting
+    rep = hodge_report("tri-dp", 6, 6, 1, fields=20)
+    assert rep.passed
+    assert {c.name for c in rep.checks} >= {"parts_sum_to_input", "projections_idempotent"}
 
 
 def test_hodge_report_float_backend():

@@ -94,6 +94,18 @@ def test_compose_drops_cancelled_products():
     assert_matches_dense(gram.compose(right), expected)
 
 
+def test_gram_sparse_form_follows_add_block():
+    gram = GramMatrix(3)
+    gram.add_block(0, [[F(1), F(1)], [F(1), F(2)]])
+    right = op_from_rows([[1, 0], [0, 1], [1, 1]])
+    assert_matches_dense(gram.compose(right), [[F(1), F(1)], [F(1), F(2)], [F(0), F(0)]])
+    assert gram._as_op() is gram._as_op()  # built once
+    gram.add_block(2, [[F(5)]])
+    expected = dense_product(gram.dense_rows(), right.dense_rows())
+    assert expected[2] == [F(5), F(5)]  # the added block is in the sparse form
+    assert_matches_dense(gram.compose(right), expected)
+
+
 def test_gram_symmetric_positive(tri_spaces):
     _, _, b, _ = tri_spaces
     gram = assemble_gram(b)
