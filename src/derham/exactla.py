@@ -11,17 +11,18 @@ integer), so it certifies lower bounds only.  ``prefix_ranks`` is the one
 rank route of the verifier: exact ranks of stacked row blocks, closed by a
 rank mod p that meets proven upper bounds, else by elimination over Q.
 
-Square nonsingular systems (``LiftedSolver``, ``solve_square``) are solved
-by p-adic lifting: the kernel factors the integer-scaled rows mod one prime,
-recording its elimination multipliers, and each right-hand side is lifted
-on integer residuals and recovered by rational reconstruction.  The search
-is modular; the certificate is not: a solution is returned only after the
-exact integer product A num = q b holds, and a matrix is called singular
-only after its rank over Q says so.  ``LinearExpander`` and ``solve_any``
-still track each pivot row as a combination of the input rows over Q, then
-replay it on a right-hand side and back-substitute.  ``float_rank``
-provides the independent numpy SVD route; the float and exact results are
-compared in tests and reports but never merged.
+Every solve replays one recorded factor: with ``factor`` the kernel keeps
+each row's elimination multipliers, and ``_Echelon.solve`` runs a
+right-hand side forward through them (a row that reduced to zero must leave
+a zero residual) and back through the pivot rows.  ``LinearExpander`` and
+``solve_any`` replay a factor over Q; ``LiftedSolver`` and ``solve_square``
+replay one of the integer-scaled rows mod a prime, lifting each right-hand
+side on integer residuals and recovering it by rational reconstruction.
+The search is modular; the certificate is not: a solution is returned only
+after the exact integer product A num = q b holds, and a matrix is called
+singular only after its rank over Q says so.  ``float_rank`` provides the
+independent numpy SVD route; the float and exact results are compared in
+tests and reports but never merged.
 """
 
 from __future__ import annotations
@@ -78,9 +79,12 @@ def exact_width_limit() -> int:
     if raw is None:
         return DEFAULT_MAX_EXACT_COLS
     try:
-        return int(raw)
+        limit = int(raw)
     except ValueError as exc:
         raise ValueError(f"DERHAM_MAX_EXACT_COLS must be an integer, got {raw!r}") from exc
+    if limit < 1:
+        raise ValueError(f"DERHAM_MAX_EXACT_COLS must be a positive integer, got {raw!r}")
+    return limit
 
 
 def _check_width(ncols: int) -> None:
@@ -88,13 +92,24 @@ def _check_width(ncols: int) -> None:
         raise ExactWidthExceeded(f"{ncols} columns exceeds the exact cap {exact_width_limit()}")
 
 
-def _sparse(row: Sequence) -> dict:
-    return {c: v for c, v in enumerate(row) if v}
-
-
 def _items(vec: Sequence | Mapping) -> Iterable:
     """(index, value) pairs of a dense sequence or a sparse mapping."""
     return vec.items() if isinstance(vec, Mapping) else enumerate(vec)
+
+
+def _sparse(row: Sequence | Mapping) -> dict:
+    return {c: v for c, v in _items(row) if v}
+
+
+def _rows_of(cols: Sequence[Sequence | Mapping[int, Fraction]]) -> list[dict]:
+    """The sparse rows ``{column: value}`` of a family of dense or sparse
+    columns, up to the last row with a nonzero entry."""
+    rows: dict[int, dict] = {}
+    for j, col in enumerate(cols):
+        for i, v in _items(col):
+            if v:
+                rows.setdefault(i, {})[j] = v
+    return [rows.get(i, {}) for i in range(max(rows, default=-1) + 1)]
 
 
 def _subtract(row: dict, f, pivot_row, p: int, heap: list | None = None) -> None:
@@ -117,39 +132,25 @@ def _subtract(row: dict, f, pivot_row, p: int, heap: list | None = None) -> None
                 del row[k]
 
 
-def _over_lcm(pairs: list[tuple[int, Fraction]]) -> tuple[int, list[tuple[int, int]]]:
-    """(d, [(i, n_i)]) with each value equal to n_i / d, d the lcm of the
-    denominators."""
-    d = lcm(*(w.denominator for _, w in pairs))
-    return d, [(i, w.numerator * (d // w.denominator)) for i, w in pairs]
-
-
 class _Echelon:
     """Sparse row echelon form over Q (p = 0) or GF(p), one row at a time.
 
     ``pivots`` maps each pivot column to the rest of its row, as
     (column, value) pairs right of the pivot, which is scaled to 1.  With
-    ``track``, ``combos`` maps each pivot column to its row as a combination
-    (input row, weight) of the rows added, and ``dependent`` holds the
-    combinations that reduced to zero, a basis of the left kernel.  With
     ``factor``, ``lower`` holds per input row, in order, (its pivot column,
     or -1 when it reduced to zero; the inverse of its pivot value; the
     (pivot column, multiplier) pairs it was reduced by): the row is the sum
     of each multiplier times that pivot row, plus its pivot value times its
     own pivot row.  These sparse multipliers are the lower factor of an LU
-    decomposition.
+    decomposition, and ``solve`` replays it.
     """
 
-    def __init__(self, p: int = 0, track: bool = False, factor: bool = False):
+    def __init__(self, p: int = 0, factor: bool = False):
         self.p = p
         self.pivots: dict[int, list[tuple[int, object]]] = {}
-        self.combos: dict[int, list[tuple[int, object]]] | None = {} if track else None
         self.lower: list[tuple[int, object, list[tuple[int, object]]]] | None = [] if factor else None
-        self.dependent: list[list[tuple[int, object]]] = []
         self.nrows = 0
-        self._order: list[int] | None = None
-        self._int_combos: dict[int, tuple[int, list[tuple[int, int]]]] = {}
-        self._int_dependent: list[tuple[int, list[tuple[int, int]]]] = []
+        self._upper: list[tuple[int, list]] | None = None
 
     @property
     def rank(self) -> int:
@@ -158,11 +159,10 @@ class _Echelon:
     def add(self, row: dict) -> bool:
         """Reduce ``row`` (consumed) and keep it as a pivot row when it
         survives.  Returns True when the row raised the rank."""
-        p, pivots, combos = self.p, self.pivots, self.combos
-        combo = None if combos is None else {self.nrows: 1 if p else _ONE}
+        p, pivots = self.p, self.pivots
         steps = None if self.lower is None else []
         self.nrows += 1
-        self._order = None
+        self._upper = None
         heap = sorted(row)
         while heap:
             c = heappop(heap)
@@ -173,46 +173,32 @@ class _Echelon:
             if tail is None:
                 inv = pow(f, -1, p) if p else _ONE / f
                 pivots[c] = [(k, v * inv % p if p else v * inv) for k, v in row.items()]
-                if combo is not None:
-                    combos[c] = [(i, w * inv % p if p else w * inv) for i, w in combo.items()]
                 if steps is not None:
                     self.lower.append((c, inv, steps))
                 return True
             _subtract(row, f, tail, p, heap)
-            if combo is not None:
-                _subtract(combo, f, combos[c], p)
             if steps is not None:
                 steps.append((c, f))
-        if combo is not None:
-            self.dependent.append(list(combo.items()))
         if steps is not None:
             self.lower.append((-1, 0, steps))
         return False
 
-    def _ready(self) -> None:
-        """Sort the pivots and, when tracking, put each combination over one
-        integer denominator, so replaying it is an integer dot product."""
-        if self._order is not None:
-            return
-        self._order = sorted(self.pivots, reverse=True)
-        if self.combos is not None:
-            self._int_combos = {c: _over_lcm(pairs) for c, pairs in self.combos.items()}
-            self._int_dependent = [_over_lcm(pairs) for pairs in self.dependent]
-
     def _back_substitute(self, x: dict, ncols: int) -> list:
         """Fill the pivot entries of ``x`` (pivot column -> reduced value,
         free column -> its chosen value) so the pivot rows hold; dense."""
-        self._ready()
+        p = self.p
+        if self._upper is None:  # pivot rows right to left, those with a tail
+            self._upper = [(c, tail) for c, tail in sorted(self.pivots.items(), reverse=True)
+                           if tail]
         top = max(x, default=-1)
-        for c in self._order:
+        for c, tail in self._upper:
             if c > top:  # every entry right of c is still zero
                 continue
-            s = x.get(c, 0) - sum(v * x[k] for k, v in self.pivots[c] if k in x)
-            if s:
-                x[c] = s
-            else:
-                x.pop(c, None)
-        out = [_ZERO] * ncols
+            t = sum(v * x[k] for k, v in tail if k in x)
+            if t:
+                s = x.get(c, 0) - t
+                x[c] = s % p if p else s
+        out = [0 if p else _ZERO] * ncols
         for c, v in x.items():
             out[c] = v
         return out
@@ -224,23 +210,28 @@ class _Echelon:
                 for fc in range(ncols) if fc not in self.pivots]
 
     def solve(self, rhs: Sequence, ncols: int) -> list | None:
-        """x with A x = rhs and 0 at every free column, or None when rhs
-        fails a left-kernel combination.  Needs ``track``; over Q only."""
-        self._ready()
-        den = lcm(*(v.denominator for v in rhs))
-        b = [v.numerator * (den // v.denominator) for v in rhs]
-        if any(sum(w * b[i] for i, w in combo) for _, combo in self._int_dependent):
-            return None
-        x = {}
-        for c, (d, combo) in self._int_combos.items():
-            s = sum(w * b[i] for i, w in combo)
-            if s:
-                x[c] = Fraction(s, d * den)
+        """x with A x = rhs and 0 at every free column, or None when a row
+        that reduced to zero leaves a nonzero residual.  Needs ``factor``;
+        ``rhs`` holds one value per row added."""
+        if len(rhs) != self.nrows:
+            raise ValueError(f"right-hand side has {len(rhs)} entries for {self.nrows} rows")
+        p = self.p
+        x: dict = {}
+        for (c, inv, steps), s in zip(self.lower, rhs):
+            if steps:
+                s -= sum(f * x[k] for k, f in steps if k in x)
+            if p:
+                s %= p
+            if not s:
+                continue
+            if c < 0:
+                return None
+            x[c] = s * inv % p if p else s * inv
         return self._back_substitute(x, ncols)
 
 
-def _exact_echelon(rows: Iterable[Sequence], track: bool = False) -> _Echelon:
-    ech = _Echelon(track=track)
+def _exact_echelon(rows: Iterable[Sequence | Mapping], factor: bool = False) -> _Echelon:
+    ech = _Echelon(factor=factor)
     for row in rows:
         ech.add(_sparse(row))
     return ech
@@ -402,7 +393,7 @@ def prefix_ranks(blocks: Sequence[Sequence[Mapping[int, Fraction]]],
     ranks = []
     for block in blocks:
         for row in block:
-            ech.add({c: v for c, v in row.items() if v})
+            ech.add(_sparse(row))
         ranks.append(ech.rank)
     return ranks
 
@@ -424,7 +415,7 @@ def solve_any(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
     """One exact solution of A x = b (free variables set to 0), or None."""
     if not rows:
         return []
-    return _exact_echelon(rows, track=True).solve(rhs, len(rows[0]))
+    return _exact_echelon(rows, factor=True).solve(rhs, len(rows[0]))
 
 
 def solve_square(rows: Sequence[Sequence], rhs: Sequence[Sequence]) -> list[list[Fraction]]:
@@ -455,22 +446,16 @@ class LinearExpander:
     """Expand vectors in a fixed independent column family, exactly.
 
     Columns are dense sequences or sparse ``{row: value}`` mappings.
-    Eliminates the family once, so each expansion is a replay plus a
-    back-substitution.  ``expand`` raises ``ExactSolveError`` when the
-    target is outside the span.
+    Factors the family's rows once over Q, so each expansion replays the
+    recorded multipliers and back-substitutes.  ``expand`` raises
+    ``ExactSolveError`` when the target is outside the span.
     """
 
     def __init__(self, cols: Sequence[Sequence | Mapping[int, Fraction]]):
         self.ncols = len(cols)
-        rows: dict[int, dict] = {}
-        for j, col in enumerate(cols):
-            for i, v in _items(col):
-                if v:
-                    rows.setdefault(i, {})[j] = v
-        self.dim = max(rows, default=-1) + 1  # the target must vanish past it
-        self._ech = _Echelon(track=True)
-        for i in range(self.dim):
-            self._ech.add(rows.get(i, {}))
+        rows = _rows_of(cols)
+        self.dim = len(rows)  # the target must vanish past it
+        self._ech = _exact_echelon(rows, factor=True)
         if self._ech.rank < self.ncols:
             raise ExactSolveError("columns are linearly dependent")
 
@@ -548,11 +533,7 @@ class LiftedSolver:
 
     def __init__(self, cols: Sequence[Sequence | Mapping[int, Fraction]]):
         n = self.n = len(cols)
-        rows: list[dict] = [{} for _ in range(n)]
-        for j, col in enumerate(cols):
-            for i, v in _items(col):
-                if v:
-                    rows[i][j] = v
+        rows = _rows_of(cols)  # fewer than n rows leave the rank below n
         self._scale = [lcm(*(v.denominator for v in row.values())) for row in rows]
         self._rows = [(tuple(row), tuple(v.numerator * (d // v.denominator) for v in row.values()))
                       for row, d in zip(rows, self._scale)]
@@ -565,28 +546,10 @@ class LiftedSolver:
             if ech.rank == n:
                 break
             misses += 1
-            if misses == 2:
-                over_q = _Echelon()
-                for row in rows:
-                    over_q.add(dict(row))
-                if over_q.rank < n:
-                    raise ExactSolveError("matrix is singular")
+            if misses == 2 and _exact_echelon(rows).rank < n:
+                raise ExactSolveError("matrix is singular")
         self.p = p
-        self._lower = [(c, inv, tuple(k for k, _ in steps), tuple(f for _, f in steps))
-                       for c, inv, steps in ech.lower]
-        self._upper = [(c, tuple(k for k, _ in tail), tuple(v for _, v in tail))
-                       for c, tail in sorted(ech.pivots.items(), reverse=True) if tail]
-
-    def _solve_mod(self, r: list[int]) -> list[int]:
-        """A^-1 r mod p: forward through the multipliers, then back through
-        the pivot rows."""
-        p = self.p
-        y = [0] * self.n
-        for (c, inv, ks, fs), b in zip(self._lower, r):
-            y[c] = (b - sum(map(mul, fs, map(y.__getitem__, ks)))) * inv % p
-        for c, ks, vs in self._upper:
-            y[c] = (y[c] - sum(map(mul, vs, map(y.__getitem__, ks)))) % p
-        return y
+        self._factor = ech
 
     def _product(self, x: list[int]) -> list[int]:
         """A x over the integers."""
@@ -604,7 +567,7 @@ class LiftedSolver:
         need = 1 + sum((s + v * v).bit_length() for s, v in zip(self._norms, b))
         r, acc, m = b, [0] * n, 1
         while True:
-            x = self._solve_mod(r)
+            x = self._factor.solve(r, n)
             acc = [a + m * v for a, v in zip(acc, x)]
             m *= p
             r = [(ri - ai) // p for ri, ai in zip(r, self._product(x))]

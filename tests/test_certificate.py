@@ -128,14 +128,15 @@ def test_certificate_and_exact_route_agree(monkeypatch, name, nx, ny, k):
 
 
 def count_eliminations_over_q(monkeypatch):
-    """Record each untracked elimination over Q that ``prefix_ranks`` starts."""
+    """Record each rank elimination over Q (no factor kept) that
+    ``prefix_ranks`` starts."""
     calls = []
 
     class Counting(exactla._Echelon):
-        def __init__(self, p=0, track=False):
-            if p == 0 and not track:
+        def __init__(self, p=0, factor=False):
+            if p == 0 and not factor:
                 calls.append(1)
-            super().__init__(p, track)
+            super().__init__(p, factor)
     monkeypatch.setattr(exactla, "_Echelon", Counting)
     return calls
 

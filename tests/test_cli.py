@@ -134,6 +134,18 @@ def test_width_cap_exits_2(capsys, monkeypatch):
     assert "DERHAM_MAX_EXACT_COLS" in err
 
 
+@pytest.mark.parametrize("raw", ["0", "-1"])
+def test_width_cap_below_one_exits_2(tmp_path, raw):
+    # a fresh process, so no cached reference result skips the cap
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "derham", "refcheck", "--cell", "tri"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(src), DERHAM_MAX_EXACT_COLS=raw))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: DERHAM_MAX_EXACT_COLS must be a positive integer, got '{raw}'\n"
+
+
 def test_verify_ignores_width_cap(capsys, monkeypatch):
     # verify certifies by witness plus rank mod p, so the exact cap never applies
     monkeypatch.setenv("DERHAM_MAX_EXACT_COLS", "10")

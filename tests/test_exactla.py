@@ -124,11 +124,32 @@ def test_linear_expander_inside_and_outside():
         LinearExpander([[F(1), F(2)], [F(2), F(4)]])  # dependent columns
 
 
+@pytest.mark.parametrize("p", [0, 7])
+def test_echelon_solve_needs_one_value_per_row(p):
+    ech = exactla._Echelon(p, factor=True)
+    for row in ({0: 1, 1: 2}, {0: 2, 1: 4}):
+        ech.add(row)
+    assert ech.solve([3, 6], 2) == [3, 0]
+    assert ech.solve([3, 7], 2) is None  # the dependent row's residual is 1
+    for rhs in ([3], [3, 7, 0]):
+        with pytest.raises(ValueError, match="2 rows"):
+            ech.solve(rhs, 2)
+
+
 def test_width_guard(monkeypatch):
     monkeypatch.setenv("DERHAM_MAX_EXACT_COLS", "3")
     with pytest.raises(ExactWidthExceeded):
         exact_rank([[F(1)] * 4])
     assert exact_rank([[F(1)] * 3]) == 1
+    monkeypatch.setenv("DERHAM_MAX_EXACT_COLS", "1")
+    assert exact_rank([[F(2)]]) == 1
+    for raw in ("0", "-1"):
+        monkeypatch.setenv("DERHAM_MAX_EXACT_COLS", raw)
+        with pytest.raises(ValueError, match=f"must be a positive integer, got '{raw}'"):
+            exact_rank([[F(1)]])
+    monkeypatch.setenv("DERHAM_MAX_EXACT_COLS", "two")
+    with pytest.raises(ValueError, match="must be an integer, got 'two'"):
+        exact_rank([[F(1)]])
 
 
 def test_against_numpy_on_integers():
@@ -177,10 +198,10 @@ def trace_routes(monkeypatch):
     ranks_mod_p = exactla.ranks_mod_p
 
     class OverQ(exactla._Echelon):
-        def __init__(self, p=0, track=False):
+        def __init__(self, p=0, factor=False):
             if p == 0:
                 seen.append("Q")
-            super().__init__(p, track)
+            super().__init__(p, factor)
     monkeypatch.setattr(exactla, "ranks_mod_p",
                         lambda blocks, p: seen.append(p) or ranks_mod_p(blocks, p))
     monkeypatch.setattr(exactla, "_Echelon", OverQ)
@@ -306,15 +327,81 @@ def test_kernel_against_numpy(rows, data):
     assert rank_mod_p(exact, exactla._PRIMES[0]) == res.rank
 
 
+def reduced_row_echelon(rows, ncols):
+    """(reduced rows, pivot columns) of a dense rational matrix by
+    Gauss-Jordan elimination, pivoting on the first ``ncols`` columns."""
+    rows = [list(row) for row in rows]
+    pivots = []
+    for j in range(ncols):
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if rows[i][j]), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        rows[r] = [v / rows[r][j] for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[j]:
+                rows[i] = [a - row[j] * b for a, b in zip(row, rows[r])]
+        pivots.append(j)
+    return rows, pivots
+
+
+@st.composite
+def independent_families(draw):
+    """(cols, nrows): n <= m independent columns of length m plus 0-2 zero
+    rows, the product of a unit lower triangular m x m factor and an upper
+    trapezoidal m x n factor with nonzero diagonal, rows permuted, each
+    off-diagonal entry kept with probability 2/3."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, m))
+    keep = st.sampled_from([True, True, False])
+    lower = [[F(int(i == j)) if j >= i else (draw(small_rationals) if draw(keep) else F(0))
+              for j in range(m)] for i in range(m)]
+    upper = [[draw(small_rationals.filter(bool)) if i == j else
+              (draw(small_rationals) if j > i and draw(keep) else F(0))
+              for j in range(n)] for i in range(m)]
+    rows = [[sum((lower[i][k] * upper[k][j] for k in range(m)), F(0)) for j in range(n)]
+            for i in range(m)]
+    rows = [rows[i] for i in draw(st.permutations(range(m)))]
+    rows += [[F(0)] * n] * draw(st.integers(0, 2))
+    return [list(col) for col in zip(*rows)], len(rows)
+
+
+@seed(1010)
+@settings(max_examples=80, deadline=None)
+@given(independent_families(), st.data())
+def test_linear_expander_expands_exactly(family, data):
+    cols, nrows = family
+    n = len(cols)
+    sparse_cols = [{i: v for i, v in enumerate(col) if v} for col in cols]
+    dim = 1 + max(i for col in sparse_cols for i in col)
+    coeffs = data.draw(st.lists(small_rationals, min_size=n, max_size=n), label="coeffs")
+    inside = [sum((c * col[i] for c, col in zip(coeffs, cols)), F(0)) for i in range(nrows)]
+    outside = data.draw(st.lists(small_rationals, min_size=nrows, max_size=nrows), label="outside")
+    in_span = len(reduced_row_echelon(
+        [list(row) + [b] for row, b in zip(zip(*cols), outside)], n + 1)[1]) == n
+    past = [F(0)] * (nrows + 1)  # one entry longer than the columns
+    past[data.draw(st.integers(dim, nrows), label="past")] = F(1)
+    for family in (cols, sparse_cols):
+        exp = LinearExpander(family)
+        assert exp.dim == dim
+        assert exp.expand(inside) == coeffs
+        if not in_span:
+            with pytest.raises(ExactSolveError, match="outside the span"):
+                exp.expand(outside)
+        with pytest.raises(ExactSolveError, match="outside the span"):
+            exp.expand(past)  # nonzero only past the family's last nonzero row
+
+
 def oracle_solutions(rows, rhs):
-    """Solutions by the tracked elimination over Q; None when singular."""
+    """Solutions by dense Gauss-Jordan elimination of [A | B] over Q; None
+    when A is singular."""
     n = len(rows)
-    ech = exactla._Echelon(track=True)
-    for row in rows:
-        ech.add({c: v for c, v in enumerate(row) if v})
-    if ech.rank < n:
+    reduced, pivots = reduced_row_echelon(
+        [list(row) + [col[i] for col in rhs] for i, row in enumerate(rows)], n)
+    if len(pivots) < n:
         return None
-    return [ech.solve(col, n) for col in rhs]
+    return [[reduced[i][n + j] for i in range(n)] for j in range(len(rhs))]
 
 
 rationals = st.builds(F, st.integers(-20, 20), st.integers(1, 12))
@@ -343,7 +430,7 @@ def square_systems(draw):
 @seed(909)
 @settings(max_examples=80, deadline=None)
 @given(square_systems())
-def test_lifted_solves_match_tracked_elimination(system):
+def test_lifted_solves_match_gauss_jordan(system):
     rows, rhs = system
     expected = oracle_solutions(rows, rhs)
     assert expected is not None
@@ -365,9 +452,9 @@ def record_primes(monkeypatch):
     seen = []
 
     class Recording(exactla._Echelon):
-        def __init__(self, p=0, track=False, factor=False):
+        def __init__(self, p=0, factor=False):
             seen.append(p)
-            super().__init__(p, track, factor)
+            super().__init__(p, factor)
     monkeypatch.setattr(exactla, "_Echelon", Recording)
     return seen
 
