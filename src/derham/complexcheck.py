@@ -54,7 +54,7 @@ from .operators import (
     assemble_grad_perp,
     assemble_gram,
 )
-from .poly import RefCell, restrict_to_segment
+from .poly import RefCell, legendre_coefficients, segment_trace
 from .refcheck import flat_trace_basis
 from .report import Report
 
@@ -485,11 +485,10 @@ def appendix_report(nx: int, ny: int, lx=1, ly=1) -> Report:
                 nrm = (-chord[1], chord[0])
                 traces[key] = []
                 for u in triple:
-                    tr = (restrict_to_segment(u.x, start, direction) * nrm[0]
-                          + restrict_to_segment(u.y, start, direction) * nrm[1])
-                    if tr.degree() > 0:
+                    coeffs = legendre_coefficients(segment_trace(u, start, direction, nrm), 0)
+                    if coeffs is None:
                         raise AssertionError("three-field trace is not facewise constant")
-                    traces[key].append(tr.coeff(0))
+                    traces[key].extend(coeffs)
             for i, v in enumerate(traces[key]):
                 col = 3 * cell.index + i
                 row[col] = row.get(col, _ZERO) + sign * v

@@ -23,8 +23,8 @@ along it; cell and interior node), never by their coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .exactla import ExactSolveError, LinearExpander, solve_square
@@ -33,10 +33,9 @@ from .poly import IDENTITY2, Poly, RefCell, VecPoly, legendre_basis
 
 __all__ = [
     "SpanError",
-    "LocalScalarBasis",
-    "LocalVectorBasis",
+    "LocalBasis",
     "scalar_local_basis",
-    "vector_local_basis",
+    "make_vector_basis",
     "lagrange_basis",
     "local_dim",
     "VECTOR_FAMILIES",
@@ -101,136 +100,95 @@ def local_dim(family: str, k: int) -> int:
     }[family]
 
 
-class LocalScalarBasis:
-    """Independent scalar polynomials on a reference cell, with exact expansion."""
-
-    def __init__(self, ref: RefCell, elements: Sequence[Poly], tag: str):
-        self.ref = ref
-        self.tag = tag
-        self.elements = list(elements)
-        self.monos = _graded(ab for p in self.elements for ab, _ in p.terms())
-        self._idx = {ab: i for i, ab in enumerate(self.monos)}
-        cols = [self.encode(p) for p in self.elements]
-        try:
-            self.expander = LinearExpander(cols) if cols else None
-        except ExactSolveError as exc:
-            raise AssertionError(f"dependent local basis for {tag}") from exc
-
-    @property
-    def dim(self) -> int:
-        return len(self.elements)
-
-    def encode(self, p: Poly) -> list[Fraction]:
-        v = [_ZERO] * len(self.monos)
-        for ab, c in p.terms():
-            i = self._idx.get(ab)
-            if i is None:
-                raise SpanError(f"monomial x^{ab[0]} y^{ab[1]} outside {self.tag}")
-            v[i] = c
-        return v
-
-    def expand(self, p: Poly) -> list[Fraction]:
-        """Coefficients of ``p`` in this basis; SpanError if outside."""
-        if p.is_zero:
-            return [_ZERO] * self.dim
-        if self.expander is None:
-            raise SpanError(f"nonzero polynomial in empty space {self.tag}")
-        try:
-            return self.expander.expand(self.encode(p))
-        except ExactSolveError as exc:
-            raise SpanError(f"{exc} ({self.tag})") from exc
-
-    def gram_ref(self) -> list[list[Fraction]]:
-        if not hasattr(self, "_gram"):
-            n = self.dim
-            g = [[_ZERO] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i + 1):
-                    v = self.ref.integrate(self.elements[i] * self.elements[j])
-                    g[i][j] = g[j][i] = v
-            self._gram = g
-        return self._gram
+def _parts(f: Poly | VecPoly) -> tuple[Poly, ...]:
+    """The components of a scalar (one) or vector (x and y) polynomial."""
+    return (f.x, f.y) if isinstance(f, VecPoly) else (f,)
 
 
-class LocalVectorBasis:
-    """Independent vector polynomials on a reference cell (physical components)."""
+class LocalBasis:
+    """Independent scalar or vector polynomials on a reference cell, with
+    exact expansion; vector components are physical.
 
-    def __init__(self, ref: RefCell, elements: Sequence[VecPoly], tag: str, expected_dim: int | None = None):
+    A polynomial is encoded component by component over the graded
+    monomials that the basis uses in that component.
+    """
+
+    def __init__(self, ref: RefCell, elements: Sequence[Poly | VecPoly], tag: str,
+                 expected_dim: int | None = None):
         self.ref = ref
         self.tag = tag
         self.elements = list(elements)
         if expected_dim is not None and len(self.elements) != expected_dim:
             raise AssertionError(f"{tag}: cardinality {len(self.elements)} != formula {expected_dim}")
-        self.monos_x = _graded(ab for u in self.elements for ab, _ in u.x.terms())
-        self.monos_y = _graded(ab for u in self.elements for ab, _ in u.y.terms())
-        self._ix = {ab: i for i, ab in enumerate(self.monos_x)}
-        self._iy = {ab: i for i, ab in enumerate(self.monos_y)}
-        cols = [self.encode(u) for u in self.elements]
+        vector = any(isinstance(f, VecPoly) for f in self.elements)
+        self._names = ("x-monomial", "y-monomial") if vector else ("monomial",)
+        self._index: list[dict[tuple[int, int], int]] = []  # per component: monomial -> row
+        self._width = 0
+        for comp in range(len(self._names)):
+            monos = _graded(ab for f in self.elements for ab, _ in _parts(f)[comp].terms())
+            self._index.append({ab: self._width + i for i, ab in enumerate(monos)})
+            self._width += len(monos)
+        cols = [self.encode(f) for f in self.elements]
         try:
-            self.expander = LinearExpander(cols)
+            self.expander = LinearExpander(cols) if cols else None
         except ExactSolveError as exc:
             raise AssertionError(f"dependent local basis for {tag}") from exc
+        self._gram: list[list[Fraction]] | None = None
 
     @property
     def dim(self) -> int:
         return len(self.elements)
 
-    def encode(self, u: VecPoly) -> list[Fraction]:
-        v = [_ZERO] * (len(self.monos_x) + len(self.monos_y))
-        for ab, c in u.x.terms():
-            i = self._ix.get(ab)
-            if i is None:
-                raise SpanError(f"x-monomial x^{ab[0]} y^{ab[1]} outside {self.tag}")
-            v[i] = c
-        off = len(self.monos_x)
-        for ab, c in u.y.terms():
-            i = self._iy.get(ab)
-            if i is None:
-                raise SpanError(f"y-monomial x^{ab[0]} y^{ab[1]} outside {self.tag}")
-            v[off + i] = c
+    def encode(self, f: Poly | VecPoly) -> list[Fraction]:
+        v = [_ZERO] * self._width
+        for part, index, name in zip(_parts(f), self._index, self._names):
+            for ab, c in part.terms():
+                i = index.get(ab)
+                if i is None:
+                    raise SpanError(f"{name} x^{ab[0]} y^{ab[1]} outside {self.tag}")
+                v[i] = c
         return v
 
-    def expand(self, u: VecPoly) -> list[Fraction]:
+    def expand(self, f: Poly | VecPoly) -> list[Fraction]:
+        """Coefficients of ``f`` in this basis; SpanError if outside."""
+        if f.is_zero:
+            return [_ZERO] * self.dim
+        if self.expander is None:
+            raise SpanError(f"nonzero polynomial in empty space {self.tag}")
         try:
-            return self.expander.expand(self.encode(u))
+            return self.expander.expand(self.encode(f))
         except ExactSolveError as exc:
             raise SpanError(f"{exc} ({self.tag})") from exc
 
+    def inner(self, f: Poly | VecPoly, g: Poly | VecPoly) -> Fraction:
+        """Exact L2 inner product on the reference cell."""
+        return self.ref.integrate(sum((a * b for a, b in zip(_parts(f), _parts(g))), Poly()))
+
     def gram_ref(self) -> list[list[Fraction]]:
-        if not hasattr(self, "_gram"):
+        if self._gram is None:
             n = self.dim
             g = [[_ZERO] * n for _ in range(n)]
             for i in range(n):
-                ui = self.elements[i]
                 for j in range(i + 1):
-                    uj = self.elements[j]
-                    v = self.ref.integrate(ui.x * uj.x + ui.y * uj.y)
-                    g[i][j] = g[j][i] = v
+                    g[i][j] = g[j][i] = self.inner(self.elements[i], self.elements[j])
             self._gram = g
         return self._gram
 
 
-_scalar_cache: dict = {}
-_vector_cache: dict = {}
-_lagrange_cache: dict = {}
-
-
-def scalar_local_basis(ref: RefCell, family: str, param: int) -> LocalScalarBasis:
+@lru_cache(maxsize=None)
+def scalar_local_basis(ref: RefCell, family: str, param: int) -> LocalBasis:
     """Monomial scalar basis: family "p" (total degree), "q" (per-variable
     degree) or "qhat" (level-k reduced quad space Q_{k,k-1} + Q_{k-1,k})."""
-    key = (ref, family, param)
-    if key not in _scalar_cache:
-        if family == "p":
-            monos = p_monomials(param) if param >= 0 else []
-        elif family == "q":
-            monos = q_monomials(param, param) if param >= 0 else []
-        elif family == "qhat":
-            monos = _graded(q_monomials(param, param - 1) + q_monomials(param - 1, param))
-        else:
-            raise ValueError(f"unknown scalar family {family!r}")
-        elems = [Poly.monomial(a, b) for a, b in monos]
-        _scalar_cache[key] = LocalScalarBasis(ref, elems, f"{family}({param}) on {ref.value}")
-    return _scalar_cache[key]
+    if family == "p":
+        monos = p_monomials(param) if param >= 0 else []
+    elif family == "q":
+        monos = q_monomials(param, param) if param >= 0 else []
+    elif family == "qhat":
+        monos = _graded(q_monomials(param, param - 1) + q_monomials(param - 1, param))
+    else:
+        raise ValueError(f"unknown scalar family {family!r}")
+    elems = [Poly.monomial(a, b) for a, b in monos]
+    return LocalBasis(ref, elems, f"{family}({param}) on {ref.value}")
 
 
 def _vec_of(monos, comp: int) -> list[VecPoly]:
@@ -240,8 +198,9 @@ def _vec_of(monos, comp: int) -> list[VecPoly]:
     return [VecPoly(zero, Poly.monomial(a, b)) for a, b in monos]
 
 
-def make_vector_basis(family: str, k: int, ref: RefCell, mlin=IDENTITY2) -> LocalVectorBasis:
-    """Construct the pulled-back local basis of a vector family.
+@lru_cache(maxsize=None)
+def make_vector_basis(family: str, k: int, ref: RefCell, mlin=IDENTITY2) -> LocalBasis:
+    """The pulled-back local basis of a vector family, one per argument tuple.
 
     ``mlin`` is the cell chart's linear part; the identity gives the space on
     the reference cell itself.
@@ -278,14 +237,7 @@ def make_vector_basis(family: str, k: int, ref: RefCell, mlin=IDENTITY2) -> Loca
         elems = _vec_of(q_monomials(k, k + 1), 0) + _vec_of(q_monomials(k + 1, k), 1)
     else:
         raise ValueError(f"unknown vector family {family!r}")
-    return LocalVectorBasis(ref, elems, f"{family}(k={k})", expected_dim=local_dim(family, k))
-
-
-def vector_local_basis(family: str, k: int, cell: Cell) -> LocalVectorBasis:
-    key = (family, k, cell.ref, cell.fmap.m)
-    if key not in _vector_cache:
-        _vector_cache[key] = make_vector_basis(family, k, cell.ref, cell.fmap.m)
-    return _vector_cache[key]
+    return LocalBasis(ref, elems, f"{family}(k={k})", expected_dim=local_dim(family, k))
 
 
 def lagrange_nodes(ref: RefCell, degree: int) -> list[tuple[Fraction, Fraction]]:
@@ -299,21 +251,19 @@ def lagrange_nodes(ref: RefCell, degree: int) -> list[tuple[Fraction, Fraction]]
             for b in range(d + 1) for a in range(d + 1)]
 
 
-def lagrange_basis(ref: RefCell, degree: int) -> tuple[list[tuple[Fraction, Fraction]], LocalScalarBasis]:
+@lru_cache(maxsize=None)
+def lagrange_basis(ref: RefCell, degree: int) -> tuple[list[tuple[Fraction, Fraction]], LocalBasis]:
     """Nodal (Lagrange) basis on the reference lattice of the given degree."""
-    key = (ref, degree)
-    if key not in _lagrange_cache:
-        nodes = lagrange_nodes(ref, degree)
-        monos = p_monomials(degree) if ref is RefCell.TRIANGLE else q_monomials(degree, degree)
-        n = len(nodes)
-        if len(monos) != n:
-            raise AssertionError("node lattice does not match monomial count")
-        vand = [[Fraction(x) ** a * Fraction(y) ** b for a, b in monos] for x, y in nodes]
-        eye = [[_ONE if i == j else _ZERO for i in range(n)] for j in range(n)]
-        coeffs = solve_square(vand, eye)
-        elems = [Poly({ab: c for ab, c in zip(monos, col) if c}) for col in coeffs]
-        _lagrange_cache[key] = (nodes, LocalScalarBasis(ref, elems, f"lagrange({degree}) on {ref.value}"))
-    return _lagrange_cache[key]
+    nodes = lagrange_nodes(ref, degree)
+    monos = p_monomials(degree) if ref is RefCell.TRIANGLE else q_monomials(degree, degree)
+    n = len(nodes)
+    if len(monos) != n:
+        raise AssertionError("node lattice does not match monomial count")
+    vand = [[Fraction(x) ** a * Fraction(y) ** b for a, b in monos] for x, y in nodes]
+    eye = [[_ONE if i == j else _ZERO for i in range(n)] for j in range(n)]
+    coeffs = solve_square(vand, eye)
+    elems = [Poly({ab: c for ab, c in zip(monos, col) if c}) for col in coeffs]
+    return nodes, LocalBasis(ref, elems, f"lagrange({degree}) on {ref.value}")
 
 
 class DGVectorSpace:
@@ -331,8 +281,8 @@ class DGVectorSpace:
         self.local_dim = local_dim(family, k)
         self.dim = self.local_dim * mesh.num_cells
 
-    def local(self, cell: Cell) -> LocalVectorBasis:
-        return vector_local_basis(self.family, self.k, cell)
+    def local(self, cell: Cell) -> LocalBasis:
+        return make_vector_basis(self.family, self.k, cell.ref, cell.fmap.m)
 
     def offset(self, cell_index: int) -> int:
         return cell_index * self.local_dim

@@ -316,9 +316,18 @@ def save_field(path: str, space: DGVectorSpace, coeffs) -> None:
 
 
 def load_field(path: str) -> tuple[dict, list]:
+    """Read a field written by ``save_field``.  A coefficient that does not
+    parse or has a zero denominator, or a coefficient count other than the
+    space's ``dim``, raises ``ValueError``."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("schema") != 1:
         raise ValueError(f"unsupported field schema in {path}")
-    coeffs = [Fraction(v) if isinstance(v, str) else float(v) for v in doc["coeffs"]]
+    try:
+        coeffs = [Fraction(v) if isinstance(v, str) else float(v) for v in doc["coeffs"]]
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in a coefficient of {path}") from exc
+    dim = doc["space"]["dim"]
+    if len(coeffs) != dim:
+        raise ValueError(f"{path} has {len(coeffs)} coefficients for a space of dim {dim}")
     return doc["space"], coeffs

@@ -40,7 +40,7 @@ from .fespace import (
     DGVectorSpace,
     SpanError,
 )
-from .poly import curl2d, divergence, grad, grad_perp, restrict_to_segment
+from .poly import curl2d, divergence, grad, grad_perp, legendre_coefficients, segment_trace
 
 __all__ = [
     "MembershipError",
@@ -213,23 +213,34 @@ class OpMatrix:
 
 
 def load_matrix(path: str) -> OpMatrix:
+    """Read a file written by ``OpMatrix.export``.  An entry outside the
+    shape, with a zero denominator or that does not parse raises
+    ``ValueError`` naming the path and the line."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     meta = {}
     body = []
-    for line in lines:
+    for lineno, line in enumerate(lines, 1):
         if line.startswith("%json "):
             meta = json.loads(line[len("%json "):])
         elif line.startswith("%"):
             continue
         elif line.strip():
-            body.append(line)
-    nrows, ncols, nnz = (int(tok) for tok in body[0].split())
+            body.append((lineno, line))
+    nrows, ncols, nnz = (int(tok) for tok in body[0][1].split())
     out = OpMatrix(nrows, ncols, meta.get("domain", ""), meta.get("codomain", ""))
-    for line in body[1:]:
-        r, c, val = line.split()
-        num, den = val.split("/")
-        out.add(int(r) - 1, int(c) - 1, Fraction(int(num), int(den)))
+    for lineno, line in body[1:]:
+        try:
+            r, c, val = line.split()
+            num, den = val.split("/")
+            r, c, num, den = int(r), int(c), int(num), int(den)
+            if not (1 <= r <= nrows and 1 <= c <= ncols):
+                raise ValueError(f"entry ({r}, {c}) outside the {nrows}x{ncols} shape")
+            if not den:
+                raise ValueError(f"zero denominator in {val!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {lineno}: {exc}") from exc
+        out.add(r - 1, c - 1, Fraction(num, den))
     if out.nnz != nnz:
         raise ValueError(f"nnz mismatch reading {path}")
     return out
@@ -409,8 +420,6 @@ def _assemble_second(b_space: DGVectorSpace, c_space: CodomainSpace,
     out = OpMatrix(c_space.dim, b_space.dim, domain=f"{b_space.family}_k{b_space.k}",
                    codomain=f"codomain_f{c_space.face_degree}")
     kdeg = c_space.face_degree
-    leg = c_space.legendre
-    leg_scale = [Fraction(2 * i + 1) for i in range(kdeg + 1)]
     nb = b_space.local_dim
 
     cell_stamps: dict = {}  # chart -> (cell factor row, vector basis, value)
@@ -447,16 +456,13 @@ def _assemble_second(b_space: DGVectorSpace, c_space: CodomainSpace,
                 vec = _face_vector(chord, tangential)
                 stamp = []
                 for i, u in enumerate(b_space.local(cell).elements):
-                    tr = (restrict_to_segment(u.x, start, direction) * vec[0]
-                          + restrict_to_segment(u.y, start, direction) * vec[1])
-                    if tr.degree() > kdeg:
+                    tr = segment_trace(u, start, direction, vec)
+                    coeffs = legendre_coefficients(tr, kdeg)
+                    if coeffs is None:
                         raise MembershipError(
                             f"{name} trace on face {face.index} ({face.kind}, {side}): "
                             f"degree {tr.degree()} exceeds face degree {kdeg}")
-                    for ell in range(kdeg + 1):
-                        v = (tr * leg[ell]).integrate01() * leg_scale[ell]
-                        if v:
-                            stamp.append((ell, i, sign * v))
+                    stamp.extend((ell, i, sign * v) for ell, v in enumerate(coeffs) if v)
                 trace_stamps[key] = stamp
             bbase = b_space.offset(cell.index)
             _scatter(out, trace_stamps[key], frow, range(bbase, bbase + nb))

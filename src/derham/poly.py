@@ -28,10 +28,11 @@ __all__ = [
     "divergence",
     "curl2d",
     "legendre_basis",
+    "legendre_coefficients",
     "restrict_to_segment",
+    "segment_trace",
 ]
 
-Rat = Fraction
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -152,22 +153,7 @@ class Poly:
         """Return ``self(F(u, v))`` as a polynomial in the map inputs."""
         fx = Poly({(0, 0): fmap.o[0], (1, 0): fmap.m[0][0], (0, 1): fmap.m[0][1]})
         fy = Poly({(0, 0): fmap.o[1], (1, 0): fmap.m[1][0], (0, 1): fmap.m[1][1]})
-        return self._substitute(fx, fy)
-
-    def _substitute(self, px: "Poly", py: "Poly") -> "Poly":
-        xpow: dict[int, Poly] = {0: Poly.const(1)}
-        ypow: dict[int, Poly] = {0: Poly.const(1)}
-
-        def power(cache, base, n):
-            while n not in cache:
-                m = max(cache)
-                cache[m + 1] = cache[m] * base
-            return cache[n]
-
-        out = Poly()
-        for (a, b), v in self.c.items():
-            out = out + power(xpow, px, a) * power(ypow, py, b) * v
-        return out
+        return _substitute(self, fx, fy, Poly.const(1), Poly())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.c == other.c
@@ -388,23 +374,39 @@ def curl2d(u: VecPoly, m_inv=IDENTITY2) -> Poly:
     return dyx - dxy
 
 
+def _substitute(p: Poly, px, py, one, zero):
+    """``p(px, py)`` for polynomials px, py of one kind (``Poly`` or
+    ``EdgePoly``) with unit ``one`` and zero ``zero``; each power is formed once."""
+    xs, ys = [one], [one]
+    out = zero
+    for (a, b), v in p.terms():
+        while len(xs) <= a:
+            xs.append(xs[-1] * px)
+        while len(ys) <= b:
+            ys.append(ys[-1] * py)
+        out = out + xs[a] * ys[b] * v
+    return out
+
+
 def restrict_to_segment(p: Poly, start, direction) -> EdgePoly:
     """Restrict ``p`` to t -> start + t * direction, all exact."""
     xt = EdgePoly([start[0], direction[0]])
     yt = EdgePoly([start[1], direction[1]])
-    xpow: dict[int, EdgePoly] = {0: EdgePoly([1])}
-    ypow: dict[int, EdgePoly] = {0: EdgePoly([1])}
+    return _substitute(p, xt, yt, EdgePoly([1]), EdgePoly())
 
-    def power(cache, base, n):
-        while n not in cache:
-            m = max(cache)
-            cache[m + 1] = cache[m] * base
-        return cache[n]
 
-    out = EdgePoly()
-    for (a, b), v in p.terms():
-        out = out + power(xpow, xt, a) * power(ypow, yt, b) * v
-    return out
+def segment_trace(u: VecPoly, start, direction, vec) -> EdgePoly:
+    """The trace ``u . vec`` on t -> start + t * direction, for a constant
+    vector ``vec`` (a face normal or tangent), all exact."""
+    return restrict_to_segment(u.dot(vec), start, direction)
+
+
+def legendre_coefficients(tr: EdgePoly, k: int) -> list[Fraction] | None:
+    """Shifted-Legendre coefficients 0..k of ``tr`` on [0, 1], or None when
+    its degree exceeds k."""
+    if tr.degree() > k:
+        return None
+    return [(tr * ell).integrate01() * (2 * i + 1) for i, ell in enumerate(legendre_basis(k))]
 
 
 @dataclass(frozen=True)
@@ -432,8 +434,7 @@ class RefEdge:
         return restrict_to_segment(p, self.start, self.direction)
 
     def normal_trace(self, u: VecPoly) -> EdgePoly:
-        n = self.outward
-        return self.restrict(u.x) * n[0] + self.restrict(u.y) * n[1]
+        return segment_trace(u, self.start, self.direction, self.outward)
 
 
 def _pt(a, b) -> tuple[Fraction, Fraction]:

@@ -32,9 +32,9 @@ from .exactla import (
     span_compare,
     transpose,
 )
-from .fespace import VECTOR_FAMILIES, LocalVectorBasis, make_vector_basis, scalar_local_basis
+from .fespace import VECTOR_FAMILIES, LocalBasis, make_vector_basis, scalar_local_basis
 from .mesh import MeshKind
-from .poly import Poly, RefCell, VecPoly, divergence, grad_perp, legendre_basis
+from .poly import Poly, RefCell, VecPoly, divergence, grad_perp, legendre_coefficients
 from .report import Report
 
 __all__ = [
@@ -71,38 +71,31 @@ def family_ref(family: str) -> RefCell:
     return RefCell.TRIANGLE if kind is MeshKind.TRIANGULAR else RefCell.SQUARE
 
 
-@lru_cache(maxsize=None)
-def reference_basis(family: str, k: int) -> LocalVectorBasis:
+def reference_basis(family: str, k: int) -> LocalBasis:
     """The family's local basis on its own reference cell (identity chart)."""
     return make_vector_basis(family, k, family_ref(family))
 
 
-def _combine(elements, coeffs) -> VecPoly:
-    out = VecPoly.zero()
-    for c, u in zip(coeffs, elements):
+def _combine(elements, coeffs):
+    """The combination sum c_i * elements[i] of scalar or vector polynomials
+    (at least one element)."""
+    out = type(elements[0]).zero()
+    for c, f in zip(coeffs, elements):
         if c:
-            out = out + u.scale(c)
-    return out
-
-
-def _combine_scalar(elements, coeffs) -> Poly:
-    out = Poly.zero()
-    for c, p in zip(coeffs, elements):
-        if c:
-            out = out + p.scale(c)
+            out = out + f.scale(c)
     return out
 
 
 def trace_coefficients(ref: RefCell, u: VecPoly, k: int) -> list[Fraction]:
     """Edge-major vector of Legendre coefficients (orders 0..k) of the
     outward normal traces of ``u``; exact, raises if a trace exceeds degree k."""
-    leg = legendre_basis(k)
     out: list[Fraction] = []
     for edge in ref.edges:
         tr = edge.normal_trace(u)
-        if tr.degree() > k:
+        coeffs = legendre_coefficients(tr, k)
+        if coeffs is None:
             raise ValueError(f"normal trace has degree {tr.degree()} > {k}")
-        out.extend((tr * ell).integrate01() * (2 * i + 1) for i, ell in enumerate(leg))
+        out.extend(coeffs)
     return out
 
 
@@ -174,13 +167,13 @@ def boundary_curl_map(ref: RefCell, k: int) -> BoundaryCurlMap:
     return BoundaryCurlMap(ref, k)
 
 
-def _divergence_rows(basis: LocalVectorBasis) -> list[list[Fraction]]:
+def _divergence_rows(basis: LocalBasis) -> list[list[Fraction]]:
     divs = [divergence(u) for u in basis.elements]
     monos = sorted({ab for d in divs for ab, _ in d.terms()})
     return [[d.coeff(*ab) for d in divs] for ab in monos]
 
 
-def _trace_rows(basis: LocalVectorBasis) -> list[list[Fraction]]:
+def _trace_rows(basis: LocalBasis) -> list[list[Fraction]]:
     rows: list[list[Fraction]] = []
     for edge in basis.ref.edges:
         traces = [edge.normal_trace(u) for u in basis.elements]
@@ -209,7 +202,7 @@ class BubbleBasis:
         res = rank_nullspace(rows, ncols=self.basis.dim)
         self.vectors = res.nullspace
         self.elements = [_combine(self.basis.elements, v) for v in self.vectors]
-        self._gram: list[list[Fraction]] | None = None
+        self.local = LocalBasis(self.ref, self.elements, f"bubbles of {self.basis.tag}")
 
     @property
     def dim(self) -> int:
@@ -219,17 +212,8 @@ class BubbleBasis:
         """Exact L2-orthogonal projection onto the bubble span."""
         if not self.elements:
             return VecPoly.zero()
-        if self._gram is None:
-            n = self.dim
-            g = [[_ZERO] * n for _ in range(n)]
-            for i in range(n):
-                ei = self.elements[i]
-                for j in range(i + 1):
-                    ej = self.elements[j]
-                    g[i][j] = g[j][i] = self.ref.integrate(ei.x * ej.x + ei.y * ej.y)
-            self._gram = g
-        rhs = [self.ref.integrate(e.x * v.x + e.y * v.y) for e in self.elements]
-        coeffs = solve_square(self._gram, [rhs])[0]
+        rhs = [self.local.inner(e, v) for e in self.elements]
+        coeffs = solve_square(self.local.gram_ref(), [rhs])[0]
         return _combine(self.elements, coeffs)
 
 
@@ -264,7 +248,7 @@ def edge_modes(family: str, k: int) -> tuple[tuple[int, int, VecPoly], ...]:
             psi = bcm.solve(target)
             if psi is None:
                 raise AssertionError("boundary target unexpectedly outside the range")
-            w = grad_perp(_combine_scalar(bcm.scalar.elements, psi))
+            w = grad_perp(_combine(bcm.scalar.elements, psi))
             out.append((e, i, w - bubbles.project(w)))
     return tuple(out)
 
@@ -381,7 +365,7 @@ def random_divfree(family: str, k: int, rng: random.Random) -> VecPoly:
     scalar = scalar_local_basis(ref, fam, k + 1)
     for _ in range(64):
         coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in scalar.elements]
-        u = grad_perp(_combine_scalar(scalar.elements, coeffs))
+        u = grad_perp(_combine(scalar.elements, coeffs))
         if not u.is_zero:
             return u
     raise AssertionError("random scalar degenerated 64 times in a row")

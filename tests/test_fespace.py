@@ -64,12 +64,47 @@ def test_basis_encode_expand_roundtrip():
         for c, u in zip(coeffs, basis.elements):
             member = member + u.scale(c)
         assert basis.expand(member) == coeffs
+    scalar_bases = [scalar_local_basis(RefCell.TRIANGLE, "p", 2),
+                    scalar_local_basis(RefCell.SQUARE, "q", 2),
+                    scalar_local_basis(RefCell.SQUARE, "qhat", 2)]
+    for basis in scalar_bases:
+        coeffs = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(basis.dim)]
+        member = Poly.zero()
+        for c, p in zip(coeffs, basis.elements):
+            member = member + p.scale(c)
+        assert basis.expand(member) == coeffs, basis.tag
+    for ref, degree in ((RefCell.TRIANGLE, 2), (RefCell.SQUARE, 2)):
+        # Lagrange coefficients are the values at the nodes
+        nodes, basis = lagrange_basis(ref, degree)
+        member = Poly({(a, b): F(rng.randint(-9, 9), rng.randint(1, 5))
+                       for a, b in ((0, 0), (1, 0), (1, 1), (0, 2))})
+        assert basis.expand(member) == [member.eval(*node) for node in nodes], basis.tag
+
+
+def test_empty_scalar_basis():
+    empty = scalar_local_basis(RefCell.TRIANGLE, "p", -1)
+    assert empty.dim == 0
+    assert empty.expand(Poly.zero()) == []
+    with pytest.raises(SpanError, match=r"^nonzero polynomial in empty space p\(-1\) on triangle$"):
+        empty.expand(Poly.const(1))
 
 
 def test_expand_rejects_non_members():
     basis = make_vector_basis("vec_p", 0, RefCell.TRIANGLE)
-    with pytest.raises(SpanError):
+    with pytest.raises(SpanError, match=r"^x-monomial x\^1 y\^0 outside vec_p\(k=0\)$"):
         basis.expand(VecPoly(Poly.monomial(1, 0), Poly.zero()))  # (x, 0) not constant
+    with pytest.raises(SpanError, match=r"^y-monomial x\^0 y\^1 outside vec_p\(k=0\)$"):
+        basis.expand(VecPoly(Poly.zero(), Poly.monomial(0, 1)))
+    # (x^2 y, 0) uses only known monomials, but alone it is not a member
+    enriched = make_vector_basis("vec_qdiv", 1, RefCell.SQUARE)
+    with pytest.raises(SpanError, match=r"^target is outside the span \(vec_qdiv\(k=1\)\)$"):
+        enriched.expand(VecPoly(Poly.monomial(2, 1), Poly.zero()))
+    scalar = scalar_local_basis(RefCell.TRIANGLE, "p", 1)
+    with pytest.raises(SpanError, match=r"^monomial x\^2 y\^0 outside p\(1\) on triangle$"):
+        scalar.expand(Poly.monomial(2, 0))
+    _, nodal = lagrange_basis(RefCell.TRIANGLE, 1)
+    with pytest.raises(SpanError, match=r"^monomial x\^1 y\^1 outside lagrange\(1\) on triangle$"):
+        nodal.expand(Poly.monomial(1, 1))
 
 
 def test_enriched_quad_contains_rotated_gradients():

@@ -1,5 +1,6 @@
 """Three-way orthogonal splitting of discrete vector fields."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -189,3 +190,17 @@ def test_field_io_roundtrip(tmp_path, tri_instance):
     save_field(str(path), space, floats)
     _, back = load_field(str(path))
     assert back == floats
+
+
+def test_load_field_rejects_bad_fields(tmp_path, tri_instance):
+    space = tri_instance.b_space
+    path = tmp_path / "field.json"
+    save_field(str(path), space, [F(1, 2)] * (space.dim - 1))
+    with pytest.raises(ValueError, match=f"has {space.dim - 1} coefficients for a space of dim {space.dim}$"):
+        load_field(str(path))
+
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["coeffs"] = ["1/0"] * space.dim
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match="^zero denominator in a coefficient of "):
+        load_field(str(path))

@@ -1,6 +1,7 @@
 """Operator assembly: exactness, adjoints, membership guards, round-trips."""
 
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -193,8 +194,8 @@ def test_stamps_are_formed_per_key(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(operators, "restrict_to_segment",
-                        counted("restrict", operators.restrict_to_segment))
+    monkeypatch.setattr(operators, "segment_trace",
+                        counted("trace", operators.segment_trace))
     monkeypatch.setattr(exactla.LinearExpander, "expand",
                         counted("expand", exactla.LinearExpander.expand))
     build_diagram("tri-dp", 4, 4, 1)  # fills the local-basis caches
@@ -204,7 +205,7 @@ def test_stamps_are_formed_per_key(monkeypatch):
         build_diagram("tri-dp", n, n, 1)
         per_size.append(dict(calls))
     assert per_size[0] == per_size[1]
-    assert per_size[0]["restrict"] > 0 and per_size[0]["expand"] > 0
+    assert per_size[0]["trace"] > 0 and per_size[0]["expand"] > 0
 
 
 def test_matvec_rmatvec_consistency(tri_spaces):
@@ -225,6 +226,21 @@ def test_export_load_roundtrip(tmp_path, tri_spaces):
     back = load_matrix(str(path))
     assert back.shape == first.shape
     assert back.dense_rows() == first.dense_rows()
+
+
+@pytest.mark.parametrize("entry,reason", [
+    ("0 1 1/1", r"entry \(0, 1\) outside the 2x2 shape"),
+    ("3 1 1/1", r"entry \(3, 1\) outside the 2x2 shape"),
+    ("1 3 1/1", r"entry \(1, 3\) outside the 2x2 shape"),
+    ("1 1 1/0", r"zero denominator in '1/0'"),
+    ("1 1 one/2", r"invalid literal"),
+], ids=["row-before-start", "row-past-end", "col-past-end", "zero-denominator", "unparsed"])
+def test_load_matrix_rejects_bad_entries(tmp_path, entry, reason):
+    path = tmp_path / "bad.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate rational general\n"
+                    f"2 2 2\n2 2 1/3\n{entry}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line 4: {reason}"):
+        load_matrix(str(path))
 
 
 def test_naive_quad_has_no_cell_divergence():
