@@ -50,14 +50,12 @@ from .mesh import Mesh, MeshKind, build_mesh, entity_counts
 from .operators import (
     GramMatrix,
     MembershipError,
-    OpMatrix,
     adjoint,
     assemble_curl_distributional,
     assemble_div_distributional,
     assemble_grad,
     assemble_grad_perp,
     assemble_gram,
-    load_matrix,
 )
 from .poly import AffineMap, EdgePoly, Poly, RefCell, VecPoly
 from .refcheck import (
@@ -69,6 +67,7 @@ from .refcheck import (
     uniqueness_probe,
 )
 from .report import CheckItem, Report
+from .sparse import OpMatrix, load_matrix
 
 __version__ = "0.1.0"
 

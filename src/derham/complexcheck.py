@@ -30,7 +30,7 @@ comparison against the jump-relaxed classical elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactla import float_rank, prefix_ranks
@@ -47,7 +47,6 @@ from .fespace import (
 from .mesh import Mesh, MeshKind, build_mesh
 from .operators import (
     GramMatrix,
-    OpMatrix,
     assemble_curl_distributional,
     assemble_div_distributional,
     assemble_grad,
@@ -57,6 +56,7 @@ from .operators import (
 from .poly import RefCell, legendre_coefficients, segment_trace
 from .refcheck import flat_trace_basis
 from .report import Report
+from .sparse import OpMatrix
 
 __all__ = [
     "DiagramSpec",
@@ -139,10 +139,20 @@ class DiagramInstance:
     second: OpMatrix
     gram_b: GramMatrix
     gram_c: GramMatrix
+    _constants: tuple[OpMatrix, OpMatrix] | None = field(default=None, init=False, repr=False,
+                                                         compare=False)
 
     def constant_fields(self) -> list[list[Fraction]]:
         """Coefficient vectors of the fields (1,0) and (0,1)."""
         return [self.b_space.constant_vector(1, 0), self.b_space.constant_vector(0, 1)]
+
+    def constant_operators(self) -> tuple[OpMatrix, OpMatrix]:
+        """C, the two constant fields as columns, and (G_b C)^T, formed once
+        per instance and shared by every caller; read only."""
+        if self._constants is None:
+            consts = OpMatrix.from_columns(self.b_space.dim, self.constant_fields())
+            self._constants = consts, self.gram_b.compose(consts).transpose()
+        return self._constants
 
 
 def build_diagram(name: str, nx: int, ny: int, k: int, lx=1, ly=1) -> DiagramInstance:
@@ -241,17 +251,18 @@ def _kernel_is_weight(lines: list[dict[int, Fraction]], cell_size: int, ndofs: i
     owner: dict[int, int] = {}
     touched = bytearray(ndofs)
     for cell in range(ncells):
-        rows = lines[cell * cell_size:(cell + 1) * cell_size]
-        local: dict[int, int] = {}
-        for row in rows:
-            for d in row:
-                local.setdefault(d, len(local))
+        local: dict[int, list[tuple[int, int]]] = {}  # dof -> its column of the block
+        for i, row in enumerate(lines[cell * cell_size:(cell + 1) * cell_size]):
+            for d, v in row.items():
+                local.setdefault(d, [(0, 1)] * cell_size)[i] = (v.numerator, v.denominator)
         if not any(weight[d] for d in local):
             return False
-        key = tuple(tuple((local[d], v.numerator, v.denominator) for d, v in row.items())
-                    for row in rows)
+        # the rank does not depend on the order of the columns, so the block
+        # content is keyed with its columns sorted, whatever the dof numbers
+        key = tuple(sorted(map(tuple, local.values())))
         if key not in ranks:
-            block = [{local[d]: v for d, v in row.items()} for row in rows]
+            block = [{j: Fraction(*col[i]) for j, col in enumerate(key) if col[i][0]}
+                     for i in range(cell_size)]
             ranks[key] = prefix_ranks([block], [len(local) - 1])[0]
         if ranks[key] != len(local) - 1:
             return False
@@ -313,10 +324,9 @@ def certify_complex(inst: DiagramInstance) -> ComplexCertificate:
     """
     first, second = inst.first, inst.second
     dim_a, dim_b, dim_c = inst.a_space.dim, inst.b_space.dim, inst.c_space.dim
-    consts = OpMatrix.from_columns(dim_b, inst.constant_fields())
+    consts, gram_consts_t = inst.constant_operators()
     ones = inst.a_space.constant_vector(1)
     gram_spd = _gram_positive_definite(inst.gram_b)
-    gram_consts_t = inst.gram_b.compose(consts).transpose()
     composes_to_zero = second.compose(first).is_zero
     kills_constants = first.compose(OpMatrix.from_columns(dim_a, [ones])).is_zero
     second_kills_constants = second.compose(consts).is_zero
@@ -327,7 +337,7 @@ def certify_complex(inst: DiagramInstance) -> ComplexCertificate:
         OpMatrix.from_columns(dim_c, [inst.c_space.uniform_vector()]))
     uniform_orthogonal = gram_uniform.transpose().compose(second).is_zero
     weight_c = [_ZERO] * dim_c
-    for (r, _), v in gram_uniform.entries.items():
+    for r, v in gram_uniform.sparse_columns()[0].items():
         weight_c[r] = v
     stack_witnesses = (gram_spd and uniform_orthogonal and not gram_uniform.is_zero
                        and second_kills_constants and constants_orthogonal)

@@ -18,16 +18,22 @@ exact splitter never forms the adjoint.  It takes verify's certificate
 
 A batch of fields is split as one sparse matrix U of columns, never field by
 field: (G_b first)^T U and (G_b C)^T U (C the two constant fields) give every
-right-hand side, first X and C coeffs every curl and harmonic part, and
-(G_b first)^T D and (G_b C)^T D on the div columns D every certificate, one
-``OpMatrix.compose`` each (integer sums over one denominator per row and
-column).  Each of the two systems is solved for the whole batch at once by
-``exactla.LiftedSolver``: p-adic lifting mod one prime finds each solution,
-and a solution is kept only after an exact integer product with the
-system's scaled rows reproduces its right-hand side, so no modular value
-reaches a part unchecked.
-``hodge_report`` checks orthogonality the same way: G_b D and G_b H once per
-batch, then each pairing as an integer dot product.
+right-hand side, first X and C coeffs every curl and harmonic part, U minus
+those two every div part (the columns of D), and (G_b first)^T D and
+(G_b C)^T D every certificate.
+Each is one ``OpMatrix`` kernel on integer operators: numerators over one
+denominator per row, in int64 where a bound proven from the operands
+allows, else in Python ints (see ``sparse``).  (G_b C)^T is formed once
+per diagram instance (``DiagramInstance.constant_operators``), shared by
+``certify_complex`` and the splitter.  Each of the two systems is
+solved for the whole batch at once by ``exactla.LiftedSolver``: p-adic
+lifting mod one prime finds each solution, and a solution is kept only
+after an exact integer product with the system's scaled rows reproduces its
+right-hand side, so no modular value reaches a part unchecked.  Fractions
+are built only for the solver's sparse columns and for ``HodgeParts``.
+``hodge_report`` checks the parts the same way: G_b D and G_b H once per
+batch, then every pairing of matching columns as one exact integer sum
+(``OpMatrix.column_dots``).
 
 rank(adjoint) = rank(second), as G_b and G_c are invertible.  A float
 backend covers meshes beyond the exact-arithmetic budget; it never feeds
@@ -49,9 +55,9 @@ from .exactla import LiftedSolver, float_rank
 from .exactla import rank_nullspace  # unused; perfbench/tracing.py rebinds it here
 from .exactla import solve_square  # unused; perfbench/tracing.py rebinds it here
 from .fespace import DGVectorSpace
-from .operators import OpMatrix
 from .operators import adjoint  # unused; perfbench/tracing.py rebinds it here
 from .report import Report
+from .sparse import OpMatrix
 
 __all__ = [
     "HodgeParts",
@@ -92,14 +98,13 @@ class HodgeSplitter:
         self.inst = inst
         self.dim = inst.b_space.dim
         cert = certify_complex(inst)
+        self._consts, self._gram_consts_t = inst.constant_operators()
         self._gram_first_t = inst.gram_b.compose(inst.first).transpose()
         basis = cert.kills_constants and cert.rank_first == inst.a_space.dim - 1
         self.rank_first = cert.rank_first if basis else 0
         self._curl = LiftedSolver(_normal_columns(inst.first, self._gram_first_t)) if basis else None
         self.rank_adjoint = cert.rank_second if cert.kernel_is_range_plus_constants else 0
         self.constants = inst.constant_fields()
-        self._consts = OpMatrix.from_columns(self.dim, self.constants)
-        self._gram_consts_t = inst.gram_b.compose(self._consts).transpose()
         self._harmonic = LiftedSolver(self._gram_consts_t.compose(self._consts).sparse_columns())
 
     def split_batch(self, fields) -> list[HodgeParts]:
@@ -117,39 +122,24 @@ class HodgeSplitter:
             curl = first.compose(OpMatrix.from_columns(first.ncols, x))
         coeffs = self._harmonic.solve(gram_consts_t.compose(u).sparse_columns())
         harmonic = self._consts.compose(OpMatrix.from_columns(len(self.constants), coeffs))
-        div = _remainder(u, curl, harmonic)
+        div = u - curl - harmonic
         # a field is certified when its div column is G_b-orthogonal to first and the constants
-        off = {c for _, c in gram_first_t.compose(div).entries}
-        off |= {c for _, c in gram_consts_t.compose(div).entries}
-        return [HodgeParts(c, d, h, tuple(x), j not in off)
-                for j, (c, d, h, x) in enumerate(zip(_columns(curl), _columns(div),
-                                                     _columns(harmonic), coeffs))]
+        certified = [not (a or b) for a, b in zip(gram_first_t.compose(div).sparse_columns(),
+                                                  gram_consts_t.compose(div).sparse_columns())]
+        return [HodgeParts(c, d, h, tuple(x), ok)
+                for c, d, h, x, ok in zip(_columns(curl), _columns(div), _columns(harmonic),
+                                          coeffs, certified)]
 
     def split(self, field) -> HodgeParts:
         return self.split_batch([field])[0]
 
 
-def _remainder(u: OpMatrix, *parts: OpMatrix) -> OpMatrix:
-    """u minus the parts, all of one shape, summed as integers over one
-    denominator per column; cancelled sums are dropped."""
-    den: dict[int, int] = {}
-    for op in (u, *parts):
-        for (_, c), v in op.entries.items():
-            den[c] = math.lcm(den.get(c, 1), v.denominator)
-    acc = {key: v.numerator * (den[key[1]] // v.denominator) for key, v in u.entries.items()}
-    for op in parts:
-        for key, v in op.entries.items():
-            acc[key] = acc.get(key, 0) - v.numerator * (den[key[1]] // v.denominator)
-    out = OpMatrix(u.nrows, u.ncols)
-    out.entries = {key: Fraction(s, den[key[1]]) for key, s in acc.items() if s}
-    return out
-
-
 def _columns(op: OpMatrix) -> list[list[Fraction]]:
-    """The columns of op as dense vectors."""
+    """The columns of op as the dense vectors of ``HodgeParts``."""
     cols = [[_ZERO] * op.nrows for _ in range(op.ncols)]
-    for (r, c), v in op.entries.items():
-        cols[c][r] = v
+    for dense, col in zip(cols, op.sparse_columns()):
+        for r, v in col.items():
+            dense[r] = v
     return cols
 
 
@@ -163,26 +153,6 @@ def _drop_row(cols: list[dict[int, Fraction]], row: int) -> list[dict[int, Fract
 def _normal_columns(first: OpMatrix, gram_first_t: OpMatrix) -> list[dict[int, Fraction]]:
     """Sparse columns of (G_b first)^T first without its last row and column."""
     return _drop_row(gram_first_t.compose(first).sparse_columns()[:-1], first.ncols - 1)
-
-
-def _parts_sum_to(u, p: HodgeParts) -> bool:
-    """Whether curl + div + harmonic = u, as integer sums over one common
-    denominator."""
-    vectors = (p.curl, p.div, p.harmonic, u)
-    den = math.lcm(*(x.denominator for vec in vectors for x in vec if x))
-    return not any(c.numerator * (den // c.denominator) + d.numerator * (den // d.denominator)
-                   + h.numerator * (den // h.denominator) - x.numerator * (den // x.denominator)
-                   for c, d, h, x in zip(*vectors))
-
-
-def _pairing_vanishes(u, g_col: dict[int, Fraction]) -> bool:
-    """Whether u . g_col = 0, as an integer dot product of the two vectors,
-    each over its own common denominator."""
-    pairs = [(u[i], v) for i, v in g_col.items() if u[i]]
-    du = math.lcm(*(a.denominator for a, _ in pairs))
-    dg = math.lcm(*(b.denominator for _, b in pairs))
-    return not sum(a.numerator * (du // a.denominator) * b.numerator * (dg // b.denominator)
-                   for a, b in pairs)
 
 
 class FloatHodgeSplitter:
@@ -259,14 +229,16 @@ def hodge_report(name: str, nx: int, ny: int, k: int, fields: int = 20,
         rep.check("rank_identity", inst.b_space.dim, sp.rank_first + sp.rank_adjoint + 2)
         parts = sp.split_batch(us)
         dim = inst.b_space.dim
-        g_div = inst.gram_b.compose(OpMatrix.from_columns(dim, [p.div for p in parts])).sparse_columns()
-        g_harmonic = inst.gram_b.compose(
-            OpMatrix.from_columns(dim, [p.harmonic for p in parts])).sparse_columns()
-        sums = sum(1 for u, p in zip(us, parts) if _parts_sum_to(u, p))
-        orth = sum(1 for p, gd, gh in zip(parts, g_div, g_harmonic)
-                   if _pairing_vanishes(p.curl, gd)
-                   and _pairing_vanishes(p.curl, gh)
-                   and _pairing_vanishes(p.div, gh))
+        curl, div, harmonic = (OpMatrix.from_columns(dim, [getattr(p, part) for p in parts])
+                               for part in ("curl", "div", "harmonic"))
+        # one integer kernel per check over the whole batch: field j passes
+        # when column j of the residual, or of each pairing, is zero
+        residual = curl + div + harmonic - OpMatrix.from_columns(dim, us)
+        g_div, g_harmonic = inst.gram_b.compose(div), inst.gram_b.compose(harmonic)
+        pairings = [a.column_dots(g).sparse_columns()
+                    for a, g in ((curl, g_div), (curl, g_harmonic), (div, g_harmonic))]
+        sums = sum(1 for col in residual.sparse_columns() if not col)
+        orth = sum(1 for cols in zip(*pairings) if not any(cols))
         const = sum(1 for p in parts if p.harmonic_is_constant)
         rep.check("parts_sum_to_input", fields, sums)
         rep.check("parts_pairwise_orthogonal", fields, orth)
@@ -316,18 +288,32 @@ def save_field(path: str, space: DGVectorSpace, coeffs) -> None:
 
 
 def load_field(path: str) -> tuple[dict, list]:
-    """Read a field written by ``save_field``.  A coefficient that does not
-    parse or has a zero denominator, or a coefficient count other than the
-    space's ``dim``, raises ``ValueError``."""
+    """Read a field written by ``save_field``.  A file that is not a JSON
+    object with ``"space"`` (an object with an integer ``"dim"``) and
+    ``"coeffs"`` (a list), a coefficient that does not parse or has a zero
+    denominator, or a coefficient count other than ``dim`` raises
+    ``ValueError`` naming the path."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path} is not JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: the top level is not a JSON object")
     if doc.get("schema") != 1:
         raise ValueError(f"unsupported field schema in {path}")
+    space, raw = doc.get("space"), doc.get("coeffs")
+    if not isinstance(space, dict) or not isinstance(space.get("dim"), int):
+        raise ValueError(f"{path}: \"space\" must be an object with an integer \"dim\"")
+    if not isinstance(raw, list):
+        raise ValueError(f"{path}: \"coeffs\" must be a list")
     try:
-        coeffs = [Fraction(v) if isinstance(v, str) else float(v) for v in doc["coeffs"]]
+        coeffs = [Fraction(v) if isinstance(v, str) else float(v) for v in raw]
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in a coefficient of {path}") from exc
-    dim = doc["space"]["dim"]
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: a coefficient does not parse: {exc}") from exc
+    dim = space["dim"]
     if len(coeffs) != dim:
         raise ValueError(f"{path} has {len(coeffs)} coefficients for a space of dim {dim}")
-    return doc["space"], coeffs
+    return space, coeffs

@@ -430,9 +430,6 @@ class RefEdge:
         d = self.direction
         return (d[1], -d[0])
 
-    def restrict(self, p: Poly) -> EdgePoly:
-        return restrict_to_segment(p, self.start, self.direction)
-
     def normal_trace(self, u: VecPoly) -> EdgePoly:
         return segment_trace(u, self.start, self.direction, self.outward)
 
@@ -464,9 +461,6 @@ class RefCell(Enum):
         for (a, b), v in p.terms():
             total += v * self.moment(a, b)
         return total
-
-    def integrate_product(self, p: Poly, q: Poly) -> Fraction:
-        return self.integrate(p * q)
 
 
 @lru_cache(maxsize=None)

@@ -1,0 +1,487 @@
+"""Exact sparse matrices, stored once as integers.
+
+An ``OpMatrix`` is row-compressed: integer numerators over one positive
+denominator per row, the least common denominator of the row.  Numerators
+and denominators are int64 arrays when every value fits a machine word and
+object arrays of Python ints otherwise.  Every product, sum and transpose
+is an integer kernel over whole arrays.  It runs in int64 only when a bound
+computed from its operands in Python integers proves that no product or
+partial sum reaches 2**63, and otherwise runs the same code on object
+arrays, so nothing wraps.  ``Fraction``s are built only where a caller
+asks for them (``entries``, ``sparse_rows``, ``columns``, ...).
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+import math
+from fractions import Fraction
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
+
+__all__ = ["OpMatrix", "load_matrix"]
+
+_ZERO = Fraction(0)
+_WORD = 1 << 63  # every int64 value stored here has |v| < _WORD
+_FLOAT_EXACT = 1 << 53  # integers up to this convert to float exactly
+_EMPTY = np.zeros(0, dtype=np.int64)
+_EMPTY.flags.writeable = False
+
+
+def _ints(values) -> np.ndarray:
+    """Python ints as an int64 array when every |value| < 2**63, else as an
+    object array of the same ints."""
+    try:
+        out = np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+    if out.size and out.min() == -_WORD:
+        return out.astype(object)
+    return out
+
+
+def _max_abs(a: np.ndarray) -> int:
+    return int(abs(a).max()) if a.size else 0
+
+
+def _word_dtype(bound: int):
+    """int64 when ``bound``, proven to cap every value the caller computes,
+    is below 2**63; else object.  Every choice of dtype from a bound goes
+    through it (``_ints`` reads Python ints, whose fit numpy itself checks)."""
+    return np.int64 if bound < _WORD else object
+
+
+def _narrow(a: np.ndarray) -> np.ndarray:
+    """An object array as int64 when every value fits; int64 as it is."""
+    return a if a.dtype != object else a.astype(_word_dtype(_max_abs(a)))
+
+
+def _quotients(total: int, dens: np.ndarray, dtype) -> np.ndarray:
+    """total // dens for positive dens dividing total, in ``dtype``; the
+    caller has proven that the quotients fit it.  The division runs in the
+    dtype of ``total``, which every divisor fits too."""
+    wide = _word_dtype(total)
+    quotients = np.array(total, dtype=wide) // dens.astype(wide, copy=False)
+    return quotients.astype(dtype, copy=False)
+
+
+def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b entrywise, in int64 when max |a| times max |b| is below 2**63."""
+    dtype = _word_dtype(_max_abs(a) * _max_abs(b))
+    return a.astype(dtype, copy=False) * b.astype(dtype, copy=False)
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The start and the length of each run of equal values in a sorted,
+    nonempty array."""
+    new = np.empty(keys.size, dtype=bool)
+    new[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    starts = new.nonzero()[0]
+    lengths = np.empty_like(starts)
+    lengths[:-1] = starts[1:] - starts[:-1]
+    lengths[-1] = keys.size - starts[-1]
+    return starts, lengths
+
+
+def _spans(lengths: np.ndarray, firsts: np.ndarray) -> np.ndarray:
+    """The concatenated ranges firsts[i], firsts[i] + 1, ..., of the given
+    lengths."""
+    ends = lengths.cumsum()
+    return np.arange(ends[-1] if ends.size else 0) + (firsts - ends + lengths).repeat(lengths)
+
+
+class OpMatrix:
+    """Sparse exact matrix with domain/codomain tags.
+
+    Row r holds the columns ``cols[ptr[r]:ptr[r + 1]]`` in increasing order
+    and their nonzero integer numerators over the row's denominator, the
+    least common denominator of its entries (1 for an empty row).  The
+    storage is frozen when the matrix is built: ``compose``, ``transpose``,
+    ``+`` and ``-`` return new matrices, and ``entries`` is a
+    read-only view.
+
+    ``compose`` expands every pair of matching nonzeros, sorts the products
+    by output position, sums each run with ``np.add.reduceat`` and drops
+    the sums that cancel.  The right factor's rows are put over one
+    denominator L first.  The kernel runs in int64 only when the longest
+    row of the left factor times its largest numerator times the largest
+    scaled numerator of the right factor is below 2**63; that bound caps
+    every product and partial sum.  Otherwise the same code runs on object
+    arrays.
+    """
+
+    def __init__(self, nrows: int, ncols: int, domain: str = "", codomain: str = ""):
+        """The zero matrix of this shape."""
+        self._set(nrows, ncols, np.zeros(nrows + 1, dtype=np.int64), _EMPTY, _EMPTY, _EMPTY,
+                  None, domain, codomain)
+
+    def _set(self, nrows: int, ncols: int, ptr: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+             num: np.ndarray, den: np.ndarray | None, domain: str, codomain: str) -> None:
+        """Freeze the storage: row pointers, row-major nonzeros and the row
+        denominators (all 1 when None)."""
+        self.nrows = nrows
+        self.ncols = ncols
+        self.domain = domain
+        self.codomain = codomain
+        self._ptr = ptr
+        self._rows = rows  # the row of each nonzero
+        self._cols = cols
+        self._num = num
+        self._den = np.ones(nrows, dtype=np.int64) if den is None else den
+        for a in (self._ptr, rows, cols, num, self._den):
+            a.flags.writeable = False
+
+    @classmethod
+    def _from_sorted(cls, nrows: int, ncols: int, rows: np.ndarray, cols: np.ndarray,
+                     num: np.ndarray, den: np.ndarray | int, domain: str = "",
+                     codomain: str = "") -> "OpMatrix":
+        """The matrix with entries num / den[row] at (rows, cols), given in
+        row-major order at distinct positions, every num nonzero and every
+        den positive; ``den`` is one per row or one for all.  Each row's
+        numerators and denominator are divided by their gcd, which leaves
+        the row's least common denominator (1 for an empty row)."""
+        if not num.size:
+            return cls(nrows, ncols, domain, codomain)
+        out = cls.__new__(cls)
+        counts = np.bincount(rows, minlength=nrows)
+        ptr = np.zeros(nrows + 1, dtype=np.int64)
+        counts.cumsum(out=ptr[1:])
+        if isinstance(den, int) and den == 1:  # integers: every row is reduced
+            out._set(nrows, ncols, ptr, rows, cols, _narrow(num), None, domain, codomain)
+            return out
+        used = counts.nonzero()[0]
+        starts, lengths = ptr[used], counts[used]
+        if isinstance(den, int):
+            den = np.array(den, dtype=_word_dtype(den))
+        else:
+            den = den[used]
+        g = np.gcd(np.gcd.reduceat(num, starts), den)
+        reduced = _narrow(den // g)
+        row_den = np.ones(nrows, dtype=reduced.dtype)
+        row_den[used] = reduced
+        out._set(nrows, ncols, ptr, rows, cols, _narrow(num // g.repeat(lengths)), row_den,
+                 domain, codomain)
+        return out
+
+    @classmethod
+    def _from_triplets(cls, nrows: int, ncols: int, rows: np.ndarray, cols: np.ndarray,
+                       num: np.ndarray, den: np.ndarray, domain: str = "",
+                       codomain: str = "") -> "OpMatrix":
+        """The matrix with entries num / den at (rows, cols), in any order,
+        dens positive.  Repeated positions are summed, and a sum that
+        cancels leaves no entry.  Every value is put over L, the lcm of the
+        dens, and the sums run in int64 when the most repeats at one
+        position times max |num| times L / min(den) is below 2**63."""
+        if not num.size:
+            return cls(nrows, ncols, domain, codomain)
+        keys = rows * ncols + cols
+        order = keys.argsort(kind="stable")
+        keys = keys[order]
+        starts, repeats = _runs(keys)
+        dens = set(den.tolist())
+        total = math.lcm(*dens)
+        dtype = _word_dtype(int(repeats.max()) * _max_abs(num) * (total // min(dens)))
+        sums = np.add.reduceat(num[order].astype(dtype, copy=False)
+                               * _quotients(total, den[order], dtype), starts)
+        keep = sums != 0
+        keys = keys[starts[keep]]
+        return cls._from_sorted(nrows, ncols, keys // ncols, keys % ncols, sums[keep], total,
+                                domain, codomain)
+
+    @classmethod
+    def from_entries(cls, nrows: int, ncols: int, entries: Mapping[tuple[int, int], Fraction],
+                     domain: str = "", codomain: str = "") -> "OpMatrix":
+        """The matrix with these ``{(row, col): value}`` entries."""
+        items = [(r, c, Fraction(v)) for (r, c), v in entries.items() if v]
+        for r, c, _ in items:
+            if not (0 <= r < nrows and 0 <= c < ncols):
+                raise ValueError(f"entry ({r}, {c}) outside the {nrows}x{ncols} shape")
+        return cls._from_triplets(
+            nrows, ncols, np.array([r for r, _, _ in items], dtype=np.int64),
+            np.array([c for _, c, _ in items], dtype=np.int64),
+            _ints([v.numerator for _, _, v in items]),
+            _ints([v.denominator for _, _, v in items]), domain, codomain)
+
+    @classmethod
+    def from_stamps(cls, nrows: int, ncols: int,
+                    placed: Iterable[tuple[Sequence[tuple[int, int, Fraction]], Sequence[int],
+                                           Sequence[Sequence[int]]]],
+                    domain: str = "", codomain: str = "") -> "OpMatrix":
+        """The matrix of stamps placed at many places.  Each item is a stamp,
+        its nonzeros ``(i, j, v)``, with the row offset and the column map
+        of every place it goes: ``v`` lands at ``(base + i, cols[j])``.
+
+        Each stamp is read once; every place is filled by one integer gather
+        over all stamps.  A position stamped again gets the exact sum, and a
+        sum that cancels leaves no entry.
+        """
+        si, sj, nums, dens = [], [], [], []  # the nonzeros of every stamp, stamp after stamp
+        starts, lengths, bases, col_maps = [], [], [], []  # per place
+        for stamp, where, cols_at in placed:
+            starts += [len(si)] * len(where)
+            lengths += [len(stamp)] * len(where)
+            bases += where
+            col_maps += cols_at
+            for i, j, v in stamp:
+                si.append(i)
+                sj.append(j)
+                nums.append(v.numerator)
+                dens.append(v.denominator)
+        counts = np.array(lengths, dtype=np.int64)
+        total = int(counts.sum())
+        if not total:
+            return cls(nrows, ncols, domain, codomain)
+        widths = np.array([len(cols) for cols in col_maps], dtype=np.int64)
+        flat = np.fromiter(itertools.chain.from_iterable(col_maps), dtype=np.int64,
+                           count=int(widths.sum()))
+        place = np.arange(counts.size).repeat(counts)
+        entry = _spans(counts, np.array(starts, dtype=np.int64))
+        rows = np.array(bases, dtype=np.int64)[place] + np.array(si, dtype=np.int64)[entry]
+        cols = flat[(widths.cumsum() - widths)[place] + np.array(sj, dtype=np.int64)[entry]]
+        return cls._from_triplets(nrows, ncols, rows, cols, _ints(nums)[entry],
+                                  _ints(dens)[entry], domain, codomain)
+
+    @classmethod
+    def from_columns(cls, nrows: int, vectors: Sequence[Sequence[Fraction]]) -> "OpMatrix":
+        """The dense vectors, each of length nrows, as the columns of one
+        sparse matrix."""
+        if any(len(vec) != nrows for vec in vectors):
+            raise ValueError(f"a column of from_columns is not of length {nrows}")
+        values = [v for vec in vectors for v in vec]
+        num = _ints([v.numerator for v in values])
+        at = num.nonzero()[0]
+        return cls._from_triplets(nrows, len(vectors), at % max(nrows, 1), at // max(nrows, 1),
+                                  num[at], _ints([v.denominator for v in values])[at])
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.nrows, self.ncols)
+
+    @property
+    def nnz(self) -> int:
+        return int(self._cols.size)
+
+    def _items(self) -> Iterable[tuple[int, int, Fraction]]:
+        """(row, col, value) of every nonzero in row-major order, as Python
+        ints and Fractions; equal values share one Fraction."""
+        values: dict[tuple[int, int], Fraction] = {}
+        dens = self._den.tolist()
+        for r, c, n in zip(self._rows.tolist(), self._cols.tolist(), self._num.tolist()):
+            key = (n, dens[r])
+            v = values.get(key)
+            if v is None:
+                v = values[key] = Fraction(n, dens[r])
+            yield r, c, v
+
+    @property
+    def entries(self) -> Mapping[tuple[int, int], Fraction]:
+        """Read-only ``{(row, col): value}`` view of the nonzeros, built on
+        each access; ``+`` and ``-`` make a changed matrix."""
+        return MappingProxyType({(r, c): v for r, c, v in self._items()})
+
+    def _combine(self, other: "OpMatrix", sign: int) -> "OpMatrix":
+        if self.shape != other.shape:
+            raise ValueError("shape mismatch in a matrix sum")
+        return OpMatrix._from_triplets(
+            self.nrows, self.ncols, np.concatenate((self._rows, other._rows)),
+            np.concatenate((self._cols, other._cols)),
+            np.concatenate((self._num, sign * other._num)),
+            np.concatenate((self._den[self._rows], other._den[other._rows])),
+            self.domain, self.codomain)
+
+    def __add__(self, other: "OpMatrix") -> "OpMatrix":
+        return self._combine(other, 1)
+
+    def __sub__(self, other: "OpMatrix") -> "OpMatrix":
+        return self._combine(other, -1)
+
+    def dense_rows(self) -> list[list[Fraction]]:
+        rows = [[_ZERO] * self.ncols for _ in range(self.nrows)]
+        for r, c, v in self._items():
+            rows[r][c] = v
+        return rows
+
+    def float_array(self) -> np.ndarray:
+        """Float copy for the numerical cross-checks: each entry is its
+        numerator over its row denominator, correctly rounded as
+        ``float(Fraction)`` is."""
+        out = np.zeros((self.nrows, self.ncols))
+        num, den = self._num, self._den[self._rows]
+        if _max_abs(num) <= _FLOAT_EXACT and _max_abs(den) <= _FLOAT_EXACT:
+            out[self._rows, self._cols] = num.astype(float) / den.astype(float)
+        else:  # Python's int division rounds once
+            out[self._rows, self._cols] = (num.astype(object) / den.astype(object)).astype(float)
+        return out
+
+    def columns(self) -> list[list[Fraction]]:
+        cols = [[_ZERO] * self.nrows for _ in range(self.ncols)]
+        for r, c, v in self._items():
+            cols[c][r] = v
+        return cols
+
+    def column(self, j: int) -> list[Fraction]:
+        col = [_ZERO] * self.nrows
+        for r, c, v in self._items():
+            if c == j:
+                col[r] = v
+        return col
+
+    def sparse_rows(self) -> list[dict[int, Fraction]]:
+        """Rows as column -> value dicts."""
+        rows: list[dict[int, Fraction]] = [{} for _ in range(self.nrows)]
+        for r, c, v in self._items():
+            rows[r][c] = v
+        return rows
+
+    def sparse_columns(self) -> list[dict[int, Fraction]]:
+        """Columns as row -> value dicts."""
+        cols: list[dict[int, Fraction]] = [{} for _ in range(self.ncols)]
+        for r, c, v in self._items():
+            cols[c][r] = v
+        return cols
+
+    def transpose(self) -> "OpMatrix":
+        return OpMatrix._from_triplets(self.ncols, self.nrows, self._cols, self._rows, self._num,
+                                       self._den[self._rows], self.codomain, self.domain)
+
+    def matvec(self, v: Sequence[Fraction]) -> list[Fraction]:
+        return self.compose(OpMatrix.from_columns(self.ncols, [v])).column(0)
+
+    def rmatvec(self, v: Sequence[Fraction]) -> list[Fraction]:
+        """Transpose times vector."""
+        return self.transpose().matvec(v)
+
+    def compose(self, other: "OpMatrix") -> "OpMatrix":
+        """Matrix product self @ other, exact and sparse: one integer kernel
+        over every pair of matching nonzeros; cancelled sums are dropped."""
+        if self.ncols != other.nrows:
+            raise ValueError("shape mismatch in compose")
+        inner = self._cols
+        firsts = other._ptr[inner]
+        lengths = other._ptr[inner + 1] - firsts
+        if not lengths.any():
+            return OpMatrix(self.nrows, other.ncols, other.domain, self.codomain)
+        dens = set(other._den.tolist())
+        scale = math.lcm(*dens)
+        longest = int((self._ptr[1:] - self._ptr[:-1]).max())
+        bound = longest * _max_abs(self._num) * _max_abs(other._num) * (scale // min(dens))
+        dtype = _word_dtype(bound)
+        right = (other._num.astype(dtype, copy=False)
+                 * _quotients(scale, other._den[other._rows], dtype))
+        # pair each nonzero a_rk of self with every nonzero of row k of other
+        pos = _spans(lengths, firsts)
+        pair = np.arange(inner.size).repeat(lengths)
+        keys = self._rows[pair] * other.ncols + other._cols[pos]
+        order = keys.argsort(kind="stable")
+        keys = keys[order]
+        starts, _ = _runs(keys)
+        sums = np.add.reduceat(self._num.astype(dtype, copy=False)[pair[order]]
+                               * right[pos[order]], starts)
+        keep = sums != 0
+        keys = keys[starts[keep]]
+        den = self._den.astype(_word_dtype(_max_abs(self._den) * scale), copy=False) * scale
+        return OpMatrix._from_sorted(self.nrows, other.ncols, keys // other.ncols,
+                                     keys % other.ncols, sums[keep], den,
+                                     other.domain, self.codomain)
+
+    def column_dots(self, other: "OpMatrix") -> "OpMatrix":
+        """The 1 x ncols matrix of the dot products of matching columns of
+        self and other: the products at shared positions, summed exactly
+        per column."""
+        if self.shape != other.shape:
+            raise ValueError("shape mismatch in column_dots")
+        _, ia, ib = np.intersect1d(self._rows * self.ncols + self._cols,
+                                   other._rows * self.ncols + other._cols,
+                                   assume_unique=True, return_indices=True)
+        rows = self._rows[ia]
+        return OpMatrix._from_triplets(1, self.ncols, np.zeros_like(rows), self._cols[ia],
+                                       _products(self._num[ia], other._num[ib]),
+                                       _products(self._den[rows], other._den[rows]))
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._cols.size
+
+    def export(self, path: str, meta: dict | None = None) -> None:
+        """Write a MatrixMarket-style file with exact ``p/q`` entries, each
+        reduced by the gcd of its numerator and its row denominator."""
+        header = {
+            "schema": 1,
+            "domain": self.domain,
+            "codomain": self.codomain,
+            "nrows": self.nrows,
+            "ncols": self.ncols,
+            "nnz": self.nnz,
+        }
+        if meta:
+            header.update(meta)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("%%MatrixMarket matrix coordinate rational general\n")
+            fh.write("%json " + json.dumps(header, sort_keys=True) + "\n")
+            fh.write(f"{self.nrows} {self.ncols} {self.nnz}\n")
+            den = self._den[self._rows]
+            g = np.gcd(self._num, den)
+            fh.writelines(f"{r + 1} {c + 1} {p}/{q}\n" for r, c, p, q in zip(
+                self._rows.tolist(), self._cols.tolist(), (self._num // g).tolist(),
+                (den // g).tolist()))
+
+    def __repr__(self) -> str:
+        return f"OpMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
+
+
+def load_matrix(path: str) -> OpMatrix:
+    """Read a file written by ``OpMatrix.export``.  A missing or malformed
+    size or ``%json`` line, an entry outside the shape, with a zero
+    denominator or that does not parse raises ``ValueError`` naming the
+    path and the line."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    meta = {}
+    body = []
+    for lineno, line in enumerate(lines, 1):
+        if line.startswith("%json "):
+            try:
+                meta = json.loads(line[len("%json "):])
+                if not isinstance(meta, dict):
+                    raise ValueError("the %json header is not an object")
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {lineno}: {exc}") from exc
+        elif line.startswith("%"):
+            continue
+        elif line.strip():
+            body.append((lineno, line))
+    if not body:
+        raise ValueError(f"{path}: no size line")
+    lineno, line = body[0]
+    try:
+        sizes = [int(tok) for tok in line.split()]
+        if len(sizes) != 3 or min(sizes) < 0:
+            raise ValueError(f"the size line needs 3 integers >= 0, got {line!r}")
+    except ValueError as exc:
+        raise ValueError(f"{path}, line {lineno}: {exc}") from exc
+    nrows, ncols, nnz = sizes
+    entries: dict[tuple[int, int], Fraction] = {}
+    for lineno, line in body[1:]:
+        try:
+            r, c, val = line.split()
+            num, den = val.split("/")
+            r, c, num, den = int(r), int(c), int(num), int(den)
+            if not (1 <= r <= nrows and 1 <= c <= ncols):
+                raise ValueError(f"entry ({r}, {c}) outside the {nrows}x{ncols} shape")
+            if not den:
+                raise ValueError(f"zero denominator in {val!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {lineno}: {exc}") from exc
+        key = (r - 1, c - 1)
+        entries[key] = entries.get(key, 0) + Fraction(num, den)
+    out = OpMatrix.from_entries(nrows, ncols, entries, meta.get("domain", ""),
+                                meta.get("codomain", ""))
+    if out.nnz != nnz:
+        raise ValueError(f"nnz mismatch reading {path}")
+    return out
+
+

@@ -36,6 +36,11 @@ from derham.exactla import exact_rank, rank_nullspace, span_compare
 from derham.operators import GramMatrix, OpMatrix
 
 
+def perturbed(op, deltas):
+    """op with each ``{(row, col): delta}`` added, as a new matrix."""
+    return op + OpMatrix.from_entries(op.nrows, op.ncols, deltas)
+
+
 def check_dicts(report):
     return [c.to_dict() for c in report.checks]
 
@@ -179,13 +184,12 @@ def broken_build(mutate):
 
 
 def perturb_second(inst):
-    key = min(inst.second.entries)
-    inst.second.entries[key] += 1
+    inst.second = perturbed(inst.second, {min(inst.second.entries): 1})
 
 
 def zero_first_column(inst):
-    for key in [key for key in inst.first.entries if key[1] == 0]:
-        del inst.first.entries[key]
+    inst.first = perturbed(inst.first, {key: -v for key, v in inst.first.entries.items()
+                                        if key[1] == 0})
 
 
 def run_broken(monkeypatch, mutate):
@@ -204,7 +208,7 @@ def run_broken(monkeypatch, mutate):
 def perturb_entry(attr):
     def mutate(inst, rng):
         op = getattr(inst, attr)
-        op.entries[rng.choice(sorted(op.entries))] += 1
+        setattr(inst, attr, perturbed(op, {rng.choice(sorted(op.entries)): 1}))
     return mutate
 
 
@@ -217,20 +221,19 @@ def tilt_first_row(inst, rng):
         row = rng.choice(rows)
         keys = sorted(key for key in inst.first.entries if key[0] == row)
     plus, minus = rng.sample(keys, 2)
-    inst.first.entries[plus] += 1
-    inst.first.entries[minus] -= 1
+    inst.first = perturbed(inst.first, {plus: 1, minus: -1})
 
 
 def zero_seeded_first_column(inst, rng):
     col = rng.randrange(inst.first.ncols)
-    for key in [key for key in inst.first.entries if key[1] == col]:
-        del inst.first.entries[key]
+    inst.first = perturbed(inst.first, {key: -v for key, v in inst.first.entries.items()
+                                        if key[1] == col})
 
 
 def drop_seeded_second_row(inst, rng):
     row = rng.randrange(inst.second.nrows)
-    for key in [key for key in inst.second.entries if key[0] == row]:
-        del inst.second.entries[key]
+    inst.second = perturbed(inst.second, {key: -v for key, v in inst.second.entries.items()
+                                          if key[0] == row})
 
 
 BROKEN = {"perturb_first": perturb_entry("first"), "perturb_second": perturb_entry("second"),
@@ -292,9 +295,7 @@ def naive_with(monkeypatch, mutate):
     original = complexcheck.assemble_div_distributional
 
     def assemble(b_space, c_space):
-        op = original(b_space, c_space)
-        mutate(op, c_space)
-        return op
+        return mutate(original(b_space, c_space), c_space)
 
     monkeypatch.setattr(complexcheck, "assemble_div_distributional", assemble)
     with monkeypatch.context() as m:
@@ -315,14 +316,12 @@ def naive_with(monkeypatch, mutate):
 
 def perturb_face_entry(op, c_space):
     face_row = c_space.face_offset(0)
-    key = min(key for key in op.entries if key[0] == face_row)
-    op.entries[key] += Fraction(1, 2)
+    return perturbed(op, {min(key for key in op.entries if key[0] == face_row): Fraction(1, 2)})
 
 
 def scale_first_column(op, c_space):
     """Same rank, but the kernel is scaled off the strips."""
-    for key in [key for key in op.entries if key[1] == 0]:
-        op.entries[key] *= 2
+    return perturbed(op, {key: v for key, v in op.entries.items() if key[1] == 0})
 
 
 def test_naive_perturbed_face_entry_fails(monkeypatch):
@@ -513,9 +512,9 @@ def test_unlucky_prime_on_cell_blocks(monkeypatch):
 
 def cell_block(op, cell_size, cell=0):
     """Rows cell * cell_size ... of op, as dense rows over the columns they touch."""
-    keys = [key for key in op.entries if key[0] // cell_size == cell]
-    cols = sorted({c for _, c in keys})
-    return [[op.entries.get((r, c), 0) for c in cols]
+    entries = op.entries
+    cols = sorted({c for r, c in entries if r // cell_size == cell})
+    return [[entries.get((r, c), 0) for c in cols]
             for r in range(cell * cell_size, (cell + 1) * cell_size)]
 
 
@@ -524,11 +523,11 @@ def perturb_cell_block(inst):
     the block nonsingular: local kernel 0."""
     size = inst.b_space.local_dim
     for key in sorted(key for key in inst.first.entries if key[0] < size):
-        inst.first.entries[key] += 1
-        block = cell_block(inst.first, size)
+        changed = perturbed(inst.first, {key: 1})
+        block = cell_block(changed, size)
         if exact_rank(block) == len(block[0]):
+            inst.first = changed
             return
-        inst.first.entries[key] -= 1
     raise AssertionError("no entry makes the block nonsingular")
 
 
@@ -539,8 +538,8 @@ def zero_cell_block_row(inst):
     block = cell_block(inst.first, size)
     rank = exact_rank(block)
     row = next(r for r in range(size) if exact_rank(block[:r] + block[r + 1:]) < rank)
-    for key in [key for key in inst.first.entries if key[0] == row]:
-        del inst.first.entries[key]
+    inst.first = perturbed(inst.first, {key: -v for key, v in inst.first.entries.items()
+                                        if key[0] == row})
 
 
 @pytest.mark.parametrize("mutate,kernel", [(perturb_cell_block, 0), (zero_cell_block_row, 2)])

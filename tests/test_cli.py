@@ -10,6 +10,7 @@ import pytest
 
 from derham import complexcheck
 from derham.cli import k_range, main
+from derham.operators import OpMatrix
 
 
 def run(capsys, *argv):
@@ -161,7 +162,9 @@ def test_width_cap_exits_2_on_broken_diagram(capsys, monkeypatch):
 
     def broken(*args, **kwargs):
         inst = build_diagram(*args, **kwargs)
-        inst.second.entries[min(inst.second.entries)] += 1
+        second = inst.second
+        inst.second = second + OpMatrix.from_entries(second.nrows, second.ncols,
+                                                     {min(second.entries): 1})
         return inst
 
     monkeypatch.setattr(complexcheck, "build_diagram", broken)

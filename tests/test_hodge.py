@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -47,6 +48,19 @@ def test_parts_sum_and_orthogonality(tri_instance, tri_splitter):
         assert gram.inner(parts.curl, parts.harmonic) == 0
         assert gram.inner(parts.div, parts.harmonic) == 0
         assert parts.harmonic_is_constant
+
+
+def test_constant_operators_are_formed_once(monkeypatch):
+    """certify_complex and the splitter share one C and one (G_b C)^T."""
+    inst = build_diagram("tri-dp", 2, 2, 1)
+    calls = []
+    compose = type(inst.gram_b).compose
+    monkeypatch.setattr(type(inst.gram_b), "compose",
+                        lambda self, op: calls.append(op) or compose(self, op))
+    sp = HodgeSplitter(inst)
+    consts, gram_consts_t = inst.constant_operators()
+    assert sp._consts is consts and sp._gram_consts_t is gram_consts_t
+    assert sum(op is consts for op in calls) == 1
 
 
 def test_constant_field_is_purely_harmonic(tri_instance, tri_splitter):
@@ -203,4 +217,22 @@ def test_load_field_rejects_bad_fields(tmp_path, tri_instance):
     doc["coeffs"] = ["1/0"] * space.dim
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ValueError, match="^zero denominator in a coefficient of "):
+        load_field(str(path))
+
+
+@pytest.mark.parametrize("doc,reason", [
+    ([1, 2], "the top level is not a JSON object"),
+    ({"schema": 1, "coeffs": []}, '"space" must be an object with an integer "dim"'),
+    ({"schema": 1, "space": {"space": "dg_vector"}, "coeffs": []},
+     '"space" must be an object with an integer "dim"'),
+    ({"schema": 1, "space": {"dim": 0}}, '"coeffs" must be a list'),
+    ({"schema": 1, "space": {"dim": 1}, "coeffs": ["one"]}, "a coefficient does not parse"),
+], ids=["not-object", "no-space", "no-dim", "no-coeffs", "unparsed"])
+def test_load_field_rejects_bad_headers(tmp_path, doc, reason):
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(reason)}"):
+        load_field(str(path))
+    path.write_text("{", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))} is not JSON"):
         load_field(str(path))

@@ -2,11 +2,15 @@
 
 import random
 import re
+import tempfile
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from derham import exactla, operators
 from derham.complexcheck import build_diagram
@@ -15,16 +19,14 @@ from derham.mesh import MeshKind, build_mesh
 from derham.operators import (
     GramMatrix,
     MembershipError,
-    OpMatrix,
-    _scatter,
     adjoint,
     assemble_curl_distributional,
     assemble_div_distributional,
     assemble_grad,
     assemble_grad_perp,
     assemble_gram,
-    load_matrix,
 )
+from derham.sparse import OpMatrix, load_matrix
 
 F = Fraction
 
@@ -62,11 +64,8 @@ def test_float_array_matches_dense_rows(tri_spaces):
 
 
 def op_from_rows(rows):
-    out = OpMatrix(len(rows), len(rows[0]))
-    for r, row in enumerate(rows):
-        for c, v in enumerate(row):
-            out.add(r, c, F(v))
-    return out
+    entries = {(r, c): F(v) for r, row in enumerate(rows) for c, v in enumerate(row)}
+    return OpMatrix.from_entries(len(rows), len(rows[0]), entries)
 
 
 def dense_product(left, right):
@@ -176,11 +175,15 @@ def test_cell_factor_guard():
 
 
 def test_scatter_sums_repeated_positions():
-    out = OpMatrix(3, 3)
-    _scatter(out, [(0, 0, F(1, 2)), (1, 2, F(3))], 1, [2, 0, 1])
+    stamp = [(0, 0, F(1, 2)), (1, 2, F(3))]
+    out = OpMatrix.from_stamps(3, 3, [(stamp, [1], [[2, 0, 1]])])
     assert out.entries == {(1, 2): F(1, 2), (2, 1): F(3)}
-    _scatter(out, [(0, 0, F(1, 3)), (1, 2, F(-3))], 1, [2, 0, 1])
+    again = [(0, 0, F(1, 3)), (1, 2, F(-3))]
+    out = OpMatrix.from_stamps(3, 3, [(stamp, [1], [[2, 0, 1]]), (again, [1], [[2, 0, 1]])])
     assert out.entries == {(1, 2): F(5, 6)}
+    # one stamp placed at two places
+    out = OpMatrix.from_stamps(3, 3, [(stamp, [0, 1], [[2, 0, 1], [0, 1, 2]])])
+    assert out.entries == {(0, 2): F(1, 2), (1, 1): F(3), (1, 0): F(1, 2), (2, 2): F(3)}
 
 
 def test_stamps_are_formed_per_key(monkeypatch):
@@ -252,3 +255,145 @@ def test_naive_quad_has_no_cell_divergence():
     second = assemble_div_distributional(b, c)
     assert second.shape == (c.dim, b.dim)
     assert not second.is_zero
+
+
+@pytest.mark.parametrize("text,reason", [
+    ("", r": no size line$"),
+    ("%%MatrixMarket matrix coordinate rational general\n", r": no size line$"),
+    ("%%MatrixMarket matrix coordinate rational general\n2 2\n",
+     r", line 2: the size line needs 3 integers >= 0, got '2 2'$"),
+    ("2 two 1\n1 1 1/1\n", r", line 1: invalid literal"),
+    ("2 -2 0\n", r", line 1: the size line needs 3 integers >= 0"),
+    ("%json [1, 2]\n2 2 0\n", r", line 1: the %json header is not an object"),
+    ("%json {\n2 2 0\n", r", line 1: "),
+], ids=["empty", "comment-only", "two-sizes", "unparsed-size", "negative-size",
+        "json-not-object", "json-unparsed"])
+def test_load_matrix_rejects_bad_headers(tmp_path, text, reason):
+    path = tmp_path / "bad.mtx"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}{reason}"):
+        load_matrix(str(path))
+
+
+# a seeded property test against a dense Fraction oracle written here
+def dense(shape, entries):
+    nrows, ncols = shape
+    return [[entries.get((r, c), F(0)) for c in range(ncols)] for r in range(nrows)]
+
+
+def nonzeros(rows):
+    return {(r, c): v for r, row in enumerate(rows) for c, v in enumerate(row) if v}
+
+
+def product(left, right, ncols):
+    return [[sum((a * right[k][c] for k, a in enumerate(row)), F(0)) for c in range(ncols)]
+            for row in left]
+
+
+BIG = 1 << 40
+
+
+@st.composite
+def rationals(draw):
+    """Small values with mixed denominators, some of them primes near 2**31
+    and 2**61 whose lcm passes 2**63, or numerators near 2**40."""
+    if draw(st.booleans()):
+        num = draw(st.integers(-9, 9))
+    else:
+        num = draw(st.sampled_from([-1, 1])) * (BIG + draw(st.integers(-5, 5)))
+    return F(num, draw(st.sampled_from([1, 2, 3, 7, 12, 2 ** 31 - 1, 2 ** 61 - 1])))
+
+
+@st.composite
+def sparse(draw, nrows, ncols):
+    cells = [(r, c) for r in range(nrows) for c in range(ncols)]
+    keys = draw(st.lists(st.sampled_from(cells), unique=True) if cells else st.just([]))
+    return {key: draw(rationals()) for key in keys}
+
+
+@st.composite
+def factor_pairs(draw):
+    """(n, m, p, left entries, right entries); with at least two inner rows,
+    one output row is planted to cancel: right row k2 = s * right row k1,
+    left row r = x e_k1 - (x / s) e_k2."""
+    n, m, p = draw(st.integers(0, 5)), draw(st.integers(0, 6)), draw(st.integers(0, 5))
+    left, right = draw(sparse(n, m)), draw(sparse(m, p))
+    if n and m >= 2 and draw(st.booleans()):
+        r, k1, k2 = draw(st.integers(0, n - 1)), *draw(st.permutations(range(m)))[:2]
+        x, s = draw(rationals()), draw(rationals().filter(bool))
+        left = {key: v for key, v in left.items() if key[0] != r}
+        left[r, k1] = x
+        left[r, k2] = -x / s
+        right = {key: v for key, v in right.items() if key[0] != k2}
+        right.update({(k2, c): s * v for (k, c), v in right.items() if k == k1})
+    return n, m, p, {k: v for k, v in left.items() if v}, {k: v for k, v in right.items() if v}
+
+
+@seed(1212)
+@settings(max_examples=120, deadline=None)
+@given(factor_pairs(), st.data())
+def test_kernels_match_dense_oracle(case, data):
+    n, m, p, left_entries, right_entries = case
+    left = OpMatrix.from_entries(n, m, left_entries)
+    right = OpMatrix.from_entries(m, p, right_entries)
+    dl, dr = dense((n, m), left_entries), dense((m, p), right_entries)
+    assert dict(left.entries) == left_entries
+    assert left.is_zero == (not left_entries)
+    expected = product(dl, dr, p)
+    composed = left.compose(right)
+    assert composed.shape == (n, p)
+    assert dict(composed.entries) == nonzeros(expected)  # exact, no stored zeros
+    assert composed.is_zero == (not nonzeros(expected))
+    assert dict(left.transpose().entries) == {(c, r): v for (r, c), v in left_entries.items()}
+    assert np.array_equal(left.float_array(), np.array(dl, dtype=float).reshape(n, m))
+    x = data.draw(st.lists(rationals(), min_size=m, max_size=m))
+    y = data.draw(st.lists(rationals(), min_size=n, max_size=n))
+    assert left.matvec(x) == [sum((a * b for a, b in zip(row, x)), F(0)) for row in dl]
+    assert left.rmatvec(y) == [sum((dl[r][c] * y[r] for r in range(n)), F(0)) for c in range(m)]
+    other = data.draw(sparse(n, m))
+    difference = left - OpMatrix.from_entries(n, m, other)
+    assert dict(difference.entries) == nonzeros(
+        [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(dl, dense((n, m), other))])
+    dots = left.column_dots(OpMatrix.from_entries(n, m, other))
+    assert dict(dots.entries) == nonzeros(
+        [[sum((dl[r][c] * other.get((r, c), 0) for r in range(n)), F(0)) for c in range(m)]])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "op.mtx"
+        composed.export(str(path))
+        back = load_matrix(str(path))
+    assert back.shape == composed.shape
+    assert dict(back.entries) == dict(composed.entries)
+
+
+def test_compose_past_a_machine_word_stays_exact():
+    # two products of 2**31 * 2**31 sum to exactly 2**63, one past int64: the
+    # bound 2 * 2**31 * 2**31 is not below 2**63, so the kernel runs on
+    # Python ints; one such product alone stays in int64
+    half = 1 << 31
+    left = OpMatrix.from_entries(1, 2, {(0, 0): F(half), (0, 1): F(half)})
+    right = OpMatrix.from_entries(2, 1, {(0, 0): F(half), (1, 0): F(half)})
+    assert dict(left.compose(right).entries) == {(0, 0): F(1 << 63)}
+    one = OpMatrix.from_entries(1, 1, {(0, 0): F(half)})
+    assert dict(one.compose(one).entries) == {(0, 0): F(1 << 62)}
+    assert one.compose(one)._num.dtype == np.int64
+    # numerators near 2**40 on a long row: the sums pass 2**63 and stay exact
+    row = OpMatrix.from_entries(1, 8, {(0, c): F(BIG + c, 3) for c in range(8)})
+    col = OpMatrix.from_entries(8, 1, {(c, 0): F(BIG - c, 5) for c in range(8)})
+    assert row.compose(col)._num.dtype == object
+    assert dict(row.compose(col).entries) == {
+        (0, 0): sum((F(BIG + c, 3) * F(BIG - c, 5) for c in range(8)), F(0))}
+
+
+def test_storage_is_frozen_and_a_sum_leaves_the_original():
+    op = OpMatrix.from_entries(2, 2, {(0, 0): F(1, 2), (1, 1): F(3)})
+    with pytest.raises(TypeError):
+        op.entries[0, 0] = F(1)
+    with pytest.raises(ValueError, match="read-only"):
+        op._num[0] = 7
+    changed = op + OpMatrix.from_entries(2, 2, {(0, 0): F(-1, 2), (0, 1): F(2, 3)})
+    assert dict(changed.entries) == {(0, 1): F(2, 3), (1, 1): F(3)}
+    assert dict(op.entries) == {(0, 0): F(1, 2), (1, 1): F(3)}
+    with pytest.raises(ValueError, match=r"entry \(2, 0\) outside the 2x2 shape"):
+        OpMatrix.from_entries(2, 2, {(2, 0): F(1)})
+    with pytest.raises(ValueError, match="shape mismatch"):
+        op + OpMatrix(2, 3)

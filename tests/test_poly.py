@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from derham.fespace import scalar_local_basis
 from derham.poly import (
     AffineMap,
     EdgePoly,
@@ -114,7 +115,7 @@ def test_boundary_trace_is_tangent_derivative(ref):
     rng = random.Random(3)
     psi = random_poly(rng, 4)
     for edge in ref.edges:
-        restricted = edge.restrict(psi)
+        restricted = restrict_to_segment(psi, edge.start, edge.direction)
         derivative = EdgePoly([(i + 1) * restricted.coeff(i + 1)
                                for i in range(restricted.degree())])
         assert edge.normal_trace(grad_perp(psi)) == -derivative
@@ -154,7 +155,7 @@ def test_integrate_product_linearity():
     p, q = random_poly(rng, 2), random_poly(rng, 2)
     for ref in (RefCell.TRIANGLE, RefCell.SQUARE):
         assert ref.integrate(p + q) == ref.integrate(p) + ref.integrate(q)
-        assert ref.integrate_product(p, q) == ref.integrate(p * q)
+        assert scalar_local_basis(ref, "p", 0).inner(p, q) == ref.integrate(p * q)
 
 
 def test_vecpoly_rotation_and_dot():

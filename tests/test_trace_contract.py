@@ -10,14 +10,16 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from derham.complexcheck import build_diagram
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def load_patches():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module._PATCHES
+    return module
 
 
 def resolves(module_name, attr):
@@ -30,7 +32,16 @@ def resolves(module_name, attr):
 
 
 def test_every_trace_hook_resolves():
-    patches = load_patches()
+    patches = load_tracing()._PATCHES
     assert patches
     missing = [(mod, attr) for mod, attr, _ in patches if not resolves(mod, attr)]
     assert missing == []
+
+
+def test_traced_assemblies_carry_nnz():
+    """The tracer adds up ``result.nnz`` of each first and second assembly."""
+    tracing = load_tracing()
+    assert tracing._NNZ_SOURCES <= {attr for _, attr, _ in tracing._PATCHES}
+    inst = build_diagram("tri-dp", 2, 2, 1)
+    for op in (inst.first, inst.second):
+        assert isinstance(op.nnz, int) and op.nnz == len(op.entries) > 0
