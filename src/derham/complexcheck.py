@@ -33,6 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .exactla import float_rank, prefix_ranks
 from .exactla import rank_nullspace  # unused; perfbench/tracing.py rebinds it here
 from .exactla import span_compare  # unused; perfbench/tracing.py rebinds it here
@@ -223,23 +225,28 @@ def _gram_positive_definite(gram: GramMatrix) -> bool:
     return end == gram.dim and all(map(_positive_definite, distinct.values()))
 
 
-def _kernel_is_weight(lines: list[dict[int, Fraction]], cell_size: int, ndofs: int,
-                      weight: list[Fraction]) -> bool:
-    """Whether the kernel of the matrix with these rows ({dof: value}) is
-    exactly span(weight), proven cell by cell.  The matrix must kill weight.
+def _kernel_is_weight(op: OpMatrix, cell_size: int, weight: list[Fraction]) -> bool:
+    """Whether the kernel of ``op`` is exactly span(weight), proven cell by
+    cell.  The matrix must kill weight.
 
     The rows come in cells of ``cell_size``.  A cell's block is its rows
-    restricted to the dofs they touch; weight restricted there lies in its
-    kernel, so rank = ncols - 1 (one ``prefix_ranks`` per distinct block
+    restricted to the dofs they touch, read from the integer rows as
+    reduced (numerator, denominator) pairs; weight restricted there lies in
+    its kernel, so rank = ncols - 1 (one ``prefix_ranks`` per distinct block
     content) makes that kernel span(weight) when weight is nonzero on the
     block.  A kernel vector is then a multiple of weight on each cell, the
     same multiple on cells that share a dof where weight is nonzero; if
     those joins leave one component and every dof is touched, it is a
     multiple of weight.
     """
-    ncells = len(lines) // cell_size
-    if ncells * cell_size != len(lines):
+    ncells = op.nrows // cell_size
+    if ncells * cell_size != op.nrows:
         return False
+    ptr, dofs, num, den = op.integer_rows()
+    den = den.repeat(np.diff(ptr))
+    g = np.gcd(num, den)
+    pairs = list(zip((num // g).tolist(), (den // g).tolist()))
+    ptr, dofs = ptr.tolist(), dofs.tolist()
     parent = list(range(ncells))
 
     def find(c: int) -> int:
@@ -249,12 +256,13 @@ def _kernel_is_weight(lines: list[dict[int, Fraction]], cell_size: int, ndofs: i
 
     ranks: dict = {}
     owner: dict[int, int] = {}
-    touched = bytearray(ndofs)
+    touched = bytearray(op.ncols)
     for cell in range(ncells):
         local: dict[int, list[tuple[int, int]]] = {}  # dof -> its column of the block
-        for i, row in enumerate(lines[cell * cell_size:(cell + 1) * cell_size]):
-            for d, v in row.items():
-                local.setdefault(d, [(0, 1)] * cell_size)[i] = (v.numerator, v.denominator)
+        for i in range(cell_size):
+            row = cell * cell_size + i
+            for at in range(ptr[row], ptr[row + 1]):
+                local.setdefault(dofs[at], [(0, 1)] * cell_size)[i] = pairs[at]
         if not any(weight[d] for d in local):
             return False
         # the rank does not depend on the order of the columns, so the block
@@ -285,10 +293,8 @@ def _local_route(inst: DiagramInstance, ones: list[Fraction], weight_c: list[Fra
     a, b, d = (g.get(key, _ZERO) for key in ((0, 0), (0, 1), (1, 1)))
     return (inst.a_space.dim - inst.b_space.dim + inst.c_space.dim == 0
             and a > 0 and a * d - b * b > 0
-            and _kernel_is_weight(inst.first.sparse_rows(), inst.b_space.local_dim,
-                                  inst.a_space.dim, ones)
-            and _kernel_is_weight(inst.second.sparse_columns(), inst.b_space.local_dim,
-                                  inst.c_space.dim, weight_c))
+            and _kernel_is_weight(inst.first, inst.b_space.local_dim, ones)
+            and _kernel_is_weight(inst.second.transpose(), inst.b_space.local_dim, weight_c))
 
 
 def certify_complex(inst: DiagramInstance) -> ComplexCertificate:

@@ -15,12 +15,17 @@ Every solve replays one recorded factor: with ``factor`` the kernel keeps
 each row's elimination multipliers, and ``_Echelon.solve`` runs a
 right-hand side forward through them (a row that reduced to zero must leave
 a zero residual) and back through the pivot rows.  ``LinearExpander`` and
-``solve_any`` replay a factor over Q; ``LiftedSolver`` and ``solve_square``
-replay one of the integer-scaled rows mod a prime, lifting each right-hand
-side on integer residuals and recovering it by rational reconstruction.
-The search is modular; the certificate is not: a solution is returned only
-after the exact integer product A num = q b holds, and a matrix is called
-singular only after its rank over Q says so.  ``float_rank`` provides the
+``solve_any`` replay a factor over Q.  ``LiftedSolver`` takes a square
+system and a batch of right-hand sides as integer ``OpMatrix``es, factors
+the system's integer rows mod a prime once, and lifts the whole batch on
+integer residuals: each lifting step replays the factor once, as numpy
+int64 rows over every column still open, and each column is recovered by
+rational reconstruction.  The replay and the integer products run in int64
+only under bounds proven from the prime or from the operands.  The search
+is modular; the certificate is not: a column is returned only after the
+exact integer product A num = q b holds, and a matrix is called singular
+only after its rank over Q says so.  ``solve_square`` is the same solver
+for ``Fraction`` rows and columns.  ``float_rank`` provides the
 independent numpy SVD route; the float and exact results are compared in
 tests and reports but never merged.
 """
@@ -31,11 +36,12 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import isqrt, lcm
-from operator import mul
+from math import isqrt
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+
+from .sparse import _WORD, OpMatrix, _max_abs, _word_dtype
 
 __all__ = [
     "RankResult",
@@ -142,7 +148,8 @@ class _Echelon:
     (pivot column, multiplier) pairs it was reduced by): the row is the sum
     of each multiplier times that pivot row, plus its pivot value times its
     own pivot row.  These sparse multipliers are the lower factor of an LU
-    decomposition, and ``solve`` replays it.
+    decomposition; ``solve`` replays it over Q, and ``LiftedSolver`` turns
+    a factor mod p into its replay program.
     """
 
     def __init__(self, p: int = 0, factor: bool = False):
@@ -186,7 +193,6 @@ class _Echelon:
     def _back_substitute(self, x: dict, ncols: int) -> list:
         """Fill the pivot entries of ``x`` (pivot column -> reduced value,
         free column -> its chosen value) so the pivot rows hold; dense."""
-        p = self.p
         if self._upper is None:  # pivot rows right to left, those with a tail
             self._upper = [(c, tail) for c, tail in sorted(self.pivots.items(), reverse=True)
                            if tail]
@@ -196,9 +202,8 @@ class _Echelon:
                 continue
             t = sum(v * x[k] for k, v in tail if k in x)
             if t:
-                s = x.get(c, 0) - t
-                x[c] = s % p if p else s
-        out = [0 if p else _ZERO] * ncols
+                x[c] = x.get(c, 0) - t
+        out = [_ZERO] * ncols
         for c, v in x.items():
             out[c] = v
         return out
@@ -210,23 +215,20 @@ class _Echelon:
                 for fc in range(ncols) if fc not in self.pivots]
 
     def solve(self, rhs: Sequence, ncols: int) -> list | None:
-        """x with A x = rhs and 0 at every free column, or None when a row
-        that reduced to zero leaves a nonzero residual.  Needs ``factor``;
-        ``rhs`` holds one value per row added."""
+        """x with A x = rhs and 0 at every free column, over Q, or None when
+        a row that reduced to zero leaves a nonzero residual.  Needs
+        ``factor``; ``rhs`` holds one value per row added."""
         if len(rhs) != self.nrows:
             raise ValueError(f"right-hand side has {len(rhs)} entries for {self.nrows} rows")
-        p = self.p
         x: dict = {}
         for (c, inv, steps), s in zip(self.lower, rhs):
             if steps:
                 s -= sum(f * x[k] for k, f in steps if k in x)
-            if p:
-                s %= p
             if not s:
                 continue
             if c < 0:
                 return None
-            x[c] = s * inv % p if p else s * inv
+            x[c] = s * inv
         return self._back_substitute(x, ncols)
 
 
@@ -419,10 +421,13 @@ def solve_any(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
 
 
 def solve_square(rows: Sequence[Sequence], rhs: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Solve A X = B exactly for square invertible A; B given column-wise.
+    """Solve A X = B exactly for square invertible A, given row-wise; B and
+    X column-wise.  ``LiftedSolver`` on the same matrices as ``OpMatrix``.
 
     Raises ``ExactSolveError`` when A is singular."""
-    return LiftedSolver(list(zip(*rows))).solve(rhs)
+    n = len(rows)
+    return LiftedSolver(OpMatrix.from_columns(n, list(zip(*rows)))).solve(
+        OpMatrix.from_columns(n, rhs)).columns()
 
 
 def mat_vec(rows: Sequence[Sequence], v: Sequence) -> list[Fraction]:
@@ -515,70 +520,158 @@ def _reconstruct_vector(acc: list[int], m: int) -> tuple[list[int], int] | None:
 
 
 class LiftedSolver:
-    """Exact solves of one square nonsingular system N x = b, many b.
+    """Exact solves of one square nonsingular system N x = b, for a whole
+    batch of b at once.
 
-    Columns are dense sequences or sparse ``{row: value}`` mappings, as for
-    ``LinearExpander``.  Each row of N is scaled to integers, A = D N, and A
-    is factored once mod a prime p as sparse elimination multipliers.  A
-    right-hand side is scaled alike, b = e D b', and lifted (Dixon):
-    x_k = A^-1 r_k mod p, r_k+1 = (r_k - A x_k) / p, so sum x_k p^k solves
-    A x = b mod p^k.  After each step the vector is reconstructed over one
-    common denominator q, and returned only when the exact integer product
-    A num = q b holds.  Past the Hadamard bound on the solution a failed
-    check raises ``ArithmeticError``; a modular value is never returned.
+    N is an integer ``OpMatrix``: row i holds the integers A_i over its
+    denominator D_i, so A = D N.  A is factored once mod a prime p, and the
+    recorded factor becomes a replay program: one gathered dot product mod p
+    per row, forward through the multipliers and back through the pivot
+    rows.  A batch B (columns b_j = c_j / e_j, integers over one denominator
+    each) is lifted (Dixon) on the integer residuals r_j, starting at D c_j:
+    every step replays the factor once for all columns still open, x_k =
+    A^-1 r_k mod p, and sets r_k+1 = (r_k - A x_k) / p, so sum x_k p^k solves
+    A y = D c mod p^k.  After each step every open column is reconstructed
+    over one common denominator q (Wang), and leaves the batch only when the
+    exact integer product A num = q D c holds; it is returned as num / (q e).
+    Past its Hadamard bound a column that failed the check raises
+    ``ArithmeticError``; a modular value is never returned.
+
+    Two int64 bounds are proven before each kernel runs.  The replay keeps
+    every residue below 2**30 as two halves below 2**15 and every
+    coefficient below p, so a row of L terms sums 2 L products below
+    2**15 p; ``_replay_terms`` caps L for int64, and a system with more
+    unknowns than that is refused.  A x, and A num in the check, run in
+    int64 when the longest row of A times max |A| times max |x| is below
+    2**63, else in Python ints, as the residual update and the scaled
+    right-hand sides do under their own bounds.
 
     A rank mod p below n sends the build to the next prime; after two
     misses, a rank over Q below n raises ``ExactSolveError``.
     """
 
-    def __init__(self, cols: Sequence[Sequence | Mapping[int, Fraction]]):
-        n = self.n = len(cols)
-        rows = _rows_of(cols)  # fewer than n rows leave the rank below n
-        self._scale = [lcm(*(v.denominator for v in row.values())) for row in rows]
-        self._rows = [(tuple(row), tuple(v.numerator * (d // v.denominator) for v in row.values()))
-                      for row, d in zip(rows, self._scale)]
-        self._norms = [sum(a * a for a in vals) for _, vals in self._rows]
+    def __init__(self, system: OpMatrix):
+        if system.nrows != system.ncols:
+            raise ValueError(f"a lifted solve needs a square system, got {system.nrows}x{system.ncols}")
+        n = self.n = system.ncols
+        self._ptr, self._cols, self._num, self._scale = system.integer_rows()
+        ptr, cols, num = self._ptr.tolist(), self._cols.tolist(), self._num.tolist()
+        rows = [(cols[a:b], num[a:b]) for a, b in zip(ptr, ptr[1:])]
+        self._norms = [sum(v * v for v in vals) for _, vals in rows]
+        self._row_bound = int(np.diff(self._ptr).max(initial=0)) * _max_abs(self._num)
         misses = 0
         for p in _lift_primes():
+            if n > _replay_terms(p):
+                raise ExactWidthExceeded(f"{n} unknowns exceed the int64 replay bound "
+                                         f"{_replay_terms(p)} for p = {p}")
             ech = _Echelon(p, factor=True)
-            for ks, vals in self._rows:
+            for ks, vals in rows:
                 ech.add({k: a % p for k, a in zip(ks, vals) if a % p})
             if ech.rank == n:
                 break
             misses += 1
-            if misses == 2 and _exact_echelon(rows).rank < n:
+            if misses == 2 and _exact_echelon(dict(zip(*row)) for row in rows).rank < n:
                 raise ExactSolveError("matrix is singular")
         self.p = p
-        self._factor = ech
+        self._program = _replay_program(ech, n)
 
-    def _product(self, x: list[int]) -> list[int]:
-        """A x over the integers."""
-        return [sum(map(mul, vals, map(x.__getitem__, ks))) for ks, vals in self._rows]
+    def _times(self, x: np.ndarray) -> np.ndarray:
+        """A x for every column of x, in int64 when the longest row of A
+        times max |A| times max |x| is below 2**63, else in Python ints."""
+        dtype = _word_dtype(self._row_bound * _max_abs(x))
+        terms = self._num.astype(dtype, copy=False)[:, None] * x.astype(dtype, copy=False)[self._cols]
+        return np.add.reduceat(terms, self._ptr[:-1], axis=0)
 
-    def _solve_column(self, col: Sequence | Mapping[int, Fraction]) -> list[Fraction]:
-        n, p = self.n, self.p
-        entries = [(i, v) for i, v in _items(col) if v]
-        e = lcm(*(v.denominator for _, v in entries))
-        b = [0] * n
-        for i, v in entries:
-            b[i] = v.numerator * (e // v.denominator) * self._scale[i]
-        # Hadamard: |det A| and every numerator of x are at most
+    def _replay(self, r: np.ndarray) -> np.ndarray:
+        """A^-1 r mod p for every column of r, int64 residues in [0, p).
+        Each program row writes both halves of one entry of x."""
+        n, p, low = self.n, self.p, 2 * self.n
+        z = np.empty((4 * n, r.shape[1]), dtype=np.int64)
+        z[n:low], z[low + n:] = r // _HALF, r % _HALF
+        for c, idx, coef in self._program:
+            x = _dot_mod_p(coef, z.take(idx, axis=0), p)
+            z[c], z[c + low] = x // _HALF, x % _HALF
+        return z[:n] * _HALF + z[low:low + n]
+
+    def solve(self, rhs: OpMatrix) -> OpMatrix:
+        """The exact solution X of N X = B, column by column of the batch B."""
+        n, p, m = self.n, self.p, rhs.ncols
+        if rhs.nrows != n:
+            raise ValueError(f"right-hand side has {rhs.nrows} rows for a system of {n}")
+        if not (n and m):
+            return OpMatrix(n, m)
+        # column j of B is c_j / e_j, row j of B^T over its least common denominator
+        ptr, at, c, e = rhs.transpose().integer_rows()
+        scale = self._scale[at]
+        b = np.zeros((n, m), dtype=_word_dtype(_max_abs(c) * _max_abs(scale)))
+        b[at, np.arange(m).repeat(np.diff(ptr))] = c.astype(b.dtype) * scale.astype(b.dtype)
+        # Hadamard: |det A| and every numerator of y are at most
         # prod_i sqrt(|A_i|^2 + b_i^2), so past 2 H^2 the reconstruction is unique
-        need = 1 + sum((s + v * v).bit_length() for s, v in zip(self._norms, b))
-        r, acc, m = b, [0] * n, 1
-        while True:
-            x = self._factor.solve(r, n)
-            acc = [a + m * v for a, v in zip(acc, x)]
-            m *= p
-            r = [(ri - ai) // p for ri, ai in zip(r, self._product(x))]
-            found = _reconstruct_vector(acc, m)
-            if found is not None:
-                num, q = found
-                if self._product(num) == [q * v for v in b]:
-                    return [Fraction(v, q * e) for v in num]
-            if m.bit_length() > need:
+        need = [1 + sum((s + v * v).bit_length() for s, v in zip(self._norms, col))
+                for col in b.T.tolist()]
+        open_cols = list(range(m))
+        r, acc, modulus = b, np.zeros((n, m), dtype=object), 1
+        solved: dict[int, tuple[list[int], int]] = {}
+        while open_cols:
+            x = self._replay((r % p).astype(np.int64))
+            acc += x.astype(object) * modulus
+            modulus *= p
+            ax = self._times(x)
+            dtype = _word_dtype(_max_abs(r) + _max_abs(ax))
+            r = (r.astype(dtype, copy=False) - ax.astype(dtype, copy=False)) // p
+            found = {j: rec for j, col in zip(open_cols, acc.T.tolist())
+                     if (rec := _reconstruct_vector(col, modulus))}
+            if found:
+                nums = np.array([num for num, _ in found.values()], dtype=object).T
+                products = self._times(nums).T.tolist()
+                for (j, (num, q)), product, col in zip(found.items(), products,
+                                                       b[:, list(found)].T.tolist()):
+                    if product == [q * v for v in col]:
+                        solved[j] = num, q * int(e[j])
+            keep = [t for t, j in enumerate(open_cols) if j not in solved]
+            open_cols = [open_cols[t] for t in keep]
+            if any(modulus.bit_length() > need[j] for j in open_cols):
                 raise ArithmeticError("lifted solution failed its exact check past the Hadamard bound")
+            r, acc = r[:, keep], acc[:, keep]
+        return OpMatrix.from_integer_columns(n, *zip(*(solved[j] for j in range(m))))
 
-    def solve(self, rhs: Sequence[Sequence | Mapping[int, Fraction]]) -> list[list[Fraction]]:
-        """The exact solution of N x = b for each column b of the batch."""
-        return [self._solve_column(col) for col in rhs]
+
+_HALF = 1 << 15  # the replay keeps each residue below 2**30 as two halves below 2**15
+
+
+def _replay_terms(p: int) -> int:
+    """The most terms of one replay row for which its int64 sum is proven:
+    2 L products, each a coefficient below p times a half below 2**15."""
+    return (_WORD - 1) // (2 * (p - 1) * (_HALF - 1))
+
+
+def _row_coefficients(fs: list[int], p: int) -> list[int]:
+    """The coefficients of one replay row with multipliers fs in [0, p):
+    f 2**15 mod p against the high halves, then f against the low halves."""
+    return [f * _HALF % p for f in fs] + fs
+
+
+def _dot_mod_p(coef: np.ndarray, halves: np.ndarray, p: int) -> np.ndarray:
+    """sum_k f_k x_k mod p for every column, from one row's coefficients
+    and the gathered halves of the x_k (high halves first, as the
+    coefficients are); int64 holds the sum up to ``_replay_terms(p)`` terms."""
+    return coef @ halves % p
+
+
+def _replay_program(ech: _Echelon, n: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """The recorded factor mod p of a full-rank n x n system as replay rows
+    (c, the rows of the work array gathered, their coefficients): x_c = inv
+    r_i - sum inv f_k x_k per input row i, forward; then x_c = x_c - sum v_k
+    x_k per pivot row, right to left.  The work array holds x then r, high
+    halves first, so the low half of entry k sits at k + 2 n."""
+    p = ech.p
+    rows = [(c, [k for k, _ in steps] + [n + i], [-f * inv % p for _, f in steps] + [inv])
+            for i, (c, inv, steps) in enumerate(ech.lower)]
+    rows += [(c, [c] + [k for k, _ in tail], [1] + [p - v for _, v in tail])
+             for c, tail in sorted(ech.pivots.items(), reverse=True) if tail]
+    # every row's gathered positions and coefficients, high halves first,
+    # in one array each, viewed row by row
+    idx = np.array([k + h for _, ks, _ in rows for h in (0, 2 * n) for k in ks], dtype=np.int64)
+    coef = np.array([g for _, _, fs in rows for g in _row_coefficients(fs, p)], dtype=np.int64)
+    ends = np.cumsum([2 * len(ks) for _, ks, _ in rows]).tolist()
+    return [(c, idx[a:b], coef[a:b]) for (c, _, _), a, b in zip(rows, [0] + ends, ends)]

@@ -17,8 +17,9 @@ exact splitter never forms the adjoint.  It takes verify's certificate
    ker(second), which places it in range(adjoint) = ker(second)^perp.
 
 A batch of fields is split as one sparse matrix U of columns, never field by
-field: (G_b first)^T U and (G_b C)^T U (C the two constant fields) give every
-right-hand side, first X and C coeffs every curl and harmonic part, U minus
+field (``HodgeSplitter.split_matrix``): (G_b B)^T U and (G_b C)^T U (B the
+curl basis, formed once per splitter; C the two constant fields) give every
+right-hand side, B X and C coeffs every curl and harmonic part, U minus
 those two every div part (the columns of D), and (G_b first)^T D and
 (G_b C)^T D every certificate.
 Each is one ``OpMatrix`` kernel on integer operators: numerators over one
@@ -26,14 +27,16 @@ denominator per row, in int64 where a bound proven from the operands
 allows, else in Python ints (see ``sparse``).  (G_b C)^T is formed once
 per diagram instance (``DiagramInstance.constant_operators``), shared by
 ``certify_complex`` and the splitter.  Each of the two systems is
-solved for the whole batch at once by ``exactla.LiftedSolver``: p-adic
-lifting mod one prime finds each solution, and a solution is kept only
-after an exact integer product with the system's scaled rows reproduces its
-right-hand side, so no modular value reaches a part unchecked.  Fractions
-are built only for the solver's sparse columns and for ``HodgeParts``.
-``hodge_report`` checks the parts the same way: G_b D and G_b H once per
-batch, then every pairing of matching columns as one exact integer sum
-(``OpMatrix.column_dots``).
+solved for the whole batch at once by ``exactla.LiftedSolver``, which takes
+and returns integer operators: p-adic lifting mod one prime finds each
+solution, and a solution is kept only after an exact integer product with
+the system's rows reproduces its right-hand side, so no modular value
+reaches a part unchecked.  ``hodge_report`` reads the random fields once
+into U and checks the parts the same way: G_b D and G_b H once per batch,
+every pairing of matching columns as one exact integer sum
+(``OpMatrix.column_dots``), and each count from the columns of a product
+that are empty.  Fractions are built only for the ``HodgeParts`` that
+``split_batch`` and ``split`` return to library callers.
 
 rank(adjoint) = rank(second), as G_b and G_c are invertible.  A float
 backend covers meshes beyond the exact-arithmetic budget; it never feeds
@@ -69,9 +72,6 @@ __all__ = [
     "load_field",
 ]
 
-_ZERO = Fraction(0)
-
-
 @dataclass
 class HodgeParts:
     curl: list
@@ -102,57 +102,45 @@ class HodgeSplitter:
         self._gram_first_t = inst.gram_b.compose(inst.first).transpose()
         basis = cert.kills_constants and cert.rank_first == inst.a_space.dim - 1
         self.rank_first = cert.rank_first if basis else 0
-        self._curl = LiftedSolver(_normal_columns(inst.first, self._gram_first_t)) if basis else None
+        self._curl = None
+        if basis:  # the curl basis: every column of first but the last
+            n = inst.first.ncols
+            keep = OpMatrix.from_entries(n, n - 1, {(j, j): 1 for j in range(n - 1)})
+            self._basis = inst.first.compose(keep)
+            self._gram_basis_t = keep.transpose().compose(self._gram_first_t)
+            self._curl = LiftedSolver(self._gram_basis_t.compose(self._basis))
         self.rank_adjoint = cert.rank_second if cert.kernel_is_range_plus_constants else 0
-        self.constants = inst.constant_fields()
-        self._harmonic = LiftedSolver(self._gram_consts_t.compose(self._consts).sparse_columns())
+        self._harmonic = LiftedSolver(self._gram_consts_t.compose(self._consts))
 
-    def split_batch(self, fields) -> list[HodgeParts]:
-        """Split every field of the batch with one sparse product per step
-        and one batch solve per system."""
-        if not fields:
-            return []
-        first, gram_first_t, gram_consts_t = self.inst.first, self._gram_first_t, self._gram_consts_t
-        u = OpMatrix.from_columns(self.dim, fields)
+    def split_matrix(self, u: OpMatrix) -> tuple[OpMatrix, OpMatrix, OpMatrix, OpMatrix,
+                                                   np.ndarray]:
+        """Split every column of u with one sparse product per step and one
+        batch solve per system.  Returns the curl, div and harmonic parts,
+        each of the shape of u, the 2 x ncols harmonic coefficients, and a
+        boolean array, True where the column's div part is certified."""
         if self._curl is None:
-            curl = OpMatrix(self.dim, len(fields))
-        else:  # the last column of first is left out of the basis
-            rhs = _drop_row(gram_first_t.compose(u).sparse_columns(), first.ncols - 1)
-            x = [sol + [_ZERO] for sol in self._curl.solve(rhs)]
-            curl = first.compose(OpMatrix.from_columns(first.ncols, x))
-        coeffs = self._harmonic.solve(gram_consts_t.compose(u).sparse_columns())
-        harmonic = self._consts.compose(OpMatrix.from_columns(len(self.constants), coeffs))
+            curl = OpMatrix(self.dim, u.ncols)
+        else:
+            curl = self._basis.compose(self._curl.solve(self._gram_basis_t.compose(u)))
+        coeffs = self._harmonic.solve(self._gram_consts_t.compose(u))
+        harmonic = self._consts.compose(coeffs)
         div = u - curl - harmonic
         # a field is certified when its div column is G_b-orthogonal to first and the constants
-        certified = [not (a or b) for a, b in zip(gram_first_t.compose(div).sparse_columns(),
-                                                  gram_consts_t.compose(div).sparse_columns())]
-        return [HodgeParts(c, d, h, tuple(x), ok)
-                for c, d, h, x, ok in zip(_columns(curl), _columns(div), _columns(harmonic),
-                                          coeffs, certified)]
+        certified = (self._gram_first_t.compose(div).zero_columns()
+                     & self._gram_consts_t.compose(div).zero_columns())
+        return curl, div, harmonic, coeffs, certified
+
+    def split_batch(self, fields) -> list[HodgeParts]:
+        """Split every field of the batch, as ``split_matrix`` does, into
+        dense ``HodgeParts``."""
+        curl, div, harmonic, coeffs, certified = self.split_matrix(
+            OpMatrix.from_columns(self.dim, fields))
+        return [HodgeParts(c, d, h, tuple(x), bool(ok))
+                for c, d, h, x, ok in zip(curl.columns(), div.columns(), harmonic.columns(),
+                                          coeffs.columns(), certified)]
 
     def split(self, field) -> HodgeParts:
         return self.split_batch([field])[0]
-
-
-def _columns(op: OpMatrix) -> list[list[Fraction]]:
-    """The columns of op as the dense vectors of ``HodgeParts``."""
-    cols = [[_ZERO] * op.nrows for _ in range(op.ncols)]
-    for dense, col in zip(cols, op.sparse_columns()):
-        for r, v in col.items():
-            dense[r] = v
-    return cols
-
-
-def _drop_row(cols: list[dict[int, Fraction]], row: int) -> list[dict[int, Fraction]]:
-    """The sparse columns with their entry in ``row`` removed, in place."""
-    for col in cols:
-        col.pop(row, None)
-    return cols
-
-
-def _normal_columns(first: OpMatrix, gram_first_t: OpMatrix) -> list[dict[int, Fraction]]:
-    """Sparse columns of (G_b first)^T first without its last row and column."""
-    return _drop_row(gram_first_t.compose(first).sparse_columns()[:-1], first.ncols - 1)
 
 
 class FloatHodgeSplitter:
@@ -204,10 +192,6 @@ def random_field(space: DGVectorSpace, rng: random.Random) -> list[Fraction]:
     return [_FIELD_VALUES[rng.randint(-9, 9) + 9][rng.randint(1, 9) - 1] for _ in range(space.dim)]
 
 
-def _all_zero(vec) -> bool:
-    return not any(vec)
-
-
 def hodge_report(name: str, nx: int, ny: int, k: int, fields: int = 20,
                  seed: int = 0, backend: str = "exact", tol: float = 1e-10) -> Report:
     """Split seeded random fields on one diagram and certify the identities."""
@@ -227,29 +211,26 @@ def hodge_report(name: str, nx: int, ny: int, k: int, fields: int = 20,
     if backend == "exact":
         sp = HodgeSplitter(inst)
         rep.check("rank_identity", inst.b_space.dim, sp.rank_first + sp.rank_adjoint + 2)
-        parts = sp.split_batch(us)
-        dim = inst.b_space.dim
-        curl, div, harmonic = (OpMatrix.from_columns(dim, [getattr(p, part) for p in parts])
-                               for part in ("curl", "div", "harmonic"))
+        u = OpMatrix.from_columns(inst.b_space.dim, us)
+        curl, div, harmonic, _, certified = sp.split_matrix(u)
         # one integer kernel per check over the whole batch: field j passes
         # when column j of the residual, or of each pairing, is zero
-        residual = curl + div + harmonic - OpMatrix.from_columns(dim, us)
+        sums = (curl + div + harmonic - u).zero_columns()
         g_div, g_harmonic = inst.gram_b.compose(div), inst.gram_b.compose(harmonic)
-        pairings = [a.column_dots(g).sparse_columns()
-                    for a, g in ((curl, g_div), (curl, g_harmonic), (div, g_harmonic))]
-        sums = sum(1 for col in residual.sparse_columns() if not col)
-        orth = sum(1 for cols in zip(*pairings) if not any(cols))
-        const = sum(1 for p in parts if p.harmonic_is_constant)
-        rep.check("parts_sum_to_input", fields, sums)
-        rep.check("parts_pairwise_orthogonal", fields, orth)
-        rep.check("harmonic_part_is_constant", fields, const)
-        if parts:
-            p = parts[0]
-            rp = sp.split_batch([p.curl, p.div, p.harmonic])
-            idem = (rp[0].curl == p.curl and _all_zero(rp[0].div) and _all_zero(rp[0].harmonic)
-                    and rp[1].div == p.div and _all_zero(rp[1].curl) and _all_zero(rp[1].harmonic)
-                    and rp[2].harmonic == p.harmonic and _all_zero(rp[2].curl) and _all_zero(rp[2].div))
-            rep.check("projections_idempotent", True, idem)
+        orth = np.ones(fields, dtype=bool)
+        for a, g in ((curl, g_div), (curl, g_harmonic), (div, g_harmonic)):
+            orth &= a.column_dots(g).zero_columns()
+        rep.check("parts_sum_to_input", fields, int(sums.sum()))
+        rep.check("parts_pairwise_orthogonal", fields, int(orth.sum()))
+        rep.check("harmonic_part_is_constant", fields, int(certified.sum()))
+        if fields:
+            # the curl, div and harmonic parts of field 0 as the three columns
+            # of one matrix: splitting it again gives each part back in place
+            picks = [part.compose(OpMatrix.from_entries(fields, 3, {(0, t): 1}))
+                     for t, part in enumerate((curl, div, harmonic))]
+            again = sp.split_matrix(picks[0] + picks[1] + picks[2])[:3]
+            rep.check("projections_idempotent", True,
+                      all((a - b).is_zero for a, b in zip(again, picks)))
         return rep.finish()
 
     sp = FloatHodgeSplitter(inst)

@@ -203,6 +203,11 @@ class BubbleBasis:
         self.vectors = res.nullspace
         self.elements = [_combine(self.basis.elements, v) for v in self.vectors]
         self.local = LocalBasis(self.ref, self.elements, f"bubbles of {self.basis.tag}")
+        # the inverse of the bubbles' Gram matrix, by one batch solve; it is
+        # symmetric, so its columns are its rows
+        n = self.dim
+        self._gram_inverse = solve_square(self.local.gram_ref(), [
+            [_ONE if i == j else _ZERO for i in range(n)] for j in range(n)])
 
     @property
     def dim(self) -> int:
@@ -213,7 +218,8 @@ class BubbleBasis:
         if not self.elements:
             return VecPoly.zero()
         rhs = [self.local.inner(e, v) for e in self.elements]
-        coeffs = solve_square(self.local.gram_ref(), [rhs])[0]
+        coeffs = [sum((a * b for a, b in zip(row, rhs) if a and b), _ZERO)
+                  for row in self._gram_inverse]
         return _combine(self.elements, coeffs)
 
 

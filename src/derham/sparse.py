@@ -27,6 +27,7 @@ __all__ = ["OpMatrix", "load_matrix"]
 _ZERO = Fraction(0)
 _WORD = 1 << 63  # every int64 value stored here has |v| < _WORD
 _FLOAT_EXACT = 1 << 53  # integers up to this convert to float exactly
+_EXACT_TYPES = {int, Fraction}
 _EMPTY = np.zeros(0, dtype=np.int64)
 _EMPTY.flags.writeable = False
 
@@ -248,14 +249,34 @@ class OpMatrix:
     @classmethod
     def from_columns(cls, nrows: int, vectors: Sequence[Sequence[Fraction]]) -> "OpMatrix":
         """The dense vectors, each of length nrows, as the columns of one
-        sparse matrix."""
+        sparse matrix.  Every entry is an ``int`` or a ``Fraction``; any
+        other value raises ``TypeError`` naming its column and row."""
         if any(len(vec) != nrows for vec in vectors):
             raise ValueError(f"a column of from_columns is not of length {nrows}")
         values = [v for vec in vectors for v in vec]
-        num = _ints([v.numerator for v in values])
+        if not set(map(type, values)) <= _EXACT_TYPES:
+            for at, v in enumerate(values):
+                if not isinstance(v, (int, Fraction)):
+                    raise TypeError(f"column {at // nrows}, row {at % nrows} of from_columns "
+                                    f"is {v!r}, not an int or a Fraction")
+        return cls._from_dense(nrows, len(vectors), _ints([v.numerator for v in values]),
+                               _ints([v.denominator for v in values]))
+
+    @classmethod
+    def from_integer_columns(cls, nrows: int, columns: Sequence[Sequence[int]],
+                             dens: Sequence[int]) -> "OpMatrix":
+        """The matrix whose column j is the dense integer vector columns[j],
+        of length nrows, over the positive denominator dens[j]."""
+        num = _ints([v for col in columns for v in col])
+        return cls._from_dense(nrows, len(columns), num, _ints(dens).repeat(nrows))
+
+    @classmethod
+    def _from_dense(cls, nrows: int, ncols: int, num: np.ndarray, den: np.ndarray) -> "OpMatrix":
+        """The matrix with entries num / den, both given column after column
+        over the whole shape."""
         at = num.nonzero()[0]
-        return cls._from_triplets(nrows, len(vectors), at % max(nrows, 1), at // max(nrows, 1),
-                                  num[at], _ints([v.denominator for v in values])[at])
+        return cls._from_triplets(nrows, ncols, at % max(nrows, 1), at // max(nrows, 1), num[at],
+                                  den[at])
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -405,6 +426,18 @@ class OpMatrix:
     @property
     def is_zero(self) -> bool:
         return not self._cols.size
+
+    def zero_columns(self) -> np.ndarray:
+        """A boolean array, True at each column without a nonzero."""
+        out = np.ones(self.ncols, dtype=bool)
+        out[self._cols] = False
+        return out
+
+    def integer_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The frozen storage (ptr, cols, num, den): row r holds the
+        numerators num[ptr[r]:ptr[r + 1]] at the columns cols[ptr[r]:ptr[r + 1]],
+        in increasing order, over its denominator den[r]."""
+        return self._ptr, self._cols, self._num, self._den
 
     def export(self, path: str, meta: dict | None = None) -> None:
         """Write a MatrixMarket-style file with exact ``p/q`` entries, each

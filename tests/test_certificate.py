@@ -376,7 +376,7 @@ def test_hodge_needs_no_adjoint_or_nullspace(monkeypatch, name, nx, ny, k):
         forbid_densify(m)
         built = []
         m.setattr(hodge, "LiftedSolver",
-                  lambda cols: built.append(len(cols)) or exactla.LiftedSolver(cols))
+                  lambda system: built.append(system.nrows) or exactla.LiftedSolver(system))
         rep = hodge.hodge_report(name, nx, ny, k, fields=4, seed=3)
     assert rep.passed
     # one normal matrix on all columns of first but one, one 2x2 for the constants
@@ -432,6 +432,30 @@ def test_hodge_batch_makes_no_per_field_products(monkeypatch):
     assert counts[0] == counts[1]
 
 
+def test_hodge_batch_stays_in_integer_operators(monkeypatch):
+    """Once the splitter is built, splitting and the report's checks read
+    no operator back as Fractions: the fields are read once, and every part,
+    certificate and count stays an integer OpMatrix."""
+    armed = []
+
+    def guarded(name):
+        original = getattr(OpMatrix, name)
+
+        def call(*args, **kwargs):
+            if armed:
+                raise AssertionError(f"OpMatrix.{name} while splitting the batch")
+            return original(*args, **kwargs)
+        monkeypatch.setattr(OpMatrix, name, call)
+
+    for name in ("sparse_columns", "sparse_rows", "columns", "column", "dense_rows"):
+        guarded(name)
+    init = hodge.HodgeSplitter.__init__
+    monkeypatch.setattr(hodge.HodgeSplitter, "__init__",
+                        lambda self, inst: init(self, inst) or armed.append(1))
+    assert hodge.hodge_report("tri-dp", 3, 3, 1, fields=6, seed=3).passed
+    assert armed
+
+
 def test_hodge_batched_checks_can_fail(monkeypatch):
     """One wrong curl coefficient of one field, changed after the solver's
     own check, fails that field's certificate and its orthogonality, and
@@ -441,8 +465,8 @@ def test_hodge_batched_checks_can_fail(monkeypatch):
     class Perturbed(exactla.LiftedSolver):
         calls = 0
 
-        def __init__(self, cols):
-            super().__init__(cols)
+        def __init__(self, system):
+            super().__init__(system)
             built.append(self)
 
         def solve(self, rhs):
@@ -450,16 +474,16 @@ def test_hodge_batched_checks_can_fail(monkeypatch):
             if self is built[0]:  # the curl normal matrix, not the 2x2
                 Perturbed.calls += 1
                 if Perturbed.calls == 1:  # the first batch
-                    xs[2][0] += 1  # its third field
+                    # its third field
+                    xs = xs + OpMatrix.from_entries(xs.nrows, xs.ncols, {(0, 2): Fraction(1)})
             return xs
 
-    split_batch = hodge.HodgeSplitter.split_batch
+    split_matrix = hodge.HodgeSplitter.split_matrix
     monkeypatch.setattr(hodge, "LiftedSolver", Perturbed)
-    monkeypatch.setattr(hodge.HodgeSplitter, "split_batch",
-                        lambda self, fields: batches.append(split_batch(self, fields))
-                        or batches[-1])
+    monkeypatch.setattr(hodge.HodgeSplitter, "split_matrix",
+                        lambda self, u: batches.append(split_matrix(self, u)) or batches[-1])
     rep = hodge.hodge_report("tri-dp", 2, 2, 1, fields=5, seed=3)
-    assert [p.harmonic_is_constant for p in batches[0]] == [True, True, False, True, True]
+    assert batches[0][4].tolist() == [True, True, False, True, True]
     assert not rep.passed
     assert failing(rep) == {"harmonic_part_is_constant", "parts_pairwise_orthogonal"}
     computed = {c.name: c.computed for c in rep.checks}
@@ -548,11 +572,16 @@ def test_cell_block_with_wrong_kernel_falls_through(monkeypatch, mutate, kernel)
     mutate(inst)
     block = cell_block(inst.first, inst.b_space.local_dim)
     assert len(block[0]) - exact_rank(block) == kernel
-    assert not complexcheck._kernel_is_weight(
-        inst.first.sparse_rows(), inst.b_space.local_dim, inst.a_space.dim,
-        inst.a_space.constant_vector(1))
+    assert not complexcheck._kernel_is_weight(inst.first, inst.b_space.local_dim,
+                                              inst.a_space.constant_vector(1))
     rep = run_broken(monkeypatch, mutate)
     assert not rep.passed
+
+
+def rows_op(rows, ncols):
+    """The sparse rows ({column: value}) as an OpMatrix with ncols columns."""
+    return OpMatrix.from_entries(len(rows), ncols, {(r, c): v for r, row in enumerate(rows)
+                                                   for c, v in row.items()})
 
 
 def test_union_find_joins_only_where_the_weight_is_nonzero():
@@ -563,15 +592,16 @@ def test_union_find_joins_only_where_the_weight_is_nonzero():
     weight = [one, one, Fraction(0), one, one]
     dense = [[line.get(c, 0) for c in range(5)] for line in lines]
     assert 5 - exact_rank(dense) == 2
-    assert not complexcheck._kernel_is_weight(lines, 2, 5, weight)
+    assert not complexcheck._kernel_is_weight(rows_op(lines, 5), 2, weight)
     # joined through a dof where the weight is nonzero, the kernel is span(weight)
     lines[2] = {1: one, 3: minus}
     lines[3] = {3: one, 4: minus}
     dense = [[line.get(c, 0) for c in range(5)] for line in lines]
     assert 5 - exact_rank(dense) == 1
-    assert complexcheck._kernel_is_weight(lines, 2, 5, weight)
+    assert complexcheck._kernel_is_weight(rows_op(lines, 5), 2, weight)
     # a block where the weight vanishes says nothing about the kernel
-    assert not complexcheck._kernel_is_weight([{0: one, 1: minus}], 1, 2, [Fraction(0)] * 2)
+    assert not complexcheck._kernel_is_weight(rows_op([{0: one, 1: minus}], 2), 1,
+                                              [Fraction(0)] * 2)
 
 
 def test_two_components_do_not_certify():
@@ -582,8 +612,8 @@ def test_two_components_do_not_certify():
     dim_a, size = inst.a_space.dim, inst.b_space.local_dim
     twice = rows + [{c + dim_a: v for c, v in row.items()} for row in rows]
     ones = inst.a_space.constant_vector(1)
-    assert complexcheck._kernel_is_weight(rows, size, dim_a, ones)
-    assert not complexcheck._kernel_is_weight(twice, size, 2 * dim_a, ones + ones)
+    assert complexcheck._kernel_is_weight(inst.first, size, ones)
+    assert not complexcheck._kernel_is_weight(rows_op(twice, 2 * dim_a), size, ones + ones)
     dense = [[row.get(c, 0) for c in range(2 * dim_a)] for row in twice]
     assert 2 * dim_a - exact_rank(dense) == 2
 
@@ -593,12 +623,13 @@ def test_uncovered_dof_fails_the_local_test():
     size = inst.b_space.local_dim
     ones = inst.a_space.constant_vector(1)
     rows, dim_a = inst.first.sparse_rows(), inst.a_space.dim
-    assert complexcheck._kernel_is_weight(rows, size, dim_a, ones)
-    assert not complexcheck._kernel_is_weight(rows, size, dim_a + 1, ones + [Fraction(1)])
+    assert complexcheck._kernel_is_weight(inst.first, size, ones)
+    assert not complexcheck._kernel_is_weight(rows_op(rows, dim_a + 1), size, ones + [Fraction(1)])
     weight = inst.gram_c.matvec(inst.c_space.uniform_vector())
     cols, dim_c = inst.second.sparse_columns(), inst.c_space.dim
-    assert complexcheck._kernel_is_weight(cols, size, dim_c, weight)
-    assert not complexcheck._kernel_is_weight(cols, size, dim_c + 1, weight + [Fraction(1)])
+    assert complexcheck._kernel_is_weight(inst.second.transpose(), size, weight)
+    assert not complexcheck._kernel_is_weight(rows_op(cols, dim_c + 1), size,
+                                              weight + [Fraction(1)])
 
 
 def test_gram_must_be_positive_definite(monkeypatch):

@@ -26,6 +26,7 @@ from derham.exactla import (
     span_compare,
     transpose,
 )
+from derham.sparse import OpMatrix
 
 F = Fraction
 
@@ -124,9 +125,8 @@ def test_linear_expander_inside_and_outside():
         LinearExpander([[F(1), F(2)], [F(2), F(4)]])  # dependent columns
 
 
-@pytest.mark.parametrize("p", [0, 7])
-def test_echelon_solve_needs_one_value_per_row(p):
-    ech = exactla._Echelon(p, factor=True)
+def test_echelon_solve_needs_one_value_per_row():
+    ech = exactla._Echelon(factor=True)
     for row in ({0: 1, 1: 2}, {0: 2, 1: 4}):
         ech.add(row)
     assert ech.solve([3, 6], 2) == [3, 0]
@@ -427,6 +427,13 @@ def square_systems(draw):
     return rows, rhs
 
 
+def lifted(rows, rhs):
+    """The columns of LiftedSolver's solution of rows x = each column of rhs."""
+    n = len(rows)
+    system = OpMatrix.from_columns(n, [list(col) for col in zip(*rows)])
+    return LiftedSolver(system).solve(OpMatrix.from_columns(n, rhs)).columns()
+
+
 @seed(909)
 @settings(max_examples=80, deadline=None)
 @given(square_systems())
@@ -434,17 +441,48 @@ def test_lifted_solves_match_gauss_jordan(system):
     rows, rhs = system
     expected = oracle_solutions(rows, rhs)
     assert expected is not None
-    cols = [list(col) for col in zip(*rows)]
-    assert LiftedSolver(cols).solve(rhs) == expected
-    sparse_cols = [{i: v for i, v in enumerate(col) if v} for col in cols]
-    sparse_rhs = [{i: v for i, v in enumerate(col) if v} for col in rhs]
-    assert LiftedSolver(sparse_cols).solve(sparse_rhs) == expected
+    assert lifted(rows, rhs) == expected
     assert solve_square(rows, rhs) == expected
 
 
 def test_lifted_solve_of_empty_system_and_batch():
     assert solve_square([], [[], []]) == [[], []]
-    assert LiftedSolver([[F(2)]]).solve([]) == []
+    empty = LiftedSolver(OpMatrix.from_entries(1, 1, {(0, 0): F(2)})).solve(OpMatrix(1, 0))
+    assert empty.shape == (1, 0)
+
+
+def test_lifted_solve_rejects_wrong_shapes():
+    with pytest.raises(ValueError, match="square"):
+        LiftedSolver(OpMatrix(2, 3))
+    solver = LiftedSolver(OpMatrix.from_entries(2, 2, {(0, 0): F(1), (1, 1): F(3)}))
+    with pytest.raises(ValueError, match="3 rows"):
+        solver.solve(OpMatrix(3, 1))
+
+
+def record_replays(monkeypatch):
+    """Record the number of open columns at every replay of the factor."""
+    widths = []
+    replay = LiftedSolver._replay
+    monkeypatch.setattr(LiftedSolver, "_replay",
+                        lambda self, r: widths.append(r.shape[1]) or replay(self, r))
+    return widths
+
+
+def test_batch_columns_leave_after_their_own_lifting_steps(monkeypatch):
+    """A column whose solution has a denominator near 2**200 lifts for
+    several steps; the zero column and two small solutions leave after the
+    first, and every column equals the oracle's."""
+    big = 2 ** 200 - 1
+    rows = [[F(big), F(1), F(0)], [F(2), F(1), F(3)], [F(0), F(-1), F(1)]]
+    small = [[F(1), F(-2), F(3)], [F(1, 3), F(0), F(-5, 7)]]
+    rhs = [[F(1), F(0), F(0)], [F(0)] * 3,
+           *([sum((a * x for a, x in zip(row, sol)), F(0)) for row in rows] for sol in small)]
+    expected = oracle_solutions(rows, rhs)
+    assert max(v.denominator for v in expected[0]).bit_length() > 200
+    assert expected[1:] == [[F(0)] * 3, *small]
+    widths = record_replays(monkeypatch)
+    assert lifted(rows, rhs) == expected
+    assert widths[:2] == [4, 1] and set(widths[1:]) == {1} and len(widths) > 5
 
 
 def record_primes(monkeypatch):
@@ -481,7 +519,7 @@ def test_singular_matrix_raises_after_a_rank_over_q(monkeypatch):
         solve_square(rows, [[F(1), F(2), F(3)]])
     assert seen == [*exactla._LIFT_PRIMES[:2], 0]
     with pytest.raises(ExactSolveError, match="singular"):
-        LiftedSolver([{0: F(1)}, {}])
+        LiftedSolver(OpMatrix.from_entries(2, 2, {(0, 0): F(1)}))
     with pytest.raises(ExactSolveError, match="singular"):
         solve_square([[F(0)]], [])
 
@@ -504,6 +542,50 @@ def test_wrong_reconstruction_is_never_returned(monkeypatch):
     assert p in moduli and max(moduli) > p
 
 
+def test_one_wrong_column_stays_open_while_the_others_return(monkeypatch):
+    """Integer solutions reconstruct at the first step.  The value 777 only
+    occurs in the second column; made wrong there for the first two steps,
+    that column is checked, kept and lifted on, while the other columns
+    leave the batch; made wrong at every step, it is never returned."""
+    rows = [[F(3), F(1), F(0), F(2)], [F(1), F(4), F(1), F(0)],
+            [F(0), F(1), F(5), F(1)], [F(2), F(0), F(1), F(6)]]
+    sols = [[1, -2, 3, 0], [4, 777, -1, 2], [0, 0, 5, -3]]
+    rhs = [[F(sum(a * x for a, x in zip(row, sol))) for row in rows] for sol in sols]
+    assert oracle_solutions(rows, rhs) == [[F(v) for v in sol] for sol in sols]
+    reconstruct, p = exactla._reconstruct, exactla._LIFT_PRIMES[0]
+
+    def wrong_777(limit):
+        def patched(u, m, bound):
+            found = reconstruct(u, m, bound)
+            return (778, 1) if found == (777, 1) and m <= limit else found
+        return patched
+
+    widths = record_replays(monkeypatch)
+    monkeypatch.setattr(exactla, "_reconstruct", wrong_777(p * p))
+    assert lifted(rows, rhs) == [[F(v) for v in sol] for sol in sols]
+    assert widths == [3, 1, 1]
+    monkeypatch.setattr(exactla, "_reconstruct", wrong_777(float("inf")))
+    with pytest.raises(ArithmeticError, match="Hadamard"):
+        lifted(rows, rhs)
+
+
+def test_int64_replay_row_at_its_proven_bound():
+    """The longest replay row the bound allows, every multiplier and residue
+    p - 1, equals the sum in Python ints; so do the largest coefficient and
+    half of every term, whose sum is the bound itself."""
+    p = exactla._LIFT_PRIMES[0]
+    terms = exactla._replay_terms(p)
+    half = exactla._HALF - 1
+    assert 2 * terms * (p - 1) * half < 2 ** 63 <= 2 * (terms + 1) * (p - 1) * half
+    coef = np.array(exactla._row_coefficients([p - 1] * terms, p), dtype=np.int64)
+    halves = np.empty((2 * terms, 2), dtype=np.int64)
+    halves[:terms], halves[terms:] = divmod(p - 1, exactla._HALF)
+    assert exactla._dot_mod_p(coef, halves, p).tolist() == [terms * (p - 1) ** 2 % p] * 2
+    coef = np.full(2 * terms, p - 1, dtype=np.int64)
+    halves = np.full((2 * terms, 2), half, dtype=np.int64)
+    assert exactla._dot_mod_p(coef, halves, p).tolist() == [2 * terms * (p - 1) * half % p] * 2
+
+
 def test_lifted_solve_ignores_the_rank_primes(monkeypatch):
     rng = random.Random(5)
     rows = random_matrix(rng, 5, 5, 5)
@@ -512,4 +594,4 @@ def test_lifted_solve_ignores_the_rank_primes(monkeypatch):
     assert expected == oracle_solutions(rows, rhs)
     monkeypatch.setattr(exactla, "_PRIMES", ())
     assert solve_square(rows, rhs) == expected
-    assert LiftedSolver([list(col) for col in zip(*rows)]).solve(rhs) == expected
+    assert lifted(rows, rhs) == expected

@@ -206,6 +206,22 @@ def test_field_io_roundtrip(tmp_path, tri_instance):
     assert back == floats
 
 
+def test_loaded_float_coefficient_is_a_clear_error(tmp_path, tri_instance, tri_splitter):
+    """A JSON-number coefficient loads as a float, which the exact splitter
+    refuses with TypeError naming its column and row."""
+    space = tri_instance.b_space
+    coeffs = random_field(space, random.Random(59))
+    coeffs[3] = 0.25
+    path = tmp_path / "field.json"
+    save_field(str(path), space, coeffs)
+    _, back = load_field(str(path))
+    assert isinstance(back[3], float)
+    with pytest.raises(TypeError, match=r"column 0, row 3 .* not an int or a Fraction"):
+        tri_splitter.split(back)
+    with pytest.raises(TypeError, match=r"column 1, row 3 "):
+        tri_splitter.split_batch([coeffs[:3] + [F(1, 4)] + coeffs[4:], back])
+
+
 def test_load_field_rejects_bad_fields(tmp_path, tri_instance):
     space = tri_instance.b_space
     path = tmp_path / "field.json"
