@@ -55,7 +55,7 @@ from .operators import (
     assemble_grad_perp,
     assemble_gram,
 )
-from .poly import RefCell, legendre_coefficients, segment_trace
+from .poly import RefCell, trace_legendre
 from .refcheck import flat_trace_basis
 from .report import Report
 from .sparse import OpMatrix
@@ -497,14 +497,10 @@ def appendix_report(nx: int, ny: int, lx=1, ly=1) -> Report:
             edge, along = cell.edge_of(face.index)
             key = (cell.fmap.m, edge, along)
             if key not in traces:
-                start, direction, chord = cell.face_segment(edge, along)
+                _, _, chord = cell.face_segment(edge, along)
                 nrm = (-chord[1], chord[0])
-                traces[key] = []
-                for u in triple:
-                    coeffs = legendre_coefficients(segment_trace(u, start, direction, nrm), 0)
-                    if coeffs is None:
-                        raise AssertionError("three-field trace is not facewise constant")
-                    traces[key].extend(coeffs)
+                traces[key] = [c for u in triple
+                               for c in trace_legendre(u, cell.ref, edge, along, nrm, 0)]
             for i, v in enumerate(traces[key]):
                 col = 3 * cell.index + i
                 row[col] = row.get(col, _ZERO) + sign * v

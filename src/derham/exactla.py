@@ -436,7 +436,7 @@ def mat_vec(rows: Sequence[Sequence], v: Sequence) -> list[Fraction]:
         s = _ZERO
         for a, x in zip(r, v):
             if a and x:
-                s += Fraction(a) * x
+                s += a * x
         out.append(s)
     return out
 

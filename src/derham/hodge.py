@@ -189,7 +189,7 @@ _FIELD_VALUES = [[Fraction(a, b) for b in range(1, 10)] for a in range(-9, 10)]
 def random_field(space: DGVectorSpace, rng: random.Random) -> list[Fraction]:
     """Seeded random coefficient vector with bounded rational entries: per
     entry a numerator in -9..9, then a denominator in 1..9."""
-    return [_FIELD_VALUES[rng.randint(-9, 9) + 9][rng.randint(1, 9) - 1] for _ in range(space.dim)]
+    return [_FIELD_VALUES[rng.randrange(19)][rng.randrange(9)] for _ in range(space.dim)]
 
 
 def hodge_report(name: str, nx: int, ny: int, k: int, fields: int = 20,

@@ -40,7 +40,7 @@ from .fespace import (
     DGVectorSpace,
     SpanError,
 )
-from .poly import curl2d, divergence, grad, grad_perp, legendre_coefficients, segment_trace
+from .poly import TraceDegreeError, curl2d, divergence, grad, grad_perp, trace_legendre
 from .sparse import OpMatrix
 
 __all__ = [
@@ -137,30 +137,33 @@ class GramMatrix:
         return self._as_op().dense_rows()
 
 
-def _scaled_block(shared: dict, local, jac: Fraction) -> list[list[Fraction]]:
-    """The local Gram block times jac, one list per (local basis, jac), so
-    equal blocks are one object."""
-    key = (local, jac)
-    if key not in shared:
-        shared[key] = [[v * jac for v in row] for row in local.gram_ref()]
-    return shared[key]
+def _add_cell_blocks(g: GramMatrix, cells, local_of, offset_of) -> None:
+    """Add each cell's local Gram block times jac at its offset.  jac and the
+    scaled block are formed once per chart, and charts with the same local
+    basis and jac share one block list."""
+    shared: dict = {}  # (local basis, jac) -> scaled block
+    per_chart: dict = {}  # chart -> scaled block
+    for cell in cells:
+        m = cell.fmap.m
+        block = per_chart.get(m)
+        if block is None:
+            local, jac = local_of(cell), abs(cell.fmap.det())
+            if (local, jac) not in shared:
+                shared[local, jac] = [[v * jac for v in row] for row in local.gram_ref()]
+            block = per_chart[m] = shared[local, jac]
+        g.add_block(offset_of(cell.index), block)
 
 
 def assemble_gram(space) -> GramMatrix:
-    """Exact Gram matrix of a space under its L2-style inner product.  Cells
-    with the same local basis and jac share one block list."""
-    shared: dict = {}
+    """Exact Gram matrix of a space under its L2-style inner product."""
     if isinstance(space, DGVectorSpace):
         g = GramMatrix(space.dim, space.family)
-        for cell in space.mesh.cells:
-            g.add_block(space.offset(cell.index), _scaled_block(shared, space.local(cell), cell.jac))
+        _add_cell_blocks(g, space.mesh.cells, space.local, space.offset)
         return g
     if isinstance(space, CodomainSpace):
         g = GramMatrix(space.dim, "codomain")
         if space.cell_dim:
-            for cell in space.mesh.cells:
-                g.add_block(space.cell_offset(cell.index),
-                            _scaled_block(shared, space.cell_local, cell.jac))
+            _add_cell_blocks(g, space.mesh.cells, lambda cell: space.cell_local, space.cell_offset)
         leg = space.legendre
         fg = [[_ZERO] * space.face_dim for _ in range(space.face_dim)]
         for i in range(space.face_dim):
@@ -256,16 +259,16 @@ def _assemble_second(b_space: DGVectorSpace, c_space: CodomainSpace,
             edge, along = cell.edge_of(face.index)
             key = (cell.fmap.m, edge, along, sign)
             if key not in trace_placed:
-                start, direction, chord = cell.face_segment(edge, along)
+                _, _, chord = cell.face_segment(edge, along)
                 vec = _face_vector(chord, tangential)
                 stamp = []
                 for i, u in enumerate(b_space.local(cell).elements):
-                    tr = segment_trace(u, start, direction, vec)
-                    coeffs = legendre_coefficients(tr, kdeg)
-                    if coeffs is None:
+                    try:
+                        coeffs = trace_legendre(u, cell.ref, edge, along, vec, kdeg)
+                    except TraceDegreeError as exc:
                         raise MembershipError(
                             f"{name} trace on face {face.index} ({face.kind}, {side}): "
-                            f"degree {tr.degree()} exceeds face degree {kdeg}")
+                            f"degree {exc.degree} exceeds face degree {kdeg}") from exc
                     stamp.extend((ell, i, sign * v) for ell, v in enumerate(coeffs) if v)
                 trace_placed[key] = (stamp, [], [])
             _, bases, col_maps = trace_placed[key]

@@ -5,6 +5,11 @@ restrictions to straight segments (univariate ``EdgePoly``), affine maps
 between cells, and exact integration over the two reference cells (the unit
 triangle ``conv{(0,0),(1,0),(0,1)}`` and the unit square ``[0,1]^2``).
 
+Face traces go through one kernel, ``trace_legendre``: a cached table per
+oriented reference edge maps each monomial to the shifted-Legendre
+coefficients of its restriction, so a trace is a sum of table rows scaled by
+the field's coefficients, with no polynomial products per call.
+
 Everything here stays in exact arithmetic; no floats enter at any point.
 """
 
@@ -28,9 +33,9 @@ __all__ = [
     "divergence",
     "curl2d",
     "legendre_basis",
-    "legendre_coefficients",
     "restrict_to_segment",
-    "segment_trace",
+    "TraceDegreeError",
+    "trace_legendre",
 ]
 
 _ZERO = Fraction(0)
@@ -395,20 +400,6 @@ def restrict_to_segment(p: Poly, start, direction) -> EdgePoly:
     return _substitute(p, xt, yt, EdgePoly([1]), EdgePoly())
 
 
-def segment_trace(u: VecPoly, start, direction, vec) -> EdgePoly:
-    """The trace ``u . vec`` on t -> start + t * direction, for a constant
-    vector ``vec`` (a face normal or tangent), all exact."""
-    return restrict_to_segment(u.dot(vec), start, direction)
-
-
-def legendre_coefficients(tr: EdgePoly, k: int) -> list[Fraction] | None:
-    """Shifted-Legendre coefficients 0..k of ``tr`` on [0, 1], or None when
-    its degree exceeds k."""
-    if tr.degree() > k:
-        return None
-    return [(tr * ell).integrate01() * (2 * i + 1) for i, ell in enumerate(legendre_basis(k))]
-
-
 @dataclass(frozen=True)
 class RefEdge:
     """Oriented straight edge of a reference cell.
@@ -431,7 +422,7 @@ class RefEdge:
         return (d[1], -d[0])
 
     def normal_trace(self, u: VecPoly) -> EdgePoly:
-        return segment_trace(u, self.start, self.direction, self.outward)
+        return restrict_to_segment(u.dot(self.outward), self.start, self.direction)
 
 
 def _pt(a, b) -> tuple[Fraction, Fraction]:
@@ -503,3 +494,73 @@ def _legendre(n: int) -> EdgePoly:
 def legendre_basis(k: int) -> list[EdgePoly]:
     """Shifted Legendre polynomials L_0..L_k on [0,1]."""
     return [_legendre(i) for i in range(k + 1)]
+
+
+@lru_cache(maxsize=None)
+def _power_legendre(j: int) -> tuple[Fraction, ...]:
+    """Shifted-Legendre coefficients 0..j of t^j on [0, 1]: entry i is
+    (2i+1) * integral_0^1 t^j L_i(t) dt."""
+    return tuple((2 * i + 1) * sum((c / (m + j + 1) for m, c in enumerate(_legendre(i).c)), _ZERO)
+                 for i in range(j + 1))
+
+
+class _TraceTable(dict):
+    """Monomial ``(a, b)`` -> shifted-Legendre coefficients 0..a+b of
+    ``x^a y^b`` restricted to one oriented reference edge; a row is formed
+    on first use."""
+
+    def __init__(self, start, direction):
+        super().__init__()
+        self.start = start
+        self.direction = direction
+
+    def __missing__(self, ab: tuple[int, int]) -> tuple[Fraction, ...]:
+        powers = restrict_to_segment(Poly.monomial(*ab), self.start, self.direction)
+        row = [_ZERO] * (ab[0] + ab[1] + 1)
+        for j, pj in enumerate(powers.c):
+            if pj:
+                for i, v in enumerate(_power_legendre(j)):
+                    row[i] += pj * v
+        self[ab] = out = tuple(row)
+        return out
+
+
+@lru_cache(maxsize=None)
+def _trace_table(ref: RefCell, edge: int, along: bool) -> _TraceTable:
+    e = ref.edges[edge]
+    if along:
+        return _TraceTable(e.start, e.direction)
+    return _TraceTable(e.end, (-e.direction[0], -e.direction[1]))
+
+
+class TraceDegreeError(ValueError):
+    """A face trace has a higher degree than the coefficients asked for."""
+
+    def __init__(self, degree: int, k: int):
+        super().__init__(f"trace has degree {degree} > {k}")
+        self.degree = degree
+
+
+def trace_legendre(u: VecPoly, ref: RefCell, edge: int, along: bool, vec, k: int) -> list[Fraction]:
+    """Shifted-Legendre coefficients 0..k of the trace ``u . vec`` on edge
+    ``edge`` of ``ref``, traversed start -> end when ``along`` and end ->
+    start otherwise, for a constant vector ``vec`` (a face normal or
+    tangent), all exact.  Raises ``TraceDegreeError`` naming the trace's
+    degree, its last nonzero Legendre index, when that exceeds k."""
+    table = _trace_table(ref, edge, along)
+    acc = [_ZERO] * (k + 1)
+    for part, w in ((u.x, vec[0]), (u.y, vec[1])):
+        if not w:
+            continue
+        for ab, c in part.c.items():
+            s = c * w
+            row = table[ab]
+            if len(row) > len(acc):
+                acc.extend([_ZERO] * (len(row) - len(acc)))
+            for i, v in enumerate(row):
+                if v:
+                    acc[i] += s * v
+    for degree in range(len(acc) - 1, k, -1):
+        if acc[degree]:
+            raise TraceDegreeError(degree, k)
+    return acc[:k + 1]

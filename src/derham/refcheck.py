@@ -13,6 +13,11 @@ Three related objects live here, all in exact arithmetic:
   remainder with edgewise-constant normal traces, then certifies the split
   by exact reconstruction.  ``uniqueness_probe`` certifies that those three
   ingredients form a basis of the divergence-free subspace.
+
+The decomposition works on coefficient vectors in the family's reference
+basis, with tables formed once per (family, k): the bubble projector, the
+basis's trace table, the edge modes' vectors and one factor of the flat
+columns.  Its fields are formed from those vectors at the end.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactla import (
+    ExactSolveError,
+    LinearExpander,
     RankResult,
     mat_vec,
     rank_nullspace,
@@ -34,7 +41,7 @@ from .exactla import (
 )
 from .fespace import VECTOR_FAMILIES, LocalBasis, make_vector_basis, scalar_local_basis
 from .mesh import MeshKind
-from .poly import Poly, RefCell, VecPoly, divergence, grad_perp, legendre_coefficients
+from .poly import Poly, RefCell, VecPoly, divergence, grad_perp, trace_legendre
 from .report import Report
 
 __all__ = [
@@ -79,23 +86,23 @@ def reference_basis(family: str, k: int) -> LocalBasis:
 def _combine(elements, coeffs):
     """The combination sum c_i * elements[i] of scalar or vector polynomials
     (at least one element)."""
-    out = type(elements[0]).zero()
+    vector = isinstance(elements[0], VecPoly)
+    parts: list[dict] = [{}, {}] if vector else [{}]
     for c, f in zip(coeffs, elements):
         if c:
-            out = out + f.scale(c)
-    return out
+            for acc, part in zip(parts, (f.x, f.y) if vector else (f,)):
+                for ab, v in part.c.items():
+                    acc[ab] = acc.get(ab, _ZERO) + c * v
+    return VecPoly(Poly(parts[0]), Poly(parts[1])) if vector else Poly(parts[0])
 
 
 def trace_coefficients(ref: RefCell, u: VecPoly, k: int) -> list[Fraction]:
     """Edge-major vector of Legendre coefficients (orders 0..k) of the
-    outward normal traces of ``u``; exact, raises if a trace exceeds degree k."""
+    outward normal traces of ``u``; exact, raises ``TraceDegreeError`` if a
+    trace exceeds degree k."""
     out: list[Fraction] = []
-    for edge in ref.edges:
-        tr = edge.normal_trace(u)
-        coeffs = legendre_coefficients(tr, k)
-        if coeffs is None:
-            raise ValueError(f"normal trace has degree {tr.degree()} > {k}")
-        out.extend(coeffs)
+    for e, edge in enumerate(ref.edges):
+        out.extend(trace_legendre(u, ref, e, True, edge.outward, k))
     return out
 
 
@@ -173,13 +180,10 @@ def _divergence_rows(basis: LocalBasis) -> list[list[Fraction]]:
     return [[d.coeff(*ab) for d in divs] for ab in monos]
 
 
-def _trace_rows(basis: LocalBasis) -> list[list[Fraction]]:
-    rows: list[list[Fraction]] = []
-    for edge in basis.ref.edges:
-        traces = [edge.normal_trace(u) for u in basis.elements]
-        deg = max((t.degree() for t in traces), default=-1)
-        rows.extend([t.coeff(p) for t in traces] for p in range(deg + 1))
-    return rows
+def _trace_rows(basis: LocalBasis, k: int) -> list[list[Fraction]]:
+    """The basis's trace table: edge-major rows (edge, Legendre order 0..k)
+    of the outward normal trace coefficients of every basis element."""
+    return transpose([trace_coefficients(basis.ref, u, k) for u in basis.elements])
 
 
 @lru_cache(maxsize=None)
@@ -191,36 +195,49 @@ def divfree_coefficients(family: str, k: int) -> tuple[tuple[Fraction, ...], ...
 
 
 class BubbleBasis:
-    """Divergence-free family members with zero normal trace on every edge."""
+    """Divergence-free family members with zero normal trace on every edge.
+
+    ``projector`` maps a family coefficient vector to the bubble
+    coefficients of its L2-orthogonal projection: the inverse of the
+    bubbles' Gram matrix times their moments against the family basis.
+    """
 
     def __init__(self, family: str, k: int):
         self.family = family
         self.k = k
         self.ref = family_ref(family)
         self.basis = reference_basis(family, k)
-        rows = _divergence_rows(self.basis) + _trace_rows(self.basis)
+        degree = max(a + b for u in self.basis.elements for p in (u.x, u.y) for a, b in p.c)
+        rows = _divergence_rows(self.basis) + _trace_rows(self.basis, degree)
         res = rank_nullspace(rows, ncols=self.basis.dim)
         self.vectors = res.nullspace
         self.elements = [_combine(self.basis.elements, v) for v in self.vectors]
-        self.local = LocalBasis(self.ref, self.elements, f"bubbles of {self.basis.tag}")
-        # the inverse of the bubbles' Gram matrix, by one batch solve; it is
-        # symmetric, so its columns are its rows
         n = self.dim
-        self._gram_inverse = solve_square(self.local.gram_ref(), [
+        if not n:
+            self.projector: list[list[Fraction]] = []
+            return
+        # moments of the bubbles against the family basis, then their Gram
+        # matrix; the inverse by one batch solve is symmetric, so its
+        # columns are its rows
+        moments = [[self.basis.inner(b, e) for e in self.basis.elements] for b in self.elements]
+        gram_inverse = solve_square([mat_vec(moments, v) for v in self.vectors], [
             [_ONE if i == j else _ZERO for i in range(n)] for j in range(n)])
+        self.projector = transpose([mat_vec(gram_inverse, col) for col in transpose(moments)])
 
     @property
     def dim(self) -> int:
         return len(self.elements)
 
+    def coefficients(self, cv) -> list[Fraction]:
+        """Bubble coefficients of the projection of family coefficients ``cv``."""
+        return mat_vec(self.projector, cv)
+
     def project(self, v: VecPoly) -> VecPoly:
-        """Exact L2-orthogonal projection onto the bubble span."""
+        """Exact L2-orthogonal projection of a family member onto the bubble
+        span; SpanError if ``v`` is outside the family."""
         if not self.elements:
             return VecPoly.zero()
-        rhs = [self.local.inner(e, v) for e in self.elements]
-        coeffs = [sum((a * b for a, b in zip(row, rhs) if a and b), _ZERO)
-                  for row in self._gram_inverse]
-        return _combine(self.elements, coeffs)
+        return _combine(self.elements, self.coefficients(self.basis.expand(v)))
 
 
 @lru_cache(maxsize=None)
@@ -238,25 +255,66 @@ def flat_trace_basis(ref: RefCell) -> list[VecPoly]:
     return out
 
 
+class _DecompositionTables:
+    """The coefficient-space tables of one decomposable (family, k), in the
+    family's reference basis: divergence rows, the rows (edge, order 1..k)
+    of the basis's trace table that read off the edge-mode coefficients,
+    one vector per edge mode, and a factor of the flat-trace columns."""
+
+    def __init__(self, family: str, k: int):
+        ref = family_ref(family)
+        self.basis = reference_basis(family, k)
+        self.bubbles = bubble_basis(family, k)
+        self.divergence = _divergence_rows(self.basis)
+        trace = _trace_rows(self.basis, k)
+        self.mode_rows = [trace[e * (k + 1) + i] for e in range(ref.num_edges)
+                          for i in range(1, k + 1)]
+        # one mode per (edge, order 1..k): a rotated gradient whose boundary
+        # coefficients hit exactly that unit target, minus its bubble projection
+        bcm = boundary_curl_map(ref, k)
+        self.modes: list[tuple[int, int, list[Fraction]]] = []
+        for e in range(ref.num_edges):
+            for i in range(1, k + 1):
+                target = [_ZERO] * bcm.boundary_dim
+                target[e * (k + 1) + i] = _ONE
+                psi = bcm.solve(target)
+                if psi is None:
+                    raise AssertionError("boundary target unexpectedly outside the range")
+                w = self.basis.expand(grad_perp(_combine(bcm.scalar.elements, psi)))
+                bubble = _lincomb(self.bubbles.vectors, self.bubbles.coefficients(w), len(w))
+                self.modes.append((e, i, _subtract(w, bubble)))
+        self.flats = flat_trace_basis(ref)
+        self.flat_columns = [self.basis.expand(w) for w in self.flats]
+        self.flat_factor = LinearExpander(self.flat_columns)
+
+
+def _subtract(a, b) -> list[Fraction]:
+    return [x - y for x, y in zip(a, b)]
+
+
+def _lincomb(vectors, coeffs, n: int) -> list[Fraction]:
+    """sum c_i * vectors[i], as a length-n list."""
+    out = [_ZERO] * n
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for j, x in enumerate(v):
+                if x:
+                    out[j] += c * x
+    return out
+
+
+@lru_cache(maxsize=None)
+def _decomposition_tables(family: str, k: int) -> _DecompositionTables:
+    return _DecompositionTables(family, k)
+
+
 @lru_cache(maxsize=None)
 def edge_modes(family: str, k: int) -> tuple[tuple[int, int, VecPoly], ...]:
     """One mode per (edge, Legendre order 1..k): a rotated gradient whose
     boundary coefficients hit exactly that unit target, minus its bubble
     projection.  Triples are (edge index, Legendre order, field)."""
-    ref = family_ref(family)
-    bcm = boundary_curl_map(ref, k)
-    bubbles = bubble_basis(family, k)
-    out = []
-    for e in range(ref.num_edges):
-        for i in range(1, k + 1):
-            target = [_ZERO] * bcm.boundary_dim
-            target[e * (k + 1) + i] = _ONE
-            psi = bcm.solve(target)
-            if psi is None:
-                raise AssertionError("boundary target unexpectedly outside the range")
-            w = grad_perp(_combine(bcm.scalar.elements, psi))
-            out.append((e, i, w - bubbles.project(w)))
-    return tuple(out)
+    tables = _decomposition_tables(family, k)
+    return tuple((e, i, _combine(tables.basis.elements, v)) for e, i, v in tables.modes)
 
 
 @dataclass
@@ -296,30 +354,26 @@ def decompose_divfree(u: VecPoly, family: str, k: int) -> DivFreeDecomposition:
     """
     if family not in DECOMPOSABLE_FAMILIES:
         raise ValueError(f"decomposition applies to {DECOMPOSABLE_FAMILIES}, not {family!r}")
-    ref = family_ref(family)
-    basis = reference_basis(family, k)
-    basis.expand(u)  # membership check; SpanError if outside
-    if not divergence(u).is_zero:
+    tables = _decomposition_tables(family, k)
+    cu = tables.basis.expand(u)  # membership check; SpanError if outside
+    if any(mat_vec(tables.divergence, cu)):
         raise ValueError("input field is not divergence-free")
 
-    bubble = bubble_basis(family, k).project(u)
-    acc = bubble
-    tc = trace_coefficients(ref, u, k)
-    modes = []
-    for e, i, elem in edge_modes(family, k):
-        lam = tc[e * (k + 1) + i]
-        modes.append(EdgeMode(e, i, lam, elem))
-        if lam:
-            acc = acc + elem.scale(lam)
-    rem = u - acc
-
-    flats = flat_trace_basis(ref)
-    cols = [basis.expand(w) for w in flats]
-    sol = solve_any(transpose(cols), basis.expand(rem))
-    if sol is None:
-        return DivFreeDecomposition(family, k, u, bubble, modes, VecPoly.zero(), [], False, rem)
-    flat = _combine(flats, sol)
-    return DivFreeDecomposition(family, k, u, bubble, modes, flat, sol, True, rem - flat)
+    bubbles = tables.bubbles
+    beta = bubbles.coefficients(cu)
+    lams = mat_vec(tables.mode_rows, cu)
+    n = len(cu)
+    rem = _subtract(cu, _lincomb(bubbles.vectors + [v for _, _, v in tables.modes], beta + lams, n))
+    bubble = _combine(bubbles.elements, beta) if bubbles.elements else VecPoly.zero()
+    modes = [EdgeMode(e, i, lam, elem) for (e, i, elem), lam in zip(edge_modes(family, k), lams)]
+    try:
+        sol = tables.flat_factor.expand(rem)
+    except ExactSolveError:
+        return DivFreeDecomposition(family, k, u, bubble, modes, VecPoly.zero(), [], False,
+                                    _combine(tables.basis.elements, rem))
+    residual = _subtract(rem, _lincomb(tables.flat_columns, sol, n))
+    return DivFreeDecomposition(family, k, u, bubble, modes, _combine(tables.flats, sol), sol, True,
+                                _combine(tables.basis.elements, residual))
 
 
 @dataclass
@@ -339,10 +393,10 @@ def uniqueness_probe(family: str, k: int) -> UniquenessProbe:
     """Certify that bubbles, flat-trace fields and edge modes are jointly
     independent and span exactly the divergence-free subspace, which makes
     the decomposition unique."""
-    basis = reference_basis(family, k)
-    bubbles = bubble_basis(family, k)
-    flats = [basis.expand(w) for w in flat_trace_basis(family_ref(family))]
-    modes = [basis.expand(elem) for _, _, elem in edge_modes(family, k)]
+    tables = _decomposition_tables(family, k)
+    bubbles = tables.bubbles
+    flats = tables.flat_columns
+    modes = [v for _, _, v in tables.modes]
     cols = [list(v) for v in bubbles.vectors] + flats + modes
     divfree = [list(v) for v in divfree_coefficients(family, k)]
     cert = span_compare(cols, divfree)
@@ -370,7 +424,7 @@ def random_divfree(family: str, k: int, rng: random.Random) -> VecPoly:
     fam = "p" if ref is RefCell.TRIANGLE else "q"
     scalar = scalar_local_basis(ref, fam, k + 1)
     for _ in range(64):
-        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in scalar.elements]
+        coeffs = [Fraction(rng.randrange(19) - 9, rng.randrange(9) + 1) for _ in scalar.elements]
         u = grad_perp(_combine(scalar.elements, coeffs))
         if not u.is_zero:
             return u

@@ -197,8 +197,8 @@ def test_stamps_are_formed_per_key(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(operators, "segment_trace",
-                        counted("trace", operators.segment_trace))
+    monkeypatch.setattr(operators, "trace_legendre",
+                        counted("trace", operators.trace_legendre))
     monkeypatch.setattr(exactla.LinearExpander, "expand",
                         counted("expand", exactla.LinearExpander.expand))
     build_diagram("tri-dp", 4, 4, 1)  # fills the local-basis caches

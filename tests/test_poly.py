@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from derham.fespace import scalar_local_basis
@@ -19,8 +19,10 @@ from derham.poly import (
     divergence,
     grad,
     grad_perp,
+    TraceDegreeError,
     legendre_basis,
     restrict_to_segment,
+    trace_legendre,
 )
 
 F = Fraction
@@ -163,3 +165,59 @@ def test_vecpoly_rotation_and_dot():
     r = u.rot90()                                            # (-y, x)
     assert r.x == -Poly.monomial(0, 1) and r.y == Poly.monomial(1, 0)
     assert u.dot((F(2), F(3))) == Poly.monomial(1, 0, 2) + Poly.monomial(0, 1, 3)
+
+
+def _oracle_trace(u, start, direction, vec, k):
+    """Shifted-Legendre coefficients 0..k of ``u . vec`` on the segment by
+    polynomial products: restrict, multiply by each L_i, integrate.  Returns
+    the trace's degree and the coefficients, or None when the degree
+    exceeds k."""
+    tr = restrict_to_segment(u.dot(vec), start, direction)
+    if tr.degree() > k:
+        return tr.degree(), None
+    return tr.degree(), [(tr * ell).integrate01() * (2 * i + 1)
+                         for i, ell in enumerate(legendre_basis(k))]
+
+
+rationals = st.builds(F, st.integers(-9, 9), st.integers(1, 7))
+vector_polys = st.builds(
+    lambda xs, ys: VecPoly(Poly(xs), Poly(ys)),
+    *(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), rationals, max_size=5)
+      for _ in range(2)))
+
+
+@seed(1414)
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([RefCell.TRIANGLE, RefCell.SQUARE]), st.data(), st.booleans(),
+       vector_polys, st.tuples(rationals, rationals), st.integers(0, 4))
+def test_trace_legendre_matches_polynomial_products(ref, data, along, u, vec, k):
+    edge = data.draw(st.integers(0, ref.num_edges - 1))
+    e = ref.edges[edge]
+    start, direction = (e.start, e.direction) if along else (
+        e.end, (-e.direction[0], -e.direction[1]))
+    degree, want = _oracle_trace(u, start, direction, vec, k)
+    if want is None:
+        with pytest.raises(TraceDegreeError, match=f"^trace has degree {degree} > {k}$") as err:
+            trace_legendre(u, ref, edge, along, vec, k)
+        assert err.value.degree == degree
+    else:
+        assert trace_legendre(u, ref, edge, along, vec, k) == want
+
+
+def test_trace_legendre_covers_every_edge_and_orientation():
+    # a field whose traces have degree 4 on every edge of both cells
+    u = VecPoly(Poly({(4, 0): F(1, 3), (0, 4): F(-2, 5), (1, 1): 1}), Poly({(2, 2): F(3, 7)}))
+    vec = (F(2, 3), F(-1, 2))
+    for ref in (RefCell.TRIANGLE, RefCell.SQUARE):
+        for edge, e in enumerate(ref.edges):
+            for along in (True, False):
+                start, direction = (e.start, e.direction) if along else (
+                    e.end, (-e.direction[0], -e.direction[1]))
+                for k in range(5):
+                    degree, want = _oracle_trace(u, start, direction, vec, k)
+                    assert degree == 4
+                    if want is None:
+                        with pytest.raises(TraceDegreeError):
+                            trace_legendre(u, ref, edge, along, vec, k)
+                    else:
+                        assert trace_legendre(u, ref, edge, along, vec, k) == want
