@@ -48,6 +48,7 @@ from .fespace import (
 )
 from .mesh import Mesh, MeshKind, build_mesh
 from .operators import (
+    GramBlock,
     GramMatrix,
     assemble_curl_distributional,
     assemble_div_distributional,
@@ -194,7 +195,7 @@ class ComplexCertificate:
     harmonic_is_constants: bool
 
 
-def _positive_definite(rows: list[list[Fraction]]) -> bool:
+def _positive_definite(rows) -> bool:
     """Exact LDL^T of a square block: symmetric with every pivot > 0."""
     n = len(rows)
     if any(len(row) != n or any(row[j] != rows[j][i] for j in range(i))
@@ -213,6 +214,18 @@ def _positive_definite(rows: list[list[Fraction]]) -> bool:
     return True
 
 
+def _block_positive_definite(rows) -> bool:
+    """``_positive_definite`` of one block.  A ``GramBlock`` is immutable
+    and shared by every matrix that holds it, so its rows are checked once
+    and the verdict stays with the block; any other block is checked on
+    every call."""
+    if not isinstance(rows, GramBlock):
+        return _positive_definite(rows)
+    if rows.definite is None:
+        rows.definite = _positive_definite(rows)
+    return rows.definite
+
+
 def _gram_positive_definite(gram: GramMatrix) -> bool:
     """The blocks tile the diagonal and each distinct block (by identity) is
     symmetric positive definite, so the whole matrix is."""
@@ -222,7 +235,7 @@ def _gram_positive_definite(gram: GramMatrix) -> bool:
             return False
         end += len(rows)
     distinct = {id(rows): rows for _, rows in gram.blocks}
-    return end == gram.dim and all(map(_positive_definite, distinct.values()))
+    return end == gram.dim and all(map(_block_positive_definite, distinct.values()))
 
 
 def _kernel_is_weight(op: OpMatrix, cell_size: int, weight: list[Fraction]) -> bool:
@@ -495,7 +508,7 @@ def appendix_report(nx: int, ny: int, lx=1, ly=1) -> Report:
         for side, sign in (("left", -1), ("right", 1)):
             cell = mesh.cells[face.cell_on(side)]
             edge, along = cell.edge_of(face.index)
-            key = (cell.fmap.m, edge, along)
+            key = (cell.chart, edge, along)
             if key not in traces:
                 _, _, chord = cell.face_segment(edge, along)
                 nrm = (-chord[1], chord[0])

@@ -23,6 +23,7 @@ along it; cell and interior node), never by their coordinates.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -176,6 +177,15 @@ class LocalBasis:
 
 
 @lru_cache(maxsize=None)
+def _constant_coefficients(local: LocalBasis, *value) -> tuple[Fraction, ...]:
+    """Coefficients in ``local`` of the constant ``value``: one number for a
+    scalar basis, two components for a vector basis; expanded once per
+    process."""
+    const = VecPoly.constant(*value) if len(value) == 2 else Poly.const(*value)
+    return tuple(local.expand(const))
+
+
+@lru_cache(maxsize=None)
 def scalar_local_basis(ref: RefCell, family: str, param: int) -> LocalBasis:
     """Monomial scalar basis: family "p" (total degree), "q" (per-variable
     degree) or "qhat" (level-k reduced quad space Q_{k,k-1} + Q_{k-1,k})."""
@@ -289,16 +299,12 @@ class DGVectorSpace:
 
     def constant_vector(self, cx, cy) -> list[Fraction]:
         """Global coefficient vector of the constant field (cx, cy)."""
-        const = VecPoly.constant(cx, cy)
-        expanded: dict = {}  # one expansion per distinct chart
-        out = [_ZERO] * self.dim
+        expanded: dict[int, tuple[Fraction, ...]] = {}  # chart -> the field's coefficients
         for cell in self.mesh.cells:
-            m = cell.fmap.m
-            if m not in expanded:
-                expanded[m] = self.local(cell).expand(const)
-            base = self.offset(cell.index)
-            out[base:base + self.local_dim] = expanded[m]
-        return out
+            if cell.chart not in expanded:
+                expanded[cell.chart] = _constant_coefficients(self.local(cell), cx, cy)
+        return list(itertools.chain.from_iterable(expanded[cell.chart]
+                                                  for cell in self.mesh.cells))
 
     def descriptor(self) -> dict:
         return {
@@ -312,12 +318,13 @@ class DGVectorSpace:
         }
 
 
-def _node_places(ref: RefCell, nodes, degree: int) -> list[tuple[str, int, int]]:
-    """Where each reference node sits: ``("vertex", e, 0)`` at the start of
-    edge e, ``("edge", e, a)`` a/degree of the way along edge e, or
-    ``("interior", 0, 0)``."""
+@lru_cache(maxsize=None)
+def _node_places(ref: RefCell, degree: int) -> tuple[tuple[str, int, int], ...]:
+    """Where each node of ``lagrange_nodes(ref, degree)`` sits:
+    ``("vertex", e, 0)`` at the start of edge e, ``("edge", e, a)`` a/degree
+    of the way along edge e, or ``("interior", 0, 0)``."""
     places = []
-    for node in nodes:
+    for node in lagrange_nodes(ref, degree):
         place = ("interior", 0, 0)
         for e, edge in enumerate(ref.edges):
             d = edge.direction
@@ -327,7 +334,7 @@ def _node_places(ref: RefCell, nodes, degree: int) -> list[tuple[str, int, int]]
                 place = ("vertex" if t == 0 else "edge", e, int(t * degree))
                 break
         places.append(place)
-    return places
+    return tuple(places)
 
 
 class ContinuousScalarSpace:
@@ -344,7 +351,7 @@ class ContinuousScalarSpace:
         ref = RefCell.TRIANGLE if mesh.kind is MeshKind.TRIANGULAR else RefCell.SQUARE
         self.ref = ref
         self.nodes, self.local = lagrange_basis(ref, degree)
-        places = _node_places(ref, self.nodes, degree)
+        places = _node_places(ref, degree)
         table: dict = {}
         self.cell_dofs: list[list[int]] = []
         for cell in mesh.cells:
@@ -417,7 +424,7 @@ class CodomainSpace:
     def uniform_vector(self, value=1) -> list[Fraction]:
         """The element equal to ``value`` on every cell and every face."""
         value = Fraction(value)
-        coeffs = self.cell_local.expand(Poly.const(value)) if self.cell_dim else []
+        coeffs = list(_constant_coefficients(self.cell_local, value)) if self.cell_dim else []
         v = coeffs * self.mesh.num_cells + [_ZERO] * (self.dim - self._face_base)
         for face in self.mesh.faces:
             v[self.face_offset(face.index)] = value  # Legendre L_0 = 1

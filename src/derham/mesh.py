@@ -12,7 +12,10 @@ coordinates: each cell knows its vertex point indices in reference-vertex
 order and, for each reference edge, its face and whether the face's P->Q
 runs along that edge.  Code that needs to know where a face sits in a cell
 reads it from this record, not from rational geometry.  Cells of one chart
-share one inverse linear part; each adds only its offset.
+share one linear part and its inverse; each adds only its offset.  Charts
+are numbered: ``cell.chart`` is an int index into ``mesh.charts``, the
+distinct linear parts, so code that groups cells by chart keys on small
+integers and reads a chart's rational entries once.
 
 Face orientation: the stored unnormalized normal is the +90 degree rotation
 of P->Q and has the same length as the face, so line integrals of normal
@@ -27,11 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
+
+import numpy as np
 
 from .poly import AffineMap, RefCell
 
-__all__ = ["MeshKind", "Cell", "Face", "Mesh", "build_mesh", "entity_counts"]
+__all__ = ["MeshKind", "Cell", "Face", "Mesh", "build_mesh", "edge_segment", "entity_counts"]
 
 
 class MeshKind(Enum):
@@ -52,14 +58,17 @@ def entity_counts(kind: MeshKind, nx: int, ny: int) -> tuple[int, int, int]:
 class Cell:
     """Mesh cell: reference kind plus the affine chart map F(ref) = physical.
 
-    ``vertices`` are the point indices of the reference vertices, in order;
-    ``edge_faces[e]`` is ``(face index, along)`` for reference edge ``e``
-    (``ref.edges[e]``), where ``along`` says whether the face's p->q runs
-    from the edge's start to its end.
+    ``chart`` indexes the mesh's distinct linear parts: two cells share it
+    exactly when their maps share ``fmap.m``.  ``vertices`` are the point
+    indices of the reference vertices, in order; ``edge_faces[e]`` is
+    ``(face index, along)`` for reference edge ``e`` (``ref.edges[e]``),
+    where ``along`` says whether the face's p->q runs from the edge's start
+    to its end.
     """
 
     index: int
     ref: RefCell
+    chart: int
     fmap: AffineMap
     inv: AffineMap = field(repr=False)
     vertices: tuple[int, ...] = field(repr=False)
@@ -95,10 +104,17 @@ class Cell:
     def face_segment(self, edge: int, along: bool):
         """The face on reference edge ``edge`` traversed p -> q: its start and
         direction in reference coordinates, and its physical chord q - p."""
-        ref_edge = self.ref.edges[edge]
-        start, end = (ref_edge.start, ref_edge.end) if along else (ref_edge.end, ref_edge.start)
-        direction = (end[0] - start[0], end[1] - start[1])
-        return start, direction, self.fmap.apply_vector(direction)
+        return edge_segment(self.ref, self.fmap.m, edge, along)
+
+
+def edge_segment(ref: RefCell, m, edge: int, along: bool):
+    """Reference edge ``edge`` of ``ref`` traversed start -> end when
+    ``along`` and end -> start otherwise: its start and direction in
+    reference coordinates, and its image under the linear part ``m``."""
+    ref_edge = ref.edges[edge]
+    start, end = (ref_edge.start, ref_edge.end) if along else (ref_edge.end, ref_edge.start)
+    direction = (end[0] - start[0], end[1] - start[1])
+    return start, direction, AffineMap(m, (0, 0)).apply_vector(direction)
 
 
 @dataclass(frozen=True)
@@ -143,10 +159,12 @@ class Face:
 
 
 class Mesh:
-    """Periodic mesh with exact rational geometry."""
+    """Periodic mesh with exact rational geometry; ``charts[i]`` is the
+    linear part of every cell with ``chart == i``."""
 
     def __init__(self, kind: MeshKind, nx: int, ny: int, lx: Fraction, ly: Fraction,
-                 cells: list[Cell], faces: list[Face], points: list[tuple[Fraction, Fraction]]):
+                 cells: list[Cell], faces: list[Face], points: list[tuple[Fraction, Fraction]],
+                 charts: tuple):
         self.kind = kind
         self.nx = nx
         self.ny = ny
@@ -155,6 +173,16 @@ class Mesh:
         self.cells = cells
         self.faces = faces
         self.points = points
+        self.charts = charts
+
+    @cached_property
+    def chart_cells(self) -> tuple[np.ndarray, ...]:
+        """Per chart id, the indices of its cells in mesh order; read only."""
+        ids = np.array([cell.chart for cell in self.cells], dtype=np.int64)
+        out = tuple((ids == chart).nonzero()[0] for chart in range(len(self.charts)))
+        for cells in out:
+            cells.flags.writeable = False
+        return out
 
     @property
     def num_cells(self) -> int:
@@ -248,7 +276,7 @@ def build_mesh(kind: MeshKind, nx: int, ny: int, lx=1, ly=1) -> Mesh:
     for j in range(ny):
         for i in range(nx):
             o = (xs[i], ys[j])
-            for m, mi, corners, col_terms, row_terms in charts:
+            for chart, (m, mi, corners, col_terms, row_terms) in enumerate(charts):
                 verts = [(i + a, j + b) for a, b in corners]
                 edge_faces = []
                 for e, a in enumerate(verts):
@@ -263,7 +291,7 @@ def build_mesh(kind: MeshKind, nx: int, ny: int, lx=1, ly=1) -> Mesh:
                 cx, cy = col_terms[i]
                 rx, ry = row_terms[j]
                 inv_o = (cx + rx, cy + ry)
-                cells.append(Cell(len(cells), ref, AffineMap(m, o), AffineMap(mi, inv_o),
+                cells.append(Cell(len(cells), ref, chart, AffineMap(m, o), AffineMap(mi, inv_o),
                                   tuple(a % nx + (b % ny) * nx for a, b in verts),
                                   tuple(edge_faces)))
 
@@ -276,7 +304,7 @@ def build_mesh(kind: MeshKind, nx: int, ny: int, lx=1, ly=1) -> Mesh:
                           left, right, (xs[at_left[0] - s[0]], ys[at_left[1] - s[1]]),
                           (xs[at_right[0] - s[0]], ys[at_right[1] - s[1]])))
 
-    mesh = Mesh(kind, nx, ny, lx, ly, cells, faces, points)
+    mesh = Mesh(kind, nx, ny, lx, ly, cells, faces, points, tuple(c[0] for c in charts))
     expected = entity_counts(kind, nx, ny)
     got = (mesh.num_cells, mesh.num_faces, mesh.num_points)
     if got != expected:

@@ -12,23 +12,30 @@ the chord parameter t.  Because ``|n_f|`` equals the face length, pairing
 these rows against face polynomials with the plain ``dt`` measure reproduces
 the arc-length pairing exactly; no irrational lengths ever appear.
 
-Every operator is assembled from stamps: the nonzeros ``(local row, local
-col, value)`` of one local element matrix, with a face side's sign folded
-in.  A stamp is formed once per key within one call (the chart for cell
-parts; the chart, reference edge, face orientation and side for traces,
-read from the mesh incidence) and placed at every cell or face side through
-integer offsets and the continuous space's dof map, with no rational
-arithmetic per cell (``OpMatrix.from_stamps``).  Operators are stored as
-integers; see ``sparse``.
+Every operator is assembled from stamps: the nonzeros (local row, local
+col, value) of one local element matrix, with a face side's sign folded in,
+as read-only integer arrays (``sparse.Stamp``).  A stamp is a cached pure
+function of what fixes it: the local bases (themselves cached per chart),
+the chart's linear part and the operator function for cell parts; for
+traces also the reference edge, the face's orientation on it, normal or
+tangential, the face degree and the side.  So each stamp, and each
+membership check, is made once per process, whatever the mesh or the call.
+Assembly groups cells and face sides by the mesh's integer chart ids and
+places each stamp at all of them through integer offsets and the
+continuous space's dof map (``OpMatrix.from_stamps``); no rational
+arithmetic runs per cell or face.  Gram blocks are cached the same way, per
+(local basis, jac), as ``GramBlock``s.  Operators are stored as integers;
+see ``sparse``.
 
 Any polynomial that fails to lie in the target space stops the assembly with
-``MembershipError`` naming the offending entity; nothing is projected.
+``MembershipError`` naming the offending entity of the call at hand; a
+failing stamp is never cached, and nothing is projected.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,13 +45,16 @@ from .fespace import (
     CodomainSpace,
     ContinuousScalarSpace,
     DGVectorSpace,
+    LocalBasis,
     SpanError,
 )
+from .mesh import edge_segment
 from .poly import TraceDegreeError, curl2d, divergence, grad, grad_perp, trace_legendre
-from .sparse import OpMatrix
+from .sparse import OpMatrix, Stamp
 
 __all__ = [
     "MembershipError",
+    "GramBlock",
     "GramMatrix",
     "assemble_grad_perp",
     "assemble_grad",
@@ -61,6 +71,19 @@ class MembershipError(ValueError):
     """A function left the space the diagram claims it lies in."""
 
 
+class GramBlock(tuple):
+    """A local Gram block scaled by a chart's jac: immutable rows of exact
+    values, formed once per process for each (local basis, jac).  ``stamp``
+    holds its nonzeros as integers; ``definite`` is None until an exact
+    definiteness check of these rows has run, and then its verdict."""
+
+    def __new__(cls, rows: Sequence[Sequence[Fraction]]):
+        block = super().__new__(cls, (tuple(row) for row in rows))
+        block.stamp = Stamp.of((i, j, v) for i, row in enumerate(block) for j, v in enumerate(row))
+        block.definite = None
+        return block
+
+
 class GramMatrix:
     """Block-diagonal SPD Gram matrix with exact block solves.
 
@@ -71,10 +94,10 @@ class GramMatrix:
     def __init__(self, dim: int, space_tag: str = ""):
         self.dim = dim
         self.space_tag = space_tag
-        self.blocks: list[tuple[int, list[list[Fraction]]]] = []
+        self.blocks: list[tuple[int, Sequence[Sequence[Fraction]]]] = []
         self._op: OpMatrix | None = None
 
-    def add_block(self, offset: int, rows: list[list[Fraction]]) -> None:
+    def add_block(self, offset: int, rows: Sequence[Sequence[Fraction]]) -> None:
         self.blocks.append((offset, rows))
         self._op = None
 
@@ -114,19 +137,20 @@ class GramMatrix:
 
     def _as_op(self) -> OpMatrix:
         """The blocks as one sparse matrix, shared by every caller; read only.
-        Each distinct block (by identity) is read once and placed at all of
-        its offsets."""
+        Each distinct block (by identity) is read once, a ``GramBlock``
+        through its integer stamp, and placed at all of its offsets."""
         if self._op is None:
-            placed: dict[int, tuple[list, list[int], list[range]]] = {}
+            placed: dict[int, tuple[Stamp, list[int], int]] = {}
             for off, block in self.blocks:
                 if id(block) not in placed:
-                    placed[id(block)] = ([(i, j, v) for i, row in enumerate(block)
-                                          for j, v in enumerate(row) if v], [], [])
-                _, bases, cols = placed[id(block)]
-                bases.append(off)
-                cols.append(range(off, off + len(block)))
-            self._op = OpMatrix.from_stamps(self.dim, self.dim, placed.values(),
-                                            self.space_tag, self.space_tag)
+                    kit = block if isinstance(block, GramBlock) else GramBlock(block)
+                    placed[id(block)] = (kit.stamp, [], len(block))
+                placed[id(block)][1].append(off)
+            self._op = OpMatrix.from_stamps(
+                self.dim, self.dim,
+                ((stamp, offs, np.array(offs)[:, None] + np.arange(n))
+                 for stamp, offs, n in placed.values()),
+                self.space_tag, self.space_tag)
         return self._op
 
     def float_array(self) -> np.ndarray:
@@ -137,33 +161,33 @@ class GramMatrix:
         return self._as_op().dense_rows()
 
 
-def _add_cell_blocks(g: GramMatrix, cells, local_of, offset_of) -> None:
-    """Add each cell's local Gram block times jac at its offset.  jac and the
-    scaled block are formed once per chart, and charts with the same local
-    basis and jac share one block list."""
-    shared: dict = {}  # (local basis, jac) -> scaled block
-    per_chart: dict = {}  # chart -> scaled block
-    for cell in cells:
-        m = cell.fmap.m
-        block = per_chart.get(m)
-        if block is None:
-            local, jac = local_of(cell), abs(cell.fmap.det())
-            if (local, jac) not in shared:
-                shared[local, jac] = [[v * jac for v in row] for row in local.gram_ref()]
-            block = per_chart[m] = shared[local, jac]
-        g.add_block(offset_of(cell.index), block)
+@lru_cache(maxsize=None)
+def _scaled_block(local: LocalBasis, jac: Fraction) -> GramBlock:
+    """The local Gram block of ``local`` times ``jac``, one per process."""
+    return GramBlock([[v * jac for v in row] for row in local.gram_ref()])
+
+
+def _add_cell_blocks(g: GramMatrix, mesh, local_of, offset_of) -> None:
+    """Add each cell's local Gram block times jac at its offset; each chart
+    reads its shared block once."""
+    blocks = []
+    for cells in mesh.chart_cells:
+        cell = mesh.cells[cells[0]]
+        blocks.append(_scaled_block(local_of(cell), abs(cell.fmap.det())))
+    for cell in mesh.cells:
+        g.add_block(offset_of(cell.index), blocks[cell.chart])
 
 
 def assemble_gram(space) -> GramMatrix:
     """Exact Gram matrix of a space under its L2-style inner product."""
     if isinstance(space, DGVectorSpace):
         g = GramMatrix(space.dim, space.family)
-        _add_cell_blocks(g, space.mesh.cells, space.local, space.offset)
+        _add_cell_blocks(g, space.mesh, space.local, space.offset)
         return g
     if isinstance(space, CodomainSpace):
         g = GramMatrix(space.dim, "codomain")
         if space.cell_dim:
-            _add_cell_blocks(g, space.mesh.cells, lambda cell: space.cell_local, space.cell_offset)
+            _add_cell_blocks(g, space.mesh, lambda cell: space.cell_local, space.cell_offset)
         leg = space.legendre
         fg = [[_ZERO] * space.face_dim for _ in range(space.face_dim)]
         for i in range(space.face_dim):
@@ -174,29 +198,38 @@ def assemble_gram(space) -> GramMatrix:
     raise TypeError(f"no Gram assembly for {type(space).__name__}")
 
 
+@lru_cache(maxsize=None)
+def _cell_stamp(source: LocalBasis, target: LocalBasis | None, m_inv, op: Callable) -> Stamp:
+    """The stamp of ``op`` on one chart: entry (i, j) is coefficient i in
+    ``target`` of ``op(source element j, m_inv)``, with ``m_inv`` the
+    inverse of the chart's linear part.  No target holds only zero.  A
+    result outside the target raises ``SpanError``, so only a stamp that
+    lies in its space is ever cached."""
+    triplets = []
+    for j, f in enumerate(source.elements):
+        p = op(f, m_inv)
+        if target is not None:
+            triplets.extend((i, j, c) for i, c in enumerate(target.expand(p)) if c)
+        elif not p.is_zero:
+            raise SpanError("nonzero result but empty cell factor")
+    return Stamp.of(triplets)
+
+
 def _assemble_first(a_space: ContinuousScalarSpace, b_space: DGVectorSpace,
                     op: Callable, name: str) -> OpMatrix:
-    if a_space.mesh is not b_space.mesh:
+    mesh = a_space.mesh
+    if mesh is not b_space.mesh:
         raise ValueError("spaces live on different meshes")
-    # chart -> (stamp (vector row, shape function, value), row offsets, dof maps)
-    placed: dict = {}
-    for cell in a_space.mesh.cells:
-        key = cell.fmap.m
-        if key not in placed:
-            local = b_space.local(cell)
-            stamp = []
-            for j, shape in enumerate(a_space.local.elements):
-                v = op(shape, cell.m_inv)
-                try:
-                    coeffs = local.expand(v)
-                except SpanError as exc:
-                    raise MembershipError(f"{name} on cell {cell.index}: {exc}") from exc
-                stamp.extend((i, j, c) for i, c in enumerate(coeffs) if c)
-            placed[key] = (stamp, [], [])
-        _, bases, dofs = placed[key]
-        bases.append(b_space.offset(cell.index))
-        dofs.append(a_space.cell_dofs[cell.index])
-    return OpMatrix.from_stamps(b_space.dim, a_space.dim, placed.values(),
+    dofs = np.array(a_space.cell_dofs, dtype=np.int64)
+    placed = []
+    for cells in mesh.chart_cells:
+        cell = mesh.cells[cells[0]]
+        try:
+            stamp = _cell_stamp(a_space.local, b_space.local(cell), cell.m_inv, op)
+        except SpanError as exc:
+            raise MembershipError(f"{name} on cell {cell.index}: {exc}") from exc
+        placed.append((stamp, b_space.offset(cells), dofs[cells]))
+    return OpMatrix.from_stamps(b_space.dim, a_space.dim, placed,
                                 domain=f"scalar_deg{a_space.degree}",
                                 codomain=f"{b_space.family}_k{b_space.k}")
 
@@ -217,66 +250,66 @@ def _face_vector(chord: tuple[Fraction, Fraction], tangential: bool) -> tuple[Fr
     return n
 
 
+@lru_cache(maxsize=None)
+def _trace_stamp(source: LocalBasis, m, edge: int, along: bool, tangential: bool,
+                 degree: int, sign: int) -> Stamp:
+    """The stamp of ``sign`` times the normal (or tangential) trace of each
+    element of ``source`` on reference edge ``edge``, traversed as a face
+    whose P->Q runs along it or not, on a chart with linear part ``m``:
+    entry (ell, i) is Legendre coefficient ell of element i's trace.  A
+    trace of degree above ``degree`` raises ``TraceDegreeError`` and is
+    never cached."""
+    _, _, chord = edge_segment(source.ref, m, edge, along)
+    vec = _face_vector(chord, tangential)
+    return Stamp.of((ell, i, sign * v) for i, u in enumerate(source.elements) for ell, v
+                    in enumerate(trace_legendre(u, source.ref, edge, along, vec, degree)))
+
+
 def _assemble_second(b_space: DGVectorSpace, c_space: CodomainSpace,
                      cell_op: Callable, tangential: bool, name: str) -> OpMatrix:
     mesh = b_space.mesh
     if mesh is not c_space.mesh:
         raise ValueError("spaces live on different meshes")
     kdeg = c_space.face_degree
-    nb = b_space.local_dim
-
-    # chart -> (stamp (cell factor row, vector basis, value), row offsets, column maps)
-    cell_placed: dict = {}
-    for cell in mesh.cells:
-        key = cell.fmap.m
-        if key not in cell_placed:
-            stamp = []
-            for i, u in enumerate(b_space.local(cell).elements):
-                p = cell_op(u, cell.m_inv)
-                if c_space.cell_dim:
-                    try:
-                        coeffs = c_space.cell_local.expand(p)
-                    except SpanError as exc:
-                        raise MembershipError(f"{name} cell part, cell {cell.index}: {exc}") from exc
-                    stamp.extend((m, i, v) for m, v in enumerate(coeffs) if v)
-                elif not p.is_zero:
-                    raise MembershipError(
-                        f"{name} cell part, cell {cell.index}: nonzero result but empty cell factor")
-            cell_placed[key] = (stamp, [], [])
-        _, bases, col_maps = cell_placed[key]
-        bbase = b_space.offset(cell.index)
-        bases.append(c_space.cell_offset(cell.index))
-        col_maps.append(range(bbase, bbase + nb))
+    span = np.arange(b_space.local_dim)
+    placed = []
+    for cells in mesh.chart_cells:
+        cell = mesh.cells[cells[0]]
+        try:
+            stamp = _cell_stamp(b_space.local(cell), c_space.cell_local, cell.m_inv, cell_op)
+        except SpanError as exc:
+            raise MembershipError(f"{name} cell part, cell {cell.index}: {exc}") from exc
+        placed.append((stamp, c_space.cell_offset(cells), b_space.offset(cells)[:, None] + span))
 
     # a chart, a reference edge and the face's orientation on it fix the
-    # segment and the face normal; the side's sign is folded into the stamp
-    # (chart, edge, along, sign) -> (stamp (Legendre row, vector basis, value), ...)
-    trace_placed: dict = {}
-    for face in mesh.faces:
-        frow = c_space.face_offset(face.index)
-        for side, sign in (("left", -1), ("right", 1)):
-            cell = mesh.cells[face.cell_on(side)]
-            edge, along = cell.edge_of(face.index)
-            key = (cell.fmap.m, edge, along, sign)
-            if key not in trace_placed:
-                _, _, chord = cell.face_segment(edge, along)
-                vec = _face_vector(chord, tangential)
-                stamp = []
-                for i, u in enumerate(b_space.local(cell).elements):
-                    try:
-                        coeffs = trace_legendre(u, cell.ref, edge, along, vec, kdeg)
-                    except TraceDegreeError as exc:
-                        raise MembershipError(
-                            f"{name} trace on face {face.index} ({face.kind}, {side}): "
-                            f"degree {exc.degree} exceeds face degree {kdeg}") from exc
-                    stamp.extend((ell, i, sign * v) for ell, v in enumerate(coeffs) if v)
-                trace_placed[key] = (stamp, [], [])
-            _, bases, col_maps = trace_placed[key]
-            bbase = b_space.offset(cell.index)
-            bases.append(frow)
-            col_maps.append(range(bbase, bbase + nb))
-    return OpMatrix.from_stamps(c_space.dim, b_space.dim,
-                                itertools.chain(cell_placed.values(), trace_placed.values()),
+    # segment, the face normal and the side: the face's P->Q runs along the
+    # edge of its right cell, whose trace counts +1, and against the edge of
+    # its left cell, -1
+    sides: dict = {}  # (chart, edge, along) -> (faces, cells)
+    for cell in mesh.cells:
+        for edge, (f, along) in enumerate(cell.edge_faces):
+            at = sides.get((cell.chart, edge, along))
+            if at is None:
+                at = sides[cell.chart, edge, along] = ([], [])
+            at[0].append(f)
+            at[1].append(cell.index)
+    failed = []  # (first face, side, exception) of every key whose trace leaves the space
+    for (chart, edge, along), (faces, cells) in sides.items():
+        source = b_space.local(mesh.cells[cells[0]])
+        try:
+            stamp = _trace_stamp(source, mesh.charts[chart], edge, along, tangential, kdeg,
+                                 1 if along else -1)
+        except TraceDegreeError as exc:
+            failed.append((min(faces), along, exc))
+            continue
+        placed.append((stamp, c_space.face_offset(np.array(faces)),
+                       b_space.offset(np.array(cells))[:, None] + span))
+    if failed:  # name the first face side in mesh order, left before right
+        f, along, exc = min(failed, key=lambda fail: fail[:2])
+        raise MembershipError(
+            f"{name} trace on face {f} ({mesh.faces[f].kind}, {'right' if along else 'left'}): "
+            f"degree {exc.degree} exceeds face degree {kdeg}") from exc
+    return OpMatrix.from_stamps(c_space.dim, b_space.dim, placed,
                                 domain=f"{b_space.family}_k{b_space.k}",
                                 codomain=f"codomain_f{c_space.face_degree}")
 

@@ -13,16 +13,15 @@ asks for them (``entries``, ``sparse_rows``, ``columns``, ...).
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-__all__ = ["OpMatrix", "load_matrix"]
+__all__ = ["OpMatrix", "Stamp", "load_matrix"]
 
 _ZERO = Fraction(0)
 _WORD = 1 << 63  # every int64 value stored here has |v| < _WORD
@@ -93,6 +92,30 @@ def _spans(lengths: np.ndarray, firsts: np.ndarray) -> np.ndarray:
     lengths."""
     ends = lengths.cumsum()
     return np.arange(ends[-1] if ends.size else 0) + (firsts - ends + lengths).repeat(lengths)
+
+
+class Stamp(NamedTuple):
+    """The nonzeros of one local element matrix as read-only integer
+    arrays: local row, local col, numerator and positive denominator of
+    each.  Formed once from exact values (``Stamp.of``) and then only
+    placed (``OpMatrix.from_stamps``)."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    num: np.ndarray
+    den: np.ndarray
+
+    @classmethod
+    def of(cls, triplets: Iterable[tuple[int, int, Fraction]]) -> "Stamp":
+        """The stamp of the nonzero ``(i, j, v)`` triplets."""
+        items = [(i, j, Fraction(v)) for i, j, v in triplets if v]
+        arrays = (np.array([i for i, _, _ in items], dtype=np.int64),
+                  np.array([j for _, j, _ in items], dtype=np.int64),
+                  _ints([v.numerator for _, _, v in items]),
+                  _ints([v.denominator for _, _, v in items]))
+        for a in arrays:
+            a.flags.writeable = False
+        return cls(*arrays)
 
 
 class OpMatrix:
@@ -209,42 +232,30 @@ class OpMatrix:
 
     @classmethod
     def from_stamps(cls, nrows: int, ncols: int,
-                    placed: Iterable[tuple[Sequence[tuple[int, int, Fraction]], Sequence[int],
-                                           Sequence[Sequence[int]]]],
+                    placed: Iterable[tuple[Stamp, Sequence[int], Sequence[Sequence[int]]]],
                     domain: str = "", codomain: str = "") -> "OpMatrix":
-        """The matrix of stamps placed at many places.  Each item is a stamp,
-        its nonzeros ``(i, j, v)``, with the row offset and the column map
-        of every place it goes: ``v`` lands at ``(base + i, cols[j])``.
+        """The matrix of stamps placed at many places.  Each item is a stamp
+        with the row offset and the column map of every place it goes: the
+        stamp's entry (i, j, v) lands at ``(base + i, cols[j])``.
 
-        Each stamp is read once; every place is filled by one integer gather
-        over all stamps.  A position stamped again gets the exact sum, and a
-        sum that cancels leaves no entry.
+        Every place of a stamp is filled by one integer gather from its
+        arrays; no ``Fraction`` is read.  A position stamped again gets the
+        exact sum, and a sum that cancels leaves no entry.
         """
-        si, sj, nums, dens = [], [], [], []  # the nonzeros of every stamp, stamp after stamp
-        starts, lengths, bases, col_maps = [], [], [], []  # per place
+        rows, cols, nums, dens = [], [], [], []
         for stamp, where, cols_at in placed:
-            starts += [len(si)] * len(where)
-            lengths += [len(stamp)] * len(where)
-            bases += where
-            col_maps += cols_at
-            for i, j, v in stamp:
-                si.append(i)
-                sj.append(j)
-                nums.append(v.numerator)
-                dens.append(v.denominator)
-        counts = np.array(lengths, dtype=np.int64)
-        total = int(counts.sum())
-        if not total:
+            if not stamp.rows.size or not len(where):
+                continue
+            where = np.asarray(where, dtype=np.int64)
+            cols_at = np.asarray(cols_at, dtype=np.int64)
+            rows.append((where[:, None] + stamp.rows).ravel())
+            cols.append(cols_at[:, stamp.cols].ravel())
+            nums.append(np.tile(stamp.num, where.size))
+            dens.append(np.tile(stamp.den, where.size))
+        if not rows:
             return cls(nrows, ncols, domain, codomain)
-        widths = np.array([len(cols) for cols in col_maps], dtype=np.int64)
-        flat = np.fromiter(itertools.chain.from_iterable(col_maps), dtype=np.int64,
-                           count=int(widths.sum()))
-        place = np.arange(counts.size).repeat(counts)
-        entry = _spans(counts, np.array(starts, dtype=np.int64))
-        rows = np.array(bases, dtype=np.int64)[place] + np.array(si, dtype=np.int64)[entry]
-        cols = flat[(widths.cumsum() - widths)[place] + np.array(sj, dtype=np.int64)[entry]]
-        return cls._from_triplets(nrows, ncols, rows, cols, _ints(nums)[entry],
-                                  _ints(dens)[entry], domain, codomain)
+        return cls._from_triplets(nrows, ncols, np.concatenate(rows), np.concatenate(cols),
+                                  np.concatenate(nums), np.concatenate(dens), domain, codomain)
 
     @classmethod
     def from_columns(cls, nrows: int, vectors: Sequence[Sequence[Fraction]]) -> "OpMatrix":

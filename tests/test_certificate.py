@@ -33,7 +33,7 @@ from derham.complexcheck import (
     verify_diagram,
 )
 from derham.exactla import exact_rank, rank_nullspace, span_compare
-from derham.operators import GramMatrix, OpMatrix
+from derham.operators import GramBlock, GramMatrix, OpMatrix
 
 
 def perturbed(op, deltas):
@@ -652,6 +652,27 @@ def test_gram_must_be_positive_definite(monkeypatch):
     inst.gram_b.blocks[3] = (off, [[-v for v in row] for row in rows])
     monkeypatch.setattr(complexcheck, "_local_route", lambda *args: pytest.fail("local route"))
     assert certificate_facts(certify_complex(inst)) == oracle_facts(inst)
+
+
+def test_gram_verdict_stays_with_its_block():
+    """A cached Gram block is certified by exact LDL^T once and keeps the
+    verdict; a block built any other way is checked on every call, even
+    after a definite block of the same shape was certified."""
+    inst = build_diagram("quad-enriched", 2, 2, 1)
+    _, rows = inst.gram_b.blocks[0]
+    assert isinstance(rows, GramBlock)
+    assert complexcheck._gram_positive_definite(inst.gram_b)
+    assert rows.definite is True
+    assert build_diagram("quad-enriched", 2, 2, 1).gram_b.blocks[0][1] is rows
+    for negated in ([[-v for v in row] for row in rows], GramBlock([[-v for v in row] for row in rows])):
+        hand = GramMatrix(len(rows))
+        hand.add_block(0, negated)
+        for _ in range(2):
+            assert not complexcheck._gram_positive_definite(hand)
+    assert GramBlock([[-v for v in row] for row in rows]).definite is None
+    single = GramMatrix(len(rows))
+    single.add_block(0, rows)
+    assert complexcheck._gram_positive_definite(single)
 
 
 def test_dependent_constants_or_wrong_dimensions_fall_through(monkeypatch):

@@ -130,3 +130,19 @@ def test_summary_schema():
     assert info["kind"] == "triangular"
     for key in ("nx", "ny", "cells", "faces", "points", "euler_characteristic"):
         assert key in info
+
+
+@pytest.mark.parametrize("kind,charts", [(MeshKind.CARTESIAN, 1), (MeshKind.TRIANGULAR, 2)])
+@pytest.mark.parametrize("nx,ny,lx,ly", [(2, 2, 1, 1), (4, 3, F(7, 3), F(5, 11))])
+def test_integer_chart_ids(kind, charts, nx, ny, lx, ly):
+    """Each cell's chart is an int index into ``mesh.charts``; cells with one
+    id share the linear part exactly, and cells of different ids do not."""
+    mesh = build_mesh(kind, nx, ny, lx, ly)
+    assert len(mesh.charts) == charts
+    assert {cell.chart for cell in mesh.cells} == set(range(charts))
+    for cell in mesh.cells:
+        assert type(cell.chart) is int
+        assert cell.fmap.m == mesh.charts[cell.chart]
+    assert len(set(mesh.charts)) == charts
+    assert [cells.tolist() for cells in mesh.chart_cells] == [
+        [cell.index for cell in mesh.cells if cell.chart == chart] for chart in range(charts)]

@@ -26,7 +26,8 @@ from derham.operators import (
     assemble_grad_perp,
     assemble_gram,
 )
-from derham.sparse import OpMatrix, load_matrix
+from derham.poly import Poly
+from derham.sparse import OpMatrix, Stamp, load_matrix
 
 F = Fraction
 
@@ -158,9 +159,10 @@ def test_trace_degree_guard():
     mesh = build_mesh(MeshKind.TRIANGULAR, 2, 2)
     b = DGVectorSpace(mesh, "vec_p", 1)
     low = CodomainSpace(mesh, 0, "p", 0)
-    with pytest.raises(MembershipError, match=r"^div trace on face 0 \(x, left\): "
-                                              r"degree 1 exceeds face degree 0$"):
-        assemble_div_distributional(b, low)
+    for _ in range(2):  # a failing trace stamp is never cached
+        with pytest.raises(MembershipError, match=r"^div trace on face 0 \(x, left\): "
+                                                  r"degree 1 exceeds face degree 0$"):
+            assemble_div_distributional(b, low)
 
 
 def test_cell_factor_guard():
@@ -175,10 +177,10 @@ def test_cell_factor_guard():
 
 
 def test_scatter_sums_repeated_positions():
-    stamp = [(0, 0, F(1, 2)), (1, 2, F(3))]
+    stamp = Stamp.of([(0, 0, F(1, 2)), (1, 2, F(3))])
     out = OpMatrix.from_stamps(3, 3, [(stamp, [1], [[2, 0, 1]])])
     assert out.entries == {(1, 2): F(1, 2), (2, 1): F(3)}
-    again = [(0, 0, F(1, 3)), (1, 2, F(-3))]
+    again = Stamp.of([(0, 0, F(1, 3)), (1, 2, F(-3))])
     out = OpMatrix.from_stamps(3, 3, [(stamp, [1], [[2, 0, 1]]), (again, [1], [[2, 0, 1]])])
     assert out.entries == {(1, 2): F(5, 6)}
     # one stamp placed at two places
@@ -186,9 +188,20 @@ def test_scatter_sums_repeated_positions():
     assert out.entries == {(0, 2): F(1, 2), (1, 1): F(3), (1, 0): F(1, 2), (2, 2): F(3)}
 
 
+def test_stamp_is_read_only_integers():
+    stamp = Stamp.of([(0, 1, F(-2, 3)), (1, 0, F(0)), (2, 2, F(5))])
+    assert [a.tolist() for a in stamp] == [[0, 2], [1, 2], [-2, 5], [3, 1]]
+    assert all(a.dtype == np.int64 and not a.flags.writeable for a in stamp)
+
+
+STAMP_KITS = (operators._cell_stamp, operators._trace_stamp)
+
+
 def test_stamps_are_formed_per_key(monkeypatch):
-    # local element matrices depend on the chart, the reference edge and the
-    # face's orientation, not on the mesh size
+    # a stamp depends on the local bases, the chart's linear part, the
+    # operator and, for traces, the edge, orientation and face degree; not
+    # on the mesh size.  It is formed once per process: a repeat build
+    # forms none.
     calls = Counter()
 
     def counted(name, fn):
@@ -204,11 +217,59 @@ def test_stamps_are_formed_per_key(monkeypatch):
     build_diagram("tri-dp", 4, 4, 1)  # fills the local-basis caches
     per_size = []
     for n in (4, 8):
+        for kit in STAMP_KITS:
+            kit.cache_clear()
         calls.clear()
         build_diagram("tri-dp", n, n, 1)
         per_size.append(dict(calls))
     assert per_size[0] == per_size[1]
     assert per_size[0]["trace"] > 0 and per_size[0]["expand"] > 0
+    calls.clear()
+    build_diagram("tri-dp", 8, 8, 1)
+    assert calls["trace"] == 0 and calls["expand"] == 0
+
+
+def diagram_entries(inst):
+    return [dict(op.entries) for op in (inst.first, inst.second)] + [
+        g.dense_rows() for g in (inst.gram_b, inst.gram_c)]
+
+
+@pytest.mark.parametrize("name", ["tri-dp", "tri-dn", "quad-enriched-curl", "quad-drt"])
+def test_repeat_build_serves_the_same_kits(name):
+    """Cached stamps and Gram blocks give the same operators entry for
+    entry, on a fresh mesh object and with rational periods."""
+    for args in ((3, 2, 1), (2, 3, 1, F(7, 3), F(5, 11))):
+        once, again = build_diagram(name, *args), build_diagram(name, *args)
+        assert once.mesh is not again.mesh
+        assert diagram_entries(once) == diagram_entries(again)
+        # the scaled blocks are one object per (local basis, jac)
+        assert [id(rows) for _, rows in once.gram_b.blocks] == [
+            id(rows) for _, rows in again.gram_b.blocks]
+        assert once.b_space.constant_vector(1, 0) == again.b_space.constant_vector(1, 0)
+
+
+def test_patched_operator_never_gets_a_cached_stamp(monkeypatch):
+    """An operator that leaves the space raises on every call, after a
+    healthy build and after its own failure, naming the call's cell."""
+    build_diagram("tri-dp", 2, 2, 1)
+    healthy_div, healthy_grad_perp = operators.divergence, operators.grad_perp
+
+    def div_leaving_on_upper(u, m_inv):  # only the upper triangles' chart leaves P_0
+        return Poly.monomial(3, 3) if m_inv[0][1] == 0 else healthy_div(u, m_inv)
+
+    monkeypatch.setattr(operators, "divergence", div_leaving_on_upper)
+    for _ in range(2):
+        with pytest.raises(MembershipError, match=r"^div cell part, cell 1: "):
+            build_diagram("tri-dp", 2, 2, 1)
+    monkeypatch.setattr(operators, "divergence", healthy_div)
+    monkeypatch.setattr(operators, "grad_perp",
+                        lambda p, m_inv: healthy_grad_perp(p * Poly.monomial(2, 0), m_inv))
+    for _ in range(2):
+        with pytest.raises(MembershipError, match=r"^grad_perp on cell 0: "):
+            build_diagram("tri-dp", 2, 2, 1)
+    monkeypatch.undo()
+    assert diagram_entries(build_diagram("tri-dp", 2, 2, 1)) == diagram_entries(
+        build_diagram("tri-dp", 2, 2, 1))
 
 
 def test_matvec_rmatvec_consistency(tri_spaces):
