@@ -242,8 +242,9 @@ def main(argv=None) -> int:
         print(f"error: verification failed: {exc}", file=sys.stderr)
         return 1
     except ExactWidthExceeded as exc:
-        print(f"error: {exc}; raise DERHAM_MAX_EXACT_COLS or use the float backend",
-              file=sys.stderr)
+        # only hodge has a float backend to fall back on
+        advice = " or use --backend float" if args.command == "hodge" else ""
+        print(f"error: {exc}; raise DERHAM_MAX_EXACT_COLS{advice}", file=sys.stderr)
         return 2
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,13 +14,13 @@ and the harmonic space is exactly the span of the constant fields.  The
 resulting cohomology dimensions are the torus Betti numbers 1, 2, 1.
 
 Every claim is certified from exact witnesses (sparse products that vanish)
-plus exact ranks from ``exactla.prefix_ranks``, combined by counting
-dimensions.  On a healthy diagram those ranks are local: each cell's block
-of first and of second^T has a one-dimensional kernel, the cells glue into
-one component through shared dofs, and G_b is positive definite, so no
-elimination runs on more than one cell's block.  Otherwise the ranks are
-those of two global stacks.  No report here computes a nullspace or
-compares spans.
+plus exact ranks from ``exactla.prefix_ranks``, which reads the integer
+operators themselves, combined by counting dimensions.  On a healthy
+diagram those ranks are local: each cell's block of first and of second^T
+has a one-dimensional kernel, the cells glue into one component through
+shared dofs, and G_b is positive definite, so no elimination runs on more
+than one cell's block.  Otherwise the ranks are those of two global
+stacks.  No report here computes a nullspace or compares spans.
 
 Also here: the rank-deficient naive quad diagram (a diagnostic whose report
 passes when the predicted failure is reproduced exactly), the jump-constraint
@@ -59,7 +59,7 @@ from .operators import (
 from .poly import RefCell, trace_legendre
 from .refcheck import flat_trace_basis
 from .report import Report
-from .sparse import OpMatrix
+from .sparse import OpMatrix, Stamp
 
 __all__ = [
     "DiagramSpec",
@@ -238,28 +238,28 @@ def _gram_positive_definite(gram: GramMatrix) -> bool:
     return end == gram.dim and all(map(_block_positive_definite, distinct.values()))
 
 
-def _kernel_is_weight(op: OpMatrix, cell_size: int, weight: list[Fraction]) -> bool:
+def _kernel_is_weight(op: OpMatrix, cell_size: int, weight) -> bool:
     """Whether the kernel of ``op`` is exactly span(weight), proven cell by
-    cell.  The matrix must kill weight.
+    cell.  The matrix must kill weight; only its support is read, so
+    ``weight`` may be any sequence that is true exactly where weight is
+    nonzero.
 
     The rows come in cells of ``cell_size``.  A cell's block is its rows
-    restricted to the dofs they touch, read from the integer rows as
-    reduced (numerator, denominator) pairs; weight restricted there lies in
-    its kernel, so rank = ncols - 1 (one ``prefix_ranks`` per distinct block
-    content) makes that kernel span(weight) when weight is nonzero on the
-    block.  A kernel vector is then a multiple of weight on each cell, the
-    same multiple on cells that share a dof where weight is nonzero; if
-    those joins leave one component and every dof is touched, it is a
-    multiple of weight.
+    restricted to the dofs they touch, read as integer numerators: each row
+    over its denominator, which keeps the block's rank.  Weight restricted
+    there lies in its kernel, so rank = ncols - 1 (one ``prefix_ranks`` per
+    distinct block content) makes that kernel span(weight) when weight is
+    nonzero on the block.  A kernel vector is then a multiple of weight on
+    each cell, the same multiple on cells that share a dof where weight is
+    nonzero; if those joins leave one component and every dof is touched, it
+    is a multiple of weight.
     """
     ncells = op.nrows // cell_size
     if ncells * cell_size != op.nrows:
         return False
-    ptr, dofs, num, den = op.integer_rows()
-    den = den.repeat(np.diff(ptr))
-    g = np.gcd(num, den)
-    pairs = list(zip((num // g).tolist(), (den // g).tolist()))
-    ptr, dofs = ptr.tolist(), dofs.tolist()
+    support = np.asarray(weight, dtype=bool).tolist()
+    ptr, dofs, num, _ = op.integer_rows()
+    ptr, dofs, num = ptr.tolist(), dofs.tolist(), num.tolist()
     parent = list(range(ncells))
 
     def find(c: int) -> int:
@@ -271,37 +271,36 @@ def _kernel_is_weight(op: OpMatrix, cell_size: int, weight: list[Fraction]) -> b
     owner: dict[int, int] = {}
     touched = bytearray(op.ncols)
     for cell in range(ncells):
-        local: dict[int, list[tuple[int, int]]] = {}  # dof -> its column of the block
+        local: dict[int, list[int]] = {}  # dof -> its column of the block
         for i in range(cell_size):
             row = cell * cell_size + i
             for at in range(ptr[row], ptr[row + 1]):
-                local.setdefault(dofs[at], [(0, 1)] * cell_size)[i] = pairs[at]
-        if not any(weight[d] for d in local):
+                local.setdefault(dofs[at], [0] * cell_size)[i] = num[at]
+        if not any(support[d] for d in local):
             return False
         # the rank does not depend on the order of the columns, so the block
         # content is keyed with its columns sorted, whatever the dof numbers
         key = tuple(sorted(map(tuple, local.values())))
         if key not in ranks:
-            block = [{j: Fraction(*col[i]) for j, col in enumerate(key) if col[i][0]}
-                     for i in range(cell_size)]
+            block = OpMatrix.from_integer_columns(cell_size, key, [1] * len(key))
             ranks[key] = prefix_ranks([block], [len(local) - 1])[0]
         if ranks[key] != len(local) - 1:
             return False
         for d in local:
             touched[d] = 1
-            if weight[d]:
+            if support[d]:
                 other = find(owner.setdefault(d, cell))
                 parent[other] = find(cell)
     return all(touched) and len({find(c) for c in range(ncells)}) == 1
 
 
-def _local_route(inst: DiagramInstance, ones: list[Fraction], weight_c: list[Fraction],
+def _local_route(inst: DiagramInstance, ones: np.ndarray, weight_c: np.ndarray,
                  gram_consts: OpMatrix) -> bool:
     """Whether the per-cell certificate closes every rank fact, given every
     witness and G_b positive definite: ker(first) = span(1) and
-    ker(second^T) = span(G_c u) by ``_kernel_is_weight``, the constants
-    independent (their 2x2 Gram matrix positive definite) and
-    dim A - dim B + dim C = 0."""
+    ker(second^T) = span(G_c u) by ``_kernel_is_weight``, from the supports
+    ``ones`` of 1 and ``weight_c`` of G_c u, the constants independent (their
+    2x2 Gram matrix positive definite) and dim A - dim B + dim C = 0."""
     g = gram_consts.entries
     a, b, d = (g.get(key, _ZERO) for key in ((0, 0), (0, 1), (1, 1)))
     return (inst.a_space.dim - inst.b_space.dim + inst.c_space.dim == 0
@@ -344,34 +343,33 @@ def certify_complex(inst: DiagramInstance) -> ComplexCertificate:
     first, second = inst.first, inst.second
     dim_a, dim_b, dim_c = inst.a_space.dim, inst.b_space.dim, inst.c_space.dim
     consts, gram_consts_t = inst.constant_operators()
-    ones = inst.a_space.constant_vector(1)
+    ones = OpMatrix.from_columns(dim_a, [inst.a_space.constant_vector(1)])
     gram_spd = _gram_positive_definite(inst.gram_b)
     composes_to_zero = second.compose(first).is_zero
-    kills_constants = first.compose(OpMatrix.from_columns(dim_a, [ones])).is_zero
+    kills_constants = first.compose(ones).is_zero
     second_kills_constants = second.compose(consts).is_zero
     # (G_b C)^T first is the transpose of (G_b first)^T C when G_b is symmetric,
     # as gram_spd certifies
     constants_orthogonal = gram_consts_t.compose(first).is_zero
+    # (G_c u)^T, one row
     gram_uniform = inst.gram_c.compose(
-        OpMatrix.from_columns(dim_c, [inst.c_space.uniform_vector()]))
-    uniform_orthogonal = gram_uniform.transpose().compose(second).is_zero
-    weight_c = [_ZERO] * dim_c
-    for r, v in gram_uniform.sparse_columns()[0].items():
-        weight_c[r] = v
+        OpMatrix.from_columns(dim_c, [inst.c_space.uniform_vector()])).transpose()
+    uniform_orthogonal = gram_uniform.compose(second).is_zero
     stack_witnesses = (gram_spd and uniform_orthogonal and not gram_uniform.is_zero
                        and second_kills_constants and constants_orthogonal)
     if (stack_witnesses and composes_to_zero and kills_constants
-            and _local_route(inst, ones, weight_c, gram_consts_t.compose(consts))):
+            and _local_route(inst, ~ones.transpose().zero_columns(),
+                             ~gram_uniform.zero_columns(), gram_consts_t.compose(consts))):
         return ComplexCertificate(composes_to_zero, kills_constants, constants_orthogonal,
                                   uniform_orthogonal, dim_a - 1, dim_c - 1, True, 2, True)
     # first 1 = 0 caps rank(first) at dim A - 1; the constants add at most 2
     rank_first, rank_union = prefix_ranks(
-        [first.sparse_columns(), consts.sparse_columns()],
+        [first.transpose(), consts.transpose()],
         [dim_a - 1, dim_a + 1] if kills_constants else None)
     # a nonzero G_c u caps rank(second) at dim C - 1, and the constants in the
     # kernel of the stack cap it at dim B - 2
     rank_second, rank_stack = prefix_ranks(
-        [second.sparse_rows(), inst.gram_b.compose(first).sparse_columns()],
+        [second, inst.gram_b.compose(first).transpose()],
         [dim_c - 1, dim_b - 2] if stack_witnesses else None)
     harmonic_dim = dim_b - rank_stack
     return ComplexCertificate(
@@ -472,10 +470,10 @@ def naive_quad_report(nx: int, ny: int, lx=1, ly=1, float_check: bool = False) -
     strips = row_fields + col_fields
     packed = OpMatrix.from_columns(b_space.dim, strips)
     strips_in_kernel = op.compose(packed).is_zero
-    [strips_rank] = prefix_ranks([packed.sparse_columns()], [len(strips)])
+    [strips_rank] = prefix_ranks([packed.transpose()], [len(strips)])
     # strips in the kernel cap the rank at dim B - rank(strips), and span it
     # exactly when the two meet
-    [rank] = prefix_ranks([op.sparse_rows()],
+    [rank] = prefix_ranks([op],
                           [b_space.dim - strips_rank] if strips_in_kernel else None)
     strips_span = strips_in_kernel and strips_rank == b_space.dim - rank
     rep.check("rank", 2 * n - nx - ny, rank)
@@ -501,28 +499,30 @@ def appendix_report(nx: int, ny: int, lx=1, ly=1) -> Report:
     mesh = build_mesh(MeshKind.CARTESIAN, nx, ny, lx, ly)
     triple = flat_trace_basis(RefCell.SQUARE)
     n = mesh.num_cells
-    traces: dict = {}  # (chart, edge, along) -> the three normal traces
-    rows: list[dict[int, Fraction]] = []
-    for face in mesh.faces:
-        row: dict[int, Fraction] = {}
+    # (chart, edge, along, sign) -> (the stamp of the signed normal traces of
+    # the three fields, the face rows and the cell columns it is placed at)
+    placed: dict = {}
+    for row, face in enumerate(mesh.faces):
         for side, sign in (("left", -1), ("right", 1)):
             cell = mesh.cells[face.cell_on(side)]
             edge, along = cell.edge_of(face.index)
-            key = (cell.chart, edge, along)
-            if key not in traces:
+            key = (cell.chart, edge, along, sign)
+            if key not in placed:
                 _, _, chord = cell.face_segment(edge, along)
                 nrm = (-chord[1], chord[0])
-                traces[key] = [c for u in triple
-                               for c in trace_legendre(u, cell.ref, edge, along, nrm, 0)]
-            for i, v in enumerate(traces[key]):
-                col = 3 * cell.index + i
-                row[col] = row.get(col, _ZERO) + sign * v
-        rows.append(row)
+                traces = [c for u in triple
+                          for c in trace_legendre(u, cell.ref, edge, along, nrm, 0)]
+                placed[key] = Stamp.of((0, i, sign * v) for i, v in enumerate(traces)), [], []
+            _, rows, cols = placed[key]
+            rows.append(row)
+            cols.append(range(3 * cell.index, 3 * cell.index + 3))
+    jumps = OpMatrix.from_stamps(len(mesh.faces), 3 * n, placed.values())
     # checkerboard sums over each row and each column of cells; they vanish
     # on ker J exactly when they lie in the row space of J
-    sums = [{3 * (j * nx + i) + 2: 1 for i in range(nx)} for j in range(ny)]
-    sums += [{3 * (j * nx + i) + 2: 1 for j in range(ny)} for i in range(nx)]
-    rank_jumps, rank_with_sums = prefix_ranks([rows, sums])
+    sums = {(j, 3 * (j * nx + i) + 2): 1 for j in range(ny) for i in range(nx)}
+    sums.update({(ny + i, 3 * (j * nx + i) + 2): 1 for i in range(nx) for j in range(ny)})
+    rank_jumps, rank_with_sums = prefix_ranks(
+        [jumps, OpMatrix.from_entries(ny + nx, 3 * n, sums)])
     rep = Report("jump-constraint nullity",
                  params={"nx": nx, "ny": ny, "cells": n})
     rep.check("nullity", n + 1, 3 * n - rank_jumps)

@@ -5,11 +5,14 @@ Rows are ``{column: value}`` dicts; each new row is reduced against the
 pivot rows lowest column first and, when anything survives, becomes a pivot
 row scaled so its pivot is 1.  Over Q the values are ``Fraction``s, so
 ranks, nullspaces, solves and span comparisons are certificates, not
-approximations.  ``ranks_mod_p`` runs the same kernel over GF(p): a rank mod
-p never exceeds the rank over Q (a nonzero minor mod p is a nonzero
-integer), so it certifies lower bounds only.  ``prefix_ranks`` is the one
-rank route of the verifier: exact ranks of stacked row blocks, closed by a
-rank mod p that meets proven upper bounds, else by elimination over Q.
+approximations.  ``ranks_mod_p`` runs the same kernel on the integer rows
+of stacked ``OpMatrix`` blocks, each row its numerators over the row's
+denominator: scaling a row keeps the rank over Q, and integers reduce mod
+every prime.  Over GF(p) the rank never exceeds the rank over Q (a nonzero
+minor mod p is a nonzero integer), so it certifies lower bounds only.
+``prefix_ranks`` is the one rank route of the verifier: exact ranks of
+stacked blocks, closed by a rank mod p that meets proven upper bounds, else
+by the same elimination over Q.
 
 Every solve replays one recorded factor: with ``factor`` the kernel keeps
 each row's elimination multipliers, and ``_Echelon.solve`` runs a
@@ -17,17 +20,17 @@ right-hand side forward through them (a row that reduced to zero must leave
 a zero residual) and back through the pivot rows.  ``LinearExpander`` and
 ``solve_any`` replay a factor over Q.  ``LiftedSolver`` takes a square
 system and a batch of right-hand sides as integer ``OpMatrix``es, factors
-the system's integer rows mod a prime once, and lifts the whole batch on
-integer residuals: each lifting step replays the factor once, as numpy
-int64 rows over every column still open, and each column is recovered by
-rational reconstruction.  The replay and the integer products run in int64
-only under bounds proven from the prime or from the operands.  The search
-is modular; the certificate is not: a column is returned only after the
-exact integer product A num = q b holds, and a matrix is called singular
-only after its rank over Q says so.  ``solve_square`` is the same solver
-for ``Fraction`` rows and columns.  ``float_rank`` provides the
-independent numpy SVD route; the float and exact results are compared in
-tests and reports but never merged.
+the system's integer rows mod a prime once (reduced as in ``ranks_mod_p``),
+and lifts the whole batch on integer residuals: each lifting step replays
+the factor once, as numpy int64 rows over every column still open, and
+each column is recovered by rational reconstruction.  The replay and the
+integer products run in int64 only under bounds proven from the prime or
+from the operands.  The search is modular; the certificate is not: a column
+is returned only after the exact integer product A num = q b holds, and a
+matrix is called singular only after its rank over Q says so.
+``solve_square`` is the same solver for ``Fraction`` rows and columns.
+``float_rank`` provides the independent numpy SVD route; the float and
+exact results are compared in tests and reports but never merged.
 """
 
 from __future__ import annotations
@@ -325,79 +328,54 @@ def span_compare(cols_left: Sequence[Sequence], cols_right: Sequence[Sequence]) 
 
 
 # Word-size primes below 2**30, so residues fit one Python int digit.
-_PRIMES = (1073741789, 1073741783, 1073741741, 1073741723)
+_PRIMES = (1073741789, 1073741783)
 
 
-def _rows_mod_p(rows: Iterable[Mapping[int, Fraction]], p: int) -> list[dict[int, int]] | None:
-    """Map sparse rational rows to GF(p) as num * den^-1; None when p divides
-    a denominator, so the reduction is undefined."""
-    inverses: dict[int, int] = {}
-    out = []
-    for row in rows:
-        red = {}
-        for c, v in row.items():
-            den = v.denominator
-            inv = inverses.get(den)
-            if inv is None:
-                if den % p == 0:
-                    return None
-                inv = inverses[den] = pow(den, -1, p)
-            x = v.numerator * inv % p
-            if x:
-                red[c] = x
-        out.append(red)
-    return out
+def _numerator_rows(matrix: OpMatrix, p: int = 0) -> list[dict[int, int]]:
+    """The rows of ``matrix`` as ``{column: value}`` dicts of its integer
+    numerators, reduced mod ``p`` when it is nonzero.  Each is a row of the
+    matrix times its denominator, so any stack of them has the rank over Q
+    of the same rows, and the reduction is defined mod every prime."""
+    ptr, cols, num, _ = matrix.integer_rows()
+    if p:
+        num = num % p
+    ptr, cols, num = ptr.tolist(), cols.tolist(), num.tolist()
+    return [{c: v for c, v in zip(cols[a:b], num[a:b]) if v} for a, b in zip(ptr, ptr[1:])]
 
 
-def ranks_mod_p(blocks: Sequence[Sequence[Mapping[int, Fraction]]], p: int) -> list[int] | None:
+def ranks_mod_p(blocks: Sequence[OpMatrix], p: int) -> list[int]:
     """Ranks over GF(p) of the stacked prefixes [B0], [B0; B1], ... of
-    blocks of sparse rational rows (column -> value mappings).
+    matrices of one width, each row entering as its integer numerators.
 
-    Each is a lower bound on the rank over Q for any prime ``p``.  None when
-    ``p`` divides a denominator.
+    Each is a lower bound on the rank over Q for every prime ``p``; with
+    ``p = 0`` the same elimination runs over Q and the ranks are exact.
     """
     ech = _Echelon(p)
     ranks: list[int] = []
     for block in blocks:
-        reduced = _rows_mod_p(block, p)
-        if reduced is None:
-            return None
-        for row in reduced:
+        for row in _numerator_rows(block, p):
             ech.add(row)
         ranks.append(ech.rank)
     return ranks
 
 
-def prefix_ranks(blocks: Sequence[Sequence[Mapping[int, Fraction]]],
-                 upper: Sequence[int] | None = None) -> list[int]:
+def prefix_ranks(blocks: Sequence[OpMatrix], upper: Sequence[int] | None = None) -> list[int]:
     """Exact ranks over Q of the stacked prefixes [B0], [B0; B1], ... of
-    blocks of sparse rational rows (column -> value mappings).
+    matrices of one width.
 
-    ``upper`` holds proven upper bounds, one per prefix.  With them, at most
-    two primes of a fixed list are tried, skipping any prime that divides a
-    denominator; a prime whose ranks reach every bound closes each rank from
-    both sides.  Otherwise the blocks are eliminated over Q, under the exact
-    width cap on the highest column used.
+    ``upper`` holds proven upper bounds, one per prefix.  With them, the
+    two primes of a fixed list are tried in turn; a prime whose ranks reach
+    every bound closes each rank from both sides.  Otherwise the blocks are
+    eliminated over Q, under the exact width cap on the highest column used.
     """
     if upper is not None:
-        misses = 0
         for p in _PRIMES:
             ranks = ranks_mod_p(blocks, p)
-            if ranks is None:
-                continue
             if all(r >= u for r, u in zip(ranks, upper)):
                 return ranks
-            misses += 1
-            if misses == 2:
-                break
-    _check_width(1 + max((c for block in blocks for row in block for c in row), default=-1))
-    ech = _Echelon()
-    ranks = []
-    for block in blocks:
-        for row in block:
-            ech.add(_sparse(row))
-        ranks.append(ech.rank)
-    return ranks
+    used = [int(block.integer_rows()[1].max()) for block in blocks if block.nnz]
+    _check_width(1 + max(used, default=-1))
+    return ranks_mod_p(blocks, 0)
 
 
 def float_rank(rows: Sequence[Sequence] | np.ndarray, tol: float = 1e-10) -> int:
@@ -555,9 +533,8 @@ class LiftedSolver:
             raise ValueError(f"a lifted solve needs a square system, got {system.nrows}x{system.ncols}")
         n = self.n = system.ncols
         self._ptr, self._cols, self._num, self._scale = system.integer_rows()
-        ptr, cols, num = self._ptr.tolist(), self._cols.tolist(), self._num.tolist()
-        rows = [(cols[a:b], num[a:b]) for a, b in zip(ptr, ptr[1:])]
-        self._norms = [sum(v * v for v in vals) for _, vals in rows]
+        ptr, num = self._ptr.tolist(), self._num.tolist()
+        self._norms = [sum(v * v for v in num[a:b]) for a, b in zip(ptr, ptr[1:])]
         self._row_bound = int(np.diff(self._ptr).max(initial=0)) * _max_abs(self._num)
         misses = 0
         for p in _lift_primes():
@@ -565,12 +542,12 @@ class LiftedSolver:
                 raise ExactWidthExceeded(f"{n} unknowns exceed the int64 replay bound "
                                          f"{_replay_terms(p)} for p = {p}")
             ech = _Echelon(p, factor=True)
-            for ks, vals in rows:
-                ech.add({k: a % p for k, a in zip(ks, vals) if a % p})
+            for row in _numerator_rows(system, p):
+                ech.add(row)
             if ech.rank == n:
                 break
             misses += 1
-            if misses == 2 and _exact_echelon(dict(zip(*row)) for row in rows).rank < n:
+            if misses == 2 and ranks_mod_p([system], 0) != [n]:
                 raise ExactSolveError("matrix is singular")
         self.p = p
         self._program = _replay_program(ech, n)

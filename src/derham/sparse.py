@@ -8,7 +8,7 @@ is an integer kernel over whole arrays.  It runs in int64 only when a bound
 computed from its operands in Python integers proves that no product or
 partial sum reaches 2**63, and otherwise runs the same code on object
 arrays, so nothing wraps.  ``Fraction``s are built only where a caller
-asks for them (``entries``, ``sparse_rows``, ``columns``, ...).
+asks for them (``entries``, ``dense_rows``, ``columns``, ...).
 """
 
 from __future__ import annotations
@@ -361,20 +361,6 @@ class OpMatrix:
             if c == j:
                 col[r] = v
         return col
-
-    def sparse_rows(self) -> list[dict[int, Fraction]]:
-        """Rows as column -> value dicts."""
-        rows: list[dict[int, Fraction]] = [{} for _ in range(self.nrows)]
-        for r, c, v in self._items():
-            rows[r][c] = v
-        return rows
-
-    def sparse_columns(self) -> list[dict[int, Fraction]]:
-        """Columns as row -> value dicts."""
-        cols: list[dict[int, Fraction]] = [{} for _ in range(self.ncols)]
-        for r, c, v in self._items():
-            cols[c][r] = v
-        return cols
 
     def transpose(self) -> "OpMatrix":
         return OpMatrix._from_triplets(self.ncols, self.nrows, self._cols, self._rows, self._num,

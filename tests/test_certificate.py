@@ -112,6 +112,9 @@ def report_facts(rep):
     ("tri-dp", 3, 2, 1), ("quad-enriched-curl", 2, 2, 2), ("tri-dn", 2, 2, 1),
 ])
 def test_healthy_diagram_needs_no_nullspace(monkeypatch, name, nx, ny, k):
+    # the reference local bases are solved once per process, as columns;
+    # build them before the guards, as any earlier diagram would
+    build_diagram(name, nx, ny, k)
     forbid(monkeypatch, "rank_nullspace", "span_compare")
     forbid_densify(monkeypatch)
     assert verify_diagram(name, nx, ny, k, float_check=True).passed
@@ -354,8 +357,7 @@ def test_appendix_matches_nullspace_oracle(monkeypatch, dropped):
                         lambda b, upper=None: blocks.append(b) or prefix_ranks(b, upper))
     forbid(monkeypatch, "rank_nullspace", "span_compare")
     rep = appendix_report(3, 3)
-    jumps = blocks[0][0]
-    null = rank_nullspace([[row.get(c, 0) for c in range(27)] for row in jumps], ncols=27).nullspace
+    null = rank_nullspace(blocks[0][0].dense_rows(), ncols=27).nullspace
 
     def gamma_sums_vanish(vec):
         gamma = [vec[3 * c + 2] for c in range(9)]
@@ -447,7 +449,7 @@ def test_hodge_batch_stays_in_integer_operators(monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(OpMatrix, name, call)
 
-    for name in ("sparse_columns", "sparse_rows", "columns", "column", "dense_rows"):
+    for name in ("columns", "column", "dense_rows"):
         guarded(name)
     init = hodge.HodgeSplitter.__init__
     monkeypatch.setattr(hodge.HodgeSplitter, "__init__",
@@ -496,7 +498,7 @@ def record_prefix_blocks(monkeypatch):
     rows = []
     prefix_ranks = complexcheck.prefix_ranks
     monkeypatch.setattr(complexcheck, "prefix_ranks",
-                        lambda blocks, upper=None: rows.extend(map(len, blocks))
+                        lambda blocks, upper=None: rows.extend(b.nrows for b in blocks)
                         or prefix_ranks(blocks, upper))
     return rows
 
@@ -608,28 +610,28 @@ def test_two_components_do_not_certify():
     """A direct sum of two copies of first: every cell block is healthy and
     every dof is covered, but no column group is shared across the copies."""
     inst = build_diagram("tri-dp", 2, 2, 1)
-    rows = inst.first.sparse_rows()
-    dim_a, size = inst.a_space.dim, inst.b_space.local_dim
-    twice = rows + [{c + dim_a: v for c, v in row.items()} for row in rows]
+    first, dim_a, size = inst.first, inst.a_space.dim, inst.b_space.local_dim
+    twice = dict(first.entries)
+    twice.update({(r + first.nrows, c + dim_a): v for (r, c), v in first.entries.items()})
+    twice = OpMatrix.from_entries(2 * first.nrows, 2 * dim_a, twice)
     ones = inst.a_space.constant_vector(1)
-    assert complexcheck._kernel_is_weight(inst.first, size, ones)
-    assert not complexcheck._kernel_is_weight(rows_op(twice, 2 * dim_a), size, ones + ones)
-    dense = [[row.get(c, 0) for c in range(2 * dim_a)] for row in twice]
-    assert 2 * dim_a - exact_rank(dense) == 2
+    assert complexcheck._kernel_is_weight(first, size, ones)
+    assert not complexcheck._kernel_is_weight(twice, size, ones + ones)
+    assert 2 * dim_a - exact_rank(twice.dense_rows()) == 2
 
 
 def test_uncovered_dof_fails_the_local_test():
     inst = build_diagram("tri-dp", 2, 2, 1)
     size = inst.b_space.local_dim
     ones = inst.a_space.constant_vector(1)
-    rows, dim_a = inst.first.sparse_rows(), inst.a_space.dim
     assert complexcheck._kernel_is_weight(inst.first, size, ones)
-    assert not complexcheck._kernel_is_weight(rows_op(rows, dim_a + 1), size, ones + [Fraction(1)])
+    wider = OpMatrix.from_entries(inst.first.nrows, inst.a_space.dim + 1, inst.first.entries)
+    assert not complexcheck._kernel_is_weight(wider, size, ones + [Fraction(1)])
     weight = inst.gram_c.matvec(inst.c_space.uniform_vector())
-    cols, dim_c = inst.second.sparse_columns(), inst.c_space.dim
-    assert complexcheck._kernel_is_weight(inst.second.transpose(), size, weight)
-    assert not complexcheck._kernel_is_weight(rows_op(cols, dim_c + 1), size,
-                                              weight + [Fraction(1)])
+    second_t = inst.second.transpose()
+    assert complexcheck._kernel_is_weight(second_t, size, weight)
+    wider = OpMatrix.from_entries(second_t.nrows, inst.c_space.dim + 1, second_t.entries)
+    assert not complexcheck._kernel_is_weight(wider, size, weight + [Fraction(1)])
 
 
 def test_gram_must_be_positive_definite(monkeypatch):

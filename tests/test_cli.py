@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from derham import complexcheck
+from derham import complexcheck, hodge
 from derham.cli import k_range, main
 from derham.operators import OpMatrix
 
@@ -133,6 +133,7 @@ def test_width_cap_exits_2(capsys, monkeypatch):
     code, _, err = run(capsys, "appendix", "--nx", "3", "--ny", "3")
     assert code == 2
     assert "DERHAM_MAX_EXACT_COLS" in err
+    assert "float" not in err  # only hodge has a float backend
 
 
 @pytest.mark.parametrize("raw", ["0", "-1"])
@@ -155,9 +156,9 @@ def test_verify_ignores_width_cap(capsys, monkeypatch):
     assert "-> PASS" in out
 
 
-def test_width_cap_exits_2_on_broken_diagram(capsys, monkeypatch):
-    # a broken complex misses its witness bounds, so its ranks are eliminated
-    # over Q, where the cap applies
+def run_broken_over_cap(capsys, monkeypatch, command):
+    """Run ``command`` on tri-dp k=1 with one entry of second changed, under
+    a cap one column below dim B."""
     build_diagram = complexcheck.build_diagram
 
     def broken(*args, **kwargs):
@@ -168,13 +169,28 @@ def test_width_cap_exits_2_on_broken_diagram(capsys, monkeypatch):
         return inst
 
     monkeypatch.setattr(complexcheck, "build_diagram", broken)
+    monkeypatch.setattr(hodge, "build_diagram", broken)
     dim_b = build_diagram("tri-dp", 2, 2, 1).b_space.dim
     monkeypatch.setenv("DERHAM_MAX_EXACT_COLS", str(dim_b - 1))
-    code, out, err = run(capsys, "verify", "--diagram", "tri-dp", "--k", "1")
+    return run(capsys, command, "--diagram", "tri-dp", "--k", "1")
+
+
+def test_width_cap_exits_2_on_broken_diagram(capsys, monkeypatch):
+    # a broken complex misses its witness bounds, so its ranks are eliminated
+    # over Q, where the cap applies
+    code, out, err = run_broken_over_cap(capsys, monkeypatch, "verify")
     assert code == 2
     assert out == ""
     assert "DERHAM_MAX_EXACT_COLS" in err
+    assert "float" not in err
     assert "Traceback" not in err
+
+
+def test_width_cap_names_the_float_backend_for_hodge(capsys, monkeypatch):
+    code, out, err = run_broken_over_cap(capsys, monkeypatch, "hodge")
+    assert code == 2
+    assert out == ""
+    assert err.endswith("; raise DERHAM_MAX_EXACT_COLS or use --backend float\n")
 
 
 def test_hodge_ignores_width_cap(capsys, monkeypatch):

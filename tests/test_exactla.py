@@ -160,13 +160,15 @@ def test_against_numpy_on_integers():
     assert transpose(transpose(rows)) == rows
 
 
-def sparse(rows):
-    return [{c: v for c, v in enumerate(r) if v} for r in rows]
+def block(rows, ncols=None):
+    """Dense rational rows as one OpMatrix block."""
+    ncols = len(rows[0]) if ncols is None else ncols
+    return OpMatrix.from_entries(len(rows), ncols, {
+        (r, c): v for r, row in enumerate(rows) for c, v in enumerate(row) if v})
 
 
 def rank_mod_p(rows, p):
-    ranks = ranks_mod_p([sparse(rows)], p)
-    return None if ranks is None else ranks[0]
+    return ranks_mod_p([block(rows)], p)[0]
 
 
 small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -177,11 +179,8 @@ small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
     st.lists(small_rationals, min_size=ncols, max_size=ncols), min_size=1, max_size=5)),
     st.sampled_from([2, 3, 5, 7, 1073741789]))
 def test_rank_mod_p_never_exceeds_exact_rank(rows, p):
-    r = rank_mod_p(rows, p)
-    if any(v.denominator % p == 0 for row in rows for v in row):
-        assert r is None
-    else:
-        assert r <= exact_rank(rows, ncols=len(rows[0]))
+    # rows enter as integer numerators, so a prime dividing a denominator is checked too
+    assert rank_mod_p(rows, p) <= exact_rank(rows, ncols=len(rows[0]))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -191,20 +190,29 @@ def test_rank_mod_p_matches_exact_rank_for_large_prime(seed):
     assert rank_mod_p(rows, exactla._PRIMES[0]) == exact_rank(rows)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_ranks_of_numerators_past_int64(seed):
+    """Numerators past int64 are stored as Python ints; the rank mod p stays
+    a lower bound and the rank over Q is that of the Fraction matrix."""
+    rng = random.Random(300 + seed)
+    rows = [[v * 2 ** 70 / rng.choice([1, 3, 2 ** 66]) for v in row]
+            for row in random_matrix(rng, 5, 6, rng.randint(1, 4))]
+    big = block(rows)
+    assert big.integer_rows()[2].dtype == object
+    expected = exact_rank(rows)
+    for p in (2, 3, *exactla._PRIMES):
+        assert ranks_mod_p([big], p)[0] <= expected
+    assert prefix_ranks([big]) == [expected]
+    assert prefix_ranks([big], [expected]) == [expected]
+
+
 def trace_routes(monkeypatch):
     """Record each prime ``prefix_ranks`` tries, and "Q" for each
     elimination over Q."""
     seen = []
     ranks_mod_p = exactla.ranks_mod_p
-
-    class OverQ(exactla._Echelon):
-        def __init__(self, p=0, factor=False):
-            if p == 0:
-                seen.append("Q")
-            super().__init__(p, factor)
     monkeypatch.setattr(exactla, "ranks_mod_p",
-                        lambda blocks, p: seen.append(p) or ranks_mod_p(blocks, p))
-    monkeypatch.setattr(exactla, "_Echelon", OverQ)
+                        lambda blocks, p: seen.append(p or "Q") or ranks_mod_p(blocks, p))
     return seen
 
 
@@ -221,49 +229,52 @@ def test_unlucky_prime_underestimates_rank(monkeypatch):
     assert exact_rank(rows) == 2
     assert rank_mod_p(rows, p) == 1
     seen = trace_routes(monkeypatch)
-    blocks = [sparse(rows)]
+    blocks = [block(rows)]
     # the miss falls through to exact ranks over Q
     assert routes(monkeypatch, seen, (p,), blocks, [2], [2]) == [p, "Q"]
     # the retry prime closes it
     assert routes(monkeypatch, seen, (p, 11), blocks, [2], [2]) == [p, 11]
-    # two misses: no third try, exact ranks instead
-    assert routes(monkeypatch, seen, (p, 7, 11), blocks, [2], [2]) == [p, 7, "Q"]
+    # every listed prime is tried in turn, without a count of misses
+    assert routes(monkeypatch, seen, (p, 7, 11), blocks, [2], [2]) == [p, 7, 11]
 
 
-def test_prime_dividing_a_denominator_is_skipped(monkeypatch):
+def test_prime_dividing_a_denominator_closes_the_rank(monkeypatch):
     rows = [[F(1, 5), F(0)], [F(0), F(3)]]
-    assert rank_mod_p(rows, 5) is None
-    assert rank_mod_p(rows, 3) == 1  # unlucky, not skipped
+    assert rank_mod_p(rows, 5) == 2  # the row (1, 0) of numerators
+    assert rank_mod_p(rows, 3) == 1  # unlucky
     seen = trace_routes(monkeypatch)
-    blocks = [sparse(rows)]
-    assert routes(monkeypatch, seen, (5,), blocks, [2], [2]) == [5, "Q"]
-    # 5 is skipped without using up a try, 3 misses, 7 is the second try
-    assert routes(monkeypatch, seen, (5, 3, 7), blocks, [2], [2]) == [5, 3, 7]
+    blocks = [block(rows)]
+    assert routes(monkeypatch, seen, (5,), blocks, [2], [2]) == [5]
+    assert routes(monkeypatch, seen, (3, 5), blocks, [2], [2]) == [3, 5]
 
 
 def test_prefix_ranks_prefix_bounds(monkeypatch):
-    top = sparse([[F(1), F(2), F(0)], [F(2), F(4), F(0)]])
-    bottom = sparse([[F(0), F(0), F(1, 3)]])
-    assert ranks_mod_p([top, bottom], 3) is None
-    assert ranks_mod_p([top, bottom], 5) == [1, 2]
+    top = block([[F(1), F(2), F(0)], [F(2), F(4), F(0)]])
+    bottom = block([[F(0), F(0), F(1, 3)]])
+    assert ranks_mod_p([top, bottom], 3) == [1, 2]
+    assert ranks_mod_p([top, bottom], 2) == [1, 2]
     seen = trace_routes(monkeypatch)
-    primes = (3, 5, 7)
-    assert routes(monkeypatch, seen, primes, [top, bottom], [1, 2], [1, 2]) == [3, 5]
+    primes = (3, 5)
+    assert routes(monkeypatch, seen, primes, [top, bottom], [1, 2], [1, 2]) == [3]
     # true but loose bounds on either prefix: both tries miss, ranks stay exact
-    assert routes(monkeypatch, seen, primes, [top, bottom], [2, 2], [1, 2]) == [3, 5, 7, "Q"]
-    assert routes(monkeypatch, seen, primes, [top, bottom], [1, 3], [1, 2]) == [3, 5, 7, "Q"]
-    assert routes(monkeypatch, seen, primes, [[], bottom], [0, 1], [0, 1]) == [3, 5]
+    assert routes(monkeypatch, seen, primes, [top, bottom], [2, 2], [1, 2]) == [3, 5, "Q"]
+    assert routes(monkeypatch, seen, primes, [top, bottom], [1, 3], [1, 2]) == [3, 5, "Q"]
+    assert routes(monkeypatch, seen, primes, [block([], 3), bottom], [0, 1], [0, 1]) == [3]
     # no bounds: straight to Q
     assert routes(monkeypatch, seen, primes, [top, bottom], None, [1, 2]) == ["Q"]
 
 
 def test_prefix_ranks_width_cap_applies_over_q_only(monkeypatch):
     monkeypatch.setenv("DERHAM_MAX_EXACT_COLS", "3")
-    rows = sparse([[F(1), F(0), F(0), F(2)], [F(0)] * 4])
+    rows = block([[F(1), F(0), F(0), F(2)], [F(0)] * 4])
     assert prefix_ranks([rows], [1]) == [1]  # closed mod p
     with pytest.raises(ExactWidthExceeded):
         prefix_ranks([rows])
-    assert prefix_ranks([sparse([[F(1), F(2), F(0), F(0)]])]) == [1]  # 2 columns used
+    # the width is the highest column used plus one, not the blocks' ncols
+    assert prefix_ranks([block([[F(1), F(2), F(0), F(0)]])]) == [1]  # 2 columns used
+    assert prefix_ranks([block([[F(1), F(2), F(0), F(0), F(0)]]),
+                         block([[F(0), F(1), F(3), F(0), F(0)]])]) == [1, 2]  # 3 used
+    assert prefix_ranks([OpMatrix(2, 9), OpMatrix(1, 9)]) == [0, 0]  # none used
 
 
 @st.composite
@@ -279,14 +290,14 @@ def row_blocks(draw):
 def test_prefix_ranks_are_exact_ranks_of_prefixes(case):
     ncols, blocks = case
     stacked, expected = [], []
-    for block in blocks:
-        stacked += block
+    for rows in blocks:
+        stacked += rows
         expected.append(exact_rank(stacked, ncols=ncols))
-    sparse_blocks = [sparse(block) for block in blocks]
-    assert prefix_ranks(sparse_blocks) == expected
+    ops = [block(rows, ncols) for rows in blocks]
+    assert prefix_ranks(ops) == expected
     # with true bounds, tight or loose, the ranks are the same
-    assert prefix_ranks(sparse_blocks, expected) == expected
-    assert prefix_ranks(sparse_blocks, [r + 1 for r in expected]) == expected
+    assert prefix_ranks(ops, expected) == expected
+    assert prefix_ranks(ops, [r + 1 for r in expected]) == expected
 
 
 small_int_matrices = st.integers(1, 6).flatmap(lambda ncols: st.lists(
