@@ -19,8 +19,10 @@ operators themselves, combined by counting dimensions.  On a healthy
 diagram those ranks are local: each cell's block of first and of second^T
 has a one-dimensional kernel, the cells glue into one component through
 shared dofs, and G_b is positive definite, so no elimination runs on more
-than one cell's block.  Otherwise the ranks are those of two global
-stacks.  No report here computes a nullspace or compares spans.
+than one cell's block.  Every definiteness verdict, of each Gram block and
+of the constants' 2x2 Gram matrix, is ``exactla.positive_definite``.
+Otherwise the ranks are those of two global stacks.  No report here
+computes a nullspace or compares spans.
 
 Also here: the rank-deficient naive quad diagram (a diagnostic whose report
 passes when the predicted failure is reproduced exactly), the jump-constraint
@@ -35,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactla import float_rank, prefix_ranks
+from .exactla import float_rank, positive_definite, prefix_ranks
 from .exactla import rank_nullspace  # unused; perfbench/tracing.py rebinds it here
 from .exactla import span_compare  # unused; perfbench/tracing.py rebinds it here
 from .fespace import (
@@ -48,7 +50,6 @@ from .fespace import (
 )
 from .mesh import Mesh, MeshKind, build_mesh
 from .operators import (
-    GramBlock,
     GramMatrix,
     assemble_curl_distributional,
     assemble_div_distributional,
@@ -195,49 +196,6 @@ class ComplexCertificate:
     harmonic_is_constants: bool
 
 
-def _positive_definite(rows) -> bool:
-    """Exact LDL^T of a square block: symmetric with every pivot > 0."""
-    n = len(rows)
-    if any(len(row) != n or any(row[j] != rows[j][i] for j in range(i))
-           for i, row in enumerate(rows)):
-        return False
-    a = [list(row) for row in rows]
-    for p in range(n):
-        pivot = a[p][p]
-        if pivot <= 0:
-            return False
-        for i in range(p + 1, n):
-            f = a[i][p] / pivot
-            if f:
-                for j in range(p + 1, n):
-                    a[i][j] -= f * a[p][j]
-    return True
-
-
-def _block_positive_definite(rows) -> bool:
-    """``_positive_definite`` of one block.  A ``GramBlock`` is immutable
-    and shared by every matrix that holds it, so its rows are checked once
-    and the verdict stays with the block; any other block is checked on
-    every call."""
-    if not isinstance(rows, GramBlock):
-        return _positive_definite(rows)
-    if rows.definite is None:
-        rows.definite = _positive_definite(rows)
-    return rows.definite
-
-
-def _gram_positive_definite(gram: GramMatrix) -> bool:
-    """The blocks tile the diagonal and each distinct block (by identity) is
-    symmetric positive definite, so the whole matrix is."""
-    end = 0
-    for off, rows in sorted(gram.blocks, key=lambda block: block[0]):
-        if off != end:
-            return False
-        end += len(rows)
-    distinct = {id(rows): rows for _, rows in gram.blocks}
-    return end == gram.dim and all(map(_block_positive_definite, distinct.values()))
-
-
 def _kernel_is_weight(op: OpMatrix, cell_size: int, weight) -> bool:
     """Whether the kernel of ``op`` is exactly span(weight), proven cell by
     cell.  The matrix must kill weight; only its support is read, so
@@ -300,11 +258,11 @@ def _local_route(inst: DiagramInstance, ones: np.ndarray, weight_c: np.ndarray,
     witness and G_b positive definite: ker(first) = span(1) and
     ker(second^T) = span(G_c u) by ``_kernel_is_weight``, from the supports
     ``ones`` of 1 and ``weight_c`` of G_c u, the constants independent (their
-    2x2 Gram matrix positive definite) and dim A - dim B + dim C = 0."""
+    2x2 Gram matrix ``gram_consts`` positive definite) and dim A - dim B +
+    dim C = 0."""
     g = gram_consts.entries
-    a, b, d = (g.get(key, _ZERO) for key in ((0, 0), (0, 1), (1, 1)))
     return (inst.a_space.dim - inst.b_space.dim + inst.c_space.dim == 0
-            and a > 0 and a * d - b * b > 0
+            and positive_definite([[g.get((i, j), _ZERO) for j in range(2)] for i in range(2)])
             and _kernel_is_weight(inst.first, inst.b_space.local_dim, ones)
             and _kernel_is_weight(inst.second.transpose(), inst.b_space.local_dim, weight_c))
 
@@ -344,7 +302,7 @@ def certify_complex(inst: DiagramInstance) -> ComplexCertificate:
     dim_a, dim_b, dim_c = inst.a_space.dim, inst.b_space.dim, inst.c_space.dim
     consts, gram_consts_t = inst.constant_operators()
     ones = OpMatrix.from_columns(dim_a, [inst.a_space.constant_vector(1)])
-    gram_spd = _gram_positive_definite(inst.gram_b)
+    gram_spd = inst.gram_b.positive_definite()
     composes_to_zero = second.compose(first).is_zero
     kills_constants = first.compose(ones).is_zero
     second_kills_constants = second.compose(consts).is_zero

@@ -29,6 +29,9 @@ from the operands.  The search is modular; the certificate is not: a column
 is returned only after the exact integer product A num = q b holds, and a
 matrix is called singular only after its rank over Q says so.
 ``solve_square`` is the same solver for ``Fraction`` rows and columns.
+``positive_definite`` is the one definiteness test: the same kernel over Q
+in natural row order, where a symmetric matrix is positive definite exactly
+when row i pivots at column i with a positive pivot.
 ``float_rank`` provides the independent numpy SVD route; the float and
 exact results are compared in tests and reports but never merged.
 """
@@ -59,6 +62,7 @@ __all__ = [
     "ranks_mod_p",
     "prefix_ranks",
     "span_compare",
+    "positive_definite",
     "float_rank",
     "solve_any",
     "solve_square",
@@ -127,12 +131,12 @@ def _subtract(row: dict, f, pivot_row, p: int, heap: list | None = None) -> None
     for k, v in pivot_row:
         old = row.get(k)
         if old is None:
-            w = -f * v
+            w = v * -f
             row[k] = w % p if p else w
             if heap is not None:
                 heappush(heap, k)
         else:
-            w = old - f * v
+            w = old - v * f
             if p:
                 w %= p
             if w:
@@ -325,6 +329,20 @@ def span_compare(cols_left: Sequence[Sequence], cols_right: Sequence[Sequence]) 
     for col in cols_right:
         ech.add(_sparse(col))
     return SpanCert(rl, rr, ech.rank)
+
+
+def positive_definite(rows: Sequence[Sequence]) -> bool:
+    """Whether a rational matrix, given row-wise, is symmetric positive
+    definite: square and symmetric, and eliminated over Q in natural row
+    order, row i pivots at column i with a positive pivot.  The pivots are
+    then the ratios of consecutive leading principal minors, so every minor
+    is positive (Sylvester)."""
+    n = len(rows)
+    if any(len(row) != n or any(row[j] != rows[j][i] for j in range(i))
+           for i, row in enumerate(rows)):
+        return False
+    lower = _exact_echelon(rows, factor=True).lower
+    return all(c == i and inv > 0 for i, (c, inv, _) in enumerate(lower))
 
 
 # Word-size primes below 2**30, so residues fit one Python int digit.

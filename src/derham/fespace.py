@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 from .exactla import ExactSolveError, LinearExpander, solve_square
 from .mesh import Cell, Mesh, MeshKind
-from .poly import IDENTITY2, Poly, RefCell, VecPoly, legendre_basis
+from .poly import IDENTITY2, Poly, RefCell, VecPoly
 
 __all__ = [
     "SpanError",
@@ -411,7 +411,6 @@ class CodomainSpace:
             self.cell_local = scalar_local_basis(ref, cell_family, cell_param)
             self.cell_dim = self.cell_local.dim
         self.face_dim = face_degree + 1
-        self.legendre = legendre_basis(face_degree)
         self._face_base = self.cell_dim * mesh.num_cells
         self.dim = self._face_base + self.face_dim * mesh.num_faces
 

@@ -24,8 +24,11 @@ Assembly groups cells and face sides by the mesh's integer chart ids and
 places each stamp at all of them through integer offsets and the
 continuous space's dof map (``OpMatrix.from_stamps``); no rational
 arithmetic runs per cell or face.  Gram blocks are cached the same way, per
-(local basis, jac), as ``GramBlock``s.  Operators are stored as integers;
-see ``sparse``.
+(local basis, jac) and per face degree, as ``GramBlock``s; each computes its
+own ``exactla.positive_definite`` verdict once.  A ``GramMatrix`` is fixed
+at construction: its blocks run down the diagonal in dof order, and its one
+sparse form is placed from their stamps then.  Operators are stored as
+integers; see ``sparse``.
 
 Any polynomial that fails to lie in the target space stops the assembly with
 ``MembershipError`` naming the offending entity of the call at hand; a
@@ -34,13 +37,14 @@ failing stamp is never cached, and nothing is projected.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .exactla import solve_square
+from .exactla import positive_definite, solve_square
 from .fespace import (
     CodomainSpace,
     ContinuousScalarSpace,
@@ -72,51 +76,59 @@ class MembershipError(ValueError):
 
 
 class GramBlock(tuple):
-    """A local Gram block scaled by a chart's jac: immutable rows of exact
-    values, formed once per process for each (local basis, jac).  ``stamp``
-    holds its nonzeros as integers; ``definite`` is None until an exact
-    definiteness check of these rows has run, and then its verdict."""
+    """A local Gram block: immutable rows of exact values.  ``stamp`` holds
+    its nonzeros as integers; ``definite``, computed once on first read, is
+    the block's own ``exactla.positive_definite`` verdict."""
 
     def __new__(cls, rows: Sequence[Sequence[Fraction]]):
         block = super().__new__(cls, (tuple(row) for row in rows))
         block.stamp = Stamp.of((i, j, v) for i, row in enumerate(block) for j, v in enumerate(row))
-        block.definite = None
         return block
 
+    @cached_property
+    def definite(self) -> bool:
+        return positive_definite(self)
 
+
+@dataclass(frozen=True, eq=False)
 class GramMatrix:
-    """Block-diagonal SPD Gram matrix with exact block solves.
+    """Block-diagonal Gram matrix with exact block solves, fixed at
+    construction.
 
-    Blocks are added with ``add_block``; the sparse form of the whole
-    matrix is built once, on first use, and dropped when a block is added.
+    ``blocks`` are ``GramBlock``s placed one after another down the
+    diagonal, and must fill it.  The one sparse form of the whole matrix is
+    placed from their stamps at construction, each distinct block (by
+    identity) once at all of its offsets; every product reads it.
     """
 
-    def __init__(self, dim: int, space_tag: str = ""):
-        self.dim = dim
-        self.space_tag = space_tag
-        self.blocks: list[tuple[int, Sequence[Sequence[Fraction]]]] = []
-        self._op: OpMatrix | None = None
+    dim: int
+    blocks: tuple[GramBlock, ...] = field(repr=False)
+    space_tag: str = ""
+    _op: OpMatrix = field(init=False, repr=False)
 
-    def add_block(self, offset: int, rows: Sequence[Sequence[Fraction]]) -> None:
-        self.blocks.append((offset, rows))
-        self._op = None
+    def __post_init__(self):
+        blocks = tuple(self.blocks)
+        placed: dict[int, tuple[GramBlock, list[int]]] = {}
+        end = 0
+        for block in blocks:
+            placed.setdefault(id(block), (block, []))[1].append(end)
+            end += len(block)
+        if end != self.dim:
+            raise ValueError(f"blocks of total size {end} do not fill dimension {self.dim}")
+        op = OpMatrix.from_stamps(
+            self.dim, self.dim,
+            ((block.stamp, offs, np.array(offs)[:, None] + np.arange(len(block)))
+             for block, offs in placed.values()),
+            self.space_tag, self.space_tag)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "_op", op)
 
     def matvec(self, v: Sequence[Fraction]) -> list[Fraction]:
-        out = [_ZERO] * self.dim
-        for off, rows in self.blocks:
-            n = len(rows)
-            seg = v[off:off + n]
-            for i, row in enumerate(rows):
-                s = _ZERO
-                for a, x in zip(row, seg):
-                    if a and x:
-                        s += a * x
-                out[off + i] = s
-        return out
+        return self._op.matvec(v)
 
     def compose(self, op: OpMatrix) -> OpMatrix:
         """Matrix product G @ op, exact and sparse."""
-        out = self._as_op().compose(op)
+        out = self._op.compose(op)
         out.codomain = op.codomain
         return out
 
@@ -126,39 +138,28 @@ class GramMatrix:
     def solve_columns(self, cols: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
         """Solve G X = cols exactly, block by block."""
         outs = [[_ZERO] * self.dim for _ in cols]
-        for off, rows in self.blocks:
+        off = 0
+        for rows in self.blocks:
             n = len(rows)
             rhs = [[col[off + i] for i in range(n)] for col in cols]
             sols = solve_square(rows, rhs)
             for j, sol in enumerate(sols):
                 for i, v in enumerate(sol):
                     outs[j][off + i] = v
+            off += n
         return outs
 
-    def _as_op(self) -> OpMatrix:
-        """The blocks as one sparse matrix, shared by every caller; read only.
-        Each distinct block (by identity) is read once, a ``GramBlock``
-        through its integer stamp, and placed at all of its offsets."""
-        if self._op is None:
-            placed: dict[int, tuple[Stamp, list[int], int]] = {}
-            for off, block in self.blocks:
-                if id(block) not in placed:
-                    kit = block if isinstance(block, GramBlock) else GramBlock(block)
-                    placed[id(block)] = (kit.stamp, [], len(block))
-                placed[id(block)][1].append(off)
-            self._op = OpMatrix.from_stamps(
-                self.dim, self.dim,
-                ((stamp, offs, np.array(offs)[:, None] + np.arange(n))
-                 for stamp, offs, n in placed.values()),
-                self.space_tag, self.space_tag)
-        return self._op
+    def positive_definite(self) -> bool:
+        """Every block is symmetric positive definite, so the whole matrix
+        is; each block's verdict is its own, computed once."""
+        return all(block.definite for block in self.blocks)
 
     def float_array(self) -> np.ndarray:
         """Float copy for the numerical cross-checks, filled from the nonzeros."""
-        return self._as_op().float_array()
+        return self._op.float_array()
 
     def dense_rows(self) -> list[list[Fraction]]:
-        return self._as_op().dense_rows()
+        return self._op.dense_rows()
 
 
 @lru_cache(maxsize=None)
@@ -167,34 +168,31 @@ def _scaled_block(local: LocalBasis, jac: Fraction) -> GramBlock:
     return GramBlock([[v * jac for v in row] for row in local.gram_ref()])
 
 
-def _add_cell_blocks(g: GramMatrix, mesh, local_of, offset_of) -> None:
-    """Add each cell's local Gram block times jac at its offset; each chart
-    reads its shared block once."""
-    blocks = []
-    for cells in mesh.chart_cells:
-        cell = mesh.cells[cells[0]]
-        blocks.append(_scaled_block(local_of(cell), abs(cell.fmap.det())))
-    for cell in mesh.cells:
-        g.add_block(offset_of(cell.index), blocks[cell.chart])
+@lru_cache(maxsize=None)
+def _face_block(degree: int) -> GramBlock:
+    """The Gram block of one face's shifted-Legendre modes L_0..L_degree on
+    [0, 1], orthogonal with integral L_i^2 = 1 / (2i + 1); one per process."""
+    return GramBlock([[Fraction(1, 2 * i + 1) if i == j else _ZERO for j in range(degree + 1)]
+                      for i in range(degree + 1)])
+
+
+def _cell_blocks(mesh, local_of) -> list[GramBlock]:
+    """Each cell's local Gram block times jac, in cell order; the cells of a
+    chart share one block."""
+    charts = [_scaled_block(local_of(mesh.cells[cells[0]]), abs(mesh.cells[cells[0]].fmap.det()))
+              for cells in mesh.chart_cells]
+    return [charts[cell.chart] for cell in mesh.cells]
 
 
 def assemble_gram(space) -> GramMatrix:
-    """Exact Gram matrix of a space under its L2-style inner product."""
+    """Exact Gram matrix of a space under its L2-style inner product; the
+    blocks follow the space's dofs, cells first, then faces."""
     if isinstance(space, DGVectorSpace):
-        g = GramMatrix(space.dim, space.family)
-        _add_cell_blocks(g, space.mesh, space.local, space.offset)
-        return g
+        return GramMatrix(space.dim, _cell_blocks(space.mesh, space.local), space.family)
     if isinstance(space, CodomainSpace):
-        g = GramMatrix(space.dim, "codomain")
-        if space.cell_dim:
-            _add_cell_blocks(g, space.mesh, lambda cell: space.cell_local, space.cell_offset)
-        leg = space.legendre
-        fg = [[_ZERO] * space.face_dim for _ in range(space.face_dim)]
-        for i in range(space.face_dim):
-            fg[i][i] = (leg[i] * leg[i]).integrate01()
-        for face in space.mesh.faces:
-            g.add_block(space.face_offset(face.index), fg)
-        return g
+        cells = _cell_blocks(space.mesh, lambda cell: space.cell_local) if space.cell_dim else []
+        faces = [_face_block(space.face_degree)] * space.mesh.num_faces
+        return GramMatrix(space.dim, cells + faces, "codomain")
     raise TypeError(f"no Gram assembly for {type(space).__name__}")
 
 

@@ -15,6 +15,7 @@ harmonic kernel against the constants.  The certificate must match it on
 healthy diagrams and on a seeded family of broken ones, and a broken
 diagram's FAIL report must carry the oracle's values."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -634,47 +635,50 @@ def test_uncovered_dof_fails_the_local_test():
     assert not complexcheck._kernel_is_weight(wider, size, weight + [Fraction(1)])
 
 
+def negated(rows):
+    return GramBlock([[-v for v in row] for row in rows])
+
+
 def test_gram_must_be_positive_definite(monkeypatch):
     inst = build_diagram("tri-dp", 2, 2, 1)
     gram = inst.gram_b
-    assert complexcheck._gram_positive_definite(gram)
-    off, rows = gram.blocks[0]
+    assert gram.positive_definite()
+    rows = gram.blocks[0]
     skew = [list(row) for row in rows]  # positive pivots, but not symmetric
     skew[0][1] += 1
     skew[1][0] -= 1
-    for bad in ([[-v for v in row] for row in rows], skew):
-        gram.blocks[0] = (off, bad)
-        assert not complexcheck._gram_positive_definite(gram)
-    del gram.blocks[0]  # the blocks no longer tile the diagonal
-    assert not complexcheck._gram_positive_definite(gram)
+    for bad in (negated(rows), GramBlock(skew)):
+        assert not GramMatrix(gram.dim, (bad,) + gram.blocks[1:]).positive_definite()
+    for short_or_long in (gram.blocks[1:], gram.blocks + gram.blocks[:1]):
+        with pytest.raises(ValueError, match="do not fill"):  # no tiling of the diagonal
+            GramMatrix(gram.dim, short_or_long)
     # with a negated block verify falls through to the global route, and the
     # facts are the oracle's
-    inst = build_diagram("tri-dp", 2, 2, 1)
-    off, rows = inst.gram_b.blocks[3]
-    inst.gram_b.blocks[3] = (off, [[-v for v in row] for row in rows])
+    blocks = list(gram.blocks)
+    blocks[3] = negated(blocks[3])
+    inst = dataclasses.replace(inst, gram_b=GramMatrix(gram.dim, blocks, gram.space_tag))
     monkeypatch.setattr(complexcheck, "_local_route", lambda *args: pytest.fail("local route"))
     assert certificate_facts(certify_complex(inst)) == oracle_facts(inst)
 
 
 def test_gram_verdict_stays_with_its_block():
-    """A cached Gram block is certified by exact LDL^T once and keeps the
-    verdict; a block built any other way is checked on every call, even
-    after a definite block of the same shape was certified."""
+    """A cached Gram block computes its definiteness verdict once, on first
+    read, and keeps it; a verdict is never shared by two blocks of the same
+    shape, whichever was certified first."""
     inst = build_diagram("quad-enriched", 2, 2, 1)
-    _, rows = inst.gram_b.blocks[0]
+    rows = inst.gram_b.blocks[0]
     assert isinstance(rows, GramBlock)
-    assert complexcheck._gram_positive_definite(inst.gram_b)
+    assert "definite" not in vars(negated(rows))  # no verdict before the first read
+    assert inst.gram_b.positive_definite()
+    assert vars(rows)["definite"] is True
+    assert build_diagram("quad-enriched", 2, 2, 1).gram_b.blocks[0] is rows
+    bad = negated(rows)
+    hand = GramMatrix(len(rows), (bad,))
+    for _ in range(2):
+        assert not hand.positive_definite()
+    assert vars(bad)["definite"] is False
     assert rows.definite is True
-    assert build_diagram("quad-enriched", 2, 2, 1).gram_b.blocks[0][1] is rows
-    for negated in ([[-v for v in row] for row in rows], GramBlock([[-v for v in row] for row in rows])):
-        hand = GramMatrix(len(rows))
-        hand.add_block(0, negated)
-        for _ in range(2):
-            assert not complexcheck._gram_positive_definite(hand)
-    assert GramBlock([[-v for v in row] for row in rows]).definite is None
-    single = GramMatrix(len(rows))
-    single.add_block(0, rows)
-    assert complexcheck._gram_positive_definite(single)
+    assert GramMatrix(len(rows), (rows,)).positive_definite()
 
 
 def test_dependent_constants_or_wrong_dimensions_fall_through(monkeypatch):

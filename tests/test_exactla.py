@@ -17,6 +17,7 @@ from derham.exactla import (
     exact_rank,
     float_rank,
     mat_vec,
+    positive_definite,
     prefix_ranks,
     ranks_mod_p,
     rank_nullspace,
@@ -26,6 +27,7 @@ from derham.exactla import (
     span_compare,
     transpose,
 )
+from derham.complexcheck import DIAGRAMS, build_diagram
 from derham.sparse import OpMatrix
 
 F = Fraction
@@ -606,3 +608,100 @@ def test_lifted_solve_ignores_the_rank_primes(monkeypatch):
     monkeypatch.setattr(exactla, "_PRIMES", ())
     assert solve_square(rows, rhs) == expected
     assert lifted(rows, rhs) == expected
+
+
+def ldlt_positive_definite(rows) -> bool:
+    """Reference: exact dense LDL^T of a square block, symmetric with every
+    pivot > 0."""
+    n = len(rows)
+    if any(len(row) != n or any(row[j] != rows[j][i] for j in range(i))
+           for i, row in enumerate(rows)):
+        return False
+    a = [list(row) for row in rows]
+    for p in range(n):
+        pivot = a[p][p]
+        if pivot <= 0:
+            return False
+        for i in range(p + 1, n):
+            f = a[i][p] / pivot
+            if f:
+                for j in range(p + 1, n):
+                    a[i][j] -= f * a[p][j]
+    return True
+
+
+small_fractions = st.fractions(-4, 4, max_denominator=3)
+
+
+def square_of(mat, n, shift=0):
+    """M^T M + shift I for a matrix M with n columns."""
+    return [[sum((row[i] * row[j] for row in mat), F(0)) + (shift if i == j else 0)
+             for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def definiteness_cases(draw):
+    """(rows, whether they are symmetric positive definite) of one small
+    rational matrix, from every kind of input the check must tell apart."""
+    kind = draw(st.sampled_from(["definite", "semidefinite", "indefinite", "zero_lead",
+                                 "asymmetric", "ragged"]))
+    n = draw(st.integers(0 if kind == "definite" else 1, 4))
+    if kind in ("asymmetric", "zero_lead"):
+        n = max(n, 2)
+
+    def mat(nrows, ncols):
+        return draw(st.lists(st.lists(small_fractions, min_size=ncols, max_size=ncols),
+                             min_size=nrows, max_size=nrows))
+
+    if kind == "semidefinite":  # rank at most n - 1
+        return square_of(mat(draw(st.integers(0, n - 1)), n), n), False
+    if kind == "indefinite":  # L D L^T, unit lower L, D with a negative entry
+        low = mat(n, n)
+        d = draw(st.lists(st.fractions(F(1, 3), 4, max_denominator=3), min_size=n, max_size=n))
+        d[draw(st.integers(0, n - 1))] *= -1
+        lower = [[low[i][j] if j < i else F(int(i == j)) for j in range(n)] for i in range(n)]
+        return [[sum((lower[i][k] * d[k] * lower[j][k] for k in range(n)), F(0))
+                 for j in range(n)] for i in range(n)], False
+    if kind == "zero_lead":  # [[0, b^T], [b, B]] with B definite
+        trailing = square_of(mat(draw(st.integers(0, n)), n - 1), n - 1, shift=1)
+        b = mat(1, n - 1)[0]
+        return [[F(0)] + b] + [[v] + row for v, row in zip(b, trailing)], False
+    rows = square_of(mat(draw(st.integers(0, n + 1)), n), n, shift=1)
+    if kind == "asymmetric":
+        i = draw(st.integers(0, n - 2))
+        j = draw(st.integers(i + 1, n - 1))
+        rows[i][j] += draw(st.sampled_from([F(-1), F(1, 2), F(3)]))
+        return rows, False
+    if kind == "ragged":
+        if draw(st.booleans()):
+            rows.append([F(1)] * n)  # one row too many
+        else:
+            del rows[draw(st.integers(0, n - 1))][-1]
+        return rows, False
+    return rows, True
+
+
+@seed(1717)
+@settings(max_examples=150, deadline=None)
+@given(definiteness_cases())
+def test_positive_definite_matches_ldlt(case):
+    rows, expected = case
+    assert positive_definite(rows) == ldlt_positive_definite(rows) == expected
+
+
+def test_positive_definite_of_empty_matrix():
+    assert positive_definite([]) and ldlt_positive_definite([])
+
+
+def test_gram_blocks_are_definite_and_their_negations_are_not():
+    blocks = {}
+    for name in sorted(DIAGRAMS):
+        for k in range(3):
+            inst = build_diagram(name, 2, 2, k)
+            for gram in (inst.gram_b, inst.gram_c):
+                blocks.update((id(block), block) for block in gram.blocks)
+    assert len(blocks) >= len(DIAGRAMS)
+    for block in blocks.values():
+        assert positive_definite(block) and ldlt_positive_definite(block)
+        minus = [[-v for v in row] for row in block]
+        assert not positive_definite(minus) and not ldlt_positive_definite(minus)

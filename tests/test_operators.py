@@ -1,5 +1,6 @@
 """Operator assembly: exactness, adjoints, membership guards, round-trips."""
 
+import dataclasses
 import random
 import re
 import tempfile
@@ -13,10 +14,11 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from derham import exactla, operators
-from derham.complexcheck import build_diagram
+from derham.complexcheck import DIAGRAMS, build_diagram
 from derham.fespace import CodomainSpace, ContinuousScalarSpace, DGVectorSpace
 from derham.mesh import MeshKind, build_mesh
 from derham.operators import (
+    GramBlock,
     GramMatrix,
     MembershipError,
     adjoint,
@@ -86,25 +88,37 @@ def test_compose_drops_cancelled_products():
     left = op_from_rows([[1, 1, 0], [0, 2, 1]])
     right = op_from_rows([[1, 0], [-1, 3], [2, -6]])
     assert_matches_dense(left.compose(right), [[F(0), F(3)], [F(0), F(0)]])
-    gram = GramMatrix(4)
-    gram.add_block(0, [[F(1), F(1)], [F(1), F(2)]])
-    gram.add_block(2, [[F(3)]])
+    three = GramBlock([[F(3)]])
+    gram = GramMatrix(4, (GramBlock([[F(1), F(1)], [F(1), F(2)]]), three, three))
     right = op_from_rows([[1, 2], [-1, -2], [0, 5], [7, 0]])
     expected = dense_product(gram.dense_rows(), right.dense_rows())
     assert expected[0] == [F(0), F(0)]
     assert_matches_dense(gram.compose(right), expected)
 
 
-def test_gram_sparse_form_follows_add_block():
-    gram = GramMatrix(3)
-    gram.add_block(0, [[F(1), F(1)], [F(1), F(2)]])
-    right = op_from_rows([[1, 0], [0, 1], [1, 1]])
-    assert_matches_dense(gram.compose(right), [[F(1), F(1)], [F(1), F(2)], [F(0), F(0)]])
-    assert gram._as_op() is gram._as_op()  # built once
-    gram.add_block(2, [[F(5)]])
-    expected = dense_product(gram.dense_rows(), right.dense_rows())
-    assert expected[2] == [F(5), F(5)]  # the added block is in the sparse form
-    assert_matches_dense(gram.compose(right), expected)
+@pytest.mark.parametrize("name", sorted(DIAGRAMS))
+def test_gram_has_one_frozen_form(name):
+    """A Gram matrix is fixed at construction: its blocks cannot be edited,
+    and every product reads the one sparse form placed from them."""
+    inst = build_diagram(name, 2, 2, 1)
+    rng = random.Random(17)
+    for gram in (inst.gram_b, inst.gram_c):
+        assert isinstance(gram.blocks, tuple)
+        assert all(isinstance(block, GramBlock) for block in gram.blocks)
+        with pytest.raises(TypeError):
+            gram.blocks[0] = gram.blocks[-1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            gram.blocks = ()
+        v = random_vec(rng, gram.dim)
+        product, off = [], 0  # block by block, from the blocks themselves
+        for block in gram.blocks:
+            product += [sum((a * x for a, x in zip(row, v[off:])), F(0)) for row in block]
+            off += len(block)
+        assert gram.matvec(v) == product
+        assert gram.compose(OpMatrix.from_columns(gram.dim, [v])).column(0) == product
+        assert [sum((a * x for a, x in zip(row, v)), F(0)) for row in gram.dense_rows()] == product
+        assert np.allclose(gram.float_array() @ np.array(v, dtype=float),
+                           np.array(product, dtype=float), rtol=1e-12, atol=1e-12)
 
 
 def test_gram_symmetric_positive(tri_spaces):
@@ -243,8 +257,7 @@ def test_repeat_build_serves_the_same_kits(name):
         assert once.mesh is not again.mesh
         assert diagram_entries(once) == diagram_entries(again)
         # the scaled blocks are one object per (local basis, jac)
-        assert [id(rows) for _, rows in once.gram_b.blocks] == [
-            id(rows) for _, rows in again.gram_b.blocks]
+        assert list(map(id, once.gram_b.blocks)) == list(map(id, again.gram_b.blocks))
         assert once.b_space.constant_vector(1, 0) == again.b_space.constant_vector(1, 0)
 
 

@@ -23,8 +23,14 @@ def load_tracing():
 
 
 def resolves(module_name, attr):
+    """Whether ``attr`` names a callable of the module.  A ``Class.method``
+    must be defined on that class itself: wrapping a method it only
+    inherits would wrap the base class's (perhaps already wrapped) function,
+    count its calls twice and leave it wrapped after undo."""
     owner = importlib.import_module(f"derham.{module_name}")
     for part in attr.split("."):
+        if isinstance(owner, type) and part not in vars(owner):
+            return False
         owner = getattr(owner, part, None)
         if owner is None:
             return False
@@ -36,6 +42,8 @@ def test_every_trace_hook_resolves():
     assert patches
     missing = [(mod, attr) for mod, attr, _ in patches if not resolves(mod, attr)]
     assert missing == []
+    assert resolves("operators", "GramBlock.__new__")
+    assert not resolves("operators", "GramBlock.index")  # inherited from tuple only
 
 
 def test_traced_assemblies_carry_nnz():
