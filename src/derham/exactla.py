@@ -186,7 +186,7 @@ class _Echelon:
             tail = pivots.get(c)
             if tail is None:
                 inv = pow(f, -1, p) if p else _ONE / f
-                pivots[c] = [(k, v * inv % p if p else v * inv) for k, v in row.items()]
+                pivots[c] = [(k, inv * v % p if p else inv * v) for k, v in row.items()]
                 if steps is not None:
                     self.lower.append((c, inv, steps))
                 return True

@@ -10,39 +10,43 @@ Three related objects live here, all in exact arithmetic:
   with identically zero normal trace on every edge.
 * ``decompose_divfree``: splits a divergence-free family member into a
   bubble, one reproducing mode per (edge, Legendre index >= 1), and a
-  remainder with edgewise-constant normal traces, then certifies the split
-  by exact reconstruction.  ``uniqueness_probe`` certifies that those three
-  ingredients form a basis of the divergence-free subspace.
+  remainder with edgewise-constant normal traces.  ``uniqueness_probe``
+  certifies that those three ingredients form a basis of the
+  divergence-free subspace.
 
-The decomposition works on coefficient vectors in the family's reference
-basis, with tables formed once per (family, k): the bubble projector, the
-basis's trace table, the edge modes' vectors and one factor of the flat
-columns.  Its fields are formed from those vectors at the end.
+Both act on coefficient columns in the family's reference basis, through
+the integer ``OpMatrix`` tables of ``_DecompositionTables``, formed once per
+(family, k).  A batch of columns C splits as beta = P C, lambda = R C and
+sigma = L (C - W [beta; lambda; 0]), with W = [bubbles | modes | flats]; a
+column is exact only when the integer product C - W [beta; lambda; sigma]
+is zero there.  ``refcheck_report`` draws its samples as the columns G X,
+splits them as one batch, compares T W with the unit targets on the mode
+columns, and takes the probe's rank of W from ``prefix_ranks``.
+Polynomials are formed only for ``decompose_divfree``'s fields and
+``edge_modes``.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
-from .exactla import (
-    ExactSolveError,
-    LinearExpander,
-    RankResult,
-    mat_vec,
-    rank_nullspace,
-    rank_of_columns,
-    solve_any,
-    solve_square,
-    span_compare,
-    transpose,
-)
+import numpy as np
+
+from .exactla import LiftedSolver, RankResult, mat_vec, prefix_ranks, rank_nullspace, solve_any
+from .exactla import rank_of_columns  # unused; perfbench/tracing.py rebinds it here
+from .exactla import solve_square  # unused; perfbench/tracing.py rebinds it here
+from .exactla import span_compare  # unused; perfbench/tracing.py rebinds it here
+from .exactla import transpose  # unused; perfbench/tracing.py rebinds it here
 from .fespace import VECTOR_FAMILIES, LocalBasis, make_vector_basis, scalar_local_basis
 from .mesh import MeshKind
 from .poly import Poly, RefCell, VecPoly, divergence, grad_perp, trace_legendre
 from .report import Report
+from .sparse import OpMatrix
 
 __all__ = [
     "DECOMPOSABLE_FAMILIES",
@@ -66,7 +70,6 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 # families whose normal traces stay at degree <= k, where the decomposition
 # into bubbles + edge modes + flat-trace fields applies
@@ -94,6 +97,12 @@ def _combine(elements, coeffs):
                 for ab, v in part.c.items():
                     acc[ab] = acc.get(ab, _ZERO) + c * v
     return VecPoly(Poly(parts[0]), Poly(parts[1])) if vector else Poly(parts[0])
+
+
+def _rows_matrix(rows, ncols: int) -> OpMatrix:
+    """Dense rational rows as one ``OpMatrix``."""
+    return OpMatrix.from_entries(len(rows), ncols, {
+        (r, c): v for r, row in enumerate(rows) for c, v in enumerate(row) if v})
 
 
 def trace_coefficients(ref: RefCell, u: VecPoly, k: int) -> list[Fraction]:
@@ -180,10 +189,10 @@ def _divergence_rows(basis: LocalBasis) -> list[list[Fraction]]:
     return [[d.coeff(*ab) for d in divs] for ab in monos]
 
 
-def _trace_rows(basis: LocalBasis, k: int) -> list[list[Fraction]]:
-    """The basis's trace table: edge-major rows (edge, Legendre order 0..k)
-    of the outward normal trace coefficients of every basis element."""
-    return transpose([trace_coefficients(basis.ref, u, k) for u in basis.elements])
+def _trace_columns(basis: LocalBasis, k: int) -> list[list[Fraction]]:
+    """The basis's trace table, one column per basis element: its outward
+    normal trace coefficients, edge-major (edge, Legendre order 0..k)."""
+    return [trace_coefficients(basis.ref, u, k) for u in basis.elements]
 
 
 @lru_cache(maxsize=None)
@@ -197,9 +206,9 @@ def divfree_coefficients(family: str, k: int) -> tuple[tuple[Fraction, ...], ...
 class BubbleBasis:
     """Divergence-free family members with zero normal trace on every edge.
 
-    ``projector`` maps a family coefficient vector to the bubble
-    coefficients of its L2-orthogonal projection: the inverse of the
-    bubbles' Gram matrix times their moments against the family basis.
+    ``projector`` is the integer table that maps family coefficient columns
+    to the bubble coefficients of their L2-orthogonal projection: the
+    bubbles' Gram matrix solved against their moments with the family basis.
     """
 
     def __init__(self, family: str, k: int):
@@ -207,22 +216,19 @@ class BubbleBasis:
         self.k = k
         self.ref = family_ref(family)
         self.basis = reference_basis(family, k)
+        n = self.basis.dim
         degree = max(a + b for u in self.basis.elements for p in (u.x, u.y) for a, b in p.c)
-        rows = _divergence_rows(self.basis) + _trace_rows(self.basis, degree)
-        res = rank_nullspace(rows, ncols=self.basis.dim)
-        self.vectors = res.nullspace
+        traces = _trace_columns(self.basis, degree)
+        rows = _divergence_rows(self.basis) + [list(row) for row in zip(*traces)]
+        self.vectors = rank_nullspace(rows, ncols=n).nullspace
         self.elements = [_combine(self.basis.elements, v) for v in self.vectors]
-        n = self.dim
-        if not n:
-            self.projector: list[list[Fraction]] = []
+        if not self.elements:
+            self.projector = OpMatrix(0, n)
             return
-        # moments of the bubbles against the family basis, then their Gram
-        # matrix; the inverse by one batch solve is symmetric, so its
-        # columns are its rows
-        moments = [[self.basis.inner(b, e) for e in self.basis.elements] for b in self.elements]
-        gram_inverse = solve_square([mat_vec(moments, v) for v in self.vectors], [
-            [_ONE if i == j else _ZERO for i in range(n)] for j in range(n)])
-        self.projector = transpose([mat_vec(gram_inverse, col) for col in transpose(moments)])
+        moments = _rows_matrix([[self.basis.inner(b, e) for e in self.basis.elements]
+                                for b in self.elements], n)
+        gram = moments.compose(OpMatrix.from_columns(n, self.vectors))
+        self.projector = LiftedSolver(gram).solve(moments)
 
     @property
     def dim(self) -> int:
@@ -230,7 +236,7 @@ class BubbleBasis:
 
     def coefficients(self, cv) -> list[Fraction]:
         """Bubble coefficients of the projection of family coefficients ``cv``."""
-        return mat_vec(self.projector, cv)
+        return self.projector.matvec(cv)
 
     def project(self, v: VecPoly) -> VecPoly:
         """Exact L2-orthogonal projection of a family member onto the bubble
@@ -255,52 +261,125 @@ def flat_trace_basis(ref: RefCell) -> list[VecPoly]:
     return out
 
 
+def _draw(rng: random.Random, n: int) -> list[tuple[int, int]]:
+    """n random rationals as (numerator, denominator) pairs, numerator
+    randrange(19) - 9 and then denominator randrange(9) + 1 for each."""
+    return [(rng.randrange(19) - 9, rng.randrange(9) + 1) for _ in range(n)]
+
+
+def _draw_columns(n: int, draws: list[list[tuple[int, int]]]) -> OpMatrix:
+    """The drawn rationals as the columns of one ``OpMatrix``, each column
+    as integers over the lcm of its denominators."""
+    dens = [math.lcm(*(d for _, d in draw)) for draw in draws]
+    return OpMatrix.from_integer_columns(
+        n, [[a * (q // d) for a, d in draw] for draw, q in zip(draws, dens)], dens)
+
+
+class _Split(NamedTuple):
+    """A batch of coefficient columns C split on the pieces W: the piece
+    coefficients K = [beta; lambda; sigma], the remainder after bubbles and
+    modes, the residual C - W K, and per column whether D C and the
+    residual are zero."""
+
+    coefficients: OpMatrix
+    remainder: OpMatrix
+    residual: OpMatrix
+    divfree: np.ndarray
+    exact: np.ndarray
+
+
 class _DecompositionTables:
-    """The coefficient-space tables of one decomposable (family, k), in the
-    family's reference basis: divergence rows, the rows (edge, order 1..k)
-    of the basis's trace table that read off the edge-mode coefficients,
-    one vector per edge mode, and a factor of the flat-trace columns."""
+    """The integer tables of one decomposable (family, k), on coefficient
+    columns in the family's reference basis:
+
+    * ``grad``: G, the rotated gradient of each scalar basis element;
+    * ``divergence``: D, the divergence rows;
+    * ``projector``: P, the bubble projector;
+    * ``mode_rows``: R, the trace rows (edge, order 1..k), which read off
+      the edge-mode coefficients;
+    * ``trace``: T, the whole trace table (edge, order 0..k);
+    * ``pieces``: W = [bubbles | modes | flats], one mode per (edge, order
+      1..k) in ``labels`` order: a rotated gradient whose boundary
+      coefficients hit exactly that unit target, minus its bubble projection;
+    * ``flat_inverse``: L = (F^T F)^-1 F^T, a left inverse of the flat
+      columns F;
+    * ``mode_targets``: the unit targets that T W must equal on the mode
+      columns.
+
+    Every check reads the tables afresh, so it sees any change made to them.
+    """
 
     def __init__(self, family: str, k: int):
         ref = family_ref(family)
-        self.basis = reference_basis(family, k)
-        self.bubbles = bubble_basis(family, k)
-        self.divergence = _divergence_rows(self.basis)
-        trace = _trace_rows(self.basis, k)
-        self.mode_rows = [trace[e * (k + 1) + i] for e in range(ref.num_edges)
-                          for i in range(1, k + 1)]
-        # one mode per (edge, order 1..k): a rotated gradient whose boundary
-        # coefficients hit exactly that unit target, minus its bubble projection
+        self.basis = basis = reference_basis(family, k)
+        self.bubbles = bubbles = bubble_basis(family, k)
+        n = basis.dim
         bcm = boundary_curl_map(ref, k)
-        self.modes: list[tuple[int, int, list[Fraction]]] = []
-        for e in range(ref.num_edges):
-            for i in range(1, k + 1):
-                target = [_ZERO] * bcm.boundary_dim
-                target[e * (k + 1) + i] = _ONE
-                psi = bcm.solve(target)
-                if psi is None:
-                    raise AssertionError("boundary target unexpectedly outside the range")
-                w = self.basis.expand(grad_perp(_combine(bcm.scalar.elements, psi)))
-                bubble = _lincomb(self.bubbles.vectors, self.bubbles.coefficients(w), len(w))
-                self.modes.append((e, i, _subtract(w, bubble)))
+        self.grad = OpMatrix.from_columns(
+            n, [basis.expand(grad_perp(psi)) for psi in bcm.scalar.elements])
+        self.divergence = _rows_matrix(_divergence_rows(basis), n)
+        traces = _trace_columns(basis, k)
+        self.trace = OpMatrix.from_columns(bcm.boundary_dim, traces)
+        self.projector = bubbles.projector
+        self.labels = [(e, i) for e in range(ref.num_edges) for i in range(1, k + 1)]
+        at = [e * (k + 1) + i for e, i in self.labels]
+        self.mode_rows = OpMatrix.from_columns(len(at), [[col[r] for r in at] for col in traces])
+        solutions = [bcm.solve([1 if r == t else 0 for r in range(bcm.boundary_dim)]) for t in at]
+        if None in solutions:
+            raise AssertionError("boundary target unexpectedly outside the range")
+        rotated = self.grad.compose(OpMatrix.from_columns(bcm.scalar.dim, solutions))
+        bubble_columns = OpMatrix.from_columns(n, bubbles.vectors)
+        modes = rotated - bubble_columns.compose(self.projector.compose(rotated))
         self.flats = flat_trace_basis(ref)
-        self.flat_columns = [self.basis.expand(w) for w in self.flats]
-        self.flat_factor = LinearExpander(self.flat_columns)
+        flat_columns = OpMatrix.from_columns(n, [basis.expand(w) for w in self.flats])
+        self.pieces = OpMatrix.stack([bubble_columns.transpose(), modes.transpose(),
+                                      flat_columns.transpose()]).transpose()
+        self.flat_inverse = LiftedSolver(flat_columns.transpose().compose(flat_columns)).solve(
+            flat_columns.transpose())
+        self.bubble_count, self.mode_count, self.flat_count = bubbles.dim, len(at), len(self.flats)
+        self.mode_targets = OpMatrix.from_entries(bcm.boundary_dim, self.pieces.ncols, {
+            (t, self.bubble_count + j): 1 for j, t in enumerate(at)})
 
+    def sample(self, rng: random.Random, samples: int) -> OpMatrix:
+        """The coefficient columns G X of ``samples`` fields drawn as
+        ``random_divfree`` draws them: the same ``rng`` calls in the same
+        order, and a draw whose field is zero drawn again, at most 64 times
+        in a row."""
+        n = self.grad.ncols
+        start = rng.getstate()
+        columns = self.grad.compose(_draw_columns(n, [_draw(rng, n) for _ in range(samples)]))
+        if columns.zero_columns().any():  # rare: draw again one field at a time
+            rng.setstate(start)
+            columns = self.grad.compose(_draw_columns(n, [self._nonzero_draw(rng)
+                                                          for _ in range(samples)]))
+        return columns
 
-def _subtract(a, b) -> list[Fraction]:
-    return [x - y for x, y in zip(a, b)]
+    def _nonzero_draw(self, rng: random.Random) -> list[tuple[int, int]]:
+        n = self.grad.ncols
+        for _ in range(64):
+            draw = _draw(rng, n)
+            if not self.grad.compose(_draw_columns(n, [draw])).is_zero:
+                return draw
+        raise AssertionError("random scalar degenerated 64 times in a row")
 
+    def decompose(self, columns: OpMatrix) -> _Split:
+        """Split every column of C: beta = P C, lambda = R C, sigma = L times
+        the remainder C - W [beta; lambda; 0]; a column is exact when
+        C - W [beta; lambda; sigma] is zero there."""
+        beta = self.projector.compose(columns)
+        lam = self.mode_rows.compose(columns)
+        unflat = OpMatrix.stack([beta, lam, OpMatrix(self.flat_count, columns.ncols)])
+        remainder = columns - self.pieces.compose(unflat)
+        coefficients = OpMatrix.stack([beta, lam, self.flat_inverse.compose(remainder)])
+        residual = columns - self.pieces.compose(coefficients)
+        return _Split(coefficients, remainder, residual,
+                      self.divergence.compose(columns).zero_columns(), residual.zero_columns())
 
-def _lincomb(vectors, coeffs, n: int) -> list[Fraction]:
-    """sum c_i * vectors[i], as a length-n list."""
-    out = [_ZERO] * n
-    for c, v in zip(coeffs, vectors):
-        if c:
-            for j, x in enumerate(v):
-                if x:
-                    out[j] += c * x
-    return out
+    def mode_traces_exact(self) -> bool:
+        """T W equals the unit targets on every mode column."""
+        off = self.trace.compose(self.pieces) - self.mode_targets
+        first = self.bubble_count
+        return bool(off.zero_columns()[first:first + self.mode_count].all())
 
 
 @lru_cache(maxsize=None)
@@ -314,7 +393,9 @@ def edge_modes(family: str, k: int) -> tuple[tuple[int, int, VecPoly], ...]:
     boundary coefficients hit exactly that unit target, minus its bubble
     projection.  Triples are (edge index, Legendre order, field)."""
     tables = _decomposition_tables(family, k)
-    return tuple((e, i, _combine(tables.basis.elements, v)) for e, i, v in tables.modes)
+    columns = tables.pieces.columns()[tables.bubble_count:]
+    return tuple((e, i, _combine(tables.basis.elements, v))
+                 for (e, i), v in zip(tables.labels, columns))
 
 
 @dataclass
@@ -348,32 +429,30 @@ class DivFreeDecomposition:
 def decompose_divfree(u: VecPoly, family: str, k: int) -> DivFreeDecomposition:
     """Split a divergence-free family member into bubble + edge modes + flat.
 
-    The mode coefficients are read directly off the input's trace Legendre
-    coefficients, so exact reconstruction certifies that those functionals,
+    The input is a batch of one for the decomposition tables.  The mode
+    coefficients are read directly off the input's trace Legendre
+    coefficients, so an exact split certifies that those functionals,
     together with the bubble and flat pieces, control the whole field.
     """
     if family not in DECOMPOSABLE_FAMILIES:
         raise ValueError(f"decomposition applies to {DECOMPOSABLE_FAMILIES}, not {family!r}")
     tables = _decomposition_tables(family, k)
-    cu = tables.basis.expand(u)  # membership check; SpanError if outside
-    if any(mat_vec(tables.divergence, cu)):
+    basis = tables.basis
+    # membership check; SpanError if outside
+    split = tables.decompose(OpMatrix.from_columns(basis.dim, [basis.expand(u)]))
+    if not split.divfree[0]:
         raise ValueError("input field is not divergence-free")
-
-    bubbles = tables.bubbles
-    beta = bubbles.coefficients(cu)
-    lams = mat_vec(tables.mode_rows, cu)
-    n = len(cu)
-    rem = _subtract(cu, _lincomb(bubbles.vectors + [v for _, _, v in tables.modes], beta + lams, n))
-    bubble = _combine(bubbles.elements, beta) if bubbles.elements else VecPoly.zero()
-    modes = [EdgeMode(e, i, lam, elem) for (e, i, elem), lam in zip(edge_modes(family, k), lams)]
-    try:
-        sol = tables.flat_factor.expand(rem)
-    except ExactSolveError:
+    coeffs = split.coefficients.column(0)
+    nb, nm = tables.bubble_count, tables.mode_count
+    bubble = _combine(tables.bubbles.elements, coeffs[:nb]) if nb else VecPoly.zero()
+    modes = [EdgeMode(e, i, lam, elem)
+             for (e, i, elem), lam in zip(edge_modes(family, k), coeffs[nb:nb + nm])]
+    if not split.exact[0]:
         return DivFreeDecomposition(family, k, u, bubble, modes, VecPoly.zero(), [], False,
-                                    _combine(tables.basis.elements, rem))
-    residual = _subtract(rem, _lincomb(tables.flat_columns, sol, n))
-    return DivFreeDecomposition(family, k, u, bubble, modes, _combine(tables.flats, sol), sol, True,
-                                _combine(tables.basis.elements, residual))
+                                    _combine(basis.elements, split.remainder.column(0)))
+    sigma = coeffs[nb + nm:]
+    return DivFreeDecomposition(family, k, u, bubble, modes, _combine(tables.flats, sigma), sigma,
+                                True, _combine(basis.elements, split.residual.column(0)))
 
 
 @dataclass
@@ -392,24 +471,25 @@ class UniquenessProbe:
 def uniqueness_probe(family: str, k: int) -> UniquenessProbe:
     """Certify that bubbles, flat-trace fields and edge modes are jointly
     independent and span exactly the divergence-free subspace, which makes
-    the decomposition unique."""
+    the decomposition unique.
+
+    The rank of the pieces W is exact (``prefix_ranks`` with the piece
+    count as its proven upper bound).  They span the divergence-free
+    subspace when D W = 0 exactly and that rank equals its dimension."""
     tables = _decomposition_tables(family, k)
-    bubbles = tables.bubbles
-    flats = tables.flat_columns
-    modes = [v for _, _, v in tables.modes]
-    cols = [list(v) for v in bubbles.vectors] + flats + modes
-    divfree = [list(v) for v in divfree_coefficients(family, k)]
-    cert = span_compare(cols, divfree)
+    pieces = tables.pieces
+    [rank] = prefix_ranks([pieces.transpose()], [pieces.ncols])
+    divfree_dim = len(divfree_coefficients(family, k))
     return UniquenessProbe(
         family,
         k,
-        bubbles.dim,
-        len(flats),
-        len(modes),
-        cert.rank_left,
-        len(divfree),
-        cert.rank_left == len(cols),
-        cert.equal,
+        tables.bubble_count,
+        tables.flat_count,
+        tables.mode_count,
+        rank,
+        divfree_dim,
+        rank == pieces.ncols,
+        rank == divfree_dim and tables.divergence.compose(pieces).is_zero,
     )
 
 
@@ -424,7 +504,7 @@ def random_divfree(family: str, k: int, rng: random.Random) -> VecPoly:
     fam = "p" if ref is RefCell.TRIANGLE else "q"
     scalar = scalar_local_basis(ref, fam, k + 1)
     for _ in range(64):
-        coeffs = [Fraction(rng.randrange(19) - 9, rng.randrange(9) + 1) for _ in scalar.elements]
+        coeffs = [Fraction(a, d) for a, d in _draw(rng, scalar.dim)]
         u = grad_perp(_combine(scalar.elements, coeffs))
         if not u.is_zero:
             return u
@@ -463,20 +543,9 @@ def refcheck_report(cell: str, k: int, samples: int = 5, seed: int = 0) -> Repor
     rep.check("pieces_independent", True, probe.independent)
     rep.check("pieces_span_divfree", True, probe.spans_divfree)
 
-    modes_ok = True
-    for e, i, elem in edge_modes(family, k):
-        got = trace_coefficients(ref, elem, k)
-        want = [_ONE if r == e * (k + 1) + i else _ZERO for r in range(bcm.boundary_dim)]
-        if got != want:
-            modes_ok = False
-    rep.check("edge_mode_traces_exact", True, modes_ok)
+    tables = _decomposition_tables(family, k)
+    rep.check("edge_mode_traces_exact", True, tables.mode_traces_exact())
 
-    rng = random.Random(seed)
-    good = 0
-    for _ in range(samples):
-        u = random_divfree(family, k, rng)
-        d = decompose_divfree(u, family, k)
-        if d.exact and d.residual.is_zero and (d.reconstruct() - u).is_zero:
-            good += 1
-    rep.check("random_decompositions_exact", samples, good)
+    split = tables.decompose(tables.sample(random.Random(seed), samples))
+    rep.check("random_decompositions_exact", samples, int((split.divfree & split.exact).sum()))
     return rep.finish()

@@ -125,7 +125,7 @@ class OpMatrix:
     and their nonzero integer numerators over the row's denominator, the
     least common denominator of its entries (1 for an empty row).  The
     storage is frozen when the matrix is built: ``compose``, ``transpose``,
-    ``+`` and ``-`` return new matrices, and ``entries`` is a
+    ``stack``, ``+`` and ``-`` return new matrices, and ``entries`` is a
     read-only view.
 
     ``compose`` expands every pair of matching nonzeros, sorts the products
@@ -288,6 +288,24 @@ class OpMatrix:
         at = num.nonzero()[0]
         return cls._from_triplets(nrows, ncols, at % max(nrows, 1), at // max(nrows, 1), num[at],
                                   den[at])
+
+    @classmethod
+    def stack(cls, blocks: Sequence["OpMatrix"]) -> "OpMatrix":
+        """The blocks, all of one width, one below another; each row keeps
+        its numerators and denominator."""
+        ncols = blocks[0].ncols
+        if any(b.ncols != ncols for b in blocks):
+            raise ValueError("width mismatch in stack")
+        firsts = np.cumsum([0] + [b.nrows for b in blocks])
+        starts = np.cumsum([0] + [b.nnz for b in blocks])
+        out = cls.__new__(cls)
+        out._set(int(firsts[-1]), ncols,
+                 np.concatenate([starts[:1]] + [b._ptr[1:] + s for b, s in zip(blocks, starts)]),
+                 np.concatenate([b._rows + f for b, f in zip(blocks, firsts)]),
+                 np.concatenate([b._cols for b in blocks]),
+                 _narrow(np.concatenate([b._num for b in blocks])),
+                 _narrow(np.concatenate([b._den for b in blocks])), blocks[0].domain, "")
+        return out
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -428,6 +428,13 @@ def test_kernels_match_dense_oracle(case, data):
     difference = left - OpMatrix.from_entries(n, m, other)
     assert dict(difference.entries) == nonzeros(
         [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(dl, dense((n, m), other))])
+    stacked = OpMatrix.stack([left, OpMatrix(1, m), OpMatrix.from_entries(n, m, other)])
+    rows = dl + [[F(0)] * m] + dense((n, m), other)
+    assert stacked.shape == (2 * n + 1, m)
+    assert dict(stacked.entries) == nonzeros(rows)
+    assert dict(stacked.compose(right).entries) == nonzeros(product(rows, dr, p))
+    with pytest.raises(ValueError, match="width mismatch"):
+        OpMatrix.stack([left, OpMatrix(1, m + 1)])
     dots = left.column_dots(OpMatrix.from_entries(n, m, other))
     assert dict(dots.entries) == nonzeros(
         [[sum((dl[r][c] * other.get((r, c), 0) for r in range(n)), F(0)) for c in range(m)]])

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from derham import refcheck
-from derham.exactla import rank_nullspace, solve_any, solve_square, transpose
+from derham import exactla, refcheck
+from derham.exactla import rank_nullspace, solve_any, solve_square, span_compare, transpose
 from derham.fespace import LocalBasis, scalar_local_basis
 from derham.poly import Poly, RefCell, VecPoly, divergence, grad_perp, legendre_basis
 from derham.refcheck import (
@@ -24,6 +24,7 @@ from derham.refcheck import (
     trace_coefficients,
     uniqueness_probe,
 )
+from derham.sparse import OpMatrix
 
 F = Fraction
 
@@ -214,13 +215,20 @@ class _OracleDecomposer:
                 w = grad_perp(_combination(bcm.scalar.elements, solve_any(bcm.rows, target)))
                 self.modes.append((e, i, w - self.project(w)))
 
-    def project(self, v):
+    def bubble_coefficients(self, v):
+        """The bubble coefficients of the projection of ``v``, solved from
+        inner products against the bubbles and their Gram matrix."""
         if not self.bubbles:
-            return VecPoly.zero()
+            return []
         local = LocalBasis(self.ref, self.bubbles, "bubbles")
         rhs = [local.inner(b, v) for b in self.bubbles]
         [coeffs] = solve_square(local.gram_ref(), [rhs])
-        return _combination(self.bubbles, coeffs)
+        return coeffs
+
+    def project(self, v):
+        if not self.bubbles:
+            return VecPoly.zero()
+        return _combination(self.bubbles, self.bubble_coefficients(v))
 
     def decompose(self, u):
         bubble = self.project(u)
@@ -296,14 +304,19 @@ def _failed_checks(rep):
     return {c.name for c in rep.checks if not c.passed}
 
 
+
+
+def _corrupted(matrix, row, col, by=1):
+    """``matrix`` with ``by`` added at (row, col)."""
+    return matrix + OpMatrix.from_entries(matrix.nrows, matrix.ncols, {(row, col): by})
+
+
 @pytest.mark.parametrize("cell,family,k", [("tri", "vec_p", 3), ("quad", "vec_qdiv", 2)])
 def test_corrupt_bubble_projector_fails_report(monkeypatch, cell, family, k):
-    bubbles = bubble_basis(family, k)
+    tables = refcheck._decomposition_tables(family, k)
     assert refcheck_report(cell, k).passed
-    bad = [list(row) for row in bubbles.projector]
-    j = next(j for j, v in enumerate(bad[0]) if v)
-    bad[0][j] += 1
-    monkeypatch.setattr(bubbles, "projector", bad)
+    ptr, cols, _, _ = tables.projector.integer_rows()
+    monkeypatch.setattr(tables, "projector", _corrupted(tables.projector, 0, int(cols[ptr[0]])))
     rep = refcheck_report(cell, k)
     assert not rep.passed
     assert _failed_checks(rep) == {"random_decompositions_exact"}
@@ -314,11 +327,192 @@ def test_corrupt_bubble_projector_fails_report(monkeypatch, cell, family, k):
 def test_corrupt_edge_mode_fails_report(monkeypatch, cell, family, k, entry):
     tables = refcheck._decomposition_tables(family, k)
     assert refcheck_report(cell, k).passed
-    e, i, v = tables.modes[0]
-    bad = list(v)
-    bad[entry] += 1
-    monkeypatch.setattr(tables, "modes", [(e, i, bad)] + tables.modes[1:])
-    monkeypatch.setattr(refcheck, "edge_modes", refcheck.edge_modes.__wrapped__)
+    pieces = tables.pieces  # the first mode column follows the bubbles
+    monkeypatch.setattr(tables, "pieces",
+                        _corrupted(pieces, entry % pieces.nrows, tables.bubble_count))
     rep = refcheck_report(cell, k)
     assert not rep.passed
     assert _failed_checks(rep) & {"random_decompositions_exact", "edge_mode_traces_exact"}
+    assert "edge_mode_traces_exact" in _failed_checks(rep)  # both entries move a trace
+
+
+# --- the uniqueness probe against span comparison
+
+
+def _span_oracle(columns, family, k):
+    """(rank, independent, spans the divergence-free subspace) of the piece
+    columns, by comparing spans with the divergence nullspace."""
+    cert = span_compare(columns, [list(v) for v in refcheck.divfree_coefficients(family, k)])
+    return cert.rank_left, cert.rank_left == len(columns), cert.equal
+
+
+def _replaced_column(tables):
+    """The first mode column, or the last column when there is no mode."""
+    return tables.bubble_count if tables.mode_count else tables.pieces.ncols - 1
+
+
+def _dependent_pieces(tables):
+    """The pieces with one column replaced by the sum of all the others."""
+    cols = tables.pieces.columns()
+    j = _replaced_column(tables)
+    cols[j] = [sum(values) for values in zip(*(c for i, c in enumerate(cols) if i != j))]
+    return OpMatrix.from_columns(tables.pieces.nrows, cols)
+
+
+def _probe_facts(family, k):
+    probe = uniqueness_probe(family, k)
+    return probe.rank, probe.independent, probe.spans_divfree
+
+
+@pytest.mark.parametrize("over_q", [False, True])
+@pytest.mark.parametrize("family,k", [(f, k) for f in ("vec_p", "vec_qdiv") for k in range(4)])
+def test_probe_rank_matches_span_oracle(monkeypatch, family, k, over_q):
+    """Healthy, dependent and corrupted pieces: the probe's exact rank and
+    verdicts are those of span comparison, with its rank closed mod p or,
+    with no prime, eliminated over Q."""
+    tables = refcheck._decomposition_tables(family, k)
+    healthy, count = tables.pieces, tables.pieces.ncols
+    bad = _dependent_pieces(tables)
+    cases = [(healthy, (count, True, True)), (bad, (count - 1, False, False))]
+    if not tables.divergence.is_zero:  # at k = 0 every member is divergence-free
+        # the last piece plus a basis element of nonzero divergence
+        off = _corrupted(healthy, int(tables.divergence.integer_rows()[1][0]), count - 1)
+        cases.append((off, (count, True, False)))
+    # the dependent pieces plus p times a basis element outside the span of
+    # the other pieces: independent, but dependent mod the first prime p
+    p = exactla._PRIMES[0]
+    unlucky = next(m for r in range(healthy.nrows)
+                   if _span_oracle((m := _corrupted(bad, r, _replaced_column(tables), p)).columns(),
+                                   family, k)[0] == count)
+    assert exactla.ranks_mod_p([unlucky.transpose()], p) == [count - 1]
+    cases.append((unlucky, None))
+    if over_q:
+        monkeypatch.setattr(exactla, "_PRIMES", ())
+    for pieces, facts in cases:
+        monkeypatch.setattr(tables, "pieces", pieces)
+        got = _probe_facts(family, k)
+        assert got == _span_oracle(pieces.columns(), family, k)
+        assert facts is None or got == facts
+    assert got[:2] == (count, True)  # the unlucky prime's rank is not trusted
+
+
+@pytest.mark.parametrize("cell,family,k", [("tri", "vec_p", 2), ("quad", "vec_qdiv", 1)])
+def test_dependent_mode_fails_probe(monkeypatch, cell, family, k):
+    tables = refcheck._decomposition_tables(family, k)
+    assert refcheck_report(cell, k).passed
+    monkeypatch.setattr(tables, "pieces", _dependent_pieces(tables))
+    rep = refcheck_report(cell, k)
+    assert not rep.passed
+    assert {"pieces_independent", "pieces_span_divfree"} <= _failed_checks(rep)
+
+
+# --- the batch route against the polynomial route and random_divfree
+
+
+def _rationals(n):
+    return st.lists(st.builds(F, st.integers(-9, 9), st.integers(1, 9)), min_size=n, max_size=n)
+
+
+@seed(31415)
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["vec_p", "vec_qdiv"]), st.integers(0, 3), st.data())
+def test_batch_split_matches_polynomial_route(family, k, data):
+    """Column by column of one batch of divergence-free fields and other
+    family members: the same beta, lambda, sigma and exactness as the
+    polynomial route."""
+    tables = refcheck._decomposition_tables(family, k)
+    basis, scalar = tables.basis, boundary_curl_map(family_ref(family), k).scalar
+    fields = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        if data.draw(st.booleans()):
+            fields.append(grad_perp(_combination(scalar.elements, data.draw(_rationals(scalar.dim)))))
+        else:
+            fields.append(_combination(basis.elements, data.draw(_rationals(basis.dim))))
+    split = tables.decompose(OpMatrix.from_columns(basis.dim, [basis.expand(u) for u in fields]))
+    nb, nm = tables.bubble_count, tables.mode_count
+    oracle = _oracle(family, k)
+    for u, coeffs, divfree, exact in zip(fields, split.coefficients.columns(), split.divfree,
+                                         split.exact):
+        _, modes, _, flat_coeffs, oracle_exact, _ = oracle.decompose(u)
+        assert coeffs[:nb] == oracle.bubble_coefficients(u)
+        assert coeffs[nb:nb + nm] == [lam for _, _, lam, _ in modes]
+        assert bool(exact) == oracle_exact
+        assert bool(divfree) == divergence(u).is_zero
+        if oracle_exact:
+            assert coeffs[nb + nm:] == flat_coeffs
+
+
+def _assert_samples_are_draws(family, k, seed_, samples=5):
+    tables = refcheck._decomposition_tables(family, k)
+    rng, reference = random.Random(seed_), random.Random(seed_)
+    columns = tables.sample(rng, samples)
+    fields = [random_divfree(family, k, reference) for _ in range(samples)]
+    assert columns.columns() == [tables.basis.expand(u) for u in fields]
+    assert rng.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("seed_", [0, 3, 41])
+@pytest.mark.parametrize("family,k", [(f, k) for f in ("vec_p", "vec_qdiv") for k in range(4)])
+def test_batch_samples_are_random_divfree_draws(family, k, seed_):
+    _assert_samples_are_draws(family, k, seed_)
+
+
+def test_batch_samples_redraw_a_zero_field():
+    """A seed whose first five k = 0 triangle draws include a constant
+    scalar, found by search: the batch redraws it as random_divfree does."""
+    n = refcheck._decomposition_tables("vec_p", 0).grad.ncols
+
+    def redraws(seed_):
+        rng, plain = random.Random(seed_), random.Random(seed_)
+        for _ in range(5):
+            random_divfree("vec_p", 0, rng)
+            refcheck._draw(plain, n)
+        return rng.getstate() != plain.getstate()
+
+    # eight samples, so that draws follow the one drawn again
+    _assert_samples_are_draws("vec_p", 0, next(s for s in range(200) if redraws(s)), samples=8)
+
+
+def test_zero_draws_give_up_after_64(monkeypatch):
+    calls = []
+
+    def zero_draw(rng, n):
+        calls.append(n)
+        return [(0, 1)] * n
+
+    monkeypatch.setattr(refcheck, "_draw", zero_draw)
+    tables = refcheck._decomposition_tables("vec_p", 1)
+    with pytest.raises(AssertionError, match="64 times"):
+        tables.sample(random.Random(0), 1)
+    assert len(calls) == 1 + 64  # the batch's draw, then 64 draws one at a time
+    calls[:] = []
+    with pytest.raises(AssertionError, match="64 times"):
+        random_divfree("vec_p", 1, random.Random(0))
+    assert len(calls) == 64
+
+
+def test_report_without_samples_passes():
+    rep = refcheck_report("quad", 1, samples=0)
+    assert rep.passed
+    assert [(c.expected, c.computed) for c in rep.checks
+            if c.name == "random_decompositions_exact"] == [(0, 0)]
+
+
+def forbid(monkeypatch, owner, *names):
+    def boom(*args, **kwargs):
+        raise AssertionError(f"forbidden call among {names}")
+    for name in names:
+        monkeypatch.setattr(owner, name, boom)
+
+
+@pytest.mark.parametrize("cell", ["tri", "quad"])
+def test_warm_report_makes_no_fraction_calls(monkeypatch, cell):
+    """Once the tables are formed, a report runs on integer products and
+    ranks: no dense Fraction product, span comparison, solve or expansion."""
+    for k in range(4):
+        refcheck_report(cell, k)
+    for owner in (refcheck, exactla):
+        forbid(monkeypatch, owner, "mat_vec", "span_compare", "solve_any")
+    forbid(monkeypatch, exactla.LinearExpander, "expand")
+    for k in range(4):
+        assert refcheck_report(cell, k, seed=k + 1).passed
