@@ -27,7 +27,8 @@ computes a nullspace or compares spans.
 Also here: the rank-deficient naive quad diagram (a diagnostic whose report
 passes when the predicted failure is reproduced exactly), the jump-constraint
 nullity count for the per-cell three-field family, and the per-cell dof
-comparison against the jump-relaxed classical elements.
+comparison against the jump-relaxed classical elements.  The appendix reads
+its jumps from ``operators.assemble_jumps`` on the local family ``flat_quad``.
 """
 
 from __future__ import annotations
@@ -56,11 +57,10 @@ from .operators import (
     assemble_grad,
     assemble_grad_perp,
     assemble_gram,
+    assemble_jumps,
 )
-from .poly import RefCell, trace_legendre
-from .refcheck import flat_trace_basis
 from .report import Report
-from .sparse import OpMatrix, Stamp
+from .sparse import OpMatrix
 
 __all__ = [
     "DiagramSpec",
@@ -390,23 +390,17 @@ def verify_diagram(name: str, nx: int, ny: int, k: int,
     return rep.finish()
 
 
-def _strip_fields(b_space: DGVectorSpace) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
-    """Kernel witnesses of the naive diagram: the x-field constant on one row
-    of cells, and the y-field constant on one column, per row/column."""
-    mesh = b_space.mesh
-    nx, ny = mesh.nx, mesh.ny
-
-    def strip(const: list[Fraction], cells) -> list[Fraction]:
-        w = [_ZERO] * b_space.dim
-        for cell in cells:
-            base = b_space.offset(cell)
-            w[base:base + b_space.local_dim] = const[base:base + b_space.local_dim]
-        return w
-
+def _strip_fields(b_space: DGVectorSpace) -> OpMatrix:
+    """Kernel witnesses of the naive diagram as columns: column j is the
+    x-field constant on row j of cells, column ny + i the y-field constant
+    on column i of cells."""
+    nx, ny = b_space.mesh.nx, b_space.mesh.ny
     const_x, const_y = b_space.constant_vector(1, 0), b_space.constant_vector(0, 1)
-    rows = [strip(const_x, [j * nx + i for i in range(nx)]) for j in range(ny)]
-    cols = [strip(const_y, [j * nx + i for j in range(ny)]) for i in range(nx)]
-    return rows, cols
+    entries = {}
+    for d in range(b_space.dim):
+        j, i = divmod(d // b_space.local_dim, nx)  # the dof's cell is (i, j) on the grid
+        entries[d, j], entries[d, ny + i] = const_x[d], const_y[d]
+    return OpMatrix.from_entries(b_space.dim, ny + nx, entries)
 
 
 def naive_quad_report(nx: int, ny: int, lx=1, ly=1, float_check: bool = False) -> Report:
@@ -424,11 +418,9 @@ def naive_quad_report(nx: int, ny: int, lx=1, ly=1, float_check: bool = False) -
     n = mesh.num_cells
     rep = Report("naive quad diagnostic",
                  params={"diagram": NAIVE_DIAGRAM, "nx": nx, "ny": ny, "k": 0})
-    row_fields, col_fields = _strip_fields(b_space)
-    strips = row_fields + col_fields
-    packed = OpMatrix.from_columns(b_space.dim, strips)
-    strips_in_kernel = op.compose(packed).is_zero
-    [strips_rank] = prefix_ranks([packed.transpose()], [len(strips)])
+    strips = _strip_fields(b_space)
+    strips_in_kernel = op.compose(strips).is_zero
+    [strips_rank] = prefix_ranks([strips.transpose()], [strips.ncols])
     # strips in the kernel cap the rank at dim B - rank(strips), and span it
     # exactly when the two meet
     [rank] = prefix_ranks([op],
@@ -449,41 +441,23 @@ def naive_quad_report(nx: int, ny: int, lx=1, ly=1, float_check: bool = False) -
 def appendix_report(nx: int, ny: int, lx=1, ly=1) -> Report:
     """Nullity of the pure jump constraints on the per-cell three-field family.
 
-    Each cell carries span{(1,0), (0,1), (1-2x, 2y-1)} (pulled back through
-    its chart); the constraints are only the normal-trace jumps across faces.
-    The kernel has dimension N+1, and on every kernel vector the third
-    (checkerboard) coefficients have vanishing row and column sums.
+    Each cell carries span{(1,0), (0,1), (1-2x, 2y-1)} (``flat_quad``); the
+    constraints are only the normal-trace jumps across faces.  The kernel
+    has dimension N+1, and on every kernel vector the third (checkerboard)
+    coefficients have vanishing row and column sums.
     """
     mesh = build_mesh(MeshKind.CARTESIAN, nx, ny, lx, ly)
-    triple = flat_trace_basis(RefCell.SQUARE)
+    b_space = DGVectorSpace(mesh, "flat_quad", 0)
+    jumps = assemble_jumps(b_space, CodomainSpace(mesh, 0, None, 0))
     n = mesh.num_cells
-    # (chart, edge, along, sign) -> (the stamp of the signed normal traces of
-    # the three fields, the face rows and the cell columns it is placed at)
-    placed: dict = {}
-    for row, face in enumerate(mesh.faces):
-        for side, sign in (("left", -1), ("right", 1)):
-            cell = mesh.cells[face.cell_on(side)]
-            edge, along = cell.edge_of(face.index)
-            key = (cell.chart, edge, along, sign)
-            if key not in placed:
-                _, _, chord = cell.face_segment(edge, along)
-                nrm = (-chord[1], chord[0])
-                traces = [c for u in triple
-                          for c in trace_legendre(u, cell.ref, edge, along, nrm, 0)]
-                placed[key] = Stamp.of((0, i, sign * v) for i, v in enumerate(traces)), [], []
-            _, rows, cols = placed[key]
-            rows.append(row)
-            cols.append(range(3 * cell.index, 3 * cell.index + 3))
-    jumps = OpMatrix.from_stamps(len(mesh.faces), 3 * n, placed.values())
     # checkerboard sums over each row and each column of cells; they vanish
     # on ker J exactly when they lie in the row space of J
-    sums = {(j, 3 * (j * nx + i) + 2): 1 for j in range(ny) for i in range(nx)}
-    sums.update({(ny + i, 3 * (j * nx + i) + 2): 1 for i in range(nx) for j in range(ny)})
+    sums = {(c // nx, b_space.offset(c) + 2): 1 for c in range(n)}
+    sums.update({(ny + c % nx, b_space.offset(c) + 2): 1 for c in range(n)})
     rank_jumps, rank_with_sums = prefix_ranks(
-        [jumps, OpMatrix.from_entries(ny + nx, 3 * n, sums)])
-    rep = Report("jump-constraint nullity",
-                 params={"nx": nx, "ny": ny, "cells": n})
-    rep.check("nullity", n + 1, 3 * n - rank_jumps)
+        [jumps, OpMatrix.from_entries(ny + nx, b_space.dim, sums)])
+    rep = Report("jump-constraint nullity", params={"nx": nx, "ny": ny, "cells": n})
+    rep.check("nullity", n + 1, b_space.dim - rank_jumps)
     rep.check("gamma_row_and_column_sums_zero", True, rank_with_sums == rank_jumps)
     return rep.finish()
 

@@ -128,15 +128,16 @@ def _rows_of(cols: Sequence[Sequence | Mapping[int, Fraction]]) -> list[dict]:
 def _subtract(row: dict, f, pivot_row, p: int, heap: list | None = None) -> None:
     """row -= f * pivot_row in place, mod p when p is nonzero; columns new
     to ``row`` go on ``heap`` when one is given."""
+    minus_f = -f  # forward Fraction operators below, also where old is an int
     for k, v in pivot_row:
         old = row.get(k)
         if old is None:
-            w = v * -f
+            w = v * minus_f
             row[k] = w % p if p else w
             if heap is not None:
                 heappush(heap, k)
         else:
-            w = old - v * f
+            w = v * minus_f + old
             if p:
                 w %= p
             if w:

@@ -3,14 +3,16 @@
 Every space stores, per cell, its basis as pullbacks to the reference cell
 (plain composition with the inverse chart map; components are physical).
 Scalar and vector monomial families keep the same span under the structured
-chart maps; the two exceptions are handled explicitly:
+chart maps; the exceptions are handled explicitly:
 
 * the enriched quad families' spanning vector pulls back to
   ``(-hx * x^(k+1) y^k, hy * x^k y^(k+1))`` on a cell of size hx x hy;
 * intrinsic triangle RT/Nedelec bases pull back to
   ``P_k^2 + (M x_hat) * homogeneous_k`` with M the chart's linear part
   (for Nedelec, M rotated by +90 degrees), which keeps normal respectively
-  tangential face traces at degree <= k on sheared cells.
+  tangential face traces at degree <= k on sheared cells;
+* ``flat_quad`` (k = 0 only, in no diagram) is the appendix's three fields
+  (1,0), (0,1) and (1-2x, 2y-1) in reference coordinates on every chart.
 
 Local bases verify their own linear independence and cardinality against the
 per-cell dimension formulas on construction.  DOF layouts are deterministic:
@@ -28,7 +30,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .exactla import ExactSolveError, LinearExpander, solve_square
+from .exactla import ExactSolveError, LinearExpander
+from .exactla import solve_square  # unused; perfbench/tracing.py rebinds it here
 from .mesh import Cell, Mesh, MeshKind
 from .poly import IDENTITY2, Poly, RefCell, VecPoly
 
@@ -60,6 +63,7 @@ VECTOR_FAMILIES = {
     "ned_tri": MeshKind.TRIANGULAR,
     "rt_quad": MeshKind.CARTESIAN,
     "ned_quad": MeshKind.CARTESIAN,
+    "flat_quad": MeshKind.CARTESIAN,   # the appendix's three fields, k = 0 only
 }
 
 SCALAR_FAMILIES = ("p", "q", "qhat")
@@ -89,6 +93,8 @@ def homogeneous_monomials(d: int) -> list[tuple[int, int]]:
 
 def local_dim(family: str, k: int) -> int:
     """Per-cell dimension of a vector family at level k."""
+    if family == "flat_quad" and k:
+        raise ValueError("flat_quad exists at k = 0 only")
     return {
         "vec_p": (k + 1) * (k + 2),
         "vec_q": 2 * (k + 1) ** 2,
@@ -98,6 +104,7 @@ def local_dim(family: str, k: int) -> int:
         "ned_tri": (k + 1) * (k + 3),
         "rt_quad": 2 * (k + 1) * (k + 2),
         "ned_quad": 2 * (k + 1) * (k + 2),
+        "flat_quad": 3,
     }[family]
 
 
@@ -245,6 +252,9 @@ def make_vector_basis(family: str, k: int, ref: RefCell, mlin=IDENTITY2) -> Loca
         elems = _vec_of(q_monomials(k + 1, k), 0) + _vec_of(q_monomials(k, k + 1), 1)
     elif family == "ned_quad":
         elems = _vec_of(q_monomials(k, k + 1), 0) + _vec_of(q_monomials(k + 1, k), 1)
+    elif family == "flat_quad":
+        elems = [VecPoly.constant(1, 0), VecPoly.constant(0, 1),
+                 VecPoly(Poly({(0, 0): 1, (1, 0): -2}), Poly({(0, 0): -1, (0, 1): 2}))]
     else:
         raise ValueError(f"unknown vector family {family!r}")
     return LocalBasis(ref, elems, f"{family}(k={k})", expected_dim=local_dim(family, k))
@@ -269,9 +279,8 @@ def lagrange_basis(ref: RefCell, degree: int) -> tuple[list[tuple[Fraction, Frac
     n = len(nodes)
     if len(monos) != n:
         raise AssertionError("node lattice does not match monomial count")
-    vand = [[Fraction(x) ** a * Fraction(y) ** b for a, b in monos] for x, y in nodes]
-    eye = [[_ONE if i == j else _ZERO for i in range(n)] for j in range(n)]
-    coeffs = solve_square(vand, eye)
+    expander = LinearExpander([[x ** a * y ** b for x, y in nodes] for a, b in monos])
+    coeffs = [expander.expand([_ONE if i == j else _ZERO for i in range(n)]) for j in range(n)]
     elems = [Poly({ab: c for ab, c in zip(monos, col) if c}) for col in coeffs]
     return nodes, LocalBasis(ref, elems, f"lagrange({degree}) on {ref.value}")
 

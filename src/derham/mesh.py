@@ -11,11 +11,13 @@ Incidence is recorded as the mesh is built, from integer lattice
 coordinates: each cell knows its vertex point indices in reference-vertex
 order and, for each reference edge, its face and whether the face's P->Q
 runs along that edge.  Code that needs to know where a face sits in a cell
-reads it from this record, not from rational geometry.  Cells of one chart
-share one linear part and its inverse; each adds only its offset.  Charts
-are numbered: ``cell.chart`` is an int index into ``mesh.charts``, the
-distinct linear parts, so code that groups cells by chart keys on small
-integers and reads a chart's rational entries once.
+reads it from this record (``edge_segment`` gives the segment), not from
+rational geometry.  Besides this incidence a ``Cell`` records only its
+chart map and chart id; its inverse map is derived on first read.  Cells of
+one chart share one linear part; each adds only its offset.  Charts are
+numbered: ``cell.chart`` is an int index into ``mesh.charts``, the distinct
+linear parts, so code that groups cells by chart keys on small integers and
+reads a chart's rational entries once.
 
 Face orientation: the stored unnormalized normal is the +90 degree rotation
 of P->Q and has the same length as the face, so line integrals of normal
@@ -31,7 +33,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -70,7 +71,6 @@ class Cell:
     ref: RefCell
     chart: int
     fmap: AffineMap
-    inv: AffineMap = field(repr=False)
     vertices: tuple[int, ...] = field(repr=False)
     edge_faces: tuple[tuple[int, bool], ...] = field(repr=False)
 
@@ -83,6 +83,11 @@ class Cell:
         area = Fraction(1, 2) if self.ref is RefCell.TRIANGLE else Fraction(1)
         return self.jac * area
 
+    @cached_property
+    def inv(self) -> AffineMap:
+        """The inverse chart map, derived from ``fmap`` on first read."""
+        return self.fmap.inverse()
+
     @property
     def m_inv(self):
         return self.inv.m
@@ -92,19 +97,6 @@ class Cell:
 
     def to_ref_vector(self, vec):
         return self.inv.apply_vector(vec)
-
-    def edge_of(self, face_index: int) -> tuple[int, bool]:
-        """The reference edge carrying a face of this cell, and whether the
-        face's p->q runs along it."""
-        for e, (f, along) in enumerate(self.edge_faces):
-            if f == face_index:
-                return e, along
-        raise ValueError(f"face {face_index} does not bound cell {self.index}")
-
-    def face_segment(self, edge: int, along: bool):
-        """The face on reference edge ``edge`` traversed p -> q: its start and
-        direction in reference coordinates, and its physical chord q - p."""
-        return edge_segment(self.ref, self.fmap.m, edge, along)
 
 
 def edge_segment(ref: RefCell, m, edge: int, along: bool):
@@ -248,15 +240,7 @@ def build_mesh(kind: MeshKind, nx: int, ny: int, lx=1, ly=1) -> Mesh:
                   (((hx, 0), (hy, hy)), ((0, 0), (1, 1), (0, 1)))]
     else:
         raise ValueError(f"unknown mesh kind: {kind!r}")
-    # one inverse per distinct linear part; a cell's inverse offset -(mi o)
-    # is the sum of a term for its column and one for its row
-    charts = []
-    for m, corners in shapes:
-        lin = AffineMap.make(m, (0, 0))
-        mi = lin.inverse().m
-        col_terms = [(-(mi[0][0] * xs[i]), -(mi[1][0] * xs[i])) for i in range(nx)]
-        row_terms = [(-(mi[0][1] * ys[j]), -(mi[1][1] * ys[j])) for j in range(ny)]
-        charts.append((lin.m, mi, corners, col_terms, row_terms))
+    charts = [(AffineMap.make(m, (0, 0)).m, corners) for m, corners in shapes]
 
     # faces as lattice segments start -> start + step: x-normal faces are the
     # east sides of grid cell (i,j), pointing down so the +90 degree rotation
@@ -276,7 +260,7 @@ def build_mesh(kind: MeshKind, nx: int, ny: int, lx=1, ly=1) -> Mesh:
     for j in range(ny):
         for i in range(nx):
             o = (xs[i], ys[j])
-            for chart, (m, mi, corners, col_terms, row_terms) in enumerate(charts):
+            for chart, (m, corners) in enumerate(charts):
                 verts = [(i + a, j + b) for a, b in corners]
                 edge_faces = []
                 for e, a in enumerate(verts):
@@ -288,10 +272,7 @@ def build_mesh(kind: MeshKind, nx: int, ny: int, lx=1, ly=1) -> Mesh:
                         f = face_at[((b[0] % nx, b[1] % ny), (-step[0], -step[1]))]
                     sides[f][along] = (len(cells), a if along else b)
                     edge_faces.append((f, along))
-                cx, cy = col_terms[i]
-                rx, ry = row_terms[j]
-                inv_o = (cx + rx, cy + ry)
-                cells.append(Cell(len(cells), ref, chart, AffineMap(m, o), AffineMap(mi, inv_o),
+                cells.append(Cell(len(cells), ref, chart, AffineMap(m, o),
                                   tuple(a % nx + (b % ny) * nx for a, b in verts),
                                   tuple(edge_faces)))
 

@@ -3,7 +3,8 @@
 First operators (cell-local): rotated gradient and gradient of a continuous
 scalar space, expanded in a discontinuous vector space.  Second operators
 (distributional): cellwise divergence/curl into the codomain's cell factor
-plus inter-cell jumps of normal/tangential traces into the face factor.
+plus inter-cell jumps of normal/tangential traces into the face factor, by
+one placement that also gives ``assemble_jumps``, the normal jumps alone.
 
 Face rows hold shifted-Legendre expansion coefficients of the jump of
 ``u . n_f`` (respectively ``u . t_f``) taken against the *unnormalized*
@@ -64,6 +65,7 @@ __all__ = [
     "assemble_grad",
     "assemble_div_distributional",
     "assemble_curl_distributional",
+    "assemble_jumps",
     "assemble_gram",
     "adjoint",
 ]
@@ -241,13 +243,6 @@ def assemble_grad(a_space: ContinuousScalarSpace, b_space: DGVectorSpace) -> OpM
     return _assemble_first(a_space, b_space, grad, "grad")
 
 
-def _face_vector(chord: tuple[Fraction, Fraction], tangential: bool) -> tuple[Fraction, Fraction]:
-    n = (-chord[1], chord[0])  # the face normal, rot90 of the chord
-    if tangential:
-        return (-n[1], n[0])  # rot90 of the normal: reversed chord
-    return n
-
-
 @lru_cache(maxsize=None)
 def _trace_stamp(source: LocalBasis, m, edge: int, along: bool, tangential: bool,
                  degree: int, sign: int) -> Stamp:
@@ -258,31 +253,23 @@ def _trace_stamp(source: LocalBasis, m, edge: int, along: bool, tangential: bool
     trace of degree above ``degree`` raises ``TraceDegreeError`` and is
     never cached."""
     _, _, chord = edge_segment(source.ref, m, edge, along)
-    vec = _face_vector(chord, tangential)
+    vec = (-chord[1], chord[0])  # the face normal, rot90 of the chord
+    if tangential:
+        vec = (-vec[1], vec[0])  # rot90 of the normal: reversed chord
     return Stamp.of((ell, i, sign * v) for i, u in enumerate(source.elements) for ell, v
                     in enumerate(trace_legendre(u, source.ref, edge, along, vec, degree)))
 
 
-def _assemble_second(b_space: DGVectorSpace, c_space: CodomainSpace,
-                     cell_op: Callable, tangential: bool, name: str) -> OpMatrix:
+def _place_jumps(b_space: DGVectorSpace, c_space: CodomainSpace, tangential: bool,
+                 name: str) -> list:
+    """The normal (or tangential) trace jumps as (stamp, face rows, cell
+    columns) placements.  A chart, a reference edge and the face's
+    orientation on it fix the segment, the face normal and the side: the
+    face's P->Q runs along the edge of its right cell, whose trace counts
+    +1, and against the edge of its left cell, -1."""
     mesh = b_space.mesh
-    if mesh is not c_space.mesh:
-        raise ValueError("spaces live on different meshes")
     kdeg = c_space.face_degree
     span = np.arange(b_space.local_dim)
-    placed = []
-    for cells in mesh.chart_cells:
-        cell = mesh.cells[cells[0]]
-        try:
-            stamp = _cell_stamp(b_space.local(cell), c_space.cell_local, cell.m_inv, cell_op)
-        except SpanError as exc:
-            raise MembershipError(f"{name} cell part, cell {cell.index}: {exc}") from exc
-        placed.append((stamp, c_space.cell_offset(cells), b_space.offset(cells)[:, None] + span))
-
-    # a chart, a reference edge and the face's orientation on it fix the
-    # segment, the face normal and the side: the face's P->Q runs along the
-    # edge of its right cell, whose trace counts +1, and against the edge of
-    # its left cell, -1
     sides: dict = {}  # (chart, edge, along) -> (faces, cells)
     for cell in mesh.cells:
         for edge, (f, along) in enumerate(cell.edge_faces):
@@ -291,6 +278,7 @@ def _assemble_second(b_space: DGVectorSpace, c_space: CodomainSpace,
                 at = sides[cell.chart, edge, along] = ([], [])
             at[0].append(f)
             at[1].append(cell.index)
+    placed = []
     failed = []  # (first face, side, exception) of every key whose trace leaves the space
     for (chart, edge, along), (faces, cells) in sides.items():
         source = b_space.local(mesh.cells[cells[0]])
@@ -307,9 +295,32 @@ def _assemble_second(b_space: DGVectorSpace, c_space: CodomainSpace,
         raise MembershipError(
             f"{name} trace on face {f} ({mesh.faces[f].kind}, {'right' if along else 'left'}): "
             f"degree {exc.degree} exceeds face degree {kdeg}") from exc
+    return placed
+
+
+def _assemble_second(b_space: DGVectorSpace, c_space: CodomainSpace,
+                     cell_op: Callable | None, tangential: bool, name: str) -> OpMatrix:
+    mesh = b_space.mesh
+    if mesh is not c_space.mesh:
+        raise ValueError("spaces live on different meshes")
+    span = np.arange(b_space.local_dim)
+    placed = []
+    for cells in mesh.chart_cells if cell_op else ():  # no cell part in assemble_jumps
+        cell = mesh.cells[cells[0]]
+        try:
+            stamp = _cell_stamp(b_space.local(cell), c_space.cell_local, cell.m_inv, cell_op)
+        except SpanError as exc:
+            raise MembershipError(f"{name} cell part, cell {cell.index}: {exc}") from exc
+        placed.append((stamp, c_space.cell_offset(cells), b_space.offset(cells)[:, None] + span))
+    placed += _place_jumps(b_space, c_space, tangential, name)
     return OpMatrix.from_stamps(c_space.dim, b_space.dim, placed,
                                 domain=f"{b_space.family}_k{b_space.k}",
                                 codomain=f"codomain_f{c_space.face_degree}")
+
+
+def assemble_jumps(b_space: DGVectorSpace, c_space: CodomainSpace) -> OpMatrix:
+    """The normal-trace jumps alone: the distributional divergence without its cell part."""
+    return _assemble_second(b_space, c_space, None, tangential=False, name="jump")
 
 
 def assemble_div_distributional(b_space: DGVectorSpace, c_space: CodomainSpace) -> OpMatrix:

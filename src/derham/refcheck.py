@@ -254,11 +254,10 @@ def bubble_basis(family: str, k: int) -> BubbleBasis:
 def flat_trace_basis(ref: RefCell) -> list[VecPoly]:
     """Divergence-free fields with edgewise-constant normal traces that
     complement bubbles and edge modes: the two constants, plus on the square
-    the field (1-2x, 2y-1) whose traces alternate sign around the boundary."""
-    out = [VecPoly.constant(1, 0), VecPoly.constant(0, 1)]
+    (``flat_quad``) the field (1-2x, 2y-1), whose traces alternate in sign."""
     if ref is RefCell.SQUARE:
-        out.append(VecPoly(Poly({(0, 0): 1, (1, 0): -2}), Poly({(0, 0): -1, (0, 1): 2})))
-    return out
+        return list(reference_basis("flat_quad", 0).elements)
+    return [VecPoly.constant(1, 0), VecPoly.constant(0, 1)]
 
 
 def _draw(rng: random.Random, n: int) -> list[tuple[int, int]]:

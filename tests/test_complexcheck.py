@@ -1,10 +1,12 @@
 """Full-mesh diagram verification: healthy families, the naive deficit, and
 the jump-constraint kernel."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 
+from derham import complexcheck, operators
 from derham.complexcheck import (
     DIAGRAMS,
     NAIVE_DIAGRAM,
@@ -15,7 +17,9 @@ from derham.complexcheck import (
     naive_quad_report,
     verify_diagram,
 )
-from derham.mesh import MeshKind
+from derham.mesh import MeshKind, edge_segment
+from derham.poly import Poly, VecPoly, trace_legendre
+from derham.sparse import OpMatrix, Stamp
 
 F = Fraction
 
@@ -118,6 +122,76 @@ def test_appendix_nullity(nx, ny, nullity):
 
 def test_appendix_stretched_cells():
     assert appendix_report(2, 2, lx=F(3), ly=F(1, 2)).passed
+
+
+def hand_rolled_jumps(mesh):
+    """The appendix jump matrix formed face side by face side, as the report
+    once did on its own: for the three fields (1,0), (0,1), (1-2x, 2y-1) of
+    each cell, the Legendre coefficient of the normal trace against the
+    face's unnormalized normal, +1 on the right side and -1 on the left."""
+    triple = [VecPoly.constant(1, 0), VecPoly.constant(0, 1),
+              VecPoly(Poly({(0, 0): 1, (1, 0): -2}), Poly({(0, 0): -1, (0, 1): 2}))]
+    entries = {}
+    for face in mesh.faces:
+        for side, sign in (("left", -1), ("right", 1)):
+            cell = mesh.cells[face.cell_on(side)]
+            [(edge, along)] = [(e, along) for e, (f, along) in enumerate(cell.edge_faces)
+                               if f == face.index]
+            _, _, chord = edge_segment(cell.ref, cell.fmap.m, edge, along)
+            normal = (-chord[1], chord[0])
+            for i, u in enumerate(triple):
+                [value] = trace_legendre(u, cell.ref, edge, along, normal, 0)
+                at = (face.index, 3 * cell.index + i)
+                entries[at] = entries.get(at, 0) + sign * value
+    return OpMatrix.from_entries(mesh.num_faces, 3 * mesh.num_cells, entries)
+
+
+@pytest.mark.parametrize("nx,ny,lx,ly", [(3, 3, 1, 1), (2, 2, F(3), F(1, 2)),
+                                         (4, 3, F(7, 3), F(5, 11))])
+def test_appendix_jumps_match_hand_rolled(monkeypatch, nx, ny, lx, ly):
+    seen = []
+    prefix_ranks = complexcheck.prefix_ranks
+    monkeypatch.setattr(complexcheck, "prefix_ranks",
+                        lambda blocks, upper=None: seen.append(blocks) or prefix_ranks(blocks, upper))
+    assert appendix_report(nx, ny, lx, ly).passed
+    jumps = seen[0][0]
+    oracle = hand_rolled_jumps(complexcheck.build_mesh(MeshKind.CARTESIAN, nx, ny, lx, ly))
+    assert (jumps.nrows, jumps.ncols) == (oracle.nrows, oracle.ncols)
+    assert jumps.entries == oracle.entries
+
+
+def test_one_trace_convention(monkeypatch):
+    """The operators and the appendix read one trace stamp: flipping the sign
+    of the right side breaks both."""
+    original = operators._trace_stamp
+
+    def flipped(source, m, edge, along, tangential, degree, sign):
+        return original(source, m, edge, along, tangential, degree, -sign if along else sign)
+
+    monkeypatch.setattr(operators, "_trace_stamp", flipped)
+    assert not verify_diagram("quad-enriched", 2, 2, 1).passed
+    assert not appendix_report(3, 3).passed
+
+
+def test_warm_appendix_forms_no_trace():
+    """A warm appendix report places cached stamps only: no call, from any
+    module, reaches the trace kernel or forms a stamp, so no second copy of
+    the trace code can form its own."""
+    appendix_report(3, 3)
+    watched = {trace_legendre.__code__, Stamp.of.__func__.__code__}
+    calls = []
+
+    def watch(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(watch)
+    try:
+        rep = appendix_report(3, 3)
+    finally:
+        sys.setprofile(None)
+    assert rep.passed
+    assert calls == []
 
 
 def test_dof_comparison_report():

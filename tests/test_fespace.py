@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from derham import exactla, fespace
 from derham.fespace import (
     ContinuousScalarSpace,
     CodomainSpace,
@@ -19,6 +20,7 @@ from derham.fespace import (
 )
 from derham.mesh import MeshKind, build_mesh
 from derham.poly import Poly, RefCell, VecPoly, divergence, grad_perp, restrict_to_segment
+from derham.refcheck import flat_trace_basis
 
 F = Fraction
 
@@ -135,6 +137,32 @@ def test_lagrange_basis_is_nodal():
         for i, p in enumerate(basis.elements):
             for j, node in enumerate(nodes):
                 assert p.eval(*node) == (1 if i == j else 0)
+
+
+def test_lagrange_basis_needs_no_square_solve(monkeypatch):
+    # each nodal function is one expansion in the monomials at the nodes
+    def boom(*args, **kwargs):
+        raise AssertionError("lagrange_basis called solve_square")
+
+    monkeypatch.setattr(fespace, "solve_square", boom)
+    monkeypatch.setattr(exactla, "solve_square", boom)
+    for ref, degree in ((RefCell.TRIANGLE, 3), (RefCell.SQUARE, 2)):
+        nodes, basis = lagrange_basis.__wrapped__(ref, degree)
+        assert basis.elements == lagrange_basis(ref, degree)[1].elements
+        assert nodes == lagrange_basis(ref, degree)[0]
+
+
+def test_flat_quad_is_the_appendix_triple():
+    assert local_dim("flat_quad", 0) == 3
+    with pytest.raises(ValueError, match="k = 0 only"):
+        local_dim("flat_quad", 1)
+    elements = make_vector_basis("flat_quad", 0, RefCell.SQUARE).elements
+    assert elements == flat_trace_basis(RefCell.SQUARE)
+    assert elements[2] == VecPoly(Poly({(0, 0): 1, (1, 0): -2}), Poly({(0, 0): -1, (0, 1): 2}))
+    quad = build_mesh(MeshKind.CARTESIAN, 2, 3, F(3), F(1, 2))
+    assert DGVectorSpace(quad, "flat_quad", 0).dim == 18
+    with pytest.raises(ValueError):
+        DGVectorSpace(build_mesh(MeshKind.TRIANGULAR, 2, 2), "flat_quad", 0)
 
 
 GLOBAL_DIMS = [

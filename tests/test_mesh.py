@@ -1,10 +1,12 @@
 """Periodic mesh combinatorics and orientation conventions."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from derham.mesh import MeshKind, build_mesh, entity_counts
+from derham.mesh import Cell, MeshKind, build_mesh, edge_segment, entity_counts
+from derham.poly import AffineMap
 
 F = Fraction
 
@@ -85,11 +87,12 @@ def test_faces_lie_on_reference_edges(kind):
                     if {edge.start, edge.end} == {a, b}
                 ]
                 assert len(matched) == 1
-                e, along = cell.edge_of(face.index)
+                [(e, along)] = [(e, along) for e, (f, along) in enumerate(cell.edge_faces)
+                                if f == face.index]
                 assert cell.ref.edges[e] == matched[0]
                 assert along == (matched[0].start == a)
                 assert along == (side == "right")
-                assert cell.face_segment(e, along) == (a, d, face.chord)
+                assert edge_segment(cell.ref, cell.fmap.m, e, along) == (a, d, face.chord)
 
 
 @pytest.mark.parametrize("kind", [MeshKind.TRIANGULAR, MeshKind.CARTESIAN])
@@ -114,6 +117,19 @@ def test_each_cell_bounded_by_expected_faces(kind):
         incidence[face.right] += 1
     per_cell = 3 if kind is MeshKind.TRIANGULAR else 4
     assert all(count == per_cell for count in incidence.values())
+
+
+@pytest.mark.parametrize("kind", [MeshKind.TRIANGULAR, MeshKind.CARTESIAN])
+def test_cell_inverse_is_derived_from_the_chart(kind):
+    # a cell records no inverse; it is formed from the chart map on first read
+    assert "inv" not in {f.name for f in dataclasses.fields(Cell)}
+    mesh = build_mesh(kind, 3, 2, F(7, 3), F(5, 11))
+    for cell in mesh.cells:
+        assert cell.inv == cell.fmap.inverse()
+        assert cell.inv is cell.inv  # formed once per cell
+        assert cell.m_inv == AffineMap(mesh.charts[cell.chart], (0, 0)).inverse().m
+        for pt in ((F(0), F(0)), (F(1, 3), F(1, 5))):
+            assert cell.to_ref_point(cell.fmap.apply(pt)) == pt
 
 
 def test_cell_charts_have_positive_orientation():
