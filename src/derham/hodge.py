@@ -40,7 +40,10 @@ that are empty.  Fractions are built only for the ``HodgeParts`` that
 
 rank(adjoint) = rank(second), as G_b and G_c are invertible.  A float
 backend covers meshes beyond the exact-arithmetic budget; it never feeds
-back into the exact route.
+back into the exact route.  It splits a batch the same way, as the columns
+of one float array with one least-squares solve per system
+(``FloatHodgeSplitter.split_matrix``), and ``hodge_report`` checks it with
+batch products at per-field tolerances.
 """
 
 from __future__ import annotations
@@ -147,7 +150,9 @@ class FloatHodgeSplitter:
     """Numerical route: weighted least-squares projections via Cholesky.
 
     Independent of the exact route; used for scale and for cross-checking,
-    never merged into exact results.
+    never merged into exact results.  Like ``HodgeSplitter`` it splits a
+    batch of fields as the columns of one matrix: one least-squares solve
+    per system (curl, adjoint, constants) for the whole batch.
     """
 
     def __init__(self, inst: DiagramInstance):
@@ -164,22 +169,32 @@ class FloatHodgeSplitter:
         self._wf = self._weight @ self._first
         self._wa = self._weight @ self._adj
         self._wc = self._weight @ self._consts
-        self.rank_first = float_rank(first)
+        self.rank_first = float_rank(inst.first)
         self.rank_adjoint = float_rank(self._adj)
 
-    def split(self, field, tol: float = 1e-10) -> HodgeParts:
-        u = np.array([float(v) for v in field])
+    def split_matrix(self, u: np.ndarray, tol: float = 1e-10) -> tuple[
+            np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Split every column of u, a float array of fields as columns, with
+        one least-squares solve per system.  Returns the curl, div and
+        harmonic parts, each of the shape of u, the 2 x ncols harmonic
+        coefficients, and a boolean array, True where the column's harmonic
+        part is constant to within tol times max(1, |W u|)."""
+        u = np.asarray(u, dtype=float)
         wu = self._weight @ u
-        xc, *_ = np.linalg.lstsq(self._wf, wu, rcond=None)
-        curl = self._first @ xc
-        xd, *_ = np.linalg.lstsq(self._wa, wu, rcond=None)
-        div = self._adj @ xd
+        curl = self._first @ np.linalg.lstsq(self._wf, wu, rcond=None)[0]
+        div = self._adj @ np.linalg.lstsq(self._wa, wu, rcond=None)[0]
         rem = u - curl - div
-        coeffs, *_ = np.linalg.lstsq(self._wc, self._weight @ rem, rcond=None)
-        resid = rem - self._consts @ coeffs
-        scale = max(1.0, float(np.linalg.norm(wu)))
-        is_const = float(np.linalg.norm(self._weight @ resid)) <= tol * scale
-        return HodgeParts(list(curl), list(div), list(rem), tuple(coeffs), is_const)
+        coeffs = np.linalg.lstsq(self._wc, self._weight @ rem, rcond=None)[0]
+        resid = np.linalg.norm(self._weight @ (rem - self._consts @ coeffs), axis=0)
+        scale = np.maximum(1.0, np.linalg.norm(wu, axis=0))
+        return curl, div, rem, coeffs, resid <= tol * scale
+
+    def split(self, field, tol: float = 1e-10) -> HodgeParts:
+        """``split_matrix`` on a batch of one field."""
+        curl, div, rem, coeffs, is_const = self.split_matrix(
+            np.array([[float(v)] for v in field]), tol)
+        return HodgeParts(list(curl[:, 0]), list(div[:, 0]), list(rem[:, 0]),
+                          tuple(coeffs[:, 0]), bool(is_const[0]))
 
 
 # the 171 values Fraction(a, b), a in -9..9 and b in 1..9, that random_field draws
@@ -236,24 +251,18 @@ def hodge_report(name: str, nx: int, ny: int, k: int, fields: int = 20,
     sp = FloatHodgeSplitter(inst)
     rep.check("rank_identity", inst.b_space.dim,
               sp.rank_first + sp.rank_adjoint + 2, backend="float")
+    # one batch product per check; field j passes on its own column
+    u = np.array(us, dtype=float).reshape(fields, inst.b_space.dim).T
+    curl, div, harmonic, _, is_const = sp.split_matrix(u, tol=tol)
     gb = inst.gram_b.float_array()
-    sums = orth = const = 0
-    for u in us:
-        p = sp.split(u, tol=tol)
-        uf = np.array([float(v) for v in u])
-        total = np.array(p.curl) + np.array(p.div) + np.array(p.harmonic)
-        scale = max(1.0, float(np.linalg.norm(uf)))
-        if float(np.linalg.norm(total - uf)) <= tol * scale:
-            sums += 1
-        pairs = ((p.curl, p.div), (p.curl, p.harmonic), (p.div, p.harmonic))
-        if all(abs(float(np.array(a) @ gb @ np.array(b))) <= tol * scale * scale
-               for a, b in pairs):
-            orth += 1
-        if p.harmonic_is_constant:
-            const += 1
-    rep.check("parts_sum_to_input", fields, sums, backend="float")
-    rep.check("parts_pairwise_orthogonal", fields, orth, backend="float")
-    rep.check("harmonic_part_is_constant", fields, const, backend="float")
+    scale = np.maximum(1.0, np.linalg.norm(u, axis=0))
+    sums = np.linalg.norm(curl + div + harmonic - u, axis=0) <= tol * scale
+    orth = np.ones(fields, dtype=bool)
+    for a, b in ((curl, div), (curl, harmonic), (div, harmonic)):
+        orth &= np.abs(np.einsum("ij,ij->j", a, gb @ b)) <= tol * scale * scale
+    rep.check("parts_sum_to_input", fields, int(sums.sum()), backend="float")
+    rep.check("parts_pairwise_orthogonal", fields, int(orth.sum()), backend="float")
+    rep.check("harmonic_part_is_constant", fields, int(is_const.sum()), backend="float")
     return rep.finish()
 
 

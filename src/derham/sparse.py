@@ -355,16 +355,19 @@ class OpMatrix:
             rows[r][c] = v
         return rows
 
-    def float_array(self) -> np.ndarray:
-        """Float copy for the numerical cross-checks: each entry is its
-        numerator over its row denominator, correctly rounded as
-        ``float(Fraction)`` is."""
-        out = np.zeros((self.nrows, self.ncols))
+    def float_values(self) -> np.ndarray:
+        """The stored nonzeros as floats, in the order of ``integer_rows``:
+        each is its numerator over its row denominator, correctly rounded
+        as ``float(Fraction)`` is."""
         num, den = self._num, self._den[self._rows]
         if _max_abs(num) <= _FLOAT_EXACT and _max_abs(den) <= _FLOAT_EXACT:
-            out[self._rows, self._cols] = num.astype(float) / den.astype(float)
-        else:  # Python's int division rounds once
-            out[self._rows, self._cols] = (num.astype(object) / den.astype(object)).astype(float)
+            return num.astype(float) / den.astype(float)
+        return (num.astype(object) / den.astype(object)).astype(float)  # Python rounds once
+
+    def float_array(self) -> np.ndarray:
+        """Dense float copy of the whole matrix, from ``float_values``."""
+        out = np.zeros((self.nrows, self.ncols))
+        out[self._rows, self._cols] = self.float_values()
         return out
 
     def columns(self) -> list[list[Fraction]]:

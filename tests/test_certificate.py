@@ -127,6 +127,16 @@ def test_naive_diagnostic_needs_no_nullspace(monkeypatch):
     assert naive_quad_report(3, 4, float_check=True).passed
 
 
+def test_naive_float_check_never_forms_the_whole_operator(monkeypatch):
+    """At 64x64 the dense jump operator is 8,192 x 8,192 (512 MB); the float
+    rank factors its nx + ny strips apart and densifies nothing whole."""
+    forbid(monkeypatch, "float_array", owner=OpMatrix)
+    forbid_densify(monkeypatch)
+    rep = naive_quad_report(64, 64, float_check=True)
+    assert rep.passed
+    assert [c.computed for c in rep.checks if c.name == "rank_float"] == [2 * 4096 - 64 - 64]
+
+
 @pytest.mark.parametrize("name,nx,ny,k", [("tri-dp", 2, 2, 1), ("quad-dn", 2, 2, 0)])
 def test_certificate_and_exact_route_agree(monkeypatch, name, nx, ny, k):
     certified = verify_diagram(name, nx, ny, k, float_check=True)

@@ -88,6 +88,16 @@ def test_verify_json_schema(capsys):
     assert any(c["name"] == "betti_numbers" for c in checks)
 
 
+def test_naive_float_check_at_32x32(capsys):
+    code, out, _ = run(capsys, "verify", "--diagram", "quad-naive-k0", "--nx", "32",
+                       "--ny", "32", "--float-check", "--format", "json")
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out)["reports"][0]["checks"]}
+    # rank 2N - Nx - Ny with N = 32 x 32 cells
+    assert checks["rank_float"]["computed"] == 1984
+    assert checks["rank_float"]["backend"] == "float"
+
+
 def test_verify_jobs_pool(capsys):
     code, out, _ = run(capsys, "verify", "--diagram", "tri-dp", "--k", "0..1",
                        "--jobs", "2")

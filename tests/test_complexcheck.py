@@ -1,7 +1,9 @@
 """Full-mesh diagram verification: healthy families, the naive deficit, and
 the jump-constraint kernel."""
 
+import gc
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -212,6 +214,32 @@ def test_float_cross_check_items():
     float_items = [c for c in rep.checks if c.backend == "float"]
     assert len(float_items) == 2
     assert all(c.passed for c in float_items)
+
+
+def test_repeated_verify_retains_no_memory():
+    """Once warm, more verify passes leave the traced memory nearly flat.
+    numpy keeps a bounded cache of small freed buffers, which still takes
+    up to about 20 KB as it fills; keeping one operator per report adds about
+    170 KB over these 30 reports."""
+    cases = [("tri-dp", 2, 2, 1), ("quad-enriched", 2, 2, 1), ("quad-dn", 2, 2, 0)]
+
+    def one_pass():
+        for case in cases:
+            assert verify_diagram(*case, float_check=True).passed
+
+    tracemalloc.start()
+    try:
+        for _ in range(10):
+            one_pass()
+        gc.collect()
+        warm = tracemalloc.get_traced_memory()[0]
+        for _ in range(10):
+            one_pass()
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - warm
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024
 
 
 def test_report_serialization():

@@ -27,7 +27,7 @@ from derham.exactla import (
     span_compare,
     transpose,
 )
-from derham.complexcheck import DIAGRAMS, build_diagram
+from derham.complexcheck import DIAGRAMS, build_diagram, naive_quad_report, verify_diagram
 from derham.sparse import OpMatrix
 
 F = Fraction
@@ -87,6 +87,82 @@ def test_float_rank_sees_near_dependence_as_exact_does():
     rows_exact = [[F(1), F(2)], [F(2), F(4) + F(1, 10**30)]]
     assert exact_rank(rows_exact) == 2
     assert float_rank(rows_exact, 1e-10) == 1
+
+
+@pytest.fixture
+def block_searches(monkeypatch):
+    """The labels of every block search ``float_rank`` makes."""
+    found = []
+    components = exactla._components
+
+    def spy(*args):
+        found.append(components(*args))
+        return found[-1]
+
+    monkeypatch.setattr(exactla, "_components", spy)
+    return found
+
+
+def permuted_blocks(rng, blocks, empty_rows, empty_cols):
+    """An integer matrix that is block diagonal up to a random row and
+    column permutation: one block per (rows, cols, rank), a product of
+    random integer factors (all zero at rank 0), plus empty rows and
+    columns."""
+    nrows = sum(p for p, _, _ in blocks) + empty_rows
+    ncols = sum(q for _, q, _ in blocks) + empty_cols
+    row_of, col_of = rng.sample(range(nrows), nrows), rng.sample(range(ncols), ncols)
+    mat = np.zeros((nrows, ncols), dtype=np.int64)
+    r = c = 0
+    for p, q, rank in blocks:
+        left = np.array([[rng.randint(-2, 2) for _ in range(rank)] for _ in range(p)])
+        right = np.array([[rng.randint(-2, 2) for _ in range(q)] for _ in range(rank)])
+        mat[np.ix_(row_of[r:r + p], col_of[c:c + q])] = left.reshape(p, rank) @ right.reshape(rank, q)
+        r, c = r + p, c + q
+    return mat
+
+
+def dense_svd_rank(mat, tol=1e-10):
+    sv = np.linalg.svd(np.asarray(mat, dtype=float), compute_uv=False)
+    return int(np.sum(sv > tol * sv[0]))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_float_rank_by_blocks_matches_exact_and_dense(block_searches, seed):
+    rng = random.Random(seed)
+    blocks = [(rng.randint(1, 5), rng.randint(1, 5), 0) for _ in range(24)]
+    blocks = [(p, q, rng.randint(1, min(p, q))) for p, q, _ in blocks] + [(3, 4, 0)]
+    mat = permuted_blocks(rng, blocks, empty_rows=37, empty_cols=41)
+    rows = [[F(int(v)) for v in row] for row in mat]
+    op = OpMatrix.from_entries(*mat.shape, {(i, j): int(mat[i, j])
+                                            for i, j in zip(*mat.nonzero())})
+    rank = exact_rank(rows)
+    assert dense_svd_rank(mat) == rank
+    assert float_rank(mat) == float_rank(op) == float_rank(rows) == rank
+    # the search ran on each input and split the matrix into blocks
+    assert len(block_searches) == 3
+    assert all(len(np.unique(labels)) > len(blocks) for labels in block_searches)
+
+
+def test_float_rank_threshold_is_global(block_searches):
+    """Blocks [[1]] and [[1e-12]]: one dense SVD keeps 1 singular value at
+    tol 1e-10; a threshold per block would keep both."""
+    mat = np.zeros((64, 64))
+    mat[0, 0], mat[1, 1] = 1.0, 1e-12
+    assert dense_svd_rank(mat) == 1
+    assert float_rank(mat) == 1
+    assert float_rank(OpMatrix.from_entries(64, 64, {(0, 0): 1, (1, 1): F(1, 10**12)})) == 1
+    assert len(block_searches) == 2
+
+
+def test_block_search_only_where_it_pays(block_searches):
+    """The rule reads the operator's shape and nonzero count: the small
+    operators of ``verify --all`` take one dense SVD; the naive 16x16 jump
+    operator splits into its nx + ny strips."""
+    assert verify_diagram("tri-dp", 2, 2, 1, float_check=True).passed
+    assert not block_searches
+    assert naive_quad_report(16, 16, float_check=True).passed
+    [labels] = block_searches
+    assert len(np.unique(labels)) == 32
 
 
 def test_span_compare_relations():

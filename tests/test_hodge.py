@@ -5,6 +5,7 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from derham.complexcheck import build_diagram
@@ -134,6 +135,35 @@ def test_float_splitter_tracks_exact(tri_instance, tri_splitter):
     assert approx.harmonic_is_constant
     for a, b in zip(exact.curl, approx.curl):
         assert abs(float(a) - b) < 1e-8
+
+
+def test_float_batch_split_matches_single_fields():
+    inst = build_diagram("tri-dp", 3, 3, 1)
+    fs = FloatHodgeSplitter(inst)
+    rng = random.Random(0)
+    us = [random_field(inst.b_space, rng) for _ in range(20)]
+    curl, div, harmonic, coeffs, is_const = fs.split_matrix(np.array(us, dtype=float).T)
+    for j, u in enumerate(us):
+        one = fs.split(u)
+        for batch, single in ((curl, one.curl), (div, one.div), (harmonic, one.harmonic),
+                              (coeffs, one.harmonic_coeffs)):
+            assert np.max(np.abs(batch[:, j] - np.array(single))) <= 1e-12
+        assert is_const[j] == one.harmonic_is_constant
+
+
+def test_float_report_checks():
+    rep = hodge_report("tri-dp", 3, 3, 1, fields=20, backend="float")
+    assert [c.to_dict() for c in rep.checks] == [
+        {"name": "rank_identity", "expected": 108, "computed": 108, "passed": True,
+         "backend": "float"},
+        {"name": "parts_sum_to_input", "expected": 20, "computed": 20, "passed": True,
+         "backend": "float"},
+        {"name": "parts_pairwise_orthogonal", "expected": 20, "computed": 20, "passed": True,
+         "backend": "float"},
+        {"name": "harmonic_part_is_constant", "expected": 20, "computed": 20, "passed": True,
+         "backend": "float"},
+    ]
+    assert hodge_report("tri-dp", 2, 2, 1, fields=0, backend="float").passed
 
 
 def projection(gram, cols, u):
