@@ -148,8 +148,8 @@ def _run_reports(jobs: list[tuple], n_jobs: int) -> list[Report]:
     if n_jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {n_jobs}")
     # the fork start method starts every worker up front, so never ask for
-    # more workers than there are jobs
-    workers = min(n_jobs, len(jobs))
+    # more workers than there are jobs or cores
+    workers = min(n_jobs, len(jobs), os.cpu_count() or 1)
     if workers <= 1:
         return [_run_job(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -242,9 +242,17 @@ def main(argv=None) -> int:
         print(f"error: verification failed: {exc}", file=sys.stderr)
         return 1
     except ExactWidthExceeded as exc:
-        # only hodge has a float backend to fall back on
-        advice = " or use --backend float" if args.command == "hodge" else ""
-        print(f"error: {exc}; raise DERHAM_MAX_EXACT_COLS{advice}", file=sys.stderr)
+        print(f"error: {exc}; raise DERHAM_MAX_EXACT_COLS", file=sys.stderr)
+        return 2
+    except MemoryError:
+        if getattr(args, "float_check", False):
+            advice = " or drop --float-check"
+        elif getattr(args, "backend", "exact") != "exact":
+            advice = " or use --backend exact"
+        else:
+            advice = ""
+        print(f"error: {args.command} ran out of memory; try a smaller mesh{advice}",
+              file=sys.stderr)
         return 2
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

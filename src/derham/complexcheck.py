@@ -38,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactla import float_rank, positive_definite, prefix_ranks
+from .exactla import _components, float_rank, positive_definite, prefix_ranks
 from .exactla import rank_nullspace  # unused; perfbench/tracing.py rebinds it here
 from .exactla import span_compare  # unused; perfbench/tracing.py rebinds it here
 from .fespace import (
@@ -60,7 +60,7 @@ from .operators import (
     assemble_jumps,
 )
 from .report import Report
-from .sparse import OpMatrix
+from .sparse import OpMatrix, _runs
 
 __all__ = [
     "DiagramSpec",
@@ -152,9 +152,11 @@ class DiagramInstance:
 
     def constant_operators(self) -> tuple[OpMatrix, OpMatrix]:
         """C, the two constant fields as columns, and (G_b C)^T, formed once
-        per instance and shared by every caller; read only."""
+        per instance and shared by every caller; read only.  C places each
+        chart's cached integer stamp of the constants at the chart's cells
+        (``DGVectorSpace.constant_columns``), with no ``Fraction`` per dof."""
         if self._constants is None:
-            consts = OpMatrix.from_columns(self.b_space.dim, self.constant_fields())
+            consts = self.b_space.constant_columns((1, 0), (0, 1))
             self._constants = consts, self.gram_b.compose(consts).transpose()
         return self._constants
 
@@ -196,6 +198,16 @@ class ComplexCertificate:
     harmonic_is_constants: bool
 
 
+def _mixers(n: int) -> np.ndarray:
+    """n fixed pseudo-random int64 weights (a splitmix64-style hash of the
+    position), so a weighted sum of small integers rarely collides; products
+    wrap, which only mixes them more."""
+    w = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    w ^= w >> np.uint64(31)
+    w *= np.uint64(0xBF58476D1CE4E5B9)
+    return w.view(np.int64)
+
+
 def _kernel_is_weight(op: OpMatrix, cell_size: int, weight) -> bool:
     """Whether the kernel of ``op`` is exactly span(weight), proven cell by
     cell.  The matrix must kill weight; only its support is read, so
@@ -205,51 +217,58 @@ def _kernel_is_weight(op: OpMatrix, cell_size: int, weight) -> bool:
     The rows come in cells of ``cell_size``.  A cell's block is its rows
     restricted to the dofs they touch, read as integer numerators: each row
     over its denominator, which keeps the block's rank.  Weight restricted
-    there lies in its kernel, so rank = ncols - 1 (one ``prefix_ranks`` per
-    distinct block content) makes that kernel span(weight) when weight is
-    nonzero on the block.  A kernel vector is then a multiple of weight on
-    each cell, the same multiple on cells that share a dof where weight is
-    nonzero; if those joins leave one component and every dof is touched, it
-    is a multiple of weight.
+    there lies in its kernel, so rank = ncols - 1 makes that kernel
+    span(weight) when weight is nonzero on the block.  A kernel vector is
+    then a multiple of weight on each cell, the same multiple on cells that
+    share a dof where weight is nonzero; if those joins leave one component
+    and every dof is touched, it is a multiple of weight.
+
+    Every step is a kernel over whole arrays.  The nonzeros are gathered
+    into one column per (cell, dof), and each cell's columns are sorted by
+    content (the rank does not depend on their order, nor on the dof
+    numbers).  Cells with the same number of columns are sorted by a
+    fingerprint of their blocks and compared with their neighbours, so each
+    distinct block is ranked once (``prefix_ranks``).  The joins are the connected components
+    (``exactla._components``) of the cell-dof incidence where weight is
+    nonzero.
     """
     ncells = op.nrows // cell_size
-    if ncells * cell_size != op.nrows:
+    if not ncells or ncells * cell_size != op.nrows or not op.nnz or op.zero_columns().any():
         return False
-    support = np.asarray(weight, dtype=bool).tolist()
+    support = np.asarray(weight, dtype=bool)
     ptr, dofs, num, _ = op.integer_rows()
-    ptr, dofs, num = ptr.tolist(), dofs.tolist(), num.tolist()
-    parent = list(range(ncells))
-
-    def find(c: int) -> int:
-        while parent[c] != c:
-            parent[c] = c = parent[parent[c]]
-        return c
-
-    ranks: dict = {}
-    owner: dict[int, int] = {}
-    touched = bytearray(op.ncols)
-    for cell in range(ncells):
-        local: dict[int, list[int]] = {}  # dof -> its column of the block
-        for i in range(cell_size):
-            row = cell * cell_size + i
-            for at in range(ptr[row], ptr[row + 1]):
-                local.setdefault(dofs[at], [0] * cell_size)[i] = num[at]
-        if not any(support[d] for d in local):
-            return False
-        # the rank does not depend on the order of the columns, so the block
-        # content is keyed with its columns sorted, whatever the dof numbers
-        key = tuple(sorted(map(tuple, local.values())))
-        if key not in ranks:
-            block = OpMatrix.from_integer_columns(cell_size, key, [1] * len(key))
-            ranks[key] = prefix_ranks([block], [len(local) - 1])[0]
-        if ranks[key] != len(local) - 1:
-            return False
-        for d in local:
-            touched[d] = 1
-            if support[d]:
-                other = find(owner.setdefault(d, cell))
-                parent[other] = find(cell)
-    return all(touched) and len({find(c) for c in range(ncells)}) == 1
+    rows = np.arange(op.nrows).repeat(np.diff(ptr))
+    # one block column per (cell, dof), in (cell, dof) order
+    keys = rows // cell_size * op.ncols + dofs
+    order = keys.argsort(kind="stable")
+    starts, lengths = _runs(keys[order])
+    blocks = np.zeros((starts.size, cell_size), dtype=num.dtype)
+    blocks[np.arange(starts.size).repeat(lengths), rows[order] % cell_size] = num[order]
+    column_cell, column_dof = np.divmod(keys[order][starts], op.ncols)
+    weighted = support[column_dof]
+    joins = np.bincount(column_cell[weighted], minlength=ncells)
+    if not joins.all():  # a cell without a dof where weight is nonzero
+        return False
+    # each cell's columns sorted by content, cells one after another
+    blocks = blocks[np.lexsort((*blocks.T[::-1], column_cell))]
+    counts = np.bincount(column_cell, minlength=ncells)
+    firsts = counts.cumsum() - counts
+    for n in np.bincount(counts).nonzero()[0].tolist():
+        cells = (counts == n).nonzero()[0]
+        same = blocks[firsts[cells, None] + np.arange(n)].reshape(cells.size, n * cell_size)
+        # equal blocks have equal fingerprints, so sorted by fingerprint every
+        # block equals its predecessor or is ranked itself; a collision only
+        # ranks a block twice
+        same = same[(same @ _mixers(same.shape[1])).argsort(kind="stable")]
+        new = np.ones(cells.size, dtype=bool)
+        new[1:] = (same[1:] != same[:-1]).any(axis=1)
+        for block in same[new]:
+            ranked = OpMatrix.from_integer_array(block.reshape(n, cell_size).T)
+            if prefix_ranks([ranked], [n - 1])[0] != n - 1:
+                return False
+    labels = _components(np.concatenate(([0], joins.cumsum())), column_dof[weighted],
+                         ncells, op.ncols)
+    return bool((labels[:ncells] == labels[0]).all())
 
 
 def _local_route(inst: DiagramInstance, ones: np.ndarray, weight_c: np.ndarray,
@@ -301,7 +320,7 @@ def certify_complex(inst: DiagramInstance) -> ComplexCertificate:
     first, second = inst.first, inst.second
     dim_a, dim_b, dim_c = inst.a_space.dim, inst.b_space.dim, inst.c_space.dim
     consts, gram_consts_t = inst.constant_operators()
-    ones = OpMatrix.from_columns(dim_a, [inst.a_space.constant_vector(1)])
+    ones = OpMatrix.from_integer_array(np.ones((dim_a, 1), dtype=np.int64))
     gram_spd = inst.gram_b.positive_definite()
     composes_to_zero = second.compose(first).is_zero
     kills_constants = first.compose(ones).is_zero
@@ -310,8 +329,7 @@ def certify_complex(inst: DiagramInstance) -> ComplexCertificate:
     # as gram_spd certifies
     constants_orthogonal = gram_consts_t.compose(first).is_zero
     # (G_c u)^T, one row
-    gram_uniform = inst.gram_c.compose(
-        OpMatrix.from_columns(dim_c, [inst.c_space.uniform_vector()])).transpose()
+    gram_uniform = inst.gram_c.compose(inst.c_space.uniform_column()).transpose()
     uniform_orthogonal = gram_uniform.compose(second).is_zero
     stack_witnesses = (gram_spd and uniform_orthogonal and not gram_uniform.is_zero
                        and second_kills_constants and constants_orthogonal)
@@ -395,12 +413,11 @@ def _strip_fields(b_space: DGVectorSpace) -> OpMatrix:
     x-field constant on row j of cells, column ny + i the y-field constant
     on column i of cells."""
     nx, ny = b_space.mesh.nx, b_space.mesh.ny
-    const_x, const_y = b_space.constant_vector(1, 0), b_space.constant_vector(0, 1)
-    entries = {}
-    for d in range(b_space.dim):
-        j, i = divmod(d // b_space.local_dim, nx)  # the dof's cell is (i, j) on the grid
-        entries[d, j], entries[d, ny + i] = const_x[d], const_y[d]
-    return OpMatrix.from_entries(b_space.dim, ny + nx, entries)
+    placed = []
+    for stamp, cells in zip(b_space.constant_stamps((1, 0), (0, 1)), b_space.mesh.chart_cells):
+        j, i = np.divmod(cells, nx)  # the cell is (i, j) on the grid
+        placed.append((stamp, b_space.offset(cells), np.stack((j, ny + i), axis=1)))
+    return OpMatrix.from_stamps(b_space.dim, ny + nx, placed)
 
 
 def naive_quad_report(nx: int, ny: int, lx=1, ly=1, float_check: bool = False) -> Report:

@@ -25,15 +25,17 @@ along it; cell and interior node), never by their coordinates.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .exactla import ExactSolveError, LinearExpander
 from .exactla import solve_square  # unused; perfbench/tracing.py rebinds it here
 from .mesh import Cell, Mesh, MeshKind
 from .poly import IDENTITY2, Poly, RefCell, VecPoly
+from .sparse import OpMatrix, Stamp
 
 __all__ = [
     "SpanError",
@@ -184,12 +186,12 @@ class LocalBasis:
 
 
 @lru_cache(maxsize=None)
-def _constant_coefficients(local: LocalBasis, *value) -> tuple[Fraction, ...]:
-    """Coefficients in ``local`` of the constant ``value``: one number for a
-    scalar basis, two components for a vector basis; expanded once per
-    process."""
-    const = VecPoly.constant(*value) if len(value) == 2 else Poly.const(*value)
-    return tuple(local.expand(const))
+def _constant_stamp(local: LocalBasis, values: tuple) -> Stamp:
+    """The stamp of the constants ``values`` in ``local``: entry (i, j) is
+    coefficient i of values[j], a number for a scalar basis or a pair
+    (cx, cy) for a vector basis; expanded once per process."""
+    consts = [VecPoly.constant(*v) if isinstance(v, tuple) else Poly.const(v) for v in values]
+    return Stamp.of((i, j, c) for j, f in enumerate(consts) for i, c in enumerate(local.expand(f)))
 
 
 @lru_cache(maxsize=None)
@@ -306,14 +308,24 @@ class DGVectorSpace:
     def offset(self, cell_index: int) -> int:
         return cell_index * self.local_dim
 
+    def constant_stamps(self, *values) -> list[Stamp]:
+        """Per chart id, the stamp of the constant fields ``values``, each a
+        pair (cx, cy), in the chart's local basis (``_constant_stamp``)."""
+        return [_constant_stamp(self.local(self.mesh.cell(cells[0])), values)
+                for cells in self.mesh.chart_cells]
+
+    def constant_columns(self, *values) -> OpMatrix:
+        """The constant fields ``values``, each a pair (cx, cy), as the
+        columns of one matrix: each chart's stamp placed at its cells."""
+        span = np.arange(len(values))
+        return OpMatrix.from_stamps(
+            self.dim, len(values),
+            ((stamp, self.offset(cells), np.broadcast_to(span, (cells.size, span.size)))
+             for stamp, cells in zip(self.constant_stamps(*values), self.mesh.chart_cells)))
+
     def constant_vector(self, cx, cy) -> list[Fraction]:
         """Global coefficient vector of the constant field (cx, cy)."""
-        expanded: dict[int, tuple[Fraction, ...]] = {}  # chart -> the field's coefficients
-        for cell in self.mesh.cells:
-            if cell.chart not in expanded:
-                expanded[cell.chart] = _constant_coefficients(self.local(cell), cx, cy)
-        return list(itertools.chain.from_iterable(expanded[cell.chart]
-                                                  for cell in self.mesh.cells))
+        return self.constant_columns((cx, cy)).column(0)
 
     def descriptor(self) -> dict:
         return {
@@ -357,32 +369,41 @@ class ContinuousScalarSpace:
     def __init__(self, mesh: Mesh, degree: int):
         self.mesh = mesh
         self.degree = degree
-        ref = RefCell.TRIANGLE if mesh.kind is MeshKind.TRIANGULAR else RefCell.SQUARE
-        self.ref = ref
-        self.nodes, self.local = lagrange_basis(ref, degree)
-        places = _node_places(ref, degree)
-        table: dict = {}
-        self.cell_dofs: list[list[int]] = []
-        for cell in mesh.cells:
-            dofs = []
-            for n, (where, e, a) in enumerate(places):
-                if where == "vertex":
-                    key = ("vertex", cell.vertices[e])
-                elif where == "edge":
-                    face, along = cell.edge_faces[e]
-                    key = ("face", face, a if along else degree - a)
-                else:
-                    key = ("cell", cell.index, n)
-                if key not in table:
-                    table[key] = len(table)
-                dofs.append(table[key])
-            if len(set(dofs)) != len(dofs):
-                raise AssertionError("periodic identification collapsed nodes inside one cell")
-            self.cell_dofs.append(dofs)
-        self.dim = len(table)
+        self.ref = mesh.ref
+        self.nodes, self.local = lagrange_basis(mesh.ref, degree)
+        where, edge, at = (np.array(column) for column in zip(*_node_places(mesh.ref, degree)))
+        # one integer key per node: its vertex point; past the points, degree
+        # keys per face, one per position along the face's P->Q; past the
+        # faces, one per cell and node
+        nodes = where.size
+        faces_at = mesh.num_points
+        cells_at = faces_at + degree * mesh.num_faces
+        on_face = faces_at + degree * mesh.cell_faces[:, edge] + np.where(
+            mesh.cell_along[:, edge], at, degree - at)
+        inside = cells_at + nodes * np.arange(mesh.num_cells)[:, None] + np.arange(nodes)
+        keys = np.where(where == "vertex", mesh.cell_vertices[:, edge],
+                        np.where(where == "edge", on_face, inside))
+        # number the keys in first-seen order, cell by cell
+        seen = keys.size
+        first = np.full(cells_at + nodes * mesh.num_cells, seen)
+        np.minimum.at(first, keys.ravel(), np.arange(seen))  # each key's first position
+        used = (first < seen).nonzero()[0]
+        number = np.empty(first.size, dtype=np.int64)
+        number[used[first[used].argsort()]] = np.arange(used.size)
+        self.dofs = number[keys]
+        self.dofs.flags.writeable = False
+        ordered = np.sort(self.dofs, axis=1)
+        if (ordered[:, 1:] == ordered[:, :-1]).any():
+            raise AssertionError("periodic identification collapsed nodes inside one cell")
+        self.dim = used.size
+
+    @cached_property
+    def cell_dofs(self) -> list[list[int]]:
+        """``dofs`` as lists, one per cell."""
+        return self.dofs.tolist()
 
     def shape_functions(self, cell: Cell) -> list[tuple[int, Poly]]:
-        return list(zip(self.cell_dofs[cell.index], self.local.elements))
+        return list(zip(self.dofs[cell.index].tolist(), self.local.elements))
 
     def constant_vector(self, value=1) -> list[Fraction]:
         return [Fraction(value)] * self.dim
@@ -412,12 +433,11 @@ class CodomainSpace:
         self.face_degree = face_degree
         self.cell_family = cell_family
         self.cell_param = cell_param
-        ref = RefCell.TRIANGLE if mesh.kind is MeshKind.TRIANGULAR else RefCell.SQUARE
         if cell_family is None or (cell_family in ("p", "q") and cell_param < 0):
             self.cell_local = None
             self.cell_dim = 0
         else:
-            self.cell_local = scalar_local_basis(ref, cell_family, cell_param)
+            self.cell_local = scalar_local_basis(mesh.ref, cell_family, cell_param)
             self.cell_dim = self.cell_local.dim
         self.face_dim = face_degree + 1
         self._face_base = self.cell_dim * mesh.num_cells
@@ -429,14 +449,22 @@ class CodomainSpace:
     def face_offset(self, face_index: int) -> int:
         return self._face_base + face_index * self.face_dim
 
+    def uniform_column(self, value=1) -> OpMatrix:
+        """The element equal to ``value`` on every cell and every face, as
+        one column: the cell factor's constant stamp at every cell, and
+        ``value`` on each face's Legendre L_0 = 1."""
+        value = Fraction(value)
+        cells, faces = np.arange(self.mesh.num_cells), np.arange(self.mesh.num_faces)
+        placed = [(Stamp.of([(0, 0, value)]), self.face_offset(faces),
+                   np.zeros((faces.size, 1), dtype=np.int64))]
+        if self.cell_dim:
+            placed.append((_constant_stamp(self.cell_local, (value,)), self.cell_offset(cells),
+                           np.zeros((cells.size, 1), dtype=np.int64)))
+        return OpMatrix.from_stamps(self.dim, 1, placed)
+
     def uniform_vector(self, value=1) -> list[Fraction]:
         """The element equal to ``value`` on every cell and every face."""
-        value = Fraction(value)
-        coeffs = list(_constant_coefficients(self.cell_local, value)) if self.cell_dim else []
-        v = coeffs * self.mesh.num_cells + [_ZERO] * (self.dim - self._face_base)
-        for face in self.mesh.faces:
-            v[self.face_offset(face.index)] = value  # Legendre L_0 = 1
-        return v
+        return self.uniform_column(value).column(0)
 
     def descriptor(self) -> dict:
         return {

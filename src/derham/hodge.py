@@ -164,8 +164,7 @@ class FloatHodgeSplitter:
         self._weight = np.linalg.cholesky(gb).T  # <u,v>_G = (Wu).(Wv)
         self._first = first
         self._adj = np.linalg.solve(gb, second.T @ gc)
-        self._consts = np.array(
-            [[float(v) for v in c] for c in inst.constant_fields()]).T
+        self._consts = inst.b_space.constant_columns((1, 0), (0, 1)).float_array()
         self._wf = self._weight @ self._first
         self._wa = self._weight @ self._adj
         self._wc = self._weight @ self._consts

@@ -7,17 +7,20 @@ geometry is exact rational.  Entity numbering is a pure function of
 cell), faces x-normal block, then y-normal block, then diagonals, points
 row-major on the grid lattice.
 
-Incidence is recorded as the mesh is built, from integer lattice
-coordinates: each cell knows its vertex point indices in reference-vertex
-order and, for each reference edge, its face and whether the face's P->Q
-runs along that edge.  Code that needs to know where a face sits in a cell
-reads it from this record (``edge_segment`` gives the segment), not from
-rational geometry.  Besides this incidence a ``Cell`` records only its
-chart map and chart id; its inverse map is derived on first read.  Cells of
-one chart share one linear part; each adds only its offset.  Charts are
-numbered: ``cell.chart`` is an int index into ``mesh.charts``, the distinct
-linear parts, so code that groups cells by chart keys on small integers and
-reads a chart's rational entries once.
+The incidence is computed from integer lattice coordinates, for all cells
+at once, and held as read-only integer arrays: per cell its chart id, its
+vertex point indices in reference-vertex order and, for each reference
+edge, its face and whether the face's P->Q runs along that edge; per face
+its left and right cell.  Code that needs to know where a face sits in a
+cell reads it from these arrays (``edge_segment`` gives the segment), not
+from rational geometry.  Charts are numbered: a cell's chart is an int
+index into ``mesh.charts``, the distinct linear parts, so code that groups
+cells by chart keys on small integers and reads a chart's rational entries
+once.  ``Cell`` and ``Face`` records, with exact rational geometry, are
+made from the arrays only for callers that read one (``mesh.cell(i)``,
+``mesh.face(f)``, or all of them through ``mesh.cells`` and
+``mesh.faces``); a cell's inverse map is derived on first read.  Cells of
+one chart share one linear part; each adds only its offset.
 
 Face orientation: the stored unnormalized normal is the +90 degree rotation
 of P->Q and has the same length as the face, so line integrals of normal
@@ -33,6 +36,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -152,41 +156,99 @@ class Face:
 
 class Mesh:
     """Periodic mesh with exact rational geometry; ``charts[i]`` is the
-    linear part of every cell with ``chart == i``."""
+    linear part of every cell with ``chart == i``.
+
+    The incidence is held as read-only integer arrays, one row per cell or
+    face: ``cell_chart``, ``cell_vertices`` (point indices in
+    reference-vertex order), ``cell_faces`` and ``cell_along`` (per
+    reference edge, its face and whether the face's p->q runs along it) and
+    ``face_cells`` (left and right cell).  ``cell(i)`` and ``face(f)`` make
+    the ``Cell`` or ``Face`` record of one entity; ``cells``, ``faces`` and
+    ``points`` make every one, on first read.
+    """
 
     def __init__(self, kind: MeshKind, nx: int, ny: int, lx: Fraction, ly: Fraction,
-                 cells: list[Cell], faces: list[Face], points: list[tuple[Fraction, Fraction]],
-                 charts: tuple):
+                 charts: tuple, cell_chart: np.ndarray, cell_vertices: np.ndarray,
+                 cell_faces: np.ndarray, cell_along: np.ndarray, face_cells: np.ndarray,
+                 face_wrap: np.ndarray):
         self.kind = kind
+        self.ref = RefCell.TRIANGLE if kind is MeshKind.TRIANGULAR else RefCell.SQUARE
         self.nx = nx
         self.ny = ny
         self.lx = lx
         self.ly = ly
-        self.cells = cells
-        self.faces = faces
-        self.points = points
+        self.hx = lx / nx
+        self.hy = ly / ny
         self.charts = charts
+        self.cell_chart = cell_chart
+        self.cell_vertices = cell_vertices
+        self.cell_faces = cell_faces
+        self.cell_along = cell_along
+        self.face_cells = face_cells
+        # per face and side (left, right): the periods (x, y) that carry the
+        # face's start into that cell's chart, read only by ``face``
+        self._face_wrap = face_wrap
+        self._cells: dict[int, Cell] = {}  # the records made so far, by index
+        for a in (cell_chart, cell_vertices, cell_faces, cell_along, face_cells, face_wrap):
+            a.flags.writeable = False
 
     @cached_property
     def chart_cells(self) -> tuple[np.ndarray, ...]:
         """Per chart id, the indices of its cells in mesh order; read only."""
-        ids = np.array([cell.chart for cell in self.cells], dtype=np.int64)
-        out = tuple((ids == chart).nonzero()[0] for chart in range(len(self.charts)))
+        out = tuple((self.cell_chart == chart).nonzero()[0] for chart in range(len(self.charts)))
         for cells in out:
             cells.flags.writeable = False
         return out
 
+    def cell(self, index) -> Cell:
+        """The record of cell ``index``, made from the arrays on first read."""
+        index = int(index)
+        if index not in self._cells:
+            square, chart = divmod(index, len(self.charts))  # one cell per chart in a square
+            j, i = divmod(square, self.nx)
+            self._cells[index] = Cell(
+                index, self.ref, chart, AffineMap(self.charts[chart], (i * self.hx, j * self.hy)),
+                tuple(self.cell_vertices[index].tolist()),
+                tuple(zip(self.cell_faces[index].tolist(), self.cell_along[index].tolist())))
+        return self._cells[index]
+
+    def face(self, index) -> Face:
+        """The record of face ``index``, made from the arrays."""
+        index = int(index)
+        kind, square = divmod(index, self.nx * self.ny)
+        name, offset, step = _FACE_KINDS[kind]
+        j, i = divmod(square, self.nx)
+        sx, sy = i + offset[0], j + offset[1]
+        left, right = self.face_cells[index].tolist()
+        (left_x, left_y), (right_x, right_y) = self._face_wrap[index].tolist()
+        hx, hy, lx, ly = self.hx, self.hy, self.lx, self.ly
+        return Face(index, name, (sx * hx, sy * hy), ((sx + step[0]) * hx, (sy + step[1]) * hy),
+                    left, right, (left_x * lx, left_y * ly), (right_x * lx, right_y * ly))
+
+    @cached_property
+    def cells(self) -> list[Cell]:
+        return [self.cell(c) for c in range(self.num_cells)]
+
+    @cached_property
+    def faces(self) -> list[Face]:
+        return [self.face(f) for f in range(self.num_faces)]
+
+    @cached_property
+    def points(self) -> list[tuple[Fraction, Fraction]]:
+        """The lattice points, row-major."""
+        return [(i * self.hx, j * self.hy) for j in range(self.ny) for i in range(self.nx)]
+
     @property
     def num_cells(self) -> int:
-        return len(self.cells)
+        return self.cell_chart.size
 
     @property
     def num_faces(self) -> int:
-        return len(self.faces)
+        return self.face_cells.shape[0]
 
     @property
     def num_points(self) -> int:
-        return len(self.points)
+        return self.nx * self.ny
 
     @property
     def euler_characteristic(self) -> int:
@@ -210,6 +272,57 @@ class Mesh:
         return f"Mesh({self.kind.value}, {self.nx}x{self.ny}, cells={self.num_cells})"
 
 
+# the face kinds, in numbering order: name, the lattice offset of the start
+# of the face of grid square (i, j) from (i, j), and its step.  x-normal
+# faces are the east sides of the squares, pointing down so the +90 degree
+# rotation gives normal (+hy, 0); y-normal faces the north sides, pointing in
+# +x; diagonals (triangulation only) run low-left -> up-right, normal (-hy, hx)
+_FACE_KINDS = (("x", (1, 1), (0, -1)), ("y", (0, 1), (1, 0)), ("diag", (0, 0), (1, 1)))
+
+
+class _Square(NamedTuple):
+    """The cells of one grid square, one per chart, as lattice data over
+    (chart, edge): the vertex offsets from the square's corner in
+    reference-vertex order, whether the edge's face runs p->q along it, that
+    face's kind and the offset of the face's start from the square's corner.
+    Each edge finds its face by (start, step), in either direction; a face
+    whose p->q runs along the cell's counterclockwise edge has its normal
+    pointing into the cell, so that cell is its right."""
+
+    corners: np.ndarray
+    along: np.ndarray
+    face_kind: np.ndarray
+    face_start: np.ndarray
+    face_kinds: int
+
+    @classmethod
+    def of(cls, corners, face_kinds: int) -> "_Square":
+        by_step = {step: (f, offset)
+                   for f, (_, offset, step) in enumerate(_FACE_KINDS[:face_kinds])}
+        along, faces, starts = [], [], []
+        for cell in corners:
+            for a, b in zip(cell, cell[1:] + cell[:1]):
+                step = (b[0] - a[0], b[1] - a[1])
+                along.append(step in by_step)
+                f, offset = by_step[step if along[-1] else (-step[0], -step[1])]
+                start = a if along[-1] else b
+                faces.append(f)
+                starts.append((start[0] - offset[0], start[1] - offset[1]))
+        shape = (len(corners), len(corners[0]))
+        arrays = (np.array(corners), np.array(along).reshape(shape),
+                  np.array(faces).reshape(shape), np.array(starts).reshape(shape + (2,)))
+        for a in arrays:
+            a.flags.writeable = False
+        return cls(*arrays, face_kinds)
+
+
+# lower triangle: (i,j) -> (i+1,j) -> (i+1,j+1); upper: (i,j) -> (i+1,j+1) -> (i,j+1)
+_SQUARES = {
+    MeshKind.CARTESIAN: _Square.of([((0, 0), (1, 0), (1, 1), (0, 1))], 2),
+    MeshKind.TRIANGULAR: _Square.of([((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1))], 3),
+}
+
+
 def build_mesh(kind: MeshKind, nx: int, ny: int, lx=1, ly=1) -> Mesh:
     """Build a periodic mesh; requires nx, ny >= 2 so no face is self-adjacent."""
     if not isinstance(nx, int) or not isinstance(ny, int):
@@ -222,70 +335,39 @@ def build_mesh(kind: MeshKind, nx: int, ny: int, lx=1, ly=1) -> Mesh:
         raise ValueError("periods must be positive")
     hx = lx / nx
     hy = ly / ny
-    # lattice coordinates, including one period back for seam offsets
-    xs = {a: a * hx for a in range(-nx, nx + 1)}
-    ys = {b: b * hy for b in range(-ny, ny + 1)}
-
-    points = [(xs[i], ys[j]) for j in range(ny) for i in range(nx)]
-
-    # the cells of one grid square: chart linear part and the lattice offsets
-    # of the cell's vertices in reference-vertex order
+    # the chart linear parts of the cells of one grid square, in _SQUARES order
     if kind is MeshKind.CARTESIAN:
-        ref = RefCell.SQUARE
-        shapes = [(((hx, 0), (0, hy)), ((0, 0), (1, 0), (1, 1), (0, 1)))]
+        linear = [((hx, 0), (0, hy))]
     elif kind is MeshKind.TRIANGULAR:
-        ref = RefCell.TRIANGLE
-        # lower: (i,j) -> (i+1,j) -> (i+1,j+1); upper: (i,j) -> (i+1,j+1) -> (i,j+1)
-        shapes = [(((hx, hx), (0, hy)), ((0, 0), (1, 0), (1, 1))),
-                  (((hx, 0), (hy, hy)), ((0, 0), (1, 1), (0, 1)))]
+        linear = [((hx, hx), (0, hy)), ((hx, 0), (hy, hy))]
     else:
         raise ValueError(f"unknown mesh kind: {kind!r}")
-    charts = [(AffineMap.make(m, (0, 0)).m, corners) for m, corners in shapes]
+    square = _SQUARES[kind]
 
-    # faces as lattice segments start -> start + step: x-normal faces are the
-    # east sides of grid cell (i,j), pointing down so the +90 degree rotation
-    # gives normal (+hy, 0); y-normal faces the north sides, pointing in +x;
-    # diagonals (triangulation only) run low-left -> up-right, normal (-hy, hx)
-    segments = [("x", (i + 1, j + 1), (0, -1)) for j in range(ny) for i in range(nx)]
-    segments += [("y", (i, j + 1), (1, 0)) for j in range(ny) for i in range(nx)]
-    if kind is MeshKind.TRIANGULAR:
-        segments += [("diag", (i, j), (1, 1)) for j in range(ny) for i in range(nx)]
-    face_at = {((s[0] % nx, s[1] % ny), step): f for f, (_, s, step) in enumerate(segments)}
+    # every array below is (grid square, chart, edge); cells run square by
+    # square, one per chart, so they flatten to (cell, edge)
+    squares = nx * ny
+    sj, si = np.divmod(np.arange(squares), nx)
+    si, sj = si[:, None, None], sj[:, None, None]
+    cell_vertices = (si + square.corners[..., 0]) % nx + (sj + square.corners[..., 1]) % ny * nx
+    wrap_x, fx = np.divmod(si + square.face_start[..., 0], nx)
+    wrap_y, fy = np.divmod(sj + square.face_start[..., 1], ny)
+    cell_faces = square.face_kind * squares + fy * nx + fx
+    charts, nedges = square.along.shape
+    ncells = squares * charts
+    side = np.broadcast_to(square.along, cell_faces.shape).astype(np.int64)
+    face_cells = np.full((square.face_kinds * squares, 2), -1, dtype=np.int64)
+    face_cells[cell_faces, side] = np.arange(ncells).reshape(squares, charts, 1)
+    if (face_cells < 0).any():
+        f = int((face_cells < 0).any(axis=1).nonzero()[0][0])
+        raise AssertionError(f"face {f} is not bounded by one left and one right cell")
+    face_wrap = np.zeros((face_cells.shape[0], 2, 2), dtype=np.int64)
+    face_wrap[cell_faces, side] = np.stack((wrap_x, wrap_y), axis=-1)
 
-    # each cell edge finds its face by (wrapped start, step), in either
-    # direction; a face whose p->q runs along the cell's counterclockwise
-    # edge has its normal pointing into the cell, so that cell is its right
-    sides: list[list] = [[None, None] for _ in segments]  # [left, right]: (cell, lattice start)
-    cells: list[Cell] = []
-    for j in range(ny):
-        for i in range(nx):
-            o = (xs[i], ys[j])
-            for chart, (m, corners) in enumerate(charts):
-                verts = [(i + a, j + b) for a, b in corners]
-                edge_faces = []
-                for e, a in enumerate(verts):
-                    b = verts[(e + 1) % len(verts)]
-                    step = (b[0] - a[0], b[1] - a[1])
-                    f = face_at.get(((a[0] % nx, a[1] % ny), step))
-                    along = f is not None
-                    if not along:
-                        f = face_at[((b[0] % nx, b[1] % ny), (-step[0], -step[1]))]
-                    sides[f][along] = (len(cells), a if along else b)
-                    edge_faces.append((f, along))
-                cells.append(Cell(len(cells), ref, chart, AffineMap(m, o),
-                                  tuple(a % nx + (b % ny) * nx for a, b in verts),
-                                  tuple(edge_faces)))
-
-    faces: list[Face] = []
-    for f, (fkind, s, step) in enumerate(segments):
-        if None in sides[f]:
-            raise AssertionError(f"face {f} is not bounded by one left and one right cell")
-        (left, at_left), (right, at_right) = sides[f]
-        faces.append(Face(f, fkind, (xs[s[0]], ys[s[1]]), (xs[s[0] + step[0]], ys[s[1] + step[1]]),
-                          left, right, (xs[at_left[0] - s[0]], ys[at_left[1] - s[1]]),
-                          (xs[at_right[0] - s[0]], ys[at_right[1] - s[1]])))
-
-    mesh = Mesh(kind, nx, ny, lx, ly, cells, faces, points, tuple(c[0] for c in charts))
+    mesh = Mesh(kind, nx, ny, lx, ly, tuple(AffineMap.make(m, (0, 0)).m for m in linear),
+                np.arange(ncells) % charts, cell_vertices.reshape(ncells, nedges),
+                cell_faces.reshape(ncells, nedges), side.reshape(ncells, nedges).astype(bool),
+                face_cells, face_wrap)
     expected = entity_counts(kind, nx, ny)
     got = (mesh.num_cells, mesh.num_faces, mesh.num_points)
     if got != expected:

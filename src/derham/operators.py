@@ -181,9 +181,9 @@ def _face_block(degree: int) -> GramBlock:
 def _cell_blocks(mesh, local_of) -> list[GramBlock]:
     """Each cell's local Gram block times jac, in cell order; the cells of a
     chart share one block."""
-    charts = [_scaled_block(local_of(mesh.cells[cells[0]]), abs(mesh.cells[cells[0]].fmap.det()))
-              for cells in mesh.chart_cells]
-    return [charts[cell.chart] for cell in mesh.cells]
+    firsts = [mesh.cell(cells[0]) for cells in mesh.chart_cells]
+    charts = [_scaled_block(local_of(cell), cell.jac) for cell in firsts]
+    return [charts[chart] for chart in mesh.cell_chart.tolist()]
 
 
 def assemble_gram(space) -> GramMatrix:
@@ -220,15 +220,14 @@ def _assemble_first(a_space: ContinuousScalarSpace, b_space: DGVectorSpace,
     mesh = a_space.mesh
     if mesh is not b_space.mesh:
         raise ValueError("spaces live on different meshes")
-    dofs = np.array(a_space.cell_dofs, dtype=np.int64)
     placed = []
     for cells in mesh.chart_cells:
-        cell = mesh.cells[cells[0]]
+        cell = mesh.cell(cells[0])
         try:
             stamp = _cell_stamp(a_space.local, b_space.local(cell), cell.m_inv, op)
         except SpanError as exc:
             raise MembershipError(f"{name} on cell {cell.index}: {exc}") from exc
-        placed.append((stamp, b_space.offset(cells), dofs[cells]))
+        placed.append((stamp, b_space.offset(cells), a_space.dofs[cells]))
     return OpMatrix.from_stamps(b_space.dim, a_space.dim, placed,
                                 domain=f"scalar_deg{a_space.degree}",
                                 codomain=f"{b_space.family}_k{b_space.k}")
@@ -270,30 +269,28 @@ def _place_jumps(b_space: DGVectorSpace, c_space: CodomainSpace, tangential: boo
     mesh = b_space.mesh
     kdeg = c_space.face_degree
     span = np.arange(b_space.local_dim)
-    sides: dict = {}  # (chart, edge, along) -> (faces, cells)
-    for cell in mesh.cells:
-        for edge, (f, along) in enumerate(cell.edge_faces):
-            at = sides.get((cell.chart, edge, along))
-            if at is None:
-                at = sides[cell.chart, edge, along] = ([], [])
-            at[0].append(f)
-            at[1].append(cell.index)
     placed = []
     failed = []  # (first face, side, exception) of every key whose trace leaves the space
-    for (chart, edge, along), (faces, cells) in sides.items():
-        source = b_space.local(mesh.cells[cells[0]])
-        try:
-            stamp = _trace_stamp(source, mesh.charts[chart], edge, along, tangential, kdeg,
-                                 1 if along else -1)
-        except TraceDegreeError as exc:
-            failed.append((min(faces), along, exc))
-            continue
-        placed.append((stamp, c_space.face_offset(np.array(faces)),
-                       b_space.offset(np.array(cells))[:, None] + span))
+    for chart, cells in enumerate(mesh.chart_cells):
+        source = b_space.local(mesh.cell(cells[0]))
+        for edge in range(mesh.cell_faces.shape[1]):
+            faces, alongs = mesh.cell_faces[cells, edge], mesh.cell_along[cells, edge]
+            for along in (False, True):
+                at = alongs == along
+                if not at.any():
+                    continue
+                try:
+                    stamp = _trace_stamp(source, mesh.charts[chart], edge, along, tangential,
+                                         kdeg, 1 if along else -1)
+                except TraceDegreeError as exc:
+                    failed.append((int(faces[at].min()), along, exc))
+                    continue
+                placed.append((stamp, c_space.face_offset(faces[at]),
+                               b_space.offset(cells[at])[:, None] + span))
     if failed:  # name the first face side in mesh order, left before right
         f, along, exc = min(failed, key=lambda fail: fail[:2])
         raise MembershipError(
-            f"{name} trace on face {f} ({mesh.faces[f].kind}, {'right' if along else 'left'}): "
+            f"{name} trace on face {f} ({mesh.face(f).kind}, {'right' if along else 'left'}): "
             f"degree {exc.degree} exceeds face degree {kdeg}") from exc
     return placed
 
@@ -306,7 +303,7 @@ def _assemble_second(b_space: DGVectorSpace, c_space: CodomainSpace,
     span = np.arange(b_space.local_dim)
     placed = []
     for cells in mesh.chart_cells if cell_op else ():  # no cell part in assemble_jumps
-        cell = mesh.cells[cells[0]]
+        cell = mesh.cell(cells[0])
         try:
             stamp = _cell_stamp(b_space.local(cell), c_space.cell_local, cell.m_inv, cell_op)
         except SpanError as exc:

@@ -250,8 +250,9 @@ class OpMatrix:
             cols_at = np.asarray(cols_at, dtype=np.int64)
             rows.append((where[:, None] + stamp.rows).ravel())
             cols.append(cols_at[:, stamp.cols].ravel())
-            nums.append(np.tile(stamp.num, where.size))
-            dens.append(np.tile(stamp.den, where.size))
+            # the stamp's values once per place (np.tile, without its overhead)
+            nums.append(stamp.num[None, :].repeat(where.size, axis=0).ravel())
+            dens.append(stamp.den[None, :].repeat(where.size, axis=0).ravel())
         if not rows:
             return cls(nrows, ncols, domain, codomain)
         return cls._from_triplets(nrows, ncols, np.concatenate(rows), np.concatenate(cols),
@@ -280,6 +281,14 @@ class OpMatrix:
         of length nrows, over the positive denominator dens[j]."""
         num = _ints([v for col in columns for v in col])
         return cls._from_dense(nrows, len(columns), num, _ints(dens).repeat(nrows))
+
+    @classmethod
+    def from_integer_array(cls, num: np.ndarray) -> "OpMatrix":
+        """The matrix of a dense 2-D integer array, int64 or object (Python
+        ints).  Its nonzeros are read in row-major order, so nothing is
+        sorted."""
+        rows, cols = num.nonzero()
+        return cls._from_sorted(num.shape[0], num.shape[1], rows, cols, num[rows, cols], 1)
 
     @classmethod
     def _from_dense(cls, nrows: int, ncols: int, num: np.ndarray, den: np.ndarray) -> "OpMatrix":

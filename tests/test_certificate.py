@@ -20,7 +20,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from derham import complexcheck, exactla, hodge
@@ -35,6 +35,7 @@ from derham.complexcheck import (
 )
 from derham.exactla import exact_rank, rank_nullspace, span_compare
 from derham.operators import GramBlock, GramMatrix, OpMatrix
+from oracles import kernel_is_weight_loop
 
 
 def perturbed(op, deltas):
@@ -646,6 +647,63 @@ def test_uncovered_dof_fails_the_local_test():
     assert not complexcheck._kernel_is_weight(wider, size, weight + [Fraction(1)])
 
 
+@st.composite
+def cell_operators(draw):
+    """(rows, ncols, cell_size, weight) for ``_kernel_is_weight``: cells of
+    rows that are integer combinations of differences of a few dofs (so each
+    kills a weight that is 1 on those dofs), some given the previous cell's
+    block on other dofs, over small denominators and, in some draws, scaled
+    past int64; then up to cell_size - 1 rows past the last cell, and a
+    weight that may vanish at one dof."""
+    cell_size, ncols = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    scale = draw(st.sampled_from([1, 1, 2 ** 70]))
+    rows, block = [], None
+    for _ in range(draw(st.integers(1, 4))):
+        if block and draw(st.booleans()):  # the previous block, on other dofs
+            old = sorted({d for row in block for d in row})
+            new = draw(st.lists(st.integers(0, ncols - 1), min_size=len(old), max_size=len(old),
+                                unique=True))
+            block = [{new[old.index(d)]: v for d, v in row.items()} for row in block]
+        else:
+            dofs = draw(st.lists(st.integers(0, ncols - 1), min_size=1, max_size=cell_size + 1,
+                                 unique=True))
+            block = []
+            for _ in range(cell_size):
+                row = dict.fromkeys(dofs, 0)
+                for a, b in zip(dofs, dofs[1:]):
+                    c = draw(st.integers(-3, 3))
+                    row[a] += c
+                    row[b] -= c
+                if draw(st.integers(0, 9)) == 0:  # a row that no longer kills the weight
+                    row[dofs[0]] += 1
+                den = draw(st.integers(1, 4))
+                block.append({d: Fraction(v * scale, den) for d, v in row.items() if v})
+        rows += block
+    rows += [{0: Fraction(1)}] * draw(st.integers(0, cell_size - 1))
+    weight = [1] * ncols
+    zero = draw(st.none() | st.integers(0, ncols - 1))
+    if zero is not None:
+        weight[zero] = 0
+    return rows, ncols, cell_size, weight
+
+
+@seed(2611)
+@settings(max_examples=300, deadline=None)
+@given(cell_operators())
+@example(([{0: 1, 1: -1}, {1: 1, 2: -1}, {2: 1, 3: -1}, {}], 4, 2, [1] * 4))  # unequal columns
+@example(([{0: 2 ** 70, 1: -2 ** 70}, {1: 1, 2: -1}, {2: 1, 3: -1}, {}], 4, 2, [1] * 4))
+@example(([{0: 1, 1: -1}, {}, {2: 1, 3: -1}, {}], 4, 2, [1] * 4))  # two components
+@example(([{0: 1, 1: -1}, {1: 1, 2: -1}], 3, 1, [1, 0, 1]))  # joined where weight vanishes
+@example(([{0: 1, 1: -1}, {1: 1, 2: -1}], 4, 1, [1] * 4))  # an uncovered dof
+@example(([{0: 1, 1: -1}, {1: 1, 2: -1}, {0: 1}], 3, 2, [1] * 3))  # a row past the last cell
+def test_array_kernel_test_matches_the_cell_loop(case):
+    """The array ``_kernel_is_weight`` gives the cell-by-cell loop's verdict."""
+    rows, ncols, cell_size, weight = case
+    op = rows_op(rows, ncols)
+    assert complexcheck._kernel_is_weight(op, cell_size, weight) == kernel_is_weight_loop(
+        op, cell_size, weight)
+
+
 def negated(rows):
     return GramBlock([[-v for v in row] for row in rows])
 
@@ -696,8 +754,8 @@ def test_dependent_constants_or_wrong_dimensions_fall_through(monkeypatch):
     """The 2x2 Gram matrix of the constants and dim A - dim B + dim C = 0 are
     part of the local certificate."""
     inst = build_diagram("quad-enriched", 2, 2, 1)
-    first_const = inst.constant_fields()[0]
-    monkeypatch.setattr(inst, "constant_fields", lambda: [first_const, first_const])
+    columns = inst.b_space.constant_columns
+    monkeypatch.setattr(inst.b_space, "constant_columns", lambda *values: columns((1, 0), (1, 0)))
     local = certify_complex(inst)
     global_only(monkeypatch)
     assert certificate_facts(local) == certificate_facts(certify_complex(inst))

@@ -196,11 +196,15 @@ def test_width_cap_exits_2_on_broken_diagram(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_width_cap_names_the_float_backend_for_hodge(capsys, monkeypatch):
-    code, out, err = run_broken_over_cap(capsys, monkeypatch, "hodge")
+@pytest.mark.parametrize("command", ["verify", "hodge"])
+def test_width_cap_names_no_float_backend(capsys, monkeypatch, command):
+    # the float Hodge backend is slower than the exact one, so no command's
+    # width-cap message advises it
+    code, out, err = run_broken_over_cap(capsys, monkeypatch, command)
     assert code == 2
     assert out == ""
-    assert err.endswith("; raise DERHAM_MAX_EXACT_COLS or use --backend float\n")
+    assert err.endswith("; raise DERHAM_MAX_EXACT_COLS\n")
+    assert "float" not in err
 
 
 def test_hodge_ignores_width_cap(capsys, monkeypatch):
@@ -237,7 +241,8 @@ def fake_pool(monkeypatch):
     return FakePool
 
 
-def test_jobs_pool_sized_to_job_count(capsys, fake_pool):
+def test_jobs_pool_sized_to_job_count(capsys, fake_pool, monkeypatch):
+    monkeypatch.setattr("derham.cli.os.cpu_count", lambda: 8)  # more cores than jobs
     code, out, _ = run(capsys, "verify", "--diagram", "tri-dp", "--k", "0..1",
                        "--jobs", "100000")
     assert code == 0
@@ -249,6 +254,38 @@ def test_jobs_single_job_runs_inline(capsys, fake_pool):
     code, _, _ = run(capsys, "verify", "--diagram", "tri-dp", "--jobs", "8")
     assert code == 0
     assert fake_pool.sizes == []
+
+
+def test_jobs_pool_capped_at_the_core_count(capsys, fake_pool, monkeypatch):
+    monkeypatch.setattr("derham.cli.os.cpu_count", lambda: 3)
+    code, out, _ = run(capsys, "verify", "--all", "--jobs", "1000")
+    assert code == 0
+    assert fake_pool.sizes == [3]
+    fake_pool.sizes.clear()
+    monkeypatch.setattr("derham.cli.os.cpu_count", lambda: None)  # unknown: run inline
+    assert run(capsys, "verify", "--diagram", "tri-dp", "--k", "0..1", "--jobs", "8")[0] == 0
+    assert fake_pool.sizes == []
+
+
+def out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("argv,report,advice", [
+    (["verify", "--diagram", "tri-dp", "--float-check"], "verify_diagram",
+     "; try a smaller mesh or drop --float-check\n"),
+    (["verify", "--diagram", "tri-dp"], "verify_diagram", "; try a smaller mesh\n"),
+    (["hodge", "--diagram", "tri-dp", "--backend", "float"], "hodge_report",
+     "; try a smaller mesh or use --backend exact\n"),
+    (["appendix", "--nx", "4", "--ny", "4"], "appendix_report", "; try a smaller mesh\n"),
+])
+def test_out_of_memory_exits_2(capsys, monkeypatch, argv, report, advice):
+    # the report raises MemoryError without allocating anything
+    monkeypatch.setattr(f"derham.cli.{report}", out_of_memory)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {argv[0]} ran out of memory{advice}"
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

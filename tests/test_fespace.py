@@ -285,3 +285,23 @@ def test_descriptors_carry_schema():
                  ContinuousScalarSpace(mesh, 1).descriptor(),
                  CodomainSpace(mesh, 0, "p", 0).descriptor()):
         assert desc["schema"] == 1 and desc["dim"] > 0
+
+
+@pytest.mark.parametrize("kind,family", [(MeshKind.TRIANGULAR, "vec_p"),
+                                         (MeshKind.TRIANGULAR, "rt_tri"),
+                                         (MeshKind.CARTESIAN, "vec_qdiv")])
+def test_constants_tiled_from_chart_stamps_expand_per_cell(kind, family):
+    """The constant fields and the uniform element, placed from per-chart
+    stamps, equal their expansions cell by cell and face by face."""
+    mesh = build_mesh(kind, 3, 2, F(7, 3), F(5, 11))
+    space = DGVectorSpace(mesh, family, 1)
+    values = ((1, 0), (F(3), F(-2, 5)))
+    columns = space.constant_columns(*values).columns()
+    for (cx, cy), column in zip(values, columns):
+        assert column == [c for cell in mesh.cells
+                          for c in space.local(cell).expand(VecPoly.constant(cx, cy))]
+    assert space.constant_vector(3, F(-2, 5)) == columns[1]
+    c_space = CodomainSpace(mesh, 1, "p", 1)
+    value = F(3, 2)
+    cell_part = c_space.cell_local.expand(Poly.const(value)) * mesh.num_cells
+    assert c_space.uniform_vector(value) == cell_part + [value, 0] * mesh.num_faces

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from derham.fespace import ContinuousScalarSpace
 from derham.mesh import Cell, MeshKind, build_mesh, edge_segment, entity_counts
 from derham.poly import AffineMap
+from oracles import build_mesh_loop, scalar_dofs_loop
 
 F = Fraction
 
@@ -162,3 +164,35 @@ def test_integer_chart_ids(kind, charts, nx, ny, lx, ly):
     assert len(set(mesh.charts)) == charts
     assert [cells.tolist() for cells in mesh.chart_cells] == [
         [cell.index for cell in mesh.cells if cell.chart == chart] for chart in range(charts)]
+
+
+@pytest.mark.parametrize("kind", [MeshKind.TRIANGULAR, MeshKind.CARTESIAN])
+@pytest.mark.parametrize("nx,ny", [(2, 2), (3, 5), (7, 4)])
+@pytest.mark.parametrize("lx,ly", [(1, 1), (F(7, 3), F(5, 11))])
+def test_records_match_the_loop_built_mesh(kind, nx, ny, lx, ly):
+    """The Cell and Face records made on demand from the incidence arrays,
+    and the continuous spaces' dofs, equal those of the mesh built cell by
+    cell; so do the arrays themselves, read row by row."""
+    mesh = build_mesh(kind, nx, ny, lx, ly)
+    cells, faces, points = build_mesh_loop(kind, nx, ny, lx, ly)
+    assert [mesh.cell(c) for c in range(mesh.num_cells)] == cells == mesh.cells
+    assert [mesh.face(f) for f in range(mesh.num_faces)] == faces == mesh.faces
+    assert mesh.points == points
+    assert mesh.cell_chart.tolist() == [cell.chart for cell in cells]
+    assert mesh.cell_vertices.tolist() == [list(cell.vertices) for cell in cells]
+    assert mesh.cell_faces.tolist() == [[f for f, _ in cell.edge_faces] for cell in cells]
+    assert mesh.cell_along.tolist() == [[a for _, a in cell.edge_faces] for cell in cells]
+    assert mesh.face_cells.tolist() == [[face.left, face.right] for face in faces]
+    for degree in (1, 2, 3):
+        space = ContinuousScalarSpace(mesh, degree)
+        assert (space.cell_dofs, space.dim) == scalar_dofs_loop(cells, degree)
+        assert space.dofs.tolist() == space.cell_dofs
+
+
+def test_records_are_made_once_and_arrays_are_read_only():
+    mesh = build_mesh(MeshKind.TRIANGULAR, 3, 2)
+    assert mesh.cell(4) is mesh.cell(4) is mesh.cells[4]
+    for a in (mesh.cell_chart, mesh.cell_vertices, mesh.cell_faces, mesh.cell_along,
+              mesh.face_cells):
+        with pytest.raises(ValueError):
+            a[0] = a[1]

@@ -478,3 +478,12 @@ def test_storage_is_frozen_and_a_sum_leaves_the_original():
         OpMatrix.from_entries(2, 2, {(2, 0): F(1)})
     with pytest.raises(ValueError, match="shape mismatch"):
         op + OpMatrix(2, 3)
+
+
+@pytest.mark.parametrize("big", [5, 2 ** 70])
+def test_integer_array_matches_its_entries(big):
+    dtype = np.int64 if big < 2 ** 63 else object
+    num = np.array([[0, 3, 0], [-2, 0, big], [0, 0, 0]], dtype=dtype)
+    op = OpMatrix.from_integer_array(num)
+    assert op.shape == (3, 3)
+    assert dict(op.entries) == {(0, 1): 3, (1, 0): -2, (1, 2): big}
