@@ -399,9 +399,9 @@ def verify_diagram(name: str, nx: int, ny: int, k: int,
 
     if float_check:
         rep.check("first_rank_float", rank_a,
-                  float_rank(inst.first), backend="float")
+                  float_rank(inst.first, spaces=(inst.b_space, inst.a_space)), backend="float")
         rep.check("second_rank_float", rank_b,
-                  float_rank(inst.second), backend="float")
+                  float_rank(inst.second, spaces=(inst.c_space, inst.b_space)), backend="float")
 
     rep.witnesses = {"rank_first": rank_a, "rank_second": rank_b,
                      "dims": [dim_a, dim_b, dim_c]}
@@ -449,7 +449,8 @@ def naive_quad_report(nx: int, ny: int, lx=1, ly=1, float_check: bool = False) -
     rep.check("strip_fields_in_kernel", True, strips_in_kernel)
     rep.check("strips_span_kernel", True, strips_span)
     if float_check:
-        rep.check("rank_float", rank, float_rank(op), backend="float")
+        rep.check("rank_float", rank, float_rank(op, spaces=(c_space, b_space)),
+                  backend="float")
     rep.notes.append("deficient by design; PASS means the deficit matches the prediction")
     rep.witnesses = {"deficit_from_healthy": (2 * n - 1) - rank}
     return rep.finish()

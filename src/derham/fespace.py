@@ -287,6 +287,23 @@ def lagrange_basis(ref: RefCell, degree: int) -> tuple[list[tuple[Fraction, Frac
     return nodes, LocalBasis(ref, elems, f"lagrange({degree}) on {ref.value}")
 
 
+def _labels(mesh: Mesh, orbits: np.ndarray, squares: np.ndarray) -> np.ndarray:
+    """Translation labels (orbit, i, j), one row per dof: its orbit and its
+    grid square (i, j), numbered j nx + i; read only."""
+    j, i = np.divmod(squares, mesh.nx)
+    out = np.stack((orbits, i, j), axis=1)
+    out.flags.writeable = False
+    return out
+
+
+def _cell_labels(mesh: Mesh, size: int) -> np.ndarray:
+    """The translation labels of dofs blocked ``size`` per cell in cell
+    order: cell (j nx + i) charts + chart holds orbits chart size + l."""
+    dof = np.arange(mesh.num_cells * size)
+    square, chart = np.divmod(dof // size, len(mesh.charts))
+    return _labels(mesh, chart * size + dof % size, square)
+
+
 class DGVectorSpace:
     """Discontinuous vector space: one local basis block per cell."""
 
@@ -307,6 +324,12 @@ class DGVectorSpace:
 
     def offset(self, cell_index: int) -> int:
         return cell_index * self.local_dim
+
+    @cached_property
+    def translations(self) -> np.ndarray:
+        """Per dof, its translation label (orbit, i, j): the cell's grid
+        square (i, j), and chart times local_dim plus the local index."""
+        return _cell_labels(self.mesh, self.local_dim)
 
     def constant_stamps(self, *values) -> list[Stamp]:
         """Per chart id, the stamp of the constant fields ``values``, each a
@@ -389,7 +412,8 @@ class ContinuousScalarSpace:
         np.minimum.at(first, keys.ravel(), np.arange(seen))  # each key's first position
         used = (first < seen).nonzero()[0]
         number = np.empty(first.size, dtype=np.int64)
-        number[used[first[used].argsort()]] = np.arange(used.size)
+        self._keys = used[first[used].argsort()]  # the key of each dof
+        number[self._keys] = np.arange(used.size)
         self.dofs = number[keys]
         self.dofs.flags.writeable = False
         ordered = np.sort(self.dofs, axis=1)
@@ -401,6 +425,25 @@ class ContinuousScalarSpace:
     def cell_dofs(self) -> list[list[int]]:
         """``dofs`` as lists, one per cell."""
         return self.dofs.tolist()
+
+    @cached_property
+    def translations(self) -> np.ndarray:
+        """Per dof, its translation label (orbit, i, j), read from its key:
+        a vertex is orbit 0 at its point; a face node is orbit 1 + kind
+        degree + position at the face's square; an interior node is orbit
+        1 + kinds degree + chart nodes + node at its cell's square."""
+        mesh, degree = self.mesh, self.degree
+        squares = mesh.nx * mesh.ny
+        kinds = mesh.num_faces // squares
+        nodes = len(self.nodes)
+        keys = self._keys
+        face, position = np.divmod(keys - mesh.num_points, degree)
+        cell, node = np.divmod(keys - mesh.num_points - degree * mesh.num_faces, nodes)
+        cell_square, chart = np.divmod(cell, len(mesh.charts))
+        where = np.select([keys < mesh.num_points, face < mesh.num_faces], [0, 1], 2)
+        orbits = np.choose(where, (0, 1 + face // squares * degree + position,
+                                   1 + kinds * degree + chart * nodes + node))
+        return _labels(mesh, orbits, np.choose(where, (keys, face % squares, cell_square)))
 
     def shape_functions(self, cell: Cell) -> list[tuple[int, Poly]]:
         return list(zip(self.dofs[cell.index].tolist(), self.local.elements))
@@ -448,6 +491,21 @@ class CodomainSpace:
 
     def face_offset(self, face_index: int) -> int:
         return self._face_base + face_index * self.face_dim
+
+    @cached_property
+    def translations(self) -> np.ndarray:
+        """Per dof, its translation label (orbit, i, j): cell dofs as in
+        ``DGVectorSpace``; face dof l of face kind f nx ny + j nx + i is
+        orbit charts cell_dim + kind face_dim + l at (i, j)."""
+        mesh = self.mesh
+        squares = mesh.nx * mesh.ny
+        face, mode = np.divmod(np.arange(mesh.num_faces * self.face_dim), self.face_dim)
+        kind, square = np.divmod(face, squares)
+        faces = _labels(mesh, len(mesh.charts) * self.cell_dim + kind * self.face_dim + mode,
+                        square)
+        out = np.concatenate((_cell_labels(mesh, self.cell_dim), faces))
+        out.flags.writeable = False
+        return out
 
     def uniform_column(self, value=1) -> OpMatrix:
         """The element equal to ``value`` on every cell and every face, as

@@ -168,7 +168,7 @@ class FloatHodgeSplitter:
         self._wf = self._weight @ self._first
         self._wa = self._weight @ self._adj
         self._wc = self._weight @ self._consts
-        self.rank_first = float_rank(inst.first)
+        self.rank_first = float_rank(inst.first, spaces=(inst.b_space, inst.a_space))
         self.rank_adjoint = float_rank(self._adj)
 
     def split_matrix(self, u: np.ndarray, tol: float = 1e-10) -> tuple[

@@ -79,8 +79,9 @@ class MembershipError(ValueError):
 
 class GramBlock(tuple):
     """A local Gram block: immutable rows of exact values.  ``stamp`` holds
-    its nonzeros as integers; ``definite``, computed once on first read, is
-    the block's own ``exactla.positive_definite`` verdict."""
+    its nonzeros as integers, in row-major order; ``definite``, computed
+    once on first read, is the block's own ``exactla.positive_definite``
+    verdict."""
 
     def __new__(cls, rows: Sequence[Sequence[Fraction]]):
         block = super().__new__(cls, (tuple(row) for row in rows))
@@ -99,8 +100,10 @@ class GramMatrix:
 
     ``blocks`` are ``GramBlock``s placed one after another down the
     diagonal, and must fill it.  The one sparse form of the whole matrix is
-    placed from their stamps at construction, each distinct block (by
-    identity) once at all of its offsets; every product reads it.
+    placed from their stamps at construction (``OpMatrix.block_diagonal``):
+    one ``map(id, ...)`` pass and ``np.unique`` number the distinct blocks,
+    and every block's entries are gathered from its stamp already in
+    row-major order; every product reads it.
     """
 
     dim: int
@@ -110,18 +113,15 @@ class GramMatrix:
 
     def __post_init__(self):
         blocks = tuple(self.blocks)
-        placed: dict[int, tuple[GramBlock, list[int]]] = {}
-        end = 0
-        for block in blocks:
-            placed.setdefault(id(block), (block, []))[1].append(end)
-            end += len(block)
-        if end != self.dim:
-            raise ValueError(f"blocks of total size {end} do not fill dimension {self.dim}")
-        op = OpMatrix.from_stamps(
-            self.dim, self.dim,
-            ((block.stamp, offs, np.array(offs)[:, None] + np.arange(len(block)))
-             for block, offs in placed.values()),
-            self.space_tag, self.space_tag)
+        # one slot per distinct block (by identity), and each block's slot
+        ids = np.fromiter(map(id, blocks), dtype=np.uint64, count=len(blocks))
+        _, firsts, which = np.unique(ids, return_index=True, return_inverse=True)
+        distinct = [blocks[f] for f in firsts.tolist()]
+        op = OpMatrix.block_diagonal([block.stamp for block in distinct],
+                                     [len(block) for block in distinct], which,
+                                     self.space_tag, self.space_tag)
+        if op.nrows != self.dim:
+            raise ValueError(f"blocks of total size {op.nrows} do not fill dimension {self.dim}")
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "_op", op)
 

@@ -259,6 +259,35 @@ class OpMatrix:
                                   np.concatenate(nums), np.concatenate(dens), domain, codomain)
 
     @classmethod
+    def block_diagonal(cls, stamps: Sequence[Stamp], sizes: Sequence[int], which: np.ndarray,
+                       domain: str = "", codomain: str = "") -> "OpMatrix":
+        """The square matrix whose diagonal blocks, one after another, are
+        stamps[which[0]], stamps[which[1]], ..., block b of size
+        sizes[which[b]].  Each stamp's entries must be distinct and in
+        row-major order, so the placed entries are too: nothing is sorted or
+        summed.  Every value is put over L, the lcm of the stamps' dens, in
+        int64 when max |num| times L / min(den) is below 2**63."""
+        size = np.asarray(sizes, dtype=np.int64)[which]
+        ends = size.cumsum()
+        dim = int(ends[-1]) if ends.size else 0
+        counts = np.array([stamp.rows.size for stamp in stamps], dtype=np.int64)
+        if not counts[which].any():
+            return cls(dim, dim, domain, codomain)
+        # where each block's entries start in the stamps' concatenation
+        at = _spans(counts[which], (counts.cumsum() - counts)[which])
+        offsets = (ends - size).repeat(counts[which])
+        num = np.concatenate([stamp.num for stamp in stamps])
+        den = np.concatenate([stamp.den for stamp in stamps])
+        dens = set(den.tolist())
+        total = math.lcm(*dens)
+        dtype = _word_dtype(_max_abs(num) * (total // min(dens)))
+        scaled = num.astype(dtype, copy=False) * _quotients(total, den, dtype)
+        return cls._from_sorted(
+            dim, dim, np.concatenate([stamp.rows for stamp in stamps])[at] + offsets,
+            np.concatenate([stamp.cols for stamp in stamps])[at] + offsets, scaled[at], total,
+            domain, codomain)
+
+    @classmethod
     def from_columns(cls, nrows: int, vectors: Sequence[Sequence[Fraction]]) -> "OpMatrix":
         """The dense vectors, each of length nrows, as the columns of one
         sparse matrix.  Every entry is an ``int`` or a ``Fraction``; any

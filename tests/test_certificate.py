@@ -130,12 +130,23 @@ def test_naive_diagnostic_needs_no_nullspace(monkeypatch):
 
 def test_naive_float_check_never_forms_the_whole_operator(monkeypatch):
     """At 64x64 the dense jump operator is 8,192 x 8,192 (512 MB); the float
-    rank factors its nx + ny strips apart and densifies nothing whole."""
+    rank reads its translation symbol and densifies nothing whole."""
     forbid(monkeypatch, "float_array", owner=OpMatrix)
     forbid_densify(monkeypatch)
     rep = naive_quad_report(64, 64, float_check=True)
     assert rep.passed
     assert [c.computed for c in rep.checks if c.name == "rank_float"] == [2 * 4096 - 64 - 64]
+
+
+def test_float_check_at_32x32_never_forms_a_whole_operator(monkeypatch):
+    """tri-dp 32x32 k=1 ``second`` is 8,192 x 12,288 (805 MB dense); both
+    float ranks read the translation symbol and densify nothing whole."""
+    forbid(monkeypatch, "float_array", owner=OpMatrix)
+    forbid_densify(monkeypatch)
+    rep = verify_diagram("tri-dp", 32, 32, 1, float_check=True)
+    assert rep.passed
+    floats = {c.name: c.computed for c in rep.checks if c.backend == "float"}
+    assert floats == {"first_rank_float": 4096 - 1, "second_rank_float": 8192 - 1}
 
 
 @pytest.mark.parametrize("name,nx,ny,k", [("tri-dp", 2, 2, 1), ("quad-dn", 2, 2, 0)])

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +29,9 @@ from derham.exactla import (
     transpose,
 )
 from derham.complexcheck import DIAGRAMS, build_diagram, naive_quad_report, verify_diagram
+from derham.fespace import CodomainSpace, DGVectorSpace
+from derham.mesh import MeshKind, build_mesh
+from derham.operators import assemble_div_distributional
 from derham.sparse import OpMatrix
 
 F = Fraction
@@ -90,16 +94,17 @@ def test_float_rank_sees_near_dependence_as_exact_does():
 
 
 @pytest.fixture
-def block_searches(monkeypatch):
-    """The labels of every block search ``float_rank`` makes."""
+def symbol_routes(monkeypatch):
+    """What every symbol route ``float_rank`` tries returns: the singular
+    values, or None where the exact invariance check failed."""
     found = []
-    components = exactla._components
+    symbol_values = exactla._symbol_values
 
     def spy(*args):
-        found.append(components(*args))
+        found.append(symbol_values(*args))
         return found[-1]
 
-    monkeypatch.setattr(exactla, "_components", spy)
+    monkeypatch.setattr(exactla, "_symbol_values", spy)
     return found
 
 
@@ -127,7 +132,9 @@ def dense_svd_rank(mat, tol=1e-10):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_float_rank_by_blocks_matches_exact_and_dense(block_searches, seed):
+def test_float_rank_by_blocks_matches_exact_and_dense(symbol_routes, seed):
+    """Sparse block-diagonal matrices without translation labels take one
+    dense SVD, and their float rank is the exact rank."""
     rng = random.Random(seed)
     blocks = [(rng.randint(1, 5), rng.randint(1, 5), 0) for _ in range(24)]
     blocks = [(p, q, rng.randint(1, min(p, q))) for p, q, _ in blocks] + [(3, 4, 0)]
@@ -138,12 +145,10 @@ def test_float_rank_by_blocks_matches_exact_and_dense(block_searches, seed):
     rank = exact_rank(rows)
     assert dense_svd_rank(mat) == rank
     assert float_rank(mat) == float_rank(op) == float_rank(rows) == rank
-    # the search ran on each input and split the matrix into blocks
-    assert len(block_searches) == 3
-    assert all(len(np.unique(labels)) > len(blocks) for labels in block_searches)
+    assert not symbol_routes
 
 
-def test_float_rank_threshold_is_global(block_searches):
+def test_float_rank_threshold_is_global(symbol_routes):
     """Blocks [[1]] and [[1e-12]]: one dense SVD keeps 1 singular value at
     tol 1e-10; a threshold per block would keep both."""
     mat = np.zeros((64, 64))
@@ -151,18 +156,120 @@ def test_float_rank_threshold_is_global(block_searches):
     assert dense_svd_rank(mat) == 1
     assert float_rank(mat) == 1
     assert float_rank(OpMatrix.from_entries(64, 64, {(0, 0): 1, (1, 1): F(1, 10**12)})) == 1
-    assert len(block_searches) == 2
+    assert not symbol_routes
 
 
-def test_block_search_only_where_it_pays(block_searches):
+def grid_labels(nx, ny):
+    """The translation labels (0, i, j) of one dof per square (i, j) of an
+    nx x ny grid, square j nx + i."""
+    j, i = np.divmod(np.arange(nx * ny), nx)
+    return np.stack((np.zeros_like(i), i, j), axis=1)
+
+
+def labelled(labels):
+    """A stand-in space whose dofs carry these translation labels."""
+    return SimpleNamespace(translations=labels)
+
+
+def circulant(nx, ny, values):
+    """The one-orbit operator of an nx x ny grid whose row (i, j) holds
+    values[(di, dj)] at column (i + di, j + dj), periodically."""
+    n = nx * ny
+    return OpMatrix.from_entries(n, n, {
+        (j * nx + i, (j + dj) % ny * nx + (i + di) % nx): v
+        for j in range(ny) for i in range(nx) for (di, dj), v in values.items()})
+
+
+def test_float_rank_symbol_threshold_is_global(monkeypatch, symbol_routes):
+    """A circulant on a 2 x 64 grid with symbol 1 at wave vectors kx = 0 and
+    1e-12 at kx = 1: one dense SVD keeps the 64 singular values 1 at tol
+    1e-10; a threshold per Fourier block would keep all 128."""
+    eps = F(1, 10**12)
+    op = circulant(2, 64, {(0, 0): (1 + eps) / 2, (1, 0): (1 - eps) / 2})
+    labels = grid_labels(2, 64)
+    assert dense_svd_rank(op.float_array()) == 64
+    monkeypatch.setattr(OpMatrix, "float_array", None)  # the symbol route densifies nothing
+    assert float_rank(op, spaces=(labelled(labels), labelled(labels))) == 64
+    [sv] = symbol_routes
+    assert sv.size == 128 and np.sum(sv > 1e-10) == 64 and np.sum(sv < 1e-11) == 64
+
+
+def test_symbol_route_only_where_it_pays(symbol_routes):
     """The rule reads the operator's shape and nonzero count: the small
     operators of ``verify --all`` take one dense SVD; the naive 16x16 jump
-    operator splits into its nx + ny strips."""
+    operator takes its 256 Fourier blocks of 2 x 2."""
     assert verify_diagram("tri-dp", 2, 2, 1, float_check=True).passed
-    assert not block_searches
+    assert not symbol_routes
     assert naive_quad_report(16, 16, float_check=True).passed
-    [labels] = block_searches
-    assert len(np.unique(labels)) == 32
+    [sv] = symbol_routes
+    assert sv.size == 256 * 2
+
+
+def diagram_operators(inst):
+    """(operator, row labels, column labels) of first and second."""
+    a, b, c = inst.a_space.translations, inst.b_space.translations, inst.c_space.translations
+    return [(inst.first, b, a), (inst.second, c, b)]
+
+
+def naive_operator(nx, ny):
+    mesh = build_mesh(MeshKind.CARTESIAN, nx, ny)
+    b_space = DGVectorSpace(mesh, "vec_q", 0)
+    c_space = CodomainSpace(mesh, 0, None, 0)
+    return (assemble_div_distributional(b_space, c_space), c_space.translations,
+            b_space.translations)
+
+
+def assert_symbol_matches_dense(op, rows, cols):
+    sv = exactla._symbol_values(op, rows, cols)
+    assert sv is not None
+    dense = np.linalg.svd(op.float_array(), compute_uv=False)
+    assert sv.size == dense.size
+    assert np.abs(np.sort(sv)[::-1] - dense).max() <= 1e-12 * dense[0]
+    assert np.sum(sv > 1e-10 * sv.max()) == dense_svd_rank(op.float_array())
+
+
+@pytest.mark.parametrize("name", sorted(DIAGRAMS))
+@pytest.mark.parametrize("nx,ny,lx,ly", [(2, 2, 1, 1), (3, 5, F(7, 3), F(5, 11))])
+def test_symbol_matches_dense_svd(name, nx, ny, lx, ly):
+    """On every registered diagram, k = 0..2, on a small mesh and a
+    stretched one, the symbol blocks give the dense SVD's singular values
+    to 1e-12 times the largest, and its rank."""
+    for k in range(3):
+        for op, rows, cols in diagram_operators(build_diagram(name, nx, ny, k, lx, ly)):
+            assert_symbol_matches_dense(op, rows, cols)
+
+
+@pytest.mark.parametrize("nx,ny", [(2, 2), (3, 4), (16, 16)])
+def test_symbol_matches_dense_svd_on_the_naive_operator(nx, ny):
+    assert_symbol_matches_dense(*naive_operator(nx, ny))
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_one_changed_entry_takes_the_dense_rank(symbol_routes, which):
+    """One entry of first or second of tri-dp 6x6 k=1 changed by 1e-30
+    breaks translation invariance: the exact check sees it, and the float
+    rank is exactly that of one dense SVD."""
+    op, rows, cols = diagram_operators(build_diagram("tri-dp", 6, 6, 1))[which]
+    spaces = (labelled(rows), labelled(cols))
+    assert float_rank(op, spaces=spaces) == dense_svd_rank(op.float_array())
+    assert symbol_routes.pop() is not None
+    (r, c), _ = next(iter(op.entries.items()))
+    bent = op + OpMatrix.from_entries(*op.shape, {(r, c): F(1, 10**30)})
+    assert bent.nnz == op.nnz
+    assert float_rank(bent, spaces=spaces) == dense_svd_rank(bent.float_array())
+    assert symbol_routes == [None]
+
+
+def test_labels_that_do_not_tile_the_grid_take_the_dense_route():
+    op = circulant(4, 4, {(0, 0): 2, (1, 0): -1, (0, 1): -1})
+    labels = grid_labels(4, 4)
+    assert exactla._symbol_values(op, labels, labels) is not None
+    for bad in (labels[::-1] * [1, 1, 0], np.concatenate((labels[:-1], labels[:1]))):
+        assert exactla._symbol_values(op, bad, labels) is None
+        assert exactla._symbol_values(op, labels, bad) is None
+    swapped = labels.copy()
+    swapped[[0, 1]] = swapped[[1, 0]]  # a bijection, but not one the operator commutes with
+    assert exactla._symbol_values(op, swapped, labels) is None
 
 
 def test_span_compare_relations():

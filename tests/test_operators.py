@@ -121,6 +121,30 @@ def test_gram_has_one_frozen_form(name):
                            np.array(product, dtype=float), rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_block_diagonal_matches_the_placed_stamps(seed):
+    """A Gram matrix of shared and merely equal blocks, rational and zero
+    ones among them, is the dense block diagonal of its blocks, stored as
+    the sorting placement ``OpMatrix.from_stamps`` stores it."""
+    rng = random.Random(seed)
+    kinds = [GramBlock([[F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+                        for _ in range(n)]) for n in (1, 2, 3, 2)]
+    kinds += [GramBlock([[F(0)]]), GramBlock(kinds[1])]  # a zero block; an equal twin
+    picked = [kinds[rng.randrange(len(kinds))] for _ in range(40)]
+    dim = sum(map(len, picked))
+    gram = GramMatrix(dim, picked)
+    dense, off = [[F(0)] * dim for _ in range(dim)], 0
+    placed = []
+    for block in picked:
+        for i, row in enumerate(block):
+            dense[off + i][off:off + len(block)] = row
+        placed.append((block.stamp, [off], [np.arange(off, off + len(block))]))
+        off += len(block)
+    assert gram.dense_rows() == dense
+    stored = OpMatrix.from_stamps(dim, dim, placed).integer_rows()
+    assert all(np.array_equal(a, b) for a, b in zip(gram._op.integer_rows(), stored))
+
+
 def test_gram_symmetric_positive(tri_spaces):
     _, _, b, _ = tri_spaces
     gram = assemble_gram(b)
