@@ -242,17 +242,17 @@ def main(argv=None) -> int:
         print(f"error: verification failed: {exc}", file=sys.stderr)
         return 1
     except ExactWidthExceeded as exc:
-        print(f"error: {exc}; raise DERHAM_MAX_EXACT_COLS", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError:
+    except MemoryError as exc:
         if getattr(args, "float_check", False):
             advice = " or drop --float-check"
         elif getattr(args, "backend", "exact") != "exact":
             advice = " or use --backend exact"
         else:
             advice = ""
-        print(f"error: {args.command} ran out of memory; try a smaller mesh{advice}",
-              file=sys.stderr)
+        what = f": {exc}" if str(exc) else " ran out of memory"
+        print(f"error: {args.command}{what}; try a smaller mesh{advice}", file=sys.stderr)
         return 2
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -97,7 +97,9 @@ class ExactSolveError(Exception):
 
 
 class ExactWidthExceeded(Exception):
-    """Raised when a matrix is wider than the exact-arithmetic cap."""
+    """Raised when a matrix is wider than the exact-arithmetic cap, or a
+    lifted solve has more unknowns than its int64 replay allows.  The
+    message ends with the advice for it."""
 
 
 def exact_width_limit() -> int:
@@ -116,7 +118,8 @@ def exact_width_limit() -> int:
 
 def _check_width(ncols: int) -> None:
     if ncols > exact_width_limit():
-        raise ExactWidthExceeded(f"{ncols} columns exceeds the exact cap {exact_width_limit()}")
+        raise ExactWidthExceeded(f"{ncols} columns exceeds the exact cap {exact_width_limit()}; "
+                                 "raise DERHAM_MAX_EXACT_COLS")
 
 
 def _items(vec: Sequence | Mapping) -> Iterable:
@@ -417,6 +420,9 @@ def prefix_ranks(blocks: Sequence[OpMatrix], upper: Sequence[int] | None = None)
 # the nonzero count.
 _SYMBOL_RATIO = 4096
 
+# The host's physical memory in bytes, the most a dense float SVD may ask for.
+_PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
 
 def _components(ptr: np.ndarray, cols: np.ndarray, nrows: int, ncols: int) -> np.ndarray:
     """The connected component of each row (node r) and each column (node
@@ -528,7 +534,9 @@ def float_rank(matrix: OpMatrix | np.ndarray | Sequence[Sequence], tol: float = 
     its translation-symbol blocks, one small block per wave vector in one
     batched SVD.  The DFT is unitary, so one threshold over all of them
     counts what one dense SVD counts.  Otherwise, or without spaces, the
-    whole matrix takes one dense SVD."""
+    whole matrix takes one dense SVD; when the dense copy and the SVD's
+    working copy, about 16 m n bytes, would exceed the host's physical
+    memory, it raises ``MemoryError`` before allocating either."""
     if isinstance(matrix, OpMatrix):
         nnz = matrix.nnz
     else:
@@ -546,6 +554,10 @@ def float_rank(matrix: OpMatrix | np.ndarray | Sequence[Sequence], tol: float = 
                              f"{nrows} x {ncols} matrix")
         sv = _symbol_values(matrix, rows, cols)
     if sv is None:
+        if 16 * nrows * ncols > _PHYSICAL_MEMORY:
+            raise MemoryError(f"a dense SVD of a {nrows} x {ncols} matrix needs about "
+                              f"{16 * nrows * ncols:,} bytes, more than the "
+                              f"{_PHYSICAL_MEMORY:,} bytes of physical memory")
         dense = matrix.float_array() if isinstance(matrix, OpMatrix) else matrix
         sv = np.linalg.svd(dense, compute_uv=False)
     return int(np.count_nonzero(sv > tol * sv.max()))
@@ -609,9 +621,10 @@ class LinearExpander:
         return x
 
 
-# Primes below 2**30 for lifting, apart from ``_PRIMES``; should every one
-# divide the determinant, more are found by trial division.
-_LIFT_PRIMES = (1073741719, 1073741717, 1073741689)
+# Primes below 2**21 for lifting, so a replay row sums its products of two
+# residues in int64 (``_replay_terms``); should every one divide the
+# determinant, more are found by trial division.
+_LIFT_PRIMES = (2097143, 2097133, 2097131)
 
 
 def _lift_primes() -> Iterable[int]:
@@ -676,13 +689,13 @@ class LiftedSolver:
     ``ArithmeticError``; a modular value is never returned.
 
     Two int64 bounds are proven before each kernel runs.  The replay keeps
-    every residue below 2**30 as two halves below 2**15 and every
-    coefficient below p, so a row of L terms sums 2 L products below
-    2**15 p; ``_replay_terms`` caps L for int64, and a system with more
-    unknowns than that is refused.  A x, and A num in the check, run in
-    int64 when the longest row of A times max |A| times max |x| is below
-    2**63, else in Python ints, as the residual update and the scaled
-    right-hand sides do under their own bounds.
+    every residue and every coefficient below p < 2**21, so a row of L
+    terms sums below L (p - 1)**2; ``_replay_terms`` caps L for int64
+    (about 2.1 million), and a system with more unknowns than that is
+    refused.  A x, and A num in the check, run in int64 when the longest
+    row of A times max |A| times max |x| is below 2**63, else in Python
+    ints, as the residual update and the scaled right-hand sides do under
+    their own bounds.
 
     A rank mod p below n sends the build to the next prime; after two
     misses, a rank over Q below n raises ``ExactSolveError``.
@@ -700,7 +713,7 @@ class LiftedSolver:
         for p in _lift_primes():
             if n > _replay_terms(p):
                 raise ExactWidthExceeded(f"{n} unknowns exceed the int64 replay bound "
-                                         f"{_replay_terms(p)} for p = {p}")
+                                         f"{_replay_terms(p)} for p = {p}; try a smaller mesh")
             ech = _Echelon(p, factor=True)
             for row in _numerator_rows(system, p):
                 ech.add(row)
@@ -721,14 +734,13 @@ class LiftedSolver:
 
     def _replay(self, r: np.ndarray) -> np.ndarray:
         """A^-1 r mod p for every column of r, int64 residues in [0, p).
-        Each program row writes both halves of one entry of x."""
-        n, p, low = self.n, self.p, 2 * self.n
-        z = np.empty((4 * n, r.shape[1]), dtype=np.int64)
-        z[n:low], z[low + n:] = r // _HALF, r % _HALF
+        Each program row writes one entry of x."""
+        n, p = self.n, self.p
+        z = np.empty((2 * n, r.shape[1]), dtype=np.int64)
+        z[n:] = r
         for c, idx, coef in self._program:
-            x = _dot_mod_p(coef, z.take(idx, axis=0), p)
-            z[c], z[c + low] = x // _HALF, x % _HALF
-        return z[:n] * _HALF + z[low:low + n]
+            z[c] = coef @ z.take(idx, axis=0) % p
+        return z[:n]
 
     def solve(self, rhs: OpMatrix) -> OpMatrix:
         """The exact solution X of N X = B, column by column of the batch B."""
@@ -773,42 +785,26 @@ class LiftedSolver:
         return OpMatrix.from_integer_columns(n, *zip(*(solved[j] for j in range(m))))
 
 
-_HALF = 1 << 15  # the replay keeps each residue below 2**30 as two halves below 2**15
-
-
 def _replay_terms(p: int) -> int:
     """The most terms of one replay row for which its int64 sum is proven:
-    2 L products, each a coefficient below p times a half below 2**15."""
-    return (_WORD - 1) // (2 * (p - 1) * (_HALF - 1))
-
-
-def _row_coefficients(fs: list[int], p: int) -> list[int]:
-    """The coefficients of one replay row with multipliers fs in [0, p):
-    f 2**15 mod p against the high halves, then f against the low halves."""
-    return [f * _HALF % p for f in fs] + fs
-
-
-def _dot_mod_p(coef: np.ndarray, halves: np.ndarray, p: int) -> np.ndarray:
-    """sum_k f_k x_k mod p for every column, from one row's coefficients
-    and the gathered halves of the x_k (high halves first, as the
-    coefficients are); int64 holds the sum up to ``_replay_terms(p)`` terms."""
-    return coef @ halves % p
+    L products, each a coefficient below p times a residue below p."""
+    return (_WORD - 1) // (p - 1) ** 2
 
 
 def _replay_program(ech: _Echelon, n: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """The recorded factor mod p of a full-rank n x n system as replay rows
-    (c, the rows of the work array gathered, their coefficients): x_c = inv
-    r_i - sum inv f_k x_k per input row i, forward; then x_c = x_c - sum v_k
-    x_k per pivot row, right to left.  The work array holds x then r, high
-    halves first, so the low half of entry k sits at k + 2 n."""
+    (c, the rows of the work array gathered, their coefficients in [0, p)):
+    x_c = inv r_i - sum inv f_k x_k per input row i, forward; then x_c = x_c
+    - sum v_k x_k per pivot row, right to left.  The work array holds x,
+    then r."""
     p = ech.p
     rows = [(c, [k for k, _ in steps] + [n + i], [-f * inv % p for _, f in steps] + [inv])
             for i, (c, inv, steps) in enumerate(ech.lower)]
     rows += [(c, [c] + [k for k, _ in tail], [1] + [p - v for _, v in tail])
              for c, tail in sorted(ech.pivots.items(), reverse=True) if tail]
-    # every row's gathered positions and coefficients, high halves first,
-    # in one array each, viewed row by row
-    idx = np.array([k + h for _, ks, _ in rows for h in (0, 2 * n) for k in ks], dtype=np.int64)
-    coef = np.array([g for _, _, fs in rows for g in _row_coefficients(fs, p)], dtype=np.int64)
-    ends = np.cumsum([2 * len(ks) for _, ks, _ in rows]).tolist()
+    # every row's gathered positions and coefficients in one array each,
+    # viewed row by row
+    idx = np.array([k for _, ks, _ in rows for k in ks], dtype=np.int64)
+    coef = np.array([f for _, _, fs in rows for f in fs], dtype=np.int64)
+    ends = np.cumsum([len(ks) for _, ks, _ in rows]).tolist()
     return [(c, idx[a:b], coef[a:b]) for (c, _, _), a, b in zip(rows, [0] + ends, ends)]

@@ -31,9 +31,10 @@ solved for the whole batch at once by ``exactla.LiftedSolver``, which takes
 and returns integer operators: p-adic lifting mod one prime finds each
 solution, and a solution is kept only after an exact integer product with
 the system's rows reproduces its right-hand side, so no modular value
-reaches a part unchecked.  ``hodge_report`` reads the random fields once
-into U and checks the parts the same way: G_b D and G_b H once per batch,
-every pairing of matching columns as one exact integer sum
+reaches a part unchecked.  ``hodge_report`` draws the random fields
+straight into the integer columns of U (``random_field``'s draw, shared
+with ``refcheck``) and checks the parts the same way: G_b D and G_b H
+once per batch, every pairing of matching columns as one exact integer sum
 (``OpMatrix.column_dots``), and each count from the columns of a product
 that are empty.  Fractions are built only for the ``HodgeParts`` that
 ``split_batch`` and ``split`` return to library callers.
@@ -62,6 +63,7 @@ from .exactla import rank_nullspace  # unused; perfbench/tracing.py rebinds it h
 from .exactla import solve_square  # unused; perfbench/tracing.py rebinds it here
 from .fespace import DGVectorSpace
 from .operators import adjoint  # unused; perfbench/tracing.py rebinds it here
+from .refcheck import _draw, _draw_columns
 from .report import Report
 from .sparse import OpMatrix
 
@@ -196,14 +198,11 @@ class FloatHodgeSplitter:
                           tuple(coeffs[:, 0]), bool(is_const[0]))
 
 
-# the 171 values Fraction(a, b), a in -9..9 and b in 1..9, that random_field draws
-_FIELD_VALUES = [[Fraction(a, b) for b in range(1, 10)] for a in range(-9, 10)]
-
-
 def random_field(space: DGVectorSpace, rng: random.Random) -> list[Fraction]:
     """Seeded random coefficient vector with bounded rational entries: per
-    entry a numerator in -9..9, then a denominator in 1..9."""
-    return [_FIELD_VALUES[rng.randrange(19)][rng.randrange(9)] for _ in range(space.dim)]
+    entry a numerator in -9..9, then a denominator in 1..9.  ``hodge_report``
+    draws its batch with the same ``rng`` calls, one column per field."""
+    return [Fraction(a, d) for a, d in _draw(rng, space.dim)]
 
 
 def hodge_report(name: str, nx: int, ny: int, k: int, fields: int = 20,
@@ -217,15 +216,15 @@ def hodge_report(name: str, nx: int, ny: int, k: int, fields: int = 20,
         raise ValueError(f"tol must be finite and positive, got {tol}")
     inst = build_diagram(name, nx, ny, k)
     rng = random.Random(seed)
-    us = [random_field(inst.b_space, rng) for _ in range(fields)]
+    dim = inst.b_space.dim
+    u = _draw_columns(dim, [_draw(rng, dim) for _ in range(fields)])
     rep = Report("orthogonal field splitting",
                  params={"diagram": name, "nx": nx, "ny": ny, "k": k,
                          "fields": fields, "seed": seed, "backend": backend})
 
     if backend == "exact":
         sp = HodgeSplitter(inst)
-        rep.check("rank_identity", inst.b_space.dim, sp.rank_first + sp.rank_adjoint + 2)
-        u = OpMatrix.from_columns(inst.b_space.dim, us)
+        rep.check("rank_identity", dim, sp.rank_first + sp.rank_adjoint + 2)
         curl, div, harmonic, _, certified = sp.split_matrix(u)
         # one integer kernel per check over the whole batch: field j passes
         # when column j of the residual, or of each pairing, is zero
@@ -248,10 +247,11 @@ def hodge_report(name: str, nx: int, ny: int, k: int, fields: int = 20,
         return rep.finish()
 
     sp = FloatHodgeSplitter(inst)
-    rep.check("rank_identity", inst.b_space.dim,
-              sp.rank_first + sp.rank_adjoint + 2, backend="float")
-    # one batch product per check; field j passes on its own column
-    u = np.array(us, dtype=float).reshape(fields, inst.b_space.dim).T
+    rep.check("rank_identity", dim, sp.rank_first + sp.rank_adjoint + 2, backend="float")
+    # one batch product per check; field j passes on its own column.  Each
+    # entry of U is one correctly rounded division of small integers, as
+    # float() of its Fraction is
+    u = u.float_array()
     curl, div, harmonic, _, is_const = sp.split_matrix(u, tol=tol)
     gb = inst.gram_b.float_array()
     scale = np.maximum(1.0, np.linalg.norm(u, axis=0))

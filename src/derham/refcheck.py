@@ -262,7 +262,8 @@ def flat_trace_basis(ref: RefCell) -> list[VecPoly]:
 
 def _draw(rng: random.Random, n: int) -> list[tuple[int, int]]:
     """n random rationals as (numerator, denominator) pairs, numerator
-    randrange(19) - 9 and then denominator randrange(9) + 1 for each."""
+    randrange(19) - 9 and then denominator randrange(9) + 1 for each; the
+    draw of every seeded field here and in ``hodge``."""
     return [(rng.randrange(19) - 9, rng.randrange(9) + 1) for _ in range(n)]
 
 

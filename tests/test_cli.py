@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from derham import complexcheck, hodge
+from derham import complexcheck, exactla, hodge
 from derham.cli import k_range, main
 from derham.operators import OpMatrix
 
@@ -214,6 +214,31 @@ def test_hodge_ignores_width_cap(capsys, monkeypatch):
     code, out, _ = run(capsys, "hodge", "--diagram", "tri-dp", "--k", "1")
     assert code == 0
     assert "-> PASS" in out
+
+
+def test_replay_bound_exits_2_with_its_own_advice(capsys, monkeypatch):
+    # the int64 replay bound of a lifted solve is fixed by its prime, so the
+    # width-cap variable does not move it
+    monkeypatch.setattr(exactla, "_replay_terms", lambda p: 1)
+    code, out, err = run(capsys, "hodge", "--diagram", "tri-dp", "--k", "1")
+    assert code == 2
+    assert out == ""
+    assert "replay bound" in err and err.endswith("; try a smaller mesh\n")
+    assert "DERHAM_MAX_EXACT_COLS" not in err
+    assert "Traceback" not in err
+
+
+def test_dense_svd_over_physical_memory_exits_2(capsys, monkeypatch):
+    # at 2x2 every float rank is one dense SVD; with the memory read as 1 kB
+    # each is refused before anything is allocated
+    monkeypatch.setattr(exactla, "_PHYSICAL_MEMORY", 1000)
+    code, out, err = run(capsys, "verify", "--diagram", "tri-dp", "--k", "1", "--float-check")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: verify: a dense SVD of a ")
+    assert "1,000 bytes of physical memory" in err
+    assert err.endswith("; try a smaller mesh or drop --float-check\n")
+    assert "Traceback" not in err
 
 
 class FakePool:

@@ -1,6 +1,8 @@
 """Exact rational linear algebra against small known matrices and numpy."""
 
+import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -258,6 +260,29 @@ def test_one_changed_entry_takes_the_dense_rank(symbol_routes, which):
     assert bent.nnz == op.nnz
     assert float_rank(bent, spaces=spaces) == dense_svd_rank(bent.float_array())
     assert symbol_routes == [None]
+
+
+def test_dense_svd_over_physical_memory_raises_before_allocating(monkeypatch, symbol_routes):
+    """With the physical memory read as 4 MB, second of tri-dp 16x16 k=1
+    (2,048 x 3,072, about 100 MB for a dense SVD) still takes its symbol
+    route; with one entry changed it fails the exact check and raises
+    MemoryError before the dense copy is made."""
+    op, rows, cols = diagram_operators(build_diagram("tri-dp", 16, 16, 1))[1]
+    spaces = (labelled(rows), labelled(cols))
+    rank = float_rank(op, spaces=spaces)
+    bent = op + OpMatrix.from_entries(*op.shape, {min(op.entries): F(1, 10**30)})
+    dense_bytes = 16 * op.nrows * op.ncols
+    monkeypatch.setattr(exactla, "_PHYSICAL_MEMORY", 4 << 20)
+    assert float_rank(op, spaces=spaces) == rank
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match="2048 x 3072"):
+            float_rank(bent, spaces=spaces)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dense_bytes > 100 * 10**6 and peak < dense_bytes // 20
+    assert symbol_routes[-1] is None and all(sv is not None for sv in symbol_routes[:-1])
 
 
 def test_labels_that_do_not_tile_the_grid_take_the_dense_route():
@@ -681,6 +706,22 @@ def test_batch_columns_leave_after_their_own_lifting_steps(monkeypatch):
     assert widths[:2] == [4, 1] and set(widths[1:]) == {1} and len(widths) > 5
 
 
+def test_lifted_solve_of_wide_entries_matches_the_oracle(monkeypatch):
+    """40 unknowns with integer entries up to 2**60 and a batch of 5
+    right-hand sides of numerators up to 2**60: every solution has
+    numerators and a denominator of thousands of bits, so each column is
+    lifted for hundreds of steps before it reconstructs."""
+    rng = random.Random(2021)
+    big = 2 ** 60
+    rows = [[F(rng.randint(-big, big)) for _ in range(40)] for _ in range(40)]
+    rhs = [[F(rng.randint(-big, big), rng.randint(1, 9)) for _ in range(40)] for _ in range(5)]
+    expected = oracle_solutions(rows, rhs)
+    assert min(max(v.denominator for v in col) for col in expected).bit_length() > 2000
+    widths = record_replays(monkeypatch)
+    assert lifted(rows, rhs) == expected
+    assert widths[0] == 5 and len(widths) > 100
+
+
 def record_primes(monkeypatch):
     """Record the prime of each elimination the solver starts, 0 over Q."""
     seen = []
@@ -691,6 +732,19 @@ def record_primes(monkeypatch):
             super().__init__(p, factor)
     monkeypatch.setattr(exactla, "_Echelon", Recording)
     return seen
+
+
+def test_lift_primes_are_the_primes_below_2_to_the_21():
+    """The fixed lift primes and the ones trial division finds past them
+    are the largest primes below 2**21, in decreasing order, none of them a
+    rank prime; so every residue product of a replay row is below 2**42."""
+    sympy = pytest.importorskip("sympy")
+    primes = list(itertools.islice(exactla._lift_primes(), 6))
+    expected = [sympy.prevprime(2 ** 21)]
+    while len(expected) < 6:
+        expected.append(sympy.prevprime(expected[-1]))
+    assert primes == expected
+    assert not set(primes) & set(exactla._PRIMES)
 
 
 def test_matrix_singular_mod_the_first_prime(monkeypatch):
@@ -766,20 +820,17 @@ def test_one_wrong_column_stays_open_while_the_others_return(monkeypatch):
 
 
 def test_int64_replay_row_at_its_proven_bound():
-    """The longest replay row the bound allows, every multiplier and residue
-    p - 1, equals the sum in Python ints; so do the largest coefficient and
-    half of every term, whose sum is the bound itself."""
+    """The longest replay row the bound allows, every coefficient and
+    residue p - 1, sums in int64 to what Python ints give, and one more
+    term would pass 2**63."""
     p = exactla._LIFT_PRIMES[0]
     terms = exactla._replay_terms(p)
-    half = exactla._HALF - 1
-    assert 2 * terms * (p - 1) * half < 2 ** 63 <= 2 * (terms + 1) * (p - 1) * half
-    coef = np.array(exactla._row_coefficients([p - 1] * terms, p), dtype=np.int64)
-    halves = np.empty((2 * terms, 2), dtype=np.int64)
-    halves[:terms], halves[terms:] = divmod(p - 1, exactla._HALF)
-    assert exactla._dot_mod_p(coef, halves, p).tolist() == [terms * (p - 1) ** 2 % p] * 2
-    coef = np.full(2 * terms, p - 1, dtype=np.int64)
-    halves = np.full((2 * terms, 2), half, dtype=np.int64)
-    assert exactla._dot_mod_p(coef, halves, p).tolist() == [2 * terms * (p - 1) * half % p] * 2
+    assert terms * (p - 1) ** 2 < 2 ** 63 <= (terms + 1) * (p - 1) ** 2
+    coef = np.full(terms, p - 1, dtype=np.int64)
+    residues = np.full((terms, 2), p - 1, dtype=np.int64)
+    row = coef @ residues
+    assert row.tolist() == [terms * (p - 1) ** 2] * 2
+    assert (row % p).tolist() == [terms * (p - 1) ** 2 % p] * 2
 
 
 def test_lifted_solve_ignores_the_rank_primes(monkeypatch):
