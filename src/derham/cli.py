@@ -36,16 +36,17 @@ _KINDS = {"tri": MeshKind.TRIANGULAR, "quad": MeshKind.CARTESIAN}
 
 
 def k_range(text: str) -> list[int]:
-    """Parse a level argument: '2' or a range '0..2'."""
+    """Parse a level argument: '2' or a range '0..2', of levels >= 0."""
     try:
-        if ".." in text:
-            lo, hi = (int(part) for part in text.split("..", 1))
-            if hi < lo:
-                raise ValueError
-            return list(range(lo, hi + 1))
-        return [int(text)]
+        parts = [int(part) for part in text.split("..", 1)]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected K or LO..HI, got {text!r}") from None
+        parts = []
+    if not parts or parts[-1] < parts[0]:
+        raise argparse.ArgumentTypeError(f"expected K or LO..HI, got {text!r}")
+    lo, hi = parts[0], parts[-1]
+    if lo < 0:
+        raise argparse.ArgumentTypeError(f"levels must be >= 0, got {text!r}")
+    return list(range(lo, hi + 1))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -139,6 +140,8 @@ def _verify_jobs(args) -> list[tuple]:
     if not args.diagram:
         raise ValueError("verify needs --diagram or --all")
     if args.diagram == NAIVE_DIAGRAM:
+        if args.k != [0]:
+            raise ValueError(f"{NAIVE_DIAGRAM} is defined at k = 0 only, got --k {args.k}")
         return [("naive", args.nx, args.ny, args.float_check)]
     return [("diagram", args.diagram, args.nx, args.ny, k, args.float_check)
             for k in args.k]

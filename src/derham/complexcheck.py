@@ -363,12 +363,12 @@ def verify_diagram(name: str, nx: int, ny: int, k: int,
     Ranks come from ``certify_complex``: per-cell blocks on a healthy
     diagram, else exact prefix ranks of two global stacks.
     """
+    rep = Report("diagram verification")  # the clock counts the build
     inst = build_diagram(name, nx, ny, k, lx, ly)
     spec = inst.spec
     n = inst.mesh.num_cells
-    rep = Report("diagram verification",
-                 params={"diagram": name, "nx": nx, "ny": ny, "k": k,
-                         "family": spec.family, "note": spec.note})
+    rep.params = {"diagram": name, "nx": nx, "ny": ny, "k": k,
+                  "family": spec.family, "note": spec.note}
 
     dim_a = inst.a_space.dim
     dim_b = inst.b_space.dim
@@ -428,13 +428,13 @@ def naive_quad_report(nx: int, ny: int, lx=1, ly=1, float_check: bool = False) -
     single row (x-component) or column (y-component) of cells, and a harmonic
     excess of Nx + Ny - 1 uniform-element directions beyond the expected one.
     """
+    rep = Report("naive quad diagnostic",
+                 params={"diagram": NAIVE_DIAGRAM, "nx": nx, "ny": ny, "k": 0})
     mesh = build_mesh(MeshKind.CARTESIAN, nx, ny, lx, ly)
     b_space = DGVectorSpace(mesh, "vec_q", 0)
     c_space = CodomainSpace(mesh, 0, None, 0)
     op = assemble_div_distributional(b_space, c_space)
     n = mesh.num_cells
-    rep = Report("naive quad diagnostic",
-                 params={"diagram": NAIVE_DIAGRAM, "nx": nx, "ny": ny, "k": 0})
     strips = _strip_fields(b_space)
     strips_in_kernel = op.compose(strips).is_zero
     [strips_rank] = prefix_ranks([strips.transpose()], [strips.ncols])
@@ -464,6 +464,7 @@ def appendix_report(nx: int, ny: int, lx=1, ly=1) -> Report:
     has dimension N+1, and on every kernel vector the third (checkerboard)
     coefficients have vanishing row and column sums.
     """
+    rep = Report("jump-constraint nullity", params={"nx": nx, "ny": ny, "cells": nx * ny})
     mesh = build_mesh(MeshKind.CARTESIAN, nx, ny, lx, ly)
     b_space = DGVectorSpace(mesh, "flat_quad", 0)
     jumps = assemble_jumps(b_space, CodomainSpace(mesh, 0, None, 0))
@@ -474,7 +475,6 @@ def appendix_report(nx: int, ny: int, lx=1, ly=1) -> Report:
     sums.update({(ny + c % nx, b_space.offset(c) + 2): 1 for c in range(n)})
     rank_jumps, rank_with_sums = prefix_ranks(
         [jumps, OpMatrix.from_entries(ny + nx, b_space.dim, sums)])
-    rep = Report("jump-constraint nullity", params={"nx": nx, "ny": ny, "cells": n})
     rep.check("nullity", n + 1, b_space.dim - rank_jumps)
     rep.check("gamma_row_and_column_sums_zero", True, rank_with_sums == rank_jumps)
     return rep.finish()
@@ -498,9 +498,9 @@ def audit_report(kind: MeshKind, nx: int, ny: int, k_max: int) -> Report:
     """Constructed space dimensions versus their closed forms."""
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
-    mesh = build_mesh(kind, nx, ny)
     rep = Report("dimension audit",
                  params={"kind": kind.value, "nx": nx, "ny": ny, "k_max": k_max})
+    mesh = build_mesh(kind, nx, ny)
     for row in audit_dimensions(mesh, k_max):
         rep.check(f"{row['family']}_k{row['k']}", row["expected"], row["computed"])
     return rep.finish()

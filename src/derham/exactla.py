@@ -12,7 +12,8 @@ every prime.  Over GF(p) the rank never exceeds the rank over Q (a nonzero
 minor mod p is a nonzero integer), so it certifies lower bounds only.
 ``prefix_ranks`` is the one rank route of the verifier: exact ranks of
 stacked blocks, closed by a rank mod p that meets proven upper bounds, else
-by the same elimination over Q.
+by the same elimination over Q under the exact width cap.  Lifted solves
+take their primes from the same list, ``_PRIMES``.
 
 Every solve replays one recorded factor: with ``factor`` the kernel keeps
 each row's elimination multipliers, and ``_Echelon.solve`` runs a
@@ -27,7 +28,8 @@ each column is recovered by rational reconstruction.  The replay and the
 integer products run in int64 only under bounds proven from the prime or
 from the operands.  The search is modular; the certificate is not: a column
 is returned only after the exact integer product A num = q b holds, and a
-matrix is called singular only after its rank over Q says so.
+matrix is called singular only after its rank over Q from ``prefix_ranks``
+says so.
 ``solve_square`` is the same solver for ``Fraction`` rows and columns.
 ``positive_definite`` is the one definiteness test: the same kernel over Q
 in natural row order, where a symmetric matrix is positive definite exactly
@@ -73,7 +75,6 @@ __all__ = [
     "rank_nullspace",
     "exact_rank",
     "rank_of_columns",
-    "ranks_mod_p",
     "prefix_ranks",
     "span_compare",
     "positive_definite",
@@ -363,8 +364,18 @@ def positive_definite(rows: Sequence[Sequence]) -> bool:
     return all(c == i and inv > 0 for i, (c, inv, _) in enumerate(lower))
 
 
-# Word-size primes below 2**30, so residues fit one Python int digit.
-_PRIMES = (1073741789, 1073741783)
+# The three largest primes below 2**21, for ranks and lifted solves alike:
+# residues fit one Python int digit, and a replay row sums its products of
+# two residues in int64 (``_replay_terms``).  Should every one divide a
+# determinant, ``_primes`` goes on to the next primes by trial division.
+_PRIMES = (2097143, 2097133, 2097131)
+
+
+def _primes() -> Iterable[int]:
+    yield from _PRIMES
+    for n in range(2 ** 21 - 1, 2, -2):
+        if n not in _PRIMES and all(n % d for d in range(3, isqrt(n) + 1, 2)):
+            yield n
 
 
 def _numerator_rows(matrix: OpMatrix, p: int = 0) -> list[dict[int, int]]:
@@ -399,9 +410,9 @@ def prefix_ranks(blocks: Sequence[OpMatrix], upper: Sequence[int] | None = None)
     """Exact ranks over Q of the stacked prefixes [B0], [B0; B1], ... of
     matrices of one width.
 
-    ``upper`` holds proven upper bounds, one per prefix.  With them, the
-    two primes of a fixed list are tried in turn; a prime whose ranks reach
-    every bound closes each rank from both sides.  Otherwise the blocks are
+    ``upper`` holds proven upper bounds, one per prefix.  With them, every
+    prime of ``_PRIMES`` is tried in turn; a prime whose ranks reach every
+    bound closes each rank from both sides.  Otherwise the blocks are
     eliminated over Q, under the exact width cap on the highest column used.
     """
     if upper is not None:
@@ -621,21 +632,6 @@ class LinearExpander:
         return x
 
 
-# Primes below 2**21 for lifting, so a replay row sums its products of two
-# residues in int64 (``_replay_terms``); should every one divide the
-# determinant, more are found by trial division.
-_LIFT_PRIMES = (2097143, 2097133, 2097131)
-
-
-def _lift_primes() -> Iterable[int]:
-    yield from _LIFT_PRIMES
-    n = _LIFT_PRIMES[-1] - 2
-    while True:
-        if all(n % d for d in range(3, isqrt(n) + 1, 2)):
-            yield n
-        n -= 2
-
-
 def _reconstruct(u: int, m: int, bound: int) -> tuple[int, int] | None:
     """(a, d) with a = d u mod m, |a| <= bound and 0 < d <= bound, by the
     half extended Euclidean algorithm (Wang's rational reconstruction), or
@@ -697,8 +693,9 @@ class LiftedSolver:
     ints, as the residual update and the scaled right-hand sides do under
     their own bounds.
 
-    A rank mod p below n sends the build to the next prime; after two
-    misses, a rank over Q below n raises ``ExactSolveError``.
+    A rank mod p below n sends the build to the next prime of ``_primes``;
+    after two misses, ``prefix_ranks``' capped rank over Q decides, and a
+    rank below n raises ``ExactSolveError``.
     """
 
     def __init__(self, system: OpMatrix):
@@ -709,8 +706,7 @@ class LiftedSolver:
         ptr, num = self._ptr.tolist(), self._num.tolist()
         self._norms = [sum(v * v for v in num[a:b]) for a, b in zip(ptr, ptr[1:])]
         self._row_bound = int(np.diff(self._ptr).max(initial=0)) * _max_abs(self._num)
-        misses = 0
-        for p in _lift_primes():
+        for tried, p in enumerate(_primes()):
             if n > _replay_terms(p):
                 raise ExactWidthExceeded(f"{n} unknowns exceed the int64 replay bound "
                                          f"{_replay_terms(p)} for p = {p}; try a smaller mesh")
@@ -719,8 +715,7 @@ class LiftedSolver:
                 ech.add(row)
             if ech.rank == n:
                 break
-            misses += 1
-            if misses == 2 and ranks_mod_p([system], 0) != [n]:
+            if tried == 1 and prefix_ranks([system]) != [n]:
                 raise ExactSolveError("matrix is singular")
         self.p = p
         self._program = _replay_program(ech, n)

@@ -214,13 +214,13 @@ def hodge_report(name: str, nx: int, ny: int, k: int, fields: int = 20,
         raise ValueError(f"fields must be >= 0, got {fields}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
+    rep = Report("orthogonal field splitting",
+                 params={"diagram": name, "nx": nx, "ny": ny, "k": k,
+                         "fields": fields, "seed": seed, "backend": backend})
     inst = build_diagram(name, nx, ny, k)
     rng = random.Random(seed)
     dim = inst.b_space.dim
     u = _draw_columns(dim, [_draw(rng, dim) for _ in range(fields)])
-    rep = Report("orthogonal field splitting",
-                 params={"diagram": name, "nx": nx, "ny": ny, "k": k,
-                         "fields": fields, "seed": seed, "backend": backend})
 
     if backend == "exact":
         sp = HodgeSplitter(inst)

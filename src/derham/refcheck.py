@@ -37,8 +37,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exactla import LiftedSolver, RankResult, mat_vec, prefix_ranks, rank_nullspace, solve_any
+from .exactla import LiftedSolver, RankResult, _exact_echelon, mat_vec, prefix_ranks, rank_nullspace
 from .exactla import rank_of_columns  # unused; perfbench/tracing.py rebinds it here
+from .exactla import solve_any  # unused; perfbench/tracing.py rebinds it here
 from .exactla import solve_square  # unused; perfbench/tracing.py rebinds it here
 from .exactla import span_compare  # unused; perfbench/tracing.py rebinds it here
 from .exactla import transpose  # unused; perfbench/tracing.py rebinds it here
@@ -140,6 +141,7 @@ class BoundaryCurlMap:
                 if c:
                     rows[r][j] = c
         self.rows = rows
+        self._factor = _exact_echelon(rows, factor=True)
         self._analysis: RankResult | None = None
 
     @property
@@ -161,8 +163,9 @@ class BoundaryCurlMap:
         return mat_vec(self.rows, scalar_coeffs)
 
     def solve(self, boundary_target) -> list[Fraction] | None:
-        """One scalar preimage of a boundary coefficient vector, or None."""
-        return solve_any(self.rows, boundary_target)
+        """One scalar preimage of a boundary coefficient vector, or None: a
+        replay of the map's factor over Q, formed once with the map."""
+        return self._factor.solve(boundary_target, self.scalar.dim)
 
     def range_orthogonal_to_constants(self) -> bool:
         """Every column has edge-integrals summing to zero, exactly.
@@ -341,10 +344,10 @@ class _DecompositionTables:
             (t, self.bubble_count + j): 1 for j, t in enumerate(at)})
 
     def sample(self, rng: random.Random, samples: int) -> OpMatrix:
-        """The coefficient columns G X of ``samples`` fields drawn as
-        ``random_divfree`` draws them: the same ``rng`` calls in the same
-        order, and a draw whose field is zero drawn again, at most 64 times
-        in a row."""
+        """The coefficient columns G X of ``samples`` seeded fields: one
+        ``_draw`` per field; when any field is zero, ``rng`` is rewound and
+        each field drawn again until it is nonzero, at most 64 times in a
+        row."""
         n = self.grad.ncols
         start = rng.getstate()
         columns = self.grad.compose(_draw_columns(n, [_draw(rng, n) for _ in range(samples)]))
@@ -494,21 +497,17 @@ def uniqueness_probe(family: str, k: int) -> UniquenessProbe:
 
 
 def random_divfree(family: str, k: int, rng: random.Random) -> VecPoly:
-    """Rotated gradient of a random rational scalar of degree k+1.
+    """Rotated gradient of a random rational scalar of degree k+1: one
+    ``_DecompositionTables.sample`` of the decomposable family on the
+    family's cell, so the field depends on the cell only.
 
     For the decomposable families this construction reaches every
     divergence-free member: the rotated-gradient image has the same dimension
     as the divergence-free subspace.
     """
-    ref = family_ref(family)
-    fam = "p" if ref is RefCell.TRIANGLE else "q"
-    scalar = scalar_local_basis(ref, fam, k + 1)
-    for _ in range(64):
-        coeffs = [Fraction(a, d) for a, d in _draw(rng, scalar.dim)]
-        u = grad_perp(_combine(scalar.elements, coeffs))
-        if not u.is_zero:
-            return u
-    raise AssertionError("random scalar degenerated 64 times in a row")
+    tables = _decomposition_tables(
+        "vec_p" if family_ref(family) is RefCell.TRIANGLE else "vec_qdiv", k)
+    return _combine(tables.basis.elements, tables.sample(rng, 1).column(0))
 
 
 def refcheck_report(cell: str, k: int, samples: int = 5, seed: int = 0) -> Report:

@@ -1,15 +1,21 @@
 """Command-line interface: exit codes, output schema, campaign plumbing."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from derham import complexcheck, exactla, hodge
 from derham.cli import k_range, main
+from derham.complexcheck import NAIVE_DIAGRAM
 from derham.operators import OpMatrix
 
 
@@ -380,9 +386,104 @@ def test_k_range_parser():
         k_range("3..1")
     with pytest.raises(argparse.ArgumentTypeError):
         k_range("x")
+    with pytest.raises(argparse.ArgumentTypeError, match="levels must be >= 0"):
+        k_range("-1000000000..0")  # refused before any range is built
 
 
 def test_bad_subcommand_usage():
     with pytest.raises(SystemExit) as err:
         main(["verify", "--k", "oops"])
     assert err.value.code == 2
+
+
+# --- invalid numeric inputs, drawn by Hypothesis
+
+
+def _not_an_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+_junk = st.text(max_size=6).filter(_not_an_int)
+_small = st.integers(-3, 3)
+
+
+def _size_argv():
+    """A command taking --nx and --ny, one of them at most 1 or not an
+    integer, the other a small valid size."""
+    command = st.sampled_from([
+        ["verify", "--diagram=tri-dp"], ["verify", f"--diagram={NAIVE_DIAGRAM}"],
+        ["appendix"], ["hodge", "--diagram=quad-enriched"], ["mesh-info", "--kind=tri"],
+        ["mesh-info", "--kind=quad"], ["audit", "--kind=tri"]])
+    bad = st.one_of(st.integers(max_value=1).map(str), _junk, st.floats().map(repr))
+    good = st.sampled_from(["2", "3"])
+    sizes = st.one_of(st.tuples(bad, good), st.tuples(good, bad))
+    return st.tuples(command, sizes).map(lambda t: t[0] + [f"--nx={t[1][0]}", f"--ny={t[1][1]}"])
+
+
+def _level_argv():
+    """A negative --k, plain or as the low end of a range, or a malformed
+    LO..HI."""
+    negative = st.one_of(st.integers(max_value=-1).map(str),
+                         st.tuples(st.integers(max_value=-1), st.integers(-1, 2)).map(
+                             lambda t: f"{t[0]}..{t[1]}"))
+    malformed = st.one_of(
+        st.tuples(_small, _small).filter(lambda t: t[1] < t[0]).map(lambda t: f"{t[0]}..{t[1]}"),
+        st.tuples(_small, _junk).map(lambda t: f"{t[0]}..{t[1]}"),
+        st.tuples(_junk, _small).map(lambda t: f"{t[0]}..{t[1]}"),
+        st.tuples(_small, _small, _small).map(lambda t: "..".join(map(str, t))))
+    command = st.sampled_from([
+        ["verify", "--diagram=tri-dp"], ["verify", "--diagram=quad-dn"],
+        ["verify", f"--diagram={NAIVE_DIAGRAM}"], ["refcheck", "--cell=tri"],
+        ["refcheck", "--cell=quad"]])
+    ranged = st.tuples(command, st.one_of(negative, malformed)).map(
+        lambda t: t[0] + [f"--k={t[1]}"])
+    hodge = st.one_of(negative, malformed).map(
+        lambda k: ["hodge", "--diagram=tri-dp", f"--k={k}"])
+    return st.one_of(ranged, hodge)
+
+
+def _count_argv():
+    """A negative --fields, --samples or --k-max; --jobs below 1; or a
+    --tol that is not finite or not positive."""
+    negative = st.integers(max_value=-1)
+    tol = st.one_of(st.floats(max_value=0), st.sampled_from([math.inf, -math.inf, math.nan]))
+    return st.one_of(
+        negative.map(lambda v: ["hodge", "--diagram=tri-dp", f"--fields={v}"]),
+        negative.map(lambda v: ["refcheck", "--cell=quad", f"--samples={v}"]),
+        negative.map(lambda v: ["audit", "--kind=quad", f"--k-max={v}"]),
+        st.integers(max_value=0).map(
+            lambda v: ["verify", "--diagram=tri-dp", "--k=0..1", f"--jobs={v}"]),
+        st.tuples(tol, st.sampled_from(["exact", "float"])).map(
+            lambda t: ["hodge", "--diagram=tri-dp", f"--tol={t[0]!r}", f"--backend={t[1]}"]))
+
+
+def assert_rejected(argv):
+    """Exit code 2, returned or argparse's, an error line on stderr, no
+    traceback and nothing on stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    err = err.getvalue()
+    assert code == 2, (argv, err)
+    assert any("error:" in line for line in err.splitlines()), (argv, err)
+    assert "Traceback" not in err
+    assert out.getvalue() == ""
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.one_of(_size_argv(), _level_argv(), _count_argv()))
+def test_invalid_numeric_inputs_exit_2(argv):
+    assert_rejected(argv)
+
+
+def test_naive_diagram_rejects_other_levels(capsys):
+    code, out, err = run(capsys, "verify", "--diagram", NAIVE_DIAGRAM, "--k", "1")
+    assert code == 2 and out == ""
+    assert err == f"error: {NAIVE_DIAGRAM} is defined at k = 0 only, got --k [1]\n"

@@ -3,12 +3,13 @@ the jump-constraint kernel."""
 
 import gc
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from derham import complexcheck, operators
+from derham import complexcheck, hodge, operators
 from derham.complexcheck import (
     DIAGRAMS,
     NAIVE_DIAGRAM,
@@ -19,6 +20,7 @@ from derham.complexcheck import (
     naive_quad_report,
     verify_diagram,
 )
+from derham.hodge import hodge_report
 from derham.mesh import MeshKind, edge_segment
 from derham.poly import Poly, VecPoly, trace_legendre
 from derham.sparse import OpMatrix, Stamp
@@ -251,3 +253,21 @@ def test_report_serialization():
     assert any(c["name"] == "first_rank" for c in doc["checks"])
     text = rep.format_text()
     assert "[PASS]" in text and "-> PASS" in text
+
+
+@pytest.mark.parametrize("module,step,run", [
+    (complexcheck, "build_diagram", lambda: verify_diagram("tri-dp", 2, 2, 0)),
+    (complexcheck, "build_mesh", lambda: naive_quad_report(2, 2)),
+    (complexcheck, "build_mesh", lambda: appendix_report(2, 2)),
+    (complexcheck, "build_mesh", lambda: audit_report(MeshKind.CARTESIAN, 2, 2, 0)),
+    (hodge, "build_diagram", lambda: hodge_report("tri-dp", 2, 2, 0, fields=1)),
+], ids=["verify", "naive", "appendix", "audit", "hodge"])
+def test_wall_time_counts_the_build(monkeypatch, module, step, run):
+    """A report's clock starts before it builds its mesh or diagram."""
+    build = getattr(module, step)
+
+    def slow_build(*args, **kwargs):
+        time.sleep(0.05)
+        return build(*args, **kwargs)
+    monkeypatch.setattr(module, step, slow_build)
+    assert run().wall_ms >= 50

@@ -735,20 +735,22 @@ def record_primes(monkeypatch):
 
 
 def test_lift_primes_are_the_primes_below_2_to_the_21():
-    """The fixed lift primes and the ones trial division finds past them
-    are the largest primes below 2**21, in decreasing order, none of them a
-    rank prime; so every residue product of a replay row is below 2**42."""
+    """The listed primes of ranks and lifted solves, and the ones trial
+    division finds past them, are the largest primes below 2**21 in
+    decreasing order; so every residue product of a replay row is below
+    2**42, and a replay row of over two million terms sums in int64."""
     sympy = pytest.importorskip("sympy")
-    primes = list(itertools.islice(exactla._lift_primes(), 6))
+    primes = list(itertools.islice(exactla._primes(), 6))
     expected = [sympy.prevprime(2 ** 21)]
     while len(expected) < 6:
         expected.append(sympy.prevprime(expected[-1]))
     assert primes == expected
-    assert not set(primes) & set(exactla._PRIMES)
+    assert primes[:len(exactla._PRIMES)] == list(exactla._PRIMES)
+    assert all(exactla._replay_terms(p) >= 2_097_172 for p in primes)
 
 
 def test_matrix_singular_mod_the_first_prime(monkeypatch):
-    p, q = exactla._LIFT_PRIMES[:2]
+    p, q = exactla._PRIMES[:2]
     seen = record_primes(monkeypatch)
     rows = [[F(p), F(0)], [F(0), F(1)]]
     # right-hand-side denominators divisible by p are scaled away, not inverted
@@ -759,7 +761,7 @@ def test_matrix_singular_mod_the_first_prime(monkeypatch):
     # singular mod the first two primes: the rank over Q decides, then a third prime
     rows = [[F(p * q), F(0)], [F(0), F(1)]]
     assert solve_square(rows, [[F(1), F(2)]]) == [[F(1, p * q), F(2)]]
-    assert seen == [p, q, 0, exactla._LIFT_PRIMES[2]]
+    assert seen == [p, q, 0, exactla._PRIMES[2]]
 
 
 def test_singular_matrix_raises_after_a_rank_over_q(monkeypatch):
@@ -767,11 +769,24 @@ def test_singular_matrix_raises_after_a_rank_over_q(monkeypatch):
     rows = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1, 3), F(1)]]
     with pytest.raises(ExactSolveError, match="singular"):
         solve_square(rows, [[F(1), F(2), F(3)]])
-    assert seen == [*exactla._LIFT_PRIMES[:2], 0]
+    assert seen == [*exactla._PRIMES[:2], 0]
     with pytest.raises(ExactSolveError, match="singular"):
         LiftedSolver(OpMatrix.from_entries(2, 2, {(0, 0): F(1)}))
     with pytest.raises(ExactSolveError, match="singular"):
         solve_square([[F(0)]], [])
+
+
+def test_singular_verdict_keeps_the_exact_width_cap(monkeypatch):
+    """After two prime misses the rank over Q that calls a system singular
+    is ``prefix_ranks``', so it stops at the width cap like every other
+    elimination over Q."""
+    rows = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1, 3), F(1)]]
+    monkeypatch.setenv("DERHAM_MAX_EXACT_COLS", "2")
+    with pytest.raises(ExactWidthExceeded, match="3 columns exceeds the exact cap 2"):
+        solve_square(rows, [[F(1), F(2), F(3)]])
+    monkeypatch.setenv("DERHAM_MAX_EXACT_COLS", "3")
+    with pytest.raises(ExactSolveError, match="singular"):
+        solve_square(rows, [[F(1), F(2), F(3)]])
 
 
 def test_wrong_reconstruction_is_never_returned(monkeypatch):
@@ -783,7 +798,7 @@ def test_wrong_reconstruction_is_never_returned(monkeypatch):
         solve_square(rows, rhs)
     # wrong after the first lifting step, right later: only the checked value comes back
     monkeypatch.undo()
-    reconstruct, p = exactla._reconstruct, exactla._LIFT_PRIMES[0]
+    reconstruct, p = exactla._reconstruct, exactla._PRIMES[0]
     moduli = set()
     monkeypatch.setattr(exactla, "_reconstruct",
                         lambda u, m, bound: moduli.add(m) or
@@ -802,7 +817,7 @@ def test_one_wrong_column_stays_open_while_the_others_return(monkeypatch):
     sols = [[1, -2, 3, 0], [4, 777, -1, 2], [0, 0, 5, -3]]
     rhs = [[F(sum(a * x for a, x in zip(row, sol))) for row in rows] for sol in sols]
     assert oracle_solutions(rows, rhs) == [[F(v) for v in sol] for sol in sols]
-    reconstruct, p = exactla._reconstruct, exactla._LIFT_PRIMES[0]
+    reconstruct, p = exactla._reconstruct, exactla._PRIMES[0]
 
     def wrong_777(limit):
         def patched(u, m, bound):
@@ -823,7 +838,7 @@ def test_int64_replay_row_at_its_proven_bound():
     """The longest replay row the bound allows, every coefficient and
     residue p - 1, sums in int64 to what Python ints give, and one more
     term would pass 2**63."""
-    p = exactla._LIFT_PRIMES[0]
+    p = exactla._PRIMES[0]
     terms = exactla._replay_terms(p)
     assert terms * (p - 1) ** 2 < 2 ** 63 <= (terms + 1) * (p - 1) ** 2
     coef = np.full(terms, p - 1, dtype=np.int64)
@@ -833,15 +848,25 @@ def test_int64_replay_row_at_its_proven_bound():
     assert (row % p).tolist() == [terms * (p - 1) ** 2 % p] * 2
 
 
-def test_lifted_solve_ignores_the_rank_primes(monkeypatch):
+def test_ranks_and_lifted_solves_start_on_one_prime(monkeypatch):
+    """A rank closed mod p and a lifted solve's factor start on the same
+    first listed prime.  With no listed prime the solve goes on to the
+    primes below 2**21 and returns the same solutions."""
     rng = random.Random(5)
     rows = random_matrix(rng, 5, 5, 5)
     rhs = [[F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(5)] for _ in range(3)]
+    seen = record_primes(monkeypatch)
+    assert prefix_ranks([block(rows)], [5]) == [5]
+    rank_primes = list(seen)
+    seen.clear()
     expected = solve_square(rows, rhs)
     assert expected == oracle_solutions(rows, rhs)
+    assert seen == rank_primes == [exactla._PRIMES[0]]
+    seen.clear()
     monkeypatch.setattr(exactla, "_PRIMES", ())
     assert solve_square(rows, rhs) == expected
     assert lifted(rows, rhs) == expected
+    assert seen[0] == 2097143  # the largest prime below 2**21, found by trial division
 
 
 def ldlt_positive_definite(rows) -> bool:
