@@ -722,8 +722,8 @@ class LiftedSolver:
 
     def _times(self, x: np.ndarray) -> np.ndarray:
         """A x for every column of x, in int64 when the longest row of A
-        times max |A| times max |x| is below 2**63, else in Python ints."""
-        dtype = _word_dtype(self._row_bound * _max_abs(x))
+        times max |A| times max(max |x|, 1) is below 2**63, else in Python ints."""
+        dtype = _word_dtype(self._row_bound * max(_max_abs(x), 1))
         terms = self._num.astype(dtype, copy=False)[:, None] * x.astype(dtype, copy=False)[self._cols]
         return np.add.reduceat(terms, self._ptr[:-1], axis=0)
 

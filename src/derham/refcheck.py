@@ -5,25 +5,28 @@ Three related objects live here, all in exact arithmetic:
 * ``BoundaryCurlMap``: scalar polynomials of degree k+1 mapped to the
   Legendre coefficients of the outward normal traces of their rotated
   gradients, edge by edge.  Along an edge that trace equals d/dt of the
-  scalar restricted to the edge, so it always has degree <= k.
+  scalar restricted to the edge, so it always has degree <= k.  It is T G.
 * ``bubble_basis``: the members of a vector family that are divergence-free
-  with identically zero normal trace on every edge.
+  with identically zero normal trace on every edge: one elimination of D,
+  then of [D; T], gives the divergence-free basis and then the bubbles.
 * ``decompose_divfree``: splits a divergence-free family member into a
   bubble, one reproducing mode per (edge, Legendre index >= 1), and a
   remainder with edgewise-constant normal traces.  ``uniqueness_probe``
   certifies that those three ingredients form a basis of the
   divergence-free subspace.
 
-Both act on coefficient columns in the family's reference basis, through
-the integer ``OpMatrix`` tables of ``_DecompositionTables``, formed once per
-(family, k).  A batch of columns C splits as beta = P C, lambda = R C and
+Each table is formed once per (family, k) and each matrix eliminated over
+Q once.  The split acts on coefficient columns in the family's reference
+basis, through the integer ``OpMatrix`` tables of ``_DecompositionTables``
+(G and T are the map's, D the bubbles').  A batch of columns C splits as
+beta = P C, lambda = R C and
 sigma = L (C - W [beta; lambda; 0]), with W = [bubbles | modes | flats]; a
 column is exact only when the integer product C - W [beta; lambda; sigma]
 is zero there.  ``refcheck_report`` draws its samples as the columns G X,
 splits them as one batch, compares T W with the unit targets on the mode
 columns, and takes the probe's rank of W from ``prefix_ranks``.
-Polynomials are formed only for ``decompose_divfree``'s fields and
-``edge_modes``.
+Polynomials are formed only for the tables' traces and expansions,
+``decompose_divfree``'s fields and ``edge_modes``.
 """
 
 from __future__ import annotations
@@ -32,12 +35,13 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .exactla import LiftedSolver, RankResult, _exact_echelon, mat_vec, prefix_ranks, rank_nullspace
+from .exactla import LiftedSolver, RankResult, _check_width, _exact_echelon, mat_vec, prefix_ranks
+from .exactla import rank_nullspace  # unused; perfbench/tracing.py rebinds it here
 from .exactla import rank_of_columns  # unused; perfbench/tracing.py rebinds it here
 from .exactla import solve_any  # unused; perfbench/tracing.py rebinds it here
 from .exactla import solve_square  # unused; perfbench/tracing.py rebinds it here
@@ -75,6 +79,8 @@ _ZERO = Fraction(0)
 # families whose normal traces stay at degree <= k, where the decomposition
 # into bubbles + edge modes + flat-trace fields applies
 DECOMPOSABLE_FAMILIES = ("vec_p", "vec_qdiv")
+# the decomposable family of each reference cell
+_CELL_FAMILY = {RefCell.TRIANGLE: "vec_p", RefCell.SQUARE: "vec_qdiv"}
 
 
 def family_ref(family: str) -> RefCell:
@@ -123,6 +129,12 @@ class BoundaryCurlMap:
     triangle, per-variable degree on the square); rows are the Legendre
     coefficients of the outward normal traces of the rotated gradient,
     edge-major with k+1 coefficients per edge.
+
+    The rows are T G in the cell's decomposable ``family``: ``grad`` (G)
+    expands each scalar element's rotated gradient in its ``basis``, and
+    ``trace`` (T) is its trace table.  One capped elimination over Q gives
+    the factor that ``solve`` replays, its rank, and on first use
+    ``analysis`` and ``kernel``.
     """
 
     def __init__(self, ref: RefCell, k: int):
@@ -130,29 +142,26 @@ class BoundaryCurlMap:
             raise ValueError("level k must be >= 0")
         self.ref = ref
         self.k = k
-        fam = "p" if ref is RefCell.TRIANGLE else "q"
-        self.scalar = scalar_local_basis(ref, fam, k + 1)
+        self.scalar = scalar_local_basis(ref, "p" if ref is RefCell.TRIANGLE else "q", k + 1)
+        _check_width(self.scalar.dim)
         self.num_edges = ref.num_edges
         self.boundary_dim = self.num_edges * (k + 1)
-        rows = [[_ZERO] * self.scalar.dim for _ in range(self.boundary_dim)]
-        for j, psi in enumerate(self.scalar.elements):
-            coeffs = trace_coefficients(ref, grad_perp(psi), k)
-            for r, c in enumerate(coeffs):
-                if c:
-                    rows[r][j] = c
-        self.rows = rows
-        self._factor = _exact_echelon(rows, factor=True)
-        self._analysis: RankResult | None = None
+        self.family = _CELL_FAMILY[ref]
+        self.basis = basis = reference_basis(self.family, k)
+        self.grad = OpMatrix.from_columns(
+            basis.dim, [basis.expand(grad_perp(psi)) for psi in self.scalar.elements])
+        self.trace = OpMatrix.from_columns(self.boundary_dim, _trace_columns(basis, k))
+        self.rows = self.trace.compose(self.grad).dense_rows()
+        self._factor = _exact_echelon(self.rows, factor=True)
 
-    @property
+    @cached_property
     def analysis(self) -> RankResult:
-        if self._analysis is None:
-            self._analysis = rank_nullspace(self.rows, ncols=self.scalar.dim)
-        return self._analysis
+        f, n = self._factor, self.scalar.dim
+        return RankResult(f.nrows, n, f.rank, sorted(f.pivots), f.nullspace(n))
 
     @property
     def rank(self) -> int:
-        return self.analysis.rank
+        return self._factor.rank
 
     @property
     def kernel(self) -> list[list[Fraction]]:
@@ -186,12 +195,6 @@ def boundary_curl_map(ref: RefCell, k: int) -> BoundaryCurlMap:
     return BoundaryCurlMap(ref, k)
 
 
-def _divergence_rows(basis: LocalBasis) -> list[list[Fraction]]:
-    divs = [divergence(u) for u in basis.elements]
-    monos = sorted({ab for d in divs for ab, _ in d.terms()})
-    return [[d.coeff(*ab) for d in divs] for ab in monos]
-
-
 def _trace_columns(basis: LocalBasis, k: int) -> list[list[Fraction]]:
     """The basis's trace table, one column per basis element: its outward
     normal trace coefficients, edge-major (edge, Legendre order 0..k)."""
@@ -200,18 +203,19 @@ def _trace_columns(basis: LocalBasis, k: int) -> list[list[Fraction]]:
 
 @lru_cache(maxsize=None)
 def divfree_coefficients(family: str, k: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Coefficient basis of all divergence-free members of the family."""
-    basis = reference_basis(family, k)
-    res = rank_nullspace(_divergence_rows(basis), ncols=basis.dim)
-    return tuple(tuple(v) for v in res.nullspace)
+    """Coefficient basis of the family's divergence-free members: ker D."""
+    return tuple(tuple(v) for v in bubble_basis(family, k).divfree)
 
 
 class BubbleBasis:
     """Divergence-free family members with zero normal trace on every edge.
 
-    ``projector`` is the integer table that maps family coefficient columns
-    to the bubble coefficients of their L2-orthogonal projection: the
-    bubbles' Gram matrix solved against their moments with the family basis.
+    One capped elimination over Q: the divergence rows D (``divergence``),
+    whose kernel is ``divfree``, then the trace rows at every Legendre order
+    the basis reaches; the kernel of [D; T] is ``vectors`` (B).
+    ``projector`` maps family coefficient columns to the bubble coefficients
+    of their L2-orthogonal projection: B^T M B solved against the moments
+    B^T M, with M the family's Gram matrix.
     """
 
     def __init__(self, family: str, k: int):
@@ -220,18 +224,20 @@ class BubbleBasis:
         self.ref = family_ref(family)
         self.basis = reference_basis(family, k)
         n = self.basis.dim
+        _check_width(n)
+        divs = [divergence(u) for u in self.basis.elements]
+        rows = [[d.coeff(*ab) for d in divs] for ab in sorted({ab for d in divs for ab in d.c})]
+        self.divergence = _rows_matrix(rows, n)
+        echelon = _exact_echelon(rows)
+        self.divfree = echelon.nullspace(n)
         degree = max(a + b for u in self.basis.elements for p in (u.x, u.y) for a, b in p.c)
-        traces = _trace_columns(self.basis, degree)
-        rows = _divergence_rows(self.basis) + [list(row) for row in zip(*traces)]
-        self.vectors = rank_nullspace(rows, ncols=n).nullspace
+        for row in zip(*_trace_columns(self.basis, degree)):
+            echelon.add({c: v for c, v in enumerate(row) if v})
+        self.vectors = echelon.nullspace(n)
         self.elements = [_combine(self.basis.elements, v) for v in self.vectors]
-        if not self.elements:
-            self.projector = OpMatrix(0, n)
-            return
-        moments = _rows_matrix([[self.basis.inner(b, e) for e in self.basis.elements]
-                                for b in self.elements], n)
-        gram = moments.compose(OpMatrix.from_columns(n, self.vectors))
-        self.projector = LiftedSolver(gram).solve(moments)
+        bubbles = OpMatrix.from_columns(n, self.vectors)
+        moments = bubbles.transpose().compose(OpMatrix.from_columns(n, self.basis.gram_ref()))
+        self.projector = LiftedSolver(moments.compose(bubbles)).solve(moments)
 
     @property
     def dim(self) -> int:
@@ -295,12 +301,13 @@ class _DecompositionTables:
     """The integer tables of one decomposable (family, k), on coefficient
     columns in the family's reference basis:
 
-    * ``grad``: G, the rotated gradient of each scalar basis element;
-    * ``divergence``: D, the divergence rows;
-    * ``projector``: P, the bubble projector;
+    * ``grad``: G, the rotated gradient of each scalar basis element, and
+      ``trace``: T, the whole trace table (edge, order 0..k), both the
+      boundary map's;
+    * ``divergence``: D, the divergence rows, and ``projector``: P, the
+      bubble projector, both the bubble basis's;
     * ``mode_rows``: R, the trace rows (edge, order 1..k), which read off
       the edge-mode coefficients;
-    * ``trace``: T, the whole trace table (edge, order 0..k);
     * ``pieces``: W = [bubbles | modes | flats], one mode per (edge, order
       1..k) in ``labels`` order: a rotated gradient whose boundary
       coefficients hit exactly that unit target, minus its bubble projection;
@@ -313,20 +320,19 @@ class _DecompositionTables:
     """
 
     def __init__(self, family: str, k: int):
+        if family not in DECOMPOSABLE_FAMILIES:
+            raise ValueError(f"decomposition applies to {DECOMPOSABLE_FAMILIES}, not {family!r}")
         ref = family_ref(family)
-        self.basis = basis = reference_basis(family, k)
+        bcm = boundary_curl_map(ref, k)
+        self.basis = basis = bcm.basis
         self.bubbles = bubbles = bubble_basis(family, k)
         n = basis.dim
-        bcm = boundary_curl_map(ref, k)
-        self.grad = OpMatrix.from_columns(
-            n, [basis.expand(grad_perp(psi)) for psi in bcm.scalar.elements])
-        self.divergence = _rows_matrix(_divergence_rows(basis), n)
-        traces = _trace_columns(basis, k)
-        self.trace = OpMatrix.from_columns(bcm.boundary_dim, traces)
+        self.grad, self.trace, self.divergence = bcm.grad, bcm.trace, bubbles.divergence
         self.projector = bubbles.projector
         self.labels = [(e, i) for e in range(ref.num_edges) for i in range(1, k + 1)]
         at = [e * (k + 1) + i for e, i in self.labels]
-        self.mode_rows = OpMatrix.from_columns(len(at), [[col[r] for r in at] for col in traces])
+        self.mode_rows = _rows_matrix([row for r, row in enumerate(self.trace.dense_rows())
+                                       if r in at], n)
         solutions = [bcm.solve([1 if r == t else 0 for r in range(bcm.boundary_dim)]) for t in at]
         if None in solutions:
             raise AssertionError("boundary target unexpectedly outside the range")
@@ -437,8 +443,6 @@ def decompose_divfree(u: VecPoly, family: str, k: int) -> DivFreeDecomposition:
     coefficients, so an exact split certifies that those functionals,
     together with the bubble and flat pieces, control the whole field.
     """
-    if family not in DECOMPOSABLE_FAMILIES:
-        raise ValueError(f"decomposition applies to {DECOMPOSABLE_FAMILIES}, not {family!r}")
     tables = _decomposition_tables(family, k)
     basis = tables.basis
     # membership check; SpanError if outside
@@ -505,8 +509,7 @@ def random_divfree(family: str, k: int, rng: random.Random) -> VecPoly:
     divergence-free member: the rotated-gradient image has the same dimension
     as the divergence-free subspace.
     """
-    tables = _decomposition_tables(
-        "vec_p" if family_ref(family) is RefCell.TRIANGLE else "vec_qdiv", k)
+    tables = _decomposition_tables(_CELL_FAMILY[family_ref(family)], k)
     return _combine(tables.basis.elements, tables.sample(rng, 1).column(0))
 
 
@@ -520,7 +523,7 @@ def refcheck_report(cell: str, k: int, samples: int = 5, seed: int = 0) -> Repor
         raise ValueError(f"samples must be >= 0, got {samples}")
     ref = names[cell]
     tri = ref is RefCell.TRIANGLE
-    family = "vec_p" if tri else "vec_qdiv"
+    family = _CELL_FAMILY[ref]
     rep = Report("reference-cell checks",
                  params={"cell": ref.value, "k": k, "family": family,
                          "samples": samples, "seed": seed})
@@ -529,7 +532,7 @@ def refcheck_report(cell: str, k: int, samples: int = 5, seed: int = 0) -> Repor
     rep.check("boundary_map_rank", 3 * k + 2 if tri else 4 * k + 3, bcm.rank)
     rep.check("boundary_map_kernel_dim",
               1 + k * (k - 1) // 2 if tri else 1 + k * k,
-              bcm.analysis.nullity)
+              bcm.scalar.dim - bcm.rank)
     rep.check("range_plus_constants_fills_boundary", bcm.boundary_dim, bcm.rank + 1)
     rep.check("range_orthogonal_to_constants", True, bcm.range_orthogonal_to_constants())
 

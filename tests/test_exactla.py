@@ -672,6 +672,17 @@ def test_lifted_solve_of_empty_system_and_batch():
     assert empty.shape == (1, 0)
 
 
+def test_zero_right_hand_side_on_numerators_past_int64_solves_to_zero():
+    """A zero batch has max |x| = 0, which must not bound A x to int64
+    when A's numerators do not fit it."""
+    assert solve_square([[F(2 ** 64)]], [[F(0)]]) == [[F(0)]]
+
+
+def test_batch_of_zero_columns_on_numerators_past_int64_solves_to_zero():
+    system = OpMatrix.from_entries(2, 2, {(0, 0): F(2 ** 63), (0, 1): F(1), (1, 1): F(3)})
+    assert LiftedSolver(system).solve(OpMatrix(2, 3)).columns() == [[F(0)] * 2] * 3
+
+
 def test_lifted_solve_rejects_wrong_shapes():
     with pytest.raises(ValueError, match="square"):
         LiftedSolver(OpMatrix(2, 3))

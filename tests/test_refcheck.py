@@ -52,6 +52,33 @@ def test_boundary_range_misses_exactly_the_constants(ref, k):
     assert bm.rank + 1 == boundary_dim
 
 
+@pytest.mark.parametrize("ref", [RefCell.TRIANGLE, RefCell.SQUARE])
+@pytest.mark.parametrize("k", range(5))
+def test_boundary_map_rows_are_traces_of_rotated_gradients(ref, k):
+    """T G equals the polynomial route: column j holds the trace
+    coefficients of the rotated gradient of scalar element j."""
+    bm = boundary_curl_map(ref, k)
+    assert bm.rows == _polynomial_map_rows(ref, k)
+
+
+@pytest.mark.parametrize("ref", [RefCell.TRIANGLE, RefCell.SQUARE])
+def test_width_cap_is_checked_before_each_elimination(monkeypatch, ref):
+    """The map refuses a scalar basis wider than DERHAM_MAX_EXACT_COLS at
+    construction, and the bubble basis a family basis wider than it."""
+    k, family = 2, "vec_p" if ref is RefCell.TRIANGLE else "vec_qdiv"
+    scalar_dim = boundary_curl_map(ref, k).scalar.dim
+    monkeypatch.setenv("DERHAM_MAX_EXACT_COLS", str(scalar_dim - 1))
+    with pytest.raises(exactla.ExactWidthExceeded, match=f"{scalar_dim} columns"):
+        refcheck.BoundaryCurlMap(ref, k)
+    family_dim = reference_basis(family, k).dim
+    monkeypatch.setenv("DERHAM_MAX_EXACT_COLS", str(family_dim - 1))
+    with pytest.raises(exactla.ExactWidthExceeded, match=f"{family_dim} columns"):
+        refcheck.BubbleBasis(family, k)
+    monkeypatch.setenv("DERHAM_MAX_EXACT_COLS", str(max(scalar_dim, family_dim)))
+    assert refcheck.BoundaryCurlMap(ref, k).rows == boundary_curl_map(ref, k).rows
+    assert refcheck.BubbleBasis(family, k).vectors == bubble_basis(family, k).vectors
+
+
 @pytest.mark.parametrize("k", range(5))
 def test_constants_in_boundary_kernel(k):
     # scalar constants always map to zero boundary data
@@ -177,6 +204,13 @@ def _combination(elements, coeffs):
     return out
 
 
+def _polynomial_map_rows(ref, k):
+    """The boundary map's rows by the polynomial route: the trace
+    coefficients of each scalar element's rotated gradient, one column each."""
+    scalar = scalar_local_basis(ref, "p" if ref is RefCell.TRIANGLE else "q", k + 1)
+    return transpose([trace_coefficients(ref, grad_perp(psi), k) for psi in scalar.elements])
+
+
 def _oracle_traces(ref, u, k):
     """Edge-major Legendre coefficients 0..k of the outward normal traces,
     by polynomial products."""
@@ -206,13 +240,14 @@ class _OracleDecomposer:
             rows.extend([t.coeff(p) for t in traces] for p in range(deg + 1))
         self.bubble_vectors = rank_nullspace(rows, ncols=self.basis.dim).nullspace
         self.bubbles = [_combination(self.basis.elements, v) for v in self.bubble_vectors]
-        bcm = boundary_curl_map(self.ref, k)
+        scalar = scalar_local_basis(self.ref, "p" if self.ref is RefCell.TRIANGLE else "q", k + 1)
+        map_rows = _polynomial_map_rows(self.ref, k)
         self.modes = []
         for e in range(self.ref.num_edges):
             for i in range(1, k + 1):
-                target = [F(0)] * bcm.boundary_dim
+                target = [F(0)] * len(map_rows)
                 target[e * (k + 1) + i] = F(1)
-                w = grad_perp(_combination(bcm.scalar.elements, solve_any(bcm.rows, target)))
+                w = grad_perp(_combination(scalar.elements, solve_any(map_rows, target)))
                 self.modes.append((e, i, w - self.project(w)))
 
     def bubble_coefficients(self, v):
