@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from typing import Iterable
 
 from .complexcheck import (
     DIAGRAMS,
@@ -35,8 +36,9 @@ __all__ = ["main", "build_parser"]
 _KINDS = {"tri": MeshKind.TRIANGULAR, "quad": MeshKind.CARTESIAN}
 
 
-def k_range(text: str) -> list[int]:
-    """Parse a level argument: '2' or a range '0..2', of levels >= 0."""
+def k_range(text: str) -> range:
+    """Parse a level argument: '2' or a range '0..2', of levels >= 0, as a
+    lazy ``range``."""
     try:
         parts = [int(part) for part in text.split("..", 1)]
     except ValueError:
@@ -46,7 +48,7 @@ def k_range(text: str) -> list[int]:
     lo, hi = parts[0], parts[-1]
     if lo < 0:
         raise argparse.ArgumentTypeError(f"levels must be >= 0, got {text!r}")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the whole verification matrix (ignores --diagram/--nx/--ny/--k)")
     p.add_argument("--nx", type=int, default=2)
     p.add_argument("--ny", type=int, default=2)
-    p.add_argument("--k", type=k_range, default=[0], metavar="K|LO..HI")
+    p.add_argument("--k", type=k_range, default=range(1), metavar="K|LO..HI")
     p.add_argument("--float-check", action="store_true",
                    help="cross-check exact ranks against float SVD ranks")
     p.add_argument("--jobs", type=int, default=1,
@@ -85,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("refcheck", parents=[common],
                        help="reference-cell boundary map, bubbles and decomposition")
     p.add_argument("--cell", choices=("tri", "quad"), required=True)
-    p.add_argument("--k", type=k_range, default=[0], metavar="K|LO..HI")
+    p.add_argument("--k", type=k_range, default=range(1), metavar="K|LO..HI")
     p.add_argument("--samples", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
 
@@ -124,7 +126,8 @@ def _run_job(job: tuple) -> Report:
     return verify_diagram(name, nx, ny, k, float_check=fc)
 
 
-def _verify_jobs(args) -> list[tuple]:
+def _verify_jobs(args) -> Iterable[tuple]:
+    """The verify jobs, lazily one per level of ``--k`` for one diagram."""
     if args.all:
         jobs: list[tuple] = []
         for name in ("tri-dp", "tri-dp-curl", "quad-enriched", "quad-enriched-curl"):
@@ -140,23 +143,27 @@ def _verify_jobs(args) -> list[tuple]:
     if not args.diagram:
         raise ValueError("verify needs --diagram or --all")
     if args.diagram == NAIVE_DIAGRAM:
-        if args.k != [0]:
-            raise ValueError(f"{NAIVE_DIAGRAM} is defined at k = 0 only, got --k {args.k}")
+        if args.k != range(1):
+            k = args.k
+            levels = f"{k[0]}" if len(k) == 1 else f"{k[0]}..{k[-1]}"
+            raise ValueError(f"{NAIVE_DIAGRAM} is defined at k = 0 only, got --k {levels}")
         return [("naive", args.nx, args.ny, args.float_check)]
-    return [("diagram", args.diagram, args.nx, args.ny, k, args.float_check)
-            for k in args.k]
+    return (("diagram", args.diagram, args.nx, args.ny, k, args.float_check) for k in args.k)
 
 
-def _run_reports(jobs: list[tuple], n_jobs: int) -> list[Report]:
+def _run_reports(jobs: Iterable[tuple], n_jobs: int) -> list[Report]:
+    """Run ``jobs`` in order; inline, they are drawn one at a time."""
     if n_jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {n_jobs}")
-    # the fork start method starts every worker up front, so never ask for
-    # more workers than there are jobs or cores
-    workers = min(n_jobs, len(jobs), os.cpu_count() or 1)
-    if workers <= 1:
-        return [_run_job(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_job, jobs))  # map keeps submission order
+    if n_jobs > 1:
+        jobs = list(jobs)
+        # the fork start method starts every worker up front, so never ask
+        # for more workers than there are jobs or cores
+        workers = min(n_jobs, len(jobs), os.cpu_count() or 1)
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                return list(pool.map(_run_job, jobs))  # map keeps submission order
+    return [_run_job(job) for job in jobs]
 
 
 def _check_output(path: str) -> None:

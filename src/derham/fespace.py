@@ -171,8 +171,13 @@ class LocalBasis:
             raise SpanError(f"{exc} ({self.tag})") from exc
 
     def inner(self, f: Poly | VecPoly, g: Poly | VecPoly) -> Fraction:
-        """Exact L2 inner product on the reference cell."""
-        return self.ref.integrate(sum((a * b for a, b in zip(_parts(f), _parts(g))), Poly()))
+        """Exact L2 inner product on the reference cell: c d times the
+        cell's moment of x^(a1+a2) y^(b1+b2), summed over the term pairs
+        of matching components, with no product polynomial."""
+        moment = self.ref.moment
+        return sum((c * d * moment(a1 + a2, b1 + b2)
+                    for p, q in zip(_parts(f), _parts(g))
+                    for (a1, b1), c in p.terms() for (a2, b2), d in q.terms()), _ZERO)
 
     def gram_ref(self) -> list[list[Fraction]]:
         if self._gram is None:

@@ -7,16 +7,18 @@ Three related objects live here, all in exact arithmetic:
   gradients, edge by edge.  Along an edge that trace equals d/dt of the
   scalar restricted to the edge, so it always has degree <= k.  It is T G.
 * ``bubble_basis``: the members of a vector family that are divergence-free
-  with identically zero normal trace on every edge: one elimination of D,
-  then of [D; T], gives the divergence-free basis and then the bubbles.
+  with identically zero normal trace on every edge: one factor of D, then
+  of [D; T], gives the divergence-free basis, the bubbles and, replayed,
+  the edge-mode preimages.
 * ``decompose_divfree``: splits a divergence-free family member into a
   bubble, one reproducing mode per (edge, Legendre index >= 1), and a
   remainder with edgewise-constant normal traces.  ``uniqueness_probe``
   certifies that those three ingredients form a basis of the
   divergence-free subspace.
 
-Each table is formed once per (family, k) and each matrix eliminated over
-Q once.  The split acts on coefficient columns in the family's reference
+Each table is formed once per (family, k), and that factor is a fresh
+report's one elimination over Q; the map's rank is a witness mod p plus
+a bound.  The split acts on coefficient columns in the family's reference
 basis, through the integer ``OpMatrix`` tables of ``_DecompositionTables``
 (G and T are the map's, D the bubbles').  A batch of columns C splits as
 beta = P C, lambda = R C and
@@ -40,14 +42,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exactla import LiftedSolver, RankResult, _check_width, _exact_echelon, mat_vec, prefix_ranks
+from .exactla import LiftedSolver, RankResult, _check_width, _exact_echelon, prefix_ranks
+from .exactla import mat_vec  # unused; perfbench/tracing.py rebinds it here
 from .exactla import rank_nullspace  # unused; perfbench/tracing.py rebinds it here
 from .exactla import rank_of_columns  # unused; perfbench/tracing.py rebinds it here
 from .exactla import solve_any  # unused; perfbench/tracing.py rebinds it here
 from .exactla import solve_square  # unused; perfbench/tracing.py rebinds it here
 from .exactla import span_compare  # unused; perfbench/tracing.py rebinds it here
 from .exactla import transpose  # unused; perfbench/tracing.py rebinds it here
-from .fespace import VECTOR_FAMILIES, LocalBasis, make_vector_basis, scalar_local_basis
+from .fespace import VECTOR_FAMILIES, LocalBasis, local_dim, make_vector_basis, scalar_local_basis
 from .mesh import MeshKind
 from .poly import Poly, RefCell, VecPoly, divergence, grad_perp, trace_legendre
 from .report import Report
@@ -93,17 +96,15 @@ def reference_basis(family: str, k: int) -> LocalBasis:
     return make_vector_basis(family, k, family_ref(family))
 
 
-def _combine(elements, coeffs):
-    """The combination sum c_i * elements[i] of scalar or vector polynomials
-    (at least one element)."""
-    vector = isinstance(elements[0], VecPoly)
-    parts: list[dict] = [{}, {}] if vector else [{}]
+def _combine(elements, coeffs) -> VecPoly:
+    """The combination sum c_i * elements[i] of vector polynomials."""
+    parts: tuple[dict, dict] = ({}, {})
     for c, f in zip(coeffs, elements):
         if c:
-            for acc, part in zip(parts, (f.x, f.y) if vector else (f,)):
+            for acc, part in zip(parts, (f.x, f.y)):
                 for ab, v in part.c.items():
                     acc[ab] = acc.get(ab, _ZERO) + c * v
-    return VecPoly(Poly(parts[0]), Poly(parts[1])) if vector else Poly(parts[0])
+    return VecPoly(Poly(parts[0]), Poly(parts[1]))
 
 
 def _rows_matrix(rows, ncols: int) -> OpMatrix:
@@ -130,11 +131,14 @@ class BoundaryCurlMap:
     coefficients of the outward normal traces of the rotated gradient,
     edge-major with k+1 coefficients per edge.
 
-    The rows are T G in the cell's decomposable ``family``: ``grad`` (G)
-    expands each scalar element's rotated gradient in its ``basis``, and
-    ``trace`` (T) is its trace table.  One capped elimination over Q gives
-    the factor that ``solve`` replays, its rank, and on first use
-    ``analysis`` and ``kernel``.
+    The map is ``matrix``, the integer product T G in the cell's
+    decomposable ``family``: ``grad`` (G) expands each scalar element's
+    rotated gradient in its ``basis``, and ``trace`` (T) is its trace table.
+    The rank is a witness plus a bound: when the order-0 edge sums kill T G
+    (``range_orthogonal_to_constants``), it is at most ``boundary_dim`` - 1,
+    else at most ``boundary_dim``, and ``prefix_ranks`` closes it mod p.
+    Only ``analysis``, ``kernel`` and the dense ``rows`` eliminate, on first
+    use.
     """
 
     def __init__(self, ref: RefCell, k: int):
@@ -142,63 +146,52 @@ class BoundaryCurlMap:
             raise ValueError("level k must be >= 0")
         self.ref = ref
         self.k = k
+        self.family = _CELL_FAMILY[ref]
+        # both widths in closed form, before either basis is built
+        _check_width((k + 2) * (k + 3) // 2 if ref is RefCell.TRIANGLE else (k + 2) ** 2)
+        _check_width(local_dim(self.family, k))
         self.scalar = scalar_local_basis(ref, "p" if ref is RefCell.TRIANGLE else "q", k + 1)
-        _check_width(self.scalar.dim)
         self.num_edges = ref.num_edges
         self.boundary_dim = self.num_edges * (k + 1)
-        self.family = _CELL_FAMILY[ref]
         self.basis = basis = reference_basis(self.family, k)
         self.grad = OpMatrix.from_columns(
             basis.dim, [basis.expand(grad_perp(psi)) for psi in self.scalar.elements])
-        self.trace = OpMatrix.from_columns(self.boundary_dim, _trace_columns(basis, k))
-        self.rows = self.trace.compose(self.grad).dense_rows()
-        self._factor = _exact_echelon(self.rows, factor=True)
+        self.trace = OpMatrix.from_columns(
+            self.boundary_dim, [trace_coefficients(ref, u, k) for u in basis.elements])
+        self.matrix = self.trace.compose(self.grad)
+        edge_sums = OpMatrix.from_entries(1, self.boundary_dim, {
+            (0, e * (k + 1)): 1 for e in range(self.num_edges)})
+        self._orthogonal = edge_sums.compose(self.matrix).is_zero
+        [self.rank] = prefix_ranks([self.matrix], [self.boundary_dim - self._orthogonal])
+
+    @cached_property
+    def rows(self) -> list[list[Fraction]]:
+        return self.matrix.dense_rows()
 
     @cached_property
     def analysis(self) -> RankResult:
-        f, n = self._factor, self.scalar.dim
-        return RankResult(f.nrows, n, f.rank, sorted(f.pivots), f.nullspace(n))
-
-    @property
-    def rank(self) -> int:
-        return self._factor.rank
+        ech, n = _exact_echelon(self.rows), self.scalar.dim
+        return RankResult(len(self.rows), n, ech.rank, sorted(ech.pivots), ech.nullspace(n))
 
     @property
     def kernel(self) -> list[list[Fraction]]:
         """Scalar coefficient vectors whose rotated gradient has zero trace."""
         return self.analysis.nullspace
 
-    def apply(self, scalar_coeffs) -> list[Fraction]:
-        return mat_vec(self.rows, scalar_coeffs)
-
-    def solve(self, boundary_target) -> list[Fraction] | None:
-        """One scalar preimage of a boundary coefficient vector, or None: a
-        replay of the map's factor over Q, formed once with the map."""
-        return self._factor.solve(boundary_target, self.scalar.dim)
-
     def range_orthogonal_to_constants(self) -> bool:
-        """Every column has edge-integrals summing to zero, exactly.
+        """Every column has edge-integrals summing to zero, exactly: the
+        integer product of the order-0 edge sums with T G is zero.
 
         The order-0 coefficient of a trace is its mean, so this is the exact
         statement that the range is orthogonal to the constant boundary
         function in the weighted Legendre inner product.
         """
-        step = self.k + 1
-        return all(
-            not sum((self.rows[e * step][j] for e in range(self.num_edges)), _ZERO)
-            for j in range(self.scalar.dim)
-        )
+        return self._orthogonal
 
 
 @lru_cache(maxsize=None)
 def boundary_curl_map(ref: RefCell, k: int) -> BoundaryCurlMap:
     return BoundaryCurlMap(ref, k)
-
-
-def _trace_columns(basis: LocalBasis, k: int) -> list[list[Fraction]]:
-    """The basis's trace table, one column per basis element: its outward
-    normal trace coefficients, edge-major (edge, Legendre order 0..k)."""
-    return [trace_coefficients(basis.ref, u, k) for u in basis.elements]
 
 
 @lru_cache(maxsize=None)
@@ -210,30 +203,33 @@ def divfree_coefficients(family: str, k: int) -> tuple[tuple[Fraction, ...], ...
 class BubbleBasis:
     """Divergence-free family members with zero normal trace on every edge.
 
-    One capped elimination over Q: the divergence rows D (``divergence``),
-    whose kernel is ``divfree``, then the trace rows at every Legendre order
-    the basis reaches; the kernel of [D; T] is ``vectors`` (B).
-    ``projector`` maps family coefficient columns to the bubble coefficients
-    of their L2-orthogonal projection: B^T M B solved against the moments
-    B^T M, with M the family's Gram matrix.
+    The one elimination over Q of refcheck, recorded as ``factor``: the
+    divergence rows D (``divergence``), whose kernel is ``divfree``, then
+    the boundary map's trace rows T (orders 0..k); the kernel of [D; T] is
+    ``vectors`` (B), and ``_DecompositionTables`` replays the factor for
+    the edge modes.  ``projector`` maps family coefficient columns to the
+    bubble coefficients of their L2-orthogonal projection: B^T M B solved
+    against the moments B^T M, with M the family's Gram matrix.
     """
 
     def __init__(self, family: str, k: int):
+        if family not in DECOMPOSABLE_FAMILIES:
+            raise ValueError(f"decomposition applies to {DECOMPOSABLE_FAMILIES}, not {family!r}")
+        _check_width(local_dim(family, k))
         self.family = family
         self.k = k
         self.ref = family_ref(family)
-        self.basis = reference_basis(family, k)
+        self.boundary_map = boundary_curl_map(self.ref, k)
+        self.basis = self.boundary_map.basis
         n = self.basis.dim
-        _check_width(n)
         divs = [divergence(u) for u in self.basis.elements]
         rows = [[d.coeff(*ab) for d in divs] for ab in sorted({ab for d in divs for ab in d.c})]
         self.divergence = _rows_matrix(rows, n)
-        echelon = _exact_echelon(rows)
-        self.divfree = echelon.nullspace(n)
-        degree = max(a + b for u in self.basis.elements for p in (u.x, u.y) for a, b in p.c)
-        for row in zip(*_trace_columns(self.basis, degree)):
-            echelon.add({c: v for c, v in enumerate(row) if v})
-        self.vectors = echelon.nullspace(n)
+        self.factor = _exact_echelon(rows, factor=True)
+        self.divfree = self.factor.nullspace(n)
+        for row in self.boundary_map.trace.dense_rows():
+            self.factor.add({c: v for c, v in enumerate(row) if v})
+        self.vectors = self.factor.nullspace(n)
         self.elements = [_combine(self.basis.elements, v) for v in self.vectors]
         bubbles = OpMatrix.from_columns(n, self.vectors)
         moments = bubbles.transpose().compose(OpMatrix.from_columns(n, self.basis.gram_ref()))
@@ -309,7 +305,7 @@ class _DecompositionTables:
     * ``mode_rows``: R, the trace rows (edge, order 1..k), which read off
       the edge-mode coefficients;
     * ``pieces``: W = [bubbles | modes | flats], one mode per (edge, order
-      1..k) in ``labels`` order: a rotated gradient whose boundary
+      1..k) in ``labels`` order: a divergence-free member whose boundary
       coefficients hit exactly that unit target, minus its bubble projection;
     * ``flat_inverse``: L = (F^T F)^-1 F^T, a left inverse of the flat
       columns F;
@@ -320,12 +316,9 @@ class _DecompositionTables:
     """
 
     def __init__(self, family: str, k: int):
-        if family not in DECOMPOSABLE_FAMILIES:
-            raise ValueError(f"decomposition applies to {DECOMPOSABLE_FAMILIES}, not {family!r}")
-        ref = family_ref(family)
-        bcm = boundary_curl_map(ref, k)
-        self.basis = basis = bcm.basis
         self.bubbles = bubbles = bubble_basis(family, k)
+        bcm, ref = bubbles.boundary_map, bubbles.ref
+        self.basis = basis = bubbles.basis
         n = basis.dim
         self.grad, self.trace, self.divergence = bcm.grad, bcm.trace, bubbles.divergence
         self.projector = bubbles.projector
@@ -333,12 +326,16 @@ class _DecompositionTables:
         at = [e * (k + 1) + i for e, i in self.labels]
         self.mode_rows = _rows_matrix([row for r, row in enumerate(self.trace.dense_rows())
                                        if r in at], n)
-        solutions = [bcm.solve([1 if r == t else 0 for r in range(bcm.boundary_dim)]) for t in at]
+        # [D; T] w = [0; e_t], replayed on the bubbles' factor: two solutions
+        # differ by a bubble, which the projection below removes
+        zeros = [0] * self.divergence.nrows
+        solutions = [bubbles.factor.solve(zeros + [int(r == t) for r in range(bcm.boundary_dim)], n)
+                     for t in at]
         if None in solutions:
             raise AssertionError("boundary target unexpectedly outside the range")
-        rotated = self.grad.compose(OpMatrix.from_columns(bcm.scalar.dim, solutions))
+        preimages = OpMatrix.from_columns(n, solutions)
         bubble_columns = OpMatrix.from_columns(n, bubbles.vectors)
-        modes = rotated - bubble_columns.compose(self.projector.compose(rotated))
+        modes = preimages - bubble_columns.compose(self.projector.compose(preimages))
         self.flats = flat_trace_basis(ref)
         flat_columns = OpMatrix.from_columns(n, [basis.expand(w) for w in self.flats])
         self.pieces = OpMatrix.stack([bubble_columns.transpose(), modes.transpose(),
@@ -398,9 +395,9 @@ def _decomposition_tables(family: str, k: int) -> _DecompositionTables:
 
 @lru_cache(maxsize=None)
 def edge_modes(family: str, k: int) -> tuple[tuple[int, int, VecPoly], ...]:
-    """One mode per (edge, Legendre order 1..k): a rotated gradient whose
-    boundary coefficients hit exactly that unit target, minus its bubble
-    projection.  Triples are (edge index, Legendre order, field)."""
+    """One mode per (edge, Legendre order 1..k): a divergence-free member
+    whose boundary coefficients hit exactly that unit target, minus its
+    bubble projection.  Triples are (edge index, Legendre order, field)."""
     tables = _decomposition_tables(family, k)
     columns = tables.pieces.columns()[tables.bubble_count:]
     return tuple((e, i, _combine(tables.basis.elements, v))

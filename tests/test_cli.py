@@ -7,13 +7,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from derham import complexcheck, exactla, hodge
+from derham import complexcheck, exactla, hodge, refcheck
 from derham.cli import k_range, main
 from derham.complexcheck import NAIVE_DIAGRAM
 from derham.operators import OpMatrix
@@ -164,6 +165,28 @@ def test_width_cap_below_one_exits_2(tmp_path, raw):
     assert proc.stderr == f"error: DERHAM_MAX_EXACT_COLS must be a positive integer, got '{raw}'\n"
 
 
+@pytest.mark.parametrize("k,width", [(45, 47 ** 2), (200, 202 ** 2)])
+def test_refcheck_width_cap_before_any_basis(capsys, monkeypatch, k, width):
+    # the map's scalar width (k+2)^2 is refused in closed form: no local
+    # basis is built and nothing large is allocated
+    def no_basis(*args, **kwargs):
+        raise AssertionError("a local basis was built")
+
+    monkeypatch.setattr(refcheck, "scalar_local_basis", no_basis)
+    monkeypatch.setattr(refcheck, "reference_basis", no_basis)
+    monkeypatch.delenv("DERHAM_MAX_EXACT_COLS", raising=False)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "refcheck", "--cell", "quad", "--k", str(k))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err == (f"error: {width} columns exceeds the exact cap "
+                   f"{exactla.DEFAULT_MAX_EXACT_COLS}; raise DERHAM_MAX_EXACT_COLS\n")
+    assert peak < 1 << 20
+
+
 def test_verify_ignores_width_cap(capsys, monkeypatch):
     # verify certifies by witness plus rank mod p, so the exact cap never applies
     monkeypatch.setenv("DERHAM_MAX_EXACT_COLS", "10")
@@ -309,9 +332,14 @@ def out_of_memory(*args, **kwargs):
     (["hodge", "--diagram", "tri-dp", "--backend", "float"], "hodge_report",
      "; try a smaller mesh or use --backend exact\n"),
     (["appendix", "--nx", "4", "--ny", "4"], "appendix_report", "; try a smaller mesh\n"),
+    (["verify", "--diagram", "tri-dp", "--k", "0..1000000000000"], "verify_diagram",
+     "; try a smaller mesh\n"),
+    (["refcheck", "--cell", "quad", "--k", "0..1000000000000"], "refcheck_report",
+     "; try a smaller mesh\n"),
 ])
 def test_out_of_memory_exits_2(capsys, monkeypatch, argv, report, advice):
-    # the report raises MemoryError without allocating anything
+    # the report raises MemoryError without allocating anything; the first
+    # of a trillion levels runs before any list of them is built
     monkeypatch.setattr(f"derham.cli.{report}", out_of_memory)
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -379,8 +407,9 @@ def test_output_check_leaves_no_file(capsys, monkeypatch, tmp_path):
 
 
 def test_k_range_parser():
-    assert k_range("2") == [2]
-    assert k_range("0..3") == [0, 1, 2, 3]
+    assert k_range("2") == range(2, 3)
+    assert list(k_range("0..3")) == [0, 1, 2, 3]
+    assert k_range("0..1000000000000") == range(10 ** 12 + 1)  # lazy: no list of levels
     import argparse
     with pytest.raises(argparse.ArgumentTypeError):
         k_range("3..1")
@@ -486,4 +515,4 @@ def test_invalid_numeric_inputs_exit_2(argv):
 def test_naive_diagram_rejects_other_levels(capsys):
     code, out, err = run(capsys, "verify", "--diagram", NAIVE_DIAGRAM, "--k", "1")
     assert code == 2 and out == ""
-    assert err == f"error: {NAIVE_DIAGRAM} is defined at k = 0 only, got --k [1]\n"
+    assert err == f"error: {NAIVE_DIAGRAM} is defined at k = 0 only, got --k 1\n"

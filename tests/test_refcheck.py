@@ -15,6 +15,7 @@ from derham.refcheck import (
     boundary_curl_map,
     bubble_basis,
     decompose_divfree,
+    divfree_coefficients,
     edge_modes,
     family_ref,
     flat_trace_basis,
@@ -81,11 +82,37 @@ def test_width_cap_is_checked_before_each_elimination(monkeypatch, ref):
 
 @pytest.mark.parametrize("k", range(5))
 def test_constants_in_boundary_kernel(k):
-    # scalar constants always map to zero boundary data
+    # scalar constants always map to zero boundary data: T G 1 = 0
     for ref in (RefCell.TRIANGLE, RefCell.SQUARE):
         bm = boundary_curl_map(ref, k)
-        ones = bm.scalar.expand(Poly.const(1))
-        assert all(v == 0 for v in bm.apply(ones))
+        ones = OpMatrix.from_columns(bm.scalar.dim, [bm.scalar.expand(Poly.const(1))])
+        assert bm.matrix.compose(ones).is_zero
+
+
+def test_bubbles_need_a_decomposable_family():
+    with pytest.raises(ValueError, match="decomposition applies to"):
+        bubble_basis("rt_tri", 1)
+
+
+@pytest.mark.parametrize("cell", ["tri", "quad"])
+def test_fresh_report_eliminates_once_over_q(monkeypatch, cell):
+    """With the local bases built, a report whose refcheck tables are all
+    formed afresh eliminates over Q once: the bubbles' factor of [D; T]."""
+    refcheck_report(cell, 3)  # the local bases, cached outside refcheck
+    for cached in (boundary_curl_map, bubble_basis, divfree_coefficients,
+                   refcheck._decomposition_tables, edge_modes):
+        cached.cache_clear()
+    over_q = []
+    init = exactla._Echelon.__init__
+
+    def counted(self, p=0, factor=False):
+        if p == 0:
+            over_q.append(factor)
+        init(self, p, factor)
+
+    monkeypatch.setattr(exactla._Echelon, "__init__", counted)
+    assert refcheck_report(cell, 3).passed
+    assert over_q == [True]
 
 
 @pytest.mark.parametrize("family,k,expected", [
