@@ -41,12 +41,13 @@ translations, so the 2-D DFT on each translation orbit, a unitary change
 of basis, block-diagonalises them: their singular values are those of nx ny
 small symbol blocks (Davis, *Circulant Matrices*, 1979).  Given each row's
 and column's translation label (orbit, i, j) from its space, and where one
-dense SVD would cost at least 4096 times the nonzero count (m n min(m, n)
-flops), ``float_rank`` first checks invariance exactly, on the integer
-numerators and row denominators, then forms the blocks with one real FFT
-of the shift-0 rows (the block at -k is the conjugate of the block at k)
-and runs one batched SVD.  It counts the singular values above tol times
-the largest over all blocks, the threshold of one dense SVD of the whole.
+dense SVD would cost at least 2**19 flops (m n min(m, n) for m x n, about
+where it stops being the faster route), ``float_rank`` first checks
+invariance exactly, on the integer numerators and row denominators, then
+forms the blocks with one real FFT of the shift-0 rows (the block at -k is
+the conjugate of the block at k) and runs one batched SVD.  It counts the
+singular values above tol times the largest over all blocks, the threshold
+of one dense SVD of the whole.
 Where the check fails, or without labels, it runs one dense SVD.
 ``tri-dp`` 64x64 k=1 ``second`` (32,768 x 49,152, 12.9 GB dense) takes
 about 60 ms.
@@ -426,10 +427,12 @@ def prefix_ranks(blocks: Sequence[OpMatrix], upper: Sequence[int] | None = None)
 
 
 # One dense SVD of an m x n matrix costs about m n min(m, n) flops; the
-# symbol route costs a few passes over the nonzeros plus a batch of small
-# SVDs.  The symbol route runs when the first is at least this many times
-# the nonzero count.
-_SYMBOL_RATIO = 4096
+# symbol route costs a fixed 0.1-0.3 ms (the exact invariance check, one
+# FFT and a batch of small SVDs) that hardly grows with the mesh.  Timed
+# with one BLAS thread on the operators of the benchmark, the dense SVD is
+# faster up to 144 x 54 (0.42M flops) and slower from 192 x 64 (0.79M
+# flops) on, so the symbol route runs from this many flops on.
+_SYMBOL_FLOPS = 1 << 19
 
 # The host's physical memory in bytes, the most a dense float SVD may ask for.
 _PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -539,15 +542,15 @@ def float_rank(matrix: OpMatrix | np.ndarray | Sequence[Sequence], tol: float = 
     accepts.  ``spaces``, for an ``OpMatrix``, holds the space of its rows
     and the space of its columns; each labels its dofs (orbit, i, j) by its
     ``translations``, an (n, 3) integer array read only here.  When one
-    dense SVD would cost at least ``_SYMBOL_RATIO`` times the nonzero count
-    (m n min(m, n) flops) and the matrix commutes with the translations,
-    checked exactly (``_symbol_values``), its singular values are those of
-    its translation-symbol blocks, one small block per wave vector in one
-    batched SVD.  The DFT is unitary, so one threshold over all of them
-    counts what one dense SVD counts.  Otherwise, or without spaces, the
-    whole matrix takes one dense SVD; when the dense copy and the SVD's
-    working copy, about 16 m n bytes, would exceed the host's physical
-    memory, it raises ``MemoryError`` before allocating either."""
+    dense SVD would cost at least ``_SYMBOL_FLOPS`` (2**19) flops, m n
+    min(m, n) for an m x n matrix, and the matrix commutes with the
+    translations, checked exactly (``_symbol_values``), its singular values
+    are those of its translation-symbol blocks, one small block per wave
+    vector in one batched SVD.  The DFT is unitary, so one threshold over
+    all of them counts what one dense SVD counts.  Otherwise, or without
+    spaces, the whole matrix takes one dense SVD; when the dense copy and
+    the SVD's working copy, about 16 m n bytes, would exceed the host's
+    physical memory, it raises ``MemoryError`` before allocating either."""
     if isinstance(matrix, OpMatrix):
         nnz = matrix.nnz
     else:
@@ -558,7 +561,7 @@ def float_rank(matrix: OpMatrix | np.ndarray | Sequence[Sequence], tol: float = 
     nrows, ncols = matrix.shape
     sv = None
     if (spaces is not None and isinstance(matrix, OpMatrix)
-            and nrows * ncols * min(nrows, ncols) >= _SYMBOL_RATIO * nnz):
+            and nrows * ncols * min(nrows, ncols) >= _SYMBOL_FLOPS):
         rows, cols = (space.translations for space in spaces)
         if (len(rows), len(cols)) != (nrows, ncols):
             raise ValueError(f"spaces of dimensions {len(rows)} and {len(cols)} for a "

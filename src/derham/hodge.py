@@ -7,27 +7,30 @@ exact splitter never forms the adjoint.  It takes verify's certificate
 (``certify_complex``: first 1 = 0, rank(first) = dim A - 1 and ker(second)
 = range(first) + constants), and then
 
-1. u_curl is the G_b-projection onto all columns of first but the last, a
-   basis of range(first) by the certificate (the constant of A is 1 at
-   every dof): one SPD normal matrix, factored once per splitter;
-2. u_const is the G_b-projection onto the two constant fields: one 2x2
-   system, factored once;
+1. u_curl is the G_b-projection onto B, all columns of first but the
+   last, a basis of range(first) by the certificate (the constant of A is
+   1 at every dof), and u_const the G_b-projection onto C, the two
+   constant fields;
+2. both come from one system, factored once per splitter: the normal
+   matrices side by side, diag(B^T G_b B, C^T G_b C), never the cross
+   blocks, so each part is its own projection even where the constants
+   are not G_b-orthogonal to range(first).  Without a certified curl basis
+   B has no columns, and the system is the 2x2 of the constants;
 3. u_div is the remainder.  Each split checks that it is exactly
    G_b-orthogonal to every column of first and to both constants, hence to
    ker(second), which places it in range(adjoint) = ker(second)^perp.
 
 A batch of fields is split as one sparse matrix U of columns, never field by
-field (``HodgeSplitter.split_matrix``): (G_b B)^T U and (G_b C)^T U (B the
-curl basis, formed once per splitter; C the two constant fields) give every
-right-hand side, B X and C coeffs every curl and harmonic part, U minus
-those two every div part (the columns of D), and (G_b first)^T D and
-(G_b C)^T D every certificate.
+field (``HodgeSplitter.split_matrix``): [(G_b B)^T; (G_b C)^T] U gives
+every right-hand side (B and C formed once per splitter), B X and C coeffs
+every curl and harmonic part, U minus those two every div part (the
+columns of D), and (G_b first)^T D and (G_b C)^T D every certificate.
 Each is one ``OpMatrix`` kernel on integer operators: numerators over one
 denominator per row, in int64 where a bound proven from the operands
 allows, else in Python ints (see ``sparse``).  (G_b C)^T is formed once
 per diagram instance (``DiagramInstance.constant_operators``), shared by
-``certify_complex`` and the splitter.  Each of the two systems is
-solved for the whole batch at once by ``exactla.LiftedSolver``, which takes
+``certify_complex`` and the splitter.  The system is solved for the
+whole batch at once by ``exactla.LiftedSolver``, which takes
 and returns integer operators: p-adic lifting mod one prime finds each
 solution, and a solution is kept only after an exact integer product with
 the system's rows reproduces its right-hand side, so no modular value
@@ -107,27 +110,34 @@ class HodgeSplitter:
         self._gram_first_t = inst.gram_b.compose(inst.first).transpose()
         basis = cert.kills_constants and cert.rank_first == inst.a_space.dim - 1
         self.rank_first = cert.rank_first if basis else 0
-        self._curl = None
-        if basis:  # the curl basis: every column of first but the last
-            n = inst.first.ncols
-            keep = OpMatrix.from_entries(n, n - 1, {(j, j): 1 for j in range(n - 1)})
-            self._basis = inst.first.compose(keep)
-            self._gram_basis_t = keep.transpose().compose(self._gram_first_t)
-            self._curl = LiftedSolver(self._gram_basis_t.compose(self._basis))
+        # the unknowns: w curl coefficients on every column of first but the
+        # last (none without the curl basis), then the two harmonic ones
+        n = inst.first.ncols
+        w = n - 1 if basis else 0
+        gram_basis_t = OpMatrix.from_entries(w, n, {(j, j): 1 for j in range(w)}).compose(
+            self._gram_first_t)
+        self._gram_unknowns_t = OpMatrix.stack([gram_basis_t, self._gram_consts_t])
+        # B, with two empty columns for the harmonic unknowns
+        self._basis = inst.first.compose(
+            OpMatrix.from_entries(n, w + 2, {(j, j): 1 for j in range(w)}))
+        self._pick_consts = OpMatrix.from_entries(2, w + 2, {(t, w + t): 1 for t in (0, 1)})
+        # diag(B^T G_b B, C^T G_b C): each block's normal matrix, never the
+        # cross blocks, so the curl part is the projection onto range(first)
+        # even where the constants are not G_b-orthogonal to it
+        self._solver = LiftedSolver(OpMatrix.stack([
+            gram_basis_t.compose(self._basis),
+            self._gram_consts_t.compose(self._consts).compose(self._pick_consts)]))
         self.rank_adjoint = cert.rank_second if cert.kernel_is_range_plus_constants else 0
-        self._harmonic = LiftedSolver(self._gram_consts_t.compose(self._consts))
 
     def split_matrix(self, u: OpMatrix) -> tuple[OpMatrix, OpMatrix, OpMatrix, OpMatrix,
                                                    np.ndarray]:
         """Split every column of u with one sparse product per step and one
-        batch solve per system.  Returns the curl, div and harmonic parts,
-        each of the shape of u, the 2 x ncols harmonic coefficients, and a
-        boolean array, True where the column's div part is certified."""
-        if self._curl is None:
-            curl = OpMatrix(self.dim, u.ncols)
-        else:
-            curl = self._basis.compose(self._curl.solve(self._gram_basis_t.compose(u)))
-        coeffs = self._harmonic.solve(self._gram_consts_t.compose(u))
+        batch solve.  Returns the curl, div and harmonic parts, each of the
+        shape of u, the 2 x ncols harmonic coefficients, and a boolean
+        array, True where the column's div part is certified."""
+        x = self._solver.solve(self._gram_unknowns_t.compose(u))
+        curl = self._basis.compose(x)
+        coeffs = self._pick_consts.compose(x)
         harmonic = self._consts.compose(coeffs)
         div = u - curl - harmonic
         # a field is certified when its div column is G_b-orthogonal to first and the constants

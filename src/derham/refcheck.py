@@ -33,11 +33,11 @@ Polynomials are formed only for the tables' traces and expansions,
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -275,9 +275,11 @@ def _draw(rng: random.Random, n: int) -> list[tuple[int, int]]:
 def _draw_columns(n: int, draws: list[list[tuple[int, int]]]) -> OpMatrix:
     """The drawn rationals as the columns of one ``OpMatrix``, each column
     as integers over the lcm of its denominators."""
-    dens = [math.lcm(*(d for _, d in draw)) for draw in draws]
-    return OpMatrix.from_integer_columns(
-        n, [[a * (q // d) for a, d in draw] for draw, q in zip(draws, dens)], dens)
+    pairs = np.fromiter(chain.from_iterable(chain.from_iterable(draws)), dtype=np.int64,
+                        count=2 * n * len(draws)).reshape(len(draws), n, 2)
+    num, den = pairs[..., 0], pairs[..., 1]
+    dens = np.lcm.reduce(den, axis=1, initial=1)
+    return OpMatrix.from_integer_columns(n, num * (dens[:, None] // den), dens)
 
 
 class _Split(NamedTuple):

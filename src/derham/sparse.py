@@ -7,8 +7,13 @@ object arrays of Python ints otherwise.  Every product, sum and transpose
 is an integer kernel over whole arrays.  It runs in int64 only when a bound
 computed from its operands in Python integers proves that no product or
 partial sum reaches 2**63, and otherwise runs the same code on object
-arrays, so nothing wraps.  ``Fraction``s are built only where a caller
-asks for them (``entries``, ``dense_rows``, ``columns``, ...).
+arrays, so nothing wraps.  A kernel whose output has at most
+``_DENSE_CELLS`` cells per term it sums adds every term into one zeroed
+array over the whole output (``np.add.at``) and reads the nonzeros back in
+row-major order; a larger output sorts the terms by position and sums each
+run with ``np.add.reduceat``.  Both give the same sums.  ``Fraction``s are
+built only where a caller asks for them (``entries``, ``dense_rows``,
+``columns``, ...).
 """
 
 from __future__ import annotations
@@ -29,6 +34,9 @@ _FLOAT_EXACT = 1 << 53  # integers up to this convert to float exactly
 _EXACT_TYPES = {int, Fraction}
 _EMPTY = np.zeros(0, dtype=np.int64)
 _EMPTY.flags.writeable = False
+# A kernel sums its terms into a dense array over the whole output when the
+# output has at most this many cells per term, and sorts them otherwise.
+_DENSE_CELLS = 8
 
 
 def _ints(values) -> np.ndarray:
@@ -87,6 +95,26 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, lengths
 
 
+def _accumulate(keys: np.ndarray, terms: np.ndarray,
+                size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, increasing, of the terms and the exact sum at
+    each, summed in one zeroed array of ``size`` cells in the terms' dtype;
+    sums that cancel are dropped."""
+    acc = np.zeros(size, dtype=terms.dtype)
+    np.add.at(acc, keys, terms)
+    at = acc.nonzero()[0]
+    return at, acc[at]
+
+
+def _sum_runs(keys: np.ndarray, terms: np.ndarray,
+              starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_accumulate`` for keys already sorted, whose runs start at
+    ``starts``: one ``np.add.reduceat`` per run."""
+    sums = np.add.reduceat(terms, starts)
+    keep = sums != 0
+    return keys[starts[keep]], sums[keep]
+
+
 def _spans(lengths: np.ndarray, firsts: np.ndarray) -> np.ndarray:
     """The concatenated ranges firsts[i], firsts[i] + 1, ..., of the given
     lengths."""
@@ -128,14 +156,14 @@ class OpMatrix:
     ``stack``, ``+`` and ``-`` return new matrices, and ``entries`` is a
     read-only view.
 
-    ``compose`` expands every pair of matching nonzeros, sorts the products
-    by output position, sums each run with ``np.add.reduceat`` and drops
-    the sums that cancel.  The right factor's rows are put over one
-    denominator L first.  The kernel runs in int64 only when the longest
-    row of the left factor times its largest numerator times the largest
-    scaled numerator of the right factor is below 2**63; that bound caps
-    every product and partial sum.  Otherwise the same code runs on object
-    arrays.
+    ``compose`` expands every pair of matching nonzeros and sums the
+    products at each output position, in a dense accumulator or by sorting
+    (see the module docstring), and drops the sums that cancel.  The right
+    factor's rows are put over one denominator L first.  The kernel runs in
+    int64 only when the longest row of the left factor times its largest
+    numerator times the largest scaled numerator of the right factor is
+    below 2**63; that bound caps every product and partial sum.  Otherwise
+    the same code runs on object arrays.
     """
 
     def __init__(self, nrows: int, ncols: int, domain: str = "", codomain: str = ""):
@@ -199,21 +227,26 @@ class OpMatrix:
         dens positive.  Repeated positions are summed, and a sum that
         cancels leaves no entry.  Every value is put over L, the lcm of the
         dens, and the sums run in int64 when the most repeats at one
-        position times max |num| times L / min(den) is below 2**63."""
+        position (counted by ``np.bincount`` for a dense accumulator, from
+        the sorted runs otherwise) times max |num| times L / min(den) is
+        below 2**63."""
         if not num.size:
             return cls(nrows, ncols, domain, codomain)
         keys = rows * ncols + cols
-        order = keys.argsort(kind="stable")
-        keys = keys[order]
-        starts, repeats = _runs(keys)
+        dense = nrows * ncols <= _DENSE_CELLS * keys.size
+        if dense:
+            repeats = np.bincount(keys)
+        else:
+            order = keys.argsort(kind="stable")
+            keys, num, den = keys[order], num[order], den[order]
+            starts, repeats = _runs(keys)
         dens = set(den.tolist())
         total = math.lcm(*dens)
         dtype = _word_dtype(int(repeats.max()) * _max_abs(num) * (total // min(dens)))
-        sums = np.add.reduceat(num[order].astype(dtype, copy=False)
-                               * _quotients(total, den[order], dtype), starts)
-        keep = sums != 0
-        keys = keys[starts[keep]]
-        return cls._from_sorted(nrows, ncols, keys // ncols, keys % ncols, sums[keep], total,
+        terms = num.astype(dtype, copy=False) * _quotients(total, den, dtype)
+        keys, sums = (_accumulate(keys, terms, nrows * ncols) if dense
+                      else _sum_runs(keys, terms, starts))
+        return cls._from_sorted(nrows, ncols, keys // ncols, keys % ncols, sums, total,
                                 domain, codomain)
 
     @classmethod
@@ -307,8 +340,9 @@ class OpMatrix:
     def from_integer_columns(cls, nrows: int, columns: Sequence[Sequence[int]],
                              dens: Sequence[int]) -> "OpMatrix":
         """The matrix whose column j is the dense integer vector columns[j],
-        of length nrows, over the positive denominator dens[j]."""
-        num = _ints([v for col in columns for v in col])
+        of length nrows, over the positive denominator dens[j]; ``columns``
+        may be one 2-D integer array, a row per column."""
+        num = _ints(columns).reshape(-1)
         return cls._from_dense(nrows, len(columns), num, _ints(dens).repeat(nrows))
 
     @classmethod
@@ -453,16 +487,17 @@ class OpMatrix:
         pos = _spans(lengths, firsts)
         pair = np.arange(inner.size).repeat(lengths)
         keys = self._rows[pair] * other.ncols + other._cols[pos]
-        order = keys.argsort(kind="stable")
-        keys = keys[order]
-        starts, _ = _runs(keys)
-        sums = np.add.reduceat(self._num.astype(dtype, copy=False)[pair[order]]
-                               * right[pos[order]], starts)
-        keep = sums != 0
-        keys = keys[starts[keep]]
+        size = self.nrows * other.ncols
+        terms = self._num.astype(dtype, copy=False)[pair] * right[pos]
+        if size <= _DENSE_CELLS * keys.size:
+            keys, sums = _accumulate(keys, terms, size)
+        else:
+            order = keys.argsort(kind="stable")
+            keys = keys[order]
+            keys, sums = _sum_runs(keys, terms[order], _runs(keys)[0])
         den = self._den.astype(_word_dtype(_max_abs(self._den) * scale), copy=False) * scale
         return OpMatrix._from_sorted(self.nrows, other.ncols, keys // other.ncols,
-                                     keys % other.ncols, sums[keep], den,
+                                     keys % other.ncols, sums, den,
                                      other.domain, self.codomain)
 
     def column_dots(self, other: "OpMatrix") -> "OpMatrix":

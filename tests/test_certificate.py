@@ -405,9 +405,10 @@ def test_hodge_needs_no_adjoint_or_nullspace(monkeypatch, name, nx, ny, k):
                   lambda system: built.append(system.nrows) or exactla.LiftedSolver(system))
         rep = hodge.hodge_report(name, nx, ny, k, fields=4, seed=3)
     assert rep.passed
-    # one normal matrix on all columns of first but one, one 2x2 for the constants
+    # one block-diagonal system: the normal matrix on all columns of first but
+    # one, then the 2x2 for the constants
     dim_a = build_diagram(name, nx, ny, k).a_space.dim
-    assert built == [dim_a - 1, 2]
+    assert built == [dim_a + 1]
     exact_only(monkeypatch)
     assert check_dicts(rep) == check_dicts(hodge.hodge_report(name, nx, ny, k, fields=4, seed=3))
 
@@ -497,7 +498,7 @@ def test_hodge_batched_checks_can_fail(monkeypatch):
 
         def solve(self, rhs):
             xs = super().solve(rhs)
-            if self is built[0]:  # the curl normal matrix, not the 2x2
+            if self is built[0]:  # the splitter's one system; row 0 is a curl unknown
                 Perturbed.calls += 1
                 if Perturbed.calls == 1:  # the first batch
                     # its third field

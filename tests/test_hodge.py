@@ -1,5 +1,6 @@
 """Three-way orthogonal splitting of discrete vector fields."""
 
+import dataclasses
 import json
 import random
 import re
@@ -18,7 +19,7 @@ from derham.hodge import (
     random_field,
     save_field,
 )
-from derham.operators import adjoint
+from derham.operators import GramBlock, GramMatrix, adjoint
 
 F = Fraction
 
@@ -194,6 +195,35 @@ def test_split_matches_adjoint_reference(name, lx, ly):
         assert parts.harmonic == projection(inst.gram_b, inst.constant_fields(), u)
         assert solve_any(adj, parts.div) is not None
         assert parts.harmonic_is_constant
+
+
+def test_split_is_two_separate_projections_when_constants_are_not_orthogonal():
+    """With 1 added to the first diagonal entry of G_b, the constants are
+    not G_b-orthogonal to range(first).  The one block-diagonal solve still
+    gives the two separate projections, onto range(first) and onto the
+    constants, not the joint projection onto their sum."""
+    inst = build_diagram("tri-dp", 2, 2, 1)
+    first_block, *rest = inst.gram_b.blocks
+    bent = GramBlock([[v + (i == j == 0) for j, v in enumerate(row)]
+                      for i, row in enumerate(first_block)])
+    inst = dataclasses.replace(inst, gram_b=GramMatrix(inst.gram_b.dim, (bent, *rest),
+                                                       inst.gram_b.space_tag))
+    assert not inst.constant_operators()[1].compose(inst.first).is_zero
+    splitter = HodgeSplitter(inst)
+    assert splitter.rank_first == inst.a_space.dim - 1
+    basis, consts = inst.first.columns()[:-1], inst.constant_fields()
+    rng = random.Random(67)
+    fields = [random_field(inst.b_space, rng) for _ in range(3)]
+    split = splitter.split_batch(fields + consts)
+    for u, parts in zip(fields + consts, split):
+        assert parts.curl == projection(inst.gram_b, basis, u)
+        assert parts.harmonic == projection(inst.gram_b, consts, u)
+        assert parts.div == [a - b - c for a, b, c in zip(u, parts.curl, parts.harmonic)]
+    # the joint projection onto range(first) + constants, with the cross
+    # blocks, differs
+    for u, parts in zip(fields, split):
+        joint = projection(inst.gram_b, basis + consts, u)
+        assert joint != [a + b for a, b in zip(parts.curl, parts.harmonic)]
 
 
 @pytest.mark.parametrize("name,k", [("tri-dp", 1), ("quad-drt", 0)])

@@ -5,8 +5,10 @@ import random
 import re
 import tempfile
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from derham import exactla, operators
+from derham import sparse as kernels
 from derham.complexcheck import DIAGRAMS, build_diagram
 from derham.fespace import CodomainSpace, ContinuousScalarSpace, DGVectorSpace
 from derham.mesh import MeshKind, build_mesh
@@ -427,10 +430,40 @@ def factor_pairs(draw):
     return n, m, p, {k: v for k, v in left.items() if v}, {k: v for k, v in right.items() if v}
 
 
+@contextmanager
+def summing(way):
+    """Every kernel sums its terms the given way: "dense" in one accumulator
+    over the whole output, "sort" by sorting them.  Yields the list of the
+    ways taken, one per kernel call."""
+    taken = []
+    accumulate, sum_runs = kernels._accumulate, kernels._sum_runs
+    with mock.patch.object(kernels, "_DENSE_CELLS", 10 ** 9 if way == "dense" else 0), \
+            mock.patch.object(kernels, "_accumulate",
+                              lambda *a: taken.append("dense") or accumulate(*a)), \
+            mock.patch.object(kernels, "_sum_runs",
+                              lambda *a: taken.append("sort") or sum_runs(*a)):
+        yield taken
+    assert set(taken) <= {way}
+
+
 @seed(1212)
 @settings(max_examples=120, deadline=None)
 @given(factor_pairs(), st.data())
 def test_kernels_match_dense_oracle(case, data):
+    kernels_match_dense_oracle(case, data)
+
+
+@pytest.mark.parametrize("way", ["dense", "sort"])
+@seed(1212)
+@settings(max_examples=120, deadline=None)
+@given(factor_pairs(), st.data())
+def test_kernels_match_dense_oracle_each_way(way, case, data):
+    """The oracle test with every kernel forced to one way of summing."""
+    with summing(way):
+        kernels_match_dense_oracle(case, data)
+
+
+def kernels_match_dense_oracle(case, data):
     n, m, p, left_entries, right_entries = case
     left = OpMatrix.from_entries(n, m, left_entries)
     right = OpMatrix.from_entries(m, p, right_entries)
@@ -468,6 +501,84 @@ def test_kernels_match_dense_oracle(case, data):
         back = load_matrix(str(path))
     assert back.shape == composed.shape
     assert dict(back.entries) == dict(composed.entries)
+
+
+def both_ways(build):
+    """build() with every kernel summing in a dense accumulator, then by
+    sorting: each returns a list of matrices, and each pair must store the
+    same integers in the same dtypes.  Returns the dense way's matrices and
+    the number of kernel calls of each way."""
+    built, calls = {}, []
+    for way in ("dense", "sort"):
+        with summing(way) as taken:
+            built[way] = build()
+        calls.append(len(taken))
+    for dense_op, sorted_op in zip(built["dense"], built["sort"], strict=True):
+        assert dense_op.shape == sorted_op.shape
+        for a, b in zip(dense_op.integer_rows(), sorted_op.integer_rows()):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    return built["dense"], calls
+
+
+@seed(1213)
+@settings(max_examples=80, deadline=None)
+@given(factor_pairs(), st.data())
+def test_dense_and_sorted_sums_store_the_same_integers(case, data):
+    """Products, sums with cancelling entries, transposes, column dots and
+    stamps placed twice at one place, on the values of the oracle test:
+    mixed denominators whose lcm passes 2**63 and numerators near 2**40."""
+    n, m, p, left_entries, right_entries = case
+    other = data.draw(sparse(n, m))
+    stamp = Stamp.of(data.draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                                                   rationals()), max_size=6)))
+
+    def build():
+        left = OpMatrix.from_entries(n, m, left_entries)
+        right = OpMatrix.from_entries(m, p, right_entries)
+        diff = left - OpMatrix.from_entries(n, m, other)
+        twice = [[0, 1, 2], [2, 1, 0], [2, 1, 0]]  # the last place repeats
+        placed = OpMatrix.from_stamps(4, 3, [(stamp, [0, 1, 1], twice)])
+        return [left, right, left.compose(right), left.transpose(), diff, diff + left,
+                left.column_dots(diff), placed, placed.transpose().compose(placed)]
+
+    both_ways(build)
+
+
+def test_dense_and_sorted_sums_agree_near_and_past_a_machine_word():
+    """Sums of int64 values near 2**62 that pass 2**63, that cancel, and
+    values past int64: both ways keep every sum exact, in the same dtype."""
+    near = (1 << 62) + 1
+    big = Stamp.of([(0, 0, F(near)), (0, 1, F(3))])
+    cancel = Stamp.of([(0, 0, F(-near)), (0, 1, F(-3))])
+    past = Stamp.of([(1, 1, F(1 << 70))])
+    twice = [(big, [0, 0], [[0, 1], [0, 1]])]
+
+    def build():
+        pair = OpMatrix.from_entries(1, 2, {(0, 0): F(near), (0, 1): F(near)})
+        return [OpMatrix.from_stamps(2, 2, twice),
+                OpMatrix.from_stamps(2, 2, twice + [(cancel, [0], [[0, 1]])]),
+                OpMatrix.from_stamps(2, 2, [(big, [0], [[0, 1]]), (cancel, [0], [[0, 1]])]),
+                OpMatrix.from_stamps(2, 2, [(past, [0, 0], [[0, 1], [0, 1]])]),
+                pair.compose(OpMatrix.from_entries(2, 1, {(0, 0): F(1), (1, 0): F(1)})),
+                pair.compose(OpMatrix.from_entries(2, 1, {(0, 0): F(1), (1, 0): F(-1)})),
+                pair.compose(OpMatrix.from_entries(2, 1, {(0, 0): F(1), (1, 0): F(-1, 2)})),
+                OpMatrix.from_entries(2, 2, {(0, 0): F(1 << 70), (1, 0): F(1, 2 ** 61 - 1)})
+                .transpose()]
+
+    ops, calls = both_ways(build)
+    two, once, zero, doubled, summed, cancelled, halved, transposed = ops
+    assert calls[0] == calls[1] >= len(ops)  # at least one kernel per matrix, each way
+    assert dict(two.entries) == {(0, 0): F(2 * near), (0, 1): F(6)}
+    assert two.integer_rows()[2].dtype == object
+    assert dict(once.entries) == {(0, 0): F(near), (0, 1): F(3)}
+    assert once.integer_rows()[2].dtype == np.int64
+    assert zero.is_zero and cancelled.is_zero
+    assert dict(doubled.entries) == {(1, 1): F(1 << 71)}
+    assert dict(summed.entries) == {(0, 0): F(2 * near)}
+    assert summed.integer_rows()[2].dtype == object
+    assert dict(halved.entries) == {(0, 0): F(near, 2)}
+    assert halved.integer_rows()[2].dtype == np.int64
+    assert dict(transposed.entries) == {(0, 0): F(1 << 70), (0, 1): F(1, 2 ** 61 - 1)}
 
 
 def test_compose_past_a_machine_word_stays_exact():
