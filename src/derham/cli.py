@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from itertools import islice
 from typing import Iterable
 
 from .complexcheck import (
@@ -126,8 +127,9 @@ def _run_job(job: tuple) -> Report:
     return verify_diagram(name, nx, ny, k, float_check=fc)
 
 
-def _verify_jobs(args) -> Iterable[tuple]:
-    """The verify jobs, lazily one per level of ``--k`` for one diagram."""
+def _verify_jobs(args) -> tuple[int, Iterable[tuple]]:
+    """The number of verify jobs and the jobs, lazily one per level of
+    ``--k`` for one diagram."""
     if args.all:
         jobs: list[tuple] = []
         for name in ("tri-dp", "tri-dp-curl", "quad-enriched", "quad-enriched-curl"):
@@ -139,31 +141,34 @@ def _verify_jobs(args) -> Iterable[tuple]:
                 jobs.append(("diagram", name, 2, 2, k, True))
         for nx, ny in ((2, 2), (3, 4), (4, 3)):
             jobs.append(("naive", nx, ny, True))
-        return jobs
+        return len(jobs), jobs
     if not args.diagram:
         raise ValueError("verify needs --diagram or --all")
     if args.diagram == NAIVE_DIAGRAM:
         if args.k != range(1):
             k = args.k
-            levels = f"{k[0]}" if len(k) == 1 else f"{k[0]}..{k[-1]}"
+            levels = f"{k[0]}" if k[0] == k[-1] else f"{k[0]}..{k[-1]}"
             raise ValueError(f"{NAIVE_DIAGRAM} is defined at k = 0 only, got --k {levels}")
-        return [("naive", args.nx, args.ny, args.float_check)]
-    return (("diagram", args.diagram, args.nx, args.ny, k, args.float_check) for k in args.k)
+        return 1, [("naive", args.nx, args.ny, args.float_check)]
+    count = args.k.stop - args.k.start  # len() of a range past sys.maxsize raises
+    return count, (("diagram", args.diagram, args.nx, args.ny, k, args.float_check)
+                   for k in args.k)
 
 
-def _run_reports(jobs: Iterable[tuple], n_jobs: int) -> list[Report]:
-    """Run ``jobs`` in order; inline, they are drawn one at a time."""
+def _run_reports(count: int, jobs: Iterable[tuple], n_jobs: int) -> list[Report]:
+    """Run the ``count`` jobs in order, drawn as they are needed: inline one
+    at a time, into a pool a few per worker at a time."""
     if n_jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {n_jobs}")
-    if n_jobs > 1:
-        jobs = list(jobs)
-        # the fork start method starts every worker up front, so never ask
-        # for more workers than there are jobs or cores
-        workers = min(n_jobs, len(jobs), os.cpu_count() or 1)
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(_run_job, jobs))  # map keeps submission order
-    return [_run_job(job) for job in jobs]
+    # the fork start method starts every worker up front, so never ask for
+    # more workers than there are jobs or cores
+    workers = min(n_jobs, count, os.cpu_count() or 1)
+    if workers < 2:
+        return [_run_job(job) for job in jobs]
+    jobs = iter(jobs)
+    batches = iter(lambda: list(islice(jobs, 4 * workers)), [])
+    with ProcessPoolExecutor(max_workers=workers) as pool:  # map keeps submission order
+        return [report for batch in batches for report in pool.map(_run_job, batch)]
 
 
 def _check_output(path: str) -> None:
@@ -216,8 +221,7 @@ def _dispatch(args) -> int:
         _write(text, args.output)
         return 0 if ok else 1
     if args.command == "verify":
-        return _emit(_run_reports(_verify_jobs(args), args.jobs),
-                     args.format, args.output)
+        return _emit(_run_reports(*_verify_jobs(args), args.jobs), args.format, args.output)
     if args.command == "refcheck":
         cell = {"tri": "triangle", "quad": "square"}[args.cell]
         reports = [refcheck_report(cell, k, samples=args.samples, seed=args.seed)

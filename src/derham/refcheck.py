@@ -273,13 +273,11 @@ def _draw(rng: random.Random, n: int) -> list[tuple[int, int]]:
 
 
 def _draw_columns(n: int, draws: list[list[tuple[int, int]]]) -> OpMatrix:
-    """The drawn rationals as the columns of one ``OpMatrix``, each column
-    as integers over the lcm of its denominators."""
+    """The drawn (numerator, denominator) pairs as the columns of one
+    ``OpMatrix``."""
     pairs = np.fromiter(chain.from_iterable(chain.from_iterable(draws)), dtype=np.int64,
                         count=2 * n * len(draws)).reshape(len(draws), n, 2)
-    num, den = pairs[..., 0], pairs[..., 1]
-    dens = np.lcm.reduce(den, axis=1, initial=1)
-    return OpMatrix.from_integer_columns(n, num * (dens[:, None] // den), dens)
+    return OpMatrix._from_dense(pairs[..., 0].T, pairs[..., 1].T)
 
 
 class _Split(NamedTuple):

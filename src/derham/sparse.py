@@ -4,14 +4,16 @@ An ``OpMatrix`` is row-compressed: integer numerators over one positive
 denominator per row, the least common denominator of the row.  Numerators
 and denominators are int64 arrays when every value fits a machine word and
 object arrays of Python ints otherwise.  Every product, sum and transpose
-is an integer kernel over whole arrays.  It runs in int64 only when a bound
-computed from its operands in Python integers proves that no product or
-partial sum reaches 2**63, and otherwise runs the same code on object
-arrays, so nothing wraps.  A kernel whose output has at most
-``_DENSE_CELLS`` cells per term it sums adds every term into one zeroed
-array over the whole output (``np.add.at``) and reads the nonzeros back in
-row-major order; a larger output sorts the terms by position and sums each
-run with ``np.add.reduceat``.  Both give the same sums.  ``Fraction``s are
+is an integer kernel over whole arrays, built from two helpers.
+``_over_lcm`` puts exact values over L, the lcm of their denominators,
+with a bound in Python integers on each scaled numerator; ``_sum`` adds
+terms at their output positions, in int64 unless the most terms at one
+position times the bound on each reaches 2**63, and otherwise in the same
+code on object arrays, so nothing wraps.  An output with at most
+``_DENSE_CELLS`` cells per term is summed in one zeroed array
+(``np.add.at``) and read back in row-major order; a larger one sorts the
+terms and sums each run with ``np.add.reduceat``.  Dense constructors read
+their nonzeros in row-major order and sum nothing.  ``Fraction``s are
 built only where a caller asks for them (``entries``, ``dense_rows``,
 ``columns``, ...).
 """
@@ -67,13 +69,22 @@ def _narrow(a: np.ndarray) -> np.ndarray:
     return a if a.dtype != object else a.astype(_word_dtype(_max_abs(a)))
 
 
-def _quotients(total: int, dens: np.ndarray, dtype) -> np.ndarray:
-    """total // dens for positive dens dividing total, in ``dtype``; the
-    caller has proven that the quotients fit it.  The division runs in the
-    dtype of ``total``, which every divisor fits too."""
+def _over_lcm(num: np.ndarray, den: np.ndarray,
+              at=slice(None)) -> tuple[np.ndarray, int, int]:
+    """num / den[at] (one den per term by default), dens positive, over L,
+    the lcm of the dens: (num * (L / den[at]), L, bound), where bound =
+    max |num| * L / min(den) caps each numerator, int64 when it is below
+    2**63.  L / den is divided in the dtype of L, which fits every den, and
+    narrowed only at ``at``."""
+    dens = set(den.tolist())
+    total = math.lcm(*dens)
+    bound = _max_abs(num) * (total // min(dens, default=1))
+    dtype = _word_dtype(bound)
+    if total == 1:  # integers: nothing to scale
+        return num.astype(dtype, copy=False), total, bound
     wide = _word_dtype(total)
-    quotients = np.array(total, dtype=wide) // dens.astype(wide, copy=False)
-    return quotients.astype(dtype, copy=False)
+    quotients = (np.array(total, dtype=wide) // den.astype(wide, copy=False))[at]
+    return num.astype(dtype, copy=False) * quotients.astype(dtype, copy=False), total, bound
 
 
 def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -113,6 +124,26 @@ def _sum_runs(keys: np.ndarray, terms: np.ndarray,
     sums = np.add.reduceat(terms, starts)
     keep = sums != 0
     return keys[starts[keep]], sums[keep]
+
+
+def _sum(keys: np.ndarray, terms: np.ndarray, bound: int,
+         size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, increasing, of nonempty terms, each at most
+    ``bound`` in size and keyed below ``size``, and the exact sum at each,
+    dropping sums that cancel: in one accumulator (``_accumulate``) when
+    ``size`` is at most ``_DENSE_CELLS`` times the number of terms, else by
+    sorted runs (``_sum_runs``).  The sums run on object arrays when the
+    most terms at one key times ``bound`` reaches 2**63, counted only when
+    the number of terms times ``bound`` does."""
+    dense = size <= _DENSE_CELLS * keys.size
+    if not dense:
+        order = keys.argsort(kind="stable")
+        keys, terms = keys[order], terms[order]
+        starts, lengths = _runs(keys)
+    if keys.size * bound >= _WORD:
+        most = int(np.bincount(keys).max() if dense else lengths.max())
+        terms = terms.astype(_word_dtype(most * bound), copy=False)
+    return _accumulate(keys, terms, size) if dense else _sum_runs(keys, terms, starts)
 
 
 def _spans(lengths: np.ndarray, firsts: np.ndarray) -> np.ndarray:
@@ -156,14 +187,13 @@ class OpMatrix:
     ``stack``, ``+`` and ``-`` return new matrices, and ``entries`` is a
     read-only view.
 
-    ``compose`` expands every pair of matching nonzeros and sums the
-    products at each output position, in a dense accumulator or by sorting
-    (see the module docstring), and drops the sums that cancel.  The right
-    factor's rows are put over one denominator L first.  The kernel runs in
-    int64 only when the longest row of the left factor times its largest
-    numerator times the largest scaled numerator of the right factor is
-    below 2**63; that bound caps every product and partial sum.  Otherwise
-    the same code runs on object arrays.
+    ``compose`` puts the right factor's numerators over one denominator L,
+    multiplies every pair of matching nonzeros and sums the products at
+    each output position with ``_sum`` (see the module docstring), dropping
+    the sums that cancel.  Each product is at most the largest left
+    numerator times the largest scaled right numerator; the products are
+    formed in int64 when that cap is below 2**63, and summed in int64 when
+    the most products at one position times it is.
     """
 
     def __init__(self, nrows: int, ncols: int, domain: str = "", codomain: str = ""):
@@ -224,28 +254,13 @@ class OpMatrix:
                        num: np.ndarray, den: np.ndarray, domain: str = "",
                        codomain: str = "") -> "OpMatrix":
         """The matrix with entries num / den at (rows, cols), in any order,
-        dens positive.  Repeated positions are summed, and a sum that
-        cancels leaves no entry.  Every value is put over L, the lcm of the
-        dens, and the sums run in int64 when the most repeats at one
-        position (counted by ``np.bincount`` for a dense accumulator, from
-        the sorted runs otherwise) times max |num| times L / min(den) is
-        below 2**63."""
+        dens positive.  Every value is put over L, the lcm of the dens
+        (``_over_lcm``), and repeated positions are summed (``_sum``); a sum
+        that cancels leaves no entry."""
         if not num.size:
             return cls(nrows, ncols, domain, codomain)
-        keys = rows * ncols + cols
-        dense = nrows * ncols <= _DENSE_CELLS * keys.size
-        if dense:
-            repeats = np.bincount(keys)
-        else:
-            order = keys.argsort(kind="stable")
-            keys, num, den = keys[order], num[order], den[order]
-            starts, repeats = _runs(keys)
-        dens = set(den.tolist())
-        total = math.lcm(*dens)
-        dtype = _word_dtype(int(repeats.max()) * _max_abs(num) * (total // min(dens)))
-        terms = num.astype(dtype, copy=False) * _quotients(total, den, dtype)
-        keys, sums = (_accumulate(keys, terms, nrows * ncols) if dense
-                      else _sum_runs(keys, terms, starts))
+        terms, total, bound = _over_lcm(num, den)
+        keys, sums = _sum(rows * ncols + cols, terms, bound, nrows * ncols)
         return cls._from_sorted(nrows, ncols, keys // ncols, keys % ncols, sums, total,
                                 domain, codomain)
 
@@ -298,8 +313,8 @@ class OpMatrix:
         stamps[which[0]], stamps[which[1]], ..., block b of size
         sizes[which[b]].  Each stamp's entries must be distinct and in
         row-major order, so the placed entries are too: nothing is sorted or
-        summed.  Every value is put over L, the lcm of the stamps' dens, in
-        int64 when max |num| times L / min(den) is below 2**63."""
+        summed.  Every value is put over L, the lcm of the stamps' dens
+        (``_over_lcm``)."""
         size = np.asarray(sizes, dtype=np.int64)[which]
         ends = size.cumsum()
         dim = int(ends[-1]) if ends.size else 0
@@ -309,12 +324,8 @@ class OpMatrix:
         # where each block's entries start in the stamps' concatenation
         at = _spans(counts[which], (counts.cumsum() - counts)[which])
         offsets = (ends - size).repeat(counts[which])
-        num = np.concatenate([stamp.num for stamp in stamps])
-        den = np.concatenate([stamp.den for stamp in stamps])
-        dens = set(den.tolist())
-        total = math.lcm(*dens)
-        dtype = _word_dtype(_max_abs(num) * (total // min(dens)))
-        scaled = num.astype(dtype, copy=False) * _quotients(total, den, dtype)
+        scaled, total, _ = _over_lcm(np.concatenate([stamp.num for stamp in stamps]),
+                                     np.concatenate([stamp.den for stamp in stamps]))
         return cls._from_sorted(
             dim, dim, np.concatenate([stamp.rows for stamp in stamps])[at] + offsets,
             np.concatenate([stamp.cols for stamp in stamps])[at] + offsets, scaled[at], total,
@@ -333,8 +344,9 @@ class OpMatrix:
                 if not isinstance(v, (int, Fraction)):
                     raise TypeError(f"column {at // nrows}, row {at % nrows} of from_columns "
                                     f"is {v!r}, not an int or a Fraction")
-        return cls._from_dense(nrows, len(vectors), _ints([v.numerator for v in values]),
-                               _ints([v.denominator for v in values]))
+        shape = (len(vectors), nrows)
+        return cls._from_dense(_ints([v.numerator for v in values]).reshape(shape).T,
+                               _ints([v.denominator for v in values]).reshape(shape).T)
 
     @classmethod
     def from_integer_columns(cls, nrows: int, columns: Sequence[Sequence[int]],
@@ -342,24 +354,24 @@ class OpMatrix:
         """The matrix whose column j is the dense integer vector columns[j],
         of length nrows, over the positive denominator dens[j]; ``columns``
         may be one 2-D integer array, a row per column."""
-        num = _ints(columns).reshape(-1)
-        return cls._from_dense(nrows, len(columns), num, _ints(dens).repeat(nrows))
+        return cls._from_dense(_ints(columns).reshape(len(columns), nrows).T, _ints(dens))
 
     @classmethod
     def from_integer_array(cls, num: np.ndarray) -> "OpMatrix":
         """The matrix of a dense 2-D integer array, int64 or object (Python
-        ints).  Its nonzeros are read in row-major order, so nothing is
-        sorted."""
-        rows, cols = num.nonzero()
-        return cls._from_sorted(num.shape[0], num.shape[1], rows, cols, num[rows, cols], 1)
+        ints)."""
+        return cls._from_dense(num, np.ones(num.shape[1], dtype=np.int64))
 
     @classmethod
-    def _from_dense(cls, nrows: int, ncols: int, num: np.ndarray, den: np.ndarray) -> "OpMatrix":
-        """The matrix with entries num / den, both given column after column
-        over the whole shape."""
-        at = num.nonzero()[0]
-        return cls._from_triplets(nrows, ncols, at % max(nrows, 1), at // max(nrows, 1), num[at],
-                                  den[at])
+    def _from_dense(cls, num: np.ndarray, den: np.ndarray) -> "OpMatrix":
+        """The matrix with entries num / den of a dense 2-D integer array
+        ``num`` over positive dens, one per column (1-D) or per entry (2-D).
+        The nonzeros are read in row-major order and put over L
+        (``_over_lcm``): nothing is sorted or summed."""
+        rows, cols = num.nonzero()
+        at = cols if den.ndim == 1 else rows * num.shape[1] + cols
+        scaled, total, _ = _over_lcm(num[rows, cols], den.reshape(-1), at)
+        return cls._from_sorted(num.shape[0], num.shape[1], rows, cols, scaled, total)
 
     @classmethod
     def stack(cls, blocks: Sequence["OpMatrix"]) -> "OpMatrix":
@@ -467,8 +479,9 @@ class OpMatrix:
         return self.transpose().matvec(v)
 
     def compose(self, other: "OpMatrix") -> "OpMatrix":
-        """Matrix product self @ other, exact and sparse: one integer kernel
-        over every pair of matching nonzeros; cancelled sums are dropped."""
+        """Matrix product self @ other, exact and sparse: the product of
+        every pair of matching nonzeros, summed at its output position by
+        ``_sum``; cancelled sums are dropped."""
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in compose")
         inner = self._cols
@@ -476,25 +489,16 @@ class OpMatrix:
         lengths = other._ptr[inner + 1] - firsts
         if not lengths.any():
             return OpMatrix(self.nrows, other.ncols, other.domain, self.codomain)
-        dens = set(other._den.tolist())
-        scale = math.lcm(*dens)
-        longest = int((self._ptr[1:] - self._ptr[:-1]).max())
-        bound = longest * _max_abs(self._num) * _max_abs(other._num) * (scale // min(dens))
+        right, scale, bound = _over_lcm(other._num, other._den, other._rows)
+        bound *= _max_abs(self._num)
         dtype = _word_dtype(bound)
-        right = (other._num.astype(dtype, copy=False)
-                 * _quotients(scale, other._den[other._rows], dtype))
         # pair each nonzero a_rk of self with every nonzero of row k of other
         pos = _spans(lengths, firsts)
         pair = np.arange(inner.size).repeat(lengths)
-        keys = self._rows[pair] * other.ncols + other._cols[pos]
-        size = self.nrows * other.ncols
-        terms = self._num.astype(dtype, copy=False)[pair] * right[pos]
-        if size <= _DENSE_CELLS * keys.size:
-            keys, sums = _accumulate(keys, terms, size)
-        else:
-            order = keys.argsort(kind="stable")
-            keys = keys[order]
-            keys, sums = _sum_runs(keys, terms[order], _runs(keys)[0])
+        keys, sums = _sum(self._rows[pair] * other.ncols + other._cols[pos],
+                          self._num.astype(dtype, copy=False)[pair]
+                          * right.astype(dtype, copy=False)[pos],
+                          bound, self.nrows * other.ncols)
         den = self._den.astype(_word_dtype(_max_abs(self._den) * scale), copy=False) * scale
         return OpMatrix._from_sorted(self.nrows, other.ncols, keys // other.ncols,
                                      keys % other.ncols, sums, den,

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -321,6 +322,23 @@ def test_jobs_pool_capped_at_the_core_count(capsys, fake_pool, monkeypatch):
     assert fake_pool.sizes == []
 
 
+def test_jobs_pool_fed_in_bounded_batches_in_order(capsys, fake_pool, monkeypatch):
+    # 20 levels on 2 workers go to the pool 8 at a time; the reports come
+    # back in level order
+    monkeypatch.setattr("derham.cli.os.cpu_count", lambda: 2)
+    batches = []
+    monkeypatch.setattr(fake_pool, "map",
+                        lambda self, fn, items: batches.append(len(items)) or map(fn, items))
+    monkeypatch.setattr("derham.cli._run_job", lambda job: SimpleNamespace(
+        passed=True, format_text=lambda: f"level {job[4]}"))
+    code, out, _ = run(capsys, "verify", "--diagram", "tri-dp", "--k", "0..19", "--jobs", "2")
+    assert code == 0
+    assert fake_pool.sizes == [2]
+    assert batches == [8, 8, 4]
+    assert out.splitlines() == [f"level {k}" for k in range(20)] + [
+        "== summary: 20/20 reports passed"]
+
+
 def out_of_memory(*args, **kwargs):
     raise MemoryError
 
@@ -336,15 +354,23 @@ def out_of_memory(*args, **kwargs):
      "; try a smaller mesh\n"),
     (["refcheck", "--cell", "quad", "--k", "0..1000000000000"], "refcheck_report",
      "; try a smaller mesh\n"),
+    (["verify", "--diagram", "tri-dp", "--k", "0..1000000000000", "--jobs", "2"],
+     "verify_diagram", "; try a smaller mesh\n"),
 ])
-def test_out_of_memory_exits_2(capsys, monkeypatch, argv, report, advice):
+def test_out_of_memory_exits_2(capsys, monkeypatch, fake_pool, argv, report, advice):
     # the report raises MemoryError without allocating anything; the first
-    # of a trillion levels runs before any list of them is built
-    monkeypatch.setattr(f"derham.cli.{report}", out_of_memory)
+    # of a trillion levels runs before any list of them is built, inline or
+    # in a pool
+    calls = []
+    monkeypatch.setattr(f"derham.cli.{report}",
+                        lambda *a, **kw: calls.append(a) or out_of_memory())
+    monkeypatch.setattr("derham.cli.os.cpu_count", lambda: 8)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err == f"error: {argv[0]} ran out of memory{advice}"
+    assert len(calls) == 1
+    assert fake_pool.sizes == ([2] if "--jobs" in argv else [])
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -516,3 +542,11 @@ def test_naive_diagram_rejects_other_levels(capsys):
     code, out, err = run(capsys, "verify", "--diagram", NAIVE_DIAGRAM, "--k", "1")
     assert code == 2 and out == ""
     assert err == f"error: {NAIVE_DIAGRAM} is defined at k = 0 only, got --k 1\n"
+
+
+def test_naive_diagram_rejects_a_range_past_sys_maxsize(capsys):
+    # len() of such a range raises OverflowError; the message names it as given
+    levels = f"0..{10 ** 20}"
+    code, out, err = run(capsys, "verify", "--diagram", NAIVE_DIAGRAM, "--k", levels)
+    assert code == 2 and out == ""
+    assert err == f"error: {NAIVE_DIAGRAM} is defined at k = 0 only, got --k {levels}\n"

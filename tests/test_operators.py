@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from derham import exactla, operators
@@ -434,16 +434,17 @@ def factor_pairs(draw):
 def summing(way):
     """Every kernel sums its terms the given way: "dense" in one accumulator
     over the whole output, "sort" by sorting them.  Yields the list of the
-    ways taken, one per kernel call."""
+    (way, dtype of the terms) that reach a summing tail, one per kernel
+    call."""
     taken = []
     accumulate, sum_runs = kernels._accumulate, kernels._sum_runs
     with mock.patch.object(kernels, "_DENSE_CELLS", 10 ** 9 if way == "dense" else 0), \
             mock.patch.object(kernels, "_accumulate",
-                              lambda *a: taken.append("dense") or accumulate(*a)), \
+                              lambda *a: taken.append(("dense", a[1].dtype)) or accumulate(*a)), \
             mock.patch.object(kernels, "_sum_runs",
-                              lambda *a: taken.append("sort") or sum_runs(*a)):
+                              lambda *a: taken.append(("sort", a[1].dtype)) or sum_runs(*a)):
         yield taken
-    assert set(taken) <= {way}
+    assert {taken_way for taken_way, _ in taken} <= {way}
 
 
 @seed(1212)
@@ -503,6 +504,12 @@ def kernels_match_dense_oracle(case, data):
     assert dict(back.entries) == dict(composed.entries)
 
 
+def assert_same_storage(op, expected):
+    assert op.shape == expected.shape
+    for a, b in zip(op.integer_rows(), expected.integer_rows(), strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def both_ways(build):
     """build() with every kernel summing in a dense accumulator, then by
     sorting: each returns a list of matrices, and each pair must store the
@@ -514,9 +521,7 @@ def both_ways(build):
             built[way] = build()
         calls.append(len(taken))
     for dense_op, sorted_op in zip(built["dense"], built["sort"], strict=True):
-        assert dense_op.shape == sorted_op.shape
-        for a, b in zip(dense_op.integer_rows(), sorted_op.integer_rows()):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert_same_storage(dense_op, sorted_op)
     return built["dense"], calls
 
 
@@ -579,6 +584,95 @@ def test_dense_and_sorted_sums_agree_near_and_past_a_machine_word():
     assert dict(halved.entries) == {(0, 0): F(near, 2)}
     assert halved.integer_rows()[2].dtype == np.int64
     assert dict(transposed.entries) == {(0, 0): F(1 << 70), (0, 1): F(1, 2 ** 61 - 1)}
+
+
+@pytest.mark.parametrize("way", ["dense", "sort"])
+def test_terms_are_widened_only_when_one_key_can_pass_a_machine_word(way):
+    """One overflow rule for every kernel: the terms reach the summing tail
+    as int64 unless the most terms at one key times the bound on each term
+    reaches 2**63, whatever the number of terms or the length of a row."""
+    near = (1 << 62) + 1
+
+    def dtypes(build):
+        with summing(way) as taken:
+            op = build()
+        return op, [dtype for _, dtype in taken]
+
+    # many distinct positions near 2**62: eight of them pass 2**63, one per key does not
+    spread, taken = dtypes(lambda: OpMatrix.from_entries(
+        1, 8, {(0, c): F(near + c) for c in range(8)}).transpose())
+    assert taken == [np.int64, np.int64]
+    assert dict(spread.entries) == {(c, 0): F(near + c) for c in range(8)}
+    # two terms at one key whose sum passes 2**63
+    stamp = Stamp.of([(0, 0, F(near))])
+    twice, taken = dtypes(lambda: OpMatrix.from_stamps(1, 1, [(stamp, [0, 0], [[0], [0]])]))
+    assert taken == [object]
+    assert dict(twice.entries) == {(0, 0): F(2 * near)}
+    # a long left row whose products, each 2**61, land on distinct keys: the
+    # row's length times that cap passes 2**63, but no key gets two of them
+    left = OpMatrix.from_entries(1, 8, {(0, c): F(1 << 40) for c in range(8)})
+    right = OpMatrix.from_entries(8, 8, {(c, c): F(1 << 21) for c in range(8)})
+    product, taken = dtypes(lambda: left.compose(right))
+    assert taken == [np.int64]
+    assert dict(product.entries) == {(0, c): F(1 << 61) for c in range(8)}
+
+
+WIDE = (1 << 64) + 3
+DENS = [1, 2, 3, 7, 12, 2 ** 31 - 1, 2 ** 61 - 1]
+
+
+@st.composite
+def dense_grids(draw):
+    """(nrows, ncols, numerators column after column, one den per column,
+    one den per entry): small numerators, numerators past 2**63 and all-zero
+    columns, over mixed dens whose lcm passes 2**63; either size may be 0."""
+    nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    value = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-WIDE, -WIDE + 6),
+                      st.integers(WIDE - 6, WIDE))
+    columns = [draw(st.lists(value, min_size=nrows, max_size=nrows)) if draw(st.booleans())
+               else [0] * nrows for _ in range(ncols)]
+    per_column = draw(st.lists(st.sampled_from(DENS), min_size=ncols, max_size=ncols))
+    per_entry = [draw(st.lists(st.sampled_from(DENS), min_size=nrows, max_size=nrows))
+                 for _ in range(ncols)]
+    return nrows, ncols, columns, per_column, per_entry
+
+
+@contextmanager
+def never_summing():
+    def refuse(*args):
+        raise AssertionError("a dense constructor summed its entries")
+
+    with mock.patch.object(kernels, "_accumulate", refuse), \
+            mock.patch.object(kernels, "_sum_runs", refuse):
+        yield
+
+
+@seed(1214)
+@settings(max_examples=150, deadline=None)
+@given(dense_grids())
+@example((2, 3, [[0, 0]] * 3, [1, 2 ** 61 - 1, 2 ** 31 - 1], [[1, 1]] * 3))  # L past 2**63
+@example((0, 3, [[]] * 3, [2, 3, 7], [[]] * 3))
+@example((3, 0, [], [], []))
+def test_dense_constructors_never_sum(grid):
+    """from_columns, from_integer_columns and from_integer_array read their
+    nonzeros in stored order and sum nothing, and they store the integers,
+    values and dtypes, that summing the same entries stores."""
+    nrows, ncols, columns, per_column, per_entry = grid
+    fractions = [[F(n, d) for n, d in zip(col, dens)] for col, dens in zip(columns, per_entry)]
+    scaled = [[F(n, d) for n in col] for col, d in zip(columns, per_column)]
+
+    def summed(cols):  # the summing route: from_entries on the same values
+        return OpMatrix.from_entries(nrows, ncols, {
+            (r, c): v for c, col in enumerate(cols) for r, v in enumerate(col) if v})
+
+    expected = [summed(fractions), summed(scaled), summed(columns)]
+    array = kernels._ints([v for r in range(nrows) for v in (col[r] for col in columns)])
+    with never_summing():
+        built = [OpMatrix.from_columns(nrows, fractions),
+                 OpMatrix.from_integer_columns(nrows, columns, per_column),
+                 OpMatrix.from_integer_array(array.reshape(nrows, ncols))]
+    for op, want in zip(built, expected, strict=True):
+        assert_same_storage(op, want)
 
 
 def test_compose_past_a_machine_word_stays_exact():
