@@ -7,24 +7,28 @@ exact splitter never forms the adjoint.  It takes verify's certificate
 (``certify_complex``: first 1 = 0, rank(first) = dim A - 1 and ker(second)
 = range(first) + constants), and then
 
-1. u_curl is the G_b-projection onto B, all columns of first but the
-   last, a basis of range(first) by the certificate (the constant of A is
-   1 at every dof), and u_const the G_b-projection onto C, the two
-   constant fields;
+1. u_curl is the G_b-projection onto B, the first w columns of first
+   (all but the last), a basis of range(first) by the certificate (the
+   constant of A is 1 at every dof), and u_const the G_b-projection onto
+   C, the two constant fields;
 2. both come from one system, factored once per splitter: the normal
    matrices side by side, diag(B^T G_b B, C^T G_b C), never the cross
    blocks, so each part is its own projection even where the constants
-   are not G_b-orthogonal to range(first).  Without a certified curl basis
-   B has no columns, and the system is the 2x2 of the constants;
+   are not G_b-orthogonal to range(first).  The two blocks are placed at
+   columns 0 and w of a w + 2 wide system and stacked.  Without a
+   certified curl basis w is 0 and the system is the 2x2 of the constants;
 3. u_div is the remainder.  Each split checks that it is exactly
    G_b-orthogonal to every column of first and to both constants, hence to
    ker(second), which places it in range(adjoint) = ker(second)^perp.
 
 A batch of fields is split as one sparse matrix U of columns, never field by
-field (``HodgeSplitter.split_matrix``): [(G_b B)^T; (G_b C)^T] U gives
-every right-hand side (B and C formed once per splitter), B X and C coeffs
-every curl and harmonic part, U minus those two every div part (the
-columns of D), and (G_b first)^T D and (G_b C)^T D every certificate.
+field (``HodgeSplitter.split_matrix``).  Every selector is a slice of frozen
+storage, with no arithmetic: B is a column block of first, (G_b B)^T a row
+block of (G_b first)^T, and the curl and harmonic unknowns X and coeffs the
+first w and the last two rows of the solution.  [(G_b B)^T; (G_b C)^T] U
+gives every right-hand side, B X and C coeffs every curl and harmonic part,
+U - B X - C coeffs every div part D as one signed sum, and one product with
+[(G_b first)^T; (G_b C)^T], stacked once per splitter, every certificate.
 Each is one ``OpMatrix`` kernel on integer operators: numerators over one
 denominator per row, in int64 where a bound proven from the operands
 allows, else in Python ints (see ``sparse``).  (G_b C)^T is formed once
@@ -35,12 +39,16 @@ and returns integer operators: p-adic lifting mod one prime finds each
 solution, and a solution is kept only after an exact integer product with
 the system's rows reproduces its right-hand side, so no modular value
 reaches a part unchecked.  ``hodge_report`` draws the random fields
-straight into the integer columns of U (``random_field``'s draw, shared
-with ``refcheck``) and checks the parts the same way: G_b D and G_b H
-once per batch, every pairing of matching columns as one exact integer sum
+straight into the integer columns of U (``random_field``'s one draw,
+shared with ``refcheck``) and checks the parts the same way: the sum of
+the parts minus U as one signed sum, G_b D and G_b H once per batch, every
+pairing of matching columns as one exact integer sum
 (``OpMatrix.column_dots``), and each count from the columns of a product
-that are empty.  Fractions are built only for the ``HodgeParts`` that
-``split_batch`` and ``split`` return to library callers.
+that are empty.  The idempotence probe sets the parts of field 0 side by
+side and compares their split with them by equal storage, which equal
+values have (``OpMatrix.__eq__``).  Fractions are built only for the
+``HodgeParts`` that ``split_batch`` and ``split`` return to library
+callers.
 
 rank(adjoint) = rank(second), as G_b and G_c are invertible.  A float
 backend covers meshes beyond the exact-arithmetic budget; it never feeds
@@ -66,7 +74,7 @@ from .exactla import rank_nullspace  # unused; perfbench/tracing.py rebinds it h
 from .exactla import solve_square  # unused; perfbench/tracing.py rebinds it here
 from .fespace import DGVectorSpace
 from .operators import adjoint  # unused; perfbench/tracing.py rebinds it here
-from .refcheck import _draw, _draw_columns
+from .refcheck import _draw
 from .report import Report
 from .sparse import OpMatrix
 
@@ -112,21 +120,18 @@ class HodgeSplitter:
         self.rank_first = cert.rank_first if basis else 0
         # the unknowns: w curl coefficients on every column of first but the
         # last (none without the curl basis), then the two harmonic ones
-        n = inst.first.ncols
-        w = n - 1 if basis else 0
-        gram_basis_t = OpMatrix.from_entries(w, n, {(j, j): 1 for j in range(w)}).compose(
-            self._gram_first_t)
+        w = inst.first.ncols - 1 if basis else 0
+        self._basis = inst.first.column_block(0, w)
+        gram_basis_t = self._gram_first_t.row_block(0, w)
         self._gram_unknowns_t = OpMatrix.stack([gram_basis_t, self._gram_consts_t])
-        # B, with two empty columns for the harmonic unknowns
-        self._basis = inst.first.compose(
-            OpMatrix.from_entries(n, w + 2, {(j, j): 1 for j in range(w)}))
-        self._pick_consts = OpMatrix.from_entries(2, w + 2, {(t, w + t): 1 for t in (0, 1)})
+        # every certificate pairing, (G_b first)^T and (G_b C)^T, in one product
+        self._gram_certified_t = OpMatrix.stack([self._gram_first_t, self._gram_consts_t])
         # diag(B^T G_b B, C^T G_b C): each block's normal matrix, never the
         # cross blocks, so the curl part is the projection onto range(first)
         # even where the constants are not G_b-orthogonal to it
         self._solver = LiftedSolver(OpMatrix.stack([
-            gram_basis_t.compose(self._basis),
-            self._gram_consts_t.compose(self._consts).compose(self._pick_consts)]))
+            gram_basis_t.compose(self._basis).column_block(0, w, w + 2),
+            self._gram_consts_t.compose(self._consts).column_block(0, 2, w + 2, w)]))
         self.rank_adjoint = cert.rank_second if cert.kernel_is_range_plus_constants else 0
 
     def split_matrix(self, u: OpMatrix) -> tuple[OpMatrix, OpMatrix, OpMatrix, OpMatrix,
@@ -135,14 +140,14 @@ class HodgeSplitter:
         batch solve.  Returns the curl, div and harmonic parts, each of the
         shape of u, the 2 x ncols harmonic coefficients, and a boolean
         array, True where the column's div part is certified."""
+        w = self._basis.ncols
         x = self._solver.solve(self._gram_unknowns_t.compose(u))
-        curl = self._basis.compose(x)
-        coeffs = self._pick_consts.compose(x)
+        curl = self._basis.compose(x.row_block(0, w))
+        coeffs = x.row_block(w, w + 2)
         harmonic = self._consts.compose(coeffs)
-        div = u - curl - harmonic
+        div = OpMatrix.signed_sum([(1, u), (-1, curl), (-1, harmonic)])
         # a field is certified when its div column is G_b-orthogonal to first and the constants
-        certified = (self._gram_first_t.compose(div).zero_columns()
-                     & self._gram_consts_t.compose(div).zero_columns())
+        certified = self._gram_certified_t.compose(div).zero_columns()
         return curl, div, harmonic, coeffs, certified
 
     def split_batch(self, fields) -> list[HodgeParts]:
@@ -210,9 +215,10 @@ class FloatHodgeSplitter:
 
 def random_field(space: DGVectorSpace, rng: random.Random) -> list[Fraction]:
     """Seeded random coefficient vector with bounded rational entries: per
-    entry a numerator in -9..9, then a denominator in 1..9.  ``hodge_report``
-    draws its batch with the same ``rng`` calls, one column per field."""
-    return [Fraction(a, d) for a, d in _draw(rng, space.dim)]
+    entry a numerator in -9..9, then a denominator in 1..9 (``refcheck._draw``).
+    ``hodge_report`` draws its batch as one such draw, one column per field."""
+    num, den = _draw(rng, space.dim)
+    return [Fraction(a, d) for a, d in zip(num.tolist(), den.tolist())]
 
 
 def hodge_report(name: str, nx: int, ny: int, k: int, fields: int = 20,
@@ -230,7 +236,8 @@ def hodge_report(name: str, nx: int, ny: int, k: int, fields: int = 20,
     inst = build_diagram(name, nx, ny, k)
     rng = random.Random(seed)
     dim = inst.b_space.dim
-    u = _draw_columns(dim, [_draw(rng, dim) for _ in range(fields)])
+    num, den = _draw(rng, dim * fields)
+    u = OpMatrix._from_dense(num.reshape(fields, dim).T, den.reshape(fields, dim).T)
 
     if backend == "exact":
         sp = HodgeSplitter(inst)
@@ -238,7 +245,7 @@ def hodge_report(name: str, nx: int, ny: int, k: int, fields: int = 20,
         curl, div, harmonic, _, certified = sp.split_matrix(u)
         # one integer kernel per check over the whole batch: field j passes
         # when column j of the residual, or of each pairing, is zero
-        sums = (curl + div + harmonic - u).zero_columns()
+        sums = OpMatrix.signed_sum([(1, curl), (1, div), (1, harmonic), (-1, u)]).zero_columns()
         g_div, g_harmonic = inst.gram_b.compose(div), inst.gram_b.compose(harmonic)
         orth = np.ones(fields, dtype=bool)
         for a, g in ((curl, g_div), (curl, g_harmonic), (div, g_harmonic)):
@@ -247,13 +254,13 @@ def hodge_report(name: str, nx: int, ny: int, k: int, fields: int = 20,
         rep.check("parts_pairwise_orthogonal", fields, int(orth.sum()))
         rep.check("harmonic_part_is_constant", fields, int(certified.sum()))
         if fields:
-            # the curl, div and harmonic parts of field 0 as the three columns
-            # of one matrix: splitting it again gives each part back in place
-            picks = [part.compose(OpMatrix.from_entries(fields, 3, {(0, t): 1}))
-                     for t, part in enumerate((curl, div, harmonic))]
-            again = sp.split_matrix(picks[0] + picks[1] + picks[2])[:3]
+            # the curl, div and harmonic parts of field 0 side by side: splitting
+            # them again gives each part back in its own column, equal in storage
+            parts = (curl, div, harmonic)
+            again = sp.split_matrix(OpMatrix.hstack([p.column_block(0, 1) for p in parts]))[:3]
             rep.check("projections_idempotent", True,
-                      all((a - b).is_zero for a, b in zip(again, picks)))
+                      all(a == p.column_block(0, 1, 3, t)
+                          for t, (a, p) in enumerate(zip(again, parts))))
         return rep.finish()
 
     sp = FloatHodgeSplitter(inst)

@@ -37,7 +37,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -265,19 +264,63 @@ def flat_trace_basis(ref: RefCell) -> list[VecPoly]:
     return [VecPoly.constant(1, 0), VecPoly.constant(0, 1)]
 
 
-def _draw(rng: random.Random, n: int) -> list[tuple[int, int]]:
-    """n random rationals as (numerator, denominator) pairs, numerator
-    randrange(19) - 9 and then denominator randrange(9) + 1 for each; the
-    draw of every seeded field here and in ``hodge``."""
-    return [(rng.randrange(19) - 9, rng.randrange(9) + 1) for _ in range(n)]
+# 32-bit words per getrandbits read, far below the C int of bits it takes
+_READ_WORDS = 1 << 20
+# words read past 3.5 per pair still needed; a pair takes 32/19 + 16/9 on average
+_OVERDRAW = 64
 
 
-def _draw_columns(n: int, draws: list[list[tuple[int, int]]]) -> OpMatrix:
-    """The drawn (numerator, denominator) pairs as the columns of one
-    ``OpMatrix``."""
-    pairs = np.fromiter(chain.from_iterable(chain.from_iterable(draws)), dtype=np.int64,
-                        count=2 * n * len(draws)).reshape(len(draws), n, 2)
-    return OpMatrix._from_dense(pairs[..., 0].T, pairs[..., 1].T)
+def _accepted(words: np.ndarray) -> np.ndarray:
+    """The positions of the 32-bit words that randrange(19), randrange(9),
+    randrange(19), ... accept, reading ``words`` in order.  Each reads the
+    top 5 or 4 bits of a word and rejects values of 19 or 9 and up, so a
+    word whose top 5 bits are 17 or less is accepted by either, one of 18
+    only as a numerator, and one of 19 or more by neither.  Of a run of 18s,
+    only the first can be accepted, and after the first word that follows a
+    run of 18s, the next word is read as a numerator again.  In between the
+    accepted words alternate, so an 18 is accepted exactly when an even
+    number of accepted words lie between that restart and it."""
+    top = words >> 27
+    candidates = np.flatnonzero(top < 19)
+    only_num = top[candidates] == 18
+    either = ~only_num
+    after_num = np.zeros_like(only_num)
+    after_num[1:] = only_num[:-1]
+    restart = np.ones_like(only_num)
+    restart[1:] = (either & after_num)[:-1]
+    before = either.cumsum() - either  # words of either kind before each
+    even = (before - before[restart.nonzero()[0]][restart.cumsum() - 1]) % 2 == 0
+    return candidates[either | (only_num & ~after_num & even)]
+
+
+def _draw(rng: random.Random, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n random rationals as int64 arrays (numerators, denominators): for
+    each, numerator randrange(19) - 9 and then denominator randrange(9) + 1;
+    the draw of every seeded field here and in ``hodge``.  The words that
+    2n ``randrange`` calls read are read from ``rng.getrandbits`` in bounded
+    chunks and accepted as ``_accepted`` replays them; ``rng`` is then put
+    back and advanced by exactly the words used, so it ends in the state
+    those calls leave."""
+    start = rng.getstate()
+    empty = np.zeros(0, dtype=np.int64)
+    nums, dens = [empty], [empty]
+    words, used, have = np.zeros(0, dtype=np.uint32), 0, 0
+    while have < n:
+        k = min(_READ_WORDS, 7 * (n - have) // 2 + _OVERDRAW)
+        words = np.concatenate((words, np.frombuffer(
+            rng.getrandbits(32 * k).to_bytes(4 * k, "little"), dtype="<u4")))
+        at = _accepted(words)
+        pairs = min(at.size // 2, n - have)
+        nums.append((words[at[:2 * pairs:2]] >> 27).astype(np.int64) - 9)
+        dens.append((words[at[1:2 * pairs:2]] >> 28).astype(np.int64) + 1)
+        have += pairs
+        if pairs:  # what follows the last pair is read again from a numerator
+            used += int(at[2 * pairs - 1]) + 1
+            words = words[at[2 * pairs - 1] + 1:]
+    rng.setstate(start)
+    for done in range(0, used, _READ_WORDS):
+        rng.getrandbits(32 * min(_READ_WORDS, used - done))
+    return np.concatenate(nums), np.concatenate(dens)
 
 
 class _Split(NamedTuple):
@@ -338,8 +381,7 @@ class _DecompositionTables:
         modes = preimages - bubble_columns.compose(self.projector.compose(preimages))
         self.flats = flat_trace_basis(ref)
         flat_columns = OpMatrix.from_columns(n, [basis.expand(w) for w in self.flats])
-        self.pieces = OpMatrix.stack([bubble_columns.transpose(), modes.transpose(),
-                                      flat_columns.transpose()]).transpose()
+        self.pieces = OpMatrix.hstack([bubble_columns, modes, flat_columns])
         self.flat_inverse = LiftedSolver(flat_columns.transpose().compose(flat_columns)).solve(
             flat_columns.transpose())
         self.bubble_count, self.mode_count, self.flat_count = bubbles.dim, len(at), len(self.flats)
@@ -348,23 +390,27 @@ class _DecompositionTables:
 
     def sample(self, rng: random.Random, samples: int) -> OpMatrix:
         """The coefficient columns G X of ``samples`` seeded fields: one
-        ``_draw`` per field; when any field is zero, ``rng`` is rewound and
-        each field drawn again until it is nonzero, at most 64 times in a
-        row."""
-        n = self.grad.ncols
+        ``_draw`` of n values per field; when any field is zero, ``rng`` is
+        rewound and each field drawn again until it is nonzero, at most 64
+        times in a row."""
         start = rng.getstate()
-        columns = self.grad.compose(_draw_columns(n, [_draw(rng, n) for _ in range(samples)]))
+        columns = self._columns(*_draw(rng, self.grad.ncols * samples))
         if columns.zero_columns().any():  # rare: draw again one field at a time
             rng.setstate(start)
-            columns = self.grad.compose(_draw_columns(n, [self._nonzero_draw(rng)
-                                                          for _ in range(samples)]))
+            draws = [self._nonzero_draw(rng) for _ in range(samples)]
+            columns = self._columns(*map(np.concatenate, zip(*draws)))
         return columns
 
-    def _nonzero_draw(self, rng: random.Random) -> list[tuple[int, int]]:
+    def _columns(self, num: np.ndarray, den: np.ndarray) -> OpMatrix:
+        """G X, with X the drawn values num / den, n to a column."""
         n = self.grad.ncols
+        return self.grad.compose(OpMatrix._from_dense(num.reshape(-1, n).T,
+                                                      den.reshape(-1, n).T))
+
+    def _nonzero_draw(self, rng: random.Random) -> tuple[np.ndarray, np.ndarray]:
         for _ in range(64):
-            draw = _draw(rng, n)
-            if not self.grad.compose(_draw_columns(n, [draw])).is_zero:
+            draw = _draw(rng, self.grad.ncols)
+            if not self._columns(*draw).is_zero:
                 return draw
         raise AssertionError("random scalar degenerated 64 times in a row")
 

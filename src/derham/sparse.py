@@ -13,8 +13,16 @@ code on object arrays, so nothing wraps.  An output with at most
 ``_DENSE_CELLS`` cells per term is summed in one zeroed array
 (``np.add.at``) and read back in row-major order; a larger one sorts the
 terms and sums each run with ``np.add.reduceat``.  Dense constructors read
-their nonzeros in row-major order and sum nothing.  ``Fraction``s are
-built only where a caller asks for them (``entries``, ``dense_rows``,
+their nonzeros in row-major order and sum nothing; an integer array is over
+1 and is not scaled either.  ``signed_sum`` adds any number of matrices,
+each with a sign, in one such kernel.  Row blocks, column blocks placed at
+an offset, and stacks below (``stack``) or beside (``hstack``) one another
+are structural: they copy, filter or shift stored entries, multiply nothing,
+and reduce a row again only where entries were dropped or denominators
+met.  Every matrix ends in ``_from_sorted`` or ``_set`` with each row over
+its least common denominator and gcd-reduced, so equal values are equal
+storage, and ``==`` compares the frozen arrays.  ``Fraction``s are built
+only where a caller asks for them (``entries``, ``dense_rows``,
 ``columns``, ...).
 """
 
@@ -184,8 +192,8 @@ class OpMatrix:
     and their nonzero integer numerators over the row's denominator, the
     least common denominator of its entries (1 for an empty row).  The
     storage is frozen when the matrix is built: ``compose``, ``transpose``,
-    ``stack``, ``+`` and ``-`` return new matrices, and ``entries`` is a
-    read-only view.
+    ``stack``, ``hstack``, the blocks, ``signed_sum``, ``+`` and ``-``
+    return new matrices, and ``entries`` is a read-only view.
 
     ``compose`` puts the right factor's numerators over one denominator L,
     multiplies every pair of matching nonzeros and sums the products at
@@ -359,8 +367,9 @@ class OpMatrix:
     @classmethod
     def from_integer_array(cls, num: np.ndarray) -> "OpMatrix":
         """The matrix of a dense 2-D integer array, int64 or object (Python
-        ints)."""
-        return cls._from_dense(num, np.ones(num.shape[1], dtype=np.int64))
+        ints): its nonzeros in row-major order, over 1."""
+        rows, cols = num.nonzero()
+        return cls._from_sorted(num.shape[0], num.shape[1], rows, cols, num[rows, cols], 1)
 
     @classmethod
     def _from_dense(cls, num: np.ndarray, den: np.ndarray) -> "OpMatrix":
@@ -391,6 +400,24 @@ class OpMatrix:
                  _narrow(np.concatenate([b._den for b in blocks])), blocks[0].domain, "")
         return out
 
+    @classmethod
+    def hstack(cls, blocks: Sequence["OpMatrix"]) -> "OpMatrix":
+        """The blocks, all of one height, side by side: each block's entries
+        move right by the widths before it, and every value is put over L
+        (``_over_lcm``).  The entries are already distinct, so one stable
+        sort by row orders them and nothing is summed."""
+        nrows = blocks[0].nrows
+        if any(b.nrows != nrows for b in blocks):
+            raise ValueError("height mismatch in hstack")
+        offsets = np.cumsum([0] + [b.ncols for b in blocks])
+        rows = np.concatenate([b._rows for b in blocks])
+        order = rows.argsort(kind="stable")
+        scaled, total, _ = _over_lcm(np.concatenate([b._num for b in blocks]),
+                                     np.concatenate([b._den[b._rows] for b in blocks]))
+        cols = np.concatenate([b._cols + f for b, f in zip(blocks, offsets)])
+        return cls._from_sorted(nrows, int(offsets[-1]), rows[order], cols[order], scaled[order],
+                                total, "", blocks[0].codomain)
+
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
@@ -417,21 +444,62 @@ class OpMatrix:
         each access; ``+`` and ``-`` make a changed matrix."""
         return MappingProxyType({(r, c): v for r, c, v in self._items()})
 
-    def _combine(self, other: "OpMatrix", sign: int) -> "OpMatrix":
-        if self.shape != other.shape:
+    @classmethod
+    def signed_sum(cls, terms: Sequence[tuple[int, "OpMatrix"]]) -> "OpMatrix":
+        """sign_1 M_1 + sign_2 M_2 + ..., each sign +1 or -1 and every M of
+        one shape, as one ``_from_triplets``: a sum that cancels leaves no
+        entry.  The result takes the tags of the first matrix."""
+        first = terms[0][1]
+        if any(m.shape != first.shape for _, m in terms):
             raise ValueError("shape mismatch in a matrix sum")
-        return OpMatrix._from_triplets(
-            self.nrows, self.ncols, np.concatenate((self._rows, other._rows)),
-            np.concatenate((self._cols, other._cols)),
-            np.concatenate((self._num, sign * other._num)),
-            np.concatenate((self._den[self._rows], other._den[other._rows])),
-            self.domain, self.codomain)
+        return cls._from_triplets(
+            first.nrows, first.ncols, np.concatenate([m._rows for _, m in terms]),
+            np.concatenate([m._cols for _, m in terms]),
+            np.concatenate([m._num if sign > 0 else -m._num for sign, m in terms]),
+            np.concatenate([m._den[m._rows] for _, m in terms]), first.domain, first.codomain)
 
     def __add__(self, other: "OpMatrix") -> "OpMatrix":
-        return self._combine(other, 1)
+        return OpMatrix.signed_sum([(1, self), (1, other)])
 
     def __sub__(self, other: "OpMatrix") -> "OpMatrix":
-        return self._combine(other, -1)
+        return OpMatrix.signed_sum([(1, self), (-1, other)])
+
+    def __eq__(self, other: object) -> bool:
+        """Equal shapes and equal values.  Every constructor ends in
+        ``_from_sorted`` or ``_set`` with each row over its least common
+        denominator and gcd-reduced, so equal matrices store equal ``ptr``,
+        ``cols``, ``num`` and ``den``: nothing is subtracted or reduced."""
+        if not isinstance(other, OpMatrix):
+            return NotImplemented
+        return self.shape == other.shape and all(
+            np.array_equal(a, b) for a, b in zip(self.integer_rows(), other.integer_rows()))
+
+    def row_block(self, start: int, stop: int) -> "OpMatrix":
+        """Rows start..stop-1 as a matrix of their own; each row keeps its
+        numerators and denominator."""
+        if not 0 <= start <= stop <= self.nrows:
+            raise ValueError(f"rows {start}..{stop} outside {self.nrows}")
+        a, b = int(self._ptr[start]), int(self._ptr[stop])
+        out = OpMatrix.__new__(OpMatrix)
+        out._set(stop - start, self.ncols, self._ptr[start:stop + 1] - a,
+                 self._rows[a:b] - start, self._cols[a:b], _narrow(self._num[a:b]),
+                 _narrow(self._den[start:stop]), self.domain, "")
+        return out
+
+    def column_block(self, start: int, stop: int, width: int | None = None,
+                     offset: int = 0) -> "OpMatrix":
+        """Columns start..stop-1 placed at columns offset.. of a matrix
+        ``width`` columns wide (stop - start by default).  Each row is
+        reduced again by ``_from_sorted``, as the entries it drops may have
+        set its least common denominator."""
+        width = stop - start if width is None else width
+        if not (0 <= start <= stop <= self.ncols and 0 <= offset <= width - (stop - start)):
+            raise ValueError(f"columns {start}..{stop} at {offset} do not fit "
+                             f"{self.ncols} -> {width}")
+        keep = (self._cols >= start) & (self._cols < stop)
+        return OpMatrix._from_sorted(self.nrows, width, self._rows[keep],
+                                     self._cols[keep] + (offset - start), self._num[keep],
+                                     self._den, "", self.codomain)
 
     def dense_rows(self) -> list[list[Fraction]]:
         rows = [[_ZERO] * self.ncols for _ in range(self.nrows)]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from derham.complexcheck import build_diagram
-from derham.exactla import rank_nullspace, solve_any, solve_square
+from derham.exactla import LiftedSolver, rank_nullspace, solve_any, solve_square
 from derham.hodge import (
     FloatHodgeSplitter,
     HodgeSplitter,
@@ -20,6 +20,7 @@ from derham.hodge import (
     save_field,
 )
 from derham.operators import GramBlock, GramMatrix, adjoint
+from derham.sparse import OpMatrix
 
 F = Fraction
 
@@ -233,6 +234,98 @@ def test_hodge_report_exact(name, k):
     names = {c.name for c in rep.checks}
     assert {"rank_identity", "parts_sum_to_input", "parts_pairwise_orthogonal",
             "harmonic_part_is_constant", "projections_idempotent"} <= names
+
+
+TAMPER_FIELDS = 5
+
+
+def unit(shape, row, col):
+    return OpMatrix.from_entries(*shape, {(row, col): 1})
+
+
+def tampered_report(monkeypatch, tamper):
+    """The exact tri-dp 2x2 k=1 report with ``tamper(call, curl, div,
+    harmonic)`` giving the parts of each ``split_matrix`` call: call 1 splits
+    the batch, call 2 the idempotence probe."""
+    split_matrix, calls = HodgeSplitter.split_matrix, []
+
+    def wrapped(self, u):
+        curl, div, harmonic, coeffs, certified = split_matrix(self, u)
+        calls.append(u.ncols)
+        return (*tamper(len(calls), curl, div, harmonic), coeffs, certified)
+
+    monkeypatch.setattr(HodgeSplitter, "split_matrix", wrapped)
+    rep = hodge_report("tri-dp", 2, 2, 1, fields=TAMPER_FIELDS, seed=11)
+    assert calls == [TAMPER_FIELDS, 3]
+    return {c.name: (c.passed, c.expected, c.computed) for c in rep.checks}
+
+
+def test_a_part_off_by_one_entry_fails_the_sum(monkeypatch):
+    def tamper(call, curl, div, harmonic):
+        if call == 1:
+            curl = curl + unit(curl.shape, 0, 2)
+        return curl, div, harmonic
+
+    checks = tampered_report(monkeypatch, tamper)
+    assert checks["parts_sum_to_input"] == (False, TAMPER_FIELDS, TAMPER_FIELDS - 1)
+
+
+def test_harmonic_moved_into_the_curl_part_fails_orthogonality(monkeypatch):
+    """The parts still sum to the input, but the curl part of field 2 now
+    holds its harmonic part, which is not G_b-orthogonal to itself."""
+    def tamper(call, curl, div, harmonic):
+        if call == 1:
+            moved = harmonic.column_block(2, 3, TAMPER_FIELDS, 2)
+            assert not moved.is_zero
+            curl, div = curl + moved, div - moved
+        return curl, div, harmonic
+
+    checks = tampered_report(monkeypatch, tamper)
+    assert checks["parts_sum_to_input"] == (True, TAMPER_FIELDS, TAMPER_FIELDS)
+    assert checks["parts_pairwise_orthogonal"] == (False, TAMPER_FIELDS, TAMPER_FIELDS - 1)
+
+
+def test_a_harmonic_coefficient_off_by_one_fails_the_certificate(monkeypatch):
+    """One more unit of the first constant in the harmonic part of field 2
+    leaves the div part short of it, so that part is not G_b-orthogonal to
+    the constants and is not certified."""
+    solve = LiftedSolver.solve
+
+    def wrapped(self, rhs):
+        x = solve(self, rhs)
+        return x + unit(x.shape, x.nrows - 2, 2) if rhs.ncols == TAMPER_FIELDS else x
+
+    monkeypatch.setattr(LiftedSolver, "solve", wrapped)
+    checks = tampered_report(monkeypatch, lambda call, *parts: parts)
+    assert checks["parts_sum_to_input"] == (True, TAMPER_FIELDS, TAMPER_FIELDS)
+    assert checks["harmonic_part_is_constant"] == (False, TAMPER_FIELDS, TAMPER_FIELDS - 1)
+
+
+def test_a_resplit_off_by_one_entry_fails_idempotence(monkeypatch):
+    def tamper(call, curl, div, harmonic):
+        if call == 2:
+            div = div + unit(div.shape, 0, 1)
+        return curl, div, harmonic
+
+    checks = tampered_report(monkeypatch, tamper)
+    assert checks["projections_idempotent"] == (False, True, False)
+    assert checks["parts_sum_to_input"] == (True, TAMPER_FIELDS, TAMPER_FIELDS)
+
+
+def test_warm_exact_report_draws_by_words_and_builds_no_selector(monkeypatch):
+    """A warm exact report calls neither randrange nor from_entries, and
+    reports what it reports without the guards."""
+    hodge_report("tri-dp", 3, 3, 1)  # fills the caches
+    plain = hodge_report("tri-dp", 3, 3, 1).to_dict()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm exact report drew by randrange or built from entries")
+
+    monkeypatch.setattr(random.Random, "randrange", refuse)
+    monkeypatch.setattr(OpMatrix, "from_entries", staticmethod(refuse))
+    guarded = hodge_report("tri-dp", 3, 3, 1).to_dict()
+    del plain["wall_ms"], guarded["wall_ms"]
+    assert guarded == plain and guarded["passed"]
 
 
 def test_hodge_report_exact_at_6x6():

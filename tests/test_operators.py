@@ -716,3 +716,75 @@ def test_integer_array_matches_its_entries(big):
     op = OpMatrix.from_integer_array(num)
     assert op.shape == (3, 3)
     assert dict(op.entries) == {(0, 1): 3, (1, 0): -2, (1, 2): big}
+
+
+@pytest.mark.parametrize("big", [5, 2 ** 62, 2 ** 70])
+def test_integer_array_is_stored_without_scaling(monkeypatch, big):
+    """An integer array is over 1: its nonzeros go straight to storage, never
+    through ``_over_lcm``, and store what from_entries stores."""
+    dtype = np.int64 if big < 2 ** 63 else object
+    num = np.array([[0, 3, 0], [-2, 0, big], [0, 0, 0]], dtype=dtype)
+    expected = OpMatrix.from_entries(3, 3, {(0, 1): 3, (1, 0): -2, (1, 2): big})
+
+    def refuse(*args):
+        raise AssertionError("an integer array was put over its lcm")
+
+    monkeypatch.setattr(kernels, "_over_lcm", refuse)
+    assert_same_storage(OpMatrix.from_integer_array(num), expected)
+    assert OpMatrix.from_integer_array(np.zeros((2, 0), dtype=np.int64)).shape == (2, 0)
+
+
+def placed(rows, start, stop, width, offset):
+    return [[F(0)] * offset + row[start:stop] + [F(0)] * (width - offset - (stop - start))
+            for row in rows]
+
+
+@seed(1215)
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_blocks_stacks_and_signed_sums_store_what_from_entries_stores(data):
+    """Row blocks, placed column blocks, side-by-side stacks and signed sums
+    store the integers, values and dtypes that from_entries stores for the
+    same values, so equality reads the storage; on the values of the oracle
+    test, with lcms past 2**63 and numerators near 2**40."""
+    n, m, q = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 6)), data.draw(st.integers(0, 3))
+    ea, eb, ec = data.draw(sparse(n, m)), data.draw(sparse(n, q)), data.draw(sparse(n, m))
+    a, b, c = (OpMatrix.from_entries(n, w, e) for w, e in ((m, ea), (q, eb), (m, ec)))
+    da, db, dc = dense((n, m), ea), dense((n, q), eb), dense((n, m), ec)
+
+    def check(op, rows, ncols):
+        want = OpMatrix.from_entries(len(rows), ncols, nonzeros(rows))
+        assert_same_storage(op, want)
+        assert op == want and not op != want
+
+    start = data.draw(st.integers(0, n))
+    stop = data.draw(st.integers(start, n))
+    check(a.row_block(start, stop), da[start:stop], m)
+    start = data.draw(st.integers(0, m))
+    stop = data.draw(st.integers(start, m))
+    width = data.draw(st.integers(stop - start, stop - start + 3))
+    offset = data.draw(st.integers(0, width - (stop - start)))
+    check(a.column_block(start, stop, width, offset), placed(da, start, stop, width, offset), width)
+    check(a.column_block(start, stop), placed(da, start, stop, stop - start, 0), stop - start)
+    check(OpMatrix.hstack([a, b, a]), [x + y + x for x, y in zip(da, db)], 2 * m + q)
+    signs = data.draw(st.tuples(*[st.sampled_from([-1, 1])] * 3))
+    check(OpMatrix.signed_sum(list(zip(signs, (a, c, a)))),
+          [[signs[0] * x + signs[1] * y + signs[2] * x for x, y in zip(ra, rc)]
+           for ra, rc in zip(da, dc)], m)
+    check(a - c, [[x - y for x, y in zip(ra, rc)] for ra, rc in zip(da, dc)], m)
+    assert (a == c) == (nonzeros(da) == nonzeros(dc))
+    assert a != OpMatrix(n, m + 1) and a != OpMatrix(n + 1, m) and a != da
+
+
+def test_blocks_and_sums_refuse_what_does_not_fit():
+    op = OpMatrix.from_entries(2, 3, {(0, 0): F(1, 2), (1, 2): F(3)})
+    with pytest.raises(ValueError, match="rows"):
+        op.row_block(1, 3)
+    with pytest.raises(ValueError, match="columns"):
+        op.column_block(0, 2, 3, 2)
+    with pytest.raises(ValueError, match="columns"):
+        op.column_block(2, 4)
+    with pytest.raises(ValueError, match="height mismatch"):
+        OpMatrix.hstack([op, OpMatrix(3, 1)])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        OpMatrix.signed_sum([(1, op), (-1, op), (1, OpMatrix(2, 2))])

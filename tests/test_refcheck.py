@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -535,12 +536,60 @@ def test_batch_samples_redraw_a_zero_field():
     _assert_samples_are_draws("vec_p", 0, next(s for s in range(200) if redraws(s)), samples=8)
 
 
+def _assert_draw_is_randrange(seed_, n):
+    """``_draw`` gives the pairs, and leaves the state, of 2n randrange calls."""
+    rng, reference = random.Random(seed_), random.Random(seed_)
+    num, den = refcheck._draw(rng, n)
+    assert num.dtype == den.dtype == np.int64
+    assert list(zip(num.tolist(), den.tolist())) == [
+        (reference.randrange(19) - 9, reference.randrange(9) + 1) for _ in range(n)]
+    assert rng.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 40, 1000])
+def test_draw_is_randrange_over_many_seeds(n):
+    for seed_ in range(200):
+        _assert_draw_is_randrange(seed_, n)
+
+
+@pytest.mark.parametrize("read_words,overdraw", [(1, 0), (2, 0), (5, 0), (7, 1), (1 << 20, 0)])
+def test_draw_reads_in_chunks_and_again(monkeypatch, read_words, overdraw):
+    """Reads of a few words each, or reads with no margin past 3.5 words a
+    pair, run out mid-draw and end between a numerator and its denominator;
+    the words left over are read again with the next chunk."""
+    monkeypatch.setattr(refcheck, "_READ_WORDS", read_words)
+    monkeypatch.setattr(refcheck, "_OVERDRAW", overdraw)
+    reads = []
+    getrandbits = random.Random.getrandbits
+    monkeypatch.setattr(random.Random, "getrandbits",
+                        lambda self, k: reads.append(k) or getrandbits(self, k))
+    for seed_ in range(40):
+        for n in (0, 1, 2, 9, 50):
+            _assert_draw_is_randrange(seed_, n)
+    assert max(reads) <= 32 * read_words
+    assert len(reads) > 2 * 40 * 4  # more than one read and one advance per draw
+
+
+def test_accepted_words_replay_the_rejections():
+    """Every top-5-bit value, in runs that cross numerator and denominator
+    reads, against the loop that randrange runs word by word."""
+    rng = random.Random(5)
+    tops = [rng.choice([0, 8, 17, 18, 18, 19, 31]) for _ in range(4000)]
+    words = np.array([(t << 27) | rng.getrandbits(27) for t in tops], dtype=np.uint32)
+    expected, numerator = [], True
+    for at, word in enumerate(words.tolist()):
+        if (word >> 27 < 19) if numerator else (word >> 28 < 9):
+            expected.append(at)
+            numerator = not numerator
+    assert refcheck._accepted(words).tolist() == expected
+
+
 def test_zero_draws_give_up_after_64(monkeypatch):
     calls = []
 
     def zero_draw(rng, n):
         calls.append(n)
-        return [(0, 1)] * n
+        return np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64)
 
     monkeypatch.setattr(refcheck, "_draw", zero_draw)
     tables = refcheck._decomposition_tables("vec_p", 1)
