@@ -13,16 +13,21 @@ orthogonality, the codomain splits as range(second) plus the uniform element,
 and the harmonic space is exactly the span of the constant fields.  The
 resulting cohomology dimensions are the torus Betti numbers 1, 2, 1.
 
-Every claim is certified from exact witnesses (sparse products that vanish)
-plus exact ranks from ``exactla.prefix_ranks``, which reads the integer
-operators themselves, combined by counting dimensions.  On a healthy
-diagram those ranks are local: each cell's block of first and of second^T
+Every claim is certified from exact witnesses plus exact ranks from
+``exactla.prefix_ranks``, which reads the integer operators themselves,
+combined by counting dimensions.  The witnesses take few kernels: first 1
+= 0 is one sum of first's numerators per row, and second first, (G_b C)^T
+first, second C and the constants' 2x2 Gram matrix are two products of one
+stack [second; (G_b C)^T], each zero test read from the row pointers of a
+row range.  On a healthy diagram the ranks are local: each cell's block of
+first and of second^T (read from second's columns, no transpose formed)
 has a one-dimensional kernel, the cells glue into one component through
-shared dofs, and G_b is positive definite, so no elimination runs on more
-than one cell's block.  Every definiteness verdict, of each Gram block and
-of the constants' 2x2 Gram matrix, is ``exactla.positive_definite``.
-Otherwise the ranks are those of two global stacks.  No report here
-computes a nullspace or compares spans.
+shared dofs, and G_b is positive definite.  Every distinct block of both
+operators is ranked in one elimination, placed block-diagonally, so no row
+meets more than one cell's block.  Every definiteness verdict, of each Gram
+block and of the constants' 2x2 Gram matrix, is
+``exactla.positive_definite``.  Otherwise the ranks are those of two global
+stacks.  No report here computes a nullspace or compares spans.
 
 Also here: the rank-deficient naive quad diagram (a diagnostic whose report
 passes when the predicted failure is reproduced exactly), the jump-constraint
@@ -33,6 +38,7 @@ its jumps from ``operators.assemble_jumps`` on the local family ``flat_quad``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -208,100 +214,155 @@ def _mixers(n: int) -> np.ndarray:
     return w.view(np.int64)
 
 
-def _kernel_is_weight(op: OpMatrix, cell_size: int, weight) -> bool:
-    """Whether the kernel of ``op`` is exactly span(weight), proven cell by
-    cell.  The matrix must kill weight; only its support is read, so
-    ``weight`` may be any sequence that is true exactly where weight is
+def _cell_blocks(op: OpMatrix, cell_size: int, weight,
+                 by_columns: bool = False) -> list[np.ndarray] | None:
+    """The distinct cell blocks of ``op``, or of op^T when ``by_columns``
+    (op's columns read as the rows of op^T, with no transpose formed), as
+    (m, cell_size, n) stacks of the m distinct blocks of n columns; None when
+    a check that needs no rank fails.  Only the support of ``weight`` is
+    read, so it may be any sequence that is true exactly where weight is
     nonzero.
 
     The rows come in cells of ``cell_size``.  A cell's block is its rows
     restricted to the dofs they touch, read as integer numerators: each row
-    over its denominator, which keeps the block's rank.  Weight restricted
-    there lies in its kernel, so rank = ncols - 1 makes that kernel
-    span(weight) when weight is nonzero on the block.  A kernel vector is
-    then a multiple of weight on each cell, the same multiple on cells that
-    share a dof where weight is nonzero; if those joins leave one component
-    and every dof is touched, it is a multiple of weight.
+    of op over its denominator, which scales a row of the block, or a
+    column of it when ``by_columns``, by a positive integer and keeps its
+    rank.  The checks: the rows fill whole cells, every dof is touched,
+    every cell touches a dof where weight is nonzero, and the cells join
+    into one component through shared dofs where weight is nonzero.
 
     Every step is a kernel over whole arrays.  The nonzeros are gathered
     into one column per (cell, dof), and each cell's columns are sorted by
     content (the rank does not depend on their order, nor on the dof
     numbers).  Cells with the same number of columns are sorted by a
     fingerprint of their blocks and compared with their neighbours, so each
-    distinct block is ranked once (``prefix_ranks``).  The joins are the connected components
+    distinct block is kept once.  The joins are the connected components
     (``exactla._components``) of the cell-dof incidence where weight is
     nonzero.
     """
-    ncells = op.nrows // cell_size
-    if not ncells or ncells * cell_size != op.nrows or not op.nnz or op.zero_columns().any():
-        return False
-    support = np.asarray(weight, dtype=bool)
+    nrows, ncols = op.shape[::-1] if by_columns else op.shape
+    ncells = nrows // cell_size
+    if not ncells or ncells * cell_size != nrows or not op.nnz:
+        return None
     ptr, dofs, num, _ = op.integer_rows()
     rows = np.arange(op.nrows).repeat(np.diff(ptr))
+    if by_columns:
+        rows, dofs = dofs, rows
+    touched = np.zeros(ncols, dtype=bool)
+    touched[dofs] = True
+    if not touched.all():
+        return None
+    support = np.asarray(weight, dtype=bool)
     # one block column per (cell, dof), in (cell, dof) order
-    keys = rows // cell_size * op.ncols + dofs
-    order = keys.argsort(kind="stable")
-    starts, lengths = _runs(keys[order])
+    keys = rows // cell_size * ncols + dofs
+    order = keys.argsort()
+    keys = keys[order]
+    starts, lengths = _runs(keys)
     blocks = np.zeros((starts.size, cell_size), dtype=num.dtype)
     blocks[np.arange(starts.size).repeat(lengths), rows[order] % cell_size] = num[order]
-    column_cell, column_dof = np.divmod(keys[order][starts], op.ncols)
+    column_cell, column_dof = np.divmod(keys[starts], ncols)
     weighted = support[column_dof]
     joins = np.bincount(column_cell[weighted], minlength=ncells)
     if not joins.all():  # a cell without a dof where weight is nonzero
-        return False
+        return None
+    labels = _components(np.concatenate(([0], joins.cumsum())), column_dof[weighted], ncells)
+    if labels.any():
+        return None
     # each cell's columns sorted by content, cells one after another
     blocks = blocks[np.lexsort((*blocks.T[::-1], column_cell))]
     counts = np.bincount(column_cell, minlength=ncells)
     firsts = counts.cumsum() - counts
+    stacks = []
     for n in np.bincount(counts).nonzero()[0].tolist():
         cells = (counts == n).nonzero()[0]
         same = blocks[firsts[cells, None] + np.arange(n)].reshape(cells.size, n * cell_size)
         # equal blocks have equal fingerprints, so sorted by fingerprint every
-        # block equals its predecessor or is ranked itself; a collision only
-        # ranks a block twice
+        # block equals its predecessor or is kept itself; a collision only
+        # keeps a block twice
         same = same[(same @ _mixers(same.shape[1])).argsort(kind="stable")]
         new = np.ones(cells.size, dtype=bool)
         new[1:] = (same[1:] != same[:-1]).any(axis=1)
-        for block in same[new]:
-            ranked = OpMatrix.from_integer_array(block.reshape(n, cell_size).T)
-            if prefix_ranks([ranked], [n - 1])[0] != n - 1:
-                return False
-    labels = _components(np.concatenate(([0], joins.cumsum())), column_dof[weighted],
-                         ncells, op.ncols)
-    return bool((labels[:ncells] == labels[0]).all())
+        stacks.append(same[new].reshape(-1, n, cell_size).transpose(0, 2, 1))
+    return stacks
 
 
-def _local_route(inst: DiagramInstance, ones: np.ndarray, weight_c: np.ndarray,
-                 gram_consts: OpMatrix) -> bool:
+def _corank_one(stacks: list[np.ndarray]) -> bool:
+    """Whether every block of n columns in the (m, cell_size, n) stacks has
+    rank n - 1, from one elimination: the blocks placed block-diagonally
+    (``OpMatrix.from_integer_blocks``) and handed to one ``prefix_ranks``,
+    a block per prefix, so each block's rank is the step between two
+    prefix ranks.  A block that kills a nonzero vector has rank at most
+    n - 1, so when every block does the bounds Σ(n - 1) over each prefix
+    hold and a rank mod p can close them; when no prime closes them all,
+    ``prefix_ranks`` eliminates the blocks over Q."""
+    diag = OpMatrix.from_integer_blocks(stacks)
+    cell_size = stacks[0].shape[1]
+    bounds = np.concatenate([np.full(s.shape[0], s.shape[2] - 1) for s in stacks]).cumsum()
+    blocks = [diag.row_block(top, top + cell_size) for top in range(0, diag.nrows, cell_size)]
+    return prefix_ranks(blocks, bounds.tolist()) == bounds.tolist()
+
+
+def _rows_over_lcm(m: OpMatrix, start: int, stop: int) -> list[list[int]]:
+    """Rows start..stop-1 of m, dense, as Python ints: L times the rows, L
+    the lcm of their denominators, which keeps symmetry and definiteness."""
+    ptr, cols, num, den = m.integer_rows()
+    total = math.lcm(*den[start:stop].tolist())
+    out = [[0] * m.ncols for _ in range(start, stop)]
+    for row, r in zip(out, range(start, stop)):
+        scale = total // int(den[r])
+        for c, v in zip(cols[ptr[r]:ptr[r + 1]].tolist(), num[ptr[r]:ptr[r + 1]].tolist()):
+            row[c] = v * scale
+    return out
+
+
+def _local_route(inst: DiagramInstance, weight_c, gram_consts: list[list[int]]) -> bool:
     """Whether the per-cell certificate closes every rank fact, given every
     witness and G_b positive definite: ker(first) = span(1) and
-    ker(second^T) = span(G_c u) by ``_kernel_is_weight``, from the supports
-    ``ones`` of 1 and ``weight_c`` of G_c u, the constants independent (their
-    2x2 Gram matrix ``gram_consts`` positive definite) and dim A - dim B +
-    dim C = 0."""
-    g = gram_consts.entries
-    return (inst.a_space.dim - inst.b_space.dim + inst.c_space.dim == 0
-            and positive_definite([[g.get((i, j), _ZERO) for j in range(2)] for i in range(2)])
-            and _kernel_is_weight(inst.first, inst.b_space.local_dim, ones)
-            and _kernel_is_weight(inst.second.transpose(), inst.b_space.local_dim, weight_c))
+    ker(second^T) = span(G_c u), from first's rows and second's columns
+    (``_cell_blocks``), with ``weight_c`` the support of G_c u and 1 nonzero
+    at every dof, all their distinct blocks ranked in one elimination
+    (``_corank_one``); the constants independent (their 2x2 Gram matrix
+    ``gram_consts``, rows of exact values, positive definite) and dim A -
+    dim B + dim C = 0.
+
+    Each operator kills its weight (the witnesses), so the weight
+    restricted to a cell's block lies in the block's kernel, and rank =
+    ncols - 1 makes that kernel span(weight) when weight is nonzero on the
+    block.  A kernel vector is then a multiple of weight on each cell, the
+    same multiple on cells that share a dof where weight is nonzero; if
+    those joins leave one component and every dof is touched, it is a
+    multiple of weight."""
+    size = inst.b_space.local_dim
+    if not (inst.a_space.dim - inst.b_space.dim + inst.c_space.dim == 0
+            and positive_definite(gram_consts)):
+        return False
+    first = _cell_blocks(inst.first, size, np.ones(inst.a_space.dim, dtype=bool))
+    second = None if first is None else _cell_blocks(inst.second, size, weight_c,
+                                                     by_columns=True)
+    return second is not None and _corank_one(first + second)
 
 
 def certify_complex(inst: DiagramInstance) -> ComplexCertificate:
     """Exact witnesses of one diagram plus every rank fact, healthy or not.
 
-    The witnesses are sparse products on packed columns: first 1,
-    second first, second C, (G_b C)^T first and (G_c u)^T second, with C the
-    two constant fields (independent, as expansions of two independent
-    fields in a basis of B) and u the uniform element of C.
+    The witnesses: first 1 = 0, read from first's row sums; second first,
+    (G_b C)^T first, second C and the constants' 2x2 Gram matrix C^T G_b C,
+    read from two products of one stack, [second; (G_b C)^T] first and
+    [second; (G_b C)^T] C, each zero test on the row pointers of a row
+    range; and (G_c u)^T second.  C is the two constant fields (independent,
+    as expansions of two independent fields in a basis of B) and u the
+    uniform element of C.
 
     Local route, tried first when every witness holds and G_c u is nonzero:
-    each cell's block of first and of second^T has a one-dimensional kernel
-    and the cells glue into one component (``_kernel_is_weight``), so
-    rank(first) = dim A - 1 and rank(second) = dim C - 1.  G_b is positive
-    definite, so range(first) meets the G_b-orthogonal constants only in 0;
-    with dim A - dim B + dim C = 0, range(first) + constants fills
-    dim ker(second) = dim A + 1, and the harmonic space, the G_b-complement
-    of range(first) in ker(second), has dimension 2 and holds the constants.
+    each cell's block of first and of second^T, read from second's
+    columns, has a one-dimensional kernel, and the cells glue into one
+    component (``_cell_blocks``); every distinct block of both is ranked in
+    one elimination (``_corank_one``), so rank(first) = dim A - 1 and
+    rank(second) = dim C - 1.  G_b is positive definite, so range(first)
+    meets the G_b-orthogonal constants only in 0; with dim A - dim B + dim C
+    = 0, range(first) + constants fills dim ker(second) = dim A + 1, and
+    the harmonic space, the G_b-complement of range(first) in ker(second),
+    has dimension 2 and holds the constants.
 
     Otherwise four exact prefix ranks carry the rank claims: rank(first) and
     rank([range(first) | constants]) from [first^T; constants], rank(second)
@@ -320,22 +381,25 @@ def certify_complex(inst: DiagramInstance) -> ComplexCertificate:
     first, second = inst.first, inst.second
     dim_a, dim_b, dim_c = inst.a_space.dim, inst.b_space.dim, inst.c_space.dim
     consts, gram_consts_t = inst.constant_operators()
-    ones = OpMatrix.from_integer_array(np.ones((dim_a, 1), dtype=np.int64))
     gram_spd = inst.gram_b.positive_definite()
-    composes_to_zero = second.compose(first).is_zero
-    kills_constants = first.compose(ones).is_zero
-    second_kills_constants = second.compose(consts).is_zero
-    # (G_b C)^T first is the transpose of (G_b first)^T C when G_b is symmetric,
-    # as gram_spd certifies
-    constants_orthogonal = gram_consts_t.compose(first).is_zero
+    # rows 0..dim_c - 1 of each product come from second, the last two
+    # from (G_b C)^T
+    on_first, on_consts = map(OpMatrix.stack([second, gram_consts_t]).compose, (first, consts))
+    ptr = on_first.integer_rows()[0]
+    composes_to_zero = bool(ptr[dim_c] == 0)
+    # (G_b C)^T first is the transpose of (G_b first)^T C when G_b is
+    # symmetric, as gram_spd certifies
+    constants_orthogonal = bool(ptr[dim_c] == ptr[-1])
+    second_kills_constants = bool(on_consts.integer_rows()[0][dim_c] == 0)
+    kills_constants = first.rows_sum_to_zero()
     # (G_c u)^T, one row
     gram_uniform = inst.gram_c.compose(inst.c_space.uniform_column()).transpose()
     uniform_orthogonal = gram_uniform.compose(second).is_zero
     stack_witnesses = (gram_spd and uniform_orthogonal and not gram_uniform.is_zero
                        and second_kills_constants and constants_orthogonal)
     if (stack_witnesses and composes_to_zero and kills_constants
-            and _local_route(inst, ~ones.transpose().zero_columns(),
-                             ~gram_uniform.zero_columns(), gram_consts_t.compose(consts))):
+            and _local_route(inst, ~gram_uniform.zero_columns(),
+                             _rows_over_lcm(on_consts, dim_c, dim_c + 2))):
         return ComplexCertificate(composes_to_zero, kills_constants, constants_orthogonal,
                                   uniform_orthogonal, dim_a - 1, dim_c - 1, True, 2, True)
     # first 1 = 0 caps rank(first) at dim A - 1; the constants add at most 2

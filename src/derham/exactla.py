@@ -438,36 +438,32 @@ _SYMBOL_FLOPS = 1 << 19
 _PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _components(ptr: np.ndarray, cols: np.ndarray, nrows: int, ncols: int) -> np.ndarray:
-    """The connected component of each row (node r) and each column (node
-    nrows + c) of a row-compressed nonzero pattern, labelled by its
-    smallest node.
+def _components(ptr: np.ndarray, cols: np.ndarray, nrows: int) -> np.ndarray:
+    """The connected component of each row of a row-compressed nonzero
+    pattern whose every row is nonempty, two rows joined when they share a
+    column, labelled by its smallest row.
 
-    Min-label propagation: each row takes the smallest label among its
-    columns' (one ``np.minimum.reduceat`` in row order), each column the
-    smallest among its rows' (in column order), and then every label is
-    replaced by its label's label until none changes (pointer jumping).
-    A label is always a node of the same component and no larger than the
-    node; once a round changes nothing, labels agree along every edge, so
-    each component carries its smallest node."""
-    lengths = np.diff(ptr)
-    full_rows = lengths.nonzero()[0]
-    rows = np.arange(nrows).repeat(lengths)
+    Min-label propagation on the rows alone: each column takes the smallest
+    label among its rows (one ``np.minimum.reduceat`` in column order), each
+    row the smallest among its columns' (in row order), and then every label
+    is replaced by its label's label until none changes (pointer jumping).
+    A label is always a row of the same component and no larger than the
+    row; once a round changes nothing, labels agree across every shared
+    column, so each component carries its smallest row."""
     by_col = cols.argsort(kind="stable")
-    col_starts, _ = _runs(cols[by_col])
-    full_cols = nrows + cols[by_col][col_starts]
-    rows_by_col, col_nodes = rows[by_col], nrows + cols
-    labels = np.arange(nrows + ncols)
+    col_starts, col_lengths = _runs(cols[by_col])
+    rows_by_col = np.arange(nrows).repeat(np.diff(ptr))[by_col]
+    col_of = np.empty_like(by_col)  # each nonzero's column, numbered 0, 1, ... in order
+    col_of[by_col] = np.arange(col_starts.size).repeat(col_lengths)
+    labels = np.arange(nrows)
     while True:
-        before = labels.copy()
-        labels[full_rows] = np.minimum(labels[full_rows],
-                                       np.minimum.reduceat(labels[col_nodes], ptr[full_rows]))
-        labels[full_cols] = np.minimum(labels[full_cols],
-                                       np.minimum.reduceat(labels[rows_by_col], col_starts))
-        while not np.array_equal(jumped := labels[labels], labels):
-            labels = jumped
-        if np.array_equal(labels, before):
+        merged = np.minimum.reduceat(
+            np.minimum.reduceat(labels[rows_by_col], col_starts)[col_of], ptr[:-1])
+        while not ((jumped := merged[merged]) == merged).all():
+            merged = jumped
+        if (merged == labels).all():
             return labels
+        labels = merged
 
 
 def _orbits(labels: np.ndarray, nx: int, ny: int) -> tuple[np.ndarray, int] | None:

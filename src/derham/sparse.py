@@ -13,8 +13,8 @@ code on object arrays, so nothing wraps.  An output with at most
 ``_DENSE_CELLS`` cells per term is summed in one zeroed array
 (``np.add.at``) and read back in row-major order; a larger one sorts the
 terms and sums each run with ``np.add.reduceat``.  Dense constructors read
-their nonzeros in row-major order and sum nothing; an integer array is over
-1 and is not scaled either.  ``signed_sum`` adds any number of matrices,
+their nonzeros in row-major order and sum nothing; integer blocks are over
+1 and are not scaled either.  ``signed_sum`` adds any number of matrices,
 each with a sign, in one such kernel.  Row blocks, column blocks placed at
 an offset, and stacks below (``stack``) or beside (``hstack``) one another
 are structural: they copy, filter or shift stored entries, multiply nothing,
@@ -47,6 +47,9 @@ _EMPTY.flags.writeable = False
 # A kernel sums its terms into a dense array over the whole output when the
 # output has at most this many cells per term, and sorts them otherwise.
 _DENSE_CELLS = 8
+# ``compose`` forms at most this many pairs of nonzeros at a time (more only
+# when one row of its left factor has more): 8 MB per int64 pair array.
+_PAIR_BUDGET = 1 << 20
 
 
 def _ints(values) -> np.ndarray:
@@ -161,6 +164,23 @@ def _spans(lengths: np.ndarray, firsts: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if ends.size else 0) + (firsts - ends + lengths).repeat(lengths)
 
 
+def _cuts(lengths: np.ndarray, ptr: np.ndarray, width: int) -> list[int]:
+    """The rows where each block of ``compose`` starts, then the number of
+    rows: blocks of whole rows of at most ``_PAIR_BUDGET`` pairs, or of one
+    row that alone has more, given the pairs of each nonzero (``lengths``,
+    each at most ``width``) and the row pointers."""
+    nrows = ptr.size - 1
+    if lengths.size * width <= _PAIR_BUDGET or lengths.sum() <= _PAIR_BUDGET:
+        return [0, nrows]
+    before = np.concatenate(([0], lengths.cumsum()))[ptr]  # the pairs before each row
+    cuts = [0]
+    while cuts[-1] < nrows:
+        start = cuts[-1]
+        stop = int(before.searchsorted(before[start] + _PAIR_BUDGET, "right")) - 1
+        cuts.append(max(start + 1, stop))
+    return cuts
+
+
 class Stamp(NamedTuple):
     """The nonzeros of one local element matrix as read-only integer
     arrays: local row, local col, numerator and positive denominator of
@@ -196,9 +216,10 @@ class OpMatrix:
     return new matrices, and ``entries`` is a read-only view.
 
     ``compose`` puts the right factor's numerators over one denominator L,
-    multiplies every pair of matching nonzeros and sums the products at
-    each output position with ``_sum`` (see the module docstring), dropping
-    the sums that cancel.  Each product is at most the largest left
+    multiplies every pair of matching nonzeros, by blocks of whole rows of
+    at most ``_PAIR_BUDGET`` pairs, and sums the products at each output
+    position with ``_sum`` (see the module docstring), dropping the sums
+    that cancel.  Each product is at most the largest left
     numerator times the largest scaled right numerator; the products are
     formed in int64 when that cap is below 2**63, and summed in int64 when
     the most products at one position times it is.
@@ -365,11 +386,25 @@ class OpMatrix:
         return cls._from_dense(_ints(columns).reshape(len(columns), nrows).T, _ints(dens))
 
     @classmethod
-    def from_integer_array(cls, num: np.ndarray) -> "OpMatrix":
-        """The matrix of a dense 2-D integer array, int64 or object (Python
-        ints): its nonzeros in row-major order, over 1."""
-        rows, cols = num.nonzero()
-        return cls._from_sorted(num.shape[0], num.shape[1], rows, cols, num[rows, cols], 1)
+    def from_integer_blocks(cls, stacks: Sequence[np.ndarray]) -> "OpMatrix":
+        """The block-diagonal matrix of dense integer blocks, int64 or object
+        (Python ints), given as 3-D stacks of blocks of one shape each: every
+        block of the first stack, then of the next, one after another down
+        the diagonal, over 1; a 2-D array ``a`` is the one-block stack
+        ``a[None]``.  Each stack's nonzeros are read in (block, row, column)
+        order, which is row-major order once shifted to their places: nothing
+        is sorted, summed or scaled."""
+        rows, cols, nums = [], [], []
+        top = left = 0
+        for stack in stacks:
+            count, height, width = stack.shape
+            block, r, c = stack.nonzero()
+            rows.append(top + block * height + r)
+            cols.append(left + block * width + c)
+            nums.append(stack[block, r, c])
+            top, left = top + count * height, left + count * width
+        return cls._from_sorted(top, left, np.concatenate(rows), np.concatenate(cols),
+                                np.concatenate(nums), 1)
 
     @classmethod
     def _from_dense(cls, num: np.ndarray, den: np.ndarray) -> "OpMatrix":
@@ -536,8 +571,14 @@ class OpMatrix:
         return col
 
     def transpose(self) -> "OpMatrix":
-        return OpMatrix._from_triplets(self.ncols, self.nrows, self._cols, self._rows, self._num,
-                                       self._den[self._rows], self.codomain, self.domain)
+        """Every value over L, the lcm of the row denominators
+        (``_over_lcm``), and one stable sort by column: the entries are
+        distinct and already in row order, so nothing is summed."""
+        scaled, total, _ = _over_lcm(self._num, self._den, self._rows)
+        order = self._cols.argsort(kind="stable")
+        return OpMatrix._from_sorted(self.ncols, self.nrows, self._cols[order],
+                                     self._rows[order], scaled[order], total,
+                                     self.codomain, self.domain)
 
     def matvec(self, v: Sequence[Fraction]) -> list[Fraction]:
         return self.compose(OpMatrix.from_columns(self.ncols, [v])).column(0)
@@ -549,7 +590,11 @@ class OpMatrix:
     def compose(self, other: "OpMatrix") -> "OpMatrix":
         """Matrix product self @ other, exact and sparse: the product of
         every pair of matching nonzeros, summed at its output position by
-        ``_sum``; cancelled sums are dropped."""
+        ``_sum``; cancelled sums are dropped.  The pairs are formed by blocks
+        of whole rows of self, each of at most ``_PAIR_BUDGET`` pairs unless
+        one row alone has more, so the pair arrays stay bounded however large
+        the product; blocks share no output position, so their sums are
+        joined as they are."""
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in compose")
         inner = self._cols
@@ -560,13 +605,18 @@ class OpMatrix:
         right, scale, bound = _over_lcm(other._num, other._den, other._rows)
         bound *= _max_abs(self._num)
         dtype = _word_dtype(bound)
-        # pair each nonzero a_rk of self with every nonzero of row k of other
-        pos = _spans(lengths, firsts)
-        pair = np.arange(inner.size).repeat(lengths)
-        keys, sums = _sum(self._rows[pair] * other.ncols + other._cols[pos],
-                          self._num.astype(dtype, copy=False)[pair]
-                          * right.astype(dtype, copy=False)[pos],
-                          bound, self.nrows * other.ncols)
+        left, right = self._num.astype(dtype, copy=False), right.astype(dtype, copy=False)
+        parts = []
+        cuts = _cuts(lengths, self._ptr, other.ncols)
+        for start, stop in zip(cuts, cuts[1:]):
+            a, b = int(self._ptr[start]), int(self._ptr[stop])
+            # pair each nonzero a_rk of these rows with every nonzero of row k of other
+            pos = _spans(lengths[a:b], firsts[a:b])
+            if pos.size:
+                pair = np.arange(a, b).repeat(lengths[a:b])
+                parts.append(_sum(self._rows[pair] * other.ncols + other._cols[pos],
+                                  left[pair] * right[pos], bound, stop * other.ncols))
+        keys, sums = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
         den = self._den.astype(_word_dtype(_max_abs(self._den) * scale), copy=False) * scale
         return OpMatrix._from_sorted(self.nrows, other.ncols, keys // other.ncols,
                                      keys % other.ncols, sums, den,
@@ -589,6 +639,18 @@ class OpMatrix:
     @property
     def is_zero(self) -> bool:
         return not self._cols.size
+
+    def rows_sum_to_zero(self) -> bool:
+        """Whether every row sums to zero, so self kills the all-ones
+        column: one ``np.add.reduceat`` of the numerators over the nonempty
+        rows, on Python ints when the longest row times the largest
+        numerator reaches 2**63."""
+        lengths = np.diff(self._ptr)
+        full = lengths.nonzero()[0]
+        if not full.size:
+            return True
+        num = self._num.astype(_word_dtype(_max_abs(self._num) * int(lengths.max())), copy=False)
+        return not np.add.reduceat(num, self._ptr[full]).any()
 
     def zero_columns(self) -> np.ndarray:
         """A boolean array, True at each column without a nonzero."""

@@ -2,10 +2,11 @@
 
 Each function here is the per-entity Python version of a routine that now
 runs on whole integer arrays: the cell-by-cell kernel test of
-``complexcheck._kernel_is_weight``, the mesh built cell by cell with its
-lattice face lookup, and the continuous space's node numbering by tuple
-keys.  They share no code with the routines they check beyond the record
-types and the cached reference data.
+``complexcheck._cell_blocks`` and ``_corank_one`` on an operator's rows or
+its columns, the mesh built cell by cell with its lattice face lookup, and
+the continuous space's node numbering by tuple keys.  They share no code with
+the routines they check beyond the record types and the cached reference
+data.
 """
 
 from __future__ import annotations
@@ -21,16 +22,25 @@ from derham.poly import AffineMap, RefCell
 from derham.sparse import OpMatrix
 
 
-def kernel_is_weight_loop(op: OpMatrix, cell_size: int, weight) -> bool:
-    """``_kernel_is_weight`` cell by cell: a dict of block columns per cell,
+def kernel_is_weight_loop(op: OpMatrix, cell_size: int, weight, by_columns: bool = False) -> bool:
+    """The local route's kernel test cell by cell: a dict of block columns per cell,
     one rank per distinct sorted block, and a union-find over the cells that
-    share a dof where weight is nonzero."""
-    ncells = op.nrows // cell_size
-    if ncells * cell_size != op.nrows:
+    share a dof where weight is nonzero.  With ``by_columns`` the cells are
+    groups of op's columns, each nonzero (r, c) read as entry (c, r) of
+    op^T, as it is stored: over the denominator of row r of op."""
+    ptr, cols, num, _ = op.integer_rows()
+    ptr, cols, num = ptr.tolist(), cols.tolist(), num.tolist()
+    nrows, ncols = (op.ncols, op.nrows) if by_columns else (op.nrows, op.ncols)
+    ncells = nrows // cell_size
+    if ncells * cell_size != nrows:
         return False
     support = np.asarray(weight, dtype=bool).tolist()
-    ptr, dofs, num, _ = op.integer_rows()
-    ptr, dofs, num = ptr.tolist(), dofs.tolist(), num.tolist()
+    # cell -> {dof: its column of the block}
+    cells: list[dict[int, list[int]]] = [{} for _ in range(ncells)]
+    for r in range(op.nrows):
+        for at in range(ptr[r], ptr[r + 1]):
+            row, dof = (cols[at], r) if by_columns else (r, cols[at])
+            cells[row // cell_size].setdefault(dof, [0] * cell_size)[row % cell_size] = num[at]
     parent = list(range(ncells))
 
     def find(c: int) -> int:
@@ -40,13 +50,8 @@ def kernel_is_weight_loop(op: OpMatrix, cell_size: int, weight) -> bool:
 
     ranks: dict = {}
     owner: dict[int, int] = {}
-    touched = bytearray(op.ncols)
-    for cell in range(ncells):
-        local: dict[int, list[int]] = {}  # dof -> its column of the block
-        for i in range(cell_size):
-            row = cell * cell_size + i
-            for at in range(ptr[row], ptr[row + 1]):
-                local.setdefault(dofs[at], [0] * cell_size)[i] = num[at]
+    touched = bytearray(ncols)
+    for cell, local in enumerate(cells):
         if not any(support[d] for d in local):
             return False
         key = tuple(sorted(map(tuple, local.values())))

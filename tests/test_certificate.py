@@ -4,9 +4,10 @@ densified operator on a healthy complex.
 
 A healthy diagram is certified locally: exact witnesses, G_b positive
 definite, and per-cell blocks of first and second^T with one-dimensional
-kernels glued by a union-find (``_kernel_is_weight``), so no elimination
-runs on more rows than one cell's block.  Anything else falls through to
-exact prefix ranks of two global stacks plus the witnesses.
+kernels that glue into one component (``_cell_blocks``).  The distinct
+blocks are ranked in one elimination (``_corank_one``), block-diagonally,
+so no row meets more than one cell's block.  Anything else falls through to exact prefix
+ranks of two global stacks plus the witnesses.
 
 The reference here is the nullspace-and-span computation of the same facts
 (``oracle_facts``): rank_nullspace of each operator, span_compare of the
@@ -296,7 +297,10 @@ def test_certificate_matches_nullspace_oracle(monkeypatch, name, k):
 def test_perturbed_second_entry_fails(monkeypatch):
     rep = run_broken(monkeypatch, perturb_second)
     assert not rep.passed
-    assert {"second_after_first_is_zero", "second_rank"} <= failing(rep)
+    assert failing(rep) == {
+        "betti_numbers", "second_after_first_is_zero", "second_kernel_dim",
+        "second_kernel_is_range_plus_constants", "second_range_plus_uniform_fills_codomain",
+        "second_rank", "uniform_orthogonal_to_second_range"}
     inst = build_diagram("tri-dp", 2, 2, 1)
     perturb_second(inst)
     rank = exact_rank(inst.second.dense_rows(), ncols=inst.b_space.dim)
@@ -550,7 +554,7 @@ def test_local_eliminations_do_not_grow_with_the_mesh(monkeypatch):
 
 def test_unlucky_prime_on_cell_blocks(monkeypatch):
     """Mod 2 the cell blocks miss their bounds and are eliminated over Q,
-    one cell block at a time; the report is unchanged."""
+    each block of one cell's rows; the report is unchanged."""
     reference = verify_diagram("tri-dp", 2, 2, 1)
     monkeypatch.setattr(exactla, "_PRIMES", (2,))
     rows = record_prefix_blocks(monkeypatch)
@@ -599,10 +603,18 @@ def test_cell_block_with_wrong_kernel_falls_through(monkeypatch, mutate, kernel)
     mutate(inst)
     block = cell_block(inst.first, inst.b_space.local_dim)
     assert len(block[0]) - exact_rank(block) == kernel
-    assert not complexcheck._kernel_is_weight(inst.first, inst.b_space.local_dim,
-                                              inst.a_space.constant_vector(1))
+    assert not kernel_is_weight(inst.first, inst.b_space.local_dim,
+                                inst.a_space.constant_vector(1))
     rep = run_broken(monkeypatch, mutate)
     assert not rep.passed
+
+
+def kernel_is_weight(op, cell_size, weight, by_columns=False):
+    """The local route's verdict on one operator: whether the kernel of op,
+    or of op^T when ``by_columns``, is exactly span(weight), from its cell
+    blocks and their one elimination."""
+    stacks = complexcheck._cell_blocks(op, cell_size, weight, by_columns)
+    return stacks is not None and complexcheck._corank_one(stacks)
 
 
 def rows_op(rows, ncols):
@@ -619,16 +631,15 @@ def test_union_find_joins_only_where_the_weight_is_nonzero():
     weight = [one, one, Fraction(0), one, one]
     dense = [[line.get(c, 0) for c in range(5)] for line in lines]
     assert 5 - exact_rank(dense) == 2
-    assert not complexcheck._kernel_is_weight(rows_op(lines, 5), 2, weight)
+    assert not kernel_is_weight(rows_op(lines, 5), 2, weight)
     # joined through a dof where the weight is nonzero, the kernel is span(weight)
     lines[2] = {1: one, 3: minus}
     lines[3] = {3: one, 4: minus}
     dense = [[line.get(c, 0) for c in range(5)] for line in lines]
     assert 5 - exact_rank(dense) == 1
-    assert complexcheck._kernel_is_weight(rows_op(lines, 5), 2, weight)
+    assert kernel_is_weight(rows_op(lines, 5), 2, weight)
     # a block where the weight vanishes says nothing about the kernel
-    assert not complexcheck._kernel_is_weight(rows_op([{0: one, 1: minus}], 2), 1,
-                                              [Fraction(0)] * 2)
+    assert not kernel_is_weight(rows_op([{0: one, 1: minus}], 2), 1, [Fraction(0)] * 2)
 
 
 def test_two_components_do_not_certify():
@@ -640,8 +651,8 @@ def test_two_components_do_not_certify():
     twice.update({(r + first.nrows, c + dim_a): v for (r, c), v in first.entries.items()})
     twice = OpMatrix.from_entries(2 * first.nrows, 2 * dim_a, twice)
     ones = inst.a_space.constant_vector(1)
-    assert complexcheck._kernel_is_weight(first, size, ones)
-    assert not complexcheck._kernel_is_weight(twice, size, ones + ones)
+    assert kernel_is_weight(first, size, ones)
+    assert not kernel_is_weight(twice, size, ones + ones)
     assert 2 * dim_a - exact_rank(twice.dense_rows()) == 2
 
 
@@ -649,19 +660,19 @@ def test_uncovered_dof_fails_the_local_test():
     inst = build_diagram("tri-dp", 2, 2, 1)
     size = inst.b_space.local_dim
     ones = inst.a_space.constant_vector(1)
-    assert complexcheck._kernel_is_weight(inst.first, size, ones)
+    assert kernel_is_weight(inst.first, size, ones)
     wider = OpMatrix.from_entries(inst.first.nrows, inst.a_space.dim + 1, inst.first.entries)
-    assert not complexcheck._kernel_is_weight(wider, size, ones + [Fraction(1)])
+    assert not kernel_is_weight(wider, size, ones + [Fraction(1)])
     weight = inst.gram_c.matvec(inst.c_space.uniform_vector())
     second_t = inst.second.transpose()
-    assert complexcheck._kernel_is_weight(second_t, size, weight)
+    assert kernel_is_weight(second_t, size, weight)
     wider = OpMatrix.from_entries(second_t.nrows, inst.c_space.dim + 1, second_t.entries)
-    assert not complexcheck._kernel_is_weight(wider, size, weight + [Fraction(1)])
+    assert not kernel_is_weight(wider, size, weight + [Fraction(1)])
 
 
 @st.composite
 def cell_operators(draw):
-    """(rows, ncols, cell_size, weight) for ``_kernel_is_weight``: cells of
+    """(rows, ncols, cell_size, weight) for ``kernel_is_weight``: cells of
     rows that are integer combinations of differences of a few dofs (so each
     kills a weight that is 1 on those dofs), some given the previous cell's
     block on other dofs, over small denominators and, in some draws, scaled
@@ -708,12 +719,69 @@ def cell_operators(draw):
 @example(([{0: 1, 1: -1}, {1: 1, 2: -1}], 3, 1, [1, 0, 1]))  # joined where weight vanishes
 @example(([{0: 1, 1: -1}, {1: 1, 2: -1}], 4, 1, [1] * 4))  # an uncovered dof
 @example(([{0: 1, 1: -1}, {1: 1, 2: -1}, {0: 1}], 3, 2, [1] * 3))  # a row past the last cell
+@example(([{0: 1}, {1: 1}, {1: 1, 2: 1, 3: -2}, {1: 2, 2: 2, 3: -4}], 4, 2,
+          [1] * 4))  # full rank beside a two-dimensional kernel: ranks sum to the bound
 def test_array_kernel_test_matches_the_cell_loop(case):
-    """The array ``_kernel_is_weight`` gives the cell-by-cell loop's verdict."""
+    """The array cell check gives the cell-by-cell loop's verdict."""
     rows, ncols, cell_size, weight = case
     op = rows_op(rows, ncols)
-    assert complexcheck._kernel_is_weight(op, cell_size, weight) == kernel_is_weight_loop(
+    assert kernel_is_weight(op, cell_size, weight) == kernel_is_weight_loop(
         op, cell_size, weight)
+
+
+@seed(2612)
+@settings(max_examples=200, deadline=None)
+@given(cell_operators())
+@example(([{0: 1, 1: -1}, {1: 1, 2: -1}, {2: 1, 3: -1}, {}], 4, 2, [1] * 4))  # unequal columns
+@example(([{0: 1, 1: -1}, {}, {2: 1, 3: -1}, {}], 4, 2, [1] * 4))  # two components
+@example(([{0: 1, 1: -1}, {1: 1, 2: -1}], 4, 1, [1] * 4))  # an uncovered dof
+def test_cell_check_by_columns_matches_the_cell_loop(case):
+    """Read from the columns of op^T, with op^T's rows over their own
+    denominators, the cell check gives the cell-by-cell loop's verdict on
+    those columns and the verdict on op's rows."""
+    rows, ncols, cell_size, weight = case
+    op = rows_op(rows, ncols)
+    op_t = op.transpose()
+    by_columns = kernel_is_weight(op_t, cell_size, weight, by_columns=True)
+    assert by_columns == kernel_is_weight_loop(op_t, cell_size, weight, by_columns=True)
+    assert by_columns == kernel_is_weight_loop(op, cell_size, weight)
+
+
+def test_healthy_certificate_ranks_every_block_in_one_elimination(monkeypatch):
+    """One healthy certificate, its constants formed inside: the distinct
+    cell blocks of first and second^T go to one ``prefix_ranks`` call, and
+    at most 15 matrices are built (19 when each block was ranked alone and
+    every witness was its own product)."""
+    inst = build_diagram("tri-dp", 2, 2, 1)
+    calls, built = [], []
+    prefix_ranks = complexcheck.prefix_ranks
+    monkeypatch.setattr(complexcheck, "prefix_ranks",
+                        lambda blocks, upper=None: calls.append(len(blocks))
+                        or prefix_ranks(blocks, upper))
+    set_storage = OpMatrix._set
+    monkeypatch.setattr(OpMatrix, "_set", lambda self, *args: built.append(1)
+                        or set_storage(self, *args))
+    cert = certify_complex(inst)
+    assert cert.rank_first == inst.a_space.dim - 1 and cert.harmonic_is_constants
+    assert calls == [4]  # two distinct blocks of each operator, one per chart
+    assert len(built) <= 15
+
+
+def test_first_row_off_its_constant_fails(monkeypatch):
+    """A first row whose numerators no longer sum to zero: first 1 != 0,
+    read from the row sums, and the report fails these checks."""
+    def shift(inst):
+        inst.first = perturbed(inst.first, {min(inst.first.entries): 1})
+    inst = build_diagram("tri-dp", 2, 2, 1)
+    shift(inst)
+    assert not inst.first.rows_sum_to_zero()
+    assert not certify_complex(inst).kills_constants
+    rep = run_broken(monkeypatch, shift)
+    assert failing(rep) == {
+        "betti_numbers", "constants_orthogonal_to_first_range", "first_kernel_dim",
+        "first_kernel_is_constants", "first_rank", "harmonic_dim",
+        "harmonic_fields_are_constants", "second_after_first_is_zero",
+        "second_kernel_is_range_plus_constants"}
 
 
 def negated(rows):
@@ -774,10 +842,10 @@ def test_dependent_constants_or_wrong_dimensions_fall_through(monkeypatch):
     assert not local.kernel_is_range_plus_constants
     monkeypatch.undo()
     inst = build_diagram("quad-enriched", 2, 2, 1)
-    args = (inst, inst.a_space.constant_vector(1),
-            inst.gram_c.matvec(inst.c_space.uniform_vector()),
+    args = (inst, inst.gram_c.matvec(inst.c_space.uniform_vector()),
             inst.gram_b.compose(OpMatrix.from_columns(inst.b_space.dim, inst.constant_fields()))
-            .transpose().compose(OpMatrix.from_columns(inst.b_space.dim, inst.constant_fields())))
+            .transpose().compose(OpMatrix.from_columns(inst.b_space.dim, inst.constant_fields()))
+            .dense_rows())
     assert complexcheck._local_route(*args)
     inst.b_space.dim += 1
     assert not complexcheck._local_route(*args)

@@ -549,6 +549,30 @@ def test_dense_and_sorted_sums_store_the_same_integers(case, data):
     both_ways(build)
 
 
+@seed(1214)
+@settings(max_examples=120, deadline=None)
+@given(factor_pairs(), st.integers(1, 6))
+def test_compose_by_row_blocks_stores_the_one_shot_product(case, budget):
+    """With its pair budget cut to a few pairs, ``compose`` forms the
+    product by many blocks of whole rows, each within the budget or one row
+    alone; the stored integers and their dtypes are the one-shot product's,
+    on the oracle test's values, whose products pass int64."""
+    n, m, p, left_entries, right_entries = case
+    left = OpMatrix.from_entries(n, m, left_entries)
+    right = OpMatrix.from_entries(m, p, right_entries)
+    one_shot = left.compose(right)
+    pairs = [sum(1 for (k, _) in right_entries for (r2, k2) in left_entries
+                 if r2 == r and k2 == k) for r in range(n)]
+    cuts, blocks = kernels._cuts, []
+    with mock.patch.object(kernels, "_PAIR_BUDGET", budget), \
+            mock.patch.object(kernels, "_cuts", lambda *a: blocks.append(cuts(*a)) or blocks[-1]):
+        assert_same_storage(left.compose(right), one_shot)
+    for cut in blocks:
+        assert cut[0] == 0 and cut[-1] == n
+        for start, stop in zip(cut, cut[1:]):
+            assert sum(pairs[start:stop]) <= budget or stop == start + 1
+
+
 def test_dense_and_sorted_sums_agree_near_and_past_a_machine_word():
     """Sums of int64 values near 2**62 that pass 2**63, that cancel, and
     values past int64: both ways keep every sum exact, in the same dtype."""
@@ -600,9 +624,13 @@ def test_terms_are_widened_only_when_one_key_can_pass_a_machine_word(way):
 
     # many distinct positions near 2**62: eight of them pass 2**63, one per key does not
     spread, taken = dtypes(lambda: OpMatrix.from_entries(
-        1, 8, {(0, c): F(near + c) for c in range(8)}).transpose())
-    assert taken == [np.int64, np.int64]
+        8, 1, {(c, 0): F(near + c) for c in range(8)}))
+    assert taken == [np.int64]
     assert dict(spread.entries) == {(c, 0): F(near + c) for c in range(8)}
+    # a transpose moves distinct entries and sums nothing
+    row, taken = dtypes(spread.transpose)
+    assert taken == [] and row.integer_rows()[2].dtype == np.int64
+    assert dict(row.entries) == {(0, c): F(near + c) for c in range(8)}
     # two terms at one key whose sum passes 2**63
     stamp = Stamp.of([(0, 0, F(near))])
     twice, taken = dtypes(lambda: OpMatrix.from_stamps(1, 1, [(stamp, [0, 0], [[0], [0]])]))
@@ -654,7 +682,7 @@ def never_summing():
 @example((0, 3, [[]] * 3, [2, 3, 7], [[]] * 3))
 @example((3, 0, [], [], []))
 def test_dense_constructors_never_sum(grid):
-    """from_columns, from_integer_columns and from_integer_array read their
+    """from_columns, from_integer_columns and from_integer_blocks read their
     nonzeros in stored order and sum nothing, and they store the integers,
     values and dtypes, that summing the same entries stores."""
     nrows, ncols, columns, per_column, per_entry = grid
@@ -670,7 +698,7 @@ def test_dense_constructors_never_sum(grid):
     with never_summing():
         built = [OpMatrix.from_columns(nrows, fractions),
                  OpMatrix.from_integer_columns(nrows, columns, per_column),
-                 OpMatrix.from_integer_array(array.reshape(nrows, ncols))]
+                 OpMatrix.from_integer_blocks([array.reshape(1, nrows, ncols)])]
     for op, want in zip(built, expected, strict=True):
         assert_same_storage(op, want)
 
@@ -713,15 +741,20 @@ def test_storage_is_frozen_and_a_sum_leaves_the_original():
 def test_integer_array_matches_its_entries(big):
     dtype = np.int64 if big < 2 ** 63 else object
     num = np.array([[0, 3, 0], [-2, 0, big], [0, 0, 0]], dtype=dtype)
-    op = OpMatrix.from_integer_array(num)
+    op = OpMatrix.from_integer_blocks([num[None]])
     assert op.shape == (3, 3)
     assert dict(op.entries) == {(0, 1): 3, (1, 0): -2, (1, 2): big}
+    # two stacks, three blocks down the diagonal
+    diag = OpMatrix.from_integer_blocks([np.stack([num, -num]), num[:2, :1][None]])
+    assert diag.shape == (8, 7)
+    assert dict(diag.entries) == {
+        (0, 1): 3, (1, 0): -2, (1, 2): big, (3, 4): -3, (4, 3): 2, (4, 5): -big, (7, 6): -2}
 
 
 @pytest.mark.parametrize("big", [5, 2 ** 62, 2 ** 70])
 def test_integer_array_is_stored_without_scaling(monkeypatch, big):
-    """An integer array is over 1: its nonzeros go straight to storage, never
-    through ``_over_lcm``, and store what from_entries stores."""
+    """Integer blocks are over 1: their nonzeros go straight to storage,
+    never through ``_over_lcm``, and store what from_entries stores."""
     dtype = np.int64 if big < 2 ** 63 else object
     num = np.array([[0, 3, 0], [-2, 0, big], [0, 0, 0]], dtype=dtype)
     expected = OpMatrix.from_entries(3, 3, {(0, 1): 3, (1, 0): -2, (1, 2): big})
@@ -730,8 +763,8 @@ def test_integer_array_is_stored_without_scaling(monkeypatch, big):
         raise AssertionError("an integer array was put over its lcm")
 
     monkeypatch.setattr(kernels, "_over_lcm", refuse)
-    assert_same_storage(OpMatrix.from_integer_array(num), expected)
-    assert OpMatrix.from_integer_array(np.zeros((2, 0), dtype=np.int64)).shape == (2, 0)
+    assert_same_storage(OpMatrix.from_integer_blocks([num[None]]), expected)
+    assert OpMatrix.from_integer_blocks([np.zeros((1, 2, 0), dtype=np.int64)]).shape == (2, 0)
 
 
 def placed(rows, start, stop, width, offset):
