@@ -106,8 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fields", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--backend", choices=("exact", "float"), default="exact")
-    p.add_argument("--tol", type=float, default=1e-10,
-                   help="relative tolerance for the float backend (default 1e-10)")
 
     p = sub.add_parser("audit", parents=[common],
                        help="space dimensions against closed forms, plus dof comparison")
@@ -231,8 +229,7 @@ def _dispatch(args) -> int:
         return _emit([appendix_report(args.nx, args.ny)], args.format, args.output)
     if args.command == "hodge":
         rep = hodge_report(args.diagram, args.nx, args.ny, args.k,
-                           fields=args.fields, seed=args.seed,
-                           backend=args.backend, tol=args.tol)
+                           fields=args.fields, seed=args.seed, backend=args.backend)
         return _emit([rep], args.format, args.output)
     if args.command == "audit":
         reports = [audit_report(_KINDS[args.kind], args.nx, args.ny, args.k_max),

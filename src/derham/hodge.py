@@ -51,17 +51,17 @@ values have (``OpMatrix.__eq__``).  Fractions are built only for the
 callers.
 
 rank(adjoint) = rank(second), as G_b and G_c are invertible.  A float
-backend covers meshes beyond the exact-arithmetic budget; it never feeds
-back into the exact route.  It splits a batch the same way, as the columns
-of one float array with one least-squares solve per system
-(``FloatHodgeSplitter.split_matrix``), and ``hodge_report`` checks it with
-batch products at per-field tolerances.
+backend is a cross-check, neither a proof nor faster: it densifies G_b,
+G_c, first and second, and it never feeds back into the exact route.  It
+splits a batch the same way, as the columns of one float array with one
+least-squares solve per system (``FloatHodgeSplitter.split_matrix``), and
+``hodge_report`` checks it with batch products, each field against
+``_FLOAT_TOL`` times its own scale.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -88,6 +88,10 @@ __all__ = [
     "load_field",
 ]
 
+# relative tolerance of every check of the float backend
+_FLOAT_TOL = 1e-10
+
+
 @dataclass
 class HodgeParts:
     curl: list
@@ -111,7 +115,6 @@ class HodgeSplitter:
     """
 
     def __init__(self, inst: DiagramInstance):
-        self.inst = inst
         self.dim = inst.b_space.dim
         cert = certify_complex(inst)
         self._consts, self._gram_consts_t = inst.constant_operators()
@@ -166,14 +169,13 @@ class HodgeSplitter:
 class FloatHodgeSplitter:
     """Numerical route: weighted least-squares projections via Cholesky.
 
-    Independent of the exact route; used for scale and for cross-checking,
-    never merged into exact results.  Like ``HodgeSplitter`` it splits a
-    batch of fields as the columns of one matrix: one least-squares solve
-    per system (curl, adjoint, constants) for the whole batch.
+    Independent of the exact route; a cross-check, never merged into exact
+    results.  Like ``HodgeSplitter`` it splits a batch of fields as the
+    columns of one matrix: one least-squares solve per system (curl,
+    adjoint, constants) for the whole batch.
     """
 
     def __init__(self, inst: DiagramInstance):
-        self.inst = inst
         gb = inst.gram_b.float_array()
         gc = inst.gram_c.float_array()
         first = inst.first.float_array()
@@ -188,13 +190,13 @@ class FloatHodgeSplitter:
         self.rank_first = float_rank(inst.first, spaces=(inst.b_space, inst.a_space))
         self.rank_adjoint = float_rank(self._adj)
 
-    def split_matrix(self, u: np.ndarray, tol: float = 1e-10) -> tuple[
+    def split_matrix(self, u: np.ndarray) -> tuple[
             np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Split every column of u, a float array of fields as columns, with
         one least-squares solve per system.  Returns the curl, div and
         harmonic parts, each of the shape of u, the 2 x ncols harmonic
         coefficients, and a boolean array, True where the column's harmonic
-        part is constant to within tol times max(1, |W u|)."""
+        part is constant to within ``_FLOAT_TOL`` times max(1, |W u|)."""
         u = np.asarray(u, dtype=float)
         wu = self._weight @ u
         curl = self._first @ np.linalg.lstsq(self._wf, wu, rcond=None)[0]
@@ -203,33 +205,32 @@ class FloatHodgeSplitter:
         coeffs = np.linalg.lstsq(self._wc, self._weight @ rem, rcond=None)[0]
         resid = np.linalg.norm(self._weight @ (rem - self._consts @ coeffs), axis=0)
         scale = np.maximum(1.0, np.linalg.norm(wu, axis=0))
-        return curl, div, rem, coeffs, resid <= tol * scale
+        return curl, div, rem, coeffs, resid <= _FLOAT_TOL * scale
 
-    def split(self, field, tol: float = 1e-10) -> HodgeParts:
+    def split(self, field) -> HodgeParts:
         """``split_matrix`` on a batch of one field."""
         curl, div, rem, coeffs, is_const = self.split_matrix(
-            np.array([[float(v)] for v in field]), tol)
+            np.array([[float(v)] for v in field]))
         return HodgeParts(list(curl[:, 0]), list(div[:, 0]), list(rem[:, 0]),
                           tuple(coeffs[:, 0]), bool(is_const[0]))
 
 
 def random_field(space: DGVectorSpace, rng: random.Random) -> list[Fraction]:
     """Seeded random coefficient vector with bounded rational entries: per
-    entry a numerator in -9..9, then a denominator in 1..9 (``refcheck._draw``).
-    ``hodge_report`` draws its batch as one such draw, one column per field."""
+    entry a numerator in -9..9 over a denominator in 1..9, both read from
+    one random word (``refcheck._draw``).  ``hodge_report`` draws its batch
+    as one such draw, one column per field."""
     num, den = _draw(rng, space.dim)
     return [Fraction(a, d) for a, d in zip(num.tolist(), den.tolist())]
 
 
 def hodge_report(name: str, nx: int, ny: int, k: int, fields: int = 20,
-                 seed: int = 0, backend: str = "exact", tol: float = 1e-10) -> Report:
+                 seed: int = 0, backend: str = "exact") -> Report:
     """Split seeded random fields on one diagram and certify the identities."""
     if backend not in ("exact", "float"):
         raise ValueError(f"backend must be 'exact' or 'float', got {backend!r}")
     if fields < 0:
         raise ValueError(f"fields must be >= 0, got {fields}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
     rep = Report("orthogonal field splitting",
                  params={"diagram": name, "nx": nx, "ny": ny, "k": k,
                          "fields": fields, "seed": seed, "backend": backend})
@@ -269,13 +270,13 @@ def hodge_report(name: str, nx: int, ny: int, k: int, fields: int = 20,
     # entry of U is one correctly rounded division of small integers, as
     # float() of its Fraction is
     u = u.float_array()
-    curl, div, harmonic, _, is_const = sp.split_matrix(u, tol=tol)
+    curl, div, harmonic, _, is_const = sp.split_matrix(u)
     gb = inst.gram_b.float_array()
     scale = np.maximum(1.0, np.linalg.norm(u, axis=0))
-    sums = np.linalg.norm(curl + div + harmonic - u, axis=0) <= tol * scale
+    sums = np.linalg.norm(curl + div + harmonic - u, axis=0) <= _FLOAT_TOL * scale
     orth = np.ones(fields, dtype=bool)
     for a, b in ((curl, div), (curl, harmonic), (div, harmonic)):
-        orth &= np.abs(np.einsum("ij,ij->j", a, gb @ b)) <= tol * scale * scale
+        orth &= np.abs(np.einsum("ij,ij->j", a, gb @ b)) <= _FLOAT_TOL * scale * scale
     rep.check("parts_sum_to_input", fields, int(sums.sum()), backend="float")
     rep.check("parts_pairwise_orthogonal", fields, int(orth.sum()), backend="float")
     rep.check("harmonic_part_is_constant", fields, int(is_const.sum()), backend="float")

@@ -109,7 +109,6 @@ class GramMatrix:
 
     dim: int
     blocks: tuple[GramBlock, ...] = field(repr=False)
-    space_tag: str = ""
     _op: OpMatrix = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -119,8 +118,7 @@ class GramMatrix:
         _, firsts, which = np.unique(ids, return_index=True, return_inverse=True)
         distinct = [blocks[f] for f in firsts.tolist()]
         op = OpMatrix.block_diagonal([block.stamp for block in distinct],
-                                     [len(block) for block in distinct], which,
-                                     self.space_tag, self.space_tag)
+                                     [len(block) for block in distinct], which)
         if op.nrows != self.dim:
             raise ValueError(f"blocks of total size {op.nrows} do not fill dimension {self.dim}")
         object.__setattr__(self, "blocks", blocks)
@@ -131,9 +129,7 @@ class GramMatrix:
 
     def compose(self, op: OpMatrix) -> OpMatrix:
         """Matrix product G @ op, exact and sparse."""
-        out = self._op.compose(op)
-        out.codomain = op.codomain
-        return out
+        return self._op.compose(op)
 
     def inner(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
         return sum((a * b for a, b in zip(u, self.matvec(v)) if a and b), _ZERO)
@@ -181,11 +177,11 @@ def assemble_gram(space) -> GramMatrix:
     """Exact Gram matrix of a space under its L2-style inner product; the
     blocks follow the space's dofs, cells first, then faces."""
     if isinstance(space, DGVectorSpace):
-        return GramMatrix(space.dim, _cell_blocks(space.mesh, space.local), space.family)
+        return GramMatrix(space.dim, _cell_blocks(space.mesh, space.local))
     if isinstance(space, CodomainSpace):
         cells = _cell_blocks(space.mesh, lambda cell: space.cell_local) if space.cell_dim else []
         faces = [_face_block(space.face_degree)] * space.mesh.num_faces
-        return GramMatrix(space.dim, cells + faces, "codomain")
+        return GramMatrix(space.dim, cells + faces)
     raise TypeError(f"no Gram assembly for {type(space).__name__}")
 
 
@@ -219,9 +215,7 @@ def _assemble_first(a_space: ContinuousScalarSpace, b_space: DGVectorSpace,
         except SpanError as exc:
             raise MembershipError(f"{name} on cell {cell.index}: {exc}") from exc
         placed.append((stamp, b_space.offset(cells), a_space.dofs[cells]))
-    return OpMatrix.from_stamps(b_space.dim, a_space.dim, placed,
-                                domain=f"scalar_deg{a_space.degree}",
-                                codomain=f"{b_space.family}_k{b_space.k}")
+    return OpMatrix.from_stamps(b_space.dim, a_space.dim, placed)
 
 
 def assemble_grad_perp(a_space: ContinuousScalarSpace, b_space: DGVectorSpace) -> OpMatrix:
@@ -301,9 +295,7 @@ def _assemble_second(b_space: DGVectorSpace, c_space: CodomainSpace,
             raise MembershipError(f"{name} cell part, cell {cell.index}: {exc}") from exc
         placed.append((stamp, c_space.cell_offset(cells), b_space.offset(cells)[:, None] + span))
     placed += _place_jumps(b_space, c_space, tangential, name)
-    return OpMatrix.from_stamps(c_space.dim, b_space.dim, placed,
-                                domain=f"{b_space.family}_k{b_space.k}",
-                                codomain=f"codomain_f{c_space.face_degree}")
+    return OpMatrix.from_stamps(c_space.dim, b_space.dim, placed)
 
 
 def assemble_jumps(b_space: DGVectorSpace, c_space: CodomainSpace) -> OpMatrix:
@@ -327,6 +319,4 @@ def adjoint(op: OpMatrix, gram_domain: GramMatrix, gram_codomain: GramMatrix) ->
         raise ValueError("gram dimensions do not match the operator")
     # column j of op^T G_cod is row j of G_cod op
     sols = gram_domain.solve_columns(gram_codomain.compose(op).dense_rows())
-    out = OpMatrix.from_columns(op.ncols, sols)
-    out.domain, out.codomain = op.codomain, op.domain
-    return out
+    return OpMatrix.from_columns(op.ncols, sols)

@@ -205,10 +205,11 @@ class BubbleBasis:
     The one elimination over Q of refcheck, recorded as ``factor``: the
     divergence rows D (``divergence``), whose kernel is ``divfree``, then
     the boundary map's trace rows T (orders 0..k); the kernel of [D; T] is
-    ``vectors`` (B), and ``_DecompositionTables`` replays the factor for
-    the edge modes.  ``projector`` maps family coefficient columns to the
-    bubble coefficients of their L2-orthogonal projection: B^T M B solved
-    against the moments B^T M, with M the family's Gram matrix.
+    ``vectors`` (B), whose one sparse form is ``columns``, and
+    ``_DecompositionTables`` replays the factor for the edge modes.
+    ``projector`` maps family coefficient columns to the bubble
+    coefficients of their L2-orthogonal projection: B^T M B solved against
+    the moments B^T M, with M the family's Gram matrix.
     """
 
     def __init__(self, family: str, k: int):
@@ -230,7 +231,7 @@ class BubbleBasis:
             self.factor.add({c: v for c, v in enumerate(row) if v})
         self.vectors = self.factor.nullspace(n)
         self.elements = [_combine(self.basis.elements, v) for v in self.vectors]
-        bubbles = OpMatrix.from_columns(n, self.vectors)
+        self.columns = bubbles = OpMatrix.from_columns(n, self.vectors)
         moments = bubbles.transpose().compose(OpMatrix.from_columns(n, self.basis.gram_ref()))
         self.projector = LiftedSolver(moments.compose(bubbles)).solve(moments)
 
@@ -266,61 +267,33 @@ def flat_trace_basis(ref: RefCell) -> list[VecPoly]:
 
 # 32-bit words per getrandbits read, far below the C int of bits it takes
 _READ_WORDS = 1 << 20
-# words read past 3.5 per pair still needed; a pair takes 32/19 + 16/9 on average
-_OVERDRAW = 64
-
-
-def _accepted(words: np.ndarray) -> np.ndarray:
-    """The positions of the 32-bit words that randrange(19), randrange(9),
-    randrange(19), ... accept, reading ``words`` in order.  Each reads the
-    top 5 or 4 bits of a word and rejects values of 19 or 9 and up, so a
-    word whose top 5 bits are 17 or less is accepted by either, one of 18
-    only as a numerator, and one of 19 or more by neither.  Of a run of 18s,
-    only the first can be accepted, and after the first word that follows a
-    run of 18s, the next word is read as a numerator again.  In between the
-    accepted words alternate, so an 18 is accepted exactly when an even
-    number of accepted words lie between that restart and it."""
-    top = words >> 27
-    candidates = np.flatnonzero(top < 19)
-    only_num = top[candidates] == 18
-    either = ~only_num
-    after_num = np.zeros_like(only_num)
-    after_num[1:] = only_num[:-1]
-    restart = np.ones_like(only_num)
-    restart[1:] = (either & after_num)[:-1]
-    before = either.cumsum() - either  # words of either kind before each
-    even = (before - before[restart.nonzero()[0]][restart.cumsum() - 1]) % 2 == 0
-    return candidates[either | (only_num & ~after_num & even)]
 
 
 def _draw(rng: random.Random, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n random rationals as int64 arrays (numerators, denominators): for
-    each, numerator randrange(19) - 9 and then denominator randrange(9) + 1;
-    the draw of every seeded field here and in ``hodge``.  The words that
-    2n ``randrange`` calls read are read from ``rng.getrandbits`` in bounded
-    chunks and accepted as ``_accepted`` replays them; ``rng`` is then put
-    back and advanced by exactly the words used, so it ends in the state
-    those calls leave."""
+    """n random rationals as int64 arrays (numerators, denominators), the
+    draw of every seeded field here and in ``hodge``.  Each is one 32-bit
+    word of ``rng.getrandbits``, taken in order: its top 5 bits minus 9 give
+    the numerator and its next 4 bits plus 1 the denominator, and a word
+    with either outside -9..9 or 1..9 is skipped.  A word is kept with
+    probability 19/32 * 9/16, about 1 in 3, so words are read 4 to each
+    value still needed, at most ``_READ_WORDS`` at a time; ``rng`` is then
+    put back and advanced by exactly the words used, so n values and then m
+    are the first n + m values."""
     start = rng.getstate()
-    empty = np.zeros(0, dtype=np.int64)
-    nums, dens = [empty], [empty]
-    words, used, have = np.zeros(0, dtype=np.uint32), 0, 0
+    tops = [np.zeros(0, dtype=np.uint32)]  # the top 9 bits of each word kept
+    have = used = 0
     while have < n:
-        k = min(_READ_WORDS, 7 * (n - have) // 2 + _OVERDRAW)
-        words = np.concatenate((words, np.frombuffer(
-            rng.getrandbits(32 * k).to_bytes(4 * k, "little"), dtype="<u4")))
-        at = _accepted(words)
-        pairs = min(at.size // 2, n - have)
-        nums.append((words[at[:2 * pairs:2]] >> 27).astype(np.int64) - 9)
-        dens.append((words[at[1:2 * pairs:2]] >> 28).astype(np.int64) + 1)
-        have += pairs
-        if pairs:  # what follows the last pair is read again from a numerator
-            used += int(at[2 * pairs - 1]) + 1
-            words = words[at[2 * pairs - 1] + 1:]
+        k = min(_READ_WORDS, 4 * (n - have))
+        top = np.frombuffer(rng.getrandbits(32 * k).to_bytes(4 * k, "little"), dtype="<u4") >> 23
+        kept = np.flatnonzero((top >> 4 < 19) & (top & 15 < 9))[:n - have]
+        tops.append(top[kept])
+        have += kept.size
+        used += int(kept[-1]) + 1 if have == n else k
     rng.setstate(start)
     for done in range(0, used, _READ_WORDS):
         rng.getrandbits(32 * min(_READ_WORDS, used - done))
-    return np.concatenate(nums), np.concatenate(dens)
+    top = np.concatenate(tops).astype(np.int64)
+    return (top >> 4) - 9, (top & 15) + 1
 
 
 class _Split(NamedTuple):
@@ -367,8 +340,9 @@ class _DecompositionTables:
         self.projector = bubbles.projector
         self.labels = [(e, i) for e in range(ref.num_edges) for i in range(1, k + 1)]
         at = [e * (k + 1) + i for e, i in self.labels]
-        self.mode_rows = _rows_matrix([row for r, row in enumerate(self.trace.dense_rows())
-                                       if r in at], n)
+        # orders 1..k of each edge, a block of consecutive rows of T
+        self.mode_rows = OpMatrix.stack([self.trace.row_block(e * (k + 1) + 1, (e + 1) * (k + 1))
+                                         for e in range(ref.num_edges)])
         # [D; T] w = [0; e_t], replayed on the bubbles' factor: two solutions
         # differ by a bubble, which the projection below removes
         zeros = [0] * self.divergence.nrows
@@ -377,11 +351,10 @@ class _DecompositionTables:
         if None in solutions:
             raise AssertionError("boundary target unexpectedly outside the range")
         preimages = OpMatrix.from_columns(n, solutions)
-        bubble_columns = OpMatrix.from_columns(n, bubbles.vectors)
-        modes = preimages - bubble_columns.compose(self.projector.compose(preimages))
+        modes = preimages - bubbles.columns.compose(self.projector.compose(preimages))
         self.flats = flat_trace_basis(ref)
         flat_columns = OpMatrix.from_columns(n, [basis.expand(w) for w in self.flats])
-        self.pieces = OpMatrix.hstack([bubble_columns, modes, flat_columns])
+        self.pieces = OpMatrix.hstack([bubbles.columns, modes, flat_columns])
         self.flat_inverse = LiftedSolver(flat_columns.transpose().compose(flat_columns)).solve(
             flat_columns.transpose())
         self.bubble_count, self.mode_count, self.flat_count = bubbles.dim, len(at), len(self.flats)

@@ -206,7 +206,7 @@ class Stamp(NamedTuple):
 
 
 class OpMatrix:
-    """Sparse exact matrix with domain/codomain tags.
+    """Sparse exact matrix.
 
     Row r holds the columns ``cols[ptr[r]:ptr[r + 1]]`` in increasing order
     and their nonzero integer numerators over the row's denominator, the
@@ -225,19 +225,16 @@ class OpMatrix:
     the most products at one position times it is.
     """
 
-    def __init__(self, nrows: int, ncols: int, domain: str = "", codomain: str = ""):
+    def __init__(self, nrows: int, ncols: int):
         """The zero matrix of this shape."""
-        self._set(nrows, ncols, np.zeros(nrows + 1, dtype=np.int64), _EMPTY, _EMPTY, _EMPTY,
-                  None, domain, codomain)
+        self._set(nrows, ncols, np.zeros(nrows + 1, dtype=np.int64), _EMPTY, _EMPTY, _EMPTY, None)
 
     def _set(self, nrows: int, ncols: int, ptr: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-             num: np.ndarray, den: np.ndarray | None, domain: str, codomain: str) -> None:
+             num: np.ndarray, den: np.ndarray | None) -> None:
         """Freeze the storage: row pointers, row-major nonzeros and the row
         denominators (all 1 when None)."""
         self.nrows = nrows
         self.ncols = ncols
-        self.domain = domain
-        self.codomain = codomain
         self._ptr = ptr
         self._rows = rows  # the row of each nonzero
         self._cols = cols
@@ -248,21 +245,20 @@ class OpMatrix:
 
     @classmethod
     def _from_sorted(cls, nrows: int, ncols: int, rows: np.ndarray, cols: np.ndarray,
-                     num: np.ndarray, den: np.ndarray | int, domain: str = "",
-                     codomain: str = "") -> "OpMatrix":
+                     num: np.ndarray, den: np.ndarray | int) -> "OpMatrix":
         """The matrix with entries num / den[row] at (rows, cols), given in
         row-major order at distinct positions, every num nonzero and every
         den positive; ``den`` is one per row or one for all.  Each row's
         numerators and denominator are divided by their gcd, which leaves
         the row's least common denominator (1 for an empty row)."""
         if not num.size:
-            return cls(nrows, ncols, domain, codomain)
+            return cls(nrows, ncols)
         out = cls.__new__(cls)
         counts = np.bincount(rows, minlength=nrows)
         ptr = np.zeros(nrows + 1, dtype=np.int64)
         counts.cumsum(out=ptr[1:])
         if isinstance(den, int) and den == 1:  # integers: every row is reduced
-            out._set(nrows, ncols, ptr, rows, cols, _narrow(num), None, domain, codomain)
+            out._set(nrows, ncols, ptr, rows, cols, _narrow(num), None)
             return out
         used = counts.nonzero()[0]
         starts, lengths = ptr[used], counts[used]
@@ -274,28 +270,25 @@ class OpMatrix:
         reduced = _narrow(den // g)
         row_den = np.ones(nrows, dtype=reduced.dtype)
         row_den[used] = reduced
-        out._set(nrows, ncols, ptr, rows, cols, _narrow(num // g.repeat(lengths)), row_den,
-                 domain, codomain)
+        out._set(nrows, ncols, ptr, rows, cols, _narrow(num // g.repeat(lengths)), row_den)
         return out
 
     @classmethod
     def _from_triplets(cls, nrows: int, ncols: int, rows: np.ndarray, cols: np.ndarray,
-                       num: np.ndarray, den: np.ndarray, domain: str = "",
-                       codomain: str = "") -> "OpMatrix":
+                       num: np.ndarray, den: np.ndarray) -> "OpMatrix":
         """The matrix with entries num / den at (rows, cols), in any order,
         dens positive.  Every value is put over L, the lcm of the dens
         (``_over_lcm``), and repeated positions are summed (``_sum``); a sum
         that cancels leaves no entry."""
         if not num.size:
-            return cls(nrows, ncols, domain, codomain)
+            return cls(nrows, ncols)
         terms, total, bound = _over_lcm(num, den)
         keys, sums = _sum(rows * ncols + cols, terms, bound, nrows * ncols)
-        return cls._from_sorted(nrows, ncols, keys // ncols, keys % ncols, sums, total,
-                                domain, codomain)
+        return cls._from_sorted(nrows, ncols, keys // ncols, keys % ncols, sums, total)
 
     @classmethod
-    def from_entries(cls, nrows: int, ncols: int, entries: Mapping[tuple[int, int], Fraction],
-                     domain: str = "", codomain: str = "") -> "OpMatrix":
+    def from_entries(cls, nrows: int, ncols: int,
+                     entries: Mapping[tuple[int, int], Fraction]) -> "OpMatrix":
         """The matrix with these ``{(row, col): value}`` entries."""
         items = [(r, c, Fraction(v)) for (r, c), v in entries.items() if v]
         for r, c, _ in items:
@@ -305,12 +298,11 @@ class OpMatrix:
             nrows, ncols, np.array([r for r, _, _ in items], dtype=np.int64),
             np.array([c for _, c, _ in items], dtype=np.int64),
             _ints([v.numerator for _, _, v in items]),
-            _ints([v.denominator for _, _, v in items]), domain, codomain)
+            _ints([v.denominator for _, _, v in items]))
 
     @classmethod
-    def from_stamps(cls, nrows: int, ncols: int,
-                    placed: Iterable[tuple[Stamp, Sequence[int], Sequence[Sequence[int]]]],
-                    domain: str = "", codomain: str = "") -> "OpMatrix":
+    def from_stamps(cls, nrows: int, ncols: int, placed: Iterable[
+            tuple[Stamp, Sequence[int], Sequence[Sequence[int]]]]) -> "OpMatrix":
         """The matrix of stamps placed at many places.  Each item is a stamp
         with the row offset and the column map of every place it goes: the
         stamp's entry (i, j, v) lands at ``(base + i, cols[j])``.
@@ -331,13 +323,13 @@ class OpMatrix:
             nums.append(stamp.num[None, :].repeat(where.size, axis=0).ravel())
             dens.append(stamp.den[None, :].repeat(where.size, axis=0).ravel())
         if not rows:
-            return cls(nrows, ncols, domain, codomain)
+            return cls(nrows, ncols)
         return cls._from_triplets(nrows, ncols, np.concatenate(rows), np.concatenate(cols),
-                                  np.concatenate(nums), np.concatenate(dens), domain, codomain)
+                                  np.concatenate(nums), np.concatenate(dens))
 
     @classmethod
-    def block_diagonal(cls, stamps: Sequence[Stamp], sizes: Sequence[int], which: np.ndarray,
-                       domain: str = "", codomain: str = "") -> "OpMatrix":
+    def block_diagonal(cls, stamps: Sequence[Stamp], sizes: Sequence[int],
+                       which: np.ndarray) -> "OpMatrix":
         """The square matrix whose diagonal blocks, one after another, are
         stamps[which[0]], stamps[which[1]], ..., block b of size
         sizes[which[b]].  Each stamp's entries must be distinct and in
@@ -349,7 +341,7 @@ class OpMatrix:
         dim = int(ends[-1]) if ends.size else 0
         counts = np.array([stamp.rows.size for stamp in stamps], dtype=np.int64)
         if not counts[which].any():
-            return cls(dim, dim, domain, codomain)
+            return cls(dim, dim)
         # where each block's entries start in the stamps' concatenation
         at = _spans(counts[which], (counts.cumsum() - counts)[which])
         offsets = (ends - size).repeat(counts[which])
@@ -357,8 +349,7 @@ class OpMatrix:
                                      np.concatenate([stamp.den for stamp in stamps]))
         return cls._from_sorted(
             dim, dim, np.concatenate([stamp.rows for stamp in stamps])[at] + offsets,
-            np.concatenate([stamp.cols for stamp in stamps])[at] + offsets, scaled[at], total,
-            domain, codomain)
+            np.concatenate([stamp.cols for stamp in stamps])[at] + offsets, scaled[at], total)
 
     @classmethod
     def from_columns(cls, nrows: int, vectors: Sequence[Sequence[Fraction]]) -> "OpMatrix":
@@ -432,7 +423,7 @@ class OpMatrix:
                  np.concatenate([b._rows + f for b, f in zip(blocks, firsts)]),
                  np.concatenate([b._cols for b in blocks]),
                  _narrow(np.concatenate([b._num for b in blocks])),
-                 _narrow(np.concatenate([b._den for b in blocks])), blocks[0].domain, "")
+                 _narrow(np.concatenate([b._den for b in blocks])))
         return out
 
     @classmethod
@@ -451,7 +442,7 @@ class OpMatrix:
                                      np.concatenate([b._den[b._rows] for b in blocks]))
         cols = np.concatenate([b._cols + f for b, f in zip(blocks, offsets)])
         return cls._from_sorted(nrows, int(offsets[-1]), rows[order], cols[order], scaled[order],
-                                total, "", blocks[0].codomain)
+                                total)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -483,7 +474,7 @@ class OpMatrix:
     def signed_sum(cls, terms: Sequence[tuple[int, "OpMatrix"]]) -> "OpMatrix":
         """sign_1 M_1 + sign_2 M_2 + ..., each sign +1 or -1 and every M of
         one shape, as one ``_from_triplets``: a sum that cancels leaves no
-        entry.  The result takes the tags of the first matrix."""
+        entry."""
         first = terms[0][1]
         if any(m.shape != first.shape for _, m in terms):
             raise ValueError("shape mismatch in a matrix sum")
@@ -491,7 +482,7 @@ class OpMatrix:
             first.nrows, first.ncols, np.concatenate([m._rows for _, m in terms]),
             np.concatenate([m._cols for _, m in terms]),
             np.concatenate([m._num if sign > 0 else -m._num for sign, m in terms]),
-            np.concatenate([m._den[m._rows] for _, m in terms]), first.domain, first.codomain)
+            np.concatenate([m._den[m._rows] for _, m in terms]))
 
     def __add__(self, other: "OpMatrix") -> "OpMatrix":
         return OpMatrix.signed_sum([(1, self), (1, other)])
@@ -518,7 +509,7 @@ class OpMatrix:
         out = OpMatrix.__new__(OpMatrix)
         out._set(stop - start, self.ncols, self._ptr[start:stop + 1] - a,
                  self._rows[a:b] - start, self._cols[a:b], _narrow(self._num[a:b]),
-                 _narrow(self._den[start:stop]), self.domain, "")
+                 _narrow(self._den[start:stop]))
         return out
 
     def column_block(self, start: int, stop: int, width: int | None = None,
@@ -534,7 +525,7 @@ class OpMatrix:
         keep = (self._cols >= start) & (self._cols < stop)
         return OpMatrix._from_sorted(self.nrows, width, self._rows[keep],
                                      self._cols[keep] + (offset - start), self._num[keep],
-                                     self._den, "", self.codomain)
+                                     self._den)
 
     def dense_rows(self) -> list[list[Fraction]]:
         rows = [[_ZERO] * self.ncols for _ in range(self.nrows)]
@@ -577,8 +568,7 @@ class OpMatrix:
         scaled, total, _ = _over_lcm(self._num, self._den, self._rows)
         order = self._cols.argsort(kind="stable")
         return OpMatrix._from_sorted(self.ncols, self.nrows, self._cols[order],
-                                     self._rows[order], scaled[order], total,
-                                     self.codomain, self.domain)
+                                     self._rows[order], scaled[order], total)
 
     def matvec(self, v: Sequence[Fraction]) -> list[Fraction]:
         return self.compose(OpMatrix.from_columns(self.ncols, [v])).column(0)
@@ -601,7 +591,7 @@ class OpMatrix:
         firsts = other._ptr[inner]
         lengths = other._ptr[inner + 1] - firsts
         if not lengths.any():
-            return OpMatrix(self.nrows, other.ncols, other.domain, self.codomain)
+            return OpMatrix(self.nrows, other.ncols)
         right, scale, bound = _over_lcm(other._num, other._den, other._rows)
         bound *= _max_abs(self._num)
         dtype = _word_dtype(bound)
@@ -619,8 +609,7 @@ class OpMatrix:
         keys, sums = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
         den = self._den.astype(_word_dtype(_max_abs(self._den) * scale), copy=False) * scale
         return OpMatrix._from_sorted(self.nrows, other.ncols, keys // other.ncols,
-                                     keys % other.ncols, sums, den,
-                                     other.domain, self.codomain)
+                                     keys % other.ncols, sums, den)
 
     def column_dots(self, other: "OpMatrix") -> "OpMatrix":
         """The 1 x ncols matrix of the dot products of matching columns of
@@ -669,8 +658,6 @@ class OpMatrix:
         reduced by the gcd of its numerator and its row denominator."""
         header = {
             "schema": 1,
-            "domain": self.domain,
-            "codomain": self.codomain,
             "nrows": self.nrows,
             "ncols": self.ncols,
             "nnz": self.nnz,
@@ -692,19 +679,19 @@ class OpMatrix:
 
 
 def load_matrix(path: str) -> OpMatrix:
-    """Read a file written by ``OpMatrix.export``.  A missing or malformed
-    size or ``%json`` line, an entry outside the shape, with a zero
-    denominator or that does not parse raises ``ValueError`` naming the
-    path and the line."""
+    """Read a file written by ``OpMatrix.export``.  The ``%json`` header
+    must be an object, but no key of it is read, so the domain and codomain
+    tags of older files are ignored.  A missing or malformed size or
+    ``%json`` line, an entry outside the shape, with a zero denominator or
+    that does not parse raises ``ValueError`` naming the path and the
+    line."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    meta = {}
     body = []
     for lineno, line in enumerate(lines, 1):
         if line.startswith("%json "):
             try:
-                meta = json.loads(line[len("%json "):])
-                if not isinstance(meta, dict):
+                if not isinstance(json.loads(line[len("%json "):]), dict):
                     raise ValueError("the %json header is not an object")
             except ValueError as exc:
                 raise ValueError(f"{path}, line {lineno}: {exc}") from exc
@@ -736,8 +723,7 @@ def load_matrix(path: str) -> OpMatrix:
             raise ValueError(f"{path}, line {lineno}: {exc}") from exc
         key = (r - 1, c - 1)
         entries[key] = entries.get(key, 0) + Fraction(num, den)
-    out = OpMatrix.from_entries(nrows, ncols, entries, meta.get("domain", ""),
-                                meta.get("codomain", ""))
+    out = OpMatrix.from_entries(nrows, ncols, entries)
     if out.nnz != nnz:
         raise ValueError(f"nnz mismatch reading {path}")
     return out

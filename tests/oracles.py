@@ -4,13 +4,14 @@ Each function here is the per-entity Python version of a routine that now
 runs on whole integer arrays: the cell-by-cell kernel test of
 ``complexcheck._cell_blocks`` and ``_corank_one`` on an operator's rows or
 its columns, the mesh built cell by cell with its lattice face lookup, and
-the continuous space's node numbering by tuple keys.  They share no code with
-the routines they check beyond the record types and the cached reference
-data.
+the continuous space's node numbering by tuple keys, and the seeded draw of
+``refcheck._draw`` word by word.  They share no code with the routines they
+check beyond the record types and the cached reference data.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -137,3 +138,16 @@ def scalar_dofs_loop(cells, degree: int):
             dofs.append(table.setdefault(key, len(table)))
         cell_dofs.append(dofs)
     return cell_dofs, len(table)
+
+
+def word_draws(rng: random.Random, n: int) -> list[tuple[int, int]]:
+    """n (numerator, denominator) pairs, one ``getrandbits(32)`` word at a
+    time: the top 5 bits minus 9 and the next 4 bits plus 1, skipping a word
+    whose numerator is past 9 or whose denominator is past 9."""
+    out = []
+    while len(out) < n:
+        word = rng.getrandbits(32)
+        num, den = (word >> 27) - 9, (word >> 23 & 15) + 1
+        if num <= 9 and den <= 9:
+            out.append((num, den))
+    return out

@@ -805,7 +805,7 @@ def test_gram_must_be_positive_definite(monkeypatch):
     # facts are the oracle's
     blocks = list(gram.blocks)
     blocks[3] = negated(blocks[3])
-    inst = dataclasses.replace(inst, gram_b=GramMatrix(gram.dim, blocks, gram.space_tag))
+    inst = dataclasses.replace(inst, gram_b=GramMatrix(gram.dim, blocks))
     monkeypatch.setattr(complexcheck, "_local_route", lambda *args: pytest.fail("local route"))
     assert certificate_facts(certify_complex(inst)) == oracle_facts(inst)
 

@@ -1,6 +1,7 @@
 """Operator assembly: exactness, adjoints, membership guards, round-trips."""
 
 import dataclasses
+import json
 import random
 import re
 import tempfile
@@ -330,6 +331,15 @@ def test_export_load_roundtrip(tmp_path, tri_spaces):
     back = load_matrix(str(path))
     assert back.shape == first.shape
     assert back.dense_rows() == first.dense_rows()
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    header = json.loads(lines[1][len("%json "):])
+    assert header == {"schema": 1, "nrows": b.dim, "ncols": a.dim, "nnz": first.nnz,
+                      "role": "first"}
+    # older files also name the two spaces; the tags are not read
+    header.update(domain="scalar_deg2", codomain="vec_p_k1")
+    lines[1] = "%json " + json.dumps(header, sort_keys=True) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    assert load_matrix(str(path)) == first
 
 
 @pytest.mark.parametrize("entry,reason", [

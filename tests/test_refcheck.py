@@ -27,6 +27,7 @@ from derham.refcheck import (
     uniqueness_probe,
 )
 from derham.sparse import OpMatrix
+from oracles import word_draws
 
 F = Fraction
 
@@ -351,14 +352,15 @@ def test_decompose_matches_polynomial_route(family, k, data):
 
 @pytest.mark.parametrize("seed_", [0, 3, 41])
 @pytest.mark.parametrize("family,k", [("vec_p", 2), ("vec_qdiv", 3)])
-def test_random_divfree_draws_as_before(family, k, seed_):
-    """randrange(19) - 9 and randrange(9) + 1 are the draws randint(-9, 9)
-    and randint(1, 9) make, so the seeded fields stay the same."""
+def test_random_divfree_is_the_rotated_gradient_of_word_draws(family, k, seed_):
+    """Each field is the rotated gradient of the scalar whose coefficients
+    are the next values of the word-by-word draw, and the generator ends
+    where that draw leaves it."""
     ref = family_ref(family)
     scalar = scalar_local_basis(ref, "p" if ref is RefCell.TRIANGLE else "q", k + 1)
     rng, reference = random.Random(seed_), random.Random(seed_)
     for _ in range(3):
-        coeffs = [F(reference.randint(-9, 9), reference.randint(1, 9)) for _ in scalar.elements]
+        coeffs = [F(a, d) for a, d in word_draws(reference, scalar.dim)]
         assert random_divfree(family, k, rng) == grad_perp(_combination(scalar.elements, coeffs))
     assert rng.getstate() == reference.getstate()
 
@@ -536,52 +538,127 @@ def test_batch_samples_redraw_a_zero_field():
     _assert_samples_are_draws("vec_p", 0, next(s for s in range(200) if redraws(s)), samples=8)
 
 
-def _assert_draw_is_randrange(seed_, n):
-    """``_draw`` gives the pairs, and leaves the state, of 2n randrange calls."""
+def _assert_draw_is_word_by_word(seed_, n):
+    """``_draw`` gives the pairs, and leaves the state, of ``word_draws``."""
     rng, reference = random.Random(seed_), random.Random(seed_)
     num, den = refcheck._draw(rng, n)
     assert num.dtype == den.dtype == np.int64
-    assert list(zip(num.tolist(), den.tolist())) == [
-        (reference.randrange(19) - 9, reference.randrange(9) + 1) for _ in range(n)]
+    assert list(zip(num.tolist(), den.tolist())) == word_draws(reference, n)
     assert rng.getstate() == reference.getstate()
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 40, 1000])
-def test_draw_is_randrange_over_many_seeds(n):
-    for seed_ in range(200):
-        _assert_draw_is_randrange(seed_, n)
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 40, 1000, 5000])
+def test_draw_is_one_word_per_value(n):
+    for seed_ in range(200 if n < 5000 else 10):
+        _assert_draw_is_word_by_word(seed_, n)
 
 
-@pytest.mark.parametrize("read_words,overdraw", [(1, 0), (2, 0), (5, 0), (7, 1), (1 << 20, 0)])
-def test_draw_reads_in_chunks_and_again(monkeypatch, read_words, overdraw):
-    """Reads of a few words each, or reads with no margin past 3.5 words a
-    pair, run out mid-draw and end between a numerator and its denominator;
-    the words left over are read again with the next chunk."""
+@pytest.mark.parametrize("n,m", [(0, 3), (1, 1), (7, 40), (5000, 9)])
+def test_draw_continues_where_it_stopped(n, m):
+    """n values and then m are the first n + m values, and leave the same
+    state, so a batch of fields is the same fields drawn one at a time."""
+    for seed_ in range(20):
+        rng, whole = random.Random(seed_), random.Random(seed_)
+        parts = [refcheck._draw(rng, n), refcheck._draw(rng, m)]
+        for joined, once in zip(map(np.concatenate, zip(*parts)), refcheck._draw(whole, n + m)):
+            assert joined.tolist() == once.tolist()
+        assert rng.getstate() == whole.getstate()
+
+
+@pytest.mark.parametrize("read_words", [1, 2, 5, 7, 1 << 20])
+def test_draw_reads_in_chunks_and_again(monkeypatch, read_words):
+    """Reads of a few words each run out mid-draw and are followed by
+    more; the generator is then advanced again, in reads as bounded, by the
+    words up to the last value kept."""
+    cases = [(seed_, n) for seed_ in range(40) for n in (0, 1, 2, 9, 50)]
+    expected = {}
+    for seed_, n in cases:
+        reference = random.Random(seed_)
+        expected[seed_, n] = (word_draws(reference, n), reference.getstate())
     monkeypatch.setattr(refcheck, "_READ_WORDS", read_words)
-    monkeypatch.setattr(refcheck, "_OVERDRAW", overdraw)
     reads = []
     getrandbits = random.Random.getrandbits
     monkeypatch.setattr(random.Random, "getrandbits",
                         lambda self, k: reads.append(k) or getrandbits(self, k))
-    for seed_ in range(40):
-        for n in (0, 1, 2, 9, 50):
-            _assert_draw_is_randrange(seed_, n)
+    for seed_, n in cases:
+        rng = random.Random(seed_)
+        num, den = refcheck._draw(rng, n)
+        assert (list(zip(num.tolist(), den.tolist())), rng.getstate()) == expected[seed_, n]
     assert max(reads) <= 32 * read_words
-    assert len(reads) > 2 * 40 * 4  # more than one read and one advance per draw
+    assert len(reads) >= 2 * sum(1 for _, n in cases if n)  # a read and an advance per draw
+
+
+class _Words(random.Random):
+    """A generator that gives the listed 32-bit words in order; its state is
+    the number of words given."""
+
+    def __init__(self, words):
+        self.words, self.at = list(words), 0
+
+    def getstate(self):
+        return self.at
+
+    def setstate(self, state):
+        self.at = state
+
+    def getrandbits(self, k):
+        words = self.words[self.at:self.at + k // 32]
+        self.at += k // 32
+        return sum(w << 32 * i for i, w in enumerate(words))
 
 
 def test_accepted_words_replay_the_rejections():
-    """Every top-5-bit value, in runs that cross numerator and denominator
-    reads, against the loop that randrange runs word by word."""
-    rng = random.Random(5)
-    tops = [rng.choice([0, 8, 17, 18, 18, 19, 31]) for _ in range(4000)]
-    words = np.array([(t << 27) | rng.getrandbits(27) for t in tops], dtype=np.uint32)
-    expected, numerator = [], True
-    for at, word in enumerate(words.tolist()):
-        if (word >> 27 < 19) if numerator else (word >> 28 < 9):
-            expected.append(at)
-            numerator = not numerator
-    assert refcheck._accepted(words).tolist() == expected
+    """Every value of the top 9 bits, against the word-by-word loop: a word
+    is kept exactly when its top 5 bits are below 19 and its next 4 below 9,
+    and its lowest 23 bits are never read."""
+    def word(top, next_):
+        return top << 27 | next_ << 23 | (1 << 23) - 1
+
+    words = [word(19, 0), word(0, 9), word(31, 15), word(18, 8), word(0, 0), word(9, 3)]
+    rng = _Words(words + [word(0, 0)] * 30)
+    num, den = refcheck._draw(rng, 3)
+    assert list(zip(num.tolist(), den.tolist())) == [(9, 9), (-9, 1), (0, 4)]
+    assert rng.at == len(words)
+    shuffle = random.Random(5)
+    words = [top << 23 | shuffle.getrandbits(23) for top in range(512)] * 3
+    shuffle.shuffle(words)
+    kept = sum(w >> 27 < 19 and w >> 23 & 15 < 9 for w in words)
+    rng, reference = _Words(words), _Words(words)
+    num, den = refcheck._draw(rng, kept)
+    assert list(zip(num.tolist(), den.tolist())) == word_draws(reference, kept)
+    assert rng.at == reference.at
+
+
+def test_draw_reaches_every_value_of_the_rule():
+    """Over 20,000 values every numerator in -9..9 meets every denominator
+    in 1..9, and nothing else is drawn."""
+    num, den = refcheck._draw(random.Random(0), 20_000)
+    assert set(zip(num.tolist(), den.tolist())) == {
+        (a, d) for a in range(-9, 10) for d in range(1, 10)}
+
+
+@pytest.mark.parametrize("seed_", range(5))
+def test_reports_pass_at_every_seed(seed_):
+    """The report counts the samples that split exactly, so it reads the
+    same whichever fields a seed gives."""
+    for cell in ("tri", "quad"):
+        for k in range(4):
+            rep = refcheck_report(cell, k, seed=seed_)
+            assert rep.passed, (cell, k, _failed_checks(rep))
+
+
+def test_tables_are_slices_of_the_trace_and_the_bubbles():
+    """R is the rows (edge, order 1..k) of T and the first pieces are the
+    bubble vectors, both equal to the matrices built from dense rows."""
+    for family in ("vec_p", "vec_qdiv"):
+        for k in range(7):
+            tables = refcheck._decomposition_tables(family, k)
+            n, rows = tables.basis.dim, tables.trace.dense_rows()
+            at = [e * (k + 1) + i for e, i in tables.labels]
+            assert tables.mode_rows == OpMatrix.from_entries(len(at), n, {
+                (r, c): v for r, t in enumerate(at) for c, v in enumerate(rows[t]) if v})
+            assert tables.pieces.column_block(0, tables.bubble_count) == OpMatrix.from_columns(
+                n, tables.bubbles.vectors)
 
 
 def test_zero_draws_give_up_after_64(monkeypatch):
